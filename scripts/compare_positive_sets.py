@@ -60,8 +60,8 @@ def main() -> int:
         return short, long_
 
     hybrid, _ = tf.train(fresh_field(), ds, result.records, descriptions, tcfg)
-    referral_only, _ = tf.long_only_baseline(
-        fresh_field(), ds, result.records, descriptions, tcfg
+    referral_only, _ = tf.train(
+        fresh_field(), ds, result.records, descriptions, tcfg, include_category=False
     )
     h_short, h_long = evaluate(hybrid)
     r_short, r_long = evaluate(referral_only)

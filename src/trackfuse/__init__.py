@@ -10,14 +10,13 @@ from .consensus import (
     ConsensusRecord,
     ConsensusResult,
     SynonymClustering,
-    apply_phi,
     cluster_synonyms,
     cosine_distance_matrix,
     propagate,
     run_consensus,
     vote_trajectory,
 )
-from .errors import NumericError, SchemaError, TrackfuseError
+from .errors import NumericError, SchemaError, StageError, TrackfuseError
 from .field import (
     ViewBatch,
     ToyGaussian,
@@ -25,7 +24,6 @@ from .field import (
     TrainConfig,
     contrastive_loss,
     grad_check,
-    long_only_baseline,
     render_mask,
     seg_loss,
     select_gaussians,

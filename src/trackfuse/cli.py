@@ -13,25 +13,25 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import logging
 import os
 import platform
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .consensus import cluster_synonyms, load_consensus, propagate, run_consensus, save_consensus
-from .errors import NumericError, SchemaError
+from .errors import NumericError, SchemaError, StageError
 from .field import (
     TrainConfig,
     field_from_ground_truth,
     load_field,
-    long_only_baseline,
     render_mask,
     save_field,
     save_loss_curve,
@@ -49,8 +49,10 @@ from .records import (
     config_hash,
     load_dataset,
     load_descriptions,
+    read_json,
     save_dataset,
     save_descriptions,
+    write_csv,
 )
 from .rle import rle_decode
 from .synth import SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
@@ -77,6 +79,24 @@ DEFAULT_CONFIG = {
     "eval": {"views": None},
 }
 
+# The files of a run directory, keyed by the path flag that names each one
+# ("scene" is the run directory itself).
+RUN_FILES = {
+    "scene": ".",
+    "manifest": "dataset/manifest.json",
+    "ground_truth": "ground_truth.json",
+    "geometry": "field_geometry.json",
+    "tracks": "tracks.jsonl",
+    "consensus": "consensus.jsonl",
+    "descriptions": "descriptions.jsonl",
+    "model": "model.json",
+    "loss_curve": "loss_curve.csv",
+    "report": "report.json",
+}
+
+# Exit code per error type; a StageError exits with the code of its cause.
+EXIT_CODES = ((SchemaError, 2), (NumericError, 3), (ValueError, 1), (OSError, 2))
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
@@ -86,20 +106,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _out_root() -> Path:
-    return Path(os.environ.get("TRACKFUSE_OUT", "runs"))
-
-
 def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        try:
-            user = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise SchemaError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-        for key, value in user.items():
+        for key, value in read_json(path, dict).items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)
             else:
@@ -119,32 +129,30 @@ def _synth_config(cfg: dict, seed: int) -> SynthConfig:
     return SynthConfig.from_json(section)
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
+# TrainConfig fields that the train section may set, with their types
+_TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "ratio_start": float,
+               "ratio_factor": float, "ratio_interval": int, "selection": str}
+
+
+def _train_config(cfg: dict) -> TrainConfig:
     section = cfg["train"]
-    views = section.get("views")
-    return TrainConfig(
-        lam=float(section.get("lam", 0.1)),
-        tau=float(section.get("tau", 0.1)),
-        epochs=int(section.get("epochs", 5)),
-        feature_lr=float(section.get("feature_lr", 2.5e-3)),
-        ratio_start=float(section.get("ratio_start", 0.1)),
-        ratio_factor=float(section.get("ratio_factor", 0.6)),
-        ratio_interval=int(section.get("ratio_interval", 2000)),
-        seed=seed,
-        views=tuple(views) if views is not None else None,
-        selection=str(section.get("selection", "pseudo")),
-    )
+    kwargs = {key: cast(section[key]) for key, cast in _TRAIN_KEYS.items() if key in section}
+    if section.get("views") is not None:
+        kwargs["views"] = tuple(section["views"])
+    return TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
-# stages (also the implementation behind the single-step subcommands)
+# stages: each takes (cfg, paths keyed like RUN_FILES, seed), writes its
+# done-marker last, and returns the path it reports
 
 
-def stage_synth(cfg: dict, out_dir: Path, seed: int) -> Path:
+def stage_synth(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     scfg = _synth_config(cfg, seed)
     ds, gt = generate_scene(scfg)
     ds = corrupt(ds, gt, scfg)
-    manifest = save_dataset(ds, out_dir / "dataset")
+    out_dir = paths["scene"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_ground_truth(gt, out_dir / "ground_truth.json")
     tcfg = cfg["train"]
     geometry = field_from_ground_truth(
@@ -157,16 +165,16 @@ def stage_synth(cfg: dict, out_dir: Path, seed: int) -> Path:
         per_object=int(tcfg.get("gaussians_per_object", 5)),
     )
     save_field(geometry, out_dir / "field_geometry.json")
-    return manifest
+    return save_dataset(ds, out_dir / "dataset")
 
 
-def stage_associate(cfg: dict, manifest: Path, out_path: Path) -> None:
-    ds = load_dataset(manifest)
+def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    ds = load_dataset(paths["manifest"])
     section = cfg["assoc"]
-    manifest_obj = json.loads(Path(manifest).read_text())
-    if "tracks" in manifest_obj:
+    sidecar = read_json(paths["manifest"]).get("tracks")
+    if sidecar is not None:
         # dataset ships an external tracker's output: validate and adopt it
-        trajectories = load_tracks(Path(manifest).parent / manifest_obj["tracks"])
+        trajectories = load_tracks(paths["manifest"].parent / sidecar, ds)
     elif section.get("mode", "import") == "import":
         trajectories = import_tracks(ds)
     else:
@@ -176,23 +184,25 @@ def stage_associate(cfg: dict, manifest: Path, out_path: Path) -> None:
             max_gap=int(section.get("max_gap", 5)),
         )
         trajectories = associate_greedy(ds, params)
-    save_tracks(trajectories, out_path)
+    save_tracks(trajectories, paths["tracks"])
+    return paths["tracks"]
 
 
-def stage_consensus(cfg: dict, manifest: Path, tracks_path: Path, out_path: Path) -> None:
-    ds = load_dataset(manifest)
-    trajectories = load_tracks(tracks_path)
+def stage_consensus(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    ds = load_dataset(paths["manifest"])
+    trajectories = load_tracks(paths["tracks"], ds)
     result = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"]))
-    save_consensus(result.records, out_path)
+    save_consensus(result.records, paths["consensus"])
+    return paths["consensus"]
 
 
-def stage_keyframe(cfg: dict, manifest: Path, consensus_path: Path, out_path: Path, seed: int) -> None:
-    ds = load_dataset(manifest)
-    records = load_consensus(consensus_path)
+def stage_keyframe(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    ds = load_dataset(paths["manifest"])
+    records = load_consensus(paths["consensus"], ds)
     section = cfg["keyframe"]
     external = None
     if section.get("external"):
-        external = ExternalDescriptions.load(section["external"])
+        external = ExternalDescriptions.load(section["external"], dim=ds.dim)
     descriptions = run_keyframes(
         ds,
         records,
@@ -201,17 +211,8 @@ def stage_keyframe(cfg: dict, manifest: Path, consensus_path: Path, out_path: Pa
         seed=seed,
         external=external,
     )
-    save_descriptions(descriptions, out_path)
-
-
-def _default_descriptions_path(manifest: Path) -> Path:
-    manifest_obj = json.loads(Path(manifest).read_text())
-    if "descriptions" in manifest_obj:
-        return Path(manifest).parent / manifest_obj["descriptions"]
-    raise SchemaError(
-        "no descriptions source: pass --descriptions or add a 'descriptions' "
-        "entry to the dataset manifest"
-    )
+    save_descriptions(descriptions, paths["descriptions"])
+    return paths["descriptions"]
 
 
 def _default_geometry_path(cfg: dict, manifest: Path) -> Path:
@@ -230,48 +231,33 @@ def _default_geometry_path(cfg: dict, manifest: Path) -> Path:
     )
 
 
-def stage_train(
-    cfg: dict,
-    manifest: Path,
-    consensus_path: Path,
-    model_path: Path,
-    seed: int,
-    descriptions_path: Path | None = None,
-    geometry_path: Path | None = None,
-    curve_path: Path | None = None,
-    long_only: bool | None = None,
-) -> None:
-    ds = load_dataset(manifest)
-    records = load_consensus(consensus_path)
-    if descriptions_path is None:
-        descriptions_path = _default_descriptions_path(manifest)
-    if geometry_path is None:
-        geometry_path = _default_geometry_path(cfg, manifest)
-    descriptions = load_descriptions(descriptions_path, dim=ds.dim)
-    field_ = load_field(geometry_path)
-    tcfg = _train_config(cfg, seed)
-    if long_only is None:
-        long_only = bool(cfg["train"].get("long_only", False))
-    runner = long_only_baseline if long_only else train
-    field_, curve = runner(field_, ds, records, descriptions, tcfg)
-    save_field(field_, model_path)
-    if curve_path is not None:
-        save_loss_curve(curve, curve_path)
+def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    ds = load_dataset(paths["manifest"])
+    records = load_consensus(paths["consensus"], ds)
+    descriptions = ds.descriptions
+    if "descriptions" in paths:
+        descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
+    if descriptions is None:
+        raise SchemaError(
+            "no descriptions source: pass --descriptions or add a 'descriptions' "
+            "entry to the dataset manifest"
+        )
+    field_ = load_field(paths.get("geometry") or _default_geometry_path(cfg, paths["manifest"]))
+    long_only = bool(cfg["train"].get("long_only", False))
+    field_, curve = train(
+        field_, ds, records, descriptions, _train_config(cfg), include_category=not long_only
+    )
+    if "loss_curve" in paths:
+        save_loss_curve(curve, paths["loss_curve"])
+    save_field(field_, paths["model"])
+    return paths["model"]
 
 
-def stage_eval(
-    cfg: dict,
-    manifest: Path,
-    consensus_path: Path,
-    report_path: Path,
-    seed: int,
-    gt_path: Path | None = None,
-    model_path: Path | None = None,
-    descriptions_path: Path | None = None,
-) -> dict:
-    ds = load_dataset(manifest)
-    records = load_consensus(consensus_path)
+def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    ds = load_dataset(paths["manifest"])
+    records = load_consensus(paths["consensus"], ds)
     propagate(ds, records)
+    gt = load_ground_truth(paths["ground_truth"]) if "ground_truth" in paths else None
 
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
@@ -281,13 +267,11 @@ def stage_eval(
     if observed:
         clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
         metrics["cluster_count"] = len(clustering.canonical)
-        if gt_path is not None and gt_path.exists():
-            gt = load_ground_truth(gt_path)
+        if gt is not None:
             metrics.update(consensus_accuracy(ds, gt, clustering))
 
-    if model_path is not None and model_path.exists():
-        field_ = load_field(model_path)
-        gt = load_ground_truth(gt_path) if gt_path is not None and gt_path.exists() else None
+    if "model" in paths:
+        field_ = load_field(paths["model"])
         eval_views = cfg["eval"].get("views")
         views = list(eval_views) if eval_views is not None else trajectories_views
         if gt is not None and views:
@@ -303,8 +287,8 @@ def stage_eval(
             metrics["miou_short"] = miou_short
             metrics["miou_short_per_query"] = per_short
 
-            if descriptions_path is not None and descriptions_path.exists():
-                descriptions = load_descriptions(descriptions_path, dim=ds.dim)
+            if "descriptions" in paths:
+                descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
                 track_to_obj = match_tracks_to_objects(ds, records, gt)
                 obj_by_id = {o.object_id: o for o in gt.objects}
                 long_preds: dict[str, dict[int, np.ndarray]] = {}
@@ -324,7 +308,68 @@ def stage_eval(
                     metrics["miou_long"] = miou_long
                     metrics["miou_long_per_query"] = per_long
 
-    return emit_report(metrics, cfg, {"seed": seed}, report_path)
+    emit_report(metrics, cfg, {"seed": seed}, paths["report"])
+    return paths["report"]
+
+
+# ---------------------------------------------------------------------------
+# the stage table: drives both the single-stage subcommands and ``run``
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    help: str
+    default_out: str  # --out default under $TRACKFUSE_OUT
+    output: str  # RUN_FILES key that --out sets
+    marker: str  # RUN_FILES key whose existence makes ``run`` skip the stage
+    run: Callable[[dict, dict[str, Path], int], Path]
+    inputs: tuple[str, ...] = ()  # required path flags, RUN_FILES keys
+    optional: tuple[str, ...] = ()  # optional path flags, RUN_FILES keys
+    overrides: tuple[tuple[str, dict], ...] = ()  # ("section.key", argparse kwargs)
+
+
+STAGES = (
+    Stage("synth", "generate a synthetic scene dataset", "scene", "scene", "manifest",
+          stage_synth),
+    Stage(
+        "associate", "build trajectories from detections", "tracks.jsonl", "tracks",
+        "tracks", stage_associate, inputs=("manifest",),
+        overrides=(
+            ("assoc.mode", {"choices": ["import", "greedy"]}),
+            ("assoc.iou_weight", {"type": float}),
+            ("assoc.match_threshold", {"type": float}),
+            ("assoc.max_gap", {"type": int}),
+        ),
+    ),
+    Stage(
+        "consensus", "cluster labels and vote per trajectory", "consensus.jsonl",
+        "consensus", "consensus", stage_consensus, inputs=("manifest", "tracks"),
+        overrides=(("consensus.tau_sem", {"type": float}),),
+    ),
+    Stage(
+        "keyframe", "select keyframes and attach descriptions", "descriptions.jsonl",
+        "descriptions", "descriptions", stage_keyframe, inputs=("manifest", "consensus"),
+        overrides=(
+            ("keyframe.sigma", {"type": float}),
+            ("keyframe.strategy", {}),
+            ("keyframe.external", {"help": "external descriptions file keyed by (track, view)"}),
+        ),
+    ),
+    Stage(
+        "train",
+        "train the toy referring field (--descriptions defaults to the manifest's "
+        "descriptions entry, --geometry to field_geometry.json next to the dataset)",
+        "model.json", "model", "model", stage_train, inputs=("manifest", "consensus"),
+        optional=("descriptions", "geometry", "loss_curve"),
+        overrides=(("train.long_only", {"action": "store_true", "default": None}),),
+    ),
+    Stage(
+        "eval", "compute metrics and write the report", "report.json", "report", "report",
+        stage_eval, inputs=("manifest", "consensus"),
+        optional=("ground_truth", "model", "descriptions"),
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -335,71 +380,23 @@ def run_pipeline(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> di
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     statuses: dict[str, str] = {}
+    paths = {key: out_dir / name for key, name in RUN_FILES.items()}
 
-    def needs(path: Path) -> bool:
-        return force or not path.exists()
-
-    manifest = out_dir / "dataset" / "manifest.json"
-    gt_path = out_dir / "ground_truth.json"
-    geometry = out_dir / "field_geometry.json"
-    tracks = out_dir / "tracks.jsonl"
-    consensus_path = out_dir / "consensus.jsonl"
-    descriptions_path = out_dir / "descriptions.jsonl"
-    model_path = out_dir / "model.json"
-    curve_path = out_dir / "loss_curve.csv"
-    report_path = out_dir / "report.json"
-
-    stages = [
-        ("synth", manifest, lambda: stage_synth(cfg, out_dir, seed)),
-        ("associate", tracks, lambda: stage_associate(cfg, manifest, tracks)),
-        ("consensus", consensus_path, lambda: stage_consensus(cfg, manifest, tracks, consensus_path)),
-        ("keyframe", descriptions_path, lambda: stage_keyframe(cfg, manifest, consensus_path, descriptions_path, seed)),
-        (
-            "train",
-            model_path,
-            lambda: stage_train(
-                cfg,
-                manifest,
-                consensus_path,
-                model_path,
-                seed,
-                descriptions_path=descriptions_path,
-                geometry_path=geometry,
-                curve_path=curve_path,
-            ),
-        ),
-        (
-            "eval",
-            report_path,
-            lambda: stage_eval(
-                cfg,
-                manifest,
-                consensus_path,
-                report_path,
-                seed,
-                gt_path=gt_path,
-                model_path=model_path,
-                descriptions_path=descriptions_path,
-            ),
-        ),
-    ]
-
-    for name, output, fn in stages:
-        if not needs(output):
-            statuses[name] = "skipped"
-            logger.info("stage %s: output exists, skipping", name)
+    for stage in STAGES:
+        if not force and paths[stage.marker].exists():
+            statuses[stage.name] = "skipped"
+            logger.info("stage %s: output exists, skipping", stage.name)
             continue
-        logger.info("stage %s: running", name)
+        logger.info("stage %s: running", stage.name)
         try:
-            fn()
+            stage.run(cfg, paths, seed)
         except Exception as exc:
-            statuses[name] = "failed"
+            statuses[stage.name] = "failed"
             _write_run_manifest(out_dir, cfg, seed, statuses, started)
-            raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-        statuses[name] = "done"
+            raise StageError(f"stage {stage.name!r} failed: {exc}") from exc
+        statuses[stage.name] = "done"
 
-    run_manifest = _write_run_manifest(out_dir, cfg, seed, statuses, started)
-    return run_manifest
+    return _write_run_manifest(out_dir, cfg, seed, statuses, started)
 
 
 def _write_run_manifest(out_dir: Path, cfg: dict, seed: int, statuses: dict, started: float) -> dict:
@@ -424,18 +421,11 @@ def _write_run_manifest(out_dir: Path, cfg: dict, seed: int, statuses: dict, sta
 
 
 def run_sweep(
-    cfg: dict,
-    manifest: Path,
-    tracks_path: Path,
-    param: str,
-    values: list[float],
-    out_path: Path,
-    gt_path: Path | None,
-    seed: int,
+    cfg: dict, paths: dict[str, Path], seed: int, param: str, values: list[float], out_path: Path
 ) -> list[dict]:
-    ds = load_dataset(manifest)
-    trajectories = load_tracks(tracks_path)
-    gt = load_ground_truth(gt_path) if gt_path is not None and gt_path.exists() else None
+    ds = load_dataset(paths["manifest"])
+    trajectories = load_tracks(paths["tracks"], ds)
+    gt = load_ground_truth(paths["ground_truth"]) if "ground_truth" in paths else None
 
     rows = []
     for value in values:
@@ -459,11 +449,7 @@ def run_sweep(
         rows.append(row)
 
     fields = sorted({k for row in rows for k in row}, key=lambda k: (k != "value", k))
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    write_csv(fields, ([row.get(k, "") for k in fields] for row in rows), out_path)
     return rows
 
 
@@ -471,186 +457,82 @@ def run_sweep(
 # argument parsing
 
 
+def _flag(key: str) -> str:
+    """--flag for a RUN_FILES key or a "section.key" config override."""
+    return "--" + key.rpartition(".")[2].replace("_", "-")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trackfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, default_out: str):
+    def command(name: str, help: str, default_out: str, inputs=(), optional=()):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(default_out=default_out)
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help=f"output path (default: $TRACKFUSE_OUT/{default_out})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; 1 is the deterministic reference path")
+        for key in inputs + optional:
+            p.add_argument(_flag(key), dest=key, type=Path, required=key in inputs)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic scene dataset")
-    common(p, "scene")
+    for stage in STAGES:
+        p = command(stage.name, stage.help, stage.default_out, stage.inputs, stage.optional)
+        p.set_defaults(stage=stage)
+        for dest, kwargs in stage.overrides:
+            p.add_argument(_flag(dest), dest=dest, **kwargs)
 
-    p = sub.add_parser("associate", help="build trajectories from detections")
-    common(p, "tracks.jsonl")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=["import", "greedy"])
-    p.add_argument("--iou-weight", type=float)
-    p.add_argument("--match-threshold", type=float)
-    p.add_argument("--max-gap", type=int)
-
-    p = sub.add_parser("consensus", help="cluster labels and vote per trajectory")
-    common(p, "consensus.jsonl")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--tracks", required=True)
-    p.add_argument("--tau-sem", type=float)
-
-    p = sub.add_parser("keyframe", help="select keyframes and attach descriptions")
-    common(p, "descriptions.jsonl")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--consensus", required=True)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--strategy")
-    p.add_argument("--external", help="external descriptions file keyed by (track, view)")
-
-    p = sub.add_parser("train", help="train the toy referring field")
-    common(p, "model.json")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--consensus", required=True)
-    p.add_argument("--descriptions", help="defaults to the manifest's descriptions entry")
-    p.add_argument("--geometry", help="defaults to field_geometry.json next to the dataset")
-    p.add_argument("--loss-curve")
-    p.add_argument("--long-only", action="store_true")
-
-    p = sub.add_parser("eval", help="compute metrics and write the report")
-    common(p, "report.json")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--consensus", required=True)
-    p.add_argument("--ground-truth")
-    p.add_argument("--model")
-    p.add_argument("--descriptions")
-
-    p = sub.add_parser("sweep", help="sweep one parameter and export a CSV table")
-    common(p, "sweep.csv")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--tracks", required=True)
+    p = command("sweep", "sweep one parameter and export a CSV table", "sweep.csv",
+                inputs=("manifest", "tracks"), optional=("ground_truth",))
     p.add_argument("--param", choices=["tau_sem", "sigma"], default="tau_sem")
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--ground-truth")
 
-    p = sub.add_parser("run", help="run the full pipeline into one directory")
-    common(p, "run")
+    p = command("run", "run the full pipeline into one directory", "run")
     p.add_argument("--force", action="store_true", help="re-run stages whose output exists")
 
     return parser
-
-
-def _resolve_out(args, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    root = _out_root()
-    root.mkdir(parents=True, exist_ok=True)
-    return root / default_name
 
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     cfg["seed"] = seed
+    paths = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            cfg[section][key] = value
+        elif dest in RUN_FILES and value is not None:
+            paths[dest] = value
 
-    if args.command == "synth":
-        out = _resolve_out(args, "scene")
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = stage_synth(cfg, out, seed)
-        print(manifest)
-    elif args.command == "associate":
-        if args.mode:
-            cfg["assoc"]["mode"] = args.mode
-        for flag, key in (("iou_weight", "iou_weight"), ("match_threshold", "match_threshold"), ("max_gap", "max_gap")):
-            value = getattr(args, flag)
-            if value is not None:
-                cfg["assoc"][key] = value
-        out = _resolve_out(args, "tracks.jsonl")
-        stage_associate(cfg, Path(args.manifest), out)
-        print(out)
-    elif args.command == "consensus":
-        if args.tau_sem is not None:
-            cfg["consensus"]["tau_sem"] = args.tau_sem
-        out = _resolve_out(args, "consensus.jsonl")
-        stage_consensus(cfg, Path(args.manifest), Path(args.tracks), out)
-        print(out)
-    elif args.command == "keyframe":
-        if args.sigma is not None:
-            cfg["keyframe"]["sigma"] = args.sigma
-        if args.strategy:
-            cfg["keyframe"]["strategy"] = args.strategy
-        if args.external:
-            cfg["keyframe"]["external"] = args.external
-        out = _resolve_out(args, "descriptions.jsonl")
-        stage_keyframe(cfg, Path(args.manifest), Path(args.consensus), out, seed)
-        print(out)
-    elif args.command == "train":
-        out = _resolve_out(args, "model.json")
-        stage_train(
-            cfg,
-            Path(args.manifest),
-            Path(args.consensus),
-            out,
-            seed,
-            descriptions_path=Path(args.descriptions) if args.descriptions else None,
-            geometry_path=Path(args.geometry) if args.geometry else None,
-            curve_path=Path(args.loss_curve) if args.loss_curve else None,
-            long_only=True if args.long_only else None,
-        )
-        print(out)
-    elif args.command == "eval":
-        out = _resolve_out(args, "report.json")
-        stage_eval(
-            cfg,
-            Path(args.manifest),
-            Path(args.consensus),
-            out,
-            seed,
-            gt_path=Path(args.ground_truth) if args.ground_truth else None,
-            model_path=Path(args.model) if args.model else None,
-            descriptions_path=Path(args.descriptions) if args.descriptions else None,
-        )
-        print(out)
+    out = Path(args.out or Path(os.environ.get("TRACKFUSE_OUT", "runs")) / args.default_out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+
+    if args.command == "run":
+        run_pipeline(cfg, out, seed, force=args.force)
     elif args.command == "sweep":
-        out = _resolve_out(args, "sweep.csv")
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValueError("--values is empty")
-        run_sweep(
-            cfg,
-            Path(args.manifest),
-            Path(args.tracks),
-            args.param,
-            values,
-            out,
-            Path(args.ground_truth) if args.ground_truth else None,
-            seed,
-        )
-        print(out)
-    elif args.command == "run":
-        out = _resolve_out(args, "run")
-        run_pipeline(cfg, out, seed, force=args.force)
-        print(out)
+        run_sweep(cfg, paths, seed, args.param, values, out)
+    else:
+        out = args.stage.run(cfg, paths | {args.stage.output: out}, seed)
+    print(out)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SchemaError as exc:
+    except Exception as exc:
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
+        code = next((code for kind, code in EXIT_CODES if isinstance(cause, kind)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":

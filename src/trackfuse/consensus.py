@@ -24,12 +24,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import json
-
 import numpy as np
 
 from .errors import SchemaError
-from .records import LabelEmbedding, SceneDataset, Trajectory
+from .records import LabelEmbedding, SceneDataset, Trajectory, member_check, read_jsonl, write_jsonl
 from .rle import mask_area
 
 logger = logging.getLogger(__name__)
@@ -145,11 +143,6 @@ def cluster_synonyms(
     return SynonymClustering(assignment=assignment, canonical=canonical, threshold=tau_sem)
 
 
-def apply_phi(clustering: SynonymClustering, label: str) -> tuple[int, str]:
-    """Clustered identity of a raw label (singleton pass-through if unseen)."""
-    return clustering.resolve(label)
-
-
 def vote_trajectory(
     member_votes: list[tuple[str, int]],
 ) -> tuple[str, dict[str, int]]:
@@ -188,27 +181,18 @@ class ConsensusRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsensusRecord":
-        try:
-            return cls(
-                track_id=int(obj["track"]),
-                canonical=str(obj["canonical"]),
-                votes={str(k): int(v) for k, v in obj["votes"].items()},
-                members=tuple((int(v), int(i)) for v, i in obj["members"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed consensus record: {exc}") from exc
+        return cls(
+            track_id=int(obj["track"]),
+            canonical=str(obj["canonical"]),
+            votes={str(k): int(v) for k, v in obj["votes"].items()},
+            members=tuple((int(v), int(i)) for v, i in obj["members"]),
+        )
 
 
 @dataclass
 class ConsensusResult:
     clustering: SynonymClustering
     records: list[ConsensusRecord] = field(default_factory=list)
-
-    def record_for(self, track_id: int) -> ConsensusRecord:
-        for rec in self.records:
-            if rec.track_id == track_id:
-                return rec
-        raise KeyError(f"no consensus record for track {track_id}")
 
 
 def run_consensus(
@@ -224,7 +208,7 @@ def run_consensus(
         member_votes = []
         for view, idx in traj.members:
             det = ds.detection(view, idx)
-            _, identity = apply_phi(clustering, det.raw_label)
+            _, identity = clustering.resolve(det.raw_label)
             member_votes.append((identity, mask_area(det.mask)))
         winner, counts = vote_trajectory(member_votes)
         records.append(
@@ -250,19 +234,10 @@ def propagate(ds: SceneDataset, records: list[ConsensusRecord]) -> SceneDataset:
 
 
 def save_consensus(records: list[ConsensusRecord], path: str | Path) -> None:
-    lines = [
-        json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")) for rec in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl((rec.to_json() for rec in records), path)
 
 
-def load_consensus(path: str | Path) -> list[ConsensusRecord]:
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(ConsensusRecord.from_json(json.loads(line)))
-        except (json.JSONDecodeError, SchemaError) as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    return records
+def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> list[ConsensusRecord]:
+    """Read a consensus file; against ``ds``, also check every member (``member_check``)."""
+    check = member_check(ds)
+    return read_jsonl(path, lambda obj: check(ConsensusRecord.from_json(obj)))

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 SchemaError covers malformed files and records (CLI exit code 2);
-NumericError covers failures inside numeric routines (CLI exit code 3).
+NumericError covers failures inside numeric routines (CLI exit code 3);
+StageError wraps the failure of one stage of `trackfuse run` (its cause's code).
 Plain ValueError is reserved for bad function arguments.
 """
 
@@ -16,3 +17,7 @@ class SchemaError(TrackfuseError):
 
 class NumericError(TrackfuseError):
     """Numeric routine cannot proceed (empty selection, non-finite loss)."""
+
+
+class StageError(TrackfuseError):
+    """A pipeline stage failed; the failure that stopped it is ``__cause__``."""

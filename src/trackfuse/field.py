@@ -17,8 +17,6 @@ analytic; ``grad_check`` compares them against central finite differences.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +25,7 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
-from .records import DescriptionSet, SceneDataset
+from .records import DescriptionSet, SceneDataset, read_json, write_csv, write_json
 from .rle import RleMask, rle_decode
 from .synth import GroundTruth
 
@@ -301,11 +299,9 @@ class TrainConfig:
     tau: float = 0.1
     epochs: int = 5
     feature_lr: float = 2.5e-3
-    mlp_lr: float = 1e-4  # reserved for a full model's decoder head; unused here
     ratio_start: float = 0.1
     ratio_factor: float = 0.6
     ratio_interval: int = 2000
-    seed: int = 0
     views: tuple[int, ...] | None = None
     selection: str = "pseudo"  # or "rendered": ablation, unstable from a cold start
 
@@ -402,17 +398,6 @@ def train(
     return field_, curve
 
 
-def long_only_baseline(
-    field_: ToyReferringField,
-    ds: SceneDataset,
-    records: list[ConsensusRecord],
-    descriptions: list[DescriptionSet],
-    cfg: TrainConfig,
-) -> tuple[ToyReferringField, list[tuple[int, float, float, float]]]:
-    """Train with referral texts only (no category positives)."""
-    return train(field_, ds, records, descriptions, cfg, include_category=False)
-
-
 def field_from_ground_truth(
     gt: GroundTruth,
     n_views: int,
@@ -465,39 +450,35 @@ def save_field(field_: ToyReferringField, path: str | Path) -> None:
             for g in field_.gaussians
         ],
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(obj, path)
+
+
+def _field_from_json(obj: dict) -> ToyReferringField:
+    gaussians = []
+    for g in obj["gaussians"]:
+        centers = np.array(
+            [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
+        )
+        gaussians.append(
+            ToyGaussian(
+                gid=int(g["id"]),
+                track=int(g["track"]),
+                centers=centers,
+                feature=np.asarray(g["feature"], dtype=float),
+            )
+        )
+    return ToyReferringField(
+        height=int(obj["h"]),
+        width=int(obj["w"]),
+        spread=float(obj["spread"]),
+        dim=int(obj["dim"]),
+        gaussians=gaussians,
+    )
 
 
 def load_field(path: str | Path) -> ToyReferringField:
-    try:
-        obj = json.loads(Path(path).read_text())
-        gaussians = []
-        for g in obj["gaussians"]:
-            centers = np.array(
-                [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
-            )
-            gaussians.append(
-                ToyGaussian(
-                    gid=int(g["id"]),
-                    track=int(g["track"]),
-                    centers=centers,
-                    feature=np.asarray(g["feature"], dtype=float),
-                )
-            )
-        return ToyReferringField(
-            height=int(obj["h"]),
-            width=int(obj["w"]),
-            spread=float(obj["spread"]),
-            dim=int(obj["dim"]),
-            gaussians=gaussians,
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed field file: {exc}") from exc
+    return read_json(path, _field_from_json)
 
 
 def save_loss_curve(curve: list[tuple[int, float, float, float]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "seg", "con", "total"])
-        for row in curve:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+    write_csv(["iter", "seg", "con", "total"], curve, path)

@@ -13,7 +13,6 @@ template synthesizer for synthetic scenes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import SchemaError
-from .records import DescriptionSet, SceneDataset, text_embedding
+from .records import DescriptionSet, SceneDataset, as_vector, read_jsonl, text_embedding
 from .rle import mask_area, rle_decode
 
 STRATEGIES = ("weighting", "maximum", "minimum", "random", "medium")
@@ -104,28 +103,22 @@ class ExternalDescriptions:
 
     File format: one JSON object per line
     {"track": int, "view": int, "texts": [str, ...], "vecs": [[float, ...], ...]}.
+    Vectors must be finite, and of length ``dim`` when one is given.
     """
 
     def __init__(self, entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]]):
         self.entries = entries
 
     @classmethod
-    def load(cls, path: str | Path) -> "ExternalDescriptions":
-        entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key = (int(obj["track"]), int(obj["view"]))
-                texts = [str(t) for t in obj["texts"]]
-                vecs = [np.asarray(v, dtype=float) for v in obj["vecs"]]
-                if len(texts) != len(vecs):
-                    raise SchemaError(f"{len(texts)} texts but {len(vecs)} vectors")
-                entries[key] = list(zip(texts, vecs))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed description entry: {exc}") from exc
-        return cls(entries)
+    def load(cls, path: str | Path, dim: int | None = None) -> "ExternalDescriptions":
+        def entry(obj: dict):
+            texts = [str(t) for t in obj["texts"]]
+            vecs = [as_vector(v, dim, "caption vector") for v in obj["vecs"]]
+            if len(texts) != len(vecs):
+                raise SchemaError(f"{len(texts)} texts but {len(vecs)} vectors")
+            return (int(obj["track"]), int(obj["view"])), list(zip(texts, vecs))
+
+        return cls(dict(read_jsonl(path, entry)))
 
     def referrals(self, track_id: int, view: int) -> list[tuple[str, np.ndarray]]:
         key = (track_id, view)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .consensus import ConsensusRecord, SynonymClustering, apply_phi
+from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
-from .records import SceneDataset, config_hash
+from .records import SceneDataset, config_hash, read_json, write_json
 from .rle import mask_iou, rle_decode
 from .synth import GroundTruth
 
@@ -125,7 +124,7 @@ def consensus_accuracy(
             continue
         truth = identity_of[mapping[key]]
         total += 1
-        _, clustered = apply_phi(clustering, det.raw_label)
+        _, clustered = clustering.resolve(det.raw_label)
         if clustered == truth:
             per_view_hits += 1
         if det.resolved_label == truth:
@@ -150,12 +149,9 @@ def emit_report(
         "seeds": seeds,
         "metrics": metrics,
     }
-    Path(path).write_text(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(report, path)
     return report
 
 
 def load_report(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    return read_json(path)

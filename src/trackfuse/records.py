@@ -12,14 +12,21 @@ line-delimited ({track, keyframe, category, referrals: [{text, vec}]}).
 Paths are resolved relative to the manifest. Serialization is canonical
 (sorted keys, repr floats), so save followed by load is the identity and
 re-serialization is byte-stable.
+All JSON, JSONL and CSV IO goes through the helpers below: writes are
+atomic (temp file, then ``os.replace``) and read errors are SchemaErrors
+naming ``path`` or ``path:line``.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,14 +35,90 @@ from .rle import RleMask
 
 UNIT_NORM_TOL = 1e-6
 
+# What a record parser raises on a well-formed JSON value of the wrong shape.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError)
 
-def _dumps(obj) -> str:
+
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys, no whitespace, repr floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path: str | Path) -> None:
+    _write_text(path, dumps(obj) + "\n")
+
+
+def write_jsonl(objs: Iterable, path: str | Path) -> None:
+    _write_text(path, "".join(dumps(obj) + "\n" for obj in objs))
+
+
+def write_csv(header: list[str], rows: Iterable, path: str | Path) -> None:
+    """A header row, then one row per item; floats are written with repr (full precision)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    _write_text(path, buf.getvalue())
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _parse(where: str, text: str, parse: Callable):
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise SchemaError(f"{where}: malformed record: {exc!r}") from exc
+
+
+def read_json(path: str | Path, parse: Callable = lambda obj: obj):
+    """Parse one JSON document; every error is a SchemaError naming ``path``."""
+    return _parse(str(path), _read_text(path), parse)
+
+
+def read_jsonl(path: str | Path, parse: Callable) -> list:
+    """Parse each non-blank line; every error is a SchemaError naming ``path:line``."""
+    return [
+        _parse(f"{path}:{lineno}", line, parse)
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1)
+        if line.strip()
+    ]
 
 
 def config_hash(obj) -> str:
     """sha256 of the canonical JSON serialization of ``obj``."""
-    return hashlib.sha256(_dumps(obj).encode("utf-8")).hexdigest()
+    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+
+
+def as_vector(value, dim: int | None, what: str) -> np.ndarray:
+    """A finite float vector, of shape (dim,) when ``dim`` is given."""
+    vec = np.asarray(value, dtype=float)
+    if dim is not None and vec.shape != (dim,):
+        raise SchemaError(f"{what} has shape {vec.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(vec)):
+        raise SchemaError(f"{what} is not finite")
+    return vec
 
 
 def text_embedding(text: str, dim: int) -> np.ndarray:
@@ -83,16 +166,13 @@ class Detection:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Detection":
-        try:
-            return cls(
-                view=int(obj["view"]),
-                mask=RleMask.from_json(obj["mask"]),
-                raw_label=str(obj["label"]),
-                confidence=float(obj["conf"]),
-                track_id=int(obj["track"]) if "track" in obj else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed detection record: {exc}") from exc
+        return cls(
+            view=int(obj["view"]),
+            mask=RleMask.from_json(obj["mask"]),
+            raw_label=str(obj["label"]),
+            confidence=float(obj["conf"]),
+            track_id=int(obj["track"]) if "track" in obj else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -123,7 +203,7 @@ class LabelEmbedding:
 
     def __post_init__(self) -> None:
         norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
             raise SchemaError(
                 f"embedding for {self.label!r} must be unit-norm, got |v| = {norm}"
             )
@@ -154,23 +234,15 @@ class DescriptionSet:
 
     @classmethod
     def from_json(cls, obj: dict, dim: int | None = None) -> "DescriptionSet":
-        try:
-            refs = []
-            for r in obj["referrals"]:
-                vec = np.asarray(r["vec"], dtype=float)
-                if dim is not None and vec.shape != (dim,):
-                    raise SchemaError(
-                        f"referral vector has dim {vec.shape}, expected ({dim},)"
-                    )
-                refs.append((str(r["text"]), vec))
-            return cls(
-                track_id=int(obj["track"]),
-                category=str(obj["category"]),
-                referrals=refs,
-                keyframe=int(obj["keyframe"]) if "keyframe" in obj else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed description record: {exc}") from exc
+        return cls(
+            track_id=int(obj["track"]),
+            category=str(obj["category"]),
+            referrals=[
+                (str(r["text"]), as_vector(r["vec"], dim, "referral vector"))
+                for r in obj["referrals"]
+            ],
+            keyframe=int(obj["keyframe"]) if "keyframe" in obj else None,
+        )
 
 
 @dataclass
@@ -192,22 +264,13 @@ class SceneDataset:
             )
         for per_view in self.detections:
             for det in per_view:
-                self._check_detection(det)
+                _check_detection(det, self.n_views, self.height, self.width)
         for emb in self.embeddings.values():
             if emb.vector.shape != (self.dim,):
                 raise SchemaError(
                     f"embedding for {emb.label!r} has dim {emb.vector.shape}, "
                     f"expected ({self.dim},)"
                 )
-
-    def _check_detection(self, det: Detection) -> None:
-        if det.view >= self.n_views:
-            raise SchemaError(f"detection view {det.view} >= n_views {self.n_views}")
-        if (det.mask.height, det.mask.width) != (self.height, self.width):
-            raise SchemaError(
-                f"detection mask is {det.mask.height}x{det.mask.width}, "
-                f"dataset is {self.height}x{self.width}"
-            )
 
     def all_detections(self):
         """Yield (view, index, detection) in deterministic order."""
@@ -225,19 +288,56 @@ class SceneDataset:
             raise SchemaError(f"no embedding for label {label!r}") from None
 
 
+def _check_detection(det: Detection, n_views: int, height: int, width: int) -> Detection:
+    if det.view >= n_views:
+        raise SchemaError(f"detection view {det.view} >= n_views {n_views}")
+    if (det.mask.height, det.mask.width) != (height, width):
+        raise SchemaError(
+            f"detection mask is {det.mask.height}x{det.mask.width}, "
+            f"dataset is {height}x{width}"
+        )
+    return det
+
+
+def member_check(ds: SceneDataset | None) -> Callable:
+    """A parse step for tracks read against ``ds``, checking each in turn.
+
+    Every (view, index) member must be a detection of the dataset, and no
+    detection may belong to two tracks. Anything with ``track_id`` and
+    ``members`` (trajectories, consensus records) qualifies. Without a
+    dataset the step passes tracks through unchecked.
+    """
+    if ds is None:
+        return lambda track: track
+    owner: dict[tuple[int, int], int] = {}
+
+    def check(track):
+        for view, idx in track.members:
+            if not (0 <= view < ds.n_views and 0 <= idx < len(ds.detections[view])):
+                raise SchemaError(
+                    f"track {track.track_id}: member ({view}, {idx}) "
+                    "is not a detection of the dataset"
+                )
+            if (view, idx) in owner:
+                raise SchemaError(
+                    f"track {track.track_id}: detection ({view}, {idx}) "
+                    f"already belongs to track {owner[(view, idx)]}"
+                )
+            owner[(view, idx)] = track.track_id
+        return track
+
+    return check
+
+
 def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
-    """Write manifest + detections + embeddings (+ descriptions). Returns manifest path."""
+    """Write detections + embeddings (+ descriptions), then the manifest. Returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    det_lines = []
-    for _, _, det in ds.all_detections():
-        det_lines.append(_dumps(det.to_json()))
-    (out / "detections.jsonl").write_text("\n".join(det_lines) + ("\n" if det_lines else ""))
-
-    emb_obj = {label: emb.vector.tolist() for label, emb in sorted(ds.embeddings.items())}
-    (out / "embeddings.json").write_text(_dumps(emb_obj) + "\n")
-
+    write_jsonl((det.to_json() for _, _, det in ds.all_detections()), out / "detections.jsonl")
+    write_json(
+        {label: emb.vector.tolist() for label, emb in sorted(ds.embeddings.items())},
+        out / "embeddings.json",
+    )
     manifest = {
         "n_views": ds.n_views,
         "h": ds.height,
@@ -247,47 +347,26 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
         "embeddings": "embeddings.json",
     }
     if ds.descriptions is not None:
-        desc_lines = [_dumps(d.to_json()) for d in ds.descriptions]
-        (out / "descriptions.jsonl").write_text(
-            "\n".join(desc_lines) + ("\n" if desc_lines else "")
-        )
+        save_descriptions(ds.descriptions, out / "descriptions.jsonl")
         manifest["descriptions"] = "descriptions.jsonl"
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(_dumps(manifest) + "\n")
+    write_json(manifest, manifest_path)
     return manifest_path
 
 
 def load_descriptions(path: str | Path, dim: int | None = None) -> list[DescriptionSet]:
-    sets = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            sets.append(DescriptionSet.from_json(obj, dim=dim))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-    return sets
+    return read_jsonl(path, lambda obj: DescriptionSet.from_json(obj, dim=dim))
 
 
 def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
-    lines = [_dumps(d.to_json()) for d in sets]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl((d.to_json() for d in sets), path)
 
 
 def load_dataset(path: str | Path) -> SceneDataset:
     """Load from a manifest file (or a directory containing manifest.json)."""
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-    if not manifest_path.exists():
-        raise SchemaError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
         if key not in manifest:
             raise SchemaError(f"{manifest_path}: manifest missing key {key!r}")
@@ -296,37 +375,17 @@ def load_dataset(path: str | Path) -> SceneDataset:
     height, width, dim = int(manifest["h"]), int(manifest["w"]), int(manifest["dim"])
 
     detections: list[list[Detection]] = [[] for _ in range(n_views)]
-    det_path = base / manifest["detections"]
-    for lineno, line in enumerate(det_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{det_path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            det = Detection.from_json(obj)
-            if det.view >= n_views:
-                raise SchemaError(f"view {det.view} >= n_views {n_views}")
-            if (det.mask.height, det.mask.width) != (height, width):
-                raise SchemaError(
-                    f"mask is {det.mask.height}x{det.mask.width}, dataset is {height}x{width}"
-                )
-        except SchemaError as exc:
-            raise SchemaError(f"{det_path}:{lineno}: {exc}") from exc
+    for det in read_jsonl(
+        base / manifest["detections"],
+        lambda obj: _check_detection(Detection.from_json(obj), n_views, height, width),
+    ):
         detections[det.view].append(det)
 
-    emb_path = base / manifest["embeddings"]
-    try:
-        emb_obj = json.loads(emb_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{emb_path}: invalid JSON: {exc}") from exc
-    embeddings = {}
-    for label in sorted(emb_obj):
-        vec = np.asarray(emb_obj[label], dtype=float)
-        if vec.shape != (dim,):
-            raise SchemaError(f"{emb_path}: embedding {label!r} has shape {vec.shape}, expected ({dim},)")
-        embeddings[label] = LabelEmbedding(label, vec)
+    def embeddings(obj: dict) -> dict[str, LabelEmbedding]:
+        return {
+            label: LabelEmbedding(label, as_vector(obj[label], dim, f"embedding {label!r}"))
+            for label in sorted(obj)
+        }
 
     descriptions = None
     if "descriptions" in manifest:
@@ -338,6 +397,6 @@ def load_dataset(path: str | Path) -> SceneDataset:
         width=width,
         dim=dim,
         detections=detections,
-        embeddings=embeddings,
+        embeddings=read_json(base / manifest["embeddings"], embeddings),
         descriptions=descriptions,
     )

@@ -43,10 +43,7 @@ class RleMask:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RleMask":
-        try:
-            return cls(int(obj["h"]), int(obj["w"]), tuple(int(c) for c in obj["counts"]))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed RLE mask object: {obj!r}") from exc
+        return cls(int(obj["h"]), int(obj["w"]), tuple(int(c) for c in obj["counts"]))
 
 
 def rle_encode(bitmap) -> RleMask:

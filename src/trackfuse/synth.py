@@ -15,14 +15,12 @@ cosine <= 0.5 so clustering thresholds have a crisp ground truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
-from .records import Detection, LabelEmbedding, SceneDataset
+from .records import Detection, LabelEmbedding, SceneDataset, read_json, write_json
 from .rle import RleMask, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
@@ -146,16 +144,11 @@ class GroundTruth:
 
 
 def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(gt.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    write_json(gt.to_json(), path)
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    try:
-        return GroundTruth.from_json(json.loads(Path(path).read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed ground truth: {exc}") from exc
+    return read_json(path, GroundTruth.from_json)
 
 
 def build_vocabulary_embeddings(

@@ -10,14 +10,13 @@ views.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-from .records import SceneDataset, Trajectory
+from .records import SceneDataset, Trajectory, member_check, read_jsonl, write_jsonl
 from .rle import RleMask, mask_iou
 
 
@@ -112,27 +111,18 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
 
 
 def save_tracks(trajectories: list[Trajectory], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {"track": t.track_id, "members": [[v, i] for v, i in t.members]},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for t in trajectories
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(
+        ({"track": t.track_id, "members": [[v, i] for v, i in t.members]} for t in trajectories),
+        path,
+    )
 
 
-def load_tracks(path: str | Path) -> list[Trajectory]:
-    trajectories = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            trajectories.append(
-                Trajectory(int(obj["track"]), tuple((int(v), int(i)) for v, i in obj["members"]))
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}:{lineno}: malformed track record: {exc}") from exc
-    return trajectories
+def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> list[Trajectory]:
+    """Read a tracks file; against ``ds``, also check every member (``member_check``)."""
+    check = member_check(ds)
+    return read_jsonl(
+        path,
+        lambda obj: check(
+            Trajectory(int(obj["track"]), tuple((int(v), int(i)) for v, i in obj["members"]))
+        ),
+    )

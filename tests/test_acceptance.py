@@ -304,8 +304,8 @@ def test_criterion_7_hybrid_beats_long_only():
             return short, long_
 
         hybrid, _ = tf.train(fresh_field(), ds, result.records, descriptions, tcfg)
-        baseline, _ = tf.long_only_baseline(
-            fresh_field(), ds, result.records, descriptions, tcfg
+        baseline, _ = tf.train(
+            fresh_field(), ds, result.records, descriptions, tcfg, include_category=False
         )
         hybrid_short, hybrid_long = evaluate(hybrid)
         base_short, base_long = evaluate(baseline)

@@ -1,9 +1,11 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from trackfuse.cli import load_config, main, run_pipeline
+from trackfuse.errors import StageError
 
 DATA = Path(__file__).parent / "data"
 
@@ -187,7 +189,6 @@ class TestStages:
 
     def test_manifest_tracks_key_is_adopted(self, tmp_path):
         import trackfuse as tfs
-        from trackfuse.cli import stage_associate
         from trackfuse.records import save_dataset
         from trackfuse.tracking import import_tracks, load_tracks, save_tracks
 
@@ -203,7 +204,8 @@ class TestStages:
         obj["tracks"] = "ext_tracks.jsonl"
         manifest.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
-        stage_associate(load_config(None), manifest, tmp_path / "tracks.jsonl")
+        argv = ["associate", "--manifest", str(manifest), "--out", str(tmp_path / "tracks.jsonl")]
+        assert main(argv) == 0
         adopted = load_tracks(tmp_path / "tracks.jsonl")
         assert [t.track_id for t in adopted] == [t.track_id for t in external]
 
@@ -287,8 +289,9 @@ class TestPipeline:
         cfg = load_config(None)
         cfg["synth"] = {"n_views": 2, "n_objects": 1}
         cfg["consensus"]["tau_sem"] = 2.0  # invalid: consensus stage must fail
-        with pytest.raises(ValueError, match="stage 'consensus'"):
+        with pytest.raises(StageError, match="stage 'consensus'") as err:
             run_pipeline(cfg, tmp_path / "run", seed=0)
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_fully_dropped_scene_still_completes(self, tmp_path):
         cfg = load_config(None)
@@ -316,3 +319,185 @@ class TestPipeline:
         assert manifest["seed"] == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config_hash"] == manifest["config_hash"]
+
+
+TINY_CONFIG = {
+    "seed": 0,
+    "synth": {"n_views": 3, "n_objects": 2, "height": 32, "width": 32},
+    "train": {"epochs": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("finished")
+    cfg = write_config(root, TINY_CONFIG)
+    assert main(["run", "--config", cfg, "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+@pytest.fixture
+def run_dir(finished_run, tmp_path):
+    """A private copy of a finished tiny run."""
+    shutil.copytree(finished_run, tmp_path / "run")
+    return tmp_path / "run"
+
+
+def edit_jsonl(path, lineno, edit):
+    """Replace line ``lineno`` (1-based) of a JSONL file with edit(parsed line) as text."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(json.loads(lines[lineno - 1]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def stage_argv(run, command, tmp_path):
+    """Single-stage argv reading the run's artifacts and writing under tmp_path."""
+    inputs = {
+        "associate": [],
+        "consensus": ["--tracks", str(run / "tracks.jsonl")],
+        "keyframe": ["--consensus", str(run / "consensus.jsonl")],
+        "train": [
+            "--consensus", str(run / "consensus.jsonl"),
+            "--descriptions", str(run / "descriptions.jsonl"),
+            "--geometry", str(run / "field_geometry.json"),
+        ],
+    }[command]
+    manifest = ["--manifest", str(run / "dataset" / "manifest.json")]
+    return [command, *manifest, *inputs, "--out", str(tmp_path / f"{command}.out")]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name, key", [("dataset/detections.jsonl", "view"), ("tracks.jsonl", "track")])
+    def test_overflowing_number_exits_two_naming_line(self, run_dir, tmp_path, capsys, name, key):
+        edit_jsonl(run_dir / name, 2, lambda obj: json.dumps(obj | {key: "BIG"}).replace('"BIG"', "1e400"))
+        assert main(stage_argv(run_dir, "consensus", tmp_path)) == 2
+        assert f"{Path(name).name}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["keyframe", "run"])
+    def test_non_utf8_external_captions_exit_two(self, run_dir, tmp_path, capsys, command):
+        external = tmp_path / "captions.jsonl"
+        external.write_bytes(b'{"track": 0, "view": 0, "texts": ["\xff"], "vecs": [[1.0]]}\n')
+        if command == "run":
+            for name in ("descriptions.jsonl", "model.json", "report.json"):
+                (run_dir / name).unlink()
+            cfg = write_config(tmp_path, TINY_CONFIG | {"keyframe": {"external": str(external)}})
+            argv = ["run", "--config", cfg, "--out", str(run_dir)]
+        else:
+            argv = stage_argv(run_dir, "keyframe", tmp_path) + ["--external", str(external)]
+        assert main(argv) == 2
+        assert "captions.jsonl: not UTF-8" in capsys.readouterr().err
+
+    def test_nan_embedding_exits_two_naming_file(self, run_dir, tmp_path, capsys):
+        path = run_dir / "dataset" / "embeddings.json"
+        emb = json.loads(path.read_text())
+        emb[sorted(emb)[0]][0] = float("nan")
+        path.write_text(json.dumps(emb))
+        assert main(stage_argv(run_dir, "consensus", tmp_path)) == 2
+        assert "embeddings.json" in capsys.readouterr().err
+
+    def test_non_finite_referral_vector_exits_two(self, run_dir, tmp_path, capsys):
+        def poison(obj):
+            obj["referrals"][0]["vec"][0] = float("inf")
+            return json.dumps(obj)
+
+        edit_jsonl(run_dir / "descriptions.jsonl", 1, poison)
+        assert main(stage_argv(run_dir, "train", tmp_path)) == 2
+        assert "descriptions.jsonl:1: referral vector is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vec, problem", [([float("nan")] * 32, "not finite"), ([1.0] * 31, "shape")])
+    def test_bad_external_caption_vector_exits_two(self, run_dir, tmp_path, capsys, vec, problem):
+        from trackfuse.consensus import load_consensus
+        from trackfuse.records import text_embedding
+
+        good = text_embedding("a caption", 32).tolist()
+        entries = [
+            {"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [good]}
+            for rec in load_consensus(run_dir / "consensus.jsonl")
+            for view, _ in rec.members
+        ]
+        entries[0]["vecs"] = [vec]
+        external = tmp_path / "captions.jsonl"
+        external.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        argv = stage_argv(run_dir, "keyframe", tmp_path) + ["--external", str(external)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "captions.jsonl:1: caption vector" in err
+        assert problem in err
+
+    @pytest.mark.parametrize(
+        "member, owner",
+        [([0, 99], 0), ([0, -1], 0), ([0, 0], 1)],
+        ids=["past-end", "negative", "duplicate"],
+    )
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("tracks.jsonl", "consensus"),
+            ("consensus.jsonl", "keyframe"),
+            ("dataset/sidecar.jsonl", "associate"),
+        ],
+    )
+    def test_bad_track_member_exits_two(self, run_dir, tmp_path, capsys, member, owner, name, command):
+        path = run_dir / name
+        if command == "associate":
+            shutil.copy(run_dir / "tracks.jsonl", path)
+            manifest = run_dir / "dataset" / "manifest.json"
+            manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {"tracks": path.name}))
+
+        def corrupt(obj):
+            obj["members"][0] = member
+            return json.dumps(obj)
+
+        # scene detections are (view, track) ordered: track t owns (v, t) in every view
+        edit_jsonl(path, owner + 1, corrupt)
+        assert main(stage_argv(run_dir, command, tmp_path)) == 2
+        assert f"{path.name}:{owner + 1}: track {owner}:" in capsys.readouterr().err
+
+
+class TestResume:
+    @pytest.mark.parametrize("victim", ["field_geometry.json", "manifest.json"])
+    def test_failed_synth_write_is_rerun(self, tmp_path, monkeypatch, victim):
+        real_write_text = Path.write_text
+
+        def failing_write_text(self, data, *args, **kwargs):
+            if self.name.startswith(victim):
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(f"injected failure writing {self.name}")
+            return real_write_text(self, data, *args, **kwargs)
+
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", failing_write_text)
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["stages"]["synth"] == "done"
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
+        assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+def test_single_stage_sequence_matches_run(tmp_path):
+    """The per-stage calls perfbench/run.py makes give the artifacts of ``run``."""
+    cfg = write_config(tmp_path, SMALL_CONFIG | {"assoc": {"mode": "greedy"}})
+    staged, run = tmp_path / "staged", tmp_path / "run"
+    c = ["--config", cfg]
+    m = ["--manifest", str(staged / "dataset" / "manifest.json")]
+
+    def a(name):
+        return str(staged / name)
+
+    calls = [
+        ["synth", *c, "--out", str(staged)],
+        ["associate", *c, *m, "--out", a("tracks.jsonl")],
+        ["consensus", *c, *m, "--tracks", a("tracks.jsonl"), "--out", a("consensus.jsonl")],
+        ["keyframe", *c, *m, "--consensus", a("consensus.jsonl"), "--out", a("descriptions.jsonl")],
+        ["train", *c, *m, "--consensus", a("consensus.jsonl"), "--descriptions", a("descriptions.jsonl"),
+         "--geometry", a("field_geometry.json"), "--loss-curve", a("loss_curve.csv"), "--out", a("model.json")],
+        ["eval", *c, *m, "--consensus", a("consensus.jsonl"), "--model", a("model.json"),
+         "--descriptions", a("descriptions.jsonl"), "--ground-truth", a("ground_truth.json"),
+         "--out", a("report.json")],
+    ]
+    for argv in calls:
+        assert main(argv) == 0, argv
+    assert main(["run", *c, "--out", str(run)]) == 0
+    assert tree_bytes(staged) == tree_bytes(run)

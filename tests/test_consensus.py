@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import trackfuse as tf
 from trackfuse.consensus import (
     SynonymClustering,
-    apply_phi,
     canonical_form,
     cluster_synonyms,
     cosine_distance_matrix,
@@ -126,23 +125,23 @@ class TestApplyPhi:
     def test_singleton_identity(self):
         e = embed(["pot"], [[1.0, 0.0]])
         c = cluster_synonyms(["pot"], e, 0.85)
-        assert apply_phi(c, "pot") == (0, "pot")
+        assert c.resolve("pot") == (0, "pot")
 
     def test_merged_labels_share_identity(self):
         e = embed(["ramen", "ramen bowl"], [[1, 0], [1, 0]])
         c = cluster_synonyms(["ramen", "ramen bowl"], e, 0.85)
-        assert apply_phi(c, "ramen")[1] == "ramen"
-        assert apply_phi(c, "ramen bowl")[1] == "ramen"
+        assert c.resolve("ramen")[1] == "ramen"
+        assert c.resolve("ramen bowl")[1] == "ramen"
 
     def test_unseen_label_becomes_singleton(self, caplog):
         c = SynonymClustering(assignment={"cup": 0}, canonical={0: "cup"}, threshold=0.85)
         with caplog.at_level(logging.WARNING):
-            idx, name = apply_phi(c, "zebra")
+            idx, name = c.resolve("zebra")
         assert name == "zebra"
         assert idx != 0
         assert "zebra" in caplog.text
         # second resolution is stable
-        assert apply_phi(c, "zebra") == (idx, "zebra")
+        assert c.resolve("zebra") == (idx, "zebra")
 
 
 class TestVote:

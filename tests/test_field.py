@@ -356,7 +356,9 @@ class TestTraining:
     def test_long_only_requires_referrals(self):
         ds, result, descs, field, _ = self._fixture()
         with pytest.raises(ValueError, match="no referrals"):
-            tf.long_only_baseline(field, ds, result.records, descs, tf.TrainConfig(epochs=1))
+            tf.train(
+                field, ds, result.records, descs, tf.TrainConfig(epochs=1), include_category=False
+            )
 
     def test_long_only_differs_only_by_positives(self, clean_scene):
         ds, gt, trajs = clean_scene
@@ -369,7 +371,7 @@ class TestTraining:
         f1 = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         f2 = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         _, c1 = tf.train(f1, ds, result.records, descs, cfg)
-        _, c2 = tf.long_only_baseline(f2, ds, result.records, descs, cfg)
+        _, c2 = tf.train(f2, ds, result.records, descs, cfg, include_category=False)
         assert len(c1) == len(c2)
         assert c1 != c2
 
