@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import logging
 import os
 import platform
@@ -53,6 +52,7 @@ from .records import (
     save_dataset,
     save_descriptions,
     write_csv,
+    write_json,
 )
 from .rle import rle_decode
 from .synth import SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
@@ -215,22 +215,6 @@ def stage_keyframe(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     return paths["descriptions"]
 
 
-def _default_geometry_path(cfg: dict, manifest: Path) -> Path:
-    configured = cfg["train"].get("geometry")
-    candidates = [Path(configured)] if configured else []
-    candidates += [
-        Path(manifest).parent.parent / "field_geometry.json",
-        Path(manifest).parent / "field_geometry.json",
-    ]
-    for candidate in candidates:
-        if candidate.exists():
-            return candidate
-    raise SchemaError(
-        "no field geometry found: pass --geometry, set train.geometry in the "
-        "config, or keep field_geometry.json next to the dataset"
-    )
-
-
 def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
@@ -242,7 +226,8 @@ def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
             "no descriptions source: pass --descriptions or add a 'descriptions' "
             "entry to the dataset manifest"
         )
-    field_ = load_field(paths.get("geometry") or _default_geometry_path(cfg, paths["manifest"]))
+    # without --geometry: <scene>/field_geometry.json, where synth wrote it
+    field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json")
     long_only = bool(cfg["train"].get("long_only", False))
     field_, curve = train(
         field_, ds, records, descriptions, _train_config(cfg), include_category=not long_only
@@ -359,7 +344,8 @@ STAGES = (
     Stage(
         "train",
         "train the toy referring field (--descriptions defaults to the manifest's "
-        "descriptions entry, --geometry to field_geometry.json next to the dataset)",
+        "descriptions entry, --geometry to <scene>/field_geometry.json, two levels above the "
+        "manifest)",
         "model.json", "model", "model", stage_train, inputs=("manifest", "consensus"),
         optional=("descriptions", "geometry", "loss_curve"),
         overrides=(("train.long_only", {"action": "store_true", "default": None}),),
@@ -412,7 +398,7 @@ def _write_run_manifest(out_dir: Path, cfg: dict, seed: int, statuses: dict, sta
         "started": started,
         "finished": time.time(),
     }
-    (out_dir / "run.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(manifest, out_dir / "run.json")
     return manifest
 
 

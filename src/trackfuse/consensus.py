@@ -76,11 +76,6 @@ def canonical_form(labels: list[str]) -> str:
     return min(labels, key=lambda s: (len(s), s))
 
 
-def _cluster_distance(dist: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    total = math.fsum(dist[i, j] for i in a for j in b)
-    return total / (len(a) * len(b))
-
-
 def cluster_synonyms(
     labels: list[str],
     embeddings: dict[str, LabelEmbedding],
@@ -95,48 +90,35 @@ def cluster_synonyms(
     if missing:
         raise SchemaError(f"missing embeddings for labels: {missing}")
 
-    embs = [embeddings[lab] for lab in labels]
-    dist = cosine_distance_matrix(embs)
+    n = len(labels)
+    dist = cosine_distance_matrix([embeddings[lab] for lab in labels])
     cutoff = 1.0 - tau_sem
 
-    # Clusters as sorted index tuples; pair distances cached and refreshed
-    # only for pairs involving the newest merge.
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(len(labels))]
-    pair_dist: dict[tuple[int, int], float] = {}
-    for ci in range(len(clusters)):
-        for cj in range(ci + 1, len(clusters)):
-            pair_dist[(ci, cj)] = dist[ci, cj]
-
-    active = set(range(len(clusters)))
-    while len(active) > 1:
-        best_key = None
-        best_pair = None
-        for ci, cj in sorted(pair_dist):
-            d = pair_dist[(ci, cj)]
-            key = (d,) + tuple(sorted((clusters[ci][0], clusters[cj][0])))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (ci, cj)
-        if best_key is None or best_key[0] > cutoff:
+    # Slot k holds the cluster whose lowest member index is k (empty once
+    # merged away); avg[a, b] for live slots a < b is their cluster-average
+    # distance, every other entry is inf.
+    members = [[k] for k in range(n)]
+    avg = dist.copy()
+    avg[np.tril_indices(n)] = np.inf
+    for _ in range(n - 1):
+        # argmin returns the first minimum in row-major order: smallest
+        # distance, then smaller low index a, then smaller other low index b
+        # -- exactly the documented merge tie-break.
+        a, b = divmod(int(np.argmin(avg)), n)
+        if avg[a, b] > cutoff:
             break
-        ci, cj = best_pair
-        merged = tuple(sorted(clusters[ci] + clusters[cj]))
-        clusters.append(merged)
-        new_id = len(clusters) - 1
-        active.discard(ci)
-        active.discard(cj)
-        pair_dist = {
-            (a, b): d for (a, b), d in pair_dist.items() if a in active and b in active
-        }
-        for other in sorted(active):
-            pair_dist[(other, new_id)] = _cluster_distance(dist, clusters[other], merged)
-        active.add(new_id)
+        members[a] = sorted(members[a] + members[b])
+        members[b] = []
+        avg[b, :] = avg[:, b] = np.inf
+        for k in range(n):
+            if k != a and members[k]:
+                total = math.fsum(dist[i, j] for i in members[k] for j in members[a])
+                avg[min(k, a), max(k, a)] = total / (len(members[k]) * len(members[a]))
 
-    final = sorted((clusters[cid] for cid in active), key=lambda c: c[0])
     assignment: dict[str, int] = {}
     canonical: dict[int, str] = {}
-    for out_idx, members in enumerate(final):
-        member_labels = [labels[i] for i in members]
+    for out_idx, slot in enumerate(m for m in members if m):
+        member_labels = [labels[i] for i in slot]
         canonical[out_idx] = canonical_form(member_labels)
         for lab in member_labels:
             assignment[lab] = out_idx

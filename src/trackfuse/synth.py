@@ -172,8 +172,8 @@ def build_vocabulary_embeddings(
     return out
 
 
-def _render(shape: str, cx: float, cy: float, rx: float, ry: float, h: int, w: int) -> np.ndarray:
-    ys, xs = np.mgrid[0:h, 0:w]
+def _render(shape: str, cx: np.ndarray, cy: np.ndarray, rx: float, ry: float, ys, xs) -> np.ndarray:
+    """(V, h, w) masks of one path; cx, cy are (V, 1, 1), ys, xs an open (h, 1), (1, w) grid."""
     if shape == "ellipse":
         return ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
     return (np.abs(xs - cx) <= rx) & (np.abs(ys - cy) <= ry)
@@ -191,8 +191,10 @@ def generate_scene(cfg: SynthConfig) -> tuple[SceneDataset, GroundTruth]:
     else:
         group_ids = rng.integers(0, n_groups, size=cfg.n_objects)
 
+    ys, xs = np.ogrid[0:h, 0:w]
+    t = (np.arange(cfg.n_views) / max(cfg.n_views - 1, 1))[:, None, None]
     objects: list[GtObject] = []
-    placed_grids: list[list[np.ndarray]] = []
+    placed: list[tuple[np.ndarray, np.ndarray]] = []  # (V, h, w) masks, (V,) pixel counts
     for oid in range(cfg.n_objects):
         group = cfg.vocabulary[int(group_ids[oid])]
         shape = "ellipse" if oid % 2 == 0 else "rectangle"
@@ -210,31 +212,28 @@ def generate_scene(cfg: SynthConfig) -> tuple[SceneDataset, GroundTruth]:
             x1 = float(rng.uniform(margin_x, w - margin_x))
             y1 = float(rng.uniform(margin_y, h - margin_y))
 
-            grids, centers = [], []
+            cx = x0 + (x1 - x0) * t
+            cy = y0 + (y1 - y0) * t
+            grids = _render(shape, cx, cy, rx, ry, ys, xs)
+            areas = np.count_nonzero(grids, axis=(1, 2))
+            centers = list(zip(cx.ravel().tolist(), cy.ravel().tolist()))
             worst_overlap = 0.0
-            for v in range(cfg.n_views):
-                t = v / max(cfg.n_views - 1, 1)
-                cx = x0 + (x1 - x0) * t
-                cy = y0 + (y1 - y0) * t
-                grid = _render(shape, cx, cy, rx, ry, h, w)
-                for prev in placed_grids:
-                    union = int(np.count_nonzero(grid | prev[v]))
-                    if union:
-                        inter = int(np.count_nonzero(grid & prev[v]))
-                        worst_overlap = max(worst_overlap, inter / union)
-                grids.append(grid)
-                centers.append((cx, cy))
-            candidate = (worst_overlap, grids, centers, (rx, ry))
+            for prev, prev_areas in placed:
+                inter = np.count_nonzero(grids & prev, axis=(1, 2))
+                # per-view IoU; a view where both are empty has inter = union = 0 and counts 0
+                iou = inter / np.maximum(areas + prev_areas - inter, 1)
+                worst_overlap = max(worst_overlap, float(iou.max()))
+            candidate = (worst_overlap, grids, areas, centers, (rx, ry))
             if best is None or worst_overlap < best[0]:
                 best = candidate
             if worst_overlap <= 0.3:
                 break
 
-        _, grids, centers, radii = best
-        visible = [bool(g.any()) for g in grids]
+        _, grids, areas, centers, radii = best
+        visible = (areas > 0).tolist()
         if not any(visible):
             raise ValueError(f"object {oid} is never visible; rejecting config")
-        placed_grids.append(grids)
+        placed.append((grids, areas))
         objects.append(
             GtObject(
                 object_id=oid,

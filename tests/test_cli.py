@@ -6,6 +6,7 @@ import pytest
 
 from trackfuse.cli import load_config, main, run_pipeline
 from trackfuse.errors import StageError
+from trackfuse.records import dumps, read_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -306,7 +307,9 @@ class TestPipeline:
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
         main(["run", "--config", cfg, "--out", str(out)])
-        manifest = json.loads((out / "run.json").read_text())
+        manifest = read_json(out / "run.json")
+        assert (out / "run.json").read_text() == dumps(manifest) + "\n"
+        assert not list(out.rglob("*.tmp"))
         assert set(manifest["stages"]) == {
             "synth",
             "associate",
@@ -452,6 +455,13 @@ class TestBadInput:
         edit_jsonl(path, owner + 1, corrupt)
         assert main(stage_argv(run_dir, command, tmp_path)) == 2
         assert f"{path.name}:{owner + 1}: track {owner}:" in capsys.readouterr().err
+
+    def test_missing_default_geometry_exits_two_naming_path(self, run_dir, tmp_path, capsys):
+        argv = stage_argv(run_dir, "train", tmp_path)
+        del argv[argv.index("--geometry") : argv.index("--geometry") + 2]
+        (run_dir / "field_geometry.json").unlink()
+        assert main(argv) == 2
+        assert str(run_dir / "field_geometry.json") in capsys.readouterr().err
 
 
 class TestResume:

@@ -92,12 +92,27 @@ class TestClusterSynonyms:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2024)
+        cases = []
         for _ in range(100):
             n = int(rng.integers(2, 13))
-            labels = [f"label{k}" for k in range(n)]
             vecs = random_unit_vectors(rng, n, 6)
+            cases.append((vecs, float(rng.uniform(0.05, 0.95))))
+        # Lattice vectors (+-e_i and (e_i + e_j)/sqrt(2) in 4-D) make many
+        # distances tie exactly, so the merge tie-break decides. tau 0.70/0.71
+        # puts the cutoff 1 - tau either side of the lattice distance
+        # 1 - 1/sqrt(2); tau 0.29/0.30 brackets cluster averages from 0.70 to 0.71.
+        eye = np.eye(4)
+        lattice = [s * eye[i] for i in range(4) for s in (1, -1)]
+        lattice += [(eye[i] + eye[j]) / np.sqrt(2) for i in range(4) for j in range(i + 1, 4)]
+        for _ in range(40):
+            n = int(rng.integers(2, 31))
+            vecs = [lattice[k] for k in rng.integers(0, len(lattice), size=n)]
+            for tau in (0.29, 0.3, 0.7, 0.71):
+                cases.append((vecs, tau))
+        cases.append(([], 0.85))
+        for vecs, tau in cases:
+            labels = [f"label{k}" for k in range(len(vecs))]
             embs = embed(labels, vecs)
-            tau = float(rng.uniform(0.05, 0.95))
             got = cluster_synonyms(labels, embs, tau)
             partition = {}
             for lab, idx in got.assignment.items():
@@ -107,6 +122,7 @@ class TestClusterSynonyms:
             want_partition, want_canonical = oracle_cluster(labels, embs, tau)
             assert got_partition == want_partition
             assert got_canonical == want_canonical
+        assert (got.assignment, got.canonical) == ({}, {})  # the last case has no labels
 
     def test_monotone_cluster_count_in_threshold(self):
         rng = np.random.default_rng(5)
@@ -140,8 +156,11 @@ class TestApplyPhi:
         assert name == "zebra"
         assert idx != 0
         assert "zebra" in caplog.text
-        # second resolution is stable
+        # second resolution is stable and does not warn again
         assert c.resolve("zebra") == (idx, "zebra")
+        assert [r.getMessage() for r in caplog.records].count(
+            "label 'zebra' not in clustered set; treating as singleton"
+        ) == 1
 
 
 class TestVote:
