@@ -9,8 +9,7 @@ import sys
 import trackfuse as tf
 from trackfuse.field import field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import match_tracks_to_objects, miou, short_query_union
-from trackfuse.rle import rle_decode
+from trackfuse.metrics import category_grids, iou_tables, match_tracks_to_objects, miou, object_grids
 
 
 def main() -> int:
@@ -37,25 +36,29 @@ def main() -> int:
     def fresh_field():
         return field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
 
+    # ground-truth grids and the track -> object matching do not depend on the model
+    categories = sorted({o.identity for o in gt.objects})
+    grids = object_grids(gt, eval_views)
+    short_gts = category_grids(gt, grids)
+    track_to_obj = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
+    grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
+    long_gts = {
+        f"{desc.track_id}:{text}": grids_by_id[track_to_obj[desc.track_id]]
+        for desc in descriptions
+        for text, _ in desc.referrals
+    }
+
     def evaluate(field_):
-        categories = sorted({o.identity for o in gt.objects})
         short_preds = {
             c: {v: tf.render_mask(field_, v, ds.embedding(c)) for v in eval_views}
             for c in categories
         }
-        short_gts = {
-            c: {v: short_query_union(gt, c, v) for v in eval_views} for c in categories
-        }
         _, short = miou(short_preds, short_gts)
-        track_to_obj = match_tracks_to_objects(ds, result.records, gt)
-        by_id = {o.object_id: o for o in gt.objects}
-        long_preds, long_gts = {}, {}
-        for desc in descriptions:
-            obj = by_id[track_to_obj[desc.track_id]]
-            for text, vec in desc.referrals:
-                key = f"{desc.track_id}:{text}"
-                long_preds[key] = {v: tf.render_mask(field_, v, vec) for v in eval_views}
-                long_gts[key] = {v: rle_decode(obj.masks[v]) for v in eval_views}
+        long_preds = {
+            f"{desc.track_id}:{text}": {v: tf.render_mask(field_, v, vec) for v in eval_views}
+            for desc in descriptions
+            for text, vec in desc.referrals
+        }
         _, long_ = miou(long_preds, long_gts)
         return short, long_
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 import trackfuse as tf
-from trackfuse.metrics import consensus_accuracy
+from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 
 
 def main() -> int:
@@ -20,24 +20,30 @@ def main() -> int:
     args = parser.parse_args()
     values = [float(v) for v in args.values.split(",")]
 
+    # each scene and its detection -> object matching are built once; only
+    # the clustering depends on tau_sem
+    scenes = []
+    for seed in range(args.seeds):
+        cfg = tf.SynthConfig(
+            n_views=8,
+            n_objects=4,
+            seed=seed,
+            noise=tf.NoiseSpec(
+                synonym_rate=args.synonym_rate, wrong_label_rate=args.wrong_label_rate
+            ),
+        )
+        ds, gt = tf.generate_scene(cfg)
+        noisy = tf.corrupt(ds, gt, cfg)
+        mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
+        scenes.append((noisy, gt, tf.import_tracks(noisy), mapping))
+
     rows = []
     for tau in values:
         counts, per_view, tscm = [], [], []
-        for seed in range(args.seeds):
-            cfg = tf.SynthConfig(
-                n_views=8,
-                n_objects=4,
-                seed=seed,
-                noise=tf.NoiseSpec(
-                    synonym_rate=args.synonym_rate, wrong_label_rate=args.wrong_label_rate
-                ),
-            )
-            ds, gt = tf.generate_scene(cfg)
-            noisy = tf.corrupt(ds, gt, cfg)
-            trajectories = tf.import_tracks(noisy)
+        for noisy, gt, trajectories, mapping in scenes:
             result = tf.run_consensus(noisy, trajectories, tau_sem=tau)
             tf.propagate(noisy, result.records)
-            acc = consensus_accuracy(noisy, gt, result.clustering)
+            acc = consensus_accuracy(noisy, gt, result.clustering, mapping)
             counts.append(len(result.clustering.canonical))
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])

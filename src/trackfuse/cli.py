@@ -38,11 +38,14 @@ from .field import (
 )
 from .keyframes import ExternalDescriptions, run_keyframes
 from .metrics import (
+    category_grids,
     consensus_accuracy,
     emit_report,
+    iou_tables,
+    match_detections_to_objects,
     match_tracks_to_objects,
     miou,
-    short_query_union,
+    object_grids,
 )
 from .records import (
     config_hash,
@@ -54,7 +57,6 @@ from .records import (
     write_csv,
     write_json,
 )
-from .rle import rle_decode
 from .synth import SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
 from .tracking import AssocParams, associate_greedy, import_tracks, load_tracks, save_tracks
 
@@ -242,7 +244,8 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     propagate(ds, records)
-    gt = load_ground_truth(paths["ground_truth"]) if "ground_truth" in paths else None
+    gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
+    tables = iou_tables(ds, gt) if gt is not None else None
 
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
@@ -253,7 +256,8 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
         clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
-            metrics.update(consensus_accuracy(ds, gt, clustering))
+            mapping = match_detections_to_objects(tables, gt)
+            metrics.update(consensus_accuracy(ds, gt, clustering, mapping))
 
     if "model" in paths:
         field_ = load_field(paths["model"])
@@ -265,29 +269,27 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
                 c: {v: render_mask(field_, v, ds.embedding(c)) for v in views}
                 for c in categories
             }
-            short_gts = {
-                c: {v: short_query_union(gt, c, v) for v in views} for c in categories
-            }
-            per_short, miou_short = miou(short_preds, short_gts)
+            grids = object_grids(gt, views)
+            per_short, miou_short = miou(short_preds, category_grids(gt, grids))
             metrics["miou_short"] = miou_short
             metrics["miou_short_per_query"] = per_short
 
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-                track_to_obj = match_tracks_to_objects(ds, records, gt)
-                obj_by_id = {o.object_id: o for o in gt.objects}
+                track_to_obj = match_tracks_to_objects(records, gt, tables)
+                grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
                 long_preds: dict[str, dict[int, np.ndarray]] = {}
                 long_gts: dict[str, dict[int, np.ndarray]] = {}
                 for desc in sorted(descriptions, key=lambda d: d.track_id):
                     if desc.track_id not in track_to_obj:
                         continue
-                    obj = obj_by_id[track_to_obj[desc.track_id]]
+                    target = grids_by_id[track_to_obj[desc.track_id]]
                     for text, vec in desc.referrals:
                         query = f"{desc.track_id}:{text}"
                         long_preds[query] = {
                             v: render_mask(field_, v, vec) for v in views
                         }
-                        long_gts[query] = {v: rle_decode(obj.masks[v]) for v in views}
+                        long_gts[query] = target
                 if long_preds:
                     per_long, miou_long = miou(long_preds, long_gts)
                     metrics["miou_long"] = miou_long
@@ -411,7 +413,11 @@ def run_sweep(
 ) -> list[dict]:
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
-    gt = load_ground_truth(paths["ground_truth"]) if "ground_truth" in paths else None
+    gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
+    mapping = None
+    if gt is not None and param == "tau_sem":
+        # masks, not labels, decide the matching, so one serves every value
+        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
     rows = []
     for value in values:
@@ -419,8 +425,8 @@ def run_sweep(
             result = run_consensus(ds, trajectories, tau_sem=value)
             propagate(ds, result.records)
             row = {"value": value, "cluster_count": len(result.clustering.canonical)}
-            if gt is not None:
-                row.update(consensus_accuracy(ds, gt, result.clustering))
+            if mapping is not None:
+                row.update(consensus_accuracy(ds, gt, result.clustering, mapping))
         elif param == "sigma":
             result = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"]))
             descriptions = run_keyframes(ds, result.records, strategy="weighting", sigma=value, seed=seed)

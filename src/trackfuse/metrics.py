@@ -9,7 +9,7 @@ import numpy as np
 from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
 from .records import SceneDataset, config_hash, read_json, write_json
-from .rle import mask_iou, rle_decode
+from .rle import iou_table, rle_decode
 from .synth import GroundTruth
 
 BINARIZE_THRESHOLD = 0.5
@@ -61,45 +61,70 @@ def miou(
     return per_query, overall
 
 
+def object_grids(gt: GroundTruth, views) -> list[dict[int, np.ndarray]]:
+    """Each ground-truth object's decoded mask per view of ``views``, in ``gt.objects`` order."""
+    return [{v: rle_decode(obj.masks[v]) for v in views} for obj in gt.objects]
+
+
+def category_grids(gt: GroundTruth, grids: list[dict[int, np.ndarray]]) -> dict[str, dict[int, np.ndarray]]:
+    """Short-query targets: per category, the pixelwise OR of its objects' ``grids``."""
+    out: dict[str, dict[int, np.ndarray]] = {}
+    for obj, per_view in zip(gt.objects, grids):
+        acc = out.setdefault(obj.identity, {})
+        for view, grid in per_view.items():
+            acc[view] = grid if view not in acc else (acc[view] | grid)
+    return out
+
+
 def short_query_union(gt: GroundTruth, category: str, view: int) -> np.ndarray:
     """Pixelwise OR of all ground-truth instances of a category at a view."""
-    members = [o for o in gt.objects if o.identity == category]
-    if not members:
+    unions = category_grids(gt, object_grids(gt, [view]))
+    if category not in unions:
         raise SchemaError(f"unknown category {category!r}")
-    acc = None
-    for obj in members:
-        grid = rle_decode(obj.masks[view])
-        acc = grid if acc is None else (acc | grid)
-    return acc
+    return unions[category][view]
 
 
-def match_detections_to_objects(ds: SceneDataset, gt: GroundTruth) -> dict[tuple[int, int], int]:
-    """Map each detection (view, idx) to the max-IoU ground-truth object."""
+def iou_tables(ds: SceneDataset, gt: GroundTruth) -> list[np.ndarray]:
+    """Per view, the (detections x ``gt.objects``) mask IoU table."""
+    return [
+        iou_table([det.mask for det in ds.detections[view]], [obj.masks[view] for obj in gt.objects])
+        for view in range(ds.n_views)
+    ]
+
+
+def match_detections_to_objects(tables: list[np.ndarray], gt: GroundTruth) -> dict[tuple[int, int], int]:
+    """Map each detection (view, idx) to its max-IoU ground-truth object.
+
+    The first object with the largest IoU wins; a detection that overlaps
+    no object stays unmatched.
+    """
     mapping: dict[tuple[int, int], int] = {}
-    for view, idx, det in ds.all_detections():
-        best_obj, best_iou = None, 0.0
-        for obj in gt.objects:
-            score = mask_iou(det.mask, obj.masks[view])
-            if score > best_iou:
-                best_obj, best_iou = obj.object_id, score
-        if best_obj is None:
+    for view, table in enumerate(tables):
+        if not table.size:
             continue
-        mapping[(view, idx)] = best_obj
+        best = table.argmax(axis=1)
+        for idx, k in enumerate(best.tolist()):
+            if table[idx, k] > 0.0:
+                mapping[(view, idx)] = gt.objects[k].object_id
     return mapping
 
 
 def match_tracks_to_objects(
-    ds: SceneDataset, records: list[ConsensusRecord], gt: GroundTruth
+    records: list[ConsensusRecord], gt: GroundTruth, tables: list[np.ndarray]
 ) -> dict[int, int]:
-    """Map each track to the ground-truth object with the largest summed mask IoU."""
+    """Map each track to the ground-truth object with the largest summed mask IoU.
+
+    Member rows of ``tables`` are added in member order; ties go to the
+    lowest object id.
+    """
+    ids = [obj.object_id for obj in gt.objects]
     out: dict[int, int] = {}
     for rec in records:
-        totals = {obj.object_id: 0.0 for obj in gt.objects}
+        totals = np.zeros(len(ids))
         for view, idx in rec.members:
-            det = ds.detection(view, idx)
-            for obj in gt.objects:
-                totals[obj.object_id] += mask_iou(det.mask, obj.masks[view])
-        out[rec.track_id] = min(totals, key=lambda oid: (-totals[oid], oid))
+            totals += tables[view][idx]
+        top = totals.max()
+        out[rec.track_id] = min(oid for oid, total in zip(ids, totals) if total == top)
     return out
 
 
@@ -107,13 +132,14 @@ def consensus_accuracy(
     ds: SceneDataset,
     gt: GroundTruth,
     clustering: SynonymClustering,
+    mapping: dict[tuple[int, int], int],
 ) -> dict[str, float]:
     """Per-view (clustered raw label) vs consensus (resolved label) accuracy.
 
-    Both are fractions over all detections matched to a ground-truth
-    object; detections must carry resolved labels (run propagate first).
+    Both are fractions over the detections ``mapping`` matches to a
+    ground-truth object (``match_detections_to_objects``); detections must
+    carry resolved labels (run propagate first).
     """
-    mapping = match_detections_to_objects(ds, gt)
     identity_of = {o.object_id: o.identity for o in gt.objects}
     total = 0
     per_view_hits = 0

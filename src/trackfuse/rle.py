@@ -8,6 +8,7 @@ run may be 0; no other run may be 0. All operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,12 +93,16 @@ def mask_bbox(mask: RleMask) -> tuple[int, int, int, int] | None:
     return int(rows[0]), int(cols[0]), int(rows[-1]), int(cols[-1])
 
 
-def mask_iou(a: RleMask, b: RleMask) -> float:
-    """Intersection over union in [0, 1]; two empty masks have IoU 1."""
+def _check_same_size(a: RleMask, b: RleMask) -> None:
     if (a.height, a.width) != (b.height, b.width):
         raise SchemaError(
             f"mask dimensions differ: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
+
+
+def mask_iou(a: RleMask, b: RleMask) -> float:
+    """Intersection over union in [0, 1]; two empty masks have IoU 1."""
+    _check_same_size(a, b)
     ga = rle_decode(a)
     gb = rle_decode(b)
     union = int(np.count_nonzero(ga | gb))
@@ -105,3 +110,25 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
         return 1.0
     inter = int(np.count_nonzero(ga & gb))
     return inter / union
+
+
+def iou_table(a: Sequence[RleMask], b: Sequence[RleMask]) -> np.ndarray:
+    """The (len(a), len(b)) table of ``mask_iou(a[i], b[j])``, decoding each mask once.
+
+    Intersections are one float64 product of the 0/1 rows and areas are row
+    sums; both are exact integers (H*W < 2**53), so each cell divides the same
+    two integers as ``mask_iou`` and is bit-equal to it. A size mismatch raises
+    the SchemaError ``mask_iou`` raises for the first mismatched pair in
+    row-major order.
+    """
+    if not a or not b:
+        return np.zeros((len(a), len(b)))
+    for mask in b:
+        _check_same_size(a[0], mask)
+    for mask in a:
+        _check_same_size(mask, b[0])
+    rows_a = np.stack([rle_decode(m).ravel() for m in a]).astype(np.float64)
+    rows_b = np.stack([rle_decode(m).ravel() for m in b]).astype(np.float64)
+    inter = rows_a @ rows_b.T
+    union = rows_a.sum(axis=1)[:, None] + rows_b.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SchemaError
 from .records import Detection, LabelEmbedding, SceneDataset, read_json, write_json
 from .rle import RleMask, rle_decode, rle_encode
 
@@ -147,8 +148,32 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     write_json(gt.to_json(), path)
 
 
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    return read_json(path, GroundTruth.from_json)
+def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> GroundTruth:
+    """Read a ground-truth file; against ``ds``, every object needs one mask of
+    the dataset's size per view, and object ids must be unique."""
+
+    def parse(obj: dict) -> GroundTruth:
+        gt = GroundTruth.from_json(obj)
+        if ds is None:
+            return gt
+        seen: set[int] = set()
+        for o in gt.objects:
+            if o.object_id in seen:
+                raise SchemaError(f"object id {o.object_id} appears twice")
+            seen.add(o.object_id)
+            if len(o.masks) != ds.n_views:
+                raise SchemaError(
+                    f"object {o.object_id}: {len(o.masks)} masks, the dataset has {ds.n_views} views"
+                )
+            for view, mask in enumerate(o.masks):
+                if (mask.height, mask.width) != (ds.height, ds.width):
+                    raise SchemaError(
+                        f"object {o.object_id}: view {view} mask is {mask.height}x{mask.width}, "
+                        f"the dataset's views are {ds.height}x{ds.width}"
+                    )
+        return gt
+
+    return read_json(path, parse)
 
 
 def build_vocabulary_embeddings(

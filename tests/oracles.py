@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 
+from trackfuse.rle import mask_iou
+
 
 def oracle_cluster(labels, embeddings, tau_sem):
     """Recompute-from-scratch average-linkage agglomeration.
@@ -75,3 +77,35 @@ def oracle_visibility(area, med, sigma):
 def random_unit_vectors(rng, n, dim):
     vecs = rng.standard_normal((n, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def oracle_match_detections(ds, gt):
+    """Per-pair max-IoU matching of every detection to a ground-truth object.
+
+    Objects are scanned in ``gt.objects`` order and a strictly larger IoU
+    replaces the best so far, starting from 0.0: the first maximum wins and
+    a detection with no overlap stays unmatched.
+    """
+    mapping = {}
+    for view, idx, det in ds.all_detections():
+        best_obj, best_iou = None, 0.0
+        for obj in gt.objects:
+            score = mask_iou(det.mask, obj.masks[view])
+            if score > best_iou:
+                best_obj, best_iou = obj.object_id, score
+        if best_obj is not None:
+            mapping[(view, idx)] = best_obj
+    return mapping
+
+
+def oracle_match_tracks(ds, records, gt):
+    """Per-pair summed-IoU matching of every track; ties to the lowest object id."""
+    out = {}
+    for rec in records:
+        totals = {obj.object_id: 0.0 for obj in gt.objects}
+        for view, idx in rec.members:
+            det = ds.detection(view, idx)
+            for obj in gt.objects:
+                totals[obj.object_id] += mask_iou(det.mask, obj.masks[view])
+        out[rec.track_id] = min(totals, key=lambda oid: (-totals[oid], oid))
+    return out

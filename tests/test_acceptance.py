@@ -29,6 +29,8 @@ from trackfuse.field import (
 from trackfuse.keyframes import visibility_score
 from trackfuse.metrics import (
     consensus_accuracy,
+    iou_tables,
+    match_detections_to_objects,
     match_tracks_to_objects,
     miou,
     short_query_union,
@@ -212,7 +214,8 @@ def test_criterion_5_consensus_beats_per_view():
             trajectory_sizes.extend(len(t.members) for t in trajectories)
             result = run_consensus(noisy, trajectories)
             tf.propagate(noisy, result.records)
-            acc = consensus_accuracy(noisy, gt, result.clustering)
+            mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
+            acc = consensus_accuracy(noisy, gt, result.clustering, mapping)
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])
         assert min(trajectory_sizes) >= 5
@@ -291,7 +294,7 @@ def test_criterion_7_hybrid_beats_long_only():
                 c: {v: short_query_union(gt, c, v) for v in eval_views} for c in categories
             }
             _, short = miou(sp, sg)
-            track_to_obj = match_tracks_to_objects(ds, result.records, gt)
+            track_to_obj = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
             by_id = {o.object_id: o for o in gt.objects}
             lp, lg = {}, {}
             for desc in descriptions:

@@ -463,6 +463,36 @@ class TestBadInput:
         assert main(argv) == 2
         assert str(run_dir / "field_geometry.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ("fewer-views", "object 0: 2 masks, the dataset has 3 views"),
+            ("mask-size", "object 0: view 0 mask is 64x64, the dataset's views are 32x32"),
+            ("duplicate-id", "object id 0 appears twice"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_ground_truth_not_matching_dataset_exits_two(self, run_dir, tmp_path, capsys, command, problem, message):
+        path = run_dir / "ground_truth.json"
+        gt = json.loads(path.read_text())
+        for obj in gt["objects"]:
+            if problem == "fewer-views":
+                del obj["masks"][-1]
+            elif problem == "mask-size":
+                obj["masks"][0] = {"h": 64, "w": 64, "counts": [64 * 64]}
+            else:
+                obj["id"] = 0
+        path.write_text(json.dumps(gt))
+        argv = [command, "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                "--ground-truth", str(path), "--out", str(tmp_path / f"{command}.out")]
+        if command == "eval":
+            argv += ["--consensus", str(run_dir / "consensus.jsonl")]
+        else:
+            argv += ["--tracks", str(run_dir / "tracks.jsonl"), "--values", "0.8,0.9"]
+        assert main(argv) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
+
 
 class TestResume:
     @pytest.mark.parametrize("victim", ["field_geometry.json", "manifest.json"])

@@ -9,16 +9,26 @@ from trackfuse.metrics import (
     consensus_accuracy,
     emit_report,
     iou_grids,
+    iou_tables,
     load_report,
+    match_detections_to_objects,
     match_tracks_to_objects,
     miou,
     short_query_union,
 )
-from trackfuse.records import config_hash
+from trackfuse.consensus import ConsensusRecord
+from trackfuse.records import Detection, SceneDataset, config_hash
+from trackfuse.synth import GroundTruth, GtObject
+
+from oracles import oracle_match_detections, oracle_match_tracks
 
 
 def grids(*rows_list):
     return [np.asarray(rows, dtype=bool) for rows in rows_list]
+
+
+def accuracy(ds, gt, clustering):
+    return consensus_accuracy(ds, gt, clustering, match_detections_to_objects(iou_tables(ds, gt), gt))
 
 
 class TestMiou:
@@ -104,7 +114,7 @@ class TestConsensusAccuracy:
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         tf.propagate(ds, result.records)
-        acc = consensus_accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result.clustering)
         assert acc == {"per_view_acc": 1.0, "tscm_acc": 1.0}
 
     def test_randomized_labels_match_uniform_baseline(self):
@@ -119,7 +129,7 @@ class TestConsensusAccuracy:
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         tf.propagate(ds, result.records)
-        acc = consensus_accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result.clustering)
         assert abs(acc["per_view_acc"] - 1 / len(groups)) < 0.03
 
     def test_majority_recovery_beats_per_view(self, noisy_scene):
@@ -127,7 +137,7 @@ class TestConsensusAccuracy:
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         tf.propagate(ds, result.records)
-        acc = consensus_accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result.clustering)
         assert acc["tscm_acc"] >= acc["per_view_acc"]
 
     def test_track_object_matching(self):
@@ -135,8 +145,94 @@ class TestConsensusAccuracy:
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        mapping = match_tracks_to_objects(ds, result.records, gt)
+        mapping = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
         assert mapping == {0: 0, 1: 1, 2: 2}
+
+
+def hand_scene(detections, objects):
+    """A scene built from 0/1 grids: detections[view] lists detection grids,
+    objects lists (object_id, one grid per view)."""
+    h, w = np.asarray(objects[0][1][0]).shape
+    n_views = len(detections)
+    ds = SceneDataset(
+        n_views, h, w, 2,
+        [[Detection(v, tf.rle_encode(np.asarray(g, dtype=bool)), "x", 1.0) for g in per_view]
+         for v, per_view in enumerate(detections)],
+        {},
+    )
+    gt = GroundTruth([
+        GtObject(oid, f"c{oid}", [tf.rle_encode(np.asarray(g, dtype=bool)) for g in grids_],
+                 [True] * n_views, [(0.0, 0.0)] * n_views, (1.0, 1.0), "ellipse")
+        for oid, grids_ in objects
+    ])
+    return ds, gt
+
+
+def one_track_per_detection(ds):
+    return [ConsensusRecord(t, "x", {}, ((v, i),)) for t, (v, i, _) in enumerate(ds.all_detections())]
+
+
+class TestMatchingOracle:
+    """The table-based matchers against the per-pair loops they replaced."""
+
+    def check(self, ds, gt, records):
+        tables = iou_tables(ds, gt)
+        mapping = match_detections_to_objects(tables, gt)
+        assert mapping == oracle_match_detections(ds, gt)
+        track_to_obj = match_tracks_to_objects(records, gt, tables)
+        assert track_to_obj == oracle_match_tracks(ds, records, gt)
+        return mapping, track_to_obj
+
+    def test_random_noisy_scenes(self):
+        rng = np.random.default_rng(11)
+        noise = tf.NoiseSpec(synonym_rate=0.3, wrong_label_rate=0.1, dropout_rate=0.2,
+                             mask_jitter=2, strip_track_ids=True)
+        for seed in range(12):
+            cfg = tf.SynthConfig(n_views=6, height=24, width=24, n_objects=4, seed=seed, noise=noise)
+            ds, gt = tf.generate_scene(cfg)
+            noisy = tf.corrupt(ds, gt, cfg)
+            # masks that straddle objects, cover nothing, or are empty
+            for _, _, det in noisy.all_detections():
+                roll = rng.random()
+                grid = tf.rle_decode(det.mask)
+                if roll < 0.2:
+                    grid = grid | np.roll(grid, int(rng.integers(-8, 9)), axis=int(rng.integers(2)))
+                elif roll < 0.3:
+                    grid = rng.random(grid.shape) < 0.3
+                elif roll < 0.35:
+                    grid = np.zeros_like(grid)
+                det.mask = tf.rle_encode(grid)
+            gt.objects = [gt.objects[k] for k in rng.permutation(len(gt.objects))]
+            tracks = tf.associate_greedy(noisy, tf.AssocParams())
+            records = tf.run_consensus(noisy, tracks).records
+            self.check(noisy, gt, records)
+
+    def test_identical_object_masks_tie(self):
+        blob = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        other = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+        ds, gt = hand_scene([[blob, other], [blob]], [(5, [blob, blob]), (2, [blob, blob]), (7, [other, other])])
+        mapping, track_to_obj = self.check(ds, gt, one_track_per_detection(ds))
+        # a detection keeps the first of the tied objects, a track the lowest id
+        assert mapping == {(0, 0): 5, (0, 1): 7, (1, 0): 5}
+        assert track_to_obj == {0: 2, 1: 7, 2: 2}
+
+    def test_detection_overlapping_no_object(self):
+        left = [[1, 0, 0, 0]] * 4
+        right = [[0, 0, 0, 1]] * 4
+        middle = [[0, 1, 1, 0]] * 4
+        ds, gt = hand_scene([[middle, right]], [(3, [left]), (1, [right])])
+        mapping, track_to_obj = self.check(ds, gt, one_track_per_detection(ds))
+        assert mapping == {(0, 1): 1}
+        assert track_to_obj == {0: 1, 1: 1}
+
+    def test_empty_masks(self):
+        empty = [[0, 0], [0, 0]]
+        full = [[1, 1], [1, 1]]
+        # an empty detection matches an empty object (IoU 1), never a non-empty one
+        ds, gt = hand_scene([[empty], [empty, full], []], [(4, [full, empty, full]), (0, [full, full, empty])])
+        mapping, track_to_obj = self.check(ds, gt, one_track_per_detection(ds))
+        assert mapping == {(1, 0): 4, (1, 1): 0}
+        assert track_to_obj == {0: 0, 1: 4, 2: 0}
 
 
 class TestReport:

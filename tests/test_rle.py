@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackfuse.errors import SchemaError
-from trackfuse.rle import RleMask, mask_area, mask_bbox, mask_iou, rle_decode, rle_encode
+from trackfuse.rle import RleMask, iou_table, mask_area, mask_bbox, mask_iou, rle_decode, rle_encode
 
 
 def grid(rows):
@@ -129,3 +129,57 @@ def test_iou_symmetric_and_bounded(rows, seed):
     assert 0.0 <= mask_iou(a, b) <= 1.0
     if g.any():
         assert mask_iou(a, a) == 1.0
+
+
+def mask_lists(shapes):
+    """Lists of up to 5 masks, each of a shape drawn from ``shapes``."""
+    mask = st.sampled_from(shapes).flatmap(
+        lambda hw: st.one_of(
+            st.lists(st.lists(st.booleans(), min_size=hw[1], max_size=hw[1]), min_size=hw[0], max_size=hw[0]),
+            st.sampled_from([False, True]).map(lambda v: [[v] * hw[1]] * hw[0]),
+        )
+    )
+    return st.lists(mask.map(lambda rows: rle_encode(grid(rows))), max_size=5)
+
+
+same_size_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda hw: st.tuples(mask_lists([hw]), mask_lists([hw]))
+)
+
+
+@given(same_size_pairs)
+@settings(max_examples=200, deadline=None)
+def test_iou_table_is_mask_iou_bit_for_bit(pair):
+    a, b = pair
+    table = iou_table(a, b)
+    assert table.shape == (len(a), len(b))
+    assert table.dtype == np.float64
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert float(table[i, j]).hex() == mask_iou(a[i], b[j]).hex()
+
+
+@given(st.tuples(mask_lists([(2, 3), (3, 2)]), mask_lists([(2, 3), (3, 2)])))
+@settings(max_examples=100, deadline=None)
+def test_iou_table_raises_the_first_mask_iou_error(pair):
+    a, b = pair
+    try:
+        expected = [[mask_iou(x, y) for y in b] for x in a]
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as raised:
+            iou_table(a, b)
+        assert str(raised.value) == str(exc)
+    else:
+        assert iou_table(a, b).tolist() == expected
+
+
+class TestIouTable:
+    def test_empty_sides(self):
+        masks = [rle_encode(grid([[1, 0]])), rle_encode(grid([[0, 0]]))]
+        assert iou_table([], masks).shape == (0, 2)
+        assert iou_table(masks, []).shape == (2, 0)
+        assert iou_table([], []).shape == (0, 0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(SchemaError, match="mask dimensions differ: 1x2 vs 2x1"):
+            iou_table([rle_encode(grid([[0, 0]]))], [rle_encode(grid([[0], [0]]))])

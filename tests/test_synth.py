@@ -149,14 +149,15 @@ class TestCorrupt:
             assert group_of[after.raw_label] != group_of[before.raw_label]
 
     def test_zero_noise_consensus_is_perfect(self):
-        from trackfuse.metrics import consensus_accuracy
+        from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 
         cfg = tf.SynthConfig(n_views=5, n_objects=3, seed=2)
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         tf.propagate(ds, result.records)
-        acc = consensus_accuracy(ds, gt, result.clustering)
+        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
+        acc = consensus_accuracy(ds, gt, result.clustering, mapping)
         assert acc["per_view_acc"] == 1.0
         assert acc["tscm_acc"] == 1.0
 
