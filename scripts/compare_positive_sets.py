@@ -7,7 +7,7 @@ import argparse
 import sys
 
 import trackfuse as tf
-from trackfuse.field import field_from_ground_truth
+from trackfuse.field import field_from_ground_truth, render_grids
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import category_grids, iou_tables, match_tracks_to_objects, miou, object_grids
 
@@ -48,18 +48,15 @@ def main() -> int:
         for text, _ in desc.referrals
     }
 
+    long_names = [f"{desc.track_id}:{text}" for desc in descriptions for text, _ in desc.referrals]
+    queries = [ds.embedding(c) for c in categories]
+    queries += [vec for desc in descriptions for _, vec in desc.referrals]
+
     def evaluate(field_):
-        short_preds = {
-            c: {v: tf.render_mask(field_, v, ds.embedding(c)) for v in eval_views}
-            for c in categories
-        }
-        _, short = miou(short_preds, short_gts)
-        long_preds = {
-            f"{desc.track_id}:{text}": {v: tf.render_mask(field_, v, vec) for v in eval_views}
-            for desc in descriptions
-            for text, vec in desc.referrals
-        }
-        _, long_ = miou(long_preds, long_gts)
+        # eval's path: all queries of a view in one render
+        preds = render_grids(field_, eval_views, queries)
+        _, short = miou(dict(zip(categories, preds)), short_gts)
+        _, long_ = miou(dict(zip(long_names, preds[len(categories):])), long_gts)
         return short, long_
 
     hybrid, _ = tf.train(fresh_field(), ds, result.records, descriptions, tcfg)

@@ -31,7 +31,7 @@ from .field import (
     TrainConfig,
     field_from_ground_truth,
     load_field,
-    render_mask,
+    render_grids,
     save_field,
     save_loss_curve,
     train,
@@ -136,12 +136,28 @@ _TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "
                "ratio_factor": float, "ratio_interval": int, "selection": str}
 
 
-def _train_config(cfg: dict) -> TrainConfig:
+def _train_config(cfg: dict, n_views: int) -> TrainConfig:
     section = cfg["train"]
     kwargs = {key: cast(section[key]) for key, cast in _TRAIN_KEYS.items() if key in section}
-    if section.get("views") is not None:
-        kwargs["views"] = tuple(section["views"])
+    views = _views(cfg, "train", n_views)
+    if views is not None:
+        kwargs["views"] = tuple(views)
     return TrainConfig(**kwargs)
+
+
+def _views(cfg: dict, section: str, n_views: int) -> list[int] | None:
+    """The ``<section>.views`` list, each entry checked to be a view of the dataset."""
+    views = cfg[section].get("views")
+    if views is None:
+        return None
+    if not isinstance(views, list):
+        raise SchemaError(f"{section}.views must be a list of view indices, got {views!r}")
+    for view in views:
+        if type(view) is not int or not 0 <= view < n_views:
+            raise SchemaError(
+                f"{section}.views: {view!r} is not a view of the dataset, which has {n_views} views"
+            )
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +248,7 @@ def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json")
     long_only = bool(cfg["train"].get("long_only", False))
     field_, curve = train(
-        field_, ds, records, descriptions, _train_config(cfg), include_category=not long_only
+        field_, ds, records, descriptions, _train_config(cfg, ds.n_views), include_category=not long_only
     )
     if "loss_curve" in paths:
         save_loss_curve(curve, paths["loss_curve"])
@@ -261,39 +277,40 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
 
     if "model" in paths:
         field_ = load_field(paths["model"])
-        eval_views = cfg["eval"].get("views")
-        views = list(eval_views) if eval_views is not None else trajectories_views
+        eval_views = _views(cfg, "eval", ds.n_views)
+        views = eval_views if eval_views is not None else trajectories_views
         if gt is not None and views:
+            # one query matrix: the categories, then the referrals of matched tracks
             categories = sorted({o.identity for o in gt.objects})
-            short_preds = {
-                c: {v: render_mask(field_, v, ds.embedding(c)) for v in views}
-                for c in categories
-            }
+            queries = [ds.embedding(c) for c in categories]
             grids = object_grids(gt, views)
-            per_short, miou_short = miou(short_preds, category_grids(gt, grids))
-            metrics["miou_short"] = miou_short
-            metrics["miou_short_per_query"] = per_short
-
+            long_gts: dict[str, dict[int, np.ndarray]] = {}
+            long_names: list[str] = []
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
                 track_to_obj = match_tracks_to_objects(records, gt, tables)
                 grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
-                long_preds: dict[str, dict[int, np.ndarray]] = {}
-                long_gts: dict[str, dict[int, np.ndarray]] = {}
                 for desc in sorted(descriptions, key=lambda d: d.track_id):
                     if desc.track_id not in track_to_obj:
                         continue
                     target = grids_by_id[track_to_obj[desc.track_id]]
                     for text, vec in desc.referrals:
                         query = f"{desc.track_id}:{text}"
-                        long_preds[query] = {
-                            v: render_mask(field_, v, vec) for v in views
-                        }
+                        queries.append(vec)
+                        long_names.append(query)
                         long_gts[query] = target
-                if long_preds:
-                    per_long, miou_long = miou(long_preds, long_gts)
-                    metrics["miou_long"] = miou_long
-                    metrics["miou_long_per_query"] = per_long
+            preds = render_grids(field_, views, queries)
+
+            short_preds = dict(zip(categories, preds))
+            per_short, miou_short = miou(short_preds, category_grids(gt, grids))
+            metrics["miou_short"] = miou_short
+            metrics["miou_short_per_query"] = per_short
+            # a repeated query name keeps its last referral's grids
+            long_preds = dict(zip(long_names, preds[len(categories):]))
+            if long_preds:
+                per_long, miou_long = miou(long_preds, long_gts)
+                metrics["miou_long"] = miou_long
+                metrics["miou_long_per_query"] = per_long
 
     emit_report(metrics, cfg, {"seed": seed}, paths["report"])
     return paths["report"]
@@ -415,8 +432,9 @@ def run_sweep(
     trajectories = load_tracks(paths["tracks"], ds)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
     mapping = None
-    if gt is not None and param == "tau_sem":
-        # masks, not labels, decide the matching, so one serves every value
+    if gt is not None and param == "tau_sem" and any(ds.detections):
+        # masks, not labels, decide the matching, so one serves every value;
+        # like eval, no accuracy columns for a dataset without detections
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
     rows = []

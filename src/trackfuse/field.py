@@ -9,9 +9,10 @@ query renders to a probability grid through
 
 Training minimizes  L = L_seg + lam * rho(t) * L_con  where L_seg is mean
 binary cross-entropy of the rendered grid against the consensus pseudo
-mask (one render per positive description), L_con is a multi-positive
-softmax contrastive loss over the batch's description pool, and rho(t) is
-a stepwise decay schedule on the contrastive weight. All gradients are
+mask (averaged over the positive descriptions, all rendered in one
+product), L_con is a multi-positive softmax contrastive loss over the
+batch's description pool, and rho(t) is a stepwise decay schedule on the
+contrastive weight. All gradients are
 analytic; ``grad_check`` compares them against central finite differences.
 """
 
@@ -67,48 +68,81 @@ class ToyReferringField:
             g.feature = row.copy()
 
     def weights(self, view: int) -> np.ndarray:
-        """(n_gaussians, h*w) spatial weights for one view; cached (geometry is fixed)."""
+        """(n_gaussians, h*w) spatial weights for one view; cached (geometry is fixed).
+
+        Each Gaussian's row is filled only inside its 3-sigma box, from the
+        first to the last row and column whose own squared offset from the
+        center is within the cutoff. Outside it d^2 > (3 s)^2 already, so
+        the weight there is 0, as in a full-grid evaluation.
+        """
         if view not in self._weight_cache:
-            ys, xs = np.mgrid[0 : self.height, 0 : self.width]
-            px = xs.ravel().astype(float)
-            py = ys.ravel().astype(float)
-            rows = []
+            h, w, n = self.height, self.width, len(self.gaussians)
+            out = np.zeros((n, h * w))
             cutoff = (3.0 * self.spread) ** 2
-            for g in self.gaussians:
-                cx, cy = g.centers[view]
-                if not (np.isfinite(cx) and np.isfinite(cy)):
-                    rows.append(np.zeros(px.size))
-                    continue
-                d2 = (px - cx) ** 2 + (py - cy) ** 2
-                w = np.exp(-d2 / (2.0 * self.spread**2))
-                w[d2 > cutoff] = 0.0
-                rows.append(w)
-            self._weight_cache[view] = np.stack(rows)
+            centers = np.array([g.centers[view] for g in self.gaussians], dtype=float).reshape(n, 2)
+            dx2 = (np.arange(w, dtype=float) - centers[:, :1]) ** 2  # (n, w)
+            dy2 = (np.arange(h, dtype=float) - centers[:, 1:]) ** 2  # (n, h)
+            # NaN offsets compare False, so a non-finite center gets an empty box
+            in_x, in_y = dx2 <= cutoff, dy2 <= cutoff
+            x0, x1 = in_x.argmax(axis=1).tolist(), (w - in_x[:, ::-1].argmax(axis=1)).tolist()
+            y0, y1 = in_y.argmax(axis=1).tolist(), (h - in_y[:, ::-1].argmax(axis=1)).tolist()
+            for k in np.flatnonzero(in_x.any(axis=1) & in_y.any(axis=1)).tolist():
+                xs, ys = slice(x0[k], x1[k]), slice(y0[k], y1[k])
+                d2 = dx2[k, xs] + dy2[k, ys, None]
+                box = np.exp(-d2 / (2.0 * self.spread**2))
+                box[d2 > cutoff] = 0.0
+                out[k].reshape(h, w)[ys, xs] = box
+            self._weight_cache[view] = out
         return self._weight_cache[view]
 
 
 def render_logits(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid grid of shape (h, w)."""
-    w = field_.weights(view)
-    scores = field_.features() @ query
-    return (scores @ w).reshape(field_.height, field_.width)
+    """Pre-sigmoid grid: (h, w) for a (dim,) query, (Q, h, w) for a (Q, dim) matrix."""
+    query = np.asarray(query)
+    scores = field_.features() @ query.T  # (G,) or (G, Q)
+    logits = scores.T @ field_.weights(view)
+    return logits.reshape(query.shape[:-1] + (field_.height, field_.width))
 
 
 def render_mask(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
-    """Per-pixel foreground probability for the query at the view."""
+    """Per-pixel foreground probability for the query (or each query row) at the view."""
     logits = render_logits(field_, view, query)
     return 1.0 / (1.0 + np.exp(-logits))
 
 
+def binarize_logits(logits: np.ndarray) -> np.ndarray:
+    """``sigmoid(logits) > 0.5`` as booleans, bit for bit.
+
+    A logit <= 0 is False without the sigmoid (there it is <= 0.5 exactly);
+    a positive logit keeps the sigmoid, because a tiny one rounds to 0.5.
+    """
+    out = logits > 0.0
+    out[out] = 1.0 / (1.0 + np.exp(-logits[out])) > 0.5
+    return out
+
+
+def render_grids(
+    field_: ToyReferringField, views: list[int], queries: list[np.ndarray]
+) -> list[dict[int, np.ndarray]]:
+    """Per query row, its binary mask at each of ``views``; one render per view for all rows."""
+    out: list[dict[int, np.ndarray]] = [{} for _ in queries]
+    if not out:
+        return out
+    mat = np.stack(queries)
+    for view in views:
+        for per_view, grid in zip(out, binarize_logits(render_logits(field_, view, mat))):
+            per_view[view] = grid
+    return out
+
+
 def _select_inside(field_: ToyReferringField, view: int, grid: np.ndarray, what: str):
-    chosen = []
-    for g in field_.gaussians:
-        cx, cy = g.centers[view]
-        if not (np.isfinite(cx) and np.isfinite(cy)):
-            continue
-        col, row = int(round(cx)), int(round(cy))
-        if 0 <= row < field_.height and 0 <= col < field_.width and grid[row, col]:
-            chosen.append(g.gid)
+    centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
+    # np.rint rounds half to even like round(); NaN and inf fail the bounds
+    col, row = np.rint(centers).T
+    inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
+    gids = np.flatnonzero(inside)
+    hit = np.asarray(grid, dtype=bool)[row[gids].astype(int), col[gids].astype(int)]
+    chosen = gids[hit].tolist()
     if not chosen:
         raise NumericError(f"no Gaussian center inside the {what} at view {view}")
     feats = np.stack([field_.gaussians[gid].feature for gid in chosen])
@@ -153,9 +187,11 @@ def contrastive_loss(
     pool = np.atleast_2d(pool)
     if positives.shape[0] == 0:
         raise ValueError("positive set is empty")
-    for p in positives:
-        if not any(np.array_equal(p, d) for d in pool):
-            raise ValueError("positive set is not a subset of the pool")
+    # each positive must equal some pool row (NaN equals nothing)
+    if positives.shape[1:] != pool.shape[1:] or not (
+        (positives[:, None, :] == pool[None, :, :]).all(axis=2).any(axis=1).all()
+    ):
+        raise ValueError("positive set is not a subset of the pool")
 
     logits = pool @ anchor / tau
     m = float(np.max(logits))
@@ -184,6 +220,25 @@ def seg_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     grad = (probs - y) / probs.size
     grad[(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS)] = 0.0
     return loss, grad
+
+
+def seg_step(
+    field_: ToyReferringField, view: int, positives: np.ndarray, target: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean ``seg_loss`` over the positives, all rendered at once, and its feature gradient.
+
+    With W the view's weights, G the stacked logit gradients and P the
+    positives, d(mean loss)/d(features) = ((W @ G.T) @ P) / |P|.
+    """
+    probs = render_mask(field_, view, positives)
+    n_pos = positives.shape[0]
+    seg_mean = 0.0
+    g_logits = np.empty((n_pos, probs[0].size))
+    for k, row in enumerate(probs):
+        seg, grad = seg_loss(row, target)
+        seg_mean += seg / n_pos
+        g_logits[k] = grad.ravel()
+    return seg_mean, ((field_.weights(view) @ g_logits.T) @ positives) / n_pos
 
 
 def total_loss(seg: float, con: float, lam: float) -> float:
@@ -355,7 +410,6 @@ def train(
             )
             if batch is None:
                 continue
-            w_view = field_.weights(view)
             for entry in batch.entries:
                 field_.set_features(feats)
 
@@ -370,15 +424,9 @@ def train(
                 for gid in chosen:
                     grads_con[gid] += g_con / len(chosen)
 
-                target = rle_decode(entry.pseudo_mask)
-                n_pos = entry.pos_vecs.shape[0]
-                seg_mean = 0.0
-                grads_seg = np.zeros_like(feats)
-                for q in entry.pos_vecs:
-                    probs = render_mask(field_, view, q)
-                    seg, g_logits = seg_loss(probs, target)
-                    seg_mean += seg / n_pos
-                    grads_seg += np.outer(w_view @ g_logits.ravel(), q) / n_pos
+                seg_mean, grads_seg = seg_step(
+                    field_, view, entry.pos_vecs, rle_decode(entry.pseudo_mask)
+                )
 
                 weight = cfg.lam * cfg.ratio(iteration)
                 step_loss = seg_mean + weight * con

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 
+from trackfuse.field import seg_loss
 from trackfuse.rle import mask_iou
 
 
@@ -109,3 +110,55 @@ def oracle_match_tracks(ds, records, gt):
                 totals[obj.object_id] += mask_iou(det.mask, obj.masks[view])
         out[rec.track_id] = min(totals, key=lambda oid: (-totals[oid], oid))
     return out
+
+
+def oracle_weights(field_, view):
+    """Per-Gaussian full-grid weights: every pixel of every row, the 3-sigma cut applied last."""
+    ys, xs = np.mgrid[0 : field_.height, 0 : field_.width]
+    px = xs.ravel().astype(float)
+    py = ys.ravel().astype(float)
+    rows = []
+    cutoff = (3.0 * field_.spread) ** 2
+    for g in field_.gaussians:
+        cx, cy = g.centers[view]
+        if not (np.isfinite(cx) and np.isfinite(cy)):
+            rows.append(np.zeros(px.size))
+            continue
+        d2 = (px - cx) ** 2 + (py - cy) ** 2
+        w = np.exp(-d2 / (2.0 * field_.spread**2))
+        w[d2 > cutoff] = 0.0
+        rows.append(w)
+    return np.stack(rows)
+
+
+def oracle_select_inside(field_, view, grid):
+    """Gaussian ids whose center, rounded by round() (half to even), is a set pixel of ``grid``."""
+    chosen = []
+    for g in field_.gaussians:
+        cx, cy = g.centers[view]
+        if not (np.isfinite(cx) and np.isfinite(cy)):
+            continue
+        col, row = int(round(cx)), int(round(cy))
+        if 0 <= row < field_.height and 0 <= col < field_.width and grid[row, col]:
+            chosen.append(g.gid)
+    return chosen
+
+
+def oracle_render_logits(field_, view, query):
+    """One query: restack the features and take a dense (G,) @ (G, h*w) product."""
+    scores = np.stack([g.feature for g in field_.gaussians]) @ query
+    return (scores @ oracle_weights(field_, view)).reshape(field_.height, field_.width)
+
+
+def oracle_seg_step(field_, view, positives, target):
+    """One train step's segmentation part, one render and one outer-product gradient per positive."""
+    weights = oracle_weights(field_, view)
+    n_pos = positives.shape[0]
+    seg_mean = 0.0
+    grad = np.zeros((len(field_.gaussians), positives.shape[1]))
+    for q in positives:
+        probs = 1.0 / (1.0 + np.exp(-oracle_render_logits(field_, view, q)))
+        seg, g_logits = seg_loss(probs, target)
+        seg_mean += seg / n_pos
+        grad += np.outer(weights @ g_logits.ravel(), q) / n_pos
+    return seg_mean, grad

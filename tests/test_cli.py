@@ -303,6 +303,18 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"] == {"n_tracks": 0}
 
+    def test_sweep_on_fully_dropped_scene_has_no_accuracy_columns(self, tmp_path):
+        cfg = load_config(None)
+        cfg["synth"] = {"n_views": 3, "n_objects": 2, "noise": {"dropout_rate": 1.0}}
+        cfg["train"] = {"epochs": 1}
+        out = tmp_path / "run"
+        run_pipeline(cfg, out, seed=0)
+        argv = ["sweep", "--manifest", str(out / "dataset" / "manifest.json"),
+                "--tracks", str(out / "tracks.jsonl"), "--param", "tau_sem", "--values", "0.8",
+                "--ground-truth", str(out / "ground_truth.json"), "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert (tmp_path / "sweep.csv").read_text().splitlines() == ["value,cluster_count", "0.8,0"]
+
     def test_run_manifest_contents(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
@@ -492,6 +504,30 @@ class TestBadInput:
         assert main(argv) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize(
+        "key, views, bad",
+        [("eval", [0, 9], "9"), ("eval", [-1], "-1"), ("train", [7], "7")],
+    )
+    @pytest.mark.parametrize("command", ["stage", "run"])
+    def test_view_outside_dataset_exits_two(self, run_dir, tmp_path, capsys, command, key, views, bad):
+        cfg = write_config(tmp_path, TINY_CONFIG | {key: TINY_CONFIG.get(key, {}) | {"views": views}})
+        out = tmp_path / f"{key}.out"
+        if command == "run":
+            for name in ("model.json", "report.json") if key == "train" else ("report.json",):
+                (run_dir / name).unlink()
+            argv = ["run", "--config", cfg, "--out", str(run_dir)]
+            out = run_dir / ("model.json" if key == "train" else "report.json")
+        elif key == "train":
+            argv = stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]
+        else:
+            argv = ["eval", "--config", cfg, "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                    "--consensus", str(run_dir / "consensus.jsonl"), "--model", str(run_dir / "model.json"),
+                    "--ground-truth", str(run_dir / "ground_truth.json"), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{key}.views: {bad} is not a view of the dataset, which has 3 views" in err
+        assert not out.exists()
 
 
 class TestResume:

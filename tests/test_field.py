@@ -2,25 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_render_logits, oracle_seg_step, oracle_select_inside, oracle_weights
 
 import trackfuse as tf
+import trackfuse.field as field_module
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import (
     ViewBatch,
     TrackPositives,
     ToyGaussian,
     ToyReferringField,
+    binarize_logits,
     build_view_batch,
     contrastive_loss,
     field_from_ground_truth,
     grad_check,
     load_field,
+    render_grids,
+    render_logits,
     render_mask,
     save_field,
     seg_loss,
+    seg_step,
     select_gaussians,
     total_loss,
 )
+from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet
 from trackfuse.rle import rle_encode
 
@@ -389,3 +398,164 @@ class TestFieldIo:
             assert np.array_equal(np.isnan(a.centers), np.isnan(b.centers))
             mask = ~np.isnan(a.centers)
             assert np.array_equal(a.centers[mask], b.centers[mask])
+
+
+# ---------------------------------------------------------------------------
+# batched and windowed paths against the per-query, per-Gaussian oracles
+
+
+def coordinate(limit):
+    """A center coordinate: exact halves, on-grid, near or past the border, NaN and inf."""
+    return st.one_of(
+        st.integers(-3, limit + 3).map(lambda k: k + 0.5),
+        st.integers(-3, limit + 3).map(float),
+        st.floats(-2.0 * limit - 12, 2.0 * limit + 12),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300, -1e300]),
+    )
+
+
+@st.composite
+def fields(draw):
+    """A small field with drawn centers; features at scale 1e-17 give logits in (0, 1e-15]."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    n_views, dim = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    spread = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.2, 4.0))
+    scale = draw(st.sampled_from([1.0, 1e-17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaussians = []
+    for gid in range(draw(st.integers(1, 6))):
+        centers = np.array([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
+        gaussians.append(ToyGaussian(gid, 0, centers, scale * rng.standard_normal(dim)))
+    return ToyReferringField(height=h, width=w, spread=spread, dim=dim, gaussians=gaussians)
+
+
+def sigmoid_above_half(logits):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits)) > 0.5
+
+
+# centers at +-1e300 overflow the squared offset to inf in both paths, as intended
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+class TestBatchedOracles:
+    @given(fields())
+    @settings(max_examples=100, deadline=None)
+    def test_windowed_weights_equal_full_grid(self, field):
+        for view in range(len(field.gaussians[0].centers)):
+            got, want = field.weights(view), oracle_weights(field, view)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(fields(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_selection_equals_per_gaussian_loop(self, field, seed):
+        grid = np.random.default_rng(seed).random((field.height, field.width)) < 0.6
+        for view in range(len(field.gaussians[0].centers)):
+            want = oracle_select_inside(field, view, grid)
+            if not want:
+                with pytest.raises(NumericError, match="no Gaussian"):
+                    select_gaussians(field, view, rle_encode(grid))
+                continue
+            chosen, anchor = select_gaussians(field, view, rle_encode(grid))
+            assert chosen == want
+            assert np.array_equal(anchor, np.stack([field.gaussians[g].feature for g in want]).mean(axis=0))
+
+    @given(fields(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_logits_within_1e12_of_per_query(self, field, n_queries, seed):
+        queries = np.random.default_rng(seed).standard_normal((n_queries, field.dim))
+        feats = np.abs(field.features())
+        for view in range(len(field.gaussians[0].centers)):
+            got = render_logits(field, view, queries)
+            assert got.shape == (n_queries, field.height, field.width)
+            assert render_logits(field, view, queries[0]).shape == (field.height, field.width)
+            for q, logits in zip(queries, got):
+                # error bound of a reordered float64 sum: relative to the sum of |terms|
+                scale = ((feats @ np.abs(q)) @ oracle_weights(field, view)).reshape(logits.shape)
+                assert np.all(np.abs(logits - oracle_render_logits(field, view, q)) <= 1e-12 * scale)
+
+    @given(fields(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_grids_equal_per_query_render_mask(self, field, n_queries, seed):
+        queries = list(np.random.default_rng(seed).standard_normal((n_queries, field.dim)))
+        views = list(range(len(field.gaussians[0].centers)))
+        grids = render_grids(field, views, queries)
+        assert len(grids) == n_queries
+        for q, per_view in zip(queries, grids):
+            assert sorted(per_view) == views
+            for view, grid in per_view.items():
+                assert grid.dtype == bool
+                assert np.array_equal(grid, sigmoid_above_half(oracle_render_logits(field, view, q)))
+
+    @given(st.lists(
+        st.floats(0.0, 1e-15, exclude_min=True)
+        | st.floats(-1e-15, 1e-15)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([0.0, -0.0, 2.0**-52, 2.0**-51, 3 * 2.0**-52]),
+        min_size=1, max_size=30,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_binarized_logits_equal_sigmoid_threshold(self, values):
+        logits = np.array(values)
+        assert np.array_equal(binarize_logits(logits), sigmoid_above_half(logits))
+
+    def test_tiny_positive_logit_is_background(self):
+        # sigmoid rounds to exactly 0.5 there, so the pixel is not foreground
+        logits = np.array([[-1.0, 0.0, 5e-17, 1e-16, 2e-16, 1e-3]])
+        assert binarize_logits(logits).tolist() == [[False, False, False, False, True, True]]
+        assert sigmoid_above_half(logits).tolist() == binarize_logits(logits).tolist()
+
+    def test_no_queries_render_nothing(self):
+        field = make_field([[1.0, 0.0]], [(2.0, 2.0)])
+        assert render_grids(field, [0], []) == []
+
+    def test_seg_step_within_1e12_of_per_positive_step(self, clean_scene):
+        ds, gt, _ = clean_scene
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        rng = np.random.default_rng(0)
+        field.set_features(rng.standard_normal((len(field.gaussians), ds.dim)))
+        positives = rng.standard_normal((4, ds.dim))
+        target = rng.random((ds.height, ds.width)) < 0.3
+        seg, grad = seg_step(field, 1, positives, target)
+        want_seg, want_grad = oracle_seg_step(field, 1, positives, target)
+        assert abs(seg - want_seg) <= 1e-12 * want_seg
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    def test_train_within_1e12_of_per_positive_training(self, noisy_scene, monkeypatch):
+        ds, gt = noisy_scene
+        result = tf.run_consensus(ds, tf.import_tracks(ds))
+        tf.propagate(ds, result.records)
+        descriptions = run_keyframes(ds, result.records)
+        assert all(d.referrals for d in descriptions)  # hybrid positives: category + referrals
+        cfg = tf.TrainConfig(epochs=3, feature_lr=0.01)
+
+        def trained():
+            field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+            return tf.train(field, ds, result.records, descriptions, cfg)
+
+        field, curve = trained()
+        monkeypatch.setattr(field_module, "seg_step", oracle_seg_step)
+        want_field, want_curve = trained()
+        assert len(curve) == len(want_curve) > 0
+        for row, want in zip(curve, want_curve):
+            assert row[0] == want[0]
+            assert np.all(np.abs(np.subtract(row[1:], want[1:])) <= 1e-12 * np.abs(want[1:]))
+        feats, want_feats = field.features(), want_field.features()
+        assert np.max(np.abs(feats - want_feats)) <= 1e-12 * np.max(np.abs(want_feats))
+
+
+class TestSubsetCheck:
+    def test_nan_positive_is_not_in_pool(self):
+        pool = np.array([[np.nan, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not a subset"):
+            contrastive_loss(np.array([1.0, 0.0]), pool[:1], pool, 0.1)
+
+    @pytest.mark.parametrize("pool_dim", [1, 3])
+    def test_dimension_mismatch_is_not_in_pool(self, pool_dim):
+        with pytest.raises(ValueError, match="not a subset"):
+            contrastive_loss(np.ones(2), np.ones((1, 2)), np.ones((2, pool_dim)), 0.1)
+
+    def test_signed_zero_and_repeats_are_in_pool(self):
+        pool = np.array([[0.0, 1.0], [1.0, 0.0]])
+        positives = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        loss, _ = contrastive_loss(np.array([1.0, 0.0]), positives, pool, 0.5)
+        assert math.isfinite(loss)
