@@ -133,11 +133,14 @@ def _synth_config(cfg: dict, seed: int) -> SynthConfig:
 
 # TrainConfig fields that the train section may set, with their types
 _TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "ratio_start": float,
-               "ratio_factor": float, "ratio_interval": int, "selection": str}
+               "ratio_factor": float, "ratio_interval": int}
 
 
 def _train_config(cfg: dict, n_views: int) -> TrainConfig:
     section = cfg["train"]
+    for key in section:
+        if key not in _TRAIN_KEYS and key not in DEFAULT_CONFIG["train"]:
+            raise SchemaError(f"train.{key} is not a train setting")
     kwargs = {key: cast(section[key]) for key, cast in _TRAIN_KEYS.items() if key in section}
     views = _views(cfg, "train", n_views)
     if views is not None:
@@ -245,7 +248,7 @@ def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
             "entry to the dataset manifest"
         )
     # without --geometry: <scene>/field_geometry.json, where synth wrote it
-    field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json")
+    field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json", ds)
     long_only = bool(cfg["train"].get("long_only", False))
     field_, curve = train(
         field_, ds, records, descriptions, _train_config(cfg, ds.n_views), include_category=not long_only
@@ -276,7 +279,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
             metrics.update(consensus_accuracy(ds, gt, clustering, mapping))
 
     if "model" in paths:
-        field_ = load_field(paths["model"])
+        field_ = load_field(paths["model"], ds)
         eval_views = _views(cfg, "eval", ds.n_views)
         views = eval_views if eval_views is not None else trajectories_views
         if gt is not None and views:

@@ -1,8 +1,8 @@
 """Toy language-grounded Gaussian referring field.
 
 Geometry is fixed: each Gaussian has a per-view 2-D center and a shared
-isotropic spread; only the per-Gaussian feature vectors are learned. A
-query renders to a probability grid through
+isotropic spread; only the features are learned, one (n_gaussians, dim)
+matrix on the field. A query renders to a probability grid through
 
     prob(p) = sigmoid( sum_g w_g(p) * (feature_g . query) ),
     w_g(p)  = exp(-|p - center_g|^2 / (2 s^2)),  truncated to 0 beyond 3 s.
@@ -14,6 +14,9 @@ product), L_con is a multi-positive softmax contrastive loss over the
 batch's description pool, and rho(t) is a stepwise decay schedule on the
 contrastive weight. All gradients are
 analytic; ``grad_check`` compares them against central finite differences.
+``train`` builds its plan once (per view the batch, per track the decoded
+pseudo mask and the Gaussians inside it); each epoch then only updates the
+feature matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
-from .records import DescriptionSet, SceneDataset, read_json, write_csv, write_json
+from .records import DescriptionSet, SceneDataset, as_vector, read_json, write_csv, write_json
 from .rle import RleMask, rle_decode
 from .synth import GroundTruth
 
@@ -41,7 +44,6 @@ class ToyGaussian:
     gid: int
     track: int
     centers: np.ndarray  # (n_views, 2) of (x, y); NaN rows mean not visible
-    feature: np.ndarray
 
 
 @dataclass
@@ -51,6 +53,7 @@ class ToyReferringField:
     spread: float
     dim: int
     gaussians: list[ToyGaussian]
+    features: np.ndarray  # (n_gaussians, dim), row g is Gaussian g's feature
 
     def __post_init__(self) -> None:
         if self.spread <= 0:
@@ -59,13 +62,6 @@ class ToyReferringField:
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
         self._weight_cache: dict[int, np.ndarray] = {}
-
-    def features(self) -> np.ndarray:
-        return np.stack([g.feature for g in self.gaussians])
-
-    def set_features(self, mat: np.ndarray) -> None:
-        for g, row in zip(self.gaussians, mat):
-            g.feature = row.copy()
 
     def weights(self, view: int) -> np.ndarray:
         """(n_gaussians, h*w) spatial weights for one view; cached (geometry is fixed).
@@ -99,7 +95,7 @@ class ToyReferringField:
 def render_logits(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
     """Pre-sigmoid grid: (h, w) for a (dim,) query, (Q, h, w) for a (Q, dim) matrix."""
     query = np.asarray(query)
-    scores = field_.features() @ query.T  # (G,) or (G, Q)
+    scores = field_.features @ query.T  # (G,) or (G, Q)
     logits = scores.T @ field_.weights(view)
     return logits.reshape(query.shape[:-1] + (field_.height, field_.width))
 
@@ -135,20 +131,6 @@ def render_grids(
     return out
 
 
-def _select_inside(field_: ToyReferringField, view: int, grid: np.ndarray, what: str):
-    centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
-    # np.rint rounds half to even like round(); NaN and inf fail the bounds
-    col, row = np.rint(centers).T
-    inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
-    gids = np.flatnonzero(inside)
-    hit = np.asarray(grid, dtype=bool)[row[gids].astype(int), col[gids].astype(int)]
-    chosen = gids[hit].tolist()
-    if not chosen:
-        raise NumericError(f"no Gaussian center inside the {what} at view {view}")
-    feats = np.stack([field_.gaussians[gid].feature for gid in chosen])
-    return chosen, feats.mean(axis=0)
-
-
 def select_gaussians(
     field_: ToyReferringField, view: int, pseudo_mask: RleMask
 ) -> tuple[list[int], np.ndarray]:
@@ -158,20 +140,16 @@ def select_gaussians(
             f"pseudo mask is {pseudo_mask.height}x{pseudo_mask.width}, "
             f"field is {field_.height}x{field_.width}"
         )
-    return _select_inside(field_, view, rle_decode(pseudo_mask), "pseudo mask")
-
-
-def select_gaussians_rendered(
-    field_: ToyReferringField, view: int, query: np.ndarray, threshold: float = 0.5
-) -> tuple[list[int], np.ndarray]:
-    """Select by the model's own rendered mask instead of the pseudo mask.
-
-    Ablation path: circular early in training (an uninformative field
-    renders 0.5 everywhere, so nothing clears the threshold and this
-    raises), which is why pseudo-mask selection is the default.
-    """
-    grid = render_mask(field_, view, query) > threshold
-    return _select_inside(field_, view, grid, "rendered mask")
+    centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
+    # np.rint rounds half to even like round(); NaN and inf fail the bounds
+    col, row = np.rint(centers).T
+    inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
+    gids = np.flatnonzero(inside)
+    hit = rle_decode(pseudo_mask)[row[gids].astype(int), col[gids].astype(int)]
+    chosen = gids[hit].tolist()
+    if not chosen:
+        raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
+    return chosen, field_.features[chosen].mean(axis=0)
 
 
 def contrastive_loss(
@@ -216,7 +194,7 @@ def seg_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if probs.shape != y.shape:
         raise SchemaError(f"shape mismatch: probs {probs.shape} vs target {y.shape}")
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    loss = float(np.mean(-np.log(np.where(y, p, 1.0 - p))))
     grad = (probs - y) / probs.size
     grad[(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS)] = 0.0
     return loss, grad
@@ -358,7 +336,6 @@ class TrainConfig:
     ratio_factor: float = 0.6
     ratio_interval: int = 2000
     views: tuple[int, ...] | None = None
-    selection: str = "pseudo"  # or "rendered": ablation, unstable from a cold start
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -367,8 +344,6 @@ class TrainConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.ratio_interval <= 0:
             raise ValueError(f"ratio_interval must be positive, got {self.ratio_interval}")
-        if self.selection not in ("pseudo", "rendered"):
-            raise ValueError(f"selection must be 'pseudo' or 'rendered', got {self.selection!r}")
 
     def ratio(self, iteration: int) -> float:
         return self.ratio_start * self.ratio_factor ** (iteration // self.ratio_interval)
@@ -396,53 +371,45 @@ def train(
                     f"track {d.track_id} has no referrals: positive set would be empty"
                 )
     views = cfg.views if cfg.views is not None else tuple(range(ds.n_views))
+    for view in views:
+        if not 0 <= view < ds.n_views:
+            raise ValueError(f"view {view} is not a view of the dataset, which has {ds.n_views} views")
 
-    feats = field_.features().astype(float)
-    m = np.zeros_like(feats)
-    v = np.zeros_like(feats)
+    # the geometry and the pseudo masks are fixed, so the plan is built once
+    plan = []
+    for view in views:
+        batch = build_view_batch(ds, records, desc_by_track, view, include_category=include_category)
+        for entry in batch.entries if batch is not None else ():
+            chosen, _ = select_gaussians(field_, view, entry.pseudo_mask)
+            plan.append((view, entry.pos_vecs, batch.pool_vecs, rle_decode(entry.pseudo_mask), chosen))
+
+    m = np.zeros_like(field_.features)
+    v = np.zeros_like(field_.features)
     curve: list[tuple[int, float, float, float]] = []
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view in views:
-            batch = build_view_batch(
-                ds, records, desc_by_track, view, include_category=include_category
-            )
-            if batch is None:
-                continue
-            for entry in batch.entries:
-                field_.set_features(feats)
+        for view, positives, pool, target, chosen in plan:
+            anchor = field_.features[chosen].mean(axis=0)
+            con, g_con = contrastive_loss(anchor, positives, pool, cfg.tau)
+            grads_con = np.zeros_like(field_.features)
+            grads_con[chosen] += g_con / len(chosen)
+            seg_mean, grads_seg = seg_step(field_, view, positives, target)
 
-                if cfg.selection == "rendered":
-                    chosen, anchor = select_gaussians_rendered(
-                        field_, view, entry.pos_vecs[0]
-                    )
-                else:
-                    chosen, anchor = select_gaussians(field_, view, entry.pseudo_mask)
-                con, g_con = contrastive_loss(anchor, entry.pos_vecs, batch.pool_vecs, cfg.tau)
-                grads_con = np.zeros_like(feats)
-                for gid in chosen:
-                    grads_con[gid] += g_con / len(chosen)
+            weight = cfg.lam * cfg.ratio(iteration)
+            step_loss = seg_mean + weight * con
+            if not math.isfinite(step_loss):
+                raise NumericError(f"non-finite loss at iteration {iteration}")
+            step_grad = grads_seg + weight * grads_con
 
-                seg_mean, grads_seg = seg_step(
-                    field_, view, entry.pos_vecs, rle_decode(entry.pseudo_mask)
-                )
+            iteration += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * step_grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * step_grad**2
+            m_hat = m / (1.0 - ADAM_BETA1**iteration)
+            v_hat = v / (1.0 - ADAM_BETA2**iteration)
+            field_.features = field_.features - cfg.feature_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            curve.append((iteration, seg_mean, con, step_loss))
 
-                weight = cfg.lam * cfg.ratio(iteration)
-                step_loss = seg_mean + weight * con
-                if not math.isfinite(step_loss):
-                    raise NumericError(f"non-finite loss at iteration {iteration}")
-                step_grad = grads_seg + weight * grads_con
-
-                iteration += 1
-                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * step_grad
-                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * step_grad**2
-                m_hat = m / (1.0 - ADAM_BETA1**iteration)
-                v_hat = v / (1.0 - ADAM_BETA2**iteration)
-                feats = feats - cfg.feature_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                curve.append((iteration, seg_mean, con, step_loss))
-
-    field_.set_features(feats)
     return field_, curve
 
 
@@ -466,17 +433,8 @@ def field_from_ground_truth(
                 if view < len(obj.visible) and obj.visible[view]:
                     cx, cy = obj.centers[view]
                     centers[view] = (cx + ox * rx, cy + oy * ry)
-            gaussians.append(
-                ToyGaussian(
-                    gid=len(gaussians),
-                    track=obj.object_id,
-                    centers=centers,
-                    feature=np.zeros(dim),
-                )
-            )
-    return ToyReferringField(
-        height=height, width=width, spread=spread, dim=dim, gaussians=gaussians
-    )
+            gaussians.append(ToyGaussian(gid=len(gaussians), track=obj.object_id, centers=centers))
+    return ToyReferringField(height, width, spread, dim, gaussians, np.zeros((len(gaussians), dim)))
 
 
 def save_field(field_: ToyReferringField, path: str | Path) -> None:
@@ -493,39 +451,41 @@ def save_field(field_: ToyReferringField, path: str | Path) -> None:
                     None if not np.all(np.isfinite(c)) else [float(c[0]), float(c[1])]
                     for c in g.centers
                 ],
-                "feature": g.feature.tolist(),
+                "feature": feature.tolist(),
             }
-            for g in field_.gaussians
+            for g, feature in zip(field_.gaussians, field_.features)
         ],
     }
     write_json(obj, path)
 
 
-def _field_from_json(obj: dict) -> ToyReferringField:
-    gaussians = []
-    for g in obj["gaussians"]:
-        centers = np.array(
-            [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
-        )
-        gaussians.append(
-            ToyGaussian(
-                gid=int(g["id"]),
-                track=int(g["track"]),
-                centers=centers,
-                feature=np.asarray(g["feature"], dtype=float),
+def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:
+    """Read a field file; every feature must be finite and of length ``dim``. Against
+    ``ds``, the field must have the dataset's view size, one center entry per view
+    and the embeddings' ``dim``."""
+
+    def parse(obj: dict) -> ToyReferringField:
+        height, width, dim = int(obj["h"]), int(obj["w"]), int(obj["dim"])
+        if ds is not None and (height, width) != (ds.height, ds.width):
+            raise SchemaError(f"field is {height}x{width}, the dataset's views are {ds.height}x{ds.width}")
+        if ds is not None and dim != ds.dim:
+            raise SchemaError(f"field dim is {dim}, the dataset's embeddings have dim {ds.dim}")
+        gaussians, features = [], []
+        for g in obj["gaussians"]:
+            gid = int(g["id"])
+            if ds is not None and len(g["centers"]) != ds.n_views:
+                raise SchemaError(
+                    f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views"
+                )
+            centers = np.array(
+                [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
             )
-        )
-    return ToyReferringField(
-        height=int(obj["h"]),
-        width=int(obj["w"]),
-        spread=float(obj["spread"]),
-        dim=int(obj["dim"]),
-        gaussians=gaussians,
-    )
+            gaussians.append(ToyGaussian(gid=gid, track=int(g["track"]), centers=centers))
+            features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
+        features = np.array(features).reshape(len(gaussians), dim)
+        return ToyReferringField(height, width, float(obj["spread"]), dim, gaussians, features)
 
-
-def load_field(path: str | Path) -> ToyReferringField:
-    return read_json(path, _field_from_json)
+    return read_json(path, parse)
 
 
 def save_loss_curve(curve: list[tuple[int, float, float, float]], path: str | Path) -> None:

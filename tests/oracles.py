@@ -146,7 +146,7 @@ def oracle_select_inside(field_, view, grid):
 
 def oracle_render_logits(field_, view, query):
     """One query: restack the features and take a dense (G,) @ (G, h*w) product."""
-    scores = np.stack([g.feature for g in field_.gaussians]) @ query
+    scores = np.stack(list(field_.features)) @ query
     return (scores @ oracle_weights(field_, view)).reshape(field_.height, field_.width)
 
 

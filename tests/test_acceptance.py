@@ -152,11 +152,9 @@ def test_criterion_3_gradient_checks():
             h = w = 12
             dim, n_gauss = 5, 3
             centers = rng.uniform(4, 8, size=(n_gauss, 1, 2))
-            gaussians = [
-                ToyGaussian(g, 0, centers[g], rng.standard_normal(dim) * 0.3)
-                for g in range(n_gauss)
-            ]
-            field_ = ToyReferringField(h, w, 2.5, dim, gaussians)
+            gaussians = [ToyGaussian(g, 0, centers[g]) for g in range(n_gauss)]
+            features = np.stack([rng.standard_normal(dim) * 0.3 for _ in range(n_gauss)])
+            field_ = ToyReferringField(h, w, 2.5, dim, gaussians, features)
             q = rng.standard_normal(dim)
             q /= np.linalg.norm(q)
             ys, xs = np.mgrid[0:h, 0:w]
@@ -167,7 +165,7 @@ def test_criterion_3_gradient_checks():
             lam, tau = 0.1, 0.5
 
             def composite(flat):
-                field_.set_features(flat.reshape(n_gauss, dim))
+                field_.features = flat.reshape(n_gauss, dim)
                 probs = render_mask(field_, 0, q)
                 l_seg, g_logits = seg_loss(probs, target)
                 grad = np.outer(field_.weights(0) @ g_logits.ravel(), q)
@@ -177,7 +175,7 @@ def test_criterion_3_gradient_checks():
                     grad[gid] += lam * g_con / len(chosen)
                 return l_seg + lam * l_con, grad.ravel()
 
-            x0 = np.stack([g.feature for g in gaussians]).ravel()
+            x0 = field_.features.ravel()
             worst_full = max(worst_full, grad_check(composite, x0, step=1e-5))
         assert worst_full < 1e-4, f"composite gradient rel err {worst_full:.2e}"
 

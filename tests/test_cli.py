@@ -56,12 +56,16 @@ class TestUsage:
             main(["frobnicate"])
         assert err.value.code == 1
 
-    def test_numeric_failure_exits_three(self, tmp_path):
+    def test_numeric_failure_exits_three(self, tmp_path, capsys):
         cfg = dict(SMALL_CONFIG)
-        cfg["train"] = {"epochs": 1, "selection": "rendered"}  # cold start: must fail
+        cfg["train"] = {"epochs": 1}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         run_pipeline(load_config(None) | {"synth": SMALL_CONFIG["synth"]}, out, seed=0)
+        geometry = json.loads((out / "field_geometry.json").read_text())
+        for g in geometry["gaussians"]:
+            g["centers"] = [None] * len(g["centers"])  # no Gaussian inside any pseudo mask
+        (out / "field_geometry.json").write_text(json.dumps(geometry))
         code = main(
             [
                 "train",
@@ -80,6 +84,7 @@ class TestUsage:
             ]
         )
         assert code == 3
+        assert "no Gaussian center inside the pseudo mask" in capsys.readouterr().err
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = main(
@@ -504,6 +509,53 @@ class TestBadInput:
         assert main(argv) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ("fewer-views", "gaussian 0: 2 centers, the dataset has 3 views"),
+            ("dim", "field dim is 16, the dataset's embeddings have dim 32"),
+            ("short-feature", "gaussian 0: feature has shape (31,), expected (32,)"),
+            ("nan-feature", "gaussian 0: feature is not finite"),
+            ("height", "field is 16x32, the dataset's views are 32x32"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_field_not_matching_dataset_exits_two(self, run_dir, tmp_path, capsys, command, problem, message):
+        path = run_dir / ("field_geometry.json" if command == "train" else "model.json")
+        field = json.loads(path.read_text())
+        first = field["gaussians"][0]
+        if problem == "fewer-views":
+            for g in field["gaussians"]:
+                del g["centers"][-1]
+        elif problem == "dim":
+            field["dim"] = 16
+            for g in field["gaussians"]:
+                g["feature"] = g["feature"][:16]
+        elif problem == "short-feature":
+            first["feature"] = first["feature"][:-1]
+        elif problem == "nan-feature":
+            first["feature"][0] = float("nan")
+        else:
+            field["h"] = 16
+        path.write_text(json.dumps(field))
+        out = tmp_path / f"{command}.out"
+        if command == "train":
+            argv = stage_argv(run_dir, "train", tmp_path)
+        else:
+            argv = ["eval", "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                    "--consensus", str(run_dir / "consensus.jsonl"), "--model", str(path),
+                    "--ground-truth", str(run_dir / "ground_truth.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("epoch", 0), ("selection", "pseudo")])
+    def test_unknown_train_key_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, TINY_CONFIG | {"train": {key: value}})
+        assert main(stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]) == 2
+        assert f"train.{key} is not a train setting" in capsys.readouterr().err
+        assert not (tmp_path / "train.out").exists()
 
     @pytest.mark.parametrize(
         "key, views, bad",

@@ -31,16 +31,14 @@ from trackfuse.field import (
 )
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet
-from trackfuse.rle import rle_encode
+from trackfuse.rle import rle_decode, rle_encode
 
 
 def make_field(features, centers, h=16, w=16, spread=3.0):
     dim = len(features[0])
-    gaussians = [
-        ToyGaussian(g, 0, np.asarray([c], dtype=float), np.asarray(f, dtype=float))
-        for g, (f, c) in enumerate(zip(features, centers))
-    ]
-    return ToyReferringField(height=h, width=w, spread=spread, dim=dim, gaussians=gaussians)
+    gaussians = [ToyGaussian(g, 0, np.asarray([c], dtype=float)) for g, c in enumerate(centers)]
+    features = np.asarray(features, dtype=float)
+    return ToyReferringField(height=h, width=w, spread=spread, dim=dim, gaussians=gaussians, features=features)
 
 
 def disk_mask(h, w, cx, cy, r):
@@ -71,8 +69,8 @@ class TestRender:
         assert probs[20, 20] == 0.5  # distance > 3 spreads: weight exactly 0
 
     def test_invisible_view_contributes_nothing(self):
-        gaussian = ToyGaussian(0, 0, np.array([[np.nan, np.nan]]), np.array([5.0, 0.0]))
-        field = ToyReferringField(16, 16, 3.0, 2, [gaussian])
+        gaussian = ToyGaussian(0, 0, np.array([[np.nan, np.nan]]))
+        field = ToyReferringField(16, 16, 3.0, 2, [gaussian], np.array([[5.0, 0.0]]))
         probs = render_mask(field, 0, np.array([1.0, 0.0]))
         assert np.all(probs == 0.5)
 
@@ -104,22 +102,6 @@ class TestSelectGaussians:
         field = make_field([[1.0, 0.0]], [(2.0, 2.0)])
         with pytest.raises(SchemaError):
             select_gaussians(field, 0, disk_mask(8, 8, 4, 4, 2))
-
-    def test_rendered_selection_on_informative_field(self):
-        from trackfuse.field import select_gaussians_rendered
-
-        q = np.array([1.0, 0.0])
-        field = make_field([[10.0, 0.0], [0.0, 0.0]], [(4.0, 4.0), (12.0, 12.0)])
-        chosen, anchor = select_gaussians_rendered(field, 0, q)
-        assert chosen == [0]
-        assert np.array_equal(anchor, np.array([10.0, 0.0]))
-
-    def test_rendered_selection_fails_on_cold_field(self):
-        from trackfuse.field import select_gaussians_rendered
-
-        field = make_field([[0.0, 0.0]], [(8.0, 8.0)])
-        with pytest.raises(NumericError, match="rendered mask"):
-            select_gaussians_rendered(field, 0, np.array([1.0, 0.0]))
 
 
 class TestContrastiveLoss:
@@ -240,11 +222,9 @@ class TestGradCheck:
         h = w = 16
         dim, n_gauss = 6, 3
         centers = rng.uniform(5, 11, size=(n_gauss, 1, 2))
-        gaussians = [
-            ToyGaussian(g, 0, centers[g], rng.standard_normal(dim) * 0.3)
-            for g in range(n_gauss)
-        ]
-        field = ToyReferringField(h, w, 3.0, dim, gaussians)
+        gaussians = [ToyGaussian(g, 0, centers[g]) for g in range(n_gauss)]
+        features = np.stack([rng.standard_normal(dim) * 0.3 for _ in range(n_gauss)])
+        field = ToyReferringField(h, w, 3.0, dim, gaussians, features)
         q = rng.standard_normal(dim)
         q /= np.linalg.norm(q)
         ys, xs = np.mgrid[0:h, 0:w]
@@ -255,7 +235,7 @@ class TestGradCheck:
         lam, tau = 0.1, 0.5
 
         def fn(flat):
-            field.set_features(flat.reshape(n_gauss, dim))
+            field.features = flat.reshape(n_gauss, dim)
             probs = render_mask(field, 0, q)
             l_seg, g_logits = seg_loss(probs, target)
             grad = np.outer(field.weights(0) @ g_logits.ravel(), q)
@@ -265,7 +245,7 @@ class TestGradCheck:
                 grad[gid] += lam * g_con / len(chosen)
             return l_seg + lam * l_con, grad.ravel()
 
-        x0 = np.stack([g.feature for g in gaussians]).ravel()
+        x0 = field.features.ravel()
         assert grad_check(fn, x0) < 1e-4
 
 
@@ -313,10 +293,10 @@ class TestTraining:
 
     def test_zero_epochs_leaves_field_unchanged(self):
         ds, result, descs, field, _ = self._fixture()
-        before = field.features().copy()
+        before = field.features.copy()
         field, curve = tf.train(field, ds, result.records, descs, tf.TrainConfig(epochs=0))
         assert curve == []
-        assert np.array_equal(field.features(), before)
+        assert np.array_equal(field.features, before)
 
     def test_seg_loss_strictly_decreases_early(self):
         ds, result, descs, field, _ = self._fixture()
@@ -343,24 +323,48 @@ class TestTraining:
         assert cfg.ratio(2000) == pytest.approx(0.06)
         assert cfg.ratio(4000) == pytest.approx(0.036)
 
-    def test_invalid_selection_mode_rejected(self):
-        with pytest.raises(ValueError, match="selection"):
-            tf.TrainConfig(selection="magic")
-
-    def test_rendered_selection_trains_on_informative_field(self):
+    @pytest.mark.parametrize("view", [1, 7, -1])
+    def test_view_outside_dataset_rejected(self, view):
         ds, result, descs, field, _ = self._fixture()
-        query = ds.embedding(descs[0].category)
-        for g in field.gaussians:
-            g.feature = 3.0 * query  # confident field: rendered mask is usable
-        cfg = tf.TrainConfig(epochs=5, selection="rendered")
-        field, curve = tf.train(field, ds, result.records, descs, cfg)
-        assert len(curve) == 5
+        with pytest.raises(ValueError, match=f"view {view} is not a view of the dataset, which has 1 views"):
+            tf.train(field, ds, result.records, descs, tf.TrainConfig(views=(0, view)))
 
-    def test_rendered_selection_fails_from_cold_start(self):
-        ds, result, descs, field, _ = self._fixture()
-        cfg = tf.TrainConfig(epochs=1, selection="rendered")
-        with pytest.raises(NumericError, match="rendered mask"):
-            tf.train(field, ds, result.records, descs, cfg)
+    def test_train_equals_per_iteration_selection(self, noisy_scene):
+        """The plan built once gives the loop that rebuilds batches and selects in every iteration."""
+        ds, gt = noisy_scene
+        result = tf.run_consensus(ds, tf.import_tracks(ds))
+        tf.propagate(ds, result.records)
+        descriptions = run_keyframes(ds, result.records)
+        cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0)
+        fresh = lambda: field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        field, curve = tf.train(fresh(), ds, result.records, descriptions, cfg)
+
+        b1, b2, eps = field_module.ADAM_BETA1, field_module.ADAM_BETA2, field_module.ADAM_EPS
+        ref, want = fresh(), []
+        m = v = np.zeros_like(ref.features)
+        by_track = {d.track_id: d for d in descriptions}
+        for _ in range(cfg.epochs):
+            for view in range(ds.n_views):
+                batch = build_view_batch(ds, result.records, by_track, view)
+                for entry in batch.entries if batch is not None else ():
+                    chosen, anchor = select_gaussians(ref, view, entry.pseudo_mask)
+                    con, g_con = contrastive_loss(anchor, entry.pos_vecs, batch.pool_vecs, cfg.tau)
+                    grads_con = np.zeros_like(ref.features)
+                    for gid in chosen:
+                        grads_con[gid] += g_con / len(chosen)
+                    seg, grads_seg = seg_step(ref, view, entry.pos_vecs, rle_decode(entry.pseudo_mask))
+                    weight = cfg.lam * cfg.ratio(len(want))
+                    step_grad = grads_seg + weight * grads_con
+                    k = len(want) + 1
+                    m = b1 * m + (1.0 - b1) * step_grad
+                    v = b2 * v + (1.0 - b2) * step_grad**2
+                    ref.features = ref.features - cfg.feature_lr * (m / (1.0 - b1**k)) / (
+                        np.sqrt(v / (1.0 - b2**k)) + eps
+                    )
+                    want.append((k, seg, con, seg + weight * con))
+        assert len(want) > 2 * ds.n_views
+        assert curve == want
+        assert np.array_equal(field.features, ref.features)
 
     def test_long_only_requires_referrals(self):
         ds, result, descs, field, _ = self._fixture()
@@ -389,11 +393,11 @@ class TestFieldIo:
     def test_roundtrip(self, tmp_path, clean_scene):
         ds, gt, _ = clean_scene
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
-        field.gaussians[0].feature = np.arange(ds.dim, dtype=float)
+        field.features[0] = np.arange(ds.dim, dtype=float)
         save_field(field, tmp_path / "f.json")
         loaded = load_field(tmp_path / "f.json")
         assert loaded.spread == field.spread
-        assert np.array_equal(loaded.features(), field.features())
+        assert np.array_equal(loaded.features, field.features)
         for a, b in zip(field.gaussians, loaded.gaussians):
             assert np.array_equal(np.isnan(a.centers), np.isnan(b.centers))
             mask = ~np.isnan(a.centers)
@@ -422,11 +426,14 @@ def fields(draw):
     spread = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.2, 4.0))
     scale = draw(st.sampled_from([1.0, 1e-17]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gaussians = []
+    gaussians, features = [], []
     for gid in range(draw(st.integers(1, 6))):
         centers = np.array([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
-        gaussians.append(ToyGaussian(gid, 0, centers, scale * rng.standard_normal(dim)))
-    return ToyReferringField(height=h, width=w, spread=spread, dim=dim, gaussians=gaussians)
+        gaussians.append(ToyGaussian(gid, 0, centers))
+        features.append(scale * rng.standard_normal(dim))
+    return ToyReferringField(
+        height=h, width=w, spread=spread, dim=dim, gaussians=gaussians, features=np.stack(features)
+    )
 
 
 def sigmoid_above_half(logits):
@@ -457,13 +464,13 @@ class TestBatchedOracles:
                 continue
             chosen, anchor = select_gaussians(field, view, rle_encode(grid))
             assert chosen == want
-            assert np.array_equal(anchor, np.stack([field.gaussians[g].feature for g in want]).mean(axis=0))
+            assert np.array_equal(anchor, np.stack([field.features[g] for g in want]).mean(axis=0))
 
     @given(fields(), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_batched_logits_within_1e12_of_per_query(self, field, n_queries, seed):
         queries = np.random.default_rng(seed).standard_normal((n_queries, field.dim))
-        feats = np.abs(field.features())
+        feats = np.abs(field.features)
         for view in range(len(field.gaussians[0].centers)):
             got = render_logits(field, view, queries)
             assert got.shape == (n_queries, field.height, field.width)
@@ -512,7 +519,7 @@ class TestBatchedOracles:
         ds, gt, _ = clean_scene
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         rng = np.random.default_rng(0)
-        field.set_features(rng.standard_normal((len(field.gaussians), ds.dim)))
+        field.features = rng.standard_normal((len(field.gaussians), ds.dim))
         positives = rng.standard_normal((4, ds.dim))
         target = rng.random((ds.height, ds.width)) < 0.3
         seg, grad = seg_step(field, 1, positives, target)
@@ -539,7 +546,7 @@ class TestBatchedOracles:
         for row, want in zip(curve, want_curve):
             assert row[0] == want[0]
             assert np.all(np.abs(np.subtract(row[1:], want[1:])) <= 1e-12 * np.abs(want[1:]))
-        feats, want_feats = field.features(), want_field.features()
+        feats, want_feats = field.features, want_field.features
         assert np.max(np.abs(feats - want_feats)) <= 1e-12 * np.max(np.abs(want_feats))
 
 
