@@ -18,16 +18,13 @@ from .consensus import (
 )
 from .errors import NumericError, SchemaError, StageError, TrackfuseError
 from .field import (
-    ViewBatch,
     ToyGaussian,
     ToyReferringField,
     TrainConfig,
     contrastive_loss,
-    grad_check,
     render_mask,
     seg_loss,
     select_gaussians,
-    total_loss,
     train,
 )
 from .keyframes import (
@@ -37,7 +34,7 @@ from .keyframes import (
     select_keyframe,
     visibility_score,
 )
-from .metrics import consensus_accuracy, emit_report, miou, short_query_union
+from .metrics import consensus_accuracy, emit_report, miou
 from .records import (
     Detection,
     DescriptionSet,

@@ -57,7 +57,7 @@ from .records import (
     write_csv,
     write_json,
 )
-from .synth import SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
+from .synth import NoiseSpec, SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
 from .tracking import AssocParams, associate_greedy, import_tracks, load_tracks, save_tracks
 
 logger = logging.getLogger(__name__)
@@ -108,40 +108,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# TrainConfig fields that the train section may set, with their types
+_TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "ratio_start": float,
+               "ratio_factor": float, "ratio_interval": int}
+
+# the keys each config section may set
+_SECTION_KEYS = {section: set(keys) for section, keys in DEFAULT_CONFIG.items() if section != "seed"}
+_SECTION_KEYS["synth"] = set(SynthConfig.__dataclass_fields__)
+_SECTION_KEYS["train"] |= set(_TRAIN_KEYS)
+
+
+def _check_section(section: str, value, keys) -> None:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{section} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise SchemaError(f"{section}.{key} is not a {section} setting")
+
+
 def load_config(path: str | None) -> dict:
+    """The defaults updated by the file at ``path``; other top-level keys (a bare SynthConfig) are kept."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path:
-        for key, value in read_json(path, dict).items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(value)
-            else:
+
+    def merge(doc: dict) -> None:
+        for key, value in doc.items():
+            if key not in _SECTION_KEYS:
                 cfg[key] = value
+                continue
+            _check_section(key, value, _SECTION_KEYS[key])
+            if key == "synth" and "noise" in value:
+                _check_section("synth.noise", value["noise"], NoiseSpec.__dataclass_fields__)
+            cfg[key].update(value)
+
+    if path:
+        read_json(path, merge)
     return cfg
-
-
-_SYNTH_FIELDS = frozenset(SynthConfig.__dataclass_fields__)
 
 
 def _synth_config(cfg: dict, seed: int) -> SynthConfig:
     section = dict(cfg["synth"])
     if not section:
         # a bare SynthConfig document (no pipeline sections) is also accepted
-        section = {k: v for k, v in cfg.items() if k in _SYNTH_FIELDS and k != "seed"}
+        section = {k: v for k, v in cfg.items() if k in _SECTION_KEYS["synth"] and k != "seed"}
     section.setdefault("seed", seed)
     return SynthConfig.from_json(section)
 
 
-# TrainConfig fields that the train section may set, with their types
-_TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "ratio_start": float,
-               "ratio_factor": float, "ratio_interval": int}
-
-
 def _train_config(cfg: dict, n_views: int) -> TrainConfig:
-    section = cfg["train"]
-    for key in section:
-        if key not in _TRAIN_KEYS and key not in DEFAULT_CONFIG["train"]:
-            raise SchemaError(f"train.{key} is not a train setting")
-    kwargs = {key: cast(section[key]) for key, cast in _TRAIN_KEYS.items() if key in section}
+    kwargs = {key: cast(cfg["train"][key]) for key, cast in _TRAIN_KEYS.items() if key in cfg["train"]}
     views = _views(cfg, "train", n_views)
     if views is not None:
         kwargs["views"] = tuple(views)
@@ -192,11 +206,14 @@ def stage_synth(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
 def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     ds = load_dataset(paths["manifest"])
     section = cfg["assoc"]
+    mode = section.get("mode", "import")
+    if mode not in ("import", "greedy"):
+        raise SchemaError(f"assoc.mode must be 'import' or 'greedy', got {mode!r}")
     sidecar = read_json(paths["manifest"]).get("tracks")
     if sidecar is not None:
         # dataset ships an external tracker's output: validate and adopt it
         trajectories = load_tracks(paths["manifest"].parent / sidecar, ds)
-    elif section.get("mode", "import") == "import":
+    elif mode == "import":
         trajectories = import_tracks(ds)
     else:
         params = AssocParams(

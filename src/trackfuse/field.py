@@ -7,16 +7,13 @@ matrix on the field. A query renders to a probability grid through
     prob(p) = sigmoid( sum_g w_g(p) * (feature_g . query) ),
     w_g(p)  = exp(-|p - center_g|^2 / (2 s^2)),  truncated to 0 beyond 3 s.
 
-Training minimizes  L = L_seg + lam * rho(t) * L_con  where L_seg is mean
-binary cross-entropy of the rendered grid against the consensus pseudo
-mask (averaged over the positive descriptions, all rendered in one
-product), L_con is a multi-positive softmax contrastive loss over the
-batch's description pool, and rho(t) is a stepwise decay schedule on the
-contrastive weight. All gradients are
-analytic; ``grad_check`` compares them against central finite differences.
-``train`` builds its plan once (per view the batch, per track the decoded
-pseudo mask and the Gaussians inside it); each epoch then only updates the
-feature matrix.
+Training minimizes  L = L_seg + lam * rho(t) * L_con: L_seg is the mean
+binary cross-entropy of the rendered grids of a track's positives against
+its consensus pseudo mask (one render product, one ``seg_loss`` pass), L_con
+a multi-positive softmax contrastive loss over the view's description pool,
+and rho(t) a stepwise decay of the contrastive weight; all gradients are
+analytic. ``train`` builds its plan once, as arrays, so that an epoch only
+renders, takes the losses and updates the feature matrix.
 """
 
 from __future__ import annotations
@@ -56,8 +53,8 @@ class ToyReferringField:
     features: np.ndarray  # (n_gaussians, dim), row g is Gaussian g's feature
 
     def __post_init__(self) -> None:
-        if self.spread <= 0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
+        if not 0 < self.spread < math.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.spread}")
         for pos, g in enumerate(self.gaussians):
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
@@ -131,10 +128,8 @@ def render_grids(
     return out
 
 
-def select_gaussians(
-    field_: ToyReferringField, view: int, pseudo_mask: RleMask
-) -> tuple[list[int], np.ndarray]:
-    """Gaussians whose center pixel falls inside the pseudo mask, plus their mean feature."""
+def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
+    """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
     if (pseudo_mask.height, pseudo_mask.width) != (field_.height, field_.width):
         raise SchemaError(
             f"pseudo mask is {pseudo_mask.height}x{pseudo_mask.width}, "
@@ -149,7 +144,7 @@ def select_gaussians(
     chosen = gids[hit].tolist()
     if not chosen:
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
-    return chosen, field_.features[chosen].mean(axis=0)
+    return chosen
 
 
 def contrastive_loss(
@@ -182,22 +177,23 @@ def contrastive_loss(
     return loss, grad
 
 
-def seg_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE of a probability grid against a boolean mask.
+def seg_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean BCE of an (h, w) probability grid, or of each grid of a (Q, h, w)
+    stack, against a boolean (h, w) mask: a float, or a (Q,) array.
 
     Probabilities are clamped to [BCE_EPS, 1 - BCE_EPS]; the returned
-    gradient is with respect to the pre-sigmoid logits, i.e. (p - y)/N
-    inside the clamp and 0 where clamped flat.
+    gradient is with respect to the pre-sigmoid logits, i.e. (p - y)/N with
+    N = h*w inside the clamp and 0 where clamped flat.
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(target, dtype=float)
-    if probs.shape != y.shape:
+    if y.ndim != 2 or probs.ndim not in (2, 3) or probs.shape[-2:] != y.shape:
         raise SchemaError(f"shape mismatch: probs {probs.shape} vs target {y.shape}")
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(np.mean(-np.log(np.where(y, p, 1.0 - p))))
-    grad = (probs - y) / probs.size
+    loss = np.mean(-np.log(np.where(y, p, 1.0 - p)), axis=(-2, -1))
+    grad = (probs - y) / y.size
     grad[(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS)] = 0.0
-    return loss, grad
+    return (float(loss) if probs.ndim == 2 else loss), grad
 
 
 def seg_step(
@@ -208,122 +204,12 @@ def seg_step(
     With W the view's weights, G the stacked logit gradients and P the
     positives, d(mean loss)/d(features) = ((W @ G.T) @ P) / |P|.
     """
-    probs = render_mask(field_, view, positives)
+    losses, g_logits = seg_loss(render_mask(field_, view, positives), target)
     n_pos = positives.shape[0]
     seg_mean = 0.0
-    g_logits = np.empty((n_pos, probs[0].size))
-    for k, row in enumerate(probs):
-        seg, grad = seg_loss(row, target)
+    for seg in losses.tolist():  # summed in row order, as one loss per positive would be
         seg_mean += seg / n_pos
-        g_logits[k] = grad.ravel()
-    return seg_mean, ((field_.weights(view) @ g_logits.T) @ positives) / n_pos
-
-
-def total_loss(seg: float, con: float, lam: float) -> float:
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return seg + lam * con
-
-
-def grad_check(fn, x0: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative error between fn's analytic gradient and central differences."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    x0 = np.asarray(x0, dtype=float)
-    _, analytic = fn(x0)
-    analytic = np.asarray(analytic, dtype=float).ravel()
-    numeric = np.zeros_like(analytic)
-    flat = x0.ravel()
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        hi, _ = fn(bumped.reshape(x0.shape))
-        bumped[i] = flat[i] - step
-        lo, _ = fn(bumped.reshape(x0.shape))
-        numeric[i] = (hi - lo) / (2.0 * step)
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        scale = max(abs(a), abs(n))
-        if scale < 1e-10:
-            continue
-        worst = max(worst, abs(a - n) / scale)
-    return worst
-
-
-@dataclass
-class TrackPositives:
-    track_id: int
-    pos_keys: list[tuple[int, str]]
-    pos_vecs: np.ndarray
-    pseudo_mask: RleMask
-
-
-@dataclass
-class ViewBatch:
-    """Per-view training batch: each track's positives plus the shared pool."""
-
-    view: int
-    entries: list[TrackPositives]
-    pool_keys: list[tuple[int, str]]
-    pool_vecs: np.ndarray
-
-    def __post_init__(self) -> None:
-        keys = set(self.pool_keys)
-        if len(keys) != len(self.pool_keys):
-            raise SchemaError("pool entries must be distinct by (track, text)")
-        for entry in self.entries:
-            missing = [k for k in entry.pos_keys if k not in keys]
-            if missing:
-                raise SchemaError(f"positives missing from pool: {missing}")
-
-
-def build_view_batch(
-    ds: SceneDataset,
-    records: list[ConsensusRecord],
-    descriptions: dict[int, DescriptionSet],
-    view: int,
-    include_category: bool = True,
-) -> ViewBatch | None:
-    """Positives and pool for all tracks visible in one view.
-
-    With ``include_category`` False, positives are the referral texts only
-    (the long-descriptions-only ablation).
-    """
-    entries = []
-    pool_keys: list[tuple[int, str]] = []
-    pool_rows: list[np.ndarray] = []
-    for rec in sorted(records, key=lambda r: r.track_id):
-        member = next(((v, i) for v, i in rec.members if v == view), None)
-        if member is None or rec.track_id not in descriptions:
-            continue
-        desc = descriptions[rec.track_id]
-        keys: list[tuple[int, str]] = []
-        vecs: list[np.ndarray] = []
-        if include_category:
-            keys.append((rec.track_id, desc.category))
-            vecs.append(ds.embedding(desc.category))
-        for text, vec in desc.referrals:
-            keys.append((rec.track_id, text))
-            vecs.append(vec)
-        if not keys:
-            raise ValueError(f"track {rec.track_id} has an empty positive set")
-        entries.append(
-            TrackPositives(
-                track_id=rec.track_id,
-                pos_keys=keys,
-                pos_vecs=np.stack(vecs),
-                pseudo_mask=ds.detection(*member).mask,
-            )
-        )
-        for k, v in zip(keys, vecs):
-            if k not in pool_keys:
-                pool_keys.append(k)
-                pool_rows.append(v)
-    if not entries:
-        return None
-    return ViewBatch(
-        view=view, entries=entries, pool_keys=pool_keys, pool_vecs=np.stack(pool_rows)
-    )
+    return seg_mean, ((field_.weights(view) @ g_logits.reshape(n_pos, -1).T) @ positives) / n_pos
 
 
 @dataclass(frozen=True)
@@ -364,27 +250,37 @@ def train(
     (iteration, L_seg, L_con, L_total-with-schedule).
     """
     desc_by_track = {d.track_id: d for d in descriptions}
-    if not include_category:
-        for d in descriptions:
-            if not d.referrals:
-                raise ValueError(
-                    f"track {d.track_id} has no referrals: positive set would be empty"
-                )
+    for d in descriptions if not include_category else ():
+        if not d.referrals:
+            raise ValueError(f"track {d.track_id} has no referrals: positive set would be empty")
     views = cfg.views if cfg.views is not None else tuple(range(ds.n_views))
     for view in views:
         if not 0 <= view < ds.n_views:
             raise ValueError(f"view {view} is not a view of the dataset, which has {ds.n_views} views")
 
-    # the geometry and the pseudo masks are fixed, so the plan is built once
+    # the geometry and the pseudo masks are fixed, so the plan is built once: per view,
+    # the pool maps each (track, text) to its first vector, and each visible track gets
+    # its stacked positives, decoded pseudo mask and chosen Gaussians
     plan = []
     for view in views:
-        batch = build_view_batch(ds, records, desc_by_track, view, include_category=include_category)
-        for entry in batch.entries if batch is not None else ():
-            chosen, _ = select_gaussians(field_, view, entry.pseudo_mask)
-            plan.append((view, entry.pos_vecs, batch.pool_vecs, rle_decode(entry.pseudo_mask), chosen))
+        pool: dict[tuple[int, str], np.ndarray] = {}
+        entries = []
+        for rec in sorted(records, key=lambda r: r.track_id):
+            member = next(((v, i) for v, i in rec.members if v == view), None)
+            desc = desc_by_track.get(rec.track_id)
+            if member is None or desc is None:
+                continue
+            category = [(desc.category, ds.embedding(desc.category))] if include_category else []
+            texts = [*category, *desc.referrals]
+            for text, vec in texts:
+                pool.setdefault((rec.track_id, text), vec)
+            mask = ds.detection(*member).mask
+            chosen = select_gaussians(field_, view, mask)
+            entries.append((np.stack([vec for _, vec in texts]), rle_decode(mask), chosen))
+        pool_vecs = np.stack(list(pool.values())) if pool else None
+        plan += [(view, positives, pool_vecs, target, chosen) for positives, target, chosen in entries]
 
-    m = np.zeros_like(field_.features)
-    v = np.zeros_like(field_.features)
+    m = v = np.zeros_like(field_.features)  # Adam moments; each step rebinds them
     curve: list[tuple[int, float, float, float]] = []
     iteration = 0
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
-from .records import SceneDataset, config_hash, read_json, write_json
+from .records import SceneDataset, config_hash, write_json
 from .rle import iou_table, rle_decode
 from .synth import GroundTruth
 
@@ -74,14 +74,6 @@ def category_grids(gt: GroundTruth, grids: list[dict[int, np.ndarray]]) -> dict[
         for view, grid in per_view.items():
             acc[view] = grid if view not in acc else (acc[view] | grid)
     return out
-
-
-def short_query_union(gt: GroundTruth, category: str, view: int) -> np.ndarray:
-    """Pixelwise OR of all ground-truth instances of a category at a view."""
-    unions = category_grids(gt, object_grids(gt, [view]))
-    if category not in unions:
-        raise SchemaError(f"unknown category {category!r}")
-    return unions[category][view]
 
 
 def iou_tables(ds: SceneDataset, gt: GroundTruth) -> list[np.ndarray]:
@@ -178,6 +170,3 @@ def emit_report(
     write_json(report, path)
     return report
 
-
-def load_report(path: str | Path) -> dict:
-    return read_json(path)

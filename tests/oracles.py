@@ -10,7 +10,9 @@ from collections import Counter
 
 import numpy as np
 
+from trackfuse.errors import SchemaError
 from trackfuse.field import seg_loss
+from trackfuse.metrics import category_grids, object_grids
 from trackfuse.rle import mask_iou
 
 
@@ -162,3 +164,66 @@ def oracle_seg_step(field_, view, positives, target):
         seg_mean += seg / n_pos
         grad += np.outer(weights @ g_logits.ravel(), q) / n_pos
     return seg_mean, grad
+
+
+def oracle_view_batch(ds, records, descriptions, view, include_category=True):
+    """One view's training batch, rebuilt from the records: ``(entries, pool)``.
+
+    ``entries`` lists, per track seen in the view and described in the
+    ``descriptions`` dict (ascending track id), its stacked positives (the
+    category unless ``include_category`` is False, then its referrals) and
+    its pseudo mask. ``pool`` stacks every distinct (track, text) key once,
+    in first-seen order with its first vector; it is None without entries.
+    """
+    entries, pool_keys, pool_rows = [], [], []
+    for rec in sorted(records, key=lambda r: r.track_id):
+        member = next(((v, i) for v, i in rec.members if v == view), None)
+        if member is None or rec.track_id not in descriptions:
+            continue
+        desc = descriptions[rec.track_id]
+        keys, vecs = [], []
+        if include_category:
+            keys.append((rec.track_id, desc.category))
+            vecs.append(ds.embedding(desc.category))
+        for text, vec in desc.referrals:
+            keys.append((rec.track_id, text))
+            vecs.append(vec)
+        entries.append((np.stack(vecs), ds.detection(*member).mask))
+        for k, v in zip(keys, vecs):
+            if k not in pool_keys:
+                pool_keys.append(k)
+                pool_rows.append(v)
+    return entries, (np.stack(pool_rows) if entries else None)
+
+
+def short_query_union(gt, category, view):
+    """Pixelwise OR of all ground-truth instances of a category at a view."""
+    unions = category_grids(gt, object_grids(gt, [view]))
+    if category not in unions:
+        raise SchemaError(f"unknown category {category!r}")
+    return unions[category][view]
+
+
+def grad_check(fn, x0, step=1e-5):
+    """Max relative error between fn's analytic gradient and central differences."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    x0 = np.asarray(x0, dtype=float)
+    _, analytic = fn(x0)
+    analytic = np.asarray(analytic, dtype=float).ravel()
+    numeric = np.zeros_like(analytic)
+    flat = x0.ravel()
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + step
+        hi, _ = fn(bumped.reshape(x0.shape))
+        bumped[i] = flat[i] - step
+        lo, _ = fn(bumped.reshape(x0.shape))
+        numeric[i] = (hi - lo) / (2.0 * step)
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        scale = max(abs(a), abs(n))
+        if scale < 1e-10:
+            continue
+        worst = max(worst, abs(a - n) / scale)
+    return worst

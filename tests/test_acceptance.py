@@ -21,7 +21,6 @@ from trackfuse.field import (
     ToyReferringField,
     contrastive_loss,
     field_from_ground_truth,
-    grad_check,
     render_mask,
     seg_loss,
     select_gaussians,
@@ -33,13 +32,19 @@ from trackfuse.metrics import (
     match_detections_to_objects,
     match_tracks_to_objects,
     miou,
-    short_query_union,
 )
 from trackfuse.records import LabelEmbedding
 from trackfuse.rle import mask_iou, rle_decode, rle_encode
 from trackfuse.synth import DEFAULT_VOCABULARY, build_vocabulary_embeddings
 
-from oracles import oracle_cluster, oracle_visibility, oracle_vote, random_unit_vectors
+from oracles import (
+    grad_check,
+    oracle_cluster,
+    oracle_visibility,
+    oracle_vote,
+    random_unit_vectors,
+    short_query_union,
+)
 
 
 @contextmanager
@@ -169,7 +174,8 @@ def test_criterion_3_gradient_checks():
                 probs = render_mask(field_, 0, q)
                 l_seg, g_logits = seg_loss(probs, target)
                 grad = np.outer(field_.weights(0) @ g_logits.ravel(), q)
-                chosen, anchor = select_gaussians(field_, 0, mask)
+                chosen = select_gaussians(field_, 0, mask)
+                anchor = field_.features[chosen].mean(axis=0)
                 l_con, g_con = contrastive_loss(anchor, pos, pool, tau)
                 for gid in chosen:
                     grad[gid] += lam * g_con / len(chosen)

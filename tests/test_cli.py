@@ -518,6 +518,7 @@ class TestBadInput:
             ("short-feature", "gaussian 0: feature has shape (31,), expected (32,)"),
             ("nan-feature", "gaussian 0: feature is not finite"),
             ("height", "field is 16x32, the dataset's views are 32x32"),
+            ("nan-spread", "malformed record: ValueError('spread must be positive and finite, got nan')"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -536,6 +537,8 @@ class TestBadInput:
             first["feature"] = first["feature"][:-1]
         elif problem == "nan-feature":
             first["feature"][0] = float("nan")
+        elif problem == "nan-spread":
+            field["spread"] = float("nan")
         else:
             field["h"] = 16
         path.write_text(json.dumps(field))
@@ -550,12 +553,37 @@ class TestBadInput:
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("epoch", 0), ("selection", "pseudo")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epoch", 0), ("selection", "pseudo"), ("assoc.max_gaps", 0), ("consensus.tau", 0.5),
+         ("keyframe.sigmaa", 3), ("eval.view", [0]), ("synth.n_view", 3)],
+    )
     def test_unknown_train_key_exits_two(self, run_dir, tmp_path, capsys, key, value):
-        cfg = write_config(tmp_path, TINY_CONFIG | {"train": {key: value}})
+        # a bare key is a train key; every section's keys are checked when the config is read
+        section, _, key = key.rpartition(".")
+        section = section or "train"
+        cfg = write_config(tmp_path, TINY_CONFIG | {section: {key: value}})
         assert main(stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]) == 2
-        assert f"train.{key} is not a train setting" in capsys.readouterr().err
+        assert f"{cfg}: {section}.{key} is not a {section} setting" in capsys.readouterr().err
         assert not (tmp_path / "train.out").exists()
+
+    def test_section_not_an_object_exits_two(self, run_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG | {"assoc": 5})
+        assert main(stage_argv(run_dir, "associate", tmp_path) + ["--config", cfg]) == 2
+        assert f"{cfg}: assoc must be a JSON object, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "associate.out").exists()
+
+    def test_unknown_assoc_mode_exits_two(self, run_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG | {"assoc": {"mode": "hungarian"}})
+        assert main(stage_argv(run_dir, "associate", tmp_path) + ["--config", cfg]) == 2
+        assert "assoc.mode must be 'import' or 'greedy', got 'hungarian'" in capsys.readouterr().err
+        assert not (tmp_path / "associate.out").exists()
+
+    def test_unknown_synth_noise_key_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG | {"synth": TINY_CONFIG["synth"] | {"noise": {"dropout": 0.5}}})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "scene")]) == 2
+        assert f"{cfg}: synth.noise.dropout is not a synth.noise setting" in capsys.readouterr().err
+        assert not (tmp_path / "scene").exists()
 
     @pytest.mark.parametrize(
         "key, views, bad",

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_render_logits, oracle_seg_step, oracle_select_inside, oracle_weights
+from oracles import (
+    grad_check,
+    oracle_render_logits,
+    oracle_seg_step,
+    oracle_select_inside,
+    oracle_view_batch,
+    oracle_weights,
+)
 
 import trackfuse as tf
 import trackfuse.field as field_module
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import (
-    ViewBatch,
-    TrackPositives,
     ToyGaussian,
     ToyReferringField,
     binarize_logits,
-    build_view_batch,
     contrastive_loss,
     field_from_ground_truth,
-    grad_check,
     load_field,
     render_grids,
     render_logits,
@@ -27,7 +30,6 @@ from trackfuse.field import (
     seg_loss,
     seg_step,
     select_gaussians,
-    total_loss,
 )
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet
@@ -78,19 +80,20 @@ class TestRender:
 class TestSelectGaussians:
     def test_single_inside(self):
         field = make_field([[1.0, 2.0]], [(8.0, 8.0)])
-        chosen, anchor = select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 3))
+        chosen = select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 3))
+        anchor = field.features[chosen].mean(axis=0)
         assert chosen == [0]
         assert np.array_equal(anchor, np.array([1.0, 2.0]))
 
     def test_opposite_features_cancel(self):
         field = make_field([[1.0, 0.0], [-1.0, 0.0]], [(7.0, 8.0), (9.0, 8.0)])
-        _, anchor = select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 4))
+        anchor = field.features[select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 4))].mean(axis=0)
         assert np.array_equal(anchor, np.zeros(2))
 
     def test_mean_of_three(self):
         e = np.eye(3)
         field = make_field([e[0], e[1], e[2]], [(7.0, 8.0), (8.0, 8.0), (9.0, 8.0)])
-        _, anchor = select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 4))
+        anchor = field.features[select_gaussians(field, 0, disk_mask(16, 16, 8, 8, 4))].mean(axis=0)
         assert np.allclose(anchor, np.full(3, 1 / 3))
 
     def test_empty_selection_rejected(self):
@@ -182,6 +185,24 @@ class TestSegLoss:
         with pytest.raises(SchemaError):
             seg_loss(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("h, w", [(5, 4), (96, 96), (100, 129)])
+    def test_stack_equals_each_grid_bit_for_bit(self, h, w):
+        rng = np.random.default_rng(h * w)
+        probs = rng.random((3, h, w))
+        probs[0, 0, :2] = [0.0, 1.0]  # clamped flat: zero gradient
+        target = rng.random((h, w)) < 0.4
+        losses, grads = seg_loss(probs, target)
+        assert losses.shape == (3,) and grads.shape == probs.shape
+        for row, loss, grad in zip(probs, losses.tolist(), grads):
+            want_loss, want_grad = seg_loss(row, target)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("probs_shape", [(2, 3, 2), (1, 2, 2, 2), (4,)])
+    def test_stack_shape_mismatch_rejected(self, probs_shape):
+        with pytest.raises(SchemaError):
+            seg_loss(np.full(probs_shape, 0.5), np.zeros((2, 2), dtype=bool))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         worst = 0.0
@@ -197,15 +218,9 @@ class TestSegLoss:
 
 
 class TestTotalLoss:
-    def test_lambda_zero(self):
-        assert total_loss(0.5, 123.0, 0.0) == 0.5
-
-    def test_weighted_sum(self):
-        assert total_loss(0.5, 1.0, 0.1) == pytest.approx(0.6)
-
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, -0.1)
+            tf.TrainConfig(lam=-0.1)
 
 
 class TestGradCheck:
@@ -239,7 +254,8 @@ class TestGradCheck:
             probs = render_mask(field, 0, q)
             l_seg, g_logits = seg_loss(probs, target)
             grad = np.outer(field.weights(0) @ g_logits.ravel(), q)
-            chosen, anchor = select_gaussians(field, 0, mask)
+            chosen = select_gaussians(field, 0, mask)
+            anchor = field.features[chosen].mean(axis=0)
             l_con, g_con = contrastive_loss(anchor, pos, pool, tau)
             for gid in chosen:
                 grad[gid] += lam * g_con / len(chosen)
@@ -247,37 +263,6 @@ class TestGradCheck:
 
         x0 = field.features.ravel()
         assert grad_check(fn, x0) < 1e-4
-
-
-class TestViewBatch:
-    def test_positives_must_be_in_pool(self):
-        mask = disk_mask(8, 8, 4, 4, 2)
-        entry = TrackPositives(
-            track_id=0,
-            pos_keys=[(0, "missing")],
-            pos_vecs=np.ones((1, 2)),
-            pseudo_mask=mask,
-        )
-        with pytest.raises(SchemaError, match="missing from pool"):
-            ViewBatch(view=0, entries=[entry], pool_keys=[(0, "other")], pool_vecs=np.ones((1, 2)))
-
-    def test_pool_keys_distinct(self):
-        with pytest.raises(SchemaError, match="distinct"):
-            ViewBatch(view=0, entries=[], pool_keys=[(0, "a"), (0, "a")], pool_vecs=np.ones((2, 2)))
-
-    def test_build_pools_covisible_tracks(self, clean_scene):
-        ds, _, trajs = clean_scene
-        result = tf.run_consensus(ds, trajs)
-        from trackfuse.keyframes import run_keyframes
-
-        descs = {d.track_id: d for d in run_keyframes(ds, result.records)}
-        batch = build_view_batch(ds, result.records, descs, view=0)
-        assert batch is not None
-        assert len(batch.entries) == 2
-        total_pos = sum(len(e.pos_keys) for e in batch.entries)
-        assert len(batch.pool_keys) == total_pos  # distinct tracks, distinct texts
-        for entry in batch.entries:
-            assert all(k in batch.pool_keys for k in entry.pos_keys)
 
 
 class TestTraining:
@@ -335,9 +320,25 @@ class TestTraining:
         result = tf.run_consensus(ds, tf.import_tracks(ds))
         tf.propagate(ds, result.records)
         descriptions = run_keyframes(ds, result.records)
+        self._check_against_per_iteration_loop(ds, gt, result.records, descriptions)
+
+    def test_category_repeated_as_referral_equals_per_iteration_selection(self, noisy_scene):
+        """A referral text equal to the category repeats the (track, text) key: the pool keeps
+        one row for it, the positives keep both, bit for bit as the per-iteration loop."""
+        ds, gt = noisy_scene
+        result = tf.run_consensus(ds, tf.import_tracks(ds))
+        tf.propagate(ds, result.records)
+        descriptions = [
+            DescriptionSet(d.track_id, d.category, [(d.category, ds.embedding(d.category)), *d.referrals])
+            for d in run_keyframes(ds, result.records)
+        ]
+        self._check_against_per_iteration_loop(ds, gt, result.records, descriptions)
+
+    @staticmethod
+    def _check_against_per_iteration_loop(ds, gt, records, descriptions):
         cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0)
         fresh = lambda: field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
-        field, curve = tf.train(fresh(), ds, result.records, descriptions, cfg)
+        field, curve = tf.train(fresh(), ds, records, descriptions, cfg)
 
         b1, b2, eps = field_module.ADAM_BETA1, field_module.ADAM_BETA2, field_module.ADAM_EPS
         ref, want = fresh(), []
@@ -345,14 +346,15 @@ class TestTraining:
         by_track = {d.track_id: d for d in descriptions}
         for _ in range(cfg.epochs):
             for view in range(ds.n_views):
-                batch = build_view_batch(ds, result.records, by_track, view)
-                for entry in batch.entries if batch is not None else ():
-                    chosen, anchor = select_gaussians(ref, view, entry.pseudo_mask)
-                    con, g_con = contrastive_loss(anchor, entry.pos_vecs, batch.pool_vecs, cfg.tau)
+                entries, pool = oracle_view_batch(ds, records, by_track, view)
+                for positives, pseudo_mask in entries:
+                    chosen = select_gaussians(ref, view, pseudo_mask)
+                    anchor = ref.features[chosen].mean(axis=0)
+                    con, g_con = contrastive_loss(anchor, positives, pool, cfg.tau)
                     grads_con = np.zeros_like(ref.features)
                     for gid in chosen:
                         grads_con[gid] += g_con / len(chosen)
-                    seg, grads_seg = seg_step(ref, view, entry.pos_vecs, rle_decode(entry.pseudo_mask))
+                    seg, grads_seg = seg_step(ref, view, positives, rle_decode(pseudo_mask))
                     weight = cfg.lam * cfg.ratio(len(want))
                     step_grad = grads_seg + weight * grads_con
                     k = len(want) + 1
@@ -462,7 +464,8 @@ class TestBatchedOracles:
                 with pytest.raises(NumericError, match="no Gaussian"):
                     select_gaussians(field, view, rle_encode(grid))
                 continue
-            chosen, anchor = select_gaussians(field, view, rle_encode(grid))
+            chosen = select_gaussians(field, view, rle_encode(grid))
+            anchor = field.features[chosen].mean(axis=0)
             assert chosen == want
             assert np.array_equal(anchor, np.stack([field.features[g] for g in want]).mean(axis=0))
 

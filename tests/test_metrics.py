@@ -10,17 +10,15 @@ from trackfuse.metrics import (
     emit_report,
     iou_grids,
     iou_tables,
-    load_report,
     match_detections_to_objects,
     match_tracks_to_objects,
     miou,
-    short_query_union,
 )
 from trackfuse.consensus import ConsensusRecord
-from trackfuse.records import Detection, SceneDataset, config_hash
+from trackfuse.records import Detection, SceneDataset, config_hash, read_json
 from trackfuse.synth import GroundTruth, GtObject
 
-from oracles import oracle_match_detections, oracle_match_tracks
+from oracles import oracle_match_detections, oracle_match_tracks, short_query_union
 
 
 def grids(*rows_list):
@@ -239,12 +237,12 @@ class TestReport:
     def test_empty_metrics_valid(self, tmp_path):
         report = emit_report({}, {"a": 1}, {"seed": 0}, tmp_path / "r.json")
         assert report["metrics"] == {}
-        assert load_report(tmp_path / "r.json") == report
+        assert read_json(tmp_path / "r.json") == report
 
     def test_roundtrip_equality(self, tmp_path):
         metrics = {"x": 0.123456789012345, "n": 7}
         report = emit_report(metrics, {"b": [1, 2]}, {"seed": 3}, tmp_path / "r.json")
-        assert load_report(tmp_path / "r.json") == report
+        assert read_json(tmp_path / "r.json") == report
 
     def test_config_hash_matches_canonical_serialization(self, tmp_path):
         config = {"z": 1, "a": {"nested": True}}

@@ -1,14 +1,30 @@
 """What perfbench/tracer.py reads from trackfuse, checked without installing the tracer.
 
 ``Recorder.install()`` patches the trackfuse modules for the whole process,
-so these tests only load the tracer's module and read its tables.
+so these tests only load the tracer's module, read its tables and wrap
+single functions by hand.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
-from trackfuse.field import field_from_ground_truth, load_field, save_field
+import numpy as np
+
+from trackfuse.consensus import cluster_synonyms, propagate, run_consensus
+from trackfuse.field import (
+    ToyReferringField,
+    TrainConfig,
+    field_from_ground_truth,
+    load_field,
+    render_grids,
+    render_logits,
+    render_mask,
+    save_field,
+    train,
+)
+from trackfuse.keyframes import run_keyframes
+from trackfuse.metrics import category_grids, miou, object_grids
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"))
 
@@ -31,3 +47,45 @@ def test_every_wrapped_name_resolves_but_the_features_matrix():
         if owner is None:
             missing.append(f"{module_name}.{attr}")
     assert missing == ["field.ToyReferringField.features"]
+
+
+def test_every_probe_reads_one_real_call(clean_scene):
+    """Each ``Recorder._probe_*`` runs on the arguments and result of a real call, as the
+    traced run wraps it, so a changed signature or return type fails here, not under --trace 1."""
+    ds, gt, trajectories = clean_scene
+    result = run_consensus(ds, trajectories)
+    propagate(ds, result.records)
+    descriptions = run_keyframes(ds, result.records)
+    field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+    categories = sorted({o.identity for o in gt.objects})
+    queries = np.stack([ds.embedding(c) for c in categories])
+    preds = dict(zip(categories, render_grids(field_, [0, 1], list(queries))))
+    gts = category_grids(gt, object_grids(gt, [0, 1]))
+    labels = sorted({det.raw_label for _, _, det in ds.all_detections()})
+    calls = {
+        "field.render_logits": (render_logits, (field_, 0, queries)),
+        "field.render_mask": (render_mask, (field_, 0, queries[0])),
+        "field.weights": (ToyReferringField.weights, (field_, 1)),
+        "field.train": (train, (field_, ds, result.records, descriptions, TrainConfig(epochs=1))),
+        "consensus.cluster_synonyms": (cluster_synonyms, (labels, ds.embeddings, 0.85)),
+        "metrics.miou": (miou, (preds, gts)),
+    }
+    probed = sorted(name[len("_probe_"):] for name in vars(TRACER["Recorder"]) if name.startswith("_probe_"))
+    assert probed == sorted(name.replace(".", "_") for name in calls)
+
+    recorder = TRACER["Recorder"]("test", "test")
+    values = {}
+    for name, (fn, args) in calls.items():
+        values[name] = recorder.wrap(name, fn)(*args)
+    g, hw, dim = len(field_.gaussians), ds.height * ds.width, ds.dim
+    assert dict(recorder.counters) == {
+        "render_flop": 2 * g * dim + 2 * g * hw,
+        "render_bytes": g * hw * 8,
+        "render_mask_bytes": hw * 8,
+        "weights_bytes": g * hw * 8,
+        "train_iterations": len(values["field.train"][1]),
+        "labels": len(labels),
+        "merges": len(labels) - len(values["consensus.cluster_synonyms"].canonical),
+        "miou_grids": 2 * len(categories),
+    }
+    assert values["field.train"][1] and len(categories) == 2
