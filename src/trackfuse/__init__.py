@@ -45,6 +45,6 @@ from .records import (
     save_dataset,
     text_embedding,
 )
-from .rle import RleMask, mask_area, mask_bbox, mask_iou, rle_decode, rle_encode
+from .rle import RleMask, mask_area, mask_iou, rle_decode, rle_encode
 from .synth import GroundTruth, NoiseSpec, SynthConfig, SynonymGroup, corrupt, generate_scene
 from .tracking import AssocParams, associate_greedy, import_tracks

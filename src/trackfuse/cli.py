@@ -133,6 +133,8 @@ def load_config(path: str | None) -> dict:
     def merge(doc: dict) -> None:
         for key, value in doc.items():
             if key not in _SECTION_KEYS:
+                if key == "noise":  # a bare SynthConfig document's noise
+                    _check_section("noise", value, NoiseSpec.__dataclass_fields__)
                 cfg[key] = value
                 continue
             _check_section(key, value, _SECTION_KEYS[key])

@@ -58,21 +58,37 @@ class ToyReferringField:
         for pos, g in enumerate(self.gaussians):
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
-        self._weight_cache: dict[int, np.ndarray] = {}
+        # one (n_gaussians, h*w) buffer holds the weights of the last view asked for;
+        # only the boxes listed in _boxes are non-zero
+        self._buffer: np.ndarray | None = None
+        self._buffer_view: int | None = None
+        self._boxes: list[tuple[int, slice, slice]] = []
 
     def weights(self, view: int) -> np.ndarray:
-        """(n_gaussians, h*w) spatial weights for one view; cached (geometry is fixed).
+        """(n_gaussians, h*w) spatial weights for one view, as a read-only array.
+
+        The field keeps one buffer: a call for another view zeroes the boxes
+        of the last view and fills this view's, and a repeated call for the
+        same view does no work. The returned array is therefore valid only
+        until ``weights`` is called for another view; copy it to keep it.
 
         Each Gaussian's row is filled only inside its 3-sigma box, from the
         first to the last row and column whose own squared offset from the
         center is within the cutoff. Outside it d^2 > (3 s)^2 already, so
         the weight there is 0, as in a full-grid evaluation.
         """
-        if view not in self._weight_cache:
+        if view != self._buffer_view:
             h, w, n = self.height, self.width, len(self.gaussians)
-            out = np.zeros((n, h * w))
             cutoff = (3.0 * self.spread) ** 2
             centers = np.array([g.centers[view] for g in self.gaussians], dtype=float).reshape(n, 2)
+            if self._buffer is None:
+                self._buffer = np.zeros((n, h * w))
+            grids = self._buffer.reshape(n, h, w)
+            # forget the view first, so that a fill cut short is refilled by the next call
+            self._buffer_view = None
+            for k, ys, xs in self._boxes:
+                grids[k, ys, xs] = 0.0
+            self._boxes = []
             dx2 = (np.arange(w, dtype=float) - centers[:, :1]) ** 2  # (n, w)
             dy2 = (np.arange(h, dtype=float) - centers[:, 1:]) ** 2  # (n, h)
             # NaN offsets compare False, so a non-finite center gets an empty box
@@ -84,9 +100,12 @@ class ToyReferringField:
                 d2 = dx2[k, xs] + dy2[k, ys, None]
                 box = np.exp(-d2 / (2.0 * self.spread**2))
                 box[d2 > cutoff] = 0.0
-                out[k].reshape(h, w)[ys, xs] = box
-            self._weight_cache[view] = out
-        return self._weight_cache[view]
+                self._boxes.append((k, ys, xs))
+                grids[k, ys, xs] = box
+            self._buffer_view = view
+        out = self._buffer.view()
+        out.flags.writeable = False
+        return out
 
 
 def render_logits(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
@@ -106,11 +125,18 @@ def render_mask(field_: ToyReferringField, view: int, query: np.ndarray) -> np.n
 def binarize_logits(logits: np.ndarray) -> np.ndarray:
     """``sigmoid(logits) > 0.5`` as booleans, bit for bit.
 
-    A logit <= 0 is False without the sigmoid (there it is <= 0.5 exactly);
-    a positive logit keeps the sigmoid, because a tiny one rounds to 0.5.
+    Only logits in the band 0 < z < 1e-15 take the sigmoid, because a tiny
+    one rounds to exactly 0.5; every other logit gives ``z > 0``:
+    - z <= 0 (and NaN) is False: there the sigmoid is <= 0.5 exactly (NaN
+      compares False).
+    - z >= 1e-15 (and +inf) is True. 1e-15 is about 9 ulp of 2**-53 below
+      1, so a faithfully rounded exp(-z) is at least 8 such ulp below 1;
+      then 1 + exp(-z) rounds to at most 2 - 4 * 2**-52, and 1 / (1 + e)
+      exceeds 0.5 by about 2 ulp of 2**-53, so it rounds above 0.5.
     """
     out = logits > 0.0
-    out[out] = 1.0 / (1.0 + np.exp(-logits[out])) > 0.5
+    band = out & (logits < 1e-15)
+    out[band] = 1.0 / (1.0 + np.exp(-logits[band])) > 0.5
     return out
 
 
@@ -260,7 +286,8 @@ def train(
 
     # the geometry and the pseudo masks are fixed, so the plan is built once: per view,
     # the pool maps each (track, text) to its first vector, and each visible track gets
-    # its stacked positives, decoded pseudo mask and chosen Gaussians
+    # its stacked positives, decoded pseudo mask and chosen Gaussians; the plan is
+    # view-major, so each epoch fills each view's weights once
     plan = []
     for view in views:
         pool: dict[tuple[int, str], np.ndarray] = {}
@@ -271,12 +298,12 @@ def train(
             if member is None or desc is None:
                 continue
             category = [(desc.category, ds.embedding(desc.category))] if include_category else []
+            # a repeated key takes the pool's vector, so the positives stay a subset of the pool
             texts = [*category, *desc.referrals]
-            for text, vec in texts:
-                pool.setdefault((rec.track_id, text), vec)
+            positives = [pool.setdefault((rec.track_id, text), vec) for text, vec in texts]
             mask = ds.detection(*member).mask
             chosen = select_gaussians(field_, view, mask)
-            entries.append((np.stack([vec for _, vec in texts]), rle_decode(mask), chosen))
+            entries.append((np.stack(positives), rle_decode(mask), chosen))
         pool_vecs = np.stack(list(pool.values())) if pool else None
         plan += [(view, positives, pool_vecs, target, chosen) for positives, target, chosen in entries]
 

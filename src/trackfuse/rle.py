@@ -83,16 +83,6 @@ def mask_area(mask: RleMask) -> int:
     return int(sum(mask.counts[1::2]))
 
 
-def mask_bbox(mask: RleMask) -> tuple[int, int, int, int] | None:
-    """Tight (row_min, col_min, row_max, col_max) box, or None for an empty mask."""
-    grid = rle_decode(mask)
-    rows = np.flatnonzero(grid.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(grid.any(axis=0))
-    return int(rows[0]), int(cols[0]), int(rows[-1]), int(cols[-1])
-
-
 def _check_same_size(a: RleMask, b: RleMask) -> None:
     if (a.height, a.width) != (b.height, b.width):
         raise SchemaError(

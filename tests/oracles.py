@@ -13,7 +13,7 @@ import numpy as np
 from trackfuse.errors import SchemaError
 from trackfuse.field import seg_loss
 from trackfuse.metrics import category_grids, object_grids
-from trackfuse.rle import mask_iou
+from trackfuse.rle import mask_iou, rle_decode
 
 
 def oracle_cluster(labels, embeddings, tau_sem):
@@ -227,3 +227,13 @@ def grad_check(fn, x0, step=1e-5):
             continue
         worst = max(worst, abs(a - n) / scale)
     return worst
+
+
+def mask_bbox(mask):
+    """Tight (row_min, col_min, row_max, col_max) box, or None for an empty mask."""
+    grid = rle_decode(mask)
+    rows = np.flatnonzero(grid.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(grid.any(axis=0))
+    return int(rows[0]), int(cols[0]), int(rows[-1]), int(cols[-1])

