@@ -27,13 +27,7 @@ from .field import (
     select_gaussians,
     train,
 )
-from .keyframes import (
-    KeyframeChoice,
-    attach_descriptions,
-    median_area,
-    select_keyframe,
-    visibility_score,
-)
+from .keyframes import median_area, select_keyframe, visibility_score
 from .metrics import consensus_accuracy, emit_report, miou
 from .records import (
     Detection,

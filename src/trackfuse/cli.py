@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,7 +37,7 @@ from .field import (
     save_loss_curve,
     train,
 )
-from .keyframes import ExternalDescriptions, run_keyframes
+from .keyframes import ExternalDescriptions, member_areas, run_keyframes, select_keyframe
 from .metrics import (
     category_grids,
     consensus_accuracy,
@@ -118,21 +119,29 @@ _SECTION_KEYS["synth"] = set(SynthConfig.__dataclass_fields__)
 _SECTION_KEYS["train"] |= set(_TRAIN_KEYS)
 
 
+# switches: any JSON value would pass a truth test, so only true and false are accepted
+_BOOL_KEYS = {"long_only", "strip_track_ids"}
+
+
 def _check_section(section: str, value, keys) -> None:
     if not isinstance(value, dict):
         raise SchemaError(f"{section} must be a JSON object, got {value!r}")
-    for key in value:
+    for key, item in value.items():
         if key not in keys:
             raise SchemaError(f"{section}.{key} is not a {section} setting")
+        if key in _BOOL_KEYS and not isinstance(item, bool):
+            raise SchemaError(f"{section}.{key} must be true or false, got {item!r}")
 
 
 def load_config(path: str | None) -> dict:
-    """The defaults updated by the file at ``path``; other top-level keys (a bare SynthConfig) are kept."""
+    """The defaults updated by the file at ``path``; top-level SynthConfig fields (a bare one) are kept."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
 
     def merge(doc: dict) -> None:
         for key, value in doc.items():
             if key not in _SECTION_KEYS:
+                if key not in _SECTION_KEYS["synth"]:  # "seed" is a synth setting too
+                    raise SchemaError(f"{key} is not a config section or a synth setting")
                 if key == "noise":  # a bare SynthConfig document's noise
                     _check_section("noise", value, NoiseSpec.__dataclass_fields__)
                 cfg[key] = value
@@ -292,6 +301,14 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     observed = sorted({det.raw_label for _, _, det in ds.all_detections()})
     if observed:
         clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
+        # the report describes this clustering: refuse records voted with another
+        for rec in records:
+            votes = Counter(clustering.resolve(ds.detection(v, i).raw_label)[1] for v, i in rec.members)
+            if votes != Counter(rec.votes):
+                raise SchemaError(
+                    f"{paths['consensus']}: track {rec.track_id} has votes {rec.votes}, but the "
+                    f"clustering at consensus.tau_sem {tau_sem} gives {dict(sorted(votes.items()))}"
+                )
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
             mapping = match_detections_to_objects(tables, gt)
@@ -414,6 +431,8 @@ def run_pipeline(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> di
             statuses[stage.name] = "skipped"
             logger.info("stage %s: output exists, skipping", stage.name)
             continue
+        # every later stage reads this stage's output, directly or not: re-run them all
+        force = True
         logger.info("stage %s: running", stage.name)
         try:
             stage.run(cfg, paths, seed)
@@ -448,7 +467,7 @@ def _write_run_manifest(out_dir: Path, cfg: dict, seed: int, statuses: dict, sta
 
 
 def run_sweep(
-    cfg: dict, paths: dict[str, Path], seed: int, param: str, values: list[float], out_path: Path
+    cfg: dict, paths: dict[str, Path], param: str, values: list[float], out_path: Path
 ) -> list[dict]:
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
@@ -459,6 +478,13 @@ def run_sweep(
         # like eval, no accuracy columns for a dataset without detections
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
+    if param == "sigma":
+        # consensus and the member areas do not depend on sigma: one serves every value
+        records = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"])).records
+        track_areas = [member_areas(ds, rec) for rec in records]
+    elif param != "tau_sem":
+        raise ValueError(f"unknown sweep parameter {param!r}")
+
     rows = []
     for value in values:
         if param == "tau_sem":
@@ -467,17 +493,13 @@ def run_sweep(
             row = {"value": value, "cluster_count": len(result.clustering.canonical)}
             if mapping is not None:
                 row.update(consensus_accuracy(ds, gt, result.clustering, mapping))
-        elif param == "sigma":
-            result = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"]))
-            descriptions = run_keyframes(ds, result.records, strategy="weighting", sigma=value, seed=seed)
-            keyframes = [d.keyframe for d in descriptions]
+        else:
+            keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
             row = {
                 "value": value,
                 "mean_keyframe": float(np.mean(keyframes)) if keyframes else float("nan"),
-                "n_tracks": len(descriptions),
+                "n_tracks": len(keyframes),
             }
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
         rows.append(row)
 
     fields = sorted({k for row in rows for k in row}, key=lambda k: (k != "value", k))
@@ -546,7 +568,7 @@ def _dispatch(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValueError("--values is empty")
-        run_sweep(cfg, paths, seed, args.param, values, out)
+        run_sweep(cfg, paths, args.param, values, out)
     else:
         out = args.stage.run(cfg, paths | {args.stage.output: out}, seed)
     print(out)

@@ -54,7 +54,6 @@ class SynonymClustering:
 
     assignment: dict[str, int]
     canonical: dict[int, str]
-    threshold: float
 
     def resolve(self, label: str) -> tuple[int, str]:
         """Map a label to (cluster index, canonical form).
@@ -122,7 +121,7 @@ def cluster_synonyms(
         canonical[out_idx] = canonical_form(member_labels)
         for lab in member_labels:
             assignment[lab] = out_idx
-    return SynonymClustering(assignment=assignment, canonical=canonical, threshold=tau_sem)
+    return SynonymClustering(assignment=assignment, canonical=canonical)
 
 
 def vote_trajectory(

@@ -1,4 +1,4 @@
-"""Visibility-aware keyframe selection and description attachment.
+"""Visibility-aware keyframe selection and keyframe captions.
 
 The visibility score weights a view's mask area by a Gaussian penalty on
 how far sqrt(area) strays from the trajectory's median sqrt(area):
@@ -14,7 +14,6 @@ template synthesizer for synthetic scenes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,53 +48,40 @@ def visibility_score(area: float, med: float, sigma: float) -> float:
     return area * math.exp(-(dev * dev) / (2.0 * sigma * sigma))
 
 
-@dataclass
-class KeyframeChoice:
-    track_id: int
-    view: int
-    scores: dict[int, float]
-    med: float
-    sigma: float
-    strategy: str
-
-
 def select_keyframe(
-    track_id: int,
     view_areas: list[tuple[int, int]],
     strategy: str = "weighting",
     sigma: float = 100.0,
     seed: int = 0,
-) -> KeyframeChoice:
-    """Pick a member view to describe the object from.
+) -> int:
+    """Pick the member view to describe the object from.
 
     ``view_areas`` holds (view, mask area) per trajectory member. All ties
     resolve to the earliest view; ``random`` draws uniformly with the given
-    seed.
+    seed. Every strategy rejects ``sigma <= 0`` and negative areas.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if not view_areas:
         raise ValueError("trajectory has no members")
-    views = [v for v, _ in view_areas]
-    areas = [a for _, a in view_areas]
-    med = median_area(areas)
+    med = median_area([a for _, a in view_areas])
     scores = {v: visibility_score(a, med, sigma) for v, a in view_areas}
 
-    if strategy == "weighting":
-        chosen = min(view_areas, key=lambda va: (-scores[va[0]], va[0]))[0]
-    elif strategy == "maximum":
-        chosen = min(view_areas, key=lambda va: (-va[1], va[0]))[0]
-    elif strategy == "minimum":
-        chosen = min(view_areas, key=lambda va: (va[1], va[0]))[0]
-    elif strategy == "medium":
-        chosen = min(view_areas, key=lambda va: (abs(va[1] - med), va[0]))[0]
-    else:
+    if strategy == "random":
         rng = np.random.default_rng(seed)
-        chosen = views[int(rng.integers(0, len(views)))]
+        return view_areas[int(rng.integers(0, len(view_areas)))][0]
+    rank = {
+        "weighting": lambda va: (-scores[va[0]], va[0]),
+        "maximum": lambda va: (-va[1], va[0]),
+        "minimum": lambda va: (va[1], va[0]),
+        "medium": lambda va: (abs(va[1] - med), va[0]),
+    }[strategy]
+    return min(view_areas, key=rank)[0]
 
-    return KeyframeChoice(
-        track_id=track_id, view=chosen, scores=scores, med=med, sigma=sigma, strategy=strategy
-    )
+
+def member_areas(ds: SceneDataset, rec: ConsensusRecord) -> list[tuple[int, int]]:
+    """(view, mask area) of each member of the record."""
+    return [(view, mask_area(ds.detection(view, idx).mask)) for view, idx in rec.members]
 
 
 class ExternalDescriptions:
@@ -147,75 +133,60 @@ class TemplateSynthesizer:
     """Deterministic caption generator for synthetic scenes.
 
     Emits two referrals per track: a short attribute form and a longer
-    attribute + spatial-relation form. Attributes cycle a fixed palette by
-    track id; relations compare pseudo-mask centroids against the nearest
-    other track visible in the keyframe view.
+    attribute + spatial-relation form. The category is the track's voted
+    canonical label. Attributes cycle a fixed palette by track id; relations
+    compare pseudo-mask centroids against the nearest other track visible in
+    the keyframe view (the first in track order on distance ties).
     """
 
     def __init__(self, ds: SceneDataset, records: list[ConsensusRecord]):
         self.ds = ds
-        self.records = sorted(records, key=lambda r: r.track_id)
+        self.records = {r.track_id: r for r in sorted(records, key=lambda r: r.track_id)}
+        self._centroids: dict[int, dict[int, tuple[float, float]]] = {}
 
-    def _centroid(self, rec: ConsensusRecord, view: int) -> tuple[float, float] | None:
-        for v, idx in rec.members:
-            if v == view:
-                return _mask_centroid(self.ds.detection(v, idx).mask)
-        return None
+    def _view_centroids(self, view: int) -> dict[int, tuple[float, float]]:
+        """Track id -> mask centroid in ``view``, ascending; each mask decoded once.
 
-    def referrals(self, track_id: int, category: str, view: int) -> list[tuple[str, np.ndarray]]:
+        Tracks not seen in the view, or with an empty mask there, are left out.
+        """
+        if view not in self._centroids:
+            centroids = {}
+            for track_id, rec in self.records.items():
+                idx = next((i for v, i in rec.members if v == view), None)
+                if idx is not None:
+                    pos = _mask_centroid(self.ds.detection(view, idx).mask)
+                    if pos is not None:
+                        centroids[track_id] = pos
+            self._centroids[view] = centroids
+        return self._centroids[view]
+
+    def referrals(self, track_id: int, view: int) -> list[tuple[str, np.ndarray]]:
+        category = self.records[track_id].canonical
         attribute = _PALETTE[track_id % len(_PALETTE)]
-        rec = next(r for r in self.records if r.track_id == track_id)
-        own = self._centroid(rec, view)
-
+        centroids = self._view_centroids(view)
+        own = centroids.get(track_id)
+        # (distance, track) pairs: min() takes the first strictly nearest in track order
+        others = [] if own is None else [
+            (math.hypot(pos[0] - own[0], pos[1] - own[1]), other)
+            for other, pos in centroids.items() if other != track_id
+        ]
         relation = "in the middle of the scene"
-        if own is not None:
-            nearest = None
-            nearest_dist = None
-            for other in self.records:
-                if other.track_id == track_id:
-                    continue
-                pos = self._centroid(other, view)
-                if pos is None:
-                    continue
-                d = math.hypot(pos[0] - own[0], pos[1] - own[1])
-                if nearest_dist is None or d < nearest_dist:
-                    nearest = (other, pos)
-                    nearest_dist = d
-            if nearest is not None:
-                other, pos = nearest
-                dx = own[0] - pos[0]
-                if dx < -2.0:
-                    relation = f"to the left of the {other.canonical}"
-                elif dx > 2.0:
-                    relation = f"to the right of the {other.canonical}"
-                else:
-                    relation = f"near the {other.canonical}"
+        if others:
+            other = min(others)[1]
+            name = self.records[other].canonical
+            dx = own[0] - centroids[other][0]
+            if dx < -2.0:
+                relation = f"to the left of the {name}"
+            elif dx > 2.0:
+                relation = f"to the right of the {name}"
+            else:
+                relation = f"near the {name}"
 
         texts = [
             template_referral(category, attribute),
             template_referral(category, attribute, relation),
         ]
         return [(t, text_embedding(t, self.ds.dim)) for t in texts]
-
-
-def attach_descriptions(
-    choice: KeyframeChoice,
-    category: str,
-    source: ExternalDescriptions | TemplateSynthesizer,
-) -> DescriptionSet:
-    """Build the track's description set from captions for its keyframe."""
-    if isinstance(source, ExternalDescriptions):
-        refs = source.referrals(choice.track_id, choice.view)
-    else:
-        refs = source.referrals(choice.track_id, category, choice.view)
-    if not refs:
-        raise SchemaError(f"no referrals produced for track {choice.track_id}")
-    return DescriptionSet(
-        track_id=choice.track_id,
-        category=category,
-        referrals=refs,
-        keyframe=choice.view,
-    )
 
 
 def run_keyframes(
@@ -226,15 +197,13 @@ def run_keyframes(
     seed: int = 0,
     external: ExternalDescriptions | None = None,
 ) -> list[DescriptionSet]:
-    """Select a keyframe per trajectory and attach its descriptions."""
+    """Select a keyframe per trajectory and caption the track in it."""
     source = external if external is not None else TemplateSynthesizer(ds, records)
     out = []
     for rec in sorted(records, key=lambda r: r.track_id):
-        view_areas = [
-            (view, mask_area(ds.detection(view, idx).mask)) for view, idx in rec.members
-        ]
-        choice = select_keyframe(
-            rec.track_id, view_areas, strategy=strategy, sigma=sigma, seed=seed + rec.track_id
-        )
-        out.append(attach_descriptions(choice, rec.canonical, source))
+        view = select_keyframe(member_areas(ds, rec), strategy, sigma, seed + rec.track_id)
+        refs = source.referrals(rec.track_id, view)
+        if not refs:
+            raise SchemaError(f"no referrals produced for track {rec.track_id}")
+        out.append(DescriptionSet(rec.track_id, rec.canonical, refs, keyframe=view))
     return out

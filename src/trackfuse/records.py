@@ -191,10 +191,6 @@ class Trajectory:
                 f"trajectory {self.track_id} member views must be strictly increasing"
             )
 
-    @property
-    def views(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.members)
-
 
 @dataclass(frozen=True)
 class LabelEmbedding:

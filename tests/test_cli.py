@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from trackfuse.cli import load_config, main, run_pipeline
+from trackfuse.consensus import run_consensus
 from trackfuse.errors import StageError
-from trackfuse.records import dumps, read_json
+from trackfuse.keyframes import run_keyframes
+from trackfuse.records import dumps, load_dataset, read_json
+from trackfuse.tracking import load_tracks
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +245,26 @@ class TestStages:
         header = lines[0].split(",")
         counts = [float(row.split(",")[header.index("cluster_count")]) for row in lines[1:]]
         assert counts == sorted(counts)
+
+
+    def test_sweep_sigma_matches_run_keyframes(self, tmp_path):
+        noisy = SMALL_CONFIG | {"synth": SMALL_CONFIG["synth"] | {"n_views": 8, "noise": {"dropout_rate": 0.3}}}
+        cfg = write_config(tmp_path, noisy)
+        out = tmp_path / "run"
+        run_pipeline(load_config(cfg), out, seed=0)
+        values = [0.5, 2.0, 10.0, 100.0]
+        argv = ["sweep", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"),
+                "--tracks", str(out / "tracks.jsonl"), "--param", "sigma",
+                "--values", ",".join(map(str, values)), "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "value,mean_keyframe,n_tracks"
+        ds = load_dataset(out / "dataset" / "manifest.json")
+        records = run_consensus(ds, load_tracks(out / "tracks.jsonl", ds)).records
+        for line, value in zip(lines[1:], values, strict=True):
+            descriptions = run_keyframes(ds, records, sigma=value)
+            keyframes = [d.keyframe for d in descriptions]
+            assert line.split(",") == [str(value), str(sum(keyframes) / len(keyframes)), str(len(keyframes))]
 
 
 class TestPipeline:
@@ -567,6 +590,50 @@ class TestBadInput:
         assert f"{cfg}: {section}.{key} is not a {section} setting" in capsys.readouterr().err
         assert not (tmp_path / "train.out").exists()
 
+    @pytest.mark.parametrize("key", ["asoc", "tau_sem", "long_only"])
+    def test_unknown_top_level_key_exits_two(self, run_dir, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, TINY_CONFIG | {key: {"mode": "greedy"}})
+        assert main(stage_argv(run_dir, "associate", tmp_path) + ["--config", cfg]) == 2
+        assert f"{cfg}: {key} is not a config section or a synth setting" in capsys.readouterr().err
+        assert not (tmp_path / "associate.out").exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    @pytest.mark.parametrize("key", ["train.long_only", "synth.noise.strip_track_ids", "noise.strip_track_ids"])
+    def test_non_boolean_switch_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        doc = {
+            "train.long_only": TINY_CONFIG | {"train": {"long_only": value}},
+            "synth.noise.strip_track_ids": TINY_CONFIG | {"synth": {"noise": {"strip_track_ids": value}}},
+            "noise.strip_track_ids": {"n_views": 3, "noise": {"strip_track_ids": value}},  # a bare scene config
+        }[key]
+        cfg = write_config(tmp_path, doc)
+        if key == "train.long_only":
+            argv, out = stage_argv(run_dir, "train", tmp_path), tmp_path / "train.out"
+        else:
+            argv, out = ["synth", "--out", str(tmp_path / "scene")], tmp_path / "scene"
+        assert main(argv + ["--config", cfg]) == 2
+        assert f"{cfg}: {key} must be true or false, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_refuses_consensus_voted_at_another_tau_sem(self, tmp_path, capsys):
+        # synonyms of one object merge at tau_sem 0.85 but split at 0.97
+        noisy = TINY_CONFIG | {"synth": {"n_views": 6, "n_objects": 2, "height": 32, "width": 32,
+                                         "noise": {"synonym_rate": 0.5}}}
+        cfg = write_config(tmp_path, noisy)
+        run = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(run)]) == 0
+        manifest = ["--manifest", str(run / "dataset" / "manifest.json")]
+        consensus = tmp_path / "consensus97.jsonl"
+        assert main(["consensus", "--config", cfg, *manifest, "--tracks", str(run / "tracks.jsonl"),
+                     "--tau-sem", "0.97", "--out", str(consensus)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert main(["eval", "--config", cfg, *manifest, "--consensus", str(consensus),
+                     "--ground-truth", str(run / "ground_truth.json"), "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"{consensus}: track 0 has votes" in err
+        assert "the clustering at consensus.tau_sem 0.85 gives" in err
+        assert not report.exists()
+
     def test_section_not_an_object_exits_two(self, run_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG | {"assoc": 5})
         assert main(stage_argv(run_dir, "associate", tmp_path) + ["--config", cfg]) == 2
@@ -634,6 +701,22 @@ class TestResume:
             assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["stages"]["synth"] == "done"
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
+        assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+    def test_stage_rerun_reruns_every_later_stage(self, tmp_path):
+        # a changed assoc section and a deleted tracks.jsonl: every stage after synth
+        # must run again, so no output is built from the old tracks
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(out)]) == 0
+        (out / "tracks.jsonl").unlink()
+        changed = TINY_CONFIG | {"assoc": {"mode": "greedy", "match_threshold": 0.99}}
+        cfg = write_config(tmp_path, changed)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        stages = json.loads((out / "run.json").read_text())["stages"]
+        assert stages == {"synth": "skipped", "associate": "done", "consensus": "done",
+                          "keyframe": "done", "train": "done", "eval": "done"}
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
         assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
 

@@ -150,7 +150,7 @@ class TestApplyPhi:
         assert c.resolve("ramen bowl")[1] == "ramen"
 
     def test_unseen_label_becomes_singleton(self, caplog):
-        c = SynonymClustering(assignment={"cup": 0}, canonical={0: "cup"}, threshold=0.85)
+        c = SynonymClustering(assignment={"cup": 0}, canonical={0: "cup"})
         with caplog.at_level(logging.WARNING):
             idx, name = c.resolve("zebra")
         assert name == "zebra"

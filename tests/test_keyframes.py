@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse as tf
+import trackfuse.keyframes as keyframes
+from trackfuse.consensus import ConsensusRecord
 from trackfuse.errors import SchemaError
 from trackfuse.keyframes import (
     ExternalDescriptions,
     TemplateSynthesizer,
-    attach_descriptions,
     median_area,
     run_keyframes,
     select_keyframe,
@@ -94,42 +97,50 @@ class TestSelectKeyframe:
         # areas 100 / 10000 / 40000 with sigma=100: the scores are
         # 100*e^{-0.405} ~ 66.7, 10000, 40000*e^{-0.5} ~ 24261.2,
         # so the literal argmax is the 40000-area view.
-        choice = select_keyframe(0, [(0, 100), (1, 10000), (2, 40000)], "weighting", 100.0)
-        assert choice.view == 2
-        assert choice.scores[2] == pytest.approx(24261.226388505335)
-        assert all(choice.scores[choice.view] >= s for s in choice.scores.values())
+        view_areas = [(0, 100), (1, 10000), (2, 40000)]
+        view = select_keyframe(view_areas, "weighting", 100.0)
+        assert view == 2
+        scores = {v: visibility_score(a, 10000, 100.0) for v, a in view_areas}
+        assert scores[2] == pytest.approx(24261.226388505335)
+        assert all(scores[view] >= s for s in scores.values())
 
     def test_single_member_under_every_strategy(self):
         for strategy in ("weighting", "maximum", "minimum", "random", "medium"):
-            assert select_keyframe(0, [(4, 123)], strategy, 100.0).view == 4
+            assert select_keyframe([(4, 123)], strategy, 100.0) == 4
 
     def test_equal_areas_tie_to_earliest(self):
-        choice = select_keyframe(0, [(3, 50), (1, 50), (2, 50)], "weighting", 100.0)
-        assert choice.view == 1
+        assert select_keyframe([(3, 50), (1, 50), (2, 50)], "weighting", 100.0) == 1
 
     def test_maximum_minimum_medium(self):
         va = [(0, 10), (1, 500), (2, 90)]
-        assert select_keyframe(0, va, "maximum", 100.0).view == 1
-        assert select_keyframe(0, va, "minimum", 100.0).view == 0
-        assert select_keyframe(0, va, "medium", 100.0).view == 2  # median is 90
+        assert select_keyframe(va, "maximum", 100.0) == 1
+        assert select_keyframe(va, "minimum", 100.0) == 0
+        assert select_keyframe(va, "medium", 100.0) == 2  # median is 90
 
     def test_random_is_seeded(self):
         va = [(v, 10 * v + 10) for v in range(6)]
-        first = select_keyframe(0, va, "random", 100.0, seed=11).view
-        again = select_keyframe(0, va, "random", 100.0, seed=11).view
+        first = select_keyframe(va, "random", 100.0, seed=11)
+        again = select_keyframe(va, "random", 100.0, seed=11)
         assert first == again
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            select_keyframe(0, [(0, 1)], "best", 100.0)
+            select_keyframe([(0, 1)], "best", 100.0)
+
+    @pytest.mark.parametrize("strategy", ["weighting", "maximum", "minimum", "random", "medium"])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_sigma_rejected_by_every_strategy(self, strategy, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            select_keyframe([(0, 1), (1, 4)], strategy, sigma)
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10**6)), min_size=1, max_size=12, unique_by=lambda t: t[0]))
     @settings(max_examples=200, deadline=None)
     def test_weighting_choice_dominates_members(self, view_areas):
-        choice = select_keyframe(0, view_areas, "weighting", 100.0)
-        assert choice.view in {v for v, _ in view_areas}
-        best = choice.scores[choice.view]
-        assert all(best >= s for s in choice.scores.values())
+        view = select_keyframe(view_areas, "weighting", 100.0)
+        assert view in {v for v, _ in view_areas}
+        med = median_area([a for _, a in view_areas])
+        scores = {v: visibility_score(a, med, 100.0) for v, a in view_areas}
+        assert all(scores[view] >= s for s in scores.values())
 
 
 class TestTemplates:
@@ -141,12 +152,15 @@ class TestTemplates:
         )
 
 
+def one_member_record(track_id, view, canonical="bowl"):
+    return ConsensusRecord(track_id=track_id, canonical=canonical, votes={canonical: 1}, members=((view, 0),))
+
+
 class TestAttachDescriptions:
-    def test_external_passthrough(self, tmp_path):
+    def test_external_passthrough(self, clean_scene, tmp_path):
+        ds, _, _ = clean_scene
         vec = text_embedding("the red bowl of ramen on the table", 8)
         path = tmp_path / "ext.jsonl"
-        import json
-
         path.write_text(
             json.dumps(
                 {
@@ -159,19 +173,43 @@ class TestAttachDescriptions:
             + "\n"
         )
         ext = ExternalDescriptions.load(path)
-        choice = select_keyframe(3, [(2, 100)], "weighting", 100.0)
-        desc = attach_descriptions(choice, "bowl", ext)
+        (desc,) = run_keyframes(ds, [one_member_record(3, 2)], external=ext)
         assert desc.referrals[0][0] == "the red bowl of ramen on the table"
         assert np.array_equal(desc.referrals[0][1], vec)
         assert desc.keyframe == 2
+        assert (desc.track_id, desc.category) == (3, "bowl")
 
-    def test_missing_entry_names_track_and_view(self, tmp_path):
+    def test_missing_entry_names_track_and_view(self, clean_scene, tmp_path):
+        ds, _, _ = clean_scene
         path = tmp_path / "ext.jsonl"
         path.write_text("")
         ext = ExternalDescriptions.load(path)
-        choice = select_keyframe(7, [(4, 100)], "weighting", 100.0)
         with pytest.raises(SchemaError, match=r"track 7.*view 4"):
-            attach_descriptions(choice, "bowl", ext)
+            run_keyframes(ds, [one_member_record(7, 4)], external=ext)
+
+    def test_empty_referrals_name_the_track(self, clean_scene):
+        ds, _, _ = clean_scene
+        ext = ExternalDescriptions({(5, 1): []})
+        with pytest.raises(SchemaError, match="no referrals produced for track 5"):
+            run_keyframes(ds, [one_member_record(5, 1)], external=ext)
+
+    def test_each_mask_decoded_at_most_once(self, monkeypatch):
+        # four objects in three views: every view holds at least three tracks,
+        # so the keyframes of several tracks share a view
+        ds, _ = tf.generate_scene(tf.SynthConfig(n_views=3, n_objects=4, seed=5))
+        records = tf.run_consensus(ds, tf.import_tracks(ds)).records
+        assert all(sum(v == view for r in records for v, _ in r.members) >= 3 for view in range(3))
+        decoded = Counter()
+        real_decode = keyframes.rle_decode
+
+        def counting_decode(mask):
+            decoded[id(mask)] += 1
+            return real_decode(mask)
+
+        monkeypatch.setattr(keyframes, "rle_decode", counting_decode)
+        descs = run_keyframes(ds, records)
+        assert len(descs) == len(records) and decoded
+        assert max(decoded.values()) == 1
 
     def test_template_synthesizer_output(self, clean_scene):
         ds, _, trajs = clean_scene
@@ -194,5 +232,5 @@ class TestAttachDescriptions:
         result = tf.run_consensus(ds, trajs)
         synth = TemplateSynthesizer(ds, result.records)
         a, b = result.records[0], result.records[1]
-        refs = synth.referrals(a.track_id, a.canonical, a.members[0][0])
+        refs = synth.referrals(a.track_id, a.members[0][0])
         assert b.canonical in refs[1][0]
