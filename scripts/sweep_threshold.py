@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 import trackfuse as tf
+from trackfuse.consensus import observed_labels, vote_tracks
 from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 
 
@@ -20,8 +21,8 @@ def main() -> int:
     args = parser.parse_args()
     values = [float(v) for v in args.values.split(",")]
 
-    # each scene and its detection -> object matching are built once; only
-    # the clustering depends on tau_sem
+    # each scene, its detection -> object matching and one agglomeration to
+    # the lowest value are built once; each value cuts the agglomeration
     scenes = []
     for seed in range(args.seeds):
         cfg = tf.SynthConfig(
@@ -35,16 +36,17 @@ def main() -> int:
         ds, gt = tf.generate_scene(cfg)
         noisy = tf.corrupt(ds, gt, cfg)
         mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
-        scenes.append((noisy, gt, tf.import_tracks(noisy), mapping))
+        agglomeration = tf.cluster_synonyms(observed_labels(noisy), noisy.embeddings, min(values))
+        scenes.append((noisy, gt, tf.import_tracks(noisy), mapping, agglomeration))
 
     rows = []
     for tau in values:
         counts, per_view, tscm = [], [], []
-        for noisy, gt, trajectories, mapping in scenes:
-            result = tf.run_consensus(noisy, trajectories, tau_sem=tau)
-            tf.propagate(noisy, result.records)
-            acc = consensus_accuracy(noisy, gt, result.clustering, mapping)
-            counts.append(len(result.clustering.canonical))
+        for noisy, gt, trajectories, mapping, agglomeration in scenes:
+            clustering = agglomeration.at(tau)
+            tf.propagate(noisy, vote_tracks(noisy, trajectories, clustering))
+            acc = consensus_accuracy(noisy, gt, clustering, mapping)
+            counts.append(len(clustering.canonical))
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])
         rows.append((tau, np.mean(counts), np.mean(per_view), np.mean(tscm)))

@@ -26,7 +26,16 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .consensus import cluster_synonyms, load_consensus, propagate, run_consensus, save_consensus
+from .consensus import (
+    check_tau_sem,
+    cluster_synonyms,
+    load_consensus,
+    observed_labels,
+    propagate,
+    run_consensus,
+    save_consensus,
+    vote_tracks,
+)
 from .errors import NumericError, SchemaError, StageError
 from .field import (
     TrainConfig,
@@ -123,6 +132,20 @@ _SECTION_KEYS["train"] |= set(_TRAIN_KEYS)
 _BOOL_KEYS = {"long_only", "strip_track_ids"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# "section.key" settings that take a number: a string or a bool would fail only when its stage runs
+_NUMBER_KEYS = {
+    f"{section}.{key}"
+    for section, keys in DEFAULT_CONFIG.items()
+    if isinstance(keys, dict)
+    for key, default in keys.items()
+    if _is_number(default)
+} | {f"train.{key}" for key in _TRAIN_KEYS}
+
+
 def _check_section(section: str, value, keys) -> None:
     if not isinstance(value, dict):
         raise SchemaError(f"{section} must be a JSON object, got {value!r}")
@@ -131,6 +154,10 @@ def _check_section(section: str, value, keys) -> None:
             raise SchemaError(f"{section}.{key} is not a {section} setting")
         if key in _BOOL_KEYS and not isinstance(item, bool):
             raise SchemaError(f"{section}.{key} must be true or false, got {item!r}")
+        if f"{section}.{key}" in _NUMBER_KEYS and not _is_number(item):
+            raise SchemaError(f"{section}.{key} must be a number, got {item!r}")
+    if section == "consensus" and "tau_sem" in value and not 0 < value["tau_sem"] < 1:
+        raise SchemaError(f"consensus.tau_sem must be in (0, 1), got {value['tau_sem']!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -144,6 +171,8 @@ def load_config(path: str | None) -> dict:
                     raise SchemaError(f"{key} is not a config section or a synth setting")
                 if key == "noise":  # a bare SynthConfig document's noise
                     _check_section("noise", value, NoiseSpec.__dataclass_fields__)
+                if key == "seed" and not _is_number(value):
+                    raise SchemaError(f"seed must be a number, got {value!r}")
                 cfg[key] = value
                 continue
             _check_section(key, value, _SECTION_KEYS[key])
@@ -298,7 +327,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
 
     tau_sem = float(cfg["consensus"]["tau_sem"])
-    observed = sorted({det.raw_label for _, _, det in ds.all_detections()})
+    observed = observed_labels(ds)
     if observed:
         clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
         # the report describes this clustering: refuse records voted with another
@@ -478,21 +507,27 @@ def run_sweep(
         # like eval, no accuracy columns for a dataset without detections
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
-    if param == "sigma":
+    if param == "tau_sem":
+        # every value, in list order, before clustering: min() over a list holding NaN depends on the order
+        for value in values:
+            check_tau_sem(value)
+        # one agglomeration to the lowest value; every higher value's clustering is a prefix of its merges
+        agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, min(values))
+    elif param == "sigma":
         # consensus and the member areas do not depend on sigma: one serves every value
         records = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"])).records
         track_areas = [member_areas(ds, rec) for rec in records]
-    elif param != "tau_sem":
+    else:
         raise ValueError(f"unknown sweep parameter {param!r}")
 
     rows = []
     for value in values:
         if param == "tau_sem":
-            result = run_consensus(ds, trajectories, tau_sem=value)
-            propagate(ds, result.records)
-            row = {"value": value, "cluster_count": len(result.clustering.canonical)}
+            clustering = agglomeration.at(value)
+            propagate(ds, vote_tracks(ds, trajectories, clustering))
+            row = {"value": value, "cluster_count": len(clustering.canonical)}
             if mapping is not None:
-                row.update(consensus_accuracy(ds, gt, result.clustering, mapping))
+                row.update(consensus_accuracy(ds, gt, clustering, mapping))
         else:
             keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
             row = {

@@ -7,6 +7,13 @@ member surface form. Each trajectory then votes: every member detection
 contributes one vote for its clustered identity, and the winner is
 propagated to all member detections.
 
+The merge sequence does not depend on the cutoff: each step merges the
+global closest pair, and the cutoff only decides when to stop. So the
+merges of a run at any smaller cutoff (higher ``tau_sem``) are a prefix of
+the merges of a run at a larger one. ``cluster_synonyms`` keeps its merge
+list, and ``SynonymClustering.at`` cuts it at any higher ``tau_sem``
+without clustering again; a threshold sweep agglomerates once.
+
 Determinism rules, needed so independent reference implementations can be
 compared exactly:
   - cluster-average distances use exact (fsum) summation, so they do not
@@ -48,12 +55,37 @@ def cosine_distance_matrix(embeddings: list[LabelEmbedding]) -> np.ndarray:
     return dist
 
 
+def check_tau_sem(tau_sem: float) -> None:
+    if not 0.0 < tau_sem < 1.0:
+        raise ValueError(f"tau_sem must be in (0, 1), got {tau_sem}")
+
+
 @dataclass
 class SynonymClustering:
-    """Label -> cluster assignment with per-cluster canonical surface forms."""
+    """Label -> cluster assignment with per-cluster canonical surface forms.
+
+    ``merges`` holds the agglomeration's merges over ``labels`` in order, as
+    (slot a, slot b, height); it ran to the cutoff ``1 - tau_floor``.
+    """
 
     assignment: dict[str, int]
     canonical: dict[int, str]
+    labels: tuple[str, ...] = ()
+    merges: tuple[tuple[int, int, float], ...] = ()
+    tau_floor: float = 1.0
+
+    def at(self, tau_sem: float) -> "SynonymClustering":
+        """The clustering at ``tau_sem``: the merges before the first above ``1 - tau_sem``.
+
+        Equal to ``cluster_synonyms(labels, ..., tau_sem)``. Below ``tau_floor``
+        it raises ValueError: the agglomeration stopped before those merges.
+        """
+        check_tau_sem(tau_sem)
+        if not tau_sem >= self.tau_floor:
+            raise ValueError(
+                f"tau_sem {tau_sem} is below {self.tau_floor}, the lowest this clustering was built to"
+            )
+        return _cut(self.labels, self.merges, self.tau_floor, tau_sem)
 
     def resolve(self, label: str) -> tuple[int, str]:
         """Map a label to (cluster index, canonical form).
@@ -75,14 +107,34 @@ def canonical_form(labels: list[str]) -> str:
     return min(labels, key=lambda s: (len(s), s))
 
 
+def _cut(
+    labels: tuple[str, ...], merges: tuple[tuple[int, int, float], ...], tau_floor: float, tau_sem: float
+) -> SynonymClustering:
+    """Replay ``merges`` up to the first whose height is above ``1 - tau_sem``."""
+    cutoff = 1.0 - tau_sem
+    members = [[k] for k in range(len(labels))]
+    for a, b, height in merges:
+        if height > cutoff:
+            break
+        members[a] = sorted(members[a] + members[b])
+        members[b] = []
+    assignment: dict[str, int] = {}
+    canonical: dict[int, str] = {}
+    for out_idx, slot in enumerate(m for m in members if m):
+        member_labels = [labels[i] for i in slot]
+        canonical[out_idx] = canonical_form(member_labels)
+        for lab in member_labels:
+            assignment[lab] = out_idx
+    return SynonymClustering(assignment, canonical, labels, merges, tau_floor)
+
+
 def cluster_synonyms(
     labels: list[str],
     embeddings: dict[str, LabelEmbedding],
     tau_sem: float,
 ) -> SynonymClustering:
-    """Average-linkage agglomeration cut at distance 1 - tau_sem."""
-    if not 0.0 < tau_sem < 1.0:
-        raise ValueError(f"tau_sem must be in (0, 1), got {tau_sem}")
+    """Average-linkage agglomeration cut at distance 1 - tau_sem; ``at`` cuts it higher."""
+    check_tau_sem(tau_sem)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     missing = [lab for lab in labels if lab not in embeddings]
@@ -97,6 +149,7 @@ def cluster_synonyms(
     # merged away); avg[a, b] for live slots a < b is their cluster-average
     # distance, every other entry is inf.
     members = [[k] for k in range(n)]
+    merges = []
     avg = dist.copy()
     avg[np.tril_indices(n)] = np.inf
     for _ in range(n - 1):
@@ -104,8 +157,10 @@ def cluster_synonyms(
         # distance, then smaller low index a, then smaller other low index b
         # -- exactly the documented merge tie-break.
         a, b = divmod(int(np.argmin(avg)), n)
-        if avg[a, b] > cutoff:
+        height = float(avg[a, b])
+        if height > cutoff:
             break
+        merges.append((a, b, height))
         members[a] = sorted(members[a] + members[b])
         members[b] = []
         avg[b, :] = avg[:, b] = np.inf
@@ -113,15 +168,7 @@ def cluster_synonyms(
             if k != a and members[k]:
                 total = math.fsum(dist[i, j] for i in members[k] for j in members[a])
                 avg[min(k, a), max(k, a)] = total / (len(members[k]) * len(members[a]))
-
-    assignment: dict[str, int] = {}
-    canonical: dict[int, str] = {}
-    for out_idx, slot in enumerate(m for m in members if m):
-        member_labels = [labels[i] for i in slot]
-        canonical[out_idx] = canonical_form(member_labels)
-        for lab in member_labels:
-            assignment[lab] = out_idx
-    return SynonymClustering(assignment=assignment, canonical=canonical)
+    return _cut(tuple(labels), tuple(merges), tau_sem, tau_sem)
 
 
 def vote_trajectory(
@@ -176,14 +223,25 @@ class ConsensusResult:
     records: list[ConsensusRecord] = field(default_factory=list)
 
 
+def observed_labels(ds: SceneDataset) -> list[str]:
+    """The distinct raw labels of the scene's detections, sorted: the set consensus clusters."""
+    return sorted({det.raw_label for _, _, det in ds.all_detections()})
+
+
 def run_consensus(
     ds: SceneDataset,
     trajectories: list[Trajectory],
     tau_sem: float = 0.85,
 ) -> ConsensusResult:
     """Cluster the scene's observed labels once, then vote every trajectory."""
-    observed = sorted({det.raw_label for _, _, det in ds.all_detections()})
-    clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
+    clustering = cluster_synonyms(observed_labels(ds), ds.embeddings, tau_sem)
+    return ConsensusResult(clustering=clustering, records=vote_tracks(ds, trajectories, clustering))
+
+
+def vote_tracks(
+    ds: SceneDataset, trajectories: list[Trajectory], clustering: SynonymClustering
+) -> list[ConsensusRecord]:
+    """Each trajectory's vote over its members' identities under ``clustering``, in track order."""
     records = []
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         member_votes = []
@@ -200,7 +258,7 @@ def run_consensus(
                 members=traj.members,
             )
         )
-    return ConsensusResult(clustering=clustering, records=records)
+    return records
 
 
 def propagate(ds: SceneDataset, records: list[ConsensusRecord]) -> SceneDataset:

@@ -4,11 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from trackfuse import consensus
 from trackfuse.cli import load_config, main, run_pipeline
-from trackfuse.consensus import run_consensus
+from trackfuse.consensus import propagate, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
+from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 from trackfuse.records import dumps, load_dataset, read_json
+from trackfuse.synth import load_ground_truth
 from trackfuse.tracking import load_tracks
 
 DATA = Path(__file__).parent / "data"
@@ -265,6 +268,47 @@ class TestStages:
             descriptions = run_keyframes(ds, records, sigma=value)
             keyframes = [d.keyframe for d in descriptions]
             assert line.split(",") == [str(value), str(sum(keyframes) / len(keyframes)), str(len(keyframes))]
+
+    def test_sweep_tau_sem_matches_per_value_consensus(self, tmp_path):
+        noisy = SMALL_CONFIG | {"synth": SMALL_CONFIG["synth"] | {
+            "n_views": 8, "noise": {"synonym_rate": 0.5, "wrong_label_rate": 0.1}}}
+        cfg = write_config(tmp_path, noisy)
+        out = tmp_path / "run"
+        run_pipeline(load_config(cfg), out, seed=0)
+        values = [0.9, 0.5, 0.97, 0.7, 0.99]  # the lowest is not first
+        argv = ["sweep", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"),
+                "--tracks", str(out / "tracks.jsonl"), "--ground-truth", str(out / "ground_truth.json"),
+                "--param", "tau_sem", "--values", ",".join(map(str, values)),
+                "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "value,cluster_count,per_view_acc,tscm_acc"
+        ds = load_dataset(out / "dataset" / "manifest.json")
+        trajectories = load_tracks(out / "tracks.jsonl", ds)
+        gt = load_ground_truth(out / "ground_truth.json", ds)
+        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
+        counts = set()
+        for line, value in zip(lines[1:], values, strict=True):
+            result = run_consensus(ds, trajectories, tau_sem=value)
+            propagate(ds, result.records)
+            acc = consensus_accuracy(ds, gt, result.clustering, mapping)
+            counts.add(len(result.clustering.canonical))
+            assert line.split(",") == [str(value), str(len(result.clustering.canonical)),
+                                       str(acc["per_view_acc"]), str(acc["tscm_acc"])]
+        assert len(counts) > 1  # the values cut the merges at different depths
+
+    def test_sweep_tau_sem_builds_one_distance_matrix(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        run_pipeline(load_config(cfg), out, seed=0)
+        calls = []
+        build = consensus.cosine_distance_matrix
+        monkeypatch.setattr(consensus, "cosine_distance_matrix", lambda e: calls.append(len(e)) or build(e))
+        argv = ["sweep", "--manifest", str(out / "dataset" / "manifest.json"),
+                "--tracks", str(out / "tracks.jsonl"), "--param", "tau_sem",
+                "--values", "0.70,0.75,0.80,0.85,0.90", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestPipeline:
@@ -589,6 +633,40 @@ class TestBadInput:
         assert main(stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]) == 2
         assert f"{cfg}: {section}.{key} is not a {section} setting" in capsys.readouterr().err
         assert not (tmp_path / "train.out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", "x"), ("lam", True), ("ratio_start", "0.5"), ("assoc.max_gap", None),
+         ("keyframe.sigma", "100"), ("consensus.tau_sem", False), ("seed", "0")],
+    )
+    def test_non_number_setting_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        # a bare key is a train key, except the top-level seed
+        section, _, key = key.rpartition(".")
+        section = section or ("" if key == "seed" else "train")
+        name = f"{section}.{key}" if section else key
+        cfg = write_config(tmp_path, TINY_CONFIG | ({section: {key: value}} if section else {key: value}))
+        assert main(stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]) == 2
+        assert f"{cfg}: {name} must be a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "train.out").exists()
+
+    @pytest.mark.parametrize("tau_sem", [2, 1.0, 0, -0.5])
+    def test_tau_sem_outside_unit_interval_exits_two_before_any_stage(self, tmp_path, capsys, tau_sem):
+        cfg = write_config(tmp_path, TINY_CONFIG | {"consensus": {"tau_sem": tau_sem}})
+        out = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}: consensus.tau_sem must be in (0, 1), got {tau_sem!r}" in capsys.readouterr().err
+        assert not (out / "tracks.jsonl").exists()
+        assert not (out / "dataset").exists()
+
+    @pytest.mark.parametrize("values, bad", [("nan,0.8", "nan"), ("0.8,1.5", "1.5"), ("0.8,-0.1", "-0.1")])
+    def test_sweep_tau_sem_outside_unit_interval_exits_one(self, run_dir, tmp_path, capsys, values, bad):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                "--tracks", str(run_dir / "tracks.jsonl"), "--ground-truth", str(run_dir / "ground_truth.json"),
+                "--param", "tau_sem", "--values", values, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"tau_sem must be in (0, 1), got {bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["asoc", "tau_sem", "long_only"])
     def test_unknown_top_level_key_exits_two(self, run_dir, tmp_path, capsys, key):

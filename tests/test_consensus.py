@@ -68,6 +68,14 @@ class TestClusterSynonyms:
         low = cluster_synonyms(["a", "b"], e, 0.75)
         assert len(low.canonical) == 1
 
+    def test_pair_at_the_cutoff_merges(self):
+        # cos = 0.5 exactly: the pair's distance equals the cutoff at tau 0.5
+        e = embed(["a", "b"], [[1, 0], [0.5, np.sqrt(0.75)]])
+        lowest = cluster_synonyms(["a", "b"], e, 0.3)
+        for at_cutoff in (cluster_synonyms(["a", "b"], e, 0.5), lowest.at(0.5)):
+            assert len(at_cutoff.canonical) == 1
+        assert len(lowest.at(float(np.nextafter(0.5, 1.0))).canonical) == 2
+
     def test_shortest_surface_form(self):
         e = embed(["coffee machine", "coffee maker"], [[1, 0], [1, 0]])
         c = cluster_synonyms(["coffee machine", "coffee maker"], e, 0.85)
@@ -80,6 +88,9 @@ class TestClusterSynonyms:
         e = embed(["a"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="tau_sem"):
             cluster_synonyms(["a"], e, 1.0)
+        for tau in (1.0, float("nan"), 0.0):
+            with pytest.raises(ValueError, match=r"tau_sem must be in \(0, 1\)"):
+                cluster_synonyms(["a"], e, 0.1).at(tau)
 
     def test_missing_embedding(self):
         with pytest.raises(SchemaError, match="missing"):
@@ -91,12 +102,16 @@ class TestClusterSynonyms:
             cluster_synonyms(["a", "a"], e, 0.85)
 
     def test_matches_bruteforce_oracle(self):
+        # each case is one label set and its taus, lowest first; every tau is
+        # checked both clustered directly and cut (``at``) from the clustering
+        # built at the lowest
         rng = np.random.default_rng(2024)
         cases = []
         for _ in range(100):
             n = int(rng.integers(2, 13))
             vecs = random_unit_vectors(rng, n, 6)
-            cases.append((vecs, float(rng.uniform(0.05, 0.95))))
+            tau = float(rng.uniform(0.05, 0.95))
+            cases.append((vecs, (tau, (1 + tau) / 2)))
         # Lattice vectors (+-e_i and (e_i + e_j)/sqrt(2) in 4-D) make many
         # distances tie exactly, so the merge tie-break decides. tau 0.70/0.71
         # puts the cutoff 1 - tau either side of the lattice distance
@@ -107,21 +122,25 @@ class TestClusterSynonyms:
         for _ in range(40):
             n = int(rng.integers(2, 31))
             vecs = [lattice[k] for k in rng.integers(0, len(lattice), size=n)]
-            for tau in (0.29, 0.3, 0.7, 0.71):
-                cases.append((vecs, tau))
-        cases.append(([], 0.85))
-        for vecs, tau in cases:
+            cases.append((vecs, (0.29, 0.3, 0.7, 0.71)))
+        cases.append(([], (0.85,)))
+        for vecs, taus in cases:
             labels = [f"label{k}" for k in range(len(vecs))]
             embs = embed(labels, vecs)
-            got = cluster_synonyms(labels, embs, tau)
-            partition = {}
-            for lab, idx in got.assignment.items():
-                partition.setdefault(idx, set()).add(lab)
-            got_partition = frozenset(frozenset(v) for v in partition.values())
-            got_canonical = {lab: got.canonical[idx] for lab, idx in got.assignment.items()}
-            want_partition, want_canonical = oracle_cluster(labels, embs, tau)
-            assert got_partition == want_partition
-            assert got_canonical == want_canonical
+            lowest = cluster_synonyms(labels, embs, taus[0])
+            for tau in taus:
+                want_partition, want_canonical = oracle_cluster(labels, embs, tau)
+                for got in (cluster_synonyms(labels, embs, tau), lowest.at(tau)):
+                    partition = {}
+                    for lab, idx in got.assignment.items():
+                        partition.setdefault(idx, set()).add(lab)
+                    got_partition = frozenset(frozenset(v) for v in partition.values())
+                    got_canonical = {lab: got.canonical[idx] for lab, idx in got.assignment.items()}
+                    assert got_partition == want_partition
+                    assert got_canonical == want_canonical
+            # the agglomeration stopped before the merges a lower tau would need
+            with pytest.raises(ValueError, match="below"):
+                lowest.at(float(np.nextafter(taus[0], 0.0)))
         assert (got.assignment, got.canonical) == ({}, {})  # the last case has no labels
 
     def test_monotone_cluster_count_in_threshold(self):
