@@ -7,9 +7,9 @@ import argparse
 import sys
 
 import trackfuse as tf
-from trackfuse.field import field_from_ground_truth, render_grids
+from trackfuse.field import field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import category_grids, iou_tables, match_tracks_to_objects, miou, object_grids
+from trackfuse.metrics import eval_miou, iou_tables
 
 
 def main() -> int:
@@ -36,28 +36,13 @@ def main() -> int:
     def fresh_field():
         return field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
 
-    # ground-truth grids and the track -> object matching do not depend on the model
-    categories = sorted({o.identity for o in gt.objects})
-    grids = object_grids(gt, eval_views)
-    short_gts = category_grids(gt, grids)
-    track_to_obj = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
-    grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
-    long_gts = {
-        f"{desc.track_id}:{text}": grids_by_id[track_to_obj[desc.track_id]]
-        for desc in descriptions
-        for text, _ in desc.referrals
-    }
-
-    long_names = [f"{desc.track_id}:{text}" for desc in descriptions for text, _ in desc.referrals]
-    queries = [ds.embedding(c) for c in categories]
-    queries += [vec for desc in descriptions for _, vec in desc.referrals]
+    # the track -> object matching does not depend on the model
+    tables = iou_tables(ds, gt)
 
     def evaluate(field_):
-        # eval's path: all queries of a view in one render
-        preds = render_grids(field_, eval_views, queries)
-        _, short = miou(dict(zip(categories, preds)), short_gts)
-        _, long_ = miou(dict(zip(long_names, preds[len(categories):])), long_gts)
-        return short, long_
+        # eval's path: all queries of a view in one render, scored as it renders
+        scores = eval_miou(field_, ds, gt, result.records, tables, eval_views, descriptions)
+        return scores["miou_short"], scores["miou_long"]
 
     hybrid, _ = tf.train(fresh_field(), ds, result.records, descriptions, tcfg)
     referral_only, _ = tf.train(

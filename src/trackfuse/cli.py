@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -41,21 +41,17 @@ from .field import (
     TrainConfig,
     field_from_ground_truth,
     load_field,
-    render_grids,
     save_field,
     save_loss_curve,
     train,
 )
 from .keyframes import ExternalDescriptions, member_areas, run_keyframes, select_keyframe
 from .metrics import (
-    category_grids,
     consensus_accuracy,
     emit_report,
+    eval_miou,
     iou_tables,
     match_detections_to_objects,
-    match_tracks_to_objects,
-    miou,
-    object_grids,
 )
 from .records import (
     config_hash,
@@ -119,8 +115,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # TrainConfig fields that the train section may set, with their types
-_TRAIN_KEYS = {"lam": float, "tau": float, "epochs": int, "feature_lr": float, "ratio_start": float,
-               "ratio_factor": float, "ratio_interval": int}
+_TRAIN_KEYS = {key: kind for key, kind in get_type_hints(TrainConfig).items() if kind in (int, float)}
 
 # the keys each config section may set
 _SECTION_KEYS = {section: set(keys) for section, keys in DEFAULT_CONFIG.items() if section != "seed"}
@@ -136,14 +131,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# "section.key" settings that take a number: a string or a bool would fail only when its stage runs
+# "section.key" settings that take a number, with its type: a string or a bool would fail
+# only when its stage runs, and a fraction for an int would be truncated there
 _NUMBER_KEYS = {
-    f"{section}.{key}"
+    f"{section}.{key}": type(default)
     for section, keys in DEFAULT_CONFIG.items()
     if isinstance(keys, dict)
     for key, default in keys.items()
     if _is_number(default)
-} | {f"train.{key}" for key in _TRAIN_KEYS}
+} | {f"train.{key}": kind for key, kind in _TRAIN_KEYS.items()}
+
+
+def _check_number(name: str, value, kind: type) -> None:
+    if not _is_number(value):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_section(section: str, value, keys) -> None:
@@ -154,8 +157,9 @@ def _check_section(section: str, value, keys) -> None:
             raise SchemaError(f"{section}.{key} is not a {section} setting")
         if key in _BOOL_KEYS and not isinstance(item, bool):
             raise SchemaError(f"{section}.{key} must be true or false, got {item!r}")
-        if f"{section}.{key}" in _NUMBER_KEYS and not _is_number(item):
-            raise SchemaError(f"{section}.{key} must be a number, got {item!r}")
+        name = f"{section}.{key}"
+        if name in _NUMBER_KEYS:
+            _check_number(name, item, _NUMBER_KEYS[name])
     if section == "consensus" and "tau_sem" in value and not 0 < value["tau_sem"] < 1:
         raise SchemaError(f"consensus.tau_sem must be in (0, 1), got {value['tau_sem']!r}")
 
@@ -171,8 +175,8 @@ def load_config(path: str | None) -> dict:
                     raise SchemaError(f"{key} is not a config section or a synth setting")
                 if key == "noise":  # a bare SynthConfig document's noise
                     _check_section("noise", value, NoiseSpec.__dataclass_fields__)
-                if key == "seed" and not _is_number(value):
-                    raise SchemaError(f"seed must be a number, got {value!r}")
+                if key == "seed":
+                    _check_number("seed", value, int)
                 cfg[key] = value
                 continue
             _check_section(key, value, _SECTION_KEYS[key])
@@ -348,37 +352,10 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
         eval_views = _views(cfg, "eval", ds.n_views)
         views = eval_views if eval_views is not None else trajectories_views
         if gt is not None and views:
-            # one query matrix: the categories, then the referrals of matched tracks
-            categories = sorted({o.identity for o in gt.objects})
-            queries = [ds.embedding(c) for c in categories]
-            grids = object_grids(gt, views)
-            long_gts: dict[str, dict[int, np.ndarray]] = {}
-            long_names: list[str] = []
+            descriptions = None
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-                track_to_obj = match_tracks_to_objects(records, gt, tables)
-                grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
-                for desc in sorted(descriptions, key=lambda d: d.track_id):
-                    if desc.track_id not in track_to_obj:
-                        continue
-                    target = grids_by_id[track_to_obj[desc.track_id]]
-                    for text, vec in desc.referrals:
-                        query = f"{desc.track_id}:{text}"
-                        queries.append(vec)
-                        long_names.append(query)
-                        long_gts[query] = target
-            preds = render_grids(field_, views, queries)
-
-            short_preds = dict(zip(categories, preds))
-            per_short, miou_short = miou(short_preds, category_grids(gt, grids))
-            metrics["miou_short"] = miou_short
-            metrics["miou_short_per_query"] = per_short
-            # a repeated query name keeps its last referral's grids
-            long_preds = dict(zip(long_names, preds[len(categories):]))
-            if long_preds:
-                per_long, miou_long = miou(long_preds, long_gts)
-                metrics["miou_long"] = miou_long
-                metrics["miou_long_per_query"] = per_long
+            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions))
 
     emit_report(metrics, cfg, {"seed": seed}, paths["report"])
     return paths["report"]

@@ -108,11 +108,19 @@ class ToyReferringField:
         return out
 
 
-def render_logits(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid grid: (h, w) for a (dim,) query, (Q, h, w) for a (Q, dim) matrix."""
+def render_logits(
+    field_: ToyReferringField, view: int, query: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pre-sigmoid grid: (h, w) for a (dim,) query, (Q, h, w) for a (Q, dim) matrix.
+
+    ``out``, if given, receives the product: an (h*w,) or (Q, h*w) float64
+    array, which the returned grids then view. A caller that renders view
+    after view can reuse one, so that no large block is freed and mapped
+    again per view.
+    """
     query = np.asarray(query)
     scores = field_.features @ query.T  # (G,) or (G, Q)
-    logits = scores.T @ field_.weights(view)
+    logits = np.matmul(scores.T, field_.weights(view), out=out)
     return logits.reshape(query.shape[:-1] + (field_.height, field_.width))
 
 
@@ -137,20 +145,6 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
     out = logits > 0.0
     band = out & (logits < 1e-15)
     out[band] = 1.0 / (1.0 + np.exp(-logits[band])) > 0.5
-    return out
-
-
-def render_grids(
-    field_: ToyReferringField, views: list[int], queries: list[np.ndarray]
-) -> list[dict[int, np.ndarray]]:
-    """Per query row, its binary mask at each of ``views``; one render per view for all rows."""
-    out: list[dict[int, np.ndarray]] = [{} for _ in queries]
-    if not out:
-        return out
-    mat = np.stack(queries)
-    for view in views:
-        for per_view, grid in zip(out, binarize_logits(render_logits(field_, view, mat))):
-            per_view[view] = grid
     return out
 
 

@@ -1,4 +1,14 @@
-"""Evaluation: query-averaged mIoU, consensus accuracy, report emission."""
+"""Evaluation: query-averaged mIoU, consensus accuracy, report emission.
+
+Eval scores each view as it renders: ``eval_queries`` builds one query
+matrix with a target per row, and ``iou_by_view`` renders all rows of a
+view at once and keeps one IoU per (query, view) in a (Q, V) table, so no
+mask grid lives longer than its view. ``query_means`` reduces the table:
+each query's ``np.mean`` over its views in ascending view order, then the
+``np.mean`` of those values in sorted query-name order. ``miou`` is the
+grid-by-grid reference; it scores dicts of grids and reduces through the
+same ``query_means``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +18,8 @@ import numpy as np
 
 from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
-from .records import SceneDataset, config_hash, write_json
+from .field import ToyReferringField, binarize_logits, render_logits
+from .records import DescriptionSet, SceneDataset, config_hash, write_json
 from .rle import iou_table, rle_decode
 from .synth import GroundTruth
 
@@ -33,18 +44,33 @@ def iou_grids(pred: np.ndarray, gt: np.ndarray) -> float:
     return int(np.count_nonzero(pred & gt)) / union
 
 
+def query_means(names: list[str], rows) -> tuple[dict[str, float], float]:
+    """Per-query mean IoU, then the mean across queries: the one reduction rule.
+
+    ``rows[i]`` holds query ``names[i]``'s IoUs over its views in ascending
+    view order; a repeated name keeps its last row. Each query's value is
+    ``np.mean`` of its row, and the overall value is ``np.mean`` of those
+    values in sorted name order; no queries give ``({}, nan)``.
+    """
+    last = dict(zip(names, rows))
+    if not last:
+        return {}, float("nan")
+    per_query = {name: float(np.mean(last[name])) for name in sorted(last)}
+    return per_query, float(np.mean(list(per_query.values())))
+
+
 def miou(
     preds: dict[str, dict[int, np.ndarray]],
     gts: dict[str, dict[int, np.ndarray]],
 ) -> tuple[dict[str, float], float]:
     """Per-query mean IoU over its views, then the mean across queries.
 
-    Predictions may be probability grids (binarized at 0.5) or boolean
-    grids. Invariant to query and view ordering.
+    The grid-by-grid reference of the eval path (``eval_queries`` and
+    ``iou_by_view``), reduced through the same ``query_means``. Predictions
+    may be probability grids (binarized at 0.5) or boolean grids. Invariant
+    to query and view ordering.
     """
-    if not preds:
-        return {}, float("nan")
-    per_query: dict[str, float] = {}
+    names, rows = [], []
     for query in sorted(preds):
         if query not in gts:
             raise SchemaError(f"missing ground truth for query {query!r}")
@@ -56,23 +82,104 @@ def miou(
             if view not in gts[query]:
                 raise SchemaError(f"missing ground truth for query {query!r} view {view}")
             vals.append(iou_grids(preds[query][view], gts[query][view]))
-        per_query[query] = float(np.mean(vals))
-    overall = float(np.mean([per_query[q] for q in sorted(per_query)]))
-    return per_query, overall
+        names.append(query)
+        rows.append(vals)
+    return query_means(names, rows)
 
 
-def object_grids(gt: GroundTruth, views) -> list[dict[int, np.ndarray]]:
-    """Each ground-truth object's decoded mask per view of ``views``, in ``gt.objects`` order."""
-    return [{v: rle_decode(obj.masks[v]) for v in views} for obj in gt.objects]
+def eval_queries(
+    ds: SceneDataset,
+    gt: GroundTruth,
+    records: list[ConsensusRecord],
+    tables: list[np.ndarray],
+    descriptions: list[DescriptionSet] | None = None,
+) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Eval's queries: ``(short names, long names, (Q, dim) matrix, (Q,) targets)``.
+
+    The rows are the categories in sorted order (the short queries), then,
+    by ascending track id, the referrals of each described track that
+    ``match_tracks_to_objects`` matches (the long queries, named
+    ``"<track>:<text>"``); without ``descriptions`` there are none. A row's
+    target indexes ``view_targets``: category c is target c, and object k
+    of ``gt.objects`` is target ``len(categories) + k``.
+    """
+    categories = sorted({o.identity for o in gt.objects})
+    rows = [ds.embedding(c) for c in categories]
+    targets = list(range(len(categories)))
+    long_names: list[str] = []
+    if descriptions is not None:
+        track_to_obj = match_tracks_to_objects(records, gt, tables)
+        position = {o.object_id: k for k, o in enumerate(gt.objects)}
+        for desc in sorted(descriptions, key=lambda d: d.track_id):
+            if desc.track_id not in track_to_obj:
+                continue
+            target = len(categories) + position[track_to_obj[desc.track_id]]
+            for text, vec in desc.referrals:
+                long_names.append(f"{desc.track_id}:{text}")
+                rows.append(vec)
+                targets.append(target)
+    matrix = np.stack(rows) if rows else np.zeros((0, ds.dim))
+    return categories, long_names, matrix, np.array(targets, dtype=np.intp)
 
 
-def category_grids(gt: GroundTruth, grids: list[dict[int, np.ndarray]]) -> dict[str, dict[int, np.ndarray]]:
-    """Short-query targets: per category, the pixelwise OR of its objects' ``grids``."""
-    out: dict[str, dict[int, np.ndarray]] = {}
-    for obj, per_view in zip(gt.objects, grids):
-        acc = out.setdefault(obj.identity, {})
-        for view, grid in per_view.items():
-            acc[view] = grid if view not in acc else (acc[view] | grid)
+def view_targets(gt: GroundTruth, view: int) -> np.ndarray:
+    """One view's (C + O, h, w) boolean targets: each sorted category's OR of its
+    objects' masks, then each object's mask, in ``gt.objects`` order."""
+    objects = np.stack([rle_decode(obj.masks[view]) for obj in gt.objects])
+    members: dict[str, list[int]] = {}
+    for k, obj in enumerate(gt.objects):
+        members.setdefault(obj.identity, []).append(k)
+    groups = [members[c] for c in sorted(members)]
+    # a category of one object copies its mask; only a shared category takes an OR
+    categories = objects[[g[0] for g in groups]]
+    for row, group in enumerate(groups):
+        for k in group[1:]:
+            categories[row] |= objects[k]
+    return np.concatenate([categories, objects])
+
+
+def iou_by_view(
+    field_: ToyReferringField, gt: GroundTruth, views: list[int], queries: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """The (Q, V) IoU table of each query row against its target at each view.
+
+    Column j is the j-th of ``sorted(set(views))``. Each view renders every
+    row in one product, binarizes it and is scored at once, so no mask
+    outlives its view. A cell is ``inter / union`` of the two pixel counts,
+    or 1.0 when the union is empty, as ``iou_grids`` gives it.
+    """
+    views = sorted(set(views))
+    table = np.zeros((len(queries), len(views)))
+    if not len(queries):
+        return table
+    logits = np.empty((len(queries), field_.height * field_.width))  # one render buffer for every view
+    for col, view in enumerate(views):
+        pred = binarize_logits(render_logits(field_, view, queries, out=logits)).reshape(len(queries), -1)
+        target = view_targets(gt, view).reshape(-1, pred.shape[1])[targets]
+        # uint32 counts every pixel of a grid below 2**32 pixels exactly, at twice the speed of intp
+        inter = (pred & target).sum(axis=1, dtype=np.uint32)
+        union = (pred | target).sum(axis=1, dtype=np.uint32)
+        table[:, col] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+    return table
+
+
+def eval_miou(
+    field_: ToyReferringField,
+    ds: SceneDataset,
+    gt: GroundTruth,
+    records: list[ConsensusRecord],
+    tables: list[np.ndarray],
+    views: list[int],
+    descriptions: list[DescriptionSet] | None = None,
+) -> dict:
+    """The report's mIoU entries: ``miou_short`` with its per-query values, and
+    ``miou_long`` with its per-query values when there are long queries."""
+    short_names, long_names, queries, targets = eval_queries(ds, gt, records, tables, descriptions)
+    table = iou_by_view(field_, gt, views, queries, targets)
+    out: dict = {}
+    out["miou_short_per_query"], out["miou_short"] = query_means(short_names, table[: len(short_names)])
+    if long_names:
+        out["miou_long_per_query"], out["miou_long"] = query_means(long_names, table[len(short_names):])
     return out
 
 

@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 
 from trackfuse.errors import SchemaError
-from trackfuse.field import seg_loss
-from trackfuse.metrics import category_grids, object_grids
+from trackfuse.field import binarize_logits, render_logits, seg_loss
+from trackfuse.metrics import miou
 from trackfuse.rle import mask_iou, rle_decode
 
 
@@ -194,6 +194,70 @@ def oracle_view_batch(ds, records, descriptions, view, include_category=True):
                 pool_keys.append(k)
                 pool_rows.append(v)
     return entries, (np.stack(pool_rows) if entries else None)
+
+
+def render_grids(field_, views, queries):
+    """Per query row, its binary mask at each of ``views``; one render per view for all rows.
+
+    With ``object_grids``, ``category_grids`` and ``metrics.miou``, the grid-by-grid
+    reference of ``metrics.iou_by_view``: every (query, view) grid is kept.
+    """
+    out = [{} for _ in queries]
+    if not out:
+        return out
+    mat = np.stack(queries)
+    for view in views:
+        for per_view, grid in zip(out, binarize_logits(render_logits(field_, view, mat))):
+            per_view[view] = grid
+    return out
+
+
+def object_grids(gt, views):
+    """Each ground-truth object's decoded mask per view of ``views``, in ``gt.objects`` order."""
+    return [{v: rle_decode(obj.masks[v]) for v in views} for obj in gt.objects]
+
+
+def category_grids(gt, grids):
+    """Short-query targets: per category, the pixelwise OR of its objects' ``grids``."""
+    out = {}
+    for obj, per_view in zip(gt.objects, grids):
+        acc = out.setdefault(obj.identity, {})
+        for view, grid in per_view.items():
+            acc[view] = grid if view not in acc else (acc[view] | grid)
+    return out
+
+
+def oracle_eval_miou(field_, ds, gt, records, views, descriptions=None):
+    """Eval's mIoU entries from every (query, view) grid, kept until ``miou`` scores them.
+
+    The queries are the sorted categories, each against the OR of its
+    objects, then the referrals of every described track (by ascending
+    track id) that ``oracle_match_tracks`` matches, each against its
+    track's object; a repeated "<track>:<text>" name keeps its last
+    referral's grids.
+    """
+    categories = sorted({o.identity for o in gt.objects})
+    grids = object_grids(gt, views)
+    queries = [ds.embedding(c) for c in categories]
+    long_names, long_gts = [], {}
+    if descriptions is not None:
+        track_to_obj = oracle_match_tracks(ds, records, gt)
+        grids_by_id = {o.object_id: g for o, g in zip(gt.objects, grids)}
+        for desc in sorted(descriptions, key=lambda d: d.track_id):
+            if desc.track_id not in track_to_obj:
+                continue
+            for text, vec in desc.referrals:
+                name = f"{desc.track_id}:{text}"
+                queries.append(vec)
+                long_names.append(name)
+                long_gts[name] = grids_by_id[track_to_obj[desc.track_id]]
+    preds = render_grids(field_, views, queries)
+    out = {}
+    out["miou_short_per_query"], out["miou_short"] = miou(dict(zip(categories, preds)), category_grids(gt, grids))
+    long_preds = dict(zip(long_names, preds[len(categories):]))
+    if long_preds:
+        out["miou_long_per_query"], out["miou_long"] = miou(long_preds, long_gts)
+    return out
 
 
 def short_query_union(gt, category, view):

@@ -1,18 +1,22 @@
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from trackfuse import consensus
-from trackfuse.cli import load_config, main, run_pipeline
-from trackfuse.consensus import propagate, run_consensus
+from trackfuse.cli import _train_config, load_config, main, run_pipeline
+from trackfuse.consensus import load_consensus, propagate, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
-from trackfuse.records import dumps, load_dataset, read_json
+from trackfuse.field import load_field
+from trackfuse.records import dumps, load_dataset, load_descriptions, read_json
 from trackfuse.synth import load_ground_truth
 from trackfuse.tracking import load_tracks
+
+from oracles import oracle_eval_miou
 
 DATA = Path(__file__).parent / "data"
 
@@ -636,6 +640,27 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "key, value",
+        [("epochs", 1.5), ("ratio_interval", 2.7), ("gaussians_per_object", 2.5), ("assoc.max_gap", 1.5),
+         ("epochs", 2.0), ("seed", 1.5)],
+    )
+    def test_fractional_integer_setting_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        # an integer setting would otherwise be truncated by int(...) when its stage runs
+        section, _, key = key.rpartition(".")
+        section = section or ("" if key == "seed" else "train")
+        name = f"{section}.{key}" if section else key
+        cfg = write_config(tmp_path, TINY_CONFIG | ({section: {key: value}} if section else {key: value}))
+        assert main(stage_argv(run_dir, "train", tmp_path) + ["--config", cfg]) == 2
+        assert f"{cfg}: {name} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "train.out").exists()
+
+    def test_integer_train_keys_follow_train_config_types(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"train": {"epochs": 3, "ratio_interval": 7, "lam": 1}}))
+        tcfg = _train_config(cfg, n_views=3)
+        assert (tcfg.epochs, tcfg.ratio_interval, tcfg.lam) == (3, 7, 1.0)
+        assert type(tcfg.lam) is float
+
+    @pytest.mark.parametrize(
+        "key, value",
         [("epochs", "x"), ("lam", True), ("ratio_start", "0.5"), ("assoc.max_gap", None),
          ("keyframe.sigma", "100"), ("consensus.tau_sem", False), ("seed", "0")],
     )
@@ -759,6 +784,78 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{key}.views: {bad} is not a view of the dataset, which has 3 views" in err
         assert not out.exists()
+
+
+def eval_argv(run, out, *extra):
+    return ["eval", "--manifest", str(run / "dataset" / "manifest.json"), "--consensus", str(run / "consensus.jsonl"),
+            "--model", str(run / "model.json"), "--ground-truth", str(run / "ground_truth.json"),
+            *extra, "--out", str(out)]
+
+
+class TestEvalScores:
+    """The report's mIoU entries against every (query, view) grid kept and scored by ``miou``."""
+
+    @staticmethod
+    def oracle(run, views, with_descriptions):
+        ds = load_dataset(run / "dataset" / "manifest.json")
+        records = load_consensus(run / "consensus.jsonl", ds)
+        propagate(ds, records)
+        descriptions = load_descriptions(run / "descriptions.jsonl", dim=ds.dim) if with_descriptions else None
+        return oracle_eval_miou(load_field(run / "model.json", ds), ds, load_ground_truth(run / "ground_truth.json"),
+                                records, views, descriptions)
+
+    @pytest.mark.parametrize("with_descriptions", [True, False])
+    def test_report_equals_grid_oracle(self, run_dir, tmp_path, with_descriptions):
+        extra = ["--descriptions", str(run_dir / "descriptions.jsonl")] if with_descriptions else []
+        assert main(eval_argv(run_dir, tmp_path / "report.json", *extra)) == 0
+        metrics = read_json(tmp_path / "report.json")["metrics"]
+        want = self.oracle(run_dir, [0, 1, 2], with_descriptions)
+        # the report's floats are repr round trips, so == is bit for bit
+        assert {k: metrics[k] for k in metrics if k.startswith("miou")} == want
+        assert ("miou_long" in metrics) == with_descriptions
+
+    def test_repeated_unsorted_views_give_the_sorted_report(self, run_dir, tmp_path):
+        reports = []
+        for views in ([2, 0, 0], [0, 2]):
+            cfg = write_config(tmp_path, TINY_CONFIG | {"eval": {"views": views}})
+            out = tmp_path / f"report{len(views)}.json"
+            assert main(eval_argv(run_dir, out, "--descriptions", str(run_dir / "descriptions.jsonl"),
+                                  "--config", cfg)) == 0
+            reports.append(read_json(out)["metrics"])
+        assert reports[0] == reports[1]
+        assert {k: v for k, v in reports[0].items() if k.startswith("miou")} == self.oracle(run_dir, [0, 2], True)
+
+
+FRAGMENTED_CONFIG = {
+    "seed": 0,
+    "synth": {"n_views": 48, "n_objects": 4, "height": 32, "width": 32,
+              "noise": {"dropout_rate": 0.5, "mask_jitter": 1, "strip_track_ids": True}},
+    "assoc": {"mode": "greedy", "max_gap": 0},
+    "train": {"epochs": 1},
+}
+
+
+def test_eval_peak_memory_stays_below_one_grid_per_query_and_view(tmp_path):
+    # dropout splits each object into many tracks, so there are many referral queries
+    cfg = write_config(tmp_path, FRAGMENTED_CONFIG)
+    run = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(run)]) == 0
+    ds = load_dataset(run / "dataset" / "manifest.json")
+    categories = {o.identity for o in load_ground_truth(run / "ground_truth.json").objects}
+    referrals = sum(len(d.referrals) for d in load_descriptions(run / "descriptions.jsonl"))
+    views = {v for rec in load_consensus(run / "consensus.jsonl", ds) for v, _ in rec.members}
+    grids_bytes = (len(categories) + referrals) * len(views) * ds.height * ds.width
+    assert referrals > 50 and len(views) > 40
+    argv = eval_argv(run, tmp_path / "report.json", "--descriptions", str(run / "descriptions.jsonl"),
+                     "--config", cfg)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what one bool grid per (query, view) alone would take; each view's masks are scored as it renders
+    assert peak < grids_bytes
 
 
 class TestResume:

@@ -12,6 +12,7 @@ from oracles import (
     oracle_select_inside,
     oracle_view_batch,
     oracle_weights,
+    render_grids,
 )
 
 import trackfuse as tf
@@ -24,7 +25,6 @@ from trackfuse.field import (
     contrastive_loss,
     field_from_ground_truth,
     load_field,
-    render_grids,
     render_logits,
     render_mask,
     save_field,
@@ -505,6 +505,20 @@ class TestBatchedOracles:
                 # error bound of a reordered float64 sum: relative to the sum of |terms|
                 scale = ((feats @ np.abs(q)) @ oracle_weights(field, view)).reshape(logits.shape)
                 assert np.all(np.abs(logits - oracle_render_logits(field, view, q)) <= 1e-12 * scale)
+
+    def test_logits_into_a_reused_buffer_are_the_same_bits(self, clean_scene):
+        ds, gt, _ = clean_scene
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        rng = np.random.default_rng(2)
+        field.features = rng.standard_normal(field.features.shape)
+        queries = rng.standard_normal((3, ds.dim))
+        out = np.empty((3, ds.height * ds.width))
+        for view in (1, 0, 1):
+            got = render_logits(field, view, queries, out=out)
+            assert np.shares_memory(got, out)
+            assert got.tobytes() == render_logits(field, view, queries).tobytes()
+        single = np.empty(ds.height * ds.width)
+        assert render_logits(field, 0, queries[0], out=single).tobytes() == render_logits(field, 0, queries[0]).tobytes()
 
     @given(fields(), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

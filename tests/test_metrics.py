@@ -1,24 +1,41 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trackfuse as tf
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import (
     consensus_accuracy,
     emit_report,
+    eval_miou,
+    eval_queries,
+    iou_by_view,
     iou_grids,
     iou_tables,
     match_detections_to_objects,
     match_tracks_to_objects,
     miou,
+    query_means,
 )
 from trackfuse.consensus import ConsensusRecord
-from trackfuse.records import Detection, SceneDataset, config_hash, read_json
+from trackfuse.field import ToyGaussian, ToyReferringField, field_from_ground_truth
+from trackfuse.keyframes import run_keyframes
+from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json
 from trackfuse.synth import GroundTruth, GtObject
 
-from oracles import oracle_match_detections, oracle_match_tracks, short_query_union
+from oracles import (
+    category_grids,
+    object_grids,
+    oracle_eval_miou,
+    oracle_match_detections,
+    oracle_match_tracks,
+    render_grids,
+    short_query_union,
+)
 
 
 def grids(*rows_list):
@@ -260,3 +277,110 @@ class TestIouGrids:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             iou_grids(np.zeros((1, 2)), np.zeros((2, 1)))
+
+
+@pytest.fixture(scope="module")
+def fragmented_scene():
+    """Half the detections dropped and no gap allowed: each object splits into short tracks."""
+    noise = tf.NoiseSpec(dropout_rate=0.5, mask_jitter=1, strip_track_ids=True)
+    cfg = tf.SynthConfig(n_views=8, height=32, width=32, n_objects=3, seed=5, noise=noise)
+    ds, gt = tf.generate_scene(cfg)
+    ds = tf.corrupt(ds, gt, cfg)
+    records = tf.run_consensus(ds, tf.associate_greedy(ds, tf.AssocParams(max_gap=0))).records
+    tf.propagate(ds, records)
+    descriptions = run_keyframes(ds, records)
+    # two objects of one category: that short query's target is the OR of both masks
+    gt.objects[1].identity = gt.objects[0].identity
+    return ds, gt, records, descriptions
+
+
+def bits(metrics):
+    """Every float of a metrics dict as its exact hex form."""
+    return {k: ({q: v.hex() for q, v in val.items()} if isinstance(val, dict) else val.hex())
+            for k, val in metrics.items()}
+
+
+class TestEvalScoring:
+    """Eval's per-view scoring against every (query, view) grid kept and scored by ``miou``."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        views=st.lists(st.integers(0, 7), min_size=1, max_size=10),
+        with_descriptions=st.booleans(),
+        drop_record=st.booleans(),
+        repeat_name=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_equals_grid_oracle_bit_for_bit(
+        self, fragmented_scene, seed, views, with_descriptions, drop_record, repeat_name
+    ):
+        ds, gt, records, descriptions = fragmented_scene
+        rng = np.random.default_rng(seed)
+        field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim, spread=3.0)
+        field_.features = rng.standard_normal(field_.features.shape)
+        if drop_record:
+            # the dropped track's description matches no object, so it gives no query
+            records = records[1:]
+        if repeat_name:
+            # the same "<track>:<text>" name twice: the last referral's scores win
+            first = descriptions[0]
+            text, _ = first.referrals[0]
+            descriptions = [DescriptionSet(first.track_id, first.category,
+                                           [*first.referrals, (text, rng.standard_normal(ds.dim))]),
+                            *descriptions[1:]]
+        descriptions = descriptions if with_descriptions else None
+        got = eval_miou(field_, ds, gt, records, iou_tables(ds, gt), views, descriptions)
+        want = oracle_eval_miou(field_, ds, gt, records, views, descriptions)
+        assert bits(got) == bits(want)
+        assert ("miou_long" in got) == with_descriptions
+
+    def test_rows_are_categories_then_matched_referrals(self, fragmented_scene):
+        ds, gt, records, descriptions = fragmented_scene
+        short, long_, queries, targets = eval_queries(ds, gt, records[1:], iou_tables(ds, gt), descriptions)
+        categories = sorted({o.identity for o in gt.objects})
+        assert short == categories
+        kept = [d for d in sorted(descriptions, key=lambda d: d.track_id) if d.track_id != records[0].track_id]
+        assert long_ == [f"{d.track_id}:{text}" for d in kept for text, _ in d.referrals]
+        assert np.array_equal(queries, np.stack([ds.embedding(c) for c in categories]
+                                                + [vec for d in kept for _, vec in d.referrals]))
+        assert targets[: len(short)].tolist() == list(range(len(short)))
+        assert all(len(short) <= t < len(short) + len(gt.objects) for t in targets[len(short):].tolist())
+
+    def test_empty_prediction_and_target_score_one(self):
+        blob = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
+        empty = [[0, 0, 0]] * 3
+        _, gt = hand_scene([[], []], [(0, [blob, empty])])
+        # one Gaussian, seen only in view 0: nothing renders in view 1
+        field_ = ToyReferringField(3, 3, 1.0, 2, [ToyGaussian(0, 0, np.array([[0.5, 0.5], [np.nan, np.nan]]))],
+                                   np.array([[1.0, 0.0]]))
+        queries = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        table = iou_by_view(field_, gt, [1, 0], queries, np.array([0, 1]))
+        assert table[:, 1].tolist() == [1.0, 1.0]
+        preds = render_grids(field_, [0, 1], list(queries))
+        short = category_grids(gt, object_grids(gt, [0, 1]))["c0"]
+        assert query_means(["a", "b"], table) == miou({"a": preds[0], "b": preds[1]}, {"a": short, "b": short})
+
+    def test_no_queries_render_nothing(self):
+        _, gt = hand_scene([[]], [(0, [[[1]]])])
+        field_ = ToyReferringField(1, 1, 1.0, 2, [ToyGaussian(0, 0, np.array([[0.0, 0.0]]))], np.ones((1, 2)))
+        assert iou_by_view(field_, gt, [0], np.zeros((0, 2)), np.zeros(0, dtype=np.intp)).shape == (0, 1)
+        assert field_._buffer is None
+
+
+class TestQueryMeans:
+    def test_repeated_name_keeps_last_row(self):
+        per_query, overall = query_means(["b", "a", "b"], np.array([[0.0, 0.0], [1.0, 0.5], [1.0, 1.0]]))
+        assert per_query == {"a": 0.75, "b": 1.0}
+        assert list(per_query) == ["a", "b"]
+        assert overall == 0.875
+
+    def test_no_queries(self):
+        per_query, overall = query_means([], np.zeros((0, 3)))
+        assert per_query == {} and math.isnan(overall)
+
+    def test_miou_reduces_through_query_means(self):
+        rng = np.random.default_rng(4)
+        preds = {q: {v: rng.random((3, 3)) for v in (2, 0, 1)} for q in ("c", "a", "b")}
+        gts = {q: {v: rng.random((3, 3)) > 0.5 for v in range(3)} for q in preds}
+        rows = [[iou_grids(preds[q][v], gts[q][v]) for v in range(3)] for q in sorted(preds)]
+        assert miou(preds, gts) == query_means(sorted(preds), np.array(rows))

@@ -17,14 +17,15 @@ from trackfuse.field import (
     TrainConfig,
     field_from_ground_truth,
     load_field,
-    render_grids,
     render_logits,
     render_mask,
     save_field,
     train,
 )
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import category_grids, miou, object_grids
+from trackfuse.metrics import miou
+
+from oracles import category_grids, object_grids, render_grids
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"))
 
