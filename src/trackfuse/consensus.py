@@ -16,8 +16,19 @@ without clustering again; a threshold sweep agglomerates once.
 
 Determinism rules, needed so independent reference implementations can be
 compared exactly:
-  - cluster-average distances use exact (fsum) summation, so they do not
-    depend on accumulation order;
+  - a cluster-average distance is the exact sum of its member-pair
+    distances rounded once to a float (the value ``math.fsum`` gives),
+    divided by the pair count, so it does not depend on accumulation
+    order. The sum is kept exactly in integers: every distance
+    d = 1.0 - x is a multiple of 2**-53, since for x in [0.5, 2] the
+    subtraction is exact (Sterbenz) and x is a multiple of its
+    ulp >= 2**-53, and otherwise |d| >= 0.5. So d * 2**53 is an integer,
+    of magnitude at most about 2**54 (|x| <= 1 + 3e-6 for unit vectors),
+    held as hi * 2**26 + lo with 0 <= lo < 2**26 in two int64 matrices,
+    and a merge adds rows in O(1) per pair (Lance & Williams 1967). hi
+    stays below 2**53, where ``hi * 2.0**26 + lo`` rounds once, up to
+    11 585 labels; ``cluster_synonyms`` refuses more than MAX_LABELS
+    (11 000);
   - merge ties pick the pair with the smaller (lowest member index, other
     lowest member index);
   - vote ties pick the identity with the larger summed mask area, then
@@ -27,7 +38,6 @@ compared exactly:
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,19 +49,30 @@ from .rle import mask_area
 
 logger = logging.getLogger(__name__)
 
+# A distance sum is hi * 2**_SPLIT + lo ticks of _TICK, 0 <= lo < 2**_SPLIT.
+_TICK = 2.0**-53
+_SPLIT = 26
+# |hi| is at most about 2**28 per member pair, and two clusters have at most
+# n**2 / 4 member pairs: hi stays below 2**53 up to n = 11 585 labels.
+MAX_LABELS = 11_000
+
 
 def cosine_distance_matrix(embeddings: list[LabelEmbedding]) -> np.ndarray:
-    """Pairwise 1 - cos(e_i, e_j); zero diagonal, exactly symmetric."""
+    """Pairwise 1 - cos(e_i, e_j); zero diagonal, exactly symmetric.
+
+    Row i is one ``vecdot`` of the stacked vectors after i with vector i,
+    which takes the same ``ddot`` as a per-pair ``np.dot``: the same bits.
+    """
     n = len(embeddings)
     dims = {e.vector.shape for e in embeddings}
     if len(dims) > 1:
         raise SchemaError(f"embeddings have mixed dimensions: {sorted(dims)}")
     dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 1.0 - float(np.dot(embeddings[i].vector, embeddings[j].vector))
-            dist[i, j] = d
-            dist[j, i] = d
+    if n:
+        vecs = np.stack([e.vector for e in embeddings])
+        for i in range(n - 1):
+            dist[i, i + 1 :] = 1.0 - np.vecdot(vecs[i + 1 :], vecs[i])
+        dist += dist.T
     return dist
 
 
@@ -142,32 +163,56 @@ def cluster_synonyms(
         raise SchemaError(f"missing embeddings for labels: {missing}")
 
     n = len(labels)
-    dist = cosine_distance_matrix([embeddings[lab] for lab in labels])
+    if n > MAX_LABELS:
+        raise ValueError(f"cluster_synonyms takes at most {MAX_LABELS} labels, got {n}")
+    avg = cosine_distance_matrix([embeddings[lab] for lab in labels])
     cutoff = 1.0 - tau_sem
 
-    # Slot k holds the cluster whose lowest member index is k (empty once
-    # merged away); avg[a, b] for live slots a < b is their cluster-average
-    # distance, every other entry is inf.
-    members = [[k] for k in range(n)]
+    # Each distance is a whole number of ticks (module docstring); the
+    # distance sum of slots a and b is (hi[a, b] * 2**26 + lo[a, b]) ticks,
+    # kept exactly. Slot k holds the cluster whose lowest member index is k;
+    # avg[a, b] is the cluster-average distance of live slots a != b, every
+    # other entry is inf.
+    lo = (avg / _TICK).astype(np.int64)
+    hi = lo >> _SPLIT
+    lo &= (1 << _SPLIT) - 1
+    size = np.ones(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    np.fill_diagonal(avg, np.inf)
+    # Each row's first minimum and its column. The first row holding the
+    # smallest minimum is the lowest slot a of the closest pairs, and its
+    # column the lowest b: the documented merge tie-break.
+    nearest = np.argmin(avg, axis=1) if n else np.zeros(0, dtype=np.intp)
+    row_min = avg[np.arange(n), nearest]
     merges = []
-    avg = dist.copy()
-    avg[np.tril_indices(n)] = np.inf
     for _ in range(n - 1):
-        # argmin returns the first minimum in row-major order: smallest
-        # distance, then smaller low index a, then smaller other low index b
-        # -- exactly the documented merge tie-break.
-        a, b = divmod(int(np.argmin(avg)), n)
-        height = float(avg[a, b])
+        a = int(np.argmin(row_min))
+        b = int(nearest[a])
+        height = float(row_min[a])
         if height > cutoff:
             break
         merges.append((a, b, height))
-        members[a] = sorted(members[a] + members[b])
-        members[b] = []
-        avg[b, :] = avg[:, b] = np.inf
-        for k in range(n):
-            if k != a and members[k]:
-                total = math.fsum(dist[i, j] for i in members[k] for j in members[a])
-                avg[min(k, a), max(k, a)] = total / (len(members[k]) * len(members[a]))
+        hi[a] += hi[b]
+        lo[a] += lo[b]
+        hi[:, a] = hi[a]
+        lo[:, a] = lo[a]
+        size[a] += size[b]
+        live[b] = False
+        row = (hi[a] * 2.0**_SPLIT + lo[a]) * _TICK / (size * size[a])
+        row[~live] = np.inf
+        row[a] = np.inf
+        avg[b] = avg[:, b] = np.inf
+        avg[a] = avg[:, a] = row
+        row_min[b] = np.inf
+        # Only columns a (now the merged cluster) and b (now inf) changed: a
+        # row takes a if it is now its first minimum, and a row whose minimum
+        # was at a or b is searched again, row a among them (its was at b).
+        closer = live & ((row < row_min) | ((row == row_min) & (a < nearest)))
+        nearest[closer] = a
+        row_min[closer] = row[closer]
+        stale = np.flatnonzero(live & ((nearest == a) | (nearest == b)) & ~closer)
+        nearest[stale] = np.argmin(avg[stale], axis=1)
+        row_min[stale] = avg[stale, nearest[stale]]
     return _cut(tuple(labels), tuple(merges), tau_sem, tau_sem)
 
 

@@ -24,14 +24,14 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import SchemaError
-from .rle import RleMask
+from .rle import RleMask, json_int
 
 UNIT_NORM_TOL = 1e-6
 
@@ -167,11 +167,11 @@ class Detection:
     @classmethod
     def from_json(cls, obj: dict) -> "Detection":
         return cls(
-            view=int(obj["view"]),
+            view=json_int(obj["view"], "view"),
             mask=RleMask.from_json(obj["mask"]),
             raw_label=str(obj["label"]),
             confidence=float(obj["conf"]),
-            track_id=int(obj["track"]) if "track" in obj else None,
+            track_id=json_int(obj["track"], "track") if "track" in obj else None,
         )
 
 
@@ -252,15 +252,18 @@ class SceneDataset:
     detections: list[list[Detection]]
     embeddings: dict[str, LabelEmbedding]
     descriptions: list[DescriptionSet] | None = None
+    # True when the caller has run ``_check_detection`` on every detection
+    detections_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, detections_checked: bool) -> None:
         if len(self.detections) != self.n_views:
             raise SchemaError(
                 f"expected {self.n_views} per-view detection lists, got {len(self.detections)}"
             )
-        for per_view in self.detections:
-            for det in per_view:
-                _check_detection(det, self.n_views, self.height, self.width)
+        if not detections_checked:
+            for per_view in self.detections:
+                for det in per_view:
+                    _check_detection(det, self.n_views, self.height, self.width)
         for emb in self.embeddings.values():
             if emb.vector.shape != (self.dim,):
                 raise SchemaError(
@@ -370,6 +373,7 @@ def load_dataset(path: str | Path) -> SceneDataset:
     n_views = int(manifest["n_views"])
     height, width, dim = int(manifest["h"]), int(manifest["w"]), int(manifest["dim"])
 
+    # each detection is checked as its line is parsed, so an error names the line
     detections: list[list[Detection]] = [[] for _ in range(n_views)]
     for det in read_jsonl(
         base / manifest["detections"],
@@ -395,4 +399,5 @@ def load_dataset(path: str | Path) -> SceneDataset:
         detections=detections,
         embeddings=read_json(base / manifest["embeddings"], embeddings),
         descriptions=descriptions,
+        detections_checked=True,
     )

@@ -28,9 +28,9 @@ class RleMask:
             raise SchemaError(f"mask dimensions must be positive, got {self.height}x{self.width}")
         if not self.counts:
             raise SchemaError("mask counts must be non-empty")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise SchemaError(f"mask counts must be nonnegative, got {self.counts}")
-        if any(c == 0 for c in self.counts[1:]):
+        if 0 in self.counts[1:]:
             raise SchemaError("only the leading background run may be 0")
         total = sum(self.counts)
         if total != self.height * self.width:
@@ -44,7 +44,18 @@ class RleMask:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RleMask":
-        return cls(int(obj["h"]), int(obj["w"]), tuple(int(c) for c in obj["counts"]))
+        counts = tuple(obj["counts"])
+        if not set(map(type, counts)) <= {int}:
+            bad = next(c for c in counts if type(c) is not int)
+            raise SchemaError(f"mask counts must be integers, got {bad!r}")
+        return cls(json_int(obj["h"], "mask h"), json_int(obj["w"], "mask w"), counts)
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string is refused, not truncated."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def rle_encode(bitmap) -> RleMask:

@@ -60,6 +60,49 @@ def oracle_cluster(labels, embeddings, tau_sem):
     return partition, canonical
 
 
+def oracle_distances(labels, embeddings):
+    """Per-pair ``1 - float(np.dot)`` cosine distances, as an (n, n) array."""
+    n = len(labels)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = 1.0 - float(np.dot(embeddings[labels[i]].vector, embeddings[labels[j]].vector))
+            dist[i, j] = d
+            dist[j, i] = d
+    return dist
+
+
+def oracle_merges(labels, embeddings, tau_sem):
+    """The merge list of average linkage, each cluster average an fsum over its member pairs.
+
+    Slot k holds the cluster whose lowest member index is k. After every
+    merge each live slot's average with the merged one is summed again from
+    the pair distances; the pick is the first minimum of the upper triangle
+    in row-major order, so ties go to the lower a, then the lower b.
+    """
+    n = len(labels)
+    dist = oracle_distances(labels, embeddings)
+    cutoff = 1.0 - tau_sem
+    members = [[k] for k in range(n)]
+    merges = []
+    avg = dist.copy()
+    avg[np.tril_indices(n)] = np.inf
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(avg)), n)
+        height = float(avg[a, b])
+        if height > cutoff:
+            break
+        merges.append((a, b, height))
+        members[a] = sorted(members[a] + members[b])
+        members[b] = []
+        avg[b, :] = avg[:, b] = np.inf
+        for k in range(n):
+            if k != a and members[k]:
+                total = math.fsum(dist[i, j] for i in members[k] for j in members[a])
+                avg[min(k, a), max(k, a)] = total / (len(members[k]) * len(members[a]))
+    return tuple(merges)
+
+
 def oracle_vote(member_votes):
     """Counter-based majority with the documented tie-breaks."""
     counts = Counter(identity for identity, _ in member_votes)

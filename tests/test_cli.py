@@ -464,6 +464,12 @@ class TestBadInput:
         assert main(stage_argv(run_dir, "consensus", tmp_path)) == 2
         assert f"{Path(name).name}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("view", 1.5), ("view", True), ("track", 2.0)])
+    def test_non_integer_detection_field_exits_two_naming_line(self, run_dir, tmp_path, capsys, key, value):
+        edit_jsonl(run_dir / "dataset" / "detections.jsonl", 3, lambda obj: json.dumps(obj | {key: value}))
+        assert main(stage_argv(run_dir, "consensus", tmp_path)) == 2
+        assert f"detections.jsonl:3: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["keyframe", "run"])
     def test_non_utf8_external_captions_exit_two(self, run_dir, tmp_path, capsys, command):
         external = tmp_path / "captions.jsonl"

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse as tf
+from trackfuse import consensus
 from trackfuse.consensus import (
+    MAX_LABELS,
     SynonymClustering,
     canonical_form,
     cluster_synonyms,
@@ -17,11 +19,34 @@ from trackfuse.consensus import (
 from trackfuse.errors import SchemaError
 from trackfuse.records import LabelEmbedding
 
-from oracles import oracle_cluster, oracle_vote, random_unit_vectors
+from oracles import oracle_cluster, oracle_distances, oracle_merges, oracle_vote, random_unit_vectors
 
 
 def embed(labels, vectors):
     return {lab: LabelEmbedding(lab, np.asarray(v, dtype=float)) for lab, v in zip(labels, vectors)}
+
+
+@st.composite
+def label_sets(draw):
+    """Unit vectors in dims 1-1536 with repeated directions (exact distance ties).
+
+    In some sets each vector's norm moves within the unit-norm tolerance, so
+    two copies of a direction can have a dot above 1 and a negative distance.
+    """
+    n = draw(st.integers(0, 16))
+    dim = draw(st.one_of(st.integers(1, 8), st.integers(9, 1536)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = random_unit_vectors(rng, draw(st.integers(1, max(n, 1))), dim)
+    vecs = directions[rng.integers(0, len(directions), size=n)]
+    vecs = vecs + draw(st.sampled_from([0.0, 1e-3, 0.3])) * rng.standard_normal((n, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs *= 1.0 + draw(st.sampled_from([0.0, 9e-7])) * rng.uniform(-1.0, 1.0, size=(n, 1))
+    labels = [f"label{k}" for k in range(n)]
+    return labels, embed(labels, vecs), draw(st.sampled_from([1e-3, 0.3, 0.85]))
+
+
+def hexed(merges):
+    return [(a, b, height.hex()) for a, b, height in merges]
 
 
 class TestDistanceMatrix:
@@ -47,6 +72,30 @@ class TestDistanceMatrix:
         d = cosine_distance_matrix(e)
         assert np.all(np.diag(d) == 0)
         assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 15, 16, 17, 32, 64, 100, 255, 256, 768, 1536])
+    def test_matches_per_pair_dot_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        labels = [f"w{k}" for k in range(12)]
+        embs = embed(labels, random_unit_vectors(rng, 12, dim))
+        got = cosine_distance_matrix([embs[lab] for lab in labels])
+        assert got.tobytes() == oracle_distances(labels, embs).tobytes()
+
+    def test_every_distance_is_a_whole_number_of_ticks(self):
+        # the premise of the integer cluster sums: 1.0 - x is a multiple of
+        # 2**-53 for any dot x, below 0.5, in [0.5, 1] and above 1 (norms within
+        # the unit-norm tolerance allow dots up to about 1 + 2e-6)
+        rng = np.random.default_rng(53)
+        dots = np.concatenate([
+            rng.uniform(-1.0 - 3e-6, 0.5, 10_000),
+            rng.uniform(0.5, 1.0, 10_000),
+            rng.uniform(1.0, 1.0 + 3e-6, 10_000),
+            rng.uniform(-1.0, 1.0, 10_000) * 2.0 ** rng.integers(-80, 0, 10_000),
+            np.nextafter(np.array([0.5, 0.5, 1.0, 1.0, 2.0**-53, 0.0]), [0.0, 1.0, 0.0, 2.0, 0.0, 1.0]),
+        ])
+        ticks = (1.0 - dots) * 2.0**53
+        assert np.array_equal(ticks, np.floor(ticks))
+        assert np.abs(ticks).max() < 2.0**54 * (1 + 2e-6)
 
     def test_dimension_mismatch(self):
         e = [LabelEmbedding("a", np.array([1.0, 0.0])), LabelEmbedding("b", np.array([1.0, 0.0, 0.0]) / 1.0)]
@@ -142,6 +191,42 @@ class TestClusterSynonyms:
             with pytest.raises(ValueError, match="below"):
                 lowest.at(float(np.nextafter(taus[0], 0.0)))
         assert (got.assignment, got.canonical) == ({}, {})  # the last case has no labels
+
+    @given(label_sets())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_merges_match_fsum_oracle(self, case):
+        labels, embs, tau = case
+        assert hexed(cluster_synonyms(labels, embs, tau).merges) == hexed(oracle_merges(labels, embs, tau))
+
+    def test_merged_cluster_ties_a_rows_cached_minimum(self):
+        # Row 0's first minimum, 0.75, is at slot 2. Slot 1 is one tick (2**-53)
+        # farther from 0, and 0's distances to {3, 4, 5} sum to one tick less
+        # than 3 * 0.75, so once 1 absorbs {3, 4, 5} its average with 0 is
+        # exactly 0.75 too, at a lower column: (0, 1) must merge, not (0, 2).
+        tick = 2.0**-53
+        w = np.sqrt(1 - 0.25**2)
+        vecs = [
+            [1.0, 0, 0, 0],
+            [0.25 - tick, w * np.cos(0.01), 0, w * np.sin(0.01)],
+            [0.25, 0, w, 0],
+            [0.25, w, 0, 0],
+            [0.25, w, 0, 0],
+            [0.25 + tick, np.sqrt(1 - (0.25 + tick) ** 2), 0, 0],
+        ]
+        labels = [f"w{k}" for k in range(6)]
+        embs = embed(labels, vecs)
+        merges = cluster_synonyms(labels, embs, 0.2).merges
+        assert merges == oracle_merges(labels, embs, 0.2)
+        assert [m[:2] for m in merges] == [(3, 4), (3, 5), (1, 3), (0, 1)]
+        assert merges[-1][2] == 0.75
+
+    def test_label_count_bound(self, monkeypatch):
+        # the worst-case hi sum of two clusters at MAX_LABELS stays below 2**53
+        assert (MAX_LABELS**2 // 4) * (2 + 3e-6) * 2.0**27 < 2.0**53
+        monkeypatch.setattr(consensus, "MAX_LABELS", 2)
+        e = embed(["a", "b", "c"], [[1, 0], [0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="at most 2 labels, got 3"):
+            cluster_synonyms(["a", "b", "c"], e, 0.85)
 
     def test_monotone_cluster_count_in_threshold(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trackfuse as tf
+from trackfuse import records
 from trackfuse.errors import SchemaError
 from trackfuse.records import (
     DescriptionSet,
@@ -80,8 +81,42 @@ class TestValidation:
         bad["mask"] = {"h": 2, "w": 2, "counts": [4]}
         lines[0] = json.dumps(bad)
         det_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaError, match="mask is 2x2"):
+        with pytest.raises(SchemaError, match=r"detections\.jsonl:1: detection mask is 2x2"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d | {"view": 1.0}, "view must be an integer, got 1.0"),
+            (lambda d: d | {"view": True}, "view must be an integer, got True"),
+            (lambda d: d | {"track": 2.5}, "track must be an integer, got 2.5"),
+            (lambda d: d | {"track": "3"}, "track must be an integer, got '3'"),
+            (lambda d: d | {"mask": d["mask"] | {"h": float(d["mask"]["h"])}}, "mask h must be an integer"),
+            (lambda d: d | {"mask": d["mask"] | {"counts": [c + 0.0 for c in d["mask"]["counts"]]}},
+             "mask counts must be integers"),
+        ],
+    )
+    def test_non_integer_field_names_the_line(self, tmp_path, edit, message):
+        # each edit keeps the value numerically valid, so only its type is wrong
+        cfg = tf.SynthConfig(n_views=2, n_objects=1, seed=1)
+        ds, _ = tf.generate_scene(cfg)
+        manifest = save_dataset(ds, tmp_path / "scene")
+        det_path = tmp_path / "scene" / "detections.jsonl"
+        lines = det_path.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        det_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"detections\.jsonl:2: {message}"):
+            load_dataset(manifest)
+
+    def test_each_detection_checked_once(self, tmp_path, monkeypatch):
+        cfg = tf.SynthConfig(n_views=4, n_objects=2, seed=1)
+        ds, _ = tf.generate_scene(cfg)
+        manifest = save_dataset(ds, tmp_path / "scene")
+        calls = []
+        check = records._check_detection
+        monkeypatch.setattr(records, "_check_detection", lambda det, *a: calls.append(det) or check(det, *a))
+        loaded = load_dataset(manifest)
+        assert len(calls) == sum(1 for _ in loaded.all_detections()) > 0
 
     def test_non_unit_embedding_rejected(self, tmp_path):
         cfg = tf.SynthConfig(n_views=2, n_objects=1, seed=1)

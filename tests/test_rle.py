@@ -46,6 +46,25 @@ class TestDecode:
         with pytest.raises(SchemaError, match="leading"):
             RleMask(1, 4, (1, 0, 3))
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"h": 2, "w": 2, "counts": [1.9, 3.2]}, "mask counts must be integers, got 1.9"),
+            ({"h": 2, "w": 2, "counts": [1, 3.0]}, "mask counts must be integers, got 3.0"),
+            ({"h": 2, "w": 2, "counts": [True, 3]}, "mask counts must be integers, got True"),
+            ({"h": 2.7, "w": 2, "counts": [4]}, "mask h must be an integer, got 2.7"),
+            ({"h": 2, "w": True, "counts": [2]}, "mask w must be an integer, got True"),
+            ({"h": "2", "w": 2, "counts": [4]}, "mask h must be an integer, got '2'"),
+        ],
+    )
+    def test_non_integer_fields_refused(self, obj, message):
+        with pytest.raises(SchemaError, match=message):
+            RleMask.from_json(obj)
+
+    def test_negative_run_rejected(self):
+        with pytest.raises(SchemaError, match="nonnegative"):
+            RleMask(1, 4, (5, -1))
+
     def test_roundtrip_random_64(self):
         rng = np.random.default_rng(0)
         g = rng.random((64, 64)) < 0.4
