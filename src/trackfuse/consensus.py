@@ -165,28 +165,32 @@ def cluster_synonyms(
     n = len(labels)
     if n > MAX_LABELS:
         raise ValueError(f"cluster_synonyms takes at most {MAX_LABELS} labels, got {n}")
-    avg = cosine_distance_matrix([embeddings[lab] for lab in labels])
+    ticks = cosine_distance_matrix([embeddings[lab] for lab in labels])
     cutoff = 1.0 - tau_sem
 
     # Each distance is a whole number of ticks (module docstring); the
     # distance sum of slots a and b is (hi[a, b] * 2**26 + lo[a, b]) ticks,
-    # kept exactly. Slot k holds the cluster whose lowest member index is k;
-    # avg[a, b] is the cluster-average distance of live slots a != b, every
-    # other entry is inf.
-    lo = (avg / _TICK).astype(np.int64)
-    hi = lo >> _SPLIT
-    lo &= (1 << _SPLIT) - 1
-    size = np.ones(n, dtype=np.int64)
-    live = np.ones(n, dtype=bool)
-    np.fill_diagonal(avg, np.inf)
+    # kept exactly. Slot k holds the cluster whose lowest member index is k.
+    # Scaling by 2**53 is exact, and the distances are freed once split, so
+    # two n x n matrices are live at a time.
+    ticks *= 2.0**53
+    lo = ticks.astype(np.int64)
+    np.fill_diagonal(ticks, np.inf)
     # Each row's first minimum and its column. The first row holding the
     # smallest minimum is the lowest slot a of the closest pairs, and its
     # column the lowest b: the documented merge tie-break.
-    nearest = np.argmin(avg, axis=1) if n else np.zeros(0, dtype=np.intp)
-    row_min = avg[np.arange(n), nearest]
+    nearest = np.argmin(ticks, axis=1) if n else np.zeros(0, dtype=np.intp)
+    row_min = ticks[np.arange(n), nearest] * _TICK
+    del ticks
+    hi = lo >> _SPLIT
+    lo &= (1 << _SPLIT) - 1
+    size = np.ones(n)
+    live = np.ones(n, dtype=bool)
+    # 0 at live slots, inf at merged-away ones: added to averages, it hides them
+    dead = np.zeros(n)
     merges = []
     for _ in range(n - 1):
-        a = int(np.argmin(row_min))
+        a = int(row_min.argmin())
         b = int(nearest[a])
         height = float(row_min[a])
         if height > cutoff:
@@ -198,21 +202,26 @@ def cluster_synonyms(
         lo[:, a] = lo[a]
         size[a] += size[b]
         live[b] = False
-        row = (hi[a] * 2.0**_SPLIT + lo[a]) * _TICK / (size * size[a])
-        row[~live] = np.inf
+        dead[b] = row_min[b] = np.inf
+        row = (hi[a] * 2.0**_SPLIT + lo[a]) * _TICK / (size * size[a]) + dead
         row[a] = np.inf
-        avg[b] = avg[:, b] = np.inf
-        avg[a] = avg[:, a] = row
-        row_min[b] = np.inf
-        # Only columns a (now the merged cluster) and b (now inf) changed: a
+        nearest[a] = row.argmin()
+        row_min[a] = row[nearest[a]]
+        # Only columns a (now the merged cluster) and b (now dead) changed: a
         # row takes a if it is now its first minimum, and a row whose minimum
-        # was at a or b is searched again, row a among them (its was at b).
+        # was at a or b is searched again.
         closer = live & ((row < row_min) | ((row == row_min) & (a < nearest)))
         nearest[closer] = a
         row_min[closer] = row[closer]
-        stale = np.flatnonzero(live & ((nearest == a) | (nearest == b)) & ~closer)
-        nearest[stale] = np.argmin(avg[stale], axis=1)
-        row_min[stale] = avg[stale, nearest[stale]]
+        stale = live & ((nearest == a) | (nearest == b)) & ~closer
+        stale[a] = False
+        stale = stale.nonzero()[0]
+        if stale.size:
+            avg = (hi[stale] * 2.0**_SPLIT + lo[stale]) * _TICK / (size[stale, None] * size) + dead
+            rows = np.arange(len(stale))
+            avg[rows, stale] = np.inf
+            nearest[stale] = avg.argmin(axis=1)
+            row_min[stale] = avg[rows, nearest[stale]]
     return _cut(tuple(labels), tuple(merges), tau_sem, tau_sem)
 
 

@@ -24,7 +24,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -252,18 +252,15 @@ class SceneDataset:
     detections: list[list[Detection]]
     embeddings: dict[str, LabelEmbedding]
     descriptions: list[DescriptionSet] | None = None
-    # True when the caller has run ``_check_detection`` on every detection
-    detections_checked: InitVar[bool] = False
 
-    def __post_init__(self, detections_checked: bool) -> None:
+    def __post_init__(self) -> None:
         if len(self.detections) != self.n_views:
             raise SchemaError(
                 f"expected {self.n_views} per-view detection lists, got {len(self.detections)}"
             )
-        if not detections_checked:
-            for per_view in self.detections:
-                for det in per_view:
-                    _check_detection(det, self.n_views, self.height, self.width)
+        for per_view in self.detections:
+            for det in per_view:
+                _check_detection(det, self.n_views, self.height, self.width)
         for emb in self.embeddings.values():
             if emb.vector.shape != (self.dim,):
                 raise SchemaError(
@@ -399,5 +396,4 @@ def load_dataset(path: str | Path) -> SceneDataset:
         detections=detections,
         embeddings=read_json(base / manifest["embeddings"], embeddings),
         descriptions=descriptions,
-        detections_checked=True,
     )

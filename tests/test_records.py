@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import trackfuse as tf
-from trackfuse import records
 from trackfuse.errors import SchemaError
 from trackfuse.records import (
     DescriptionSet,
@@ -107,16 +106,6 @@ class TestValidation:
         det_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=rf"detections\.jsonl:2: {message}"):
             load_dataset(manifest)
-
-    def test_each_detection_checked_once(self, tmp_path, monkeypatch):
-        cfg = tf.SynthConfig(n_views=4, n_objects=2, seed=1)
-        ds, _ = tf.generate_scene(cfg)
-        manifest = save_dataset(ds, tmp_path / "scene")
-        calls = []
-        check = records._check_detection
-        monkeypatch.setattr(records, "_check_detection", lambda det, *a: calls.append(det) or check(det, *a))
-        loaded = load_dataset(manifest)
-        assert len(calls) == sum(1 for _ in loaded.all_detections()) > 0
 
     def test_non_unit_embedding_rejected(self, tmp_path):
         cfg = tf.SynthConfig(n_views=2, n_objects=1, seed=1)
