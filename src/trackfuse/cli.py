@@ -114,8 +114,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number_fields(cls) -> dict[str, type]:
+    """The int and float fields of a config dataclass, with their types."""
+    return {key: kind for key, kind in get_type_hints(cls).items() if kind in (int, float)}
+
+
 # TrainConfig fields that the train section may set, with their types
-_TRAIN_KEYS = {key: kind for key, kind in get_type_hints(TrainConfig).items() if kind in (int, float)}
+_TRAIN_KEYS = _number_fields(TrainConfig)
+_SYNTH_KEYS = _number_fields(SynthConfig)
+_NOISE_KEYS = _number_fields(NoiseSpec)
 
 # the keys each config section may set
 _SECTION_KEYS = {section: set(keys) for section, keys in DEFAULT_CONFIG.items() if section != "seed"}
@@ -139,7 +146,9 @@ _NUMBER_KEYS = {
     if isinstance(keys, dict)
     for key, default in keys.items()
     if _is_number(default)
-} | {f"train.{key}": kind for key, kind in _TRAIN_KEYS.items()}
+} | {f"train.{key}": kind for key, kind in _TRAIN_KEYS.items()} | {
+    f"{section}.{key}": kind for section in ("synth.noise", "noise") for key, kind in _NOISE_KEYS.items()
+}
 
 
 def _check_number(name: str, value, kind: type) -> None:
@@ -164,6 +173,37 @@ def _check_section(section: str, value, keys) -> None:
         raise SchemaError(f"consensus.tau_sem must be in (0, 1), got {value['tau_sem']!r}")
 
 
+_GROUP = '{"canonical": str, "synonyms": [str, ...]}'
+
+
+def _check_vocabulary(name: str, value) -> None:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{name} must be a non-empty list of {_GROUP} groups, got {value!r}")
+    seen: set[str] = set()
+    for i, group in enumerate(value):
+        words = group.get("synonyms") if isinstance(group, dict) else None
+        if not (
+            isinstance(words, list)
+            and set(group) == {"canonical", "synonyms"}
+            and all(isinstance(word, str) for word in [group["canonical"], *words])
+        ):
+            raise SchemaError(f"{name}[{i}] must be {_GROUP}, got {group!r}")
+        for word in [group["canonical"], *words]:
+            if word in seen:
+                raise SchemaError(f"{name}[{i}]: {word!r} is already a word of the vocabulary")
+            seen.add(word)
+
+
+def _check_synth_value(name: str, key: str, value) -> None:
+    """The value of SynthConfig field ``key``, spelled ``name`` in the config."""
+    if key == "noise":
+        _check_section(name, value, NoiseSpec.__dataclass_fields__)
+    elif key == "vocabulary":
+        _check_vocabulary(name, value)
+    elif key in _SYNTH_KEYS:
+        _check_number(name, value, _SYNTH_KEYS[key])
+
+
 def load_config(path: str | None) -> dict:
     """The defaults updated by the file at ``path``; top-level SynthConfig fields (a bare one) are kept."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
@@ -173,15 +213,13 @@ def load_config(path: str | None) -> dict:
             if key not in _SECTION_KEYS:
                 if key not in _SECTION_KEYS["synth"]:  # "seed" is a synth setting too
                     raise SchemaError(f"{key} is not a config section or a synth setting")
-                if key == "noise":  # a bare SynthConfig document's noise
-                    _check_section("noise", value, NoiseSpec.__dataclass_fields__)
-                if key == "seed":
-                    _check_number("seed", value, int)
+                _check_synth_value(key, key, value)  # a bare SynthConfig document's field
                 cfg[key] = value
                 continue
             _check_section(key, value, _SECTION_KEYS[key])
-            if key == "synth" and "noise" in value:
-                _check_section("synth.noise", value["noise"], NoiseSpec.__dataclass_fields__)
+            if key == "synth":
+                for name, item in value.items():
+                    _check_synth_value(f"synth.{name}", name, item)
             cfg[key].update(value)
 
     if path:

@@ -44,8 +44,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import LabelEmbedding, SceneDataset, Trajectory, member_check, read_jsonl, write_jsonl
-from .rle import mask_area
+from .records import (
+    LabelEmbedding,
+    SceneDataset,
+    Trajectory,
+    json_members,
+    member_check,
+    read_jsonl,
+    write_jsonl,
+)
+from .rle import json_int, mask_area
 
 logger = logging.getLogger(__name__)
 
@@ -264,10 +272,10 @@ class ConsensusRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "ConsensusRecord":
         return cls(
-            track_id=int(obj["track"]),
+            track_id=json_int(obj["track"], "track"),
             canonical=str(obj["canonical"]),
-            votes={str(k): int(v) for k, v in obj["votes"].items()},
-            members=tuple((int(v), int(i)) for v, i in obj["members"]),
+            votes={str(k): json_int(v, f"votes[{k!r}]") for k, v in obj["votes"].items()},
+            members=json_members(obj["members"]),
         )
 
 

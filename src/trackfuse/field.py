@@ -27,7 +27,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
 from .records import DescriptionSet, SceneDataset, as_vector, read_json, write_csv, write_json
-from .rle import RleMask, rle_decode
+from .rle import RleMask, json_int, rle_decode
 from .synth import GroundTruth
 
 BCE_EPS = 1e-7
@@ -382,14 +382,14 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
     and the embeddings' ``dim``."""
 
     def parse(obj: dict) -> ToyReferringField:
-        height, width, dim = int(obj["h"]), int(obj["w"]), int(obj["dim"])
+        height, width, dim = (json_int(obj[key], key) for key in ("h", "w", "dim"))
         if ds is not None and (height, width) != (ds.height, ds.width):
             raise SchemaError(f"field is {height}x{width}, the dataset's views are {ds.height}x{ds.width}")
         if ds is not None and dim != ds.dim:
             raise SchemaError(f"field dim is {dim}, the dataset's embeddings have dim {ds.dim}")
         gaussians, features = [], []
         for g in obj["gaussians"]:
-            gid = int(g["id"])
+            gid = json_int(g["id"], "gaussian id")
             if ds is not None and len(g["centers"]) != ds.n_views:
                 raise SchemaError(
                     f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views"
@@ -397,7 +397,8 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
             centers = np.array(
                 [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
             )
-            gaussians.append(ToyGaussian(gid=gid, track=int(g["track"]), centers=centers))
+            track = json_int(g["track"], f"gaussian {gid}: track")
+            gaussians.append(ToyGaussian(gid=gid, track=track, centers=centers))
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
         features = np.array(features).reshape(len(gaussians), dim)
         return ToyReferringField(height, width, float(obj["spread"]), dim, gaussians, features)

@@ -21,7 +21,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import SchemaError
 from .records import DescriptionSet, SceneDataset, as_vector, read_jsonl, text_embedding
-from .rle import mask_area, rle_decode
+from .rle import json_int, mask_area, rle_decode
 
 STRATEGIES = ("weighting", "maximum", "minimum", "random", "medium")
 
@@ -102,7 +102,8 @@ class ExternalDescriptions:
             vecs = [as_vector(v, dim, "caption vector") for v in obj["vecs"]]
             if len(texts) != len(vecs):
                 raise SchemaError(f"{len(texts)} texts but {len(vecs)} vectors")
-            return (int(obj["track"]), int(obj["view"])), list(zip(texts, vecs))
+            key = (json_int(obj["track"], "track"), json_int(obj["view"], "view"))
+            return key, list(zip(texts, vecs))
 
         return cls(dict(read_jsonl(path, entry)))
 

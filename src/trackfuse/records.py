@@ -231,13 +231,13 @@ class DescriptionSet:
     @classmethod
     def from_json(cls, obj: dict, dim: int | None = None) -> "DescriptionSet":
         return cls(
-            track_id=int(obj["track"]),
+            track_id=json_int(obj["track"], "track"),
             category=str(obj["category"]),
             referrals=[
                 (str(r["text"]), as_vector(r["vec"], dim, "referral vector"))
                 for r in obj["referrals"]
             ],
-            keyframe=int(obj["keyframe"]) if "keyframe" in obj else None,
+            keyframe=json_int(obj["keyframe"], "keyframe") if "keyframe" in obj else None,
         )
 
 
@@ -293,6 +293,11 @@ def _check_detection(det: Detection, n_views: int, height: int, width: int) -> D
             f"dataset is {height}x{width}"
         )
     return det
+
+
+def json_members(value) -> tuple[tuple[int, int], ...]:
+    """A record's ``members``: [view, index] pairs of JSON integers."""
+    return tuple((json_int(view, "member view"), json_int(idx, "member index")) for view, idx in value)
 
 
 def member_check(ds: SceneDataset | None) -> Callable:
@@ -362,13 +367,15 @@ def load_dataset(path: str | Path) -> SceneDataset:
     """Load from a manifest file (or a directory containing manifest.json)."""
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-    manifest = read_json(manifest_path)
-    for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
-        if key not in manifest:
-            raise SchemaError(f"{manifest_path}: manifest missing key {key!r}")
+
+    def header(obj: dict) -> tuple[dict, int, int, int, int]:
+        for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
+            if key not in obj:
+                raise SchemaError(f"manifest missing key {key!r}")
+        return obj, *(json_int(obj[key], key) for key in ("n_views", "h", "w", "dim"))
+
+    manifest, n_views, height, width, dim = read_json(manifest_path, header)
     base = manifest_path.parent
-    n_views = int(manifest["n_views"])
-    height, width, dim = int(manifest["h"]), int(manifest["w"]), int(manifest["dim"])
 
     # each detection is checked as its line is parsed, so an error names the line
     detections: list[list[Detection]] = [[] for _ in range(n_views)]

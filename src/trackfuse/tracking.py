@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import SceneDataset, Trajectory, member_check, read_jsonl, write_jsonl
-from .rle import RleMask, mask_iou
+from .records import SceneDataset, Trajectory, json_members, member_check, read_jsonl, write_jsonl
+from .rle import RleMask, json_int, mask_iou
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,6 @@ def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> list[Trajec
     return read_jsonl(
         path,
         lambda obj: check(
-            Trajectory(int(obj["track"]), tuple((int(v), int(i)) for v, i in obj["members"]))
+            Trajectory(json_int(obj["track"], "track"), json_members(obj["members"]))
         ),
     )

@@ -13,7 +13,9 @@ import numpy as np
 from trackfuse.errors import SchemaError
 from trackfuse.field import binarize_logits, render_logits, seg_loss
 from trackfuse.metrics import miou
-from trackfuse.rle import mask_iou, rle_decode
+from trackfuse.records import Detection, SceneDataset
+from trackfuse.rle import mask_iou, rle_decode, rle_encode
+from trackfuse.synth import GroundTruth, GtObject, _render, build_vocabulary_embeddings
 
 
 def oracle_cluster(labels, embeddings, tau_sem):
@@ -344,3 +346,100 @@ def mask_bbox(mask):
         return None
     cols = np.flatnonzero(grid.any(axis=0))
     return int(rows[0]), int(cols[0]), int(rows[-1]), int(cols[-1])
+
+
+def oracle_generate_scene(cfg):
+    """``synth.generate_scene`` with one full-grid ``count_nonzero`` per (candidate, placed object).
+
+    Every placed object keeps its (V, h, w) bool grids, and each candidate
+    path is intersected with each of them in turn.
+    """
+    rng = np.random.default_rng([cfg.seed, 0])
+    h, w = cfg.height, cfg.width
+    embeddings = build_vocabulary_embeddings(cfg.vocabulary, cfg.dim, cfg.seed)
+
+    n_groups = len(cfg.vocabulary)
+    if cfg.n_objects <= n_groups:
+        group_ids = rng.permutation(n_groups)[: cfg.n_objects]
+    else:
+        group_ids = rng.integers(0, n_groups, size=cfg.n_objects)
+
+    ys, xs = np.ogrid[0:h, 0:w]
+    t = (np.arange(cfg.n_views) / max(cfg.n_views - 1, 1))[:, None, None]
+    objects: list[GtObject] = []
+    placed: list[tuple[np.ndarray, np.ndarray]] = []  # (V, h, w) masks, (V,) pixel counts
+    for oid in range(cfg.n_objects):
+        group = cfg.vocabulary[int(group_ids[oid])]
+        shape = "ellipse" if oid % 2 == 0 else "rectangle"
+
+        # Resample paths that overlap existing objects too much: distinct
+        # objects must stay distinguishable (occlusion is modeled as
+        # detection dropout, not as coinciding masks).
+        best = None
+        for _ in range(50):
+            rx = float(rng.uniform(h / 10.0, h / 6.0))
+            ry = float(rng.uniform(h / 10.0, h / 6.0))
+            margin_x, margin_y = rx + 1.0, ry + 1.0
+            x0 = float(rng.uniform(margin_x, w - margin_x))
+            y0 = float(rng.uniform(margin_y, h - margin_y))
+            x1 = float(rng.uniform(margin_x, w - margin_x))
+            y1 = float(rng.uniform(margin_y, h - margin_y))
+
+            cx = x0 + (x1 - x0) * t
+            cy = y0 + (y1 - y0) * t
+            grids = _render(shape, cx, cy, rx, ry, ys, xs)
+            areas = np.count_nonzero(grids, axis=(1, 2))
+            centers = list(zip(cx.ravel().tolist(), cy.ravel().tolist()))
+            worst_overlap = 0.0
+            for prev, prev_areas in placed:
+                inter = np.count_nonzero(grids & prev, axis=(1, 2))
+                # per-view IoU; a view where both are empty has inter = union = 0 and counts 0
+                iou = inter / np.maximum(areas + prev_areas - inter, 1)
+                worst_overlap = max(worst_overlap, float(iou.max()))
+            candidate = (worst_overlap, grids, areas, centers, (rx, ry))
+            if best is None or worst_overlap < best[0]:
+                best = candidate
+            if worst_overlap <= 0.3:
+                break
+
+        _, grids, areas, centers, radii = best
+        visible = (areas > 0).tolist()
+        if not any(visible):
+            raise ValueError(f"object {oid} is never visible; rejecting config")
+        placed.append((grids, areas))
+        objects.append(
+            GtObject(
+                object_id=oid,
+                identity=group.canonical,
+                masks=[rle_encode(g) for g in grids],
+                visible=visible,
+                centers=centers,
+                radii=radii,
+                shape=shape,
+            )
+        )
+
+    detections: list[list[Detection]] = [[] for _ in range(cfg.n_views)]
+    for v in range(cfg.n_views):
+        for obj in objects:
+            if not obj.visible[v]:
+                continue
+            detections[v].append(
+                Detection(
+                    view=v,
+                    mask=obj.masks[v],
+                    raw_label=obj.identity,
+                    confidence=1.0,
+                    track_id=obj.object_id,
+                )
+            )
+
+    ds = SceneDataset(
+        n_views=cfg.n_views,
+        height=h,
+        width=w,
+        dim=cfg.dim,
+        detections=detections,
+        embeddings=embeddings,
+    )
+    return ds, GroundTruth(objects)

@@ -20,6 +20,8 @@ from oracles import oracle_eval_miou
 
 DATA = Path(__file__).parent / "data"
 
+GROUP = '{"canonical": str, "synonyms": [str, ...]}'
+
 SUBCOMMANDS = ["synth", "associate", "consensus", "keyframe", "train", "eval", "sweep", "run"]
 
 SMALL_CONFIG = {
@@ -766,6 +768,102 @@ class TestBadInput:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "scene")]) == 2
         assert f"{cfg}: noise.dropout is not a noise setting" in capsys.readouterr().err
         assert not (tmp_path / "scene").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"synth": {"n_views": 2.5}}, "synth.n_views must be an integer, got 2.5"),
+            ({"synth": {"dim": 6.5}}, "synth.dim must be an integer, got 6.5"),
+            ({"synth": {"seed": "1"}}, "synth.seed must be a number, got '1'"),
+            ({"synth": {"noise": {"mask_jitter": 1.5}}}, "synth.noise.mask_jitter must be an integer, got 1.5"),
+            ({"synth": {"noise": {"mask_jitter": "2"}}}, "synth.noise.mask_jitter must be a number, got '2'"),
+            ({"synth": {"noise": {"dropout_rate": True}}}, "synth.noise.dropout_rate must be a number"),
+            ({"synth": {"vocabulary": [{"canonical": "a"}]}},
+             f"synth.vocabulary[0] must be {GROUP}, got {{'canonical': 'a'}}"),
+            ({"synth": {"vocabulary": [{"canonical": "a", "synonyms": "ab"}]}}, f"synth.vocabulary[0] must be {GROUP}"),
+            ({"synth": {"vocabulary": [{"canonical": "a", "synonyms": [], "weight": 1}]}},
+             f"synth.vocabulary[0] must be {GROUP}"),
+            ({"synth": {"vocabulary": []}}, f"synth.vocabulary must be a non-empty list of {GROUP} groups"),
+            ({"synth": {"vocabulary": {"canonical": "a", "synonyms": []}}}, "synth.vocabulary must be a non-empty"),
+            ({"synth": {"vocabulary": [{"canonical": "a", "synonyms": ["b"]}, {"canonical": "b", "synonyms": []}]}},
+             "synth.vocabulary[1]: 'b' is already a word of the vocabulary"),
+            # a bare scene config names the key as written
+            ({"n_views": 2.5}, "n_views must be an integer, got 2.5"),
+            ({"n_views": 3, "noise": {"mask_jitter": 1.5}}, "noise.mask_jitter must be an integer, got 1.5"),
+            ({"n_views": 3, "vocabulary": [{"canonical": 1, "synonyms": []}]}, f"vocabulary[0] must be {GROUP}"),
+        ],
+    )
+    def test_bad_synth_setting_exits_two_before_synth_runs(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "scene"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_settings_of_their_types_are_accepted(self, tmp_path):
+        vocabulary = [{"canonical": "a", "synonyms": ["b", "c"]}, {"canonical": "d", "synonyms": []}]
+        doc = {"synth": {"n_views": 3, "height": 16, "width": 16, "n_objects": 2, "dim": 4, "seed": 1,
+                         "vocabulary": vocabulary, "noise": {"synonym_rate": 1, "mask_jitter": 0}}}
+        out = tmp_path / "scene"
+        assert main(["synth", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        lines = (out / "dataset" / "detections.jsonl").read_text().splitlines()
+        assert {json.loads(line)["label"] for line in lines} <= {"b", "c", "d"}
+
+    @pytest.mark.parametrize(
+        "name, command, keys, value, message",
+        [
+            ("dataset/manifest.json", "consensus", ["h"], 32.7, "h must be an integer, got 32.7"),
+            ("dataset/manifest.json", "consensus", ["n_views"], 3.0, "n_views must be an integer, got 3.0"),
+            ("dataset/manifest.json", "consensus", ["w"], True, "w must be an integer, got True"),
+            ("dataset/manifest.json", "consensus", ["dim"], "32", "dim must be an integer, got '32'"),
+            ("descriptions.jsonl", "train", ["track"], 0.5, "track must be an integer, got 0.5"),
+            ("descriptions.jsonl", "train", ["keyframe"], 1.5, "keyframe must be an integer, got 1.5"),
+            ("consensus.jsonl", "keyframe", ["track"], 0.0, "track must be an integer, got 0.0"),
+            ("consensus.jsonl", "keyframe", ["votes"], {"x": 2.5}, "votes['x'] must be an integer, got 2.5"),
+            ("consensus.jsonl", "keyframe", ["members", 0, 0], 0.5, "member view must be an integer"),
+            ("tracks.jsonl", "consensus", ["track"], 1.5, "track must be an integer, got 1.5"),
+            ("tracks.jsonl", "consensus", ["members", 0, 1], 0.5, "member index must be an integer, got 0.5"),
+            ("captions.jsonl", "keyframe", ["track"], 0.5, "track must be an integer, got 0.5"),
+            ("captions.jsonl", "keyframe", ["view"], 1.5, "view must be an integer, got 1.5"),
+            ("field_geometry.json", "train", ["h"], 32.7, "h must be an integer, got 32.7"),
+            ("field_geometry.json", "train", ["gaussians", 0, "track"], 0.5, "gaussian 0: track must be"),
+            ("model.json", "eval", ["dim"], 32.0, "dim must be an integer, got 32.0"),
+            ("model.json", "eval", ["w"], 31.9, "w must be an integer, got 31.9"),
+            ("model.json", "eval", ["gaussians", 0, "id"], 0.5, "gaussian id must be an integer, got 0.5"),
+            ("ground_truth.json", "eval", ["objects", 0, "id"], 1.5, "object id must be an integer, got 1.5"),
+        ],
+    )
+    def test_non_integer_artifact_field_exits_two_naming_file(
+        self, run_dir, tmp_path, capsys, name, command, keys, value, message
+    ):
+        # an int(...) cast would truncate these (h 32.7 read as 32) instead of refusing them
+        path = run_dir / name if name != "captions.jsonl" else tmp_path / name
+        if name == "captions.jsonl":
+            vec = [1.0] + [0.0] * 31
+            entries = [{"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [vec]}
+                       for rec in load_consensus(run_dir / "consensus.jsonl") for view, _ in rec.members]
+            path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+        def edit(obj):
+            *walk, last = keys
+            inner = obj
+            for key in walk:
+                inner = inner[key]
+            inner[last] = value
+            return json.dumps(obj)
+
+        where = f"{path}:1" if name.endswith(".jsonl") else str(path)
+        if name.endswith(".jsonl"):
+            edit_jsonl(path, 1, edit)
+        else:
+            path.write_text(edit(json.loads(path.read_text())))
+        out = tmp_path / f"{command}.out"
+        argv = eval_argv(run_dir, out) if command == "eval" else stage_argv(run_dir, command, tmp_path)
+        if name == "captions.jsonl":
+            argv += ["--external", str(path)]
+        assert main(argv) == 2
+        assert f"{where}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, views, bad",

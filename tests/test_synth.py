@@ -1,10 +1,25 @@
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import trackfuse as tf
+from trackfuse.cli import _synth_config, main
 from trackfuse.records import save_dataset
 from trackfuse.rle import mask_iou, rle_decode
-from trackfuse.synth import DEFAULT_VOCABULARY, build_vocabulary_embeddings
+from trackfuse.synth import DEFAULT_VOCABULARY, SynonymGroup, build_vocabulary_embeddings
+
+from oracles import oracle_generate_scene
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
+NOISY = {"synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1, "strip_track_ids": True}
 
 
 def dataset_bytes(ds, tmp_path, name):
@@ -40,6 +55,119 @@ class TestGenerate:
         for view, _, det in ds.all_detections():
             obj = gt.objects[det.track_id]
             assert mask_iou(det.mask, obj.masks[view]) == 1.0
+
+
+def scene_records(ds, gt):
+    return gt.to_json(), [
+        (det.view, det.mask, det.raw_label, det.track_id) for _, _, det in ds.all_detections()
+    ]
+
+
+def assert_matches_oracle(cfg):
+    expected = scene_records(*oracle_generate_scene(cfg))
+    assert scene_records(*tf.generate_scene(cfg)) == expected
+    return expected
+
+
+def assert_same_error(cfg):
+    with pytest.raises(ValueError) as expected:
+        oracle_generate_scene(cfg)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        tf.generate_scene(cfg)
+
+
+class TestPlacementOracle:
+    """The bit-packed overlap check places every object where the per-grid count does."""
+
+    @pytest.mark.parametrize("size", [(33, 47), (7, 9), (65, 31), (1, 64)])
+    def test_sizes_off_the_word_and_byte_grid(self, size):
+        height, width = size
+        cfg = tf.SynthConfig(n_views=5, height=height, width=width, n_objects=4, seed=3)
+        if height == 1:  # no vertical room for a margin: both refuse the config alike
+            assert_same_error(cfg)
+        else:
+            assert_matches_oracle(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_more_objects_than_groups(self, seed):
+        # 8 objects in 6 groups on a small canvas: placements overlap, so paths are resampled
+        cfg = tf.SynthConfig(n_views=6, height=24, width=24, n_objects=8, seed=seed)
+        gt, _ = assert_matches_oracle(cfg)
+        assert len({o["identity"] for o in gt["objects"]}) <= len(DEFAULT_VOCABULARY)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_crowded_canvas_keeps_the_first_least_overlapping_try(self, seed):
+        # on a 4x6 canvas all 50 tries of some object overlap by more than 0.3, and the
+        # lowest overlap is reached more than once: the first such try is kept
+        assert_matches_oracle(tf.SynthConfig(n_views=4, height=4, width=6, n_objects=4, seed=seed))
+
+    @pytest.mark.parametrize("n_objects, seed", [(2, 5), (3, 2)])
+    def test_views_where_every_mask_is_empty(self, n_objects, seed):
+        cfg = tf.SynthConfig(n_views=8, height=4, width=6, n_objects=n_objects, seed=seed)
+        gt, _ = assert_matches_oracle(cfg)
+        visible = np.array([o["visible"] for o in gt["objects"]])
+        assert not visible.any(axis=0).all()
+
+    @pytest.mark.parametrize("seed", [1301, 5151])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_benchmark_workload_scenes(self, name, seed):
+        workload = WORKLOADS[name]
+        for scene in range(workload.scenes):
+            cfg = workload.scene_config(seed, scene)
+            assert_matches_oracle(_synth_config(cfg, cfg["seed"]))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [tf.SynthConfig(n_views=8, height=3, width=3, n_objects=2, seed=0),
+         tf.SynthConfig(n_views=8, height=4, width=4, n_objects=3, seed=0),
+         tf.SynthConfig(n_views=3, height=2, width=8, n_objects=1, seed=0)],
+        ids=["first-never-visible", "second-never-visible", "no-room"],
+    )
+    def test_both_raise_the_same_error(self, cfg):
+        assert_same_error(cfg)
+
+    def test_custom_vocabulary(self):
+        vocab = (SynonymGroup("a", ("aa",)), SynonymGroup("b", ()))
+        cfg = tf.SynthConfig(n_views=4, height=20, width=30, n_objects=3, vocabulary=vocab, seed=4)
+        assert_matches_oracle(cfg)
+
+
+# sha256 of every file `trackfuse synth` writes, recorded before the overlap check was
+# bit-packed; a change here means the same config and seed no longer give the same scene
+SYNTH_DIGESTS = {
+    "fixture": {
+        "dataset/detections.jsonl": "a1a3d7a963f6076cddbea03b19504d27a20fa51cd9d306d70893211de73b9403",
+        "dataset/embeddings.json": "fe9707faa8e65e64c58dcc64fef37192cba5d1cfd768a9a14dec3c3dfcc078ea",
+        "dataset/manifest.json": "5f332da6980dda184e1adf64412bbf2ab09aa8949d24a465b1236ebca2337a32",
+        "field_geometry.json": "f29f5f5119fc36b93675f2e479f0f8441109e20f3ded741e8a8882fbdcbc4acd",
+        "ground_truth.json": "7d99476c8b25d8793434309ed140834c57cb8d49e906cec97e1c7cbec169e750",
+    },
+    "odd_size": {
+        "dataset/detections.jsonl": "018fbf4e844f4a46ca4ca12434699ea66ba82a2cc61af447541e0ebb380667cf",
+        "dataset/embeddings.json": "48252eb1c9920fe7d9dd2286ee9da9cdf34002b0e62ecef81f31bb13e7250814",
+        "dataset/manifest.json": "6338dc46756dcc2b61a6bc7c25846331a05a532f0ee45d6c56766ac8cd4be673",
+        "field_geometry.json": "5459ebe80a8f4ede4df45a82fb9f9c6be5d5ae5150f83867c11bc079cdb0e105",
+        "ground_truth.json": "e776d460a662272529232265cd9e689045c115a6bf855bcdb64a53356455b120",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_DIGESTS))
+def test_synth_outputs_are_byte_identical(name, tmp_path):
+    if name == "fixture":
+        cfg = str(DATA / "fixture_config.json")
+    else:  # 33x47 views (not a whole number of bytes or words), 8 objects in 6 groups, noisy labels
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 11, "synth": {"n_views": 6, "height": 33, "width": 47,
+                                                         "n_objects": 8, "noise": NOISY}}))
+    out = tmp_path / "scene"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    assert digests == SYNTH_DIGESTS[name]
 
 
 class TestVocabulary:
