@@ -124,10 +124,20 @@ def render_logits(
     return logits.reshape(query.shape[:-1] + (field_.height, field_.width))
 
 
-def render_mask(field_: ToyReferringField, view: int, query: np.ndarray) -> np.ndarray:
-    """Per-pixel foreground probability for the query (or each query row) at the view."""
-    logits = render_logits(field_, view, query)
-    return 1.0 / (1.0 + np.exp(-logits))
+def render_mask(
+    field_: ToyReferringField, view: int, query: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-pixel foreground probability for the query (or each query row) at the view.
+
+    ``out`` is as for ``render_logits``. The sigmoid ``1 / (1 + exp(-z))`` is
+    taken in place, one operation at a time, so a caller that passes ``out``
+    allocates nothing of the grid's size.
+    """
+    probs = render_logits(field_, view, query, out=out)
+    np.negative(probs, out=probs)
+    np.exp(probs, out=probs)
+    probs += 1.0
+    return np.divide(1.0, probs, out=probs)
 
 
 def binarize_logits(logits: np.ndarray) -> np.ndarray:
@@ -150,18 +160,22 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
-    if (pseudo_mask.height, pseudo_mask.width) != (field_.height, field_.width):
-        raise SchemaError(
-            f"pseudo mask is {pseudo_mask.height}x{pseudo_mask.width}, "
-            f"field is {field_.height}x{field_.width}"
-        )
     centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
+    return _select_inside(field_, view, centers, rle_decode(pseudo_mask))
+
+
+def _select_inside(field_: ToyReferringField, view: int, centers: np.ndarray, grid: np.ndarray) -> list[int]:
+    """Ids of the Gaussians whose center, a row of the (n_gaussians, 2) ``centers``,
+    rounds to a set pixel of the decoded pseudo mask ``grid``."""
+    if grid.shape != (field_.height, field_.width):
+        raise SchemaError(
+            f"pseudo mask is {grid.shape[0]}x{grid.shape[1]}, field is {field_.height}x{field_.width}"
+        )
     # np.rint rounds half to even like round(); NaN and inf fail the bounds
     col, row = np.rint(centers).T
     inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
     gids = np.flatnonzero(inside)
-    hit = rle_decode(pseudo_mask)[row[gids].astype(int), col[gids].astype(int)]
-    chosen = gids[hit].tolist()
+    chosen = gids[grid[row[gids].astype(int), col[gids].astype(int)]].tolist()
     if not chosen:
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
     return chosen
@@ -185,47 +199,80 @@ def contrastive_loss(
         (positives[:, None, :] == pool[None, :, :]).all(axis=2).any(axis=1).all()
     ):
         raise ValueError("positive set is not a subset of the pool")
+    return _contrastive(anchor, positives, positives.mean(axis=0), pool, tau)
 
+
+def _contrastive(
+    anchor: np.ndarray, positives: np.ndarray, positive_mean: np.ndarray, pool: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """``contrastive_loss`` without its checks, for positives that are rows of the
+    pool by construction; ``positive_mean`` is ``positives.mean(axis=0)``."""
     logits = pool @ anchor / tau
-    m = float(np.max(logits))
-    lse = m + math.log(float(np.sum(np.exp(logits - m))))
+    m = float(logits.max())
+    lse = m + math.log(float(np.exp(logits - m).sum()))
     pos_logits = positives @ anchor / tau
-    loss = float(lse - np.mean(pos_logits))
+    loss = float(lse - pos_logits.mean())
 
     softmax = np.exp(logits - lse)
-    grad = (softmax @ pool - positives.mean(axis=0)) / tau
+    grad = (softmax @ pool - positive_mean) / tau
     return loss, grad
 
 
-def seg_loss(probs: np.ndarray, target: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def seg_loss(
+    probs: np.ndarray, target: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean BCE of an (h, w) probability grid, or of each grid of a (Q, h, w)
     stack, against a boolean (h, w) mask: a float, or a (Q,) array.
 
     Probabilities are clamped to [BCE_EPS, 1 - BCE_EPS]; the returned
     gradient is with respect to the pre-sigmoid logits, i.e. (p - y)/N with
     N = h*w inside the clamp and 0 where clamped flat.
+
+    ``out``, if given, is a float64 array of two blocks of ``probs``' size,
+    (2, *probs.shape) or reshaped to it without a copy: the first holds the
+    clamped probabilities, the second the log terms and then the gradient,
+    which the returned gradient views. A training loop passes the same one
+    each step, so that no block of the stack's size is allocated per call.
     """
     probs = np.asarray(probs, dtype=float)
-    y = np.asarray(target, dtype=float)
+    y = np.asarray(target, dtype=bool)
     if y.ndim != 2 or probs.ndim not in (2, 3) or probs.shape[-2:] != y.shape:
         raise SchemaError(f"shape mismatch: probs {probs.shape} vs target {y.shape}")
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    loss = np.mean(-np.log(np.where(y, p, 1.0 - p)), axis=(-2, -1))
-    grad = (probs - y) / y.size
-    grad[(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS)] = 0.0
+    p, buf = np.empty((2, *probs.shape)) if out is None else out.reshape((2, *probs.shape))
+    # -log(where(y, p, 1 - p)), built as 1 - p with p copied in where y; the terms are
+    # summed before negating, which rounds the same, since negation is exact
+    np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=p)
+    np.subtract(1.0, p, out=buf)
+    np.copyto(buf, p, where=y)
+    np.log(buf, out=buf)
+    loss = -np.mean(buf, axis=(-2, -1))
+    # (probs - y) / N: probs - 1 where y, and probs itself (x - 0 is x) elsewhere
+    grad = np.subtract(probs, 1.0, out=buf)
+    np.copyto(grad, probs, where=~y)
+    grad /= y.size
+    np.copyto(grad, 0.0, where=(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS))
     return (float(loss) if probs.ndim == 2 else loss), grad
 
 
 def seg_step(
-    field_: ToyReferringField, view: int, positives: np.ndarray, target: np.ndarray
+    field_: ToyReferringField,
+    view: int,
+    positives: np.ndarray,
+    target: np.ndarray,
+    buffers: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean ``seg_loss`` over the positives, all rendered at once, and its feature gradient.
 
     With W the view's weights, G the stacked logit gradients and P the
     positives, d(mean loss)/d(features) = ((W @ G.T) @ P) / |P|.
+
+    ``buffers``, if given, is a (3, n, h*w) float64 array with n >= |P|:
+    the render goes into the first block and ``seg_loss`` works in the
+    other two, so that a training loop allocates no large block per step.
     """
-    losses, g_logits = seg_loss(render_mask(field_, view, positives), target)
     n_pos = positives.shape[0]
+    probs = render_mask(field_, view, positives, out=None if buffers is None else buffers[0, :n_pos])
+    losses, g_logits = seg_loss(probs, target, out=None if buffers is None else buffers[1:, :n_pos])
     seg_mean = 0.0
     for seg in losses.tolist():  # summed in row order, as one loss per positive would be
         seg_mean += seg / n_pos
@@ -279,12 +326,17 @@ def train(
             raise ValueError(f"view {view} is not a view of the dataset, which has {ds.n_views} views")
 
     # the geometry and the pseudo masks are fixed, so the plan is built once: per view,
-    # the pool maps each (track, text) to its first vector, and each visible track gets
-    # its stacked positives, decoded pseudo mask and chosen Gaussians; the plan is
-    # view-major, so each epoch fills each view's weights once
+    # the pool holds each (track, text) key's first vector once, and each visible track
+    # gets its positives, gathered from the pool rows of its keys (a repeated key reuses
+    # its row, so they are a subset of the pool by construction), its pseudo mask decoded
+    # once and the Gaussians chosen from it; the plan is view-major, so each epoch fills
+    # each view's weights once
+    n = len(field_.gaussians)
+    centers = np.array([[g.centers[view] for g in field_.gaussians] for view in views], dtype=float)
+    centers = centers.reshape(len(views), n, 2)
     plan = []
-    for view in views:
-        pool: dict[tuple[int, str], np.ndarray] = {}
+    for view, view_centers in zip(views, centers):
+        pool: dict[tuple[int, str], tuple[int, np.ndarray]] = {}  # key -> (row, vector)
         entries = []
         for rec in sorted(records, key=lambda r: r.track_id):
             member = next(((v, i) for v, i in rec.members if v == view), None)
@@ -292,26 +344,34 @@ def train(
             if member is None or desc is None:
                 continue
             category = [(desc.category, ds.embedding(desc.category))] if include_category else []
-            # a repeated key takes the pool's vector, so the positives stay a subset of the pool
             texts = [*category, *desc.referrals]
-            positives = [pool.setdefault((rec.track_id, text), vec) for text, vec in texts]
-            mask = ds.detection(*member).mask
-            chosen = select_gaussians(field_, view, mask)
-            entries.append((np.stack(positives), rle_decode(mask), chosen))
-        pool_vecs = np.stack(list(pool.values())) if pool else None
-        plan += [(view, positives, pool_vecs, target, chosen) for positives, target, chosen in entries]
+            rows = [pool.setdefault((rec.track_id, text), (len(pool), vec))[0] for text, vec in texts]
+            target = rle_decode(ds.detection(*member).mask)
+            chosen = np.array(_select_inside(field_, view, view_centers, target), dtype=np.intp)
+            entries.append((rows, target, chosen))
+        if entries:
+            pool_vecs = np.stack([vec for _, vec in pool.values()])
+            for rows, target, chosen in entries:
+                positives = pool_vecs[rows]
+                plan.append((view, positives, positives.mean(axis=0), pool_vecs, target, chosen))
 
-    m = v = np.zeros_like(field_.features)  # Adam moments; each step rebinds them
+    # one render block and two seg_loss blocks of the largest positive set, for every step
+    n_rows = max((positives.shape[0] for _, positives, *_ in plan), default=0)
+    buffers = np.empty((3, n_rows, field_.height * field_.width))
+    # the features and the Adam moments are updated in place, each product and sum
+    # rounded as in m = b1 * m + (1 - b1) * g and its kin; the caller's array is kept
+    features = field_.features = field_.features.astype(float)
+    m, v, step, denom = (np.zeros_like(features) for _ in range(4))
     curve: list[tuple[int, float, float, float]] = []
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view, positives, pool, target, chosen in plan:
-            anchor = field_.features[chosen].mean(axis=0)
-            con, g_con = contrastive_loss(anchor, positives, pool, cfg.tau)
-            grads_con = np.zeros_like(field_.features)
+        for view, positives, positive_mean, pool, target, chosen in plan:
+            anchor = features[chosen].mean(axis=0)
+            con, g_con = _contrastive(anchor, positives, positive_mean, pool, cfg.tau)
+            grads_con = np.zeros_like(features)
             grads_con[chosen] += g_con / len(chosen)
-            seg_mean, grads_seg = seg_step(field_, view, positives, target)
+            seg_mean, grads_seg = seg_step(field_, view, positives, target, buffers)
 
             weight = cfg.lam * cfg.ratio(iteration)
             step_loss = seg_mean + weight * con
@@ -320,11 +380,17 @@ def train(
             step_grad = grads_seg + weight * grads_con
 
             iteration += 1
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * step_grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * step_grad**2
-            m_hat = m / (1.0 - ADAM_BETA1**iteration)
-            v_hat = v / (1.0 - ADAM_BETA2**iteration)
-            field_.features = field_.features - cfg.feature_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m *= ADAM_BETA1
+            m += np.multiply(step_grad, 1.0 - ADAM_BETA1, out=step)
+            v *= ADAM_BETA2
+            v += np.multiply(np.square(step_grad, out=step), 1.0 - ADAM_BETA2, out=step)
+            # features -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - ADAM_BETA1**iteration, out=step)
+            step *= cfg.feature_lr
+            np.divide(v, 1.0 - ADAM_BETA2**iteration, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            features -= np.divide(step, denom, out=step)
             curve.append((iteration, seg_mean, con, step_loss))
 
     return field_, curve

@@ -197,8 +197,11 @@ def oracle_render_logits(field_, view, query):
     return (scores @ oracle_weights(field_, view)).reshape(field_.height, field_.width)
 
 
-def oracle_seg_step(field_, view, positives, target):
-    """One train step's segmentation part, one render and one outer-product gradient per positive."""
+def oracle_seg_step(field_, view, positives, target, buffers=None):
+    """One train step's segmentation part, one render and one outer-product gradient per positive.
+
+    ``buffers`` is ignored: it is there so that this can stand in for ``seg_step``.
+    """
     weights = oracle_weights(field_, view)
     n_pos = positives.shape[0]
     seg_mean = 0.0
