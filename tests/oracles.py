@@ -10,8 +10,8 @@ from collections import Counter
 
 import numpy as np
 
-from trackfuse.errors import SchemaError
-from trackfuse.field import binarize_logits, render_logits, seg_loss
+from trackfuse.errors import NumericError, SchemaError
+from trackfuse.field import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, binarize_logits, render_logits
 from trackfuse.metrics import miou
 from trackfuse.records import Detection, SceneDataset
 from trackfuse.rle import mask_iou, rle_decode, rle_encode
@@ -208,10 +208,96 @@ def oracle_seg_step(field_, view, positives, target, buffers=None):
     grad = np.zeros((len(field_.gaussians), positives.shape[1]))
     for q in positives:
         probs = 1.0 / (1.0 + np.exp(-oracle_render_logits(field_, view, q)))
-        seg, g_logits = seg_loss(probs, target)
+        seg, g_logits = oracle_seg_loss(probs, target)
         seg_mean += seg / n_pos
         grad += np.outer(weights @ g_logits.ravel(), q) / n_pos
     return seg_mean, grad
+
+
+def oracle_seg_loss(probs, target):
+    """``seg_loss`` as one expression per quantity, each a fresh array: mean clamped BCE and (p - y)/N."""
+    probs = np.asarray(probs, dtype=float)
+    y = np.asarray(target, dtype=float)
+    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
+    loss = np.mean(-np.log(np.where(y, p, 1.0 - p)), axis=(-2, -1))
+    grad = (probs - y) / y.size
+    grad[(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS)] = 0.0
+    return (float(loss) if probs.ndim == 2 else loss), grad
+
+
+def oracle_contrastive_loss(anchor, positives, pool, tau):
+    """The multi-positive softmax loss and its anchor gradient, each reduction through ``np.*``."""
+    logits = pool @ anchor / tau
+    m = float(np.max(logits))
+    lse = m + math.log(float(np.sum(np.exp(logits - m))))
+    loss = float(lse - np.mean(positives @ anchor / tau))
+    grad = (np.exp(logits - lse) @ pool - positives.mean(axis=0)) / tau
+    return loss, grad
+
+
+def oracle_train(field_, ds, records, descriptions, cfg, include_category=True):
+    """``field.train`` as a plan of stacked positives and a loop that allocates every array afresh.
+
+    Per view, the pool maps each (track, text) key to its first vector and a
+    track's positives take the pool's vector of each of its keys; each step
+    renders through ``1 / (1 + exp(-z))``, takes ``oracle_seg_loss`` and
+    ``oracle_contrastive_loss``, and rebinds the Adam moments and the features.
+    Gaussians are chosen by ``oracle_select_inside``. Returns the field and
+    its loss curve.
+    """
+    desc_by_track = {d.track_id: d for d in descriptions}
+    views = cfg.views if cfg.views is not None else tuple(range(ds.n_views))
+    plan = []
+    for view in views:
+        pool, entries = {}, []
+        for rec in sorted(records, key=lambda r: r.track_id):
+            member = next(((v, i) for v, i in rec.members if v == view), None)
+            desc = desc_by_track.get(rec.track_id)
+            if member is None or desc is None:
+                continue
+            category = [(desc.category, ds.embedding(desc.category))] if include_category else []
+            texts = [*category, *desc.referrals]
+            positives = [pool.setdefault((rec.track_id, text), vec) for text, vec in texts]
+            target = rle_decode(ds.detection(*member).mask)
+            chosen = oracle_select_inside(field_, view, target)
+            if not chosen:
+                raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
+            entries.append((np.stack(positives), target, chosen))
+        pool_vecs = np.stack(list(pool.values())) if pool else None
+        plan += [(view, positives, pool_vecs, target, chosen) for positives, target, chosen in entries]
+
+    m = v = np.zeros_like(field_.features)
+    curve = []
+    iteration = 0
+    for _ in range(cfg.epochs):
+        for view, positives, pool, target, chosen in plan:
+            anchor = field_.features[chosen].mean(axis=0)
+            con, g_con = oracle_contrastive_loss(anchor, positives, pool, cfg.tau)
+            grads_con = np.zeros_like(field_.features)
+            grads_con[chosen] += g_con / len(chosen)
+
+            n_pos = positives.shape[0]
+            probs = 1.0 / (1.0 + np.exp(-render_logits(field_, view, positives)))
+            losses, g_logits = oracle_seg_loss(probs, target)
+            seg_mean = 0.0
+            for seg in losses.tolist():
+                seg_mean += seg / n_pos
+            grads_seg = ((field_.weights(view) @ g_logits.reshape(n_pos, -1).T) @ positives) / n_pos
+
+            weight = cfg.lam * cfg.ratio(iteration)
+            step_loss = seg_mean + weight * con
+            if not math.isfinite(step_loss):
+                raise NumericError(f"non-finite loss at iteration {iteration}")
+            step_grad = grads_seg + weight * grads_con
+
+            iteration += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * step_grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * step_grad**2
+            m_hat = m / (1.0 - ADAM_BETA1**iteration)
+            v_hat = v / (1.0 - ADAM_BETA2**iteration)
+            field_.features = field_.features - cfg.feature_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            curve.append((iteration, seg_mean, con, step_loss))
+    return field_, curve
 
 
 def oracle_view_batch(ds, records, descriptions, view, include_category=True):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import tracemalloc
@@ -363,6 +364,26 @@ class TestPipeline:
         main(["run", "--config", cfg, "--out", str(a)])
         main(["run", "--config", cfg, "--out", str(b)])
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_trained_model_and_loss_curve_are_byte_identical(self, tmp_path):
+        # sha256 of model.json and loss_curve.csv recorded before the train step reused its
+        # buffers; a change here means the same config and seed no longer train the same field
+        noisy = {
+            "seed": 21,
+            "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
+                      "noise": {"synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1,
+                                "strip_track_ids": True}},
+            "assoc": {"mode": "greedy"},
+            "train": {"epochs": 2, "spread": 4.0},
+        }
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path, noisy), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("model.json", "loss_curve.csv")}
+        assert digests == {
+            "model.json": "31c9725909689977ff6bde3bc360da9bdde4fbf4b443d4f013704794cd4fa1dd",
+            "loss_curve.csv": "e626732316335190cac41f2723bc456171717128e368319e9daa202be17076ed",
+        }
 
     def test_stage_failure_names_stage(self, tmp_path):
         cfg = load_config(None)

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import (
     grad_check,
     oracle_render_logits,
+    oracle_seg_loss,
     oracle_seg_step,
     oracle_select_inside,
+    oracle_train,
     oracle_view_batch,
     oracle_weights,
     render_grids,
@@ -19,6 +22,7 @@ import trackfuse as tf
 import trackfuse.field as field_module
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import (
+    BCE_EPS,
     ToyGaussian,
     ToyReferringField,
     binarize_logits,
@@ -662,3 +666,94 @@ class TestSubsetCheck:
         positives = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         loss, _ = contrastive_loss(np.array([1.0, 0.0]), positives, pool, 0.5)
         assert math.isfinite(loss)
+
+
+# probabilities at and either side of the clamp bounds, where seg_loss's two branches meet
+EDGE_PROBS = (
+    0.0,
+    1.0,
+    BCE_EPS,
+    1.0 - BCE_EPS,
+    *np.nextafter([BCE_EPS, BCE_EPS, 1.0 - BCE_EPS, 1.0 - BCE_EPS], [0.0, 1.0, 0.0, 1.0]).tolist(),
+)
+EDGE_TARGET = np.array([[True, False, True], [False, False, True]])
+
+
+def at_edge_probs(test):
+    """One example per edge value: a (2, 2, 3) stack of it, against a mixed target."""
+    for value in EDGE_PROBS:
+        test = example(inputs=(np.full((2, 2, 3), value), EDGE_TARGET))(test)
+    return test
+
+
+@st.composite
+def seg_inputs(draw):
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape = (h, w) if draw(st.booleans()) else (draw(st.integers(1, 3)), h, w)
+    values = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBS), st.floats())  # any double too
+    probs = draw(hnp.arrays(np.float64, shape, elements=values))
+    return probs, draw(hnp.arrays(np.bool_, (h, w)))
+
+
+class TestLeanTrainStep:
+    """The in-place step is bit for bit the one that allocates every array afresh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=seg_inputs())
+    @at_edge_probs
+    @example(inputs=(np.array([[np.nan, 0.5], [-0.0, np.inf]]), np.array([[True, False], [True, False]])))
+    def test_seg_loss_is_the_oracle_bit_for_bit(self, inputs):
+        probs, target = inputs
+        with np.errstate(all="ignore"):
+            loss, grad = seg_loss(probs, target)
+            want_loss, want_grad = oracle_seg_loss(probs, target)
+            # into buffers that hold stale values, as in training
+            out = np.full((2, *probs.shape), -7.0)
+            buffered_loss, buffered_grad = seg_loss(probs, target, out=out)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert np.asarray(buffered_loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes() == buffered_grad.tobytes()
+        assert np.shares_memory(buffered_grad, out)
+
+    @staticmethod
+    def _scene(noisy_scene):
+        ds, gt = noisy_scene
+        result = tf.run_consensus(ds, tf.import_tracks(ds))
+        tf.propagate(ds, result.records)
+        return ds, gt, result.records, run_keyframes(ds, result.records)
+
+    @pytest.mark.parametrize("case", ["hybrid", "long_only", "views_subset", "repeated_key"])
+    def test_train_is_the_oracle_bit_for_bit(self, noisy_scene, case):
+        ds, gt, records, descriptions = self._scene(noisy_scene)
+        assert all(d.referrals for d in descriptions)  # hybrid positives: category + referrals
+        cfg = tf.TrainConfig(epochs=3, feature_lr=0.01, lam=1.0)
+        include_category = case != "long_only"
+        if case == "views_subset":
+            cfg = tf.TrainConfig(epochs=3, feature_lr=0.01, lam=1.0, views=(5, 0, 3, 6))
+        if case == "repeated_key":  # the category again as a referral: one pool row, two positives
+            descriptions = [
+                DescriptionSet(d.track_id, d.category, [(d.category, ds.embedding(d.category)), *d.referrals])
+                for d in descriptions
+            ]
+        fresh = lambda: field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        field, curve = tf.train(fresh(), ds, records, descriptions, cfg, include_category)
+        want_field, want_curve = oracle_train(fresh(), ds, records, descriptions, cfg, include_category)
+        assert len(curve) == len(want_curve) > 2 * len(cfg.views or range(ds.n_views))
+        assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+        assert field.features.tobytes() == want_field.features.tobytes()
+
+    def test_train_keeps_the_callers_features(self, noisy_scene):
+        ds, gt, records, descriptions = self._scene(noisy_scene)
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        initial = field.features
+        trained, _ = tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
+        assert not initial.any() and trained.features.any()
+
+    def test_train_refuses_a_pseudo_mask_without_a_gaussian_center(self, noisy_scene):
+        ds, gt, records, descriptions = self._scene(noisy_scene)
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        view = min(v for rec in records for v, _ in rec.members)
+        for g in field.gaussians:
+            g.centers[view] = (np.nan, np.nan)
+        with pytest.raises(NumericError, match=f"no Gaussian center inside the pseudo mask at view {view}"):
+            tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
