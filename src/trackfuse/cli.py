@@ -63,7 +63,15 @@ from .records import (
     write_csv,
     write_json,
 )
-from .synth import NoiseSpec, SynthConfig, corrupt, generate_scene, load_ground_truth, save_ground_truth
+from .synth import (
+    NoiseSpec,
+    SynthConfig,
+    corrupt,
+    generate_scene,
+    load_ground_truth,
+    save_ground_truth,
+    side_margin,
+)
 from .tracking import AssocParams, associate_greedy, import_tracks, load_tracks, save_tracks
 
 logger = logging.getLogger(__name__)
@@ -221,27 +229,57 @@ def load_config(path: str | None) -> dict:
                 for name, item in value.items():
                     _check_synth_value(f"synth.{name}", name, item)
             cfg[key].update(value)
+        _check_ranges(cfg)
 
     if path:
         read_json(path, merge)
     return cfg
 
 
+def _in_range(prefix: str, build: Callable):
+    """``build()``, its ValueError (a setting out of range, named first) a SchemaError naming ``prefix``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise SchemaError(f"{prefix}{exc}") from exc
+
+
+def _check_ranges(cfg: dict) -> None:
+    """Refuse the train and synth settings that their stage would refuse, or misuse, only later."""
+    _in_range("train.", lambda: _train_settings(cfg))
+    prefix, section = _synth_section(cfg)
+    _in_range(f"{prefix}noise.", lambda: NoiseSpec(**section.get("noise", {})))
+    scfg = _in_range(prefix, lambda: SynthConfig.from_json(section))
+    margin = side_margin(scfg.height)
+    for key in ("height", "width"):
+        if not getattr(scfg, key) > margin:
+            raise SchemaError(
+                f"{prefix}{key} must exceed 2 * (height / 6 + 1) = {margin:g}, got {getattr(scfg, key)!r}"
+            )
+
+
+def _synth_section(cfg: dict) -> tuple[str, dict]:
+    """The synth settings and the prefix their keys are written with: the synth section,
+    or else a bare SynthConfig document's top-level fields (no pipeline sections)."""
+    if cfg["synth"]:
+        return "synth.", dict(cfg["synth"])
+    return "", {k: v for k, v in cfg.items() if k in _SECTION_KEYS["synth"] and k != "seed"}
+
+
 def _synth_config(cfg: dict, seed: int) -> SynthConfig:
-    section = dict(cfg["synth"])
-    if not section:
-        # a bare SynthConfig document (no pipeline sections) is also accepted
-        section = {k: v for k, v in cfg.items() if k in _SECTION_KEYS["synth"] and k != "seed"}
+    section = _synth_section(cfg)[1]
     section.setdefault("seed", seed)
     return SynthConfig.from_json(section)
 
 
+def _train_settings(cfg: dict, views: tuple[int, ...] | None = None) -> TrainConfig:
+    train = cfg["train"]
+    return TrainConfig(**{key: cast(train[key]) for key, cast in _TRAIN_KEYS.items() if key in train}, views=views)
+
+
 def _train_config(cfg: dict, n_views: int) -> TrainConfig:
-    kwargs = {key: cast(cfg["train"][key]) for key, cast in _TRAIN_KEYS.items() if key in cfg["train"]}
     views = _views(cfg, "train", n_views)
-    if views is not None:
-        kwargs["views"] = tuple(views)
-    return TrainConfig(**kwargs)
+    return _train_settings(cfg, None if views is None else tuple(views))
 
 
 def _views(cfg: dict, section: str, n_views: int) -> list[int] | None:

@@ -291,12 +291,19 @@ class TrainConfig:
     views: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.ratio_interval <= 0:
-            raise ValueError(f"ratio_interval must be positive, got {self.ratio_interval}")
+        # each range is written so that NaN fails it
+        ranges = (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("feature_lr", 0 < self.feature_lr < math.inf, "finite and > 0"),
+            ("lam", 0 <= self.lam < math.inf, "finite and >= 0"),
+            ("tau", 0 < self.tau < math.inf, "finite and > 0"),
+            ("ratio_start", 0 < self.ratio_start < math.inf, "finite and > 0"),
+            ("ratio_factor", 0 < self.ratio_factor < math.inf, "finite and > 0"),
+            ("ratio_interval", self.ratio_interval > 0, "> 0"),
+        )
+        for name, within, rule in ranges:
+            if not within:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def ratio(self, iteration: int) -> float:
         return self.ratio_start * self.ratio_factor ** (iteration // self.ratio_interval)

@@ -59,9 +59,9 @@ class NoiseSpec:
         for name in ("synonym_rate", "wrong_label_rate", "dropout_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
         if self.mask_jitter < 0:
-            raise ValueError(f"mask_jitter must be >= 0, got {self.mask_jitter}")
+            raise ValueError(f"mask_jitter must be >= 0, got {self.mask_jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_views <= 0 or self.n_objects <= 0:
-            raise ValueError("n_views and n_objects must be positive")
+        for name in ("n_views", "n_objects"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.dim < len(self.vocabulary):
             raise ValueError(
-                f"dim {self.dim} too small for {len(self.vocabulary)} synonym groups"
+                f"dim must be at least the {len(self.vocabulary)} synonym groups of the vocabulary, "
+                f"got {self.dim!r}"
             )
 
     @classmethod
@@ -210,6 +212,12 @@ def _pack(grids: np.ndarray, words: int) -> np.ndarray:
     packed = np.packbits(grids.reshape(len(grids), -1), axis=1)
     bits[:, : packed.shape[1]] = packed
     return bits.view(np.uint64)
+
+
+def side_margin(height: int) -> float:
+    """The length each view side must exceed for ``generate_scene`` to draw a path:
+    radii go up to height / 6, and a center stays a radius plus 1 from each border."""
+    return 2.0 * (height / 6.0 + 1.0)
 
 
 def generate_scene(cfg: SynthConfig) -> tuple[SceneDataset, GroundTruth]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -712,6 +713,34 @@ class TestBadInput:
         assert not (out / "tracks.jsonl").exists()
         assert not (out / "dataset").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("epochs", -1, ">= 0"),
+            ("feature_lr", -1.0, "finite and > 0"),
+            ("feature_lr", math.nan, "finite and > 0"),
+            ("tau", math.inf, "finite and > 0"),
+            ("tau", 0.0, "finite and > 0"),
+            ("lam", -0.5, "finite and >= 0"),
+            ("lam", math.inf, "finite and >= 0"),
+            ("ratio_start", 0.0, "finite and > 0"),
+            ("ratio_factor", math.nan, "finite and > 0"),
+            ("ratio_interval", 0, "> 0"),
+        ],
+    )
+    def test_train_setting_out_of_range_exits_two_before_any_stage(self, tmp_path, capsys, key, value, rule):
+        # json writes NaN and Infinity, which json reads back as floats: only a range check refuses them
+        cfg = write_config(tmp_path, TINY_CONFIG | {"train": {key: value}})
+        out = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}: train.{key} must be {rule}, got {value!r}" in capsys.readouterr().err
+        assert not (out / "dataset").exists()
+
+    def test_train_settings_at_their_bounds_are_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"train": {"epochs": 0, "lam": 0.0, "feature_lr": 1e-300}}))
+        tcfg = _train_config(cfg, n_views=1)
+        assert (tcfg.epochs, tcfg.lam, tcfg.feature_lr) == (0, 0.0, 1e-300)
+
     @pytest.mark.parametrize("values, bad", [("nan,0.8", "nan"), ("0.8,1.5", "1.5"), ("0.8,-0.1", "-0.1")])
     def test_sweep_tau_sem_outside_unit_interval_exits_one(self, run_dir, tmp_path, capsys, values, bad):
         out = tmp_path / "sweep.csv"
@@ -815,6 +844,28 @@ class TestBadInput:
         ],
     )
     def test_bad_synth_setting_exits_two_before_synth_runs(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "scene"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"synth": {"n_views": 0}}, "synth.n_views must be positive, got 0"),
+            ({"synth": {"n_objects": -2}}, "synth.n_objects must be positive, got -2"),
+            ({"synth": {"dim": 3}}, "synth.dim must be at least the 6 synonym groups of the vocabulary, got 3"),
+            ({"synth": {"noise": {"synonym_rate": 1.5}}}, "synth.noise.synonym_rate must be in [0, 1], got 1.5"),
+            ({"synth": {"noise": {"mask_jitter": -1}}}, "synth.noise.mask_jitter must be >= 0, got -1"),
+            ({"synth": {"height": 1}}, "synth.height must exceed 2 * (height / 6 + 1) = 2.33333, got 1"),
+            ({"synth": {"height": 64, "width": 16}}, "synth.width must exceed 2 * (height / 6 + 1) = 23.3333, got 16"),
+            # a bare scene config names the key as written
+            ({"n_views": 3, "height": 3, "width": 3}, "height must exceed 2 * (height / 6 + 1) = 3, got 3"),
+            ({"n_views": 3, "noise": {"dropout_rate": -0.1}}, "noise.dropout_rate must be in [0, 1], got -0.1"),
+        ],
+    )
+    def test_synth_setting_out_of_range_exits_two_before_synth_runs(self, tmp_path, capsys, doc, message):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "scene"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
