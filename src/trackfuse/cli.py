@@ -47,6 +47,7 @@ from .field import (
 )
 from .keyframes import ExternalDescriptions, member_areas, run_keyframes, select_keyframe
 from .metrics import (
+    ObjectMasks,
     consensus_accuracy,
     emit_report,
     eval_miou,
@@ -401,7 +402,8 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     records = load_consensus(paths["consensus"], ds)
     propagate(ds, records)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
-    tables = iou_tables(ds, gt) if gt is not None else None
+    masks = ObjectMasks(gt) if gt is not None else None  # each ground-truth mask decoded once
+    tables = iou_tables(ds, gt, masks) if gt is not None else None
 
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
@@ -431,7 +433,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
             descriptions = None
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions))
+            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions, masks))
 
     emit_report(metrics, cfg, {"seed": seed}, paths["report"])
     return paths["report"]

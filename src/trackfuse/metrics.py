@@ -122,10 +122,32 @@ def eval_queries(
     return categories, long_names, matrix, np.array(targets, dtype=np.intp)
 
 
-def view_targets(gt: GroundTruth, view: int) -> np.ndarray:
-    """One view's (C + O, h, w) boolean targets: each sorted category's OR of its
+class ObjectMasks:
+    """The ground-truth (object, view) masks, each decoded once per eval.
+
+    ``at(view)`` decodes a view's masks on its first call and keeps them
+    bit-packed, an eighth of their size, for the calls after it.
+    """
+
+    def __init__(self, gt: GroundTruth):
+        self.gt = gt
+        self._packed: dict[int, np.ndarray] = {}
+
+    def at(self, view: int) -> np.ndarray:
+        """The view's (objects, h*w) boolean masks, in ``gt.objects`` order."""
+        packed = self._packed.get(view)
+        if packed is None:
+            rows = np.stack([rle_decode(obj.masks[view]).ravel() for obj in self.gt.objects])
+            self._packed[view] = np.packbits(rows, axis=1)
+            return rows
+        first = self.gt.objects[0].masks[view]
+        return np.unpackbits(packed, axis=1, count=first.height * first.width).view(bool)
+
+
+def view_targets(gt: GroundTruth, view: int, masks: ObjectMasks | None = None) -> np.ndarray:
+    """One view's (C + O, h*w) boolean targets: each sorted category's OR of its
     objects' masks, then each object's mask, in ``gt.objects`` order."""
-    objects = np.stack([rle_decode(obj.masks[view]) for obj in gt.objects])
+    objects = (ObjectMasks(gt) if masks is None else masks).at(view)
     members: dict[str, list[int]] = {}
     for k, obj in enumerate(gt.objects):
         members.setdefault(obj.identity, []).append(k)
@@ -139,14 +161,20 @@ def view_targets(gt: GroundTruth, view: int) -> np.ndarray:
 
 
 def iou_by_view(
-    field_: ToyReferringField, gt: GroundTruth, views: list[int], queries: np.ndarray, targets: np.ndarray
+    field_: ToyReferringField,
+    gt: GroundTruth,
+    views: list[int],
+    queries: np.ndarray,
+    targets: np.ndarray,
+    masks: ObjectMasks | None = None,
 ) -> np.ndarray:
     """The (Q, V) IoU table of each query row against its target at each view.
 
     Column j is the j-th of ``sorted(set(views))``. Each view renders every
     row in one product, binarizes it and is scored at once, so no mask
     outlives its view. A cell is ``inter / union`` of the two pixel counts,
-    or 1.0 when the union is empty, as ``iou_grids`` gives it.
+    or 1.0 when the union is empty, as ``iou_grids`` gives it. ``masks``, if
+    given, holds ``gt``'s masks, so that a view decoded before is not decoded again.
     """
     views = sorted(set(views))
     table = np.zeros((len(queries), len(views)))
@@ -155,7 +183,7 @@ def iou_by_view(
     logits = np.empty((len(queries), field_.height * field_.width))  # one render buffer for every view
     for col, view in enumerate(views):
         pred = binarize_logits(render_logits(field_, view, queries, out=logits)).reshape(len(queries), -1)
-        target = view_targets(gt, view).reshape(-1, pred.shape[1])[targets]
+        target = view_targets(gt, view, masks)[targets]
         # uint32 counts every pixel of a grid below 2**32 pixels exactly, at twice the speed of intp
         inter = (pred & target).sum(axis=1, dtype=np.uint32)
         union = (pred | target).sum(axis=1, dtype=np.uint32)
@@ -171,11 +199,12 @@ def eval_miou(
     tables: list[np.ndarray],
     views: list[int],
     descriptions: list[DescriptionSet] | None = None,
+    masks: ObjectMasks | None = None,
 ) -> dict:
     """The report's mIoU entries: ``miou_short`` with its per-query values, and
     ``miou_long`` with its per-query values when there are long queries."""
     short_names, long_names, queries, targets = eval_queries(ds, gt, records, tables, descriptions)
-    table = iou_by_view(field_, gt, views, queries, targets)
+    table = iou_by_view(field_, gt, views, queries, targets, masks)
     out: dict = {}
     out["miou_short_per_query"], out["miou_short"] = query_means(short_names, table[: len(short_names)])
     if long_names:
@@ -183,10 +212,16 @@ def eval_miou(
     return out
 
 
-def iou_tables(ds: SceneDataset, gt: GroundTruth) -> list[np.ndarray]:
-    """Per view, the (detections x ``gt.objects``) mask IoU table."""
+def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> list[np.ndarray]:
+    """Per view, the (detections x ``gt.objects``) mask IoU table; the object masks
+    come from ``masks`` (a new ``ObjectMasks(gt)`` if not given)."""
+    masks = ObjectMasks(gt) if masks is None else masks
     return [
-        iou_table([det.mask for det in ds.detections[view]], [obj.masks[view] for obj in gt.objects])
+        iou_table(
+            [det.mask for det in ds.detections[view]],
+            [obj.masks[view] for obj in gt.objects],
+            masks.at(view) if gt.objects else None,
+        )
         for view in range(ds.n_views)
     ]
 

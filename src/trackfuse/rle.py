@@ -113,8 +113,11 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     return inter / union
 
 
-def iou_table(a: Sequence[RleMask], b: Sequence[RleMask]) -> np.ndarray:
+def iou_table(a: Sequence[RleMask], b: Sequence[RleMask], decoded_b: np.ndarray | None = None) -> np.ndarray:
     """The (len(a), len(b)) table of ``mask_iou(a[i], b[j])``, decoding each mask once.
+
+    ``decoded_b``, if given, is ``b`` already decoded, as (len(b), h*w) booleans;
+    then only ``a`` is decoded here.
 
     Intersections are one float64 product of the 0/1 rows and areas are row
     sums; both are exact integers (H*W < 2**53), so each cell divides the same
@@ -129,7 +132,9 @@ def iou_table(a: Sequence[RleMask], b: Sequence[RleMask]) -> np.ndarray:
     for mask in a:
         _check_same_size(mask, b[0])
     rows_a = np.stack([rle_decode(m).ravel() for m in a]).astype(np.float64)
-    rows_b = np.stack([rle_decode(m).ravel() for m in b]).astype(np.float64)
+    if decoded_b is None:
+        decoded_b = np.stack([rle_decode(m).ravel() for m in b])
+    rows_b = decoded_b.astype(np.float64)
     inter = rows_a @ rows_b.T
     union = rows_a.sum(axis=1)[:, None] + rows_b.sum(axis=1)[None, :] - inter
     return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)

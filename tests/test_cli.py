@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import shutil
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trackfuse import consensus
+from trackfuse import consensus, rle
 from trackfuse.cli import _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, propagate, run_consensus
 from trackfuse.errors import StageError
@@ -1000,6 +1002,26 @@ class TestEvalScores:
             reports.append(read_json(out)["metrics"])
         assert reports[0] == reports[1]
         assert {k: v for k, v in reports[0].items() if k.startswith("miou")} == self.oracle(run_dir, [0, 2], True)
+
+    def test_eval_decodes_each_mask_once(self, run_dir, tmp_path, monkeypatch):
+        calls = Counter()
+        original = rle.rle_decode
+
+        def counting(mask):
+            calls[id(mask)] += 1
+            return original(mask)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("trackfuse") and getattr(module, "rle_decode", None) is original:
+                monkeypatch.setattr(module, "rle_decode", counting)
+        assert main(eval_argv(run_dir, tmp_path / "report.json", "--descriptions",
+                              str(run_dir / "descriptions.jsonl"))) == 0
+        ds = load_dataset(run_dir / "dataset" / "manifest.json")
+        gt = load_ground_truth(run_dir / "ground_truth.json")
+        # every detection once for the IoU tables, every (object, view) mask once for
+        # both the IoU tables and the per-view targets
+        assert sum(calls.values()) == len(list(ds.all_detections())) + len(gt.objects) * ds.n_views
+        assert max(calls.values()) == 1
 
 
 FRAGMENTED_CONFIG = {
