@@ -238,7 +238,8 @@ def load_config(path: str | None) -> dict:
 
 
 def _in_range(prefix: str, build: Callable):
-    """``build()``, its ValueError (a setting out of range, named first) a SchemaError naming ``prefix``."""
+    """``build()``; the ValueError of a setting out of range, whose message starts
+    with the setting's name, is raised again as a SchemaError with ``prefix`` put first."""
     try:
         return build()
     except ValueError as exc:

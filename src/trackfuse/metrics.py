@@ -214,13 +214,12 @@ def eval_miou(
 
 def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> list[np.ndarray]:
     """Per view, the (detections x ``gt.objects``) mask IoU table; the object masks
-    come from ``masks`` (a new ``ObjectMasks(gt)`` if not given)."""
-    masks = ObjectMasks(gt) if masks is None else masks
+    come from ``masks`` if given, so that a later use of ``masks`` decodes none again."""
     return [
         iou_table(
             [det.mask for det in ds.detections[view]],
             [obj.masks[view] for obj in gt.objects],
-            masks.at(view) if gt.objects else None,
+            masks.at(view) if masks is not None and gt.objects else None,
         )
         for view in range(ds.n_views)
     ]
