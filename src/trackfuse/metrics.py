@@ -144,12 +144,12 @@ class ObjectMasks:
         return np.unpackbits(packed, axis=1, count=first.height * first.width).view(bool)
 
 
-def view_targets(gt: GroundTruth, view: int, masks: ObjectMasks | None = None) -> np.ndarray:
+def view_targets(masks: ObjectMasks, view: int) -> np.ndarray:
     """One view's (C + O, h*w) boolean targets: each sorted category's OR of its
-    objects' masks, then each object's mask, in ``gt.objects`` order."""
-    objects = (ObjectMasks(gt) if masks is None else masks).at(view)
+    objects' masks, then each object's mask, in ``masks.gt.objects`` order."""
+    objects = masks.at(view)
     members: dict[str, list[int]] = {}
-    for k, obj in enumerate(gt.objects):
+    for k, obj in enumerate(masks.gt.objects):
         members.setdefault(obj.identity, []).append(k)
     groups = [members[c] for c in sorted(members)]
     # a category of one object copies its mask; only a shared category takes an OR
@@ -176,6 +176,7 @@ def iou_by_view(
     or 1.0 when the union is empty, as ``iou_grids`` gives it. ``masks``, if
     given, holds ``gt``'s masks, so that a view decoded before is not decoded again.
     """
+    masks = ObjectMasks(gt) if masks is None else masks
     views = sorted(set(views))
     table = np.zeros((len(queries), len(views)))
     if not len(queries):
@@ -183,7 +184,7 @@ def iou_by_view(
     logits = np.empty((len(queries), field_.height * field_.width))  # one render buffer for every view
     for col, view in enumerate(views):
         pred = binarize_logits(render_logits(field_, view, queries, out=logits)).reshape(len(queries), -1)
-        target = view_targets(gt, view, masks)[targets]
+        target = view_targets(masks, view)[targets]
         # uint32 counts every pixel of a grid below 2**32 pixels exactly, at twice the speed of intp
         inter = (pred & target).sum(axis=1, dtype=np.uint32)
         union = (pred | target).sum(axis=1, dtype=np.uint32)
