@@ -199,14 +199,13 @@ def contrastive_loss(
         (positives[:, None, :] == pool[None, :, :]).all(axis=2).any(axis=1).all()
     ):
         raise ValueError("positive set is not a subset of the pool")
-    return _contrastive(anchor, positives, positives.mean(axis=0), pool, tau)
+    return _contrastive(anchor, positives, pool, tau)
 
 
 def _contrastive(
-    anchor: np.ndarray, positives: np.ndarray, positive_mean: np.ndarray, pool: np.ndarray, tau: float
+    anchor: np.ndarray, positives: np.ndarray, pool: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
-    """``contrastive_loss`` without its checks, for positives that are rows of the
-    pool by construction; ``positive_mean`` is ``positives.mean(axis=0)``."""
+    """``contrastive_loss`` without its checks, for positives that are rows of the pool by construction."""
     logits = pool @ anchor / tau
     m = float(logits.max())
     lse = m + math.log(float(np.exp(logits - m).sum()))
@@ -214,7 +213,7 @@ def _contrastive(
     loss = float(lse - pos_logits.mean())
 
     softmax = np.exp(logits - lse)
-    grad = (softmax @ pool - positive_mean) / tau
+    grad = (softmax @ pool - positives.mean(axis=0)) / tau
     return loss, grad
 
 
@@ -355,14 +354,8 @@ def train(
             target = rle_decode(ds.detection(*member).mask)
             entries.append((rows, target, _select_inside(field_, view, view_centers, target)))
         if entries:
-            # the small per-entry arrays are made after the view's masks are decoded: made in
-            # between, they left holes in the heap that raised a later eval's peak RSS by
-            # 0.2 MB on a field_train scene
             pool_vecs = np.stack([vec for _, vec in pool.values()])
-            for rows, target, chosen in entries:
-                positives = pool_vecs[rows]
-                chosen = np.array(chosen, dtype=np.intp)
-                plan.append((view, positives, positives.mean(axis=0), pool_vecs, target, chosen))
+            plan += [(view, pool_vecs[rows], pool_vecs, target, chosen) for rows, target, chosen in entries]
 
     # one render block and two seg_loss blocks of the largest positive set, for every step
     n_rows = max((positives.shape[0] for _, positives, *_ in plan), default=0)
@@ -375,9 +368,9 @@ def train(
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view, positives, positive_mean, pool, target, chosen in plan:
+        for view, positives, pool, target, chosen in plan:
             anchor = features[chosen].mean(axis=0)
-            con, g_con = _contrastive(anchor, positives, positive_mean, pool, cfg.tau)
+            con, g_con = _contrastive(anchor, positives, pool, cfg.tau)
             grads_con = np.zeros_like(features)
             grads_con[chosen] += g_con / len(chosen)
             seg_mean, grads_seg = seg_step(field_, view, positives, target, buffers)
