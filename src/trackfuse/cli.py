@@ -45,7 +45,7 @@ from .field import (
     save_loss_curve,
     train,
 )
-from .keyframes import ExternalDescriptions, member_areas, run_keyframes, select_keyframe
+from .keyframes import ExternalDescriptions, check_keyframe_settings, member_areas, run_keyframes, select_keyframe
 from .metrics import (
     ObjectMasks,
     consensus_accuracy,
@@ -65,7 +65,9 @@ from .records import (
     write_json,
 )
 from .synth import (
+    GroundTruth,
     NoiseSpec,
+    SynonymGroup,
     SynthConfig,
     corrupt,
     generate_scene,
@@ -123,63 +125,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _number_fields(cls) -> dict[str, type]:
-    """The int and float fields of a config dataclass, with their types."""
-    return {key: kind for key, kind in get_type_hints(cls).items() if kind in (int, float)}
-
-
-# TrainConfig fields that the train section may set, with their types
-_TRAIN_KEYS = _number_fields(TrainConfig)
-_SYNTH_KEYS = _number_fields(SynthConfig)
-_NOISE_KEYS = _number_fields(NoiseSpec)
-
-# the keys each config section may set
-_SECTION_KEYS = {section: set(keys) for section, keys in DEFAULT_CONFIG.items() if section != "seed"}
-_SECTION_KEYS["synth"] = set(SynthConfig.__dataclass_fields__)
-_SECTION_KEYS["train"] |= set(_TRAIN_KEYS)
-
-
-# switches: any JSON value would pass a truth test, so only true and false are accepted
-_BOOL_KEYS = {"long_only", "strip_track_ids"}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# "section.key" settings that take a number, with its type: a string or a bool would fail
-# only when its stage runs, and a fraction for an int would be truncated there
-_NUMBER_KEYS = {
-    f"{section}.{key}": type(default)
-    for section, keys in DEFAULT_CONFIG.items()
-    if isinstance(keys, dict)
-    for key, default in keys.items()
-    if _is_number(default)
-} | {f"train.{key}": kind for key, kind in _TRAIN_KEYS.items()} | {
-    f"{section}.{key}": kind for section in ("synth.noise", "noise") for key, kind in _NOISE_KEYS.items()
+# "section.key" -> type of every setting a config file may hold: the types of the defaults and the
+# hints of the config dataclasses. A bare SynthConfig document's top-level fields are "synth" keys.
+_TYPES = {
+    f"{section}.{key}": type(value)
+    for section, keys in DEFAULT_CONFIG.items() if isinstance(keys, dict) for key, value in keys.items()
+} | {
+    f"{section}.{key}": kind
+    for section, cls in (("train", TrainConfig), ("synth", SynthConfig), ("synth.noise", NoiseSpec))
+    for key, kind in get_type_hints(cls).items()
 }
 
 
-def _check_number(name: str, value, kind: type) -> None:
-    if not _is_number(value):
+def _check_value(name: str, value, kind) -> None:
+    """Refuse a ``value`` of setting ``name`` that is not of type ``kind``; the builders check ranges."""
+    # any JSON value would pass a truth test; a string or a bool for a number would fail only
+    # when its stage runs, and a fraction for an int would be truncated there
+    if kind is bool and not isinstance(value, bool):
+        raise SchemaError(f"{name} must be true or false, got {value!r}")
+    elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise SchemaError(f"{name} must be a number, got {value!r}")
-    if kind is int and not isinstance(value, int):
+    elif kind is int and not isinstance(value, int):
         raise SchemaError(f"{name} must be an integer, got {value!r}")
+    elif kind is NoiseSpec:
+        _check_section(name, value, "synth.noise")
+    elif kind == tuple[SynonymGroup, ...]:
+        _check_vocabulary(name, value)
 
 
-def _check_section(section: str, value, keys) -> None:
+def _check_section(name: str, value, section: str) -> None:
+    """Each key of ``value``, the config object written ``name``, is a ``section`` setting of its type."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{section} must be a JSON object, got {value!r}")
+        raise SchemaError(f"{name} must be a JSON object, got {value!r}")
     for key, item in value.items():
-        if key not in keys:
-            raise SchemaError(f"{section}.{key} is not a {section} setting")
-        if key in _BOOL_KEYS and not isinstance(item, bool):
-            raise SchemaError(f"{section}.{key} must be true or false, got {item!r}")
-        name = f"{section}.{key}"
-        if name in _NUMBER_KEYS:
-            _check_number(name, item, _NUMBER_KEYS[name])
-    if section == "consensus" and "tau_sem" in value and not 0 < value["tau_sem"] < 1:
-        raise SchemaError(f"consensus.tau_sem must be in (0, 1), got {value['tau_sem']!r}")
+        if f"{section}.{key}" not in _TYPES:
+            raise SchemaError(f"{name}.{key} is not a {name} setting")
+        _check_value(f"{name}.{key}", item, _TYPES[f"{section}.{key}"])
 
 
 _GROUP = '{"canonical": str, "synonyms": [str, ...]}'
@@ -203,100 +184,126 @@ def _check_vocabulary(name: str, value) -> None:
             seen.add(word)
 
 
-def _check_synth_value(name: str, key: str, value) -> None:
-    """The value of SynthConfig field ``key``, spelled ``name`` in the config."""
-    if key == "noise":
-        _check_section(name, value, NoiseSpec.__dataclass_fields__)
-    elif key == "vocabulary":
-        _check_vocabulary(name, value)
-    elif key in _SYNTH_KEYS:
-        _check_number(name, value, _SYNTH_KEYS[key])
-
-
 def load_config(path: str | None) -> dict:
-    """The defaults updated by the file at ``path``; top-level SynthConfig fields (a bare one) are kept."""
+    """The defaults updated by the file at ``path``; top-level SynthConfig fields (a bare one) are kept.
+
+    Each setting of the file is checked for its type, and then by the builder its stage calls,
+    so that a bad one exits 2 as ``<file>: <section>.<key> ...`` before any stage runs.
+    """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
 
     def merge(doc: dict) -> None:
         for key, value in doc.items():
-            if key not in _SECTION_KEYS:
-                if key not in _SECTION_KEYS["synth"]:  # "seed" is a synth setting too
-                    raise SchemaError(f"{key} is not a config section or a synth setting")
-                _check_synth_value(key, key, value)  # a bare SynthConfig document's field
+            if key != "seed" and key in DEFAULT_CONFIG:
+                _check_section(key, value, key)
+                cfg[key].update(value)
+            elif f"synth.{key}" in _TYPES:  # a bare SynthConfig document's field; "seed" is one too
+                _check_value(key, value, _TYPES[f"synth.{key}"])
                 cfg[key] = value
-                continue
-            _check_section(key, value, _SECTION_KEYS[key])
-            if key == "synth":
-                for name, item in value.items():
-                    _check_synth_value(f"synth.{name}", name, item)
-            cfg[key].update(value)
-        _check_ranges(cfg)
+            else:
+                raise SchemaError(f"{key} is not a config section or a synth setting")
+        builders = (
+            ("assoc.", _assoc_params),
+            ("consensus.", _tau_sem),
+            ("keyframe.", _keyframe_settings),
+            ("train.", _geometry),
+            ("train.", lambda cfg: _train_config(cfg, None)),
+            ("eval.", lambda cfg: _views(cfg, "eval", None)),
+            ("synth." if cfg["synth"] else "", lambda cfg: _synth_config(cfg, cfg["seed"])),
+        )
+        for prefix, build in builders:
+            try:
+                build(cfg)
+            except ValueError as exc:
+                raise SchemaError(f"{prefix}{exc}") from exc
 
     if path:
         read_json(path, merge)
     return cfg
 
 
-def _in_range(prefix: str, build: Callable):
-    """``build()``; the ValueError of a setting out of range, whose message starts
-    with the setting's name, is raised again as a SchemaError with ``prefix`` put first."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise SchemaError(f"{prefix}{exc}") from exc
+# ---------------------------------------------------------------------------
+# builders: each turns one config section into what its stage takes, and raises
+# a ValueError whose message starts with the name of the setting it refuses
+# (``_views`` raises a SchemaError: a view outside the dataset is a data error)
 
 
-def _check_ranges(cfg: dict) -> None:
-    """Refuse the train and synth settings that their stage would refuse, or misuse, only later."""
-    _in_range("train.", lambda: _train_settings(cfg))
-    prefix, section = _synth_section(cfg)
-    _in_range(f"{prefix}noise.", lambda: NoiseSpec(**section.get("noise", {})))
-    scfg = _in_range(prefix, lambda: SynthConfig.from_json(section))
-    margin = side_margin(scfg.height)
-    for key in ("height", "width"):
-        if not getattr(scfg, key) > margin:
-            raise SchemaError(
-                f"{prefix}{key} must exceed 2 * (height / 6 + 1) = {margin:g}, got {getattr(scfg, key)!r}"
-            )
+def _settings(cfg: dict, section: str) -> dict:
+    """Config section ``section`` over its defaults: a ``run_pipeline`` caller may replace a whole section."""
+    return DEFAULT_CONFIG[section] | cfg[section]
 
 
-def _synth_section(cfg: dict) -> tuple[str, dict]:
-    """The synth settings and the prefix their keys are written with: the synth section,
-    or else a bare SynthConfig document's top-level fields (no pipeline sections)."""
-    if cfg["synth"]:
-        return "synth.", dict(cfg["synth"])
-    return "", {k: v for k, v in cfg.items() if k in _SECTION_KEYS["synth"] and k != "seed"}
+def _assoc_params(cfg: dict) -> tuple[str, AssocParams]:
+    assoc = _settings(cfg, "assoc")
+    if assoc["mode"] not in ("import", "greedy"):
+        raise ValueError(f"mode must be 'import' or 'greedy', got {assoc['mode']!r}")
+    params = AssocParams(float(assoc["iou_weight"]), float(assoc["match_threshold"]), int(assoc["max_gap"]))
+    return assoc["mode"], params
 
 
-def _synth_config(cfg: dict, seed: int) -> SynthConfig:
-    section = _synth_section(cfg)[1]
-    section.setdefault("seed", seed)
-    return SynthConfig.from_json(section)
+def _tau_sem(cfg: dict) -> float:
+    tau_sem = _settings(cfg, "consensus")["tau_sem"]
+    check_tau_sem(tau_sem)
+    return float(tau_sem)
 
 
-def _train_settings(cfg: dict, views: tuple[int, ...] | None = None) -> TrainConfig:
-    train = cfg["train"]
-    return TrainConfig(**{key: cast(train[key]) for key, cast in _TRAIN_KEYS.items() if key in train}, views=views)
+def _keyframe_settings(cfg: dict) -> tuple[str, float, str | None]:
+    """The strategy, sigma and external captions file of the keyframe section."""
+    keyframe = _settings(cfg, "keyframe")
+    strategy, sigma, external = keyframe["strategy"], keyframe["sigma"], keyframe["external"]
+    check_keyframe_settings(strategy, sigma)
+    if external is not None and not isinstance(external, str):
+        raise ValueError(f"external must be a file path or null, got {external!r}")
+    return strategy, float(sigma), external
 
 
-def _train_config(cfg: dict, n_views: int) -> TrainConfig:
+def _geometry(cfg: dict) -> dict:
+    """The spread and per-object Gaussian count ``field_from_ground_truth`` takes, from the train
+    section; checked by building the field of a scene without objects."""
+    train = _settings(cfg, "train")
+    geometry = {"spread": float(train["spread"]), "per_object": int(train["gaussians_per_object"])}
+    field_from_ground_truth(GroundTruth([]), n_views=0, height=1, width=1, **geometry)
+    return geometry
+
+
+def _train_config(cfg: dict, n_views: int | None) -> TrainConfig:
+    train = _settings(cfg, "train")
     views = _views(cfg, "train", n_views)
-    return _train_settings(cfg, None if views is None else tuple(views))
+    numbers = {key: _TYPES[f"train.{key}"](value) for key, value in train.items()
+               if key in TrainConfig.__dataclass_fields__ and key != "views"}
+    return TrainConfig(**numbers, views=None if views is None else tuple(views))
 
 
-def _views(cfg: dict, section: str, n_views: int) -> list[int] | None:
-    """The ``<section>.views`` list, each entry checked to be a view of the dataset."""
-    views = cfg[section].get("views")
+def _views(cfg: dict, section: str, n_views: int | None) -> list[int] | None:
+    """The ``<section>.views`` list, each entry checked to be a view of a dataset of ``n_views``
+    views; with ``n_views`` None (no dataset yet), only to be an integer."""
+    views = _settings(cfg, section)["views"]
     if views is None:
         return None
     if not isinstance(views, list):
         raise SchemaError(f"{section}.views must be a list of view indices, got {views!r}")
     for view in views:
-        if type(view) is not int or not 0 <= view < n_views:
-            raise SchemaError(
-                f"{section}.views: {view!r} is not a view of the dataset, which has {n_views} views"
-            )
+        if type(view) is not int:
+            raise SchemaError(f"{section}.views: {view!r} is not a view index")
+        if n_views is not None and not 0 <= view < n_views:
+            raise SchemaError(f"{section}.views: {view!r} is not a view of the dataset, which has {n_views} views")
     return views
+
+
+def _synth_config(cfg: dict, seed: int) -> SynthConfig:
+    """The synth section, or else a bare SynthConfig document's top-level fields (no pipeline
+    sections), seeded with ``seed`` unless they set one; an error names the key as written there."""
+    section = _settings(cfg, "synth") or {k: v for k, v in cfg.items() if f"synth.{k}" in _TYPES and k != "seed"}
+    try:
+        NoiseSpec(**section.get("noise", {}))
+    except ValueError as exc:
+        raise ValueError(f"noise.{exc}") from exc
+    scfg = SynthConfig.from_json({"seed": seed} | section)
+    margin = side_margin(scfg.height)
+    for key in ("height", "width"):
+        if not getattr(scfg, key) > margin:
+            raise ValueError(f"{key} must exceed 2 * (height / 6 + 1) = {margin:g}, got {getattr(scfg, key)!r}")
+    return scfg
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +312,20 @@ def _views(cfg: dict, section: str, n_views: int) -> list[int] | None:
 
 
 def stage_synth(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
-    scfg = _synth_config(cfg, seed)
+    scfg, geometry = _synth_config(cfg, seed), _geometry(cfg)
     ds, gt = generate_scene(scfg)
     ds = corrupt(ds, gt, scfg)
     out_dir = paths["scene"]
     out_dir.mkdir(parents=True, exist_ok=True)
     save_ground_truth(gt, out_dir / "ground_truth.json")
-    tcfg = cfg["train"]
-    geometry = field_from_ground_truth(
-        gt,
-        n_views=ds.n_views,
-        height=ds.height,
-        width=ds.width,
-        dim=ds.dim,
-        spread=float(tcfg.get("spread", 8.0)),
-        per_object=int(tcfg.get("gaussians_per_object", 5)),
-    )
-    save_field(geometry, out_dir / "field_geometry.json")
+    field_ = field_from_ground_truth(gt, n_views=ds.n_views, height=ds.height, width=ds.width, dim=ds.dim, **geometry)
+    save_field(field_, out_dir / "field_geometry.json")
     return save_dataset(ds, out_dir / "dataset")
 
 
 def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    mode, params = _assoc_params(cfg)
     ds = load_dataset(paths["manifest"])
-    section = cfg["assoc"]
-    mode = section.get("mode", "import")
-    if mode not in ("import", "greedy"):
-        raise SchemaError(f"assoc.mode must be 'import' or 'greedy', got {mode!r}")
     sidecar = read_json(paths["manifest"]).get("tracks")
     if sidecar is not None:
         # dataset ships an external tracker's output: validate and adopt it
@@ -338,39 +333,26 @@ def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     elif mode == "import":
         trajectories = import_tracks(ds)
     else:
-        params = AssocParams(
-            iou_weight=float(section.get("iou_weight", 0.7)),
-            match_threshold=float(section.get("match_threshold", 0.3)),
-            max_gap=int(section.get("max_gap", 5)),
-        )
         trajectories = associate_greedy(ds, params)
     save_tracks(trajectories, paths["tracks"])
     return paths["tracks"]
 
 
 def stage_consensus(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    tau_sem = _tau_sem(cfg)
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
-    result = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"]))
+    result = run_consensus(ds, trajectories, tau_sem=tau_sem)
     save_consensus(result.records, paths["consensus"])
     return paths["consensus"]
 
 
 def stage_keyframe(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+    strategy, sigma, external = _keyframe_settings(cfg)
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
-    section = cfg["keyframe"]
-    external = None
-    if section.get("external"):
-        external = ExternalDescriptions.load(section["external"], dim=ds.dim)
-    descriptions = run_keyframes(
-        ds,
-        records,
-        strategy=str(section.get("strategy", "weighting")),
-        sigma=float(section.get("sigma", 100.0)),
-        seed=seed,
-        external=external,
-    )
+    captions = ExternalDescriptions.load(external, dim=ds.dim) if external else None
+    descriptions = run_keyframes(ds, records, strategy=strategy, sigma=sigma, seed=seed, external=captions)
     save_descriptions(descriptions, paths["descriptions"])
     return paths["descriptions"]
 
@@ -388,7 +370,7 @@ def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
         )
     # without --geometry: <scene>/field_geometry.json, where synth wrote it
     field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json", ds)
-    long_only = bool(cfg["train"].get("long_only", False))
+    long_only = _settings(cfg, "train")["long_only"]
     field_, curve = train(
         field_, ds, records, descriptions, _train_config(cfg, ds.n_views), include_category=not long_only
     )
@@ -409,7 +391,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
 
-    tau_sem = float(cfg["consensus"]["tau_sem"])
+    tau_sem = _tau_sem(cfg)
     observed = observed_labels(ds)
     if observed:
         clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
@@ -570,8 +552,10 @@ def run_sweep(
         # one agglomeration to the lowest value; every higher value's clustering is a prefix of its merges
         agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, min(values))
     elif param == "sigma":
+        for value in values:
+            check_keyframe_settings("weighting", value)
         # consensus and the member areas do not depend on sigma: one serves every value
-        records = run_consensus(ds, trajectories, tau_sem=float(cfg["consensus"]["tau_sem"])).records
+        records = run_consensus(ds, trajectories, tau_sem=_tau_sem(cfg)).records
         track_areas = [member_areas(ds, rec) for rec in records]
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
@@ -640,7 +624,7 @@ def build_parser() -> _Parser:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else cfg["seed"]
     cfg["seed"] = seed
     paths = {}
     for dest, value in vars(args).items():

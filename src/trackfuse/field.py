@@ -398,6 +398,10 @@ def train(
     return field_, curve
 
 
+# the centers of an object's Gaussian cloud, as offsets from its center in units of its radii
+OFFSETS = ((0.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.5))
+
+
 def field_from_ground_truth(
     gt: GroundTruth,
     n_views: int,
@@ -407,12 +411,13 @@ def field_from_ground_truth(
     spread: float = 8.0,
     per_object: int = 5,
 ) -> ToyReferringField:
-    """Fixed geometry from the true object motion: a small Gaussian cloud per object."""
-    offsets = [(0.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.5)][:per_object]
+    """Fixed geometry from the true object motion: a cloud of ``per_object`` Gaussians per object."""
+    if not 1 <= per_object <= len(OFFSETS):
+        raise ValueError(f"gaussians_per_object must be in [1, {len(OFFSETS)}], got {per_object!r}")
     gaussians = []
     for obj in gt.objects:
         rx, ry = obj.radii
-        for ox, oy in offsets:
+        for ox, oy in OFFSETS[:per_object]:
             centers = np.full((n_views, 2), np.nan)
             for view in range(n_views):
                 if view < len(obj.visible) and obj.visible[view]:

@@ -39,8 +39,16 @@ def median_area(areas: list[int]) -> float:
     return (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
 
 
+def check_keyframe_settings(strategy: str, sigma: float) -> None:
+    """Refuse a strategy not in STRATEGIES and a sigma that is not > 0, NaN included."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 def visibility_score(area: float, med: float, sigma: float) -> float:
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if area < 0 or med < 0:
         raise ValueError("areas must be nonnegative")
@@ -58,10 +66,9 @@ def select_keyframe(
 
     ``view_areas`` holds (view, mask area) per trajectory member. All ties
     resolve to the earliest view; ``random`` draws uniformly with the given
-    seed. Every strategy rejects ``sigma <= 0`` and negative areas.
+    seed. Every strategy rejects a sigma that is not > 0 (NaN too) and negative areas.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    check_keyframe_settings(strategy, sigma)
     if not view_areas:
         raise ValueError("trajectory has no members")
     med = median_area([a for _, a in view_areas])

@@ -963,6 +963,57 @@ class TestBadInput:
         assert f"{key}.views: {bad} is not a view of the dataset, which has 3 views" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("assoc.iou_weight", 1.5),
+            ("assoc.max_gap", -1),
+            ("assoc.mode", "bogus"),
+            ("keyframe.sigma", math.nan),
+            ("keyframe.sigma", 0),
+            ("keyframe.strategy", "bogus"),
+            ("keyframe.strategy", 3),
+            ("keyframe.external", 5),
+            ("train.spread", -1),
+            ("train.spread", math.nan),
+            ("train.gaussians_per_object", 0),
+            ("train.gaussians_per_object", 9),
+            ("eval.views", "x"),
+        ],
+    )
+    def test_setting_its_stage_refuses_exits_two_before_any_stage(self, tmp_path, capsys, name, value):
+        # every builder a stage calls also runs when the config is read
+        section, _, key = name.partition(".")
+        cfg = write_config(tmp_path, TINY_CONFIG | {section: TINY_CONFIG.get(section, {}) | {key: value}})
+        out = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {cfg}: {name} " in capsys.readouterr().err
+        assert not (out / "dataset").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["consensus", "--tau-sem", "2"], "tau_sem must be in (0, 1), got 2.0"),
+            (["keyframe", "--sigma", "0"], "sigma must be positive, got 0.0"),
+            (["keyframe", "--sigma", "nan"], "sigma must be positive, got nan"),
+            (["associate", "--mode", "greedy", "--iou-weight", "1.5"], "iou_weight must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_flag_its_stage_refuses_exits_one(self, run_dir, tmp_path, capsys, argv, message):
+        command, *flags = argv
+        assert main(stage_argv(run_dir, command, tmp_path) + flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize("values, bad", [("nan", "nan"), ("100,0", "0.0")])
+    def test_sweep_sigma_not_positive_exits_one(self, run_dir, tmp_path, capsys, values, bad):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                "--tracks", str(run_dir / "tracks.jsonl"), "--param", "sigma", "--values", values, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"sigma must be positive, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def eval_argv(run, out, *extra):
     return ["eval", "--manifest", str(run / "dataset" / "manifest.json"), "--consensus", str(run / "consensus.jsonl"),

@@ -432,6 +432,13 @@ class TestFieldIo:
             mask = ~np.isnan(a.centers)
             assert np.array_equal(a.centers[mask], b.centers[mask])
 
+    @pytest.mark.parametrize("per_object", [0, 6, 9])
+    def test_gaussian_count_outside_the_offsets_is_refused(self, clean_scene, per_object):
+        # a slice of the five offsets would silently build fewer Gaussians than asked for
+        ds, gt, _ = clean_scene
+        with pytest.raises(ValueError, match=f"gaussians_per_object must be in \\[1, 5\\], got {per_object}"):
+            field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, per_object=per_object)
+
 
 # ---------------------------------------------------------------------------
 # batched and windowed paths against the per-query, per-Gaussian oracles

@@ -128,7 +128,7 @@ class TestSelectKeyframe:
             select_keyframe([(0, 1)], "best", 100.0)
 
     @pytest.mark.parametrize("strategy", ["weighting", "maximum", "minimum", "random", "medium"])
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_nonpositive_sigma_rejected_by_every_strategy(self, strategy, sigma):
         with pytest.raises(ValueError, match="sigma"):
             select_keyframe([(0, 1), (1, 4)], strategy, sigma)
