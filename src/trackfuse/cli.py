@@ -209,6 +209,7 @@ def load_config(path: str | None) -> dict:
             ("train.", _geometry),
             ("train.", lambda cfg: _train_config(cfg, None)),
             ("eval.", lambda cfg: _views(cfg, "eval", None)),
+            ("", lambda cfg: _seed(cfg["seed"])),
             ("synth." if cfg["synth"] else "", lambda cfg: _synth_config(cfg, cfg["seed"])),
         )
         for prefix, build in builders:
@@ -231,6 +232,13 @@ def load_config(path: str | None) -> dict:
 def _settings(cfg: dict, section: str) -> dict:
     """Config section ``section`` over its defaults: a ``run_pipeline`` caller may replace a whole section."""
     return DEFAULT_CONFIG[section] | cfg[section]
+
+
+def _seed(seed: int) -> int:
+    """The run seed, from the config or ``--seed``: numpy's generators take no negative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    return seed
 
 
 def _assoc_params(cfg: dict) -> tuple[str, AssocParams]:
@@ -624,7 +632,7 @@ def build_parser() -> _Parser:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args.seed) if args.seed is not None else cfg["seed"]
     cfg["seed"] = seed
     paths = {}
     for dest, value in vars(args).items():

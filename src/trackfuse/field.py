@@ -59,53 +59,90 @@ class ToyReferringField:
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
         # one (n_gaussians, h*w) buffer holds the weights of the last view asked for;
-        # only the boxes listed in _boxes are non-zero
+        # it is non-zero only inside the windows listed in _filled
         self._buffer: np.ndarray | None = None
         self._buffer_view: int | None = None
-        self._boxes: list[tuple[int, slice, slice]] = []
+        self._filled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (gaussians, tops, lefts)
+        self._centers: np.ndarray | None = None  # (n_gaussians, n_views, 2)
 
     def weights(self, view: int) -> np.ndarray:
         """(n_gaussians, h*w) spatial weights for one view, as a read-only array.
 
-        The field keeps one buffer: a call for another view zeroes the boxes
+        The field keeps one buffer: a call for another view zeroes the windows
         of the last view and fills this view's, and a repeated call for the
         same view does no work. The returned array is therefore valid only
         until ``weights`` is called for another view; copy it to keep it.
+        The centers are read once, at the first call: the geometry is fixed.
 
-        Each Gaussian's row is filled only inside its 3-sigma box, from the
-        first to the last row and column whose own squared offset from the
-        center is within the cutoff. Outside it d^2 > (3 s)^2 already, so
-        the weight there is 0, as in a full-grid evaluation.
+        Every Gaussian gets a window of the same size per axis, min(side,
+        floor(6 s) + 2), placed at its first row and column whose own squared
+        offset from the center is within the cutoff (3 s)^2, and moved back
+        into the view where it would cross the far edge. Those rows and
+        columns form one run no longer than floor(6 s) + 1, even with the
+        offsets rounded, so the window covers it; any other pixel of the
+        window has d^2 > (3 s)^2 and is written as 0, the weight a full-grid
+        evaluation gives it.
         """
         if view != self._buffer_view:
-            h, w, n = self.height, self.width, len(self.gaussians)
-            cutoff = (3.0 * self.spread) ** 2
-            centers = np.array([g.centers[view] for g in self.gaussians], dtype=float).reshape(n, 2)
             if self._buffer is None:
-                self._buffer = np.zeros((n, h * w))
-            grids = self._buffer.reshape(n, h, w)
+                self._buffer = np.zeros((len(self.gaussians), self.height * self.width))
+                self._centers = np.array([g.centers for g in self.gaussians], dtype=float)
             # forget the view first, so that a fill cut short is refilled by the next call
             self._buffer_view = None
-            for k, ys, xs in self._boxes:
-                grids[k, ys, xs] = 0.0
-            self._boxes = []
-            dx2 = (np.arange(w, dtype=float) - centers[:, :1]) ** 2  # (n, w)
-            dy2 = (np.arange(h, dtype=float) - centers[:, 1:]) ** 2  # (n, h)
-            # NaN offsets compare False, so a non-finite center gets an empty box
-            in_x, in_y = dx2 <= cutoff, dy2 <= cutoff
-            x0, x1 = in_x.argmax(axis=1).tolist(), (w - in_x[:, ::-1].argmax(axis=1)).tolist()
-            y0, y1 = in_y.argmax(axis=1).tolist(), (h - in_y[:, ::-1].argmax(axis=1)).tolist()
-            for k in np.flatnonzero(in_x.any(axis=1) & in_y.any(axis=1)).tolist():
-                xs, ys = slice(x0[k], x1[k]), slice(y0[k], y1[k])
-                d2 = dx2[k, xs] + dy2[k, ys, None]
-                box = np.exp(-d2 / (2.0 * self.spread**2))
-                box[d2 > cutoff] = 0.0
-                self._boxes.append((k, ys, xs))
-                grids[k, ys, xs] = box
+            self._fill(view)
             self._buffer_view = view
         out = self._buffer.view()
         out.flags.writeable = False
         return out
+
+    def _fill(self, view: int) -> None:
+        """Zero the listed windows, then write this view's through one strided window view of the
+        buffer, a chunk of Gaussians at a time: as many as keep the chunk's float64 and bool
+        blocks under 1/8 of the buffer, and at least one."""
+        h, w, n = self.height, self.width, len(self.gaussians)
+        span = math.floor(min(6.0 * self.spread, max(h, w))) + 2
+        win_h, win_w = min(h, span), min(w, span)
+        # slots[k, y, x] is Gaussian k's window with its top left pixel at row y, column x
+        gaussian, pixel = self._buffer.strides
+        slots = np.ndarray(
+            (n, h - win_h + 1, w - win_w + 1, win_h, win_w),
+            buffer=self._buffer,
+            strides=(gaussian, w * pixel, pixel, w * pixel, pixel),
+        )
+        if self._filled is not None:
+            slots[self._filled] = 0.0
+            self._filled = None
+        if not n:
+            return
+        centers = self._centers[:, view]
+        cutoff = (3.0 * self.spread) ** 2
+        dx2 = (np.arange(w, dtype=float) - centers[:, :1]) ** 2  # (n, w)
+        dy2 = (np.arange(h, dtype=float) - centers[:, 1:]) ** 2  # (n, h)
+        # NaN offsets compare False, so a non-finite center gets no window
+        in_x, in_y = dx2 <= cutoff, dy2 <= cutoff
+        ks = np.flatnonzero(in_x.any(axis=1) & in_y.any(axis=1))
+        tops = np.minimum(in_y.argmax(axis=1)[ks], h - win_h)
+        lefts = np.minimum(in_x.argmax(axis=1)[ks], w - win_w)
+        # listed before they are written, so that a fill cut short is zeroed by the next one
+        self._filled = (ks, tops, lefts)
+        denom = 2.0 * self.spread**2
+        cols, rows = np.arange(win_w), np.arange(win_h)
+        # 9 bytes per window pixel against the buffer's 8 * n * h * w; every chunk reuses the blocks
+        chunk = max(1, min(ks.size, n * h * w // (9 * win_h * win_w)))
+        d2_block, beyond_block = np.empty((chunk, win_h, win_w)), np.empty((chunk, win_h, win_w), dtype=bool)
+        for lo in range(0, ks.size, chunk):
+            k, y, x = ks[lo : lo + chunk], tops[lo : lo + chunk], lefts[lo : lo + chunk]
+            d2, beyond = d2_block[: k.size], beyond_block[: k.size]
+            # each window's slices of dx^2 and dy^2, added as dx2 + dy2
+            dx, dy = dx2[k[:, None], x[:, None] + cols], dy2[k[:, None], y[:, None] + rows]
+            np.add(dx[:, None, :], dy[:, :, None], out=d2)
+            np.greater(d2, cutoff, out=beyond)
+            # exp(-d2 / (2 s^2)), one operation at a time in d2's block
+            np.negative(d2, out=d2)
+            d2 /= denom
+            np.exp(d2, out=d2)
+            d2[beyond] = 0.0
+            slots[k, y, x] = d2
 
 
 def render_logits(
@@ -434,19 +471,18 @@ def save_field(field_: ToyReferringField, path: str | Path) -> None:
         "spread": field_.spread,
         "dim": field_.dim,
         "gaussians": [
-            {
-                "id": g.gid,
-                "track": g.track,
-                "centers": [
-                    None if not np.all(np.isfinite(c)) else [float(c[0]), float(c[1])]
-                    for c in g.centers
-                ],
-                "feature": feature.tolist(),
-            }
+            {"id": g.gid, "track": g.track, "centers": _json_centers(g.centers), "feature": feature.tolist()}
             for g, feature in zip(field_.gaussians, field_.features)
         ],
     }
     write_json(obj, path)
+
+
+def _json_centers(centers) -> list:
+    """Each (x, y) row as a list of floats, or None where it is not finite (not visible)."""
+    centers = np.asarray(centers, dtype=float)
+    visible = np.isfinite(centers).all(axis=1).tolist()
+    return [row if seen else None for row, seen in zip(centers.tolist(), visible)]
 
 
 def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:

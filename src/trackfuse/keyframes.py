@@ -96,7 +96,7 @@ class ExternalDescriptions:
 
     File format: one JSON object per line
     {"track": int, "view": int, "texts": [str, ...], "vecs": [[float, ...], ...]}.
-    Vectors must be finite, and of length ``dim`` when one is given.
+    Vectors must be finite and of unit norm, and of length ``dim`` when one is given.
     """
 
     def __init__(self, entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]]):
@@ -106,7 +106,7 @@ class ExternalDescriptions:
     def load(cls, path: str | Path, dim: int | None = None) -> "ExternalDescriptions":
         def entry(obj: dict):
             texts = [str(t) for t in obj["texts"]]
-            vecs = [as_vector(v, dim, "caption vector") for v in obj["vecs"]]
+            vecs = [as_vector(v, dim, "caption vector", unit=True) for v in obj["vecs"]]
             if len(texts) != len(vecs):
                 raise SchemaError(f"{len(texts)} texts but {len(vecs)} vectors")
             key = (json_int(obj["track"], "track"), json_int(obj["view"], "view"))

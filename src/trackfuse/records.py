@@ -111,13 +111,22 @@ def config_hash(obj) -> str:
     return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
 
 
-def as_vector(value, dim: int | None, what: str) -> np.ndarray:
-    """A finite float vector, of shape (dim,) when ``dim`` is given."""
+def as_vector(value, dim: int | None, what: str, unit: bool = False) -> np.ndarray:
+    """A finite float vector, of shape (dim,) when ``dim`` is given, and of unit norm
+    (``check_unit_norm``) when ``unit`` is set."""
     vec = np.asarray(value, dtype=float)
     if dim is not None and vec.shape != (dim,):
         raise SchemaError(f"{what} has shape {vec.shape}, expected ({dim},)")
     if not np.all(np.isfinite(vec)):
         raise SchemaError(f"{what} is not finite")
+    return check_unit_norm(vec, what) if unit else vec
+
+
+def check_unit_norm(vec: np.ndarray, what: str) -> np.ndarray:
+    """``vec`` if its Euclidean norm is within ``UNIT_NORM_TOL`` of 1."""
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
+        raise SchemaError(f"{what} must be unit-norm, got |v| = {norm}")
     return vec
 
 
@@ -198,11 +207,7 @@ class LabelEmbedding:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.vector))
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
-            raise SchemaError(
-                f"embedding for {self.label!r} must be unit-norm, got |v| = {norm}"
-            )
+        check_unit_norm(self.vector, f"embedding for {self.label!r}")
 
 
 @dataclass
@@ -234,7 +239,7 @@ class DescriptionSet:
             track_id=json_int(obj["track"], "track"),
             category=str(obj["category"]),
             referrals=[
-                (str(r["text"]), as_vector(r["vec"], dim, "referral vector"))
+                (str(r["text"]), as_vector(r["vec"], dim, "referral vector", unit=True))
                 for r in obj["referrals"]
             ],
             keyframe=json_int(obj["keyframe"], "keyframe") if "keyframe" in obj else None,

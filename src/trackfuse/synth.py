@@ -79,6 +79,8 @@ class SynthConfig:
         for name in ("n_views", "n_objects"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.dim < len(self.vocabulary):
             raise ValueError(
                 f"dim must be at least the {len(self.vocabulary)} synonym groups of the vocabulary, "

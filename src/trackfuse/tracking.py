@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .records import SceneDataset, Trajectory, json_members, member_check, read_jsonl, write_jsonl
-from .rle import RleMask, json_int, mask_iou
+from .rle import RleMask, iou_table, json_int
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,12 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
         vecs = [ds.embedding(d.raw_label) for d in dets]
         eligible = [t for t in tracks if view - t.last_view <= params.max_gap + 1]
 
+        # one decode per mask; each cell is bit-equal to mask_iou of its pair
+        ious = iou_table([d.mask for d in dets], [t.last_mask for t in eligible]).tolist()
         pairs = []
-        for di, det in enumerate(dets):
-            for t in eligible:
-                score = alpha * mask_iou(det.mask, t.last_mask) + (1.0 - alpha) * float(
-                    np.dot(vecs[di], t.last_vec)
-                )
+        for di, row in enumerate(ious):
+            for iou, t in zip(row, eligible):
+                score = alpha * iou + (1.0 - alpha) * float(np.dot(vecs[di], t.last_vec))
                 if score >= params.match_threshold:
                     pairs.append((score, di, t.track_id, t))
         pairs.sort(key=lambda p: (-p[0], p[1], p[2]))

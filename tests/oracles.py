@@ -13,7 +13,7 @@ import numpy as np
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, binarize_logits, render_logits
 from trackfuse.metrics import miou
-from trackfuse.records import Detection, SceneDataset
+from trackfuse.records import Detection, SceneDataset, Trajectory
 from trackfuse.rle import mask_iou, rle_decode, rle_encode
 from trackfuse.synth import GroundTruth, GtObject, _render, build_vocabulary_embeddings
 
@@ -157,6 +157,63 @@ def oracle_match_tracks(ds, records, gt):
                 totals[obj.object_id] += mask_iou(det.mask, obj.masks[view])
         out[rec.track_id] = min(totals, key=lambda oid: (-totals[oid], oid))
     return out
+
+
+def oracle_associate_greedy(ds, params):
+    """Greedy association scoring every (detection, open track) pair with its own ``mask_iou``.
+
+    Per view: score = iou_weight * IoU + (1 - iou_weight) * label cosine for
+    each detection against each track seen within ``max_gap + 1`` views,
+    keep the pairs at or above ``match_threshold``, and match them in
+    descending score, ties to the lower detection index, then the lower
+    track id; an unmatched detection opens a new track.
+    """
+    alpha = params.iou_weight
+    tracks = []  # [track_id, last_view, last_mask, last_vec, members]
+    for view in range(ds.n_views):
+        dets = ds.detections[view]
+        vecs = [ds.embedding(d.raw_label) for d in dets]
+        eligible = [t for t in tracks if view - t[1] <= params.max_gap + 1]
+        pairs = []
+        for di, det in enumerate(dets):
+            for t in eligible:
+                score = alpha * mask_iou(det.mask, t[2]) + (1.0 - alpha) * float(np.dot(vecs[di], t[3]))
+                if score >= params.match_threshold:
+                    pairs.append((score, di, t[0], t))
+        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+        matched_dets, matched_tracks = set(), set()
+        for _, di, tid, t in pairs:
+            if di in matched_dets or tid in matched_tracks:
+                continue
+            matched_dets.add(di)
+            matched_tracks.add(tid)
+            t[1:4] = [view, dets[di].mask, vecs[di]]
+            t[4].append((view, di))
+        for di, det in enumerate(dets):
+            if di not in matched_dets:
+                tracks.append([len(tracks), view, det.mask, vecs[di], [(view, di)]])
+    return [Trajectory(t[0], tuple(t[4])) for t in tracks]
+
+
+def oracle_field_json(field_):
+    """A field file's document, each center row tested with its own ``np.isfinite`` and cast with ``float``."""
+    return {
+        "h": field_.height,
+        "w": field_.width,
+        "spread": field_.spread,
+        "dim": field_.dim,
+        "gaussians": [
+            {
+                "id": g.gid,
+                "track": g.track,
+                "centers": [
+                    None if not np.all(np.isfinite(c)) else [float(c[0]), float(c[1])] for c in g.centers
+                ],
+                "feature": feature.tolist(),
+            }
+            for g, feature in zip(field_.gaussians, field_.features)
+        ],
+    }
 
 
 def oracle_weights(field_, view):

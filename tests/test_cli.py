@@ -527,7 +527,30 @@ class TestBadInput:
         assert main(stage_argv(run_dir, "train", tmp_path)) == 2
         assert "descriptions.jsonl:1: referral vector is not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("vec, problem", [([float("nan")] * 32, "not finite"), ([1.0] * 31, "shape")])
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 0.0])
+    def test_referral_vector_not_unit_norm_exits_two(self, run_dir, tmp_path, capsys, scale):
+        def stretch(obj):
+            obj["referrals"][-1]["vec"] = [scale * x for x in obj["referrals"][-1]["vec"]]
+            return json.dumps(obj)
+
+        edit_jsonl(run_dir / "descriptions.jsonl", 2, stretch)
+        out = tmp_path / "train.out"
+        assert main(stage_argv(run_dir, "train", tmp_path)) == 2
+        assert "descriptions.jsonl:2: referral vector must be unit-norm, got |v| = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_referral_vector_within_the_unit_norm_tolerance_is_accepted(self, run_dir, tmp_path):
+        def stretch(obj):
+            obj["referrals"][0]["vec"] = [(1.0 + 5e-7) * x for x in obj["referrals"][0]["vec"]]
+            return json.dumps(obj)
+
+        edit_jsonl(run_dir / "descriptions.jsonl", 1, stretch)
+        assert main(stage_argv(run_dir, "train", tmp_path)) == 0
+
+    @pytest.mark.parametrize(
+        "vec, problem",
+        [([float("nan")] * 32, "not finite"), ([1.0] * 31, "shape"), ([1.0] * 32, "must be unit-norm, got |v| = ")],
+    )
     def test_bad_external_caption_vector_exits_two(self, run_dir, tmp_path, capsys, vec, problem):
         from trackfuse.consensus import load_consensus
         from trackfuse.records import text_embedding
@@ -872,6 +895,31 @@ class TestBadInput:
         out = tmp_path / "scene"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
         assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (TINY_CONFIG | {"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"synth": TINY_CONFIG["synth"] | {"seed": -1}}, "synth.seed must be >= 0, got -1"),
+            # a bare scene config names the key as written
+            ({"n_views": 3, "seed": -2}, "seed must be >= 0, got -2"),
+        ],
+    )
+    def test_negative_seed_exits_two_before_any_stage(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_synth_settings_of_their_types_are_accepted(self, tmp_path):

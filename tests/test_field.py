@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     grad_check,
+    oracle_field_json,
     oracle_render_logits,
     oracle_seg_loss,
     oracle_seg_step,
@@ -37,7 +38,7 @@ from trackfuse.field import (
     select_gaussians,
 )
 from trackfuse.keyframes import run_keyframes
-from trackfuse.records import DescriptionSet
+from trackfuse.records import DescriptionSet, dumps
 from trackfuse.rle import rle_decode, rle_encode
 
 
@@ -655,6 +656,105 @@ class TestWeightBuffer:
             tracemalloc.stop()
         # n_views buffers if each view kept its own; one plus the small render temporaries here
         assert buffer_bytes <= peak < 2 * buffer_bytes
+
+
+# spreads whose 6 s is an integer, or one ulp either side of one, put the 3-sigma run of
+# pixels at its longest for the window size floor(6 s) + 2
+EDGE_SPREADS = [k / 6 for k in (1, 2, 3, 5, 9, 17)] + [
+    float(np.nextafter(k / 6, direction)) for k in (1, 3, 9, 17) for direction in (0.0, math.inf)
+]
+
+
+@st.composite
+def windowed_fields(draw):
+    """Odd and degenerate view sizes, spreads from tiny to wider than the view, and a view order."""
+    h = draw(st.sampled_from([1, 2, 7, 33, 47]) | st.integers(1, 50))
+    w = draw(st.sampled_from([1, 3, 33, 47]) | st.integers(1, 50))
+    spread = draw(st.sampled_from(EDGE_SPREADS) | st.floats(0.05, 3.0) | st.floats(3.0, 1e6) | st.just(1e150))
+    n_views = draw(st.integers(1, 4))
+    gaussians = []
+    for gid in range(draw(st.integers(1, 10))):
+        centers = np.array([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
+        gaussians.append(ToyGaussian(gid, 0, centers))
+    field = ToyReferringField(h, w, spread, 2, gaussians, np.zeros((len(gaussians), 2)))
+    order = draw(st.lists(st.integers(0, n_views - 1), min_size=1, max_size=6))
+    return field, order
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+class TestWindowedFill:
+    """``weights`` fills fixed-size windows in chunks; every view, in any order, is the full-grid oracle."""
+
+    @given(windowed_fields())
+    @example((TestWeightBuffer._field(20.0), [2, 0, 1, 0]))  # every 3-sigma box is wider than the view
+    @example((make_field([[0.0]] * 3, [(16.5, 0.5), (-0.5, 32.5), (math.nan, 3.0)], h=33, w=47, spread=1 / 3), [0, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_views_in_any_order_equal_full_grid(self, case):
+        field, order = case
+        for view in order:
+            got = field.weights(view)
+            assert got.tobytes() == oracle_weights(field, view).tobytes()
+
+    @pytest.mark.parametrize("spread", EDGE_SPREADS)
+    def test_every_center_offset_at_edge_spreads(self, spread):
+        # centers a fraction of a pixel apart sweep the 3-sigma run across every phase
+        offsets = np.linspace(0.0, 1.0, 41)
+        centers = [(20.0 + dx, 16.0 + dx / 3) for dx in offsets]
+        field = make_field([[1.0]] * len(centers), centers, h=33, w=47, spread=spread)
+        assert field.weights(0).tobytes() == oracle_weights(field, 0).tobytes()
+
+    def test_fill_temporaries_stay_under_an_eighth_of_the_buffer(self):
+        n, h, w = 64, 96, 96
+        rng = np.random.default_rng(3)
+        gaussians = [ToyGaussian(g, 0, rng.uniform(0, h, (3, 2))) for g in range(n)]
+        field = ToyReferringField(h, w, 8.0, 2, gaussians, np.zeros((n, 2)))
+        field.weights(0)
+        buffer_bytes = n * h * w * 8
+        tracemalloc.start()
+        try:
+            field.weights(1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the chunk's window temporaries, plus the (n, h) and (n, w) offset rows
+        assert peak - current < buffer_bytes // 8 + 32 * n * (h + w)
+        assert field.weights(1).tobytes() == oracle_weights(field, 1).tobytes()
+
+
+class TestSaveFieldText:
+    @staticmethod
+    def _field(centers):
+        gaussians = [ToyGaussian(g, g % 2, np.array(c, dtype=float)) for g, c in enumerate(centers)]
+        features = np.random.default_rng(0).standard_normal((len(gaussians), 3))
+        return ToyReferringField(8, 8, 1.5, 3, gaussians, features)
+
+    @pytest.mark.parametrize(
+        "centers",
+        [
+            [[(0.0, -0.0), (-0.0, 0.0)], [(math.nan, 1.0), (1.0, math.nan)]],
+            [[(1e300, -1e300), (math.inf, 2.0)], [(-math.inf, -math.inf), (5e-324, 0.1)]],
+            [[(math.nan, math.nan), (2.5, 3.5)], [(123456789.123456789, -2.0**60), (7.0, 7)]],
+        ],
+        ids=["signed-zero-and-nan", "huge-infinite-and-subnormal", "nan-row-and-large"],
+    )
+    def test_text_equals_per_center_expression(self, tmp_path, centers):
+        field = self._field(centers)
+        save_field(field, tmp_path / "f.json")
+        assert (tmp_path / "f.json").read_text() == dumps(oracle_field_json(field)) + "\n"
+
+    @given(st.lists(st.tuples(coordinate(40), coordinate(40)), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_centers_give_the_same_document(self, rows):
+        field = self._field([rows])
+        got = field_module._json_centers(field.gaussians[0].centers)
+        assert dumps(got) == dumps(oracle_field_json(field)["gaussians"][0]["centers"])
+
+    def test_integer_centers_are_written_as_floats(self, tmp_path):
+        gaussians = [ToyGaussian(0, 0, np.array([[1, 2], [3, 4]]))]
+        field = ToyReferringField(4, 4, 1.0, 1, gaussians, np.zeros((1, 1)))
+        save_field(field, tmp_path / "f.json")
+        assert '"centers":[[1.0,2.0],[3.0,4.0]]' in (tmp_path / "f.json").read_text()
+        assert (tmp_path / "f.json").read_text() == dumps(oracle_field_json(field)) + "\n"
 
 
 class TestSubsetCheck:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import oracle_associate_greedy
 
 import trackfuse as tf
 from trackfuse.errors import SchemaError
@@ -159,6 +160,61 @@ class TestGreedy:
         ds.embeddings.pop("cup")
         with pytest.raises(SchemaError, match="no embedding"):
             associate_greedy(ds)
+
+
+def noisy_dataset(seed, dropout_rate, n_views=10, n_objects=4):
+    cfg = tf.SynthConfig(
+        n_views=n_views,
+        height=40,
+        width=48,
+        n_objects=n_objects,
+        seed=seed,
+        noise=tf.NoiseSpec(synonym_rate=0.3, wrong_label_rate=0.2, dropout_rate=dropout_rate,
+                           mask_jitter=2, strip_track_ids=True),
+    )
+    ds, gt = tf.generate_scene(cfg)
+    return tf.corrupt(ds, gt, cfg)
+
+
+class TestGreedyOracle:
+    """``associate_greedy`` scores a view's pairs from one IoU table; the oracle calls ``mask_iou`` per pair."""
+
+    PARAMS = [
+        AssocParams(),
+        AssocParams(max_gap=0),
+        AssocParams(iou_weight=1.0, match_threshold=0.0, max_gap=0),
+        AssocParams(iou_weight=0.0, match_threshold=0.5, max_gap=2),
+        AssocParams(iou_weight=0.5, match_threshold=0.9, max_gap=1),
+    ]
+
+    @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"w{p.iou_weight}-t{p.match_threshold}-gap{p.max_gap}")
+    @pytest.mark.parametrize("seed, dropout_rate", [(1, 0.0), (2, 0.3), (3, 0.6), (4, 0.9)])
+    def test_equals_per_pair_mask_iou(self, seed, dropout_rate, params):
+        ds = noisy_dataset(seed, dropout_rate)
+        assert associate_greedy(ds, params) == oracle_associate_greedy(ds, params)
+
+    def test_the_scenes_have_views_without_detections(self):
+        ds = noisy_dataset(4, 0.9)
+        assert any(not dets for dets in ds.detections)
+        assert sum(map(len, ds.detections)) > 1
+
+    def test_empty_views_and_empty_masks(self):
+        # two empty masks have IoU 1, as mask_iou gives them
+        empty = rle_encode(np.zeros((16, 16), dtype=bool))
+        cup = dict(mask=empty, raw_label="cup", confidence=1.0)
+        bowl = dict(mask=square_mask(16, 16, 0, 0, 3), raw_label="bowl", confidence=1.0)
+        ds = make_dataset([[cup, bowl], [], [bowl, cup], [cup], []])
+        for params in self.PARAMS:
+            assert associate_greedy(ds, params) == oracle_associate_greedy(ds, params)
+
+    def test_mismatched_mask_size_names_both_sizes(self):
+        ds = make_dataset([[dict(mask=square_mask(16, 16, 0, 0, 3), raw_label="cup", confidence=1.0)], []])
+        # a later view's mask of another size: the dataset refuses it, so build the view by hand
+        ds.detections[1] = [Detection(view=1, mask=square_mask(8, 8, 0, 0, 3), raw_label="cup", confidence=1.0)]
+        with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
+            associate_greedy(ds)
+        with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
+            oracle_associate_greedy(ds, AssocParams())
 
 
 class TestSidecar:
