@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import logging
 import os
 import platform
@@ -599,6 +600,7 @@ def _flag(key: str) -> str:
     return "--" + key.rpartition(".")[2].replace("_", "-")
 
 
+@functools.cache  # built once per process: parse_args does not change the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="trackfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -12,13 +12,15 @@ binary cross-entropy of the rendered grids of a track's positives against
 its consensus pseudo mask (one render product, one ``seg_loss`` pass), L_con
 a multi-positive softmax contrastive loss over the view's description pool,
 and rho(t) a stepwise decay of the contrastive weight; all gradients are
-analytic. ``train`` builds its plan once, as arrays, so that an epoch only
-renders, takes the losses and updates the feature matrix.
+analytic. ``train`` builds its plan once, as indices into one table of text
+vectors and bit-packed pseudo masks, so that an epoch only gathers, renders,
+takes the losses and updates the feature matrix.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +36,9 @@ BCE_EPS = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the largest double whose square is finite; a spread is refused if its cutoff 3 s is above it,
+# since the squared cutoff is taken with Python's float **, which raises rather than giving inf
+MAX_CUTOFF = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -55,6 +60,10 @@ class ToyReferringField:
     def __post_init__(self) -> None:
         if not 0 < self.spread < math.inf:
             raise ValueError(f"spread must be positive and finite, got {self.spread}")
+        if not 3.0 * self.spread <= MAX_CUTOFF:
+            raise ValueError(
+                f"spread must be at most {MAX_CUTOFF / 3:.3g}, so that (3 * spread) ** 2 is finite, got {self.spread}"
+            )
         for pos, g in enumerate(self.gaussians):
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
@@ -198,21 +207,30 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
     centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
-    return _select_inside(field_, view, centers, rle_decode(pseudo_mask))
+    return _select_inside(field_, view, _center_pixels(field_, centers), rle_decode(pseudo_mask))
 
 
-def _select_inside(field_: ToyReferringField, view: int, centers: np.ndarray, grid: np.ndarray) -> list[int]:
-    """Ids of the Gaussians whose center, a row of the (n_gaussians, 2) ``centers``,
-    rounds to a set pixel of the decoded pseudo mask ``grid``."""
-    if grid.shape != (field_.height, field_.width):
-        raise SchemaError(
-            f"pseudo mask is {grid.shape[0]}x{grid.shape[1]}, field is {field_.height}x{field_.width}"
-        )
+def _center_pixels(field_: ToyReferringField, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the Gaussians whose center, a row of the (n_gaussians, 2) ``centers``, rounds
+    to a pixel of the view, and that pixel's index in the flattened (h*w,) grid."""
     # np.rint rounds half to even like round(); NaN and inf fail the bounds
     col, row = np.rint(centers).T
     inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
     gids = np.flatnonzero(inside)
-    chosen = gids[grid[row[gids].astype(int), col[gids].astype(int)]].tolist()
+    return gids, row[gids].astype(int) * field_.width + col[gids].astype(int)
+
+
+def _select_inside(
+    field_: ToyReferringField, view: int, center_pixels: tuple[np.ndarray, np.ndarray], grid: np.ndarray
+) -> list[int]:
+    """Ids of the Gaussians whose center pixel, from ``_center_pixels``, is set in the decoded
+    pseudo mask ``grid``."""
+    if grid.shape != (field_.height, field_.width):
+        raise SchemaError(
+            f"pseudo mask is {grid.shape[0]}x{grid.shape[1]}, field is {field_.height}x{field_.width}"
+        )
+    gids, pixels = center_pixels
+    chosen = gids[grid.ravel()[pixels]].tolist()
     if not chosen:
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
     return chosen
@@ -368,35 +386,43 @@ def train(
         if not 0 <= view < ds.n_views:
             raise ValueError(f"view {view} is not a view of the dataset, which has {ds.n_views} views")
 
-    # the geometry and the pseudo masks are fixed, so the plan is built once: per view,
-    # the pool holds each (track, text) key's first vector once, and each visible track
-    # gets its positives, gathered from the pool rows of its keys (a repeated key reuses
-    # its row, so they are a subset of the pool by construction), its pseudo mask decoded
-    # once and the Gaussians chosen from it; the plan is view-major, so each epoch fills
-    # each view's weights once
+    # the geometry and the pseudo masks are fixed, so the plan is built once, as indices:
+    # - keys maps each (track, text) key to its row of one table, which holds its first vector;
+    # - per view, pool_rows lists the table rows of the view's pool, in first-seen order;
+    # - per visible track, its positives' rows in that pool (a repeated key reuses its row, so
+    #   they are a subset of the pool by construction), its pseudo mask decoded once, to choose
+    #   its Gaussians, and kept bit-packed, and the chosen Gaussians.
+    # The plan is view-major, so each epoch fills each view's weights and gathers its pool once.
+    h, w = field_.height, field_.width
     centers = np.array([[g.centers[view] for g in field_.gaussians] for view in views], dtype=float)
     centers = centers.reshape(len(views), len(field_.gaussians), 2)
+    records = sorted(records, key=lambda r: r.track_id)
+    # each record's member in a view; reversed, so that the first of a view wins, as a scan finds it
+    members = [dict(reversed(rec.members)) for rec in records]
+    keys: dict[tuple[int, str], tuple[int, np.ndarray]] = {}  # key -> (table row, vector)
     plan = []
     for view, view_centers in zip(views, centers):
-        pool: dict[tuple[int, str], tuple[int, np.ndarray]] = {}  # key -> (row, vector)
+        center_pixels = _center_pixels(field_, view_centers)
+        pool: dict[int, int] = {}  # table row -> pool row
         entries = []
-        for rec in sorted(records, key=lambda r: r.track_id):
-            member = next(((v, i) for v, i in rec.members if v == view), None)
+        for rec, member in zip(records, members):
+            index = member.get(view)
             desc = desc_by_track.get(rec.track_id)
-            if member is None or desc is None:
+            if index is None or desc is None:
                 continue
             category = [(desc.category, ds.embedding(desc.category))] if include_category else []
             texts = [*category, *desc.referrals]
-            rows = [pool.setdefault((rec.track_id, text), (len(pool), vec))[0] for text, vec in texts]
-            target = rle_decode(ds.detection(*member).mask)
-            entries.append((rows, target, _select_inside(field_, view, view_centers, target)))
+            table_rows = [keys.setdefault((rec.track_id, text), (len(keys), vec))[0] for text, vec in texts]
+            rows = np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp)
+            target = rle_decode(ds.detection(view, index).mask)
+            entries.append((rows, np.packbits(target), _select_inside(field_, view, center_pixels, target)))
         if entries:
-            pool_vecs = np.stack([vec for _, vec in pool.values()])
-            plan += [(view, pool_vecs[rows], pool_vecs, target, chosen) for rows, target, chosen in entries]
+            plan.append((view, np.array(list(pool), dtype=np.intp), entries))
+    table = np.stack([vec for _, vec in keys.values()]) if keys else None
 
     # one render block and two seg_loss blocks of the largest positive set, for every step
-    n_rows = max((positives.shape[0] for _, positives, *_ in plan), default=0)
-    buffers = np.empty((3, n_rows, field_.height * field_.width))
+    n_rows = max((rows.size for _, _, entries in plan for rows, _, _ in entries), default=0)
+    buffers = np.empty((3, n_rows, h * w))
     # the features and the Adam moments are updated in place, each product and sum
     # rounded as in m = b1 * m + (1 - b1) * g and its kin; the caller's array is kept
     features = field_.features = field_.features.astype(float)
@@ -405,32 +431,36 @@ def train(
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view, positives, pool, target, chosen in plan:
-            anchor = features[chosen].mean(axis=0)
-            con, g_con = _contrastive(anchor, positives, pool, cfg.tau)
-            grads_con = np.zeros_like(features)
-            grads_con[chosen] += g_con / len(chosen)
-            seg_mean, grads_seg = seg_step(field_, view, positives, target, buffers)
+        for view, pool_rows, entries in plan:
+            pool = table[pool_rows]
+            for rows, packed, chosen in entries:
+                positives = pool[rows]
+                target = np.unpackbits(packed, count=h * w).view(bool).reshape(h, w)
+                anchor = features[chosen].mean(axis=0)
+                con, g_con = _contrastive(anchor, positives, pool, cfg.tau)
+                grads_con = np.zeros_like(features)
+                grads_con[chosen] += g_con / len(chosen)
+                seg_mean, grads_seg = seg_step(field_, view, positives, target, buffers)
 
-            weight = cfg.lam * cfg.ratio(iteration)
-            step_loss = seg_mean + weight * con
-            if not math.isfinite(step_loss):
-                raise NumericError(f"non-finite loss at iteration {iteration}")
-            step_grad = grads_seg + weight * grads_con
+                weight = cfg.lam * cfg.ratio(iteration)
+                step_loss = seg_mean + weight * con
+                if not math.isfinite(step_loss):
+                    raise NumericError(f"non-finite loss at iteration {iteration}")
+                step_grad = grads_seg + weight * grads_con
 
-            iteration += 1
-            m *= ADAM_BETA1
-            m += np.multiply(step_grad, 1.0 - ADAM_BETA1, out=step)
-            v *= ADAM_BETA2
-            v += np.multiply(np.square(step_grad, out=step), 1.0 - ADAM_BETA2, out=step)
-            # features -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - ADAM_BETA1**iteration, out=step)
-            step *= cfg.feature_lr
-            np.divide(v, 1.0 - ADAM_BETA2**iteration, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            features -= np.divide(step, denom, out=step)
-            curve.append((iteration, seg_mean, con, step_loss))
+                iteration += 1
+                m *= ADAM_BETA1
+                m += np.multiply(step_grad, 1.0 - ADAM_BETA1, out=step)
+                v *= ADAM_BETA2
+                v += np.multiply(np.square(step_grad, out=step), 1.0 - ADAM_BETA2, out=step)
+                # features -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, 1.0 - ADAM_BETA1**iteration, out=step)
+                step *= cfg.feature_lr
+                np.divide(v, 1.0 - ADAM_BETA2**iteration, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                features -= np.divide(step, denom, out=step)
+                curve.append((iteration, seg_mean, con, step_loss))
 
     return field_, curve
 

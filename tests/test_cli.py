@@ -645,6 +645,11 @@ class TestBadInput:
             ("nan-feature", "gaussian 0: feature is not finite"),
             ("height", "field is 16x32, the dataset's views are 32x32"),
             ("nan-spread", "malformed record: ValueError('spread must be positive and finite, got nan')"),
+            (
+                "huge-spread",
+                "malformed record: ValueError('spread must be at most 4.47e+153, so that (3 * spread) ** 2 "
+                "is finite, got 1e+300')",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -665,6 +670,8 @@ class TestBadInput:
             first["feature"][0] = float("nan")
         elif problem == "nan-spread":
             field["spread"] = float("nan")
+        elif problem == "huge-spread":  # finite, but the squared cutoff (3 * spread) ** 2 overflows
+            field["spread"] = 1e300
         else:
             field["h"] = 16
         path.write_text(json.dumps(field))
@@ -1024,6 +1031,7 @@ class TestBadInput:
             ("keyframe.external", 5),
             ("train.spread", -1),
             ("train.spread", math.nan),
+            ("train.spread", 1e300),
             ("train.gaussians_per_object", 0),
             ("train.gaussians_per_object", 9),
             ("eval.views", "x"),

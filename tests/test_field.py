@@ -441,6 +441,33 @@ class TestFieldIo:
             field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, per_object=per_object)
 
 
+class TestSpreadBound:
+    """A spread is accepted exactly when the squared cutoff (3 s) ** 2 is a finite double."""
+
+    @staticmethod
+    def _largest():
+        spread = field_module.MAX_CUTOFF / 3
+        while 3.0 * spread > field_module.MAX_CUTOFF:
+            spread = float(np.nextafter(spread, 0.0))
+        return spread
+
+    def test_largest_accepted_spread_fills_like_the_full_grid(self):
+        spread = self._largest()
+        assert math.isfinite((3.0 * spread) ** 2)
+        field = make_field([[1.0]] * 3, [(3.0, 4.0), (-2.0, 9.5), (math.nan, 1.0)], h=7, w=11, spread=spread)
+        assert field.weights(0).tobytes() == oracle_weights(field, 0).tobytes()
+
+    @pytest.mark.parametrize("spread", ["next", 4.48e153, 1e154, 1e300])
+    def test_spread_whose_squared_cutoff_overflows_is_refused(self, spread):
+        if spread == "next":  # one ulp above the largest accepted spread
+            spread = float(np.nextafter(self._largest(), math.inf))
+        with pytest.raises(OverflowError):
+            (3.0 * spread) ** 2
+        message = r"spread must be at most 4.47e\+153, so that \(3 \* spread\) \*\* 2 is finite"
+        with pytest.raises(ValueError, match=message):
+            make_field([[1.0]], [(3.0, 4.0)], spread=spread)
+
+
 # ---------------------------------------------------------------------------
 # batched and windowed paths against the per-query, per-Gaussian oracles
 
@@ -829,14 +856,27 @@ class TestLeanTrainStep:
         tf.propagate(ds, result.records)
         return ds, gt, result.records, run_keyframes(ds, result.records)
 
-    @pytest.mark.parametrize("case", ["hybrid", "long_only", "views_subset", "repeated_key"])
+    @pytest.mark.parametrize(
+        "case", ["hybrid", "long_only", "views_subset", "repeated_key", "odd_size", "epochs_out_of_order"]
+    )
     def test_train_is_the_oracle_bit_for_bit(self, noisy_scene, case):
+        if case == "odd_size":
+            # 33 x 47 = 1 551 pixels, not a multiple of 8: packed masks end in a partial byte; with
+            # dropout, a track is missing from some views, so the views' pools differ
+            cfg = tf.SynthConfig(
+                n_views=6, height=33, width=47, n_objects=3, seed=11,
+                noise=tf.NoiseSpec(synonym_rate=0.3, wrong_label_rate=0.1, dropout_rate=0.3, mask_jitter=1),
+            )
+            ds, gt = tf.generate_scene(cfg)
+            noisy_scene = tf.corrupt(ds, gt, cfg), gt
         ds, gt, records, descriptions = self._scene(noisy_scene)
         assert all(d.referrals for d in descriptions)  # hybrid positives: category + referrals
         cfg = tf.TrainConfig(epochs=3, feature_lr=0.01, lam=1.0)
         include_category = case != "long_only"
         if case == "views_subset":
             cfg = tf.TrainConfig(epochs=3, feature_lr=0.01, lam=1.0, views=(5, 0, 3, 6))
+        if case == "epochs_out_of_order":  # every view, out of order, one of them twice
+            cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0, views=(6, 1, 7, 3, 0, 2, 1, 5, 4))
         if case == "repeated_key":  # the category again as a referral: one pool row, two positives
             descriptions = [
                 DescriptionSet(d.track_id, d.category, [(d.category, ds.embedding(d.category)), *d.referrals])
@@ -855,6 +895,34 @@ class TestLeanTrainStep:
         initial = field.features
         trained, _ = tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
         assert not initial.any() and trained.features.any()
+
+    def test_train_refuses_a_pseudo_mask_of_another_size(self, noisy_scene):
+        ds, gt, records, descriptions = self._scene(noisy_scene)
+        field = field_from_ground_truth(gt, ds.n_views, 32, 48, dim=ds.dim)
+        with pytest.raises(SchemaError, match="pseudo mask is 64x64, field is 32x48"):
+            tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
+
+    def test_train_plan_holds_one_vector_table_and_packed_masks(self):
+        """On a vocab_wide-shaped scene, train's traced peak is the weight buffer and the step
+        blocks, with the plan's indices and packed masks; a plan that copies each entry's
+        positives and each view's pool, and keeps each mask as a bool grid, takes 4.4 MB."""
+        words = ("small", "large", "red", "old", "round")
+        vocabulary = tuple(tf.SynonymGroup(f"w{g:02d}", tuple(f"w{g:02d} {word}" for word in words)) for g in range(16))
+        cfg = tf.SynthConfig(
+            n_views=32, height=32, width=32, n_objects=16, dim=128, vocabulary=vocabulary, seed=1,
+            noise=tf.NoiseSpec(synonym_rate=0.5, wrong_label_rate=0.4),
+        )
+        ds, gt = tf.generate_scene(cfg)
+        ds, gt, records, descriptions = self._scene((tf.corrupt(ds, gt, cfg), gt))
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim, spread=2.0, per_object=1)
+        tracemalloc.start()
+        try:
+            _, curve = tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve) > 10 * ds.n_views
+        assert peak <= 1.5e6
 
     def test_train_refuses_a_pseudo_mask_without_a_gaussian_center(self, noisy_scene):
         ds, gt, records, descriptions = self._scene(noisy_scene)
