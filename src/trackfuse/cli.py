@@ -389,6 +389,14 @@ def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     return paths["model"]
 
 
+def _consensus_accuracy(paths: dict[str, Path], ds, gt, clustering, mapping) -> dict[str, float]:
+    """``consensus_accuracy``, its error (no detection matches an object) naming the ground-truth file."""
+    try:
+        return consensus_accuracy(ds, gt, clustering, mapping)
+    except SchemaError as exc:
+        raise SchemaError(f"{paths['ground_truth']}: {exc}") from exc
+
+
 def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
@@ -415,7 +423,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
             mapping = match_detections_to_objects(tables, gt)
-            metrics.update(consensus_accuracy(ds, gt, clustering, mapping))
+            metrics.update(_consensus_accuracy(paths, ds, gt, clustering, mapping))
 
     if "model" in paths:
         field_ = load_field(paths["model"], ds)
@@ -576,7 +584,7 @@ def run_sweep(
             propagate(ds, vote_tracks(ds, trajectories, clustering))
             row = {"value": value, "cluster_count": len(clustering.canonical)}
             if mapping is not None:
-                row.update(consensus_accuracy(ds, gt, clustering, mapping))
+                row.update(_consensus_accuracy(paths, ds, gt, clustering, mapping))
         else:
             keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
             row = {

@@ -48,6 +48,7 @@ from .records import (
     LabelEmbedding,
     SceneDataset,
     Trajectory,
+    check_member_views,
     json_members,
     member_check,
     read_jsonl,
@@ -260,6 +261,9 @@ class ConsensusRecord:
     canonical: str
     votes: dict[str, int]
     members: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        check_member_views(self.track_id, self.members)
 
     def to_json(self) -> dict:
         return {

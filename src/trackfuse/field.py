@@ -29,7 +29,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
 from .records import DescriptionSet, SceneDataset, as_vector, read_json, write_csv, write_json
-from .rle import RleMask, json_int, rle_decode
+from .rle import RleMask, json_int, rle_decode_many
 from .synth import GroundTruth
 
 BCE_EPS = 1e-7
@@ -207,7 +207,8 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
     centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
-    return _select_inside(field_, view, _center_pixels(field_, centers), rle_decode(pseudo_mask))
+    _, (chosen,) = _select_inside(field_, view, _center_pixels(field_, centers), [pseudo_mask])
+    return chosen.tolist()
 
 
 def _center_pixels(field_: ToyReferringField, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,19 +222,21 @@ def _center_pixels(field_: ToyReferringField, centers: np.ndarray) -> tuple[np.n
 
 
 def _select_inside(
-    field_: ToyReferringField, view: int, center_pixels: tuple[np.ndarray, np.ndarray], grid: np.ndarray
-) -> list[int]:
-    """Ids of the Gaussians whose center pixel, from ``_center_pixels``, is set in the decoded
-    pseudo mask ``grid``."""
-    if grid.shape != (field_.height, field_.width):
+    field_: ToyReferringField, view: int, center_pixels: tuple[np.ndarray, np.ndarray], masks: list[RleMask]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Decode a view's pseudo masks in one block, (n, h*w) booleans, and choose each mask's
+    Gaussians: the ids, as an intp array, whose center pixel from ``_center_pixels`` is set in it."""
+    first = masks[0]
+    if (first.height, first.width) != (field_.height, field_.width):
         raise SchemaError(
-            f"pseudo mask is {grid.shape[0]}x{grid.shape[1]}, field is {field_.height}x{field_.width}"
+            f"pseudo mask is {first.height}x{first.width}, field is {field_.height}x{field_.width}"
         )
+    grids = rle_decode_many(masks)
     gids, pixels = center_pixels
-    chosen = gids[grid.ravel()[pixels]].tolist()
-    if not chosen:
+    chosen = [gids[inside] for inside in grids[:, pixels]]
+    if not all(ids.size for ids in chosen):
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
-    return chosen
+    return grids, chosen
 
 
 def contrastive_loss(
@@ -261,14 +264,17 @@ def _contrastive(
     anchor: np.ndarray, positives: np.ndarray, pool: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
     """``contrastive_loss`` without its checks, for positives that are rows of the pool by construction."""
+    n_pos = positives.shape[0]
     logits = pool @ anchor / tau
-    m = float(logits.max())
-    lse = m + math.log(float(np.exp(logits - m).sum()))
+    # each reduction is the ufunc's own, which np.max, np.sum and np.mean call; a mean is that
+    # sum divided by the count, as np.mean divides it
+    m = float(np.maximum.reduce(logits))
+    lse = m + math.log(float(np.add.reduce(np.exp(logits - m))))
     pos_logits = positives @ anchor / tau
-    loss = float(lse - pos_logits.mean())
+    loss = float(lse - np.add.reduce(pos_logits) / n_pos)
 
     softmax = np.exp(logits - lse)
-    grad = (softmax @ pool - positives.mean(axis=0)) / tau
+    grad = (softmax @ pool - np.add.reduce(positives, axis=0) / n_pos) / tau
     return loss, grad
 
 
@@ -284,9 +290,10 @@ def seg_loss(
 
     ``out``, if given, is a float64 array of two blocks of ``probs``' size,
     (2, *probs.shape) or reshaped to it without a copy: the first holds the
-    clamped probabilities, the second the log terms and then the gradient,
-    which the returned gradient views. A training loop passes the same one
-    each step, so that no block of the stack's size is allocated per call.
+    clamped probabilities, and then the boolean masks of the clamp, the second
+    the log terms and then the gradient, which the returned gradient views.
+    A training loop passes the same one each step, so that no block of the
+    stack's size is allocated per call.
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(target, dtype=bool)
@@ -299,12 +306,17 @@ def seg_loss(
     np.subtract(1.0, p, out=buf)
     np.copyto(buf, p, where=y)
     np.log(buf, out=buf)
-    loss = -np.mean(buf, axis=(-2, -1))
-    # (probs - y) / N: probs - 1 where y, and probs itself (x - 0 is x) elsewhere
-    grad = np.subtract(probs, 1.0, out=buf)
-    np.copyto(grad, probs, where=~y)
+    # np.mean's sum and division, without its wrapper
+    loss = -(np.add.reduce(buf, axis=(-2, -1)) / y.size)
+    # (probs - y) / N with y as 0.0 and 1.0, zeroed where clamped flat; the clamped
+    # probabilities are spent, so their block holds the two masks of the clamp, a byte a pixel
+    grad = np.subtract(probs, y, out=buf)
     grad /= y.size
-    np.copyto(grad, 0.0, where=(probs < BCE_EPS) | (probs > 1.0 - BCE_EPS))
+    low, high = p.reshape(-1).view(bool)[: 2 * probs.size].reshape((2, *probs.shape))
+    np.less(probs, BCE_EPS, out=low)
+    np.greater(probs, 1.0 - BCE_EPS, out=high)
+    np.logical_or(low, high, out=low)
+    np.copyto(grad, 0.0, where=low)
     return (float(loss) if probs.ndim == 2 else loss), grad
 
 
@@ -330,7 +342,9 @@ def seg_step(
     seg_mean = 0.0
     for seg in losses.tolist():  # summed in row order, as one loss per positive would be
         seg_mean += seg / n_pos
-    return seg_mean, ((field_.weights(view) @ g_logits.reshape(n_pos, -1).T) @ positives) / n_pos
+    grad = (field_.weights(view) @ g_logits.reshape(n_pos, -1).T) @ positives
+    grad /= n_pos
+    return seg_mean, grad
 
 
 @dataclass(frozen=True)
@@ -390,21 +404,22 @@ def train(
     # - keys maps each (track, text) key to its row of one table, which holds its first vector;
     # - per view, pool_rows lists the table rows of the view's pool, in first-seen order;
     # - per visible track, its positives' rows in that pool (a repeated key reuses its row, so
-    #   they are a subset of the pool by construction), its pseudo mask decoded once, to choose
-    #   its Gaussians, and kept bit-packed, and the chosen Gaussians.
-    # The plan is view-major, so each epoch fills each view's weights and gathers its pool once.
+    #   they are a subset of the pool by construction) and its chosen Gaussians;
+    # - per view, its pseudo masks, decoded in one block to choose the Gaussians and kept as
+    #   one bit-packed block, a row per track.
+    # The plan is view-major, so each epoch fills each view's weights, gathers its pool and
+    # unpacks its masks once.
     h, w = field_.height, field_.width
     centers = np.array([[g.centers[view] for g in field_.gaussians] for view in views], dtype=float)
     centers = centers.reshape(len(views), len(field_.gaussians), 2)
     records = sorted(records, key=lambda r: r.track_id)
-    # each record's member in a view; reversed, so that the first of a view wins, as a scan finds it
-    members = [dict(reversed(rec.members)) for rec in records]
+    # each record's member in a view; a record's member views strictly increase
+    members = [dict(rec.members) for rec in records]
     keys: dict[tuple[int, str], tuple[int, np.ndarray]] = {}  # key -> (table row, vector)
     plan = []
     for view, view_centers in zip(views, centers):
-        center_pixels = _center_pixels(field_, view_centers)
         pool: dict[int, int] = {}  # table row -> pool row
-        entries = []
+        positive_rows, masks = [], []
         for rec, member in zip(records, members):
             index = member.get(view)
             desc = desc_by_track.get(rec.track_id)
@@ -413,40 +428,44 @@ def train(
             category = [(desc.category, ds.embedding(desc.category))] if include_category else []
             texts = [*category, *desc.referrals]
             table_rows = [keys.setdefault((rec.track_id, text), (len(keys), vec))[0] for text, vec in texts]
-            rows = np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp)
-            target = rle_decode(ds.detection(view, index).mask)
-            entries.append((rows, np.packbits(target), _select_inside(field_, view, center_pixels, target)))
-        if entries:
-            plan.append((view, np.array(list(pool), dtype=np.intp), entries))
+            positive_rows.append(np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp))
+            masks.append(ds.detection(view, index).mask)
+        if masks:
+            grids, chosen = _select_inside(field_, view, _center_pixels(field_, view_centers), masks)
+            entries = list(zip(positive_rows, chosen))
+            plan.append((view, np.array(list(pool), dtype=np.intp), np.packbits(grids, axis=1), entries))
     table = np.stack([vec for _, vec in keys.values()]) if keys else None
 
     # one render block and two seg_loss blocks of the largest positive set, for every step
-    n_rows = max((rows.size for _, _, entries in plan for rows, _, _ in entries), default=0)
+    n_rows = max((rows.size for *_, entries in plan for rows, _ in entries), default=0)
     buffers = np.empty((3, n_rows, h * w))
     # the features and the Adam moments are updated in place, each product and sum
-    # rounded as in m = b1 * m + (1 - b1) * g and its kin; the caller's array is kept
+    # rounded as in m = b1 * m + (1 - b1) * g and its kin; the caller's array is kept.
+    # grads_con is zero but for the rows a step writes, which it zeroes again after use.
     features = field_.features = field_.features.astype(float)
-    m, v, step, denom = (np.zeros_like(features) for _ in range(4))
+    m, v, step, denom, grads_con, step_grad = (np.zeros_like(features) for _ in range(6))
     curve: list[tuple[int, float, float, float]] = []
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view, pool_rows, entries in plan:
+        for view, pool_rows, packed, entries in plan:
             pool = table[pool_rows]
-            for rows, packed, chosen in entries:
+            targets = np.unpackbits(packed, axis=1, count=h * w).view(bool).reshape(-1, h, w)
+            for (rows, chosen), target in zip(entries, targets):
                 positives = pool[rows]
-                target = np.unpackbits(packed, count=h * w).view(bool).reshape(h, w)
-                anchor = features[chosen].mean(axis=0)
+                # np.mean's sum and division, without its wrapper
+                anchor = np.add.reduce(features[chosen], axis=0) / chosen.size
                 con, g_con = _contrastive(anchor, positives, pool, cfg.tau)
-                grads_con = np.zeros_like(features)
-                grads_con[chosen] += g_con / len(chosen)
+                grads_con[chosen] += g_con / chosen.size
                 seg_mean, grads_seg = seg_step(field_, view, positives, target, buffers)
 
                 weight = cfg.lam * cfg.ratio(iteration)
                 step_loss = seg_mean + weight * con
                 if not math.isfinite(step_loss):
                     raise NumericError(f"non-finite loss at iteration {iteration}")
-                step_grad = grads_seg + weight * grads_con
+                # grads_seg + weight * grads_con
+                np.add(grads_seg, np.multiply(grads_con, weight, out=step_grad), out=step_grad)
+                grads_con[chosen] = 0.0
 
                 iteration += 1
                 m *= ADAM_BETA1

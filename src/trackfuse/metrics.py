@@ -20,7 +20,7 @@ from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, write_json
-from .rle import iou_table, rle_decode
+from .rle import iou_table, rle_decode_many
 from .synth import GroundTruth
 
 BINARIZE_THRESHOLD = 0.5
@@ -137,7 +137,7 @@ class ObjectMasks:
         """The view's (objects, h*w) boolean masks, in ``gt.objects`` order."""
         packed = self._packed.get(view)
         if packed is None:
-            rows = np.stack([rle_decode(obj.masks[view]).ravel() for obj in self.gt.objects])
+            rows = rle_decode_many([obj.masks[view] for obj in self.gt.objects])
             self._packed[view] = np.packbits(rows, axis=1)
             return rows
         first = self.gt.objects[0].masks[view]

@@ -194,11 +194,14 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.members:
             raise SchemaError(f"trajectory {self.track_id} has no members")
-        views = [v for v, _ in self.members]
-        if any(b <= a for a, b in zip(views, views[1:])):
-            raise SchemaError(
-                f"trajectory {self.track_id} member views must be strictly increasing"
-            )
+        check_member_views(self.track_id, self.members)
+
+
+def check_member_views(track_id: int, members: tuple[tuple[int, int], ...]) -> None:
+    """A track holds at most one detection per view, in view order: its member views strictly increase."""
+    views = [v for v, _ in members]
+    if any(b <= a for a, b in zip(views, views[1:])):
+        raise SchemaError(f"track {track_id}: member views must be strictly increasing, got {views}")
 
 
 @dataclass(frozen=True)
@@ -305,19 +308,34 @@ def json_members(value) -> tuple[tuple[int, int], ...]:
     return tuple((json_int(view, "member view"), json_int(idx, "member index")) for view, idx in value)
 
 
-def member_check(ds: SceneDataset | None) -> Callable:
-    """A parse step for tracks read against ``ds``, checking each in turn.
+def unique_track_ids() -> Callable:
+    """A parse step for the records of one file that refuses a ``track_id`` seen before."""
+    ids: set[int] = set()
 
-    Every (view, index) member must be a detection of the dataset, and no
-    detection may belong to two tracks. Anything with ``track_id`` and
-    ``members`` (trajectories, consensus records) qualifies. Without a
-    dataset the step passes tracks through unchecked.
+    def check(record):
+        if record.track_id in ids:
+            raise SchemaError(f"track id {record.track_id} appears twice")
+        ids.add(record.track_id)
+        return record
+
+    return check
+
+
+def member_check(ds: SceneDataset | None) -> Callable:
+    """A parse step for the tracks of one file, read against ``ds``, checking each in turn.
+
+    No track id may appear twice. Every (view, index) member must be a
+    detection of the dataset, and no detection may belong to two tracks.
+    Anything with ``track_id`` and ``members`` (trajectories, consensus
+    records) qualifies. Without a dataset only the ids are checked.
     """
+    unique = unique_track_ids()
     if ds is None:
-        return lambda track: track
+        return unique
     owner: dict[tuple[int, int], int] = {}
 
     def check(track):
+        unique(track)
         for view, idx in track.members:
             if not (0 <= view < ds.n_views and 0 <= idx < len(ds.detections[view])):
                 raise SchemaError(
@@ -361,7 +379,9 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
 
 
 def load_descriptions(path: str | Path, dim: int | None = None) -> list[DescriptionSet]:
-    return read_jsonl(path, lambda obj: DescriptionSet.from_json(obj, dim=dim))
+    """Read a descriptions file: one set per track, so no track id may appear twice."""
+    unique = unique_track_ids()
+    return read_jsonl(path, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
 
 
 def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:

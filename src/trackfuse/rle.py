@@ -8,6 +8,7 @@ run may be 0; no other run may be 0. All operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +90,32 @@ def rle_decode(mask: RleMask) -> np.ndarray:
     return flat.reshape(mask.height, mask.width)
 
 
+def rle_decode_many(masks: Sequence[RleMask]) -> np.ndarray:
+    """Decode masks of one size to an (n, height*width) boolean block, row i bit-equal to
+    ``rle_decode(masks[i]).ravel()``; no masks give a (0, 0) block.
+
+    All runs go through one ``np.repeat``: a mask with an odd number of runs
+    gets a closing run of length 0, so that every mask's runs start at an even
+    position and alternate background/foreground from there. A mask of another
+    size than the first raises ``_check_same_size``'s SchemaError for the first such mask.
+    """
+    if not masks:
+        return np.zeros((0, 0), dtype=bool)
+    first = masks[0]
+    if len({(mask.height, mask.width) for mask in masks}) > 1:
+        for mask in masks:
+            _check_same_size(first, mask)
+    runs = []
+    for mask in masks:
+        runs.append(mask.counts)
+        if len(mask.counts) % 2:
+            runs.append((0,))  # a constant: no tuple is built per mask
+    counts = np.fromiter(chain.from_iterable(runs), dtype=np.int64)
+    values = np.zeros(counts.size, dtype=bool)
+    values[1::2] = True
+    return np.repeat(values, counts).reshape(len(masks), first.height * first.width)
+
+
 def mask_area(mask: RleMask) -> int:
     """Number of foreground pixels (the odd-indexed runs)."""
     return int(sum(mask.counts[1::2]))
@@ -131,9 +158,9 @@ def iou_table(a: Sequence[RleMask], b: Sequence[RleMask], decoded_b: np.ndarray 
         _check_same_size(a[0], mask)
     for mask in a:
         _check_same_size(mask, b[0])
-    rows_a = np.stack([rle_decode(m).ravel() for m in a]).astype(np.float64)
+    rows_a = rle_decode_many(a).astype(np.float64)
     if decoded_b is None:
-        decoded_b = np.stack([rle_decode(m).ravel() for m in b])
+        decoded_b = rle_decode_many(b)
     rows_b = decoded_b.astype(np.float64)
     inter = rows_a @ rows_b.T
     union = rows_a.sum(axis=1)[:, None] + rows_b.sum(axis=1)[None, :] - inter

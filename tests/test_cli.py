@@ -599,12 +599,66 @@ class TestBadInput:
         assert main(stage_argv(run_dir, command, tmp_path)) == 2
         assert f"{path.name}:{owner + 1}: track {owner}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("tracks.jsonl", "consensus"),
+            ("dataset/sidecar.jsonl", "associate"),
+            ("consensus.jsonl", "keyframe"),
+            ("consensus.jsonl", "train"),
+            ("descriptions.jsonl", "train"),
+        ],
+    )
+    def test_repeated_track_id_exits_two(self, run_dir, tmp_path, capsys, name, command):
+        # one track per line, ascending from 0: line 2 takes the id of line 1
+        path = run_dir / name
+        if command == "associate":
+            shutil.copy(run_dir / "tracks.jsonl", path)
+            manifest = run_dir / "dataset" / "manifest.json"
+            manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {"tracks": path.name}))
+        edit_jsonl(path, 2, lambda obj: json.dumps(obj | {"track": 0}))
+        assert main(stage_argv(run_dir, command, tmp_path)) == 2
+        assert f"{path.name}:2: track id 0 appears twice" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize(
+        "members, views",
+        [
+            ({1: [[1, 0], [0, 0], [2, 0]]}, [1, 0, 2]),
+            # a second member in view 0, taken from track 1, which keeps its other members
+            ({1: [[0, 0], [0, 1], [1, 0], [2, 0]], 2: [[1, 1], [2, 1]]}, [0, 0, 1, 2]),
+        ],
+        ids=["swapped", "repeated-view"],
+    )
+    @pytest.mark.parametrize("command", ["keyframe", "train"])
+    def test_consensus_member_views_not_increasing_exit_two(self, run_dir, tmp_path, capsys, command, members, views):
+        path = run_dir / "consensus.jsonl"
+        for lineno, new in members.items():
+            edit_jsonl(path, lineno, lambda obj: json.dumps(obj | {"members": new}))
+        assert main(stage_argv(run_dir, command, tmp_path)) == 2
+        assert f"consensus.jsonl:1: track 0: member views must be strictly increasing, got {views}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
+
     def test_missing_default_geometry_exits_two_naming_path(self, run_dir, tmp_path, capsys):
         argv = stage_argv(run_dir, "train", tmp_path)
         del argv[argv.index("--geometry") : argv.index("--geometry") + 2]
         (run_dir / "field_geometry.json").unlink()
         assert main(argv) == 2
         assert str(run_dir / "field_geometry.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_ground_truth_without_objects_exits_two_naming_it(self, run_dir, tmp_path, capsys, command):
+        path = run_dir / "ground_truth.json"
+        path.write_text(json.dumps({"objects": []}))
+        argv = [command, "--manifest", str(run_dir / "dataset" / "manifest.json"),
+                "--ground-truth", str(path), "--out", str(tmp_path / f"{command}.out")]
+        if command == "eval":
+            argv += ["--consensus", str(run_dir / "consensus.jsonl")]
+        else:
+            argv += ["--tracks", str(run_dir / "tracks.jsonl"), "--param", "tau_sem", "--values", "0.8,0.9"]
+        assert main(argv) == 2
+        assert f"{path}: no detections matched any ground-truth object" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
 
     @pytest.mark.parametrize(
         "problem, message",
@@ -1112,15 +1166,23 @@ class TestEvalScores:
 
     def test_eval_decodes_each_mask_once(self, run_dir, tmp_path, monkeypatch):
         calls = Counter()
-        original = rle.rle_decode
+        original, original_many = rle.rle_decode, rle.rle_decode_many
 
         def counting(mask):
             calls[id(mask)] += 1
             return original(mask)
 
+        def counting_many(masks):
+            calls.update(id(mask) for mask in masks)
+            return original_many(masks)
+
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("trackfuse") and getattr(module, "rle_decode", None) is original:
+            if not module.__name__.startswith("trackfuse"):
+                continue
+            if getattr(module, "rle_decode", None) is original:
                 monkeypatch.setattr(module, "rle_decode", counting)
+            if getattr(module, "rle_decode_many", None) is original_many:
+                monkeypatch.setattr(module, "rle_decode_many", counting_many)
         assert main(eval_argv(run_dir, tmp_path / "report.json", "--descriptions",
                               str(run_dir / "descriptions.jsonl"))) == 0
         ds = load_dataset(run_dir / "dataset" / "manifest.json")

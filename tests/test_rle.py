@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import mask_bbox
 
 from trackfuse.errors import SchemaError
-from trackfuse.rle import RleMask, iou_table, mask_area, mask_iou, rle_decode, rle_encode
+from trackfuse.rle import RleMask, iou_table, mask_area, mask_iou, rle_decode, rle_decode_many, rle_encode
 
 
 def grid(rows):
@@ -203,3 +204,45 @@ class TestIouTable:
     def test_dimension_mismatch(self):
         with pytest.raises(SchemaError, match="mask dimensions differ: 1x2 vs 2x1"):
             iou_table([rle_encode(grid([[0, 0]]))], [rle_encode(grid([[0], [0]]))])
+
+
+def batches(h, w):
+    """Up to 6 masks of one size: random grids, all background, all foreground, and grids whose
+    first pixel is foreground, so that their counts open with the empty background run 0."""
+    shaped = hnp.arrays(np.bool_, (h, w))
+    leading = shaped.map(lambda g: np.concatenate([[True], g.ravel()[1:]]).reshape(h, w))
+    constant = st.booleans().map(lambda v: np.full((h, w), v))
+    return st.lists(st.one_of(shaped, leading, constant).map(rle_encode), max_size=6)
+
+
+def random_masks(h, w, n, seed):
+    grids = np.random.default_rng(seed).random((n, h, w)) < 0.4
+    grids[0, 0, 0] = True
+    return [rle_encode(g) for g in grids]
+
+
+class TestDecodeMany:
+    @given(st.tuples(st.integers(1, 50), st.integers(1, 50)).flatmap(lambda hw: batches(*hw)))
+    @example(random_masks(33, 47, 4, 0))
+    @example(random_masks(33, 47, 1, 1))
+    @example([RleMask(33, 47, (33 * 47,)), RleMask(33, 47, (0, 33 * 47)), RleMask(33, 47, (0, 1, 33 * 47 - 1))])
+    @settings(max_examples=200, deadline=None)
+    def test_is_rle_decode_bit_for_bit(self, masks):
+        block = rle_decode_many(masks)
+        assert block.dtype == bool
+        assert block.shape == ((len(masks), masks[0].height * masks[0].width) if masks else (0, 0))
+        for row, mask in zip(block, masks):
+            assert row.tobytes() == rle_decode(mask).ravel().tobytes()
+
+    @given(mask_lists([(2, 3), (3, 2), (6, 1)]))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_sizes_raise_the_first_mismatch(self, masks):
+        mismatched = [m for m in masks if (m.height, m.width) != (masks[0].height, masks[0].width)]
+        if not mismatched:
+            assert rle_decode_many(masks).shape[0] == len(masks)
+            return
+        first = mismatched[0]
+        message = f"mask dimensions differ: {masks[0].height}x{masks[0].width} vs {first.height}x{first.width}"
+        with pytest.raises(SchemaError) as raised:
+            rle_decode_many(masks)
+        assert str(raised.value) == message
