@@ -36,10 +36,11 @@ def main() -> int:
             cfg[key].update(value)
         else:
             cfg[key] = value
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    if args.seed is not None:
+        cfg["seed"] = args.seed
 
     out = Path(args.out)
-    run_pipeline(cfg, out, seed=seed, force=args.force)
+    run_pipeline(cfg, out, force=args.force)
 
     report = json.loads((out / "report.json").read_text())
     print(json.dumps(report["metrics"], indent=2, sort_keys=True))

@@ -19,8 +19,7 @@ import os
 import platform
 import sys
 import time
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .consensus import (
+    DEFAULT_TAU_SEM,
     check_tau_sem,
     cluster_synonyms,
     load_consensus,
@@ -39,6 +39,8 @@ from .consensus import (
 )
 from .errors import NumericError, SchemaError, StageError
 from .field import (
+    DEFAULT_GAUSSIANS_PER_OBJECT,
+    DEFAULT_SPREAD,
     TrainConfig,
     field_from_ground_truth,
     load_field,
@@ -46,7 +48,14 @@ from .field import (
     save_loss_curve,
     train,
 )
-from .keyframes import ExternalDescriptions, check_keyframe_settings, member_areas, run_keyframes, select_keyframe
+from .keyframes import (
+    DEFAULT_SIGMA,
+    ExternalDescriptions,
+    check_keyframe_settings,
+    member_areas,
+    run_keyframes,
+    select_keyframe,
+)
 from .metrics import (
     ObjectMasks,
     consensus_accuracy,
@@ -83,17 +92,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_CONFIG = {
     "seed": 0,
     "synth": {},
-    "assoc": {"mode": "import", "iou_weight": 0.7, "match_threshold": 0.3, "max_gap": 5},
-    "consensus": {"tau_sem": 0.85},
-    "keyframe": {"sigma": 100.0, "strategy": "weighting", "external": None},
+    "assoc": {"mode": "import", **asdict(AssocParams())},
+    "consensus": {"tau_sem": DEFAULT_TAU_SEM},
+    "keyframe": {"sigma": DEFAULT_SIGMA, "strategy": "weighting", "external": None},
     "train": {
-        "lam": 0.1,
-        "tau": 0.1,
-        "epochs": 5,
-        "feature_lr": 2.5e-3,
-        "views": None,
-        "spread": 8.0,
-        "gaussians_per_object": 5,
+        **{key: getattr(TrainConfig, key) for key in ("lam", "tau", "epochs", "feature_lr", "views")},
+        "spread": DEFAULT_SPREAD,
+        "gaussians_per_object": DEFAULT_GAUSSIANS_PER_OBJECT,
         "long_only": False,
     },
     "eval": {"views": None},
@@ -211,7 +216,7 @@ def load_config(path: str | None) -> dict:
             ("train.", lambda cfg: _train_config(cfg, None)),
             ("eval.", lambda cfg: _views(cfg, "eval", None)),
             ("", lambda cfg: _seed(cfg["seed"])),
-            ("synth." if cfg["synth"] else "", lambda cfg: _synth_config(cfg, cfg["seed"])),
+            ("synth." if cfg["synth"] else "", _synth_config),
         )
         for prefix, build in builders:
             try:
@@ -235,11 +240,11 @@ def _settings(cfg: dict, section: str) -> dict:
     return DEFAULT_CONFIG[section] | cfg[section]
 
 
-def _seed(seed: int) -> int:
+def _seed(value: int) -> int:
     """The run seed, from the config or ``--seed``: numpy's generators take no negative seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-    return seed
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value!r}")
+    return value
 
 
 def _assoc_params(cfg: dict) -> tuple[str, AssocParams]:
@@ -299,15 +304,15 @@ def _views(cfg: dict, section: str, n_views: int | None) -> list[int] | None:
     return views
 
 
-def _synth_config(cfg: dict, seed: int) -> SynthConfig:
+def _synth_config(cfg: dict) -> SynthConfig:
     """The synth section, or else a bare SynthConfig document's top-level fields (no pipeline
-    sections), seeded with ``seed`` unless they set one; an error names the key as written there."""
+    sections), seeded with the run seed unless they set one; an error names the key as written there."""
     section = _settings(cfg, "synth") or {k: v for k, v in cfg.items() if f"synth.{k}" in _TYPES and k != "seed"}
     try:
         NoiseSpec(**section.get("noise", {}))
     except ValueError as exc:
         raise ValueError(f"noise.{exc}") from exc
-    scfg = SynthConfig.from_json({"seed": seed} | section)
+    scfg = SynthConfig.from_json({"seed": cfg["seed"]} | section)
     margin = side_margin(scfg.height)
     for key in ("height", "width"):
         if not getattr(scfg, key) > margin:
@@ -316,12 +321,12 @@ def _synth_config(cfg: dict, seed: int) -> SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# stages: each takes (cfg, paths keyed like RUN_FILES, seed), writes its
-# done-marker last, and returns the path it reports
+# stages: each takes (cfg, paths keyed like RUN_FILES), writes its done-marker
+# last, and returns the path it reports
 
 
-def stage_synth(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
-    scfg, geometry = _synth_config(cfg, seed), _geometry(cfg)
+def stage_synth(cfg: dict, paths: dict[str, Path]) -> Path:
+    scfg, geometry = _synth_config(cfg), _geometry(cfg)
     ds, gt = generate_scene(scfg)
     ds = corrupt(ds, gt, scfg)
     out_dir = paths["scene"]
@@ -332,7 +337,7 @@ def stage_synth(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     return save_dataset(ds, out_dir / "dataset")
 
 
-def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+def stage_associate(cfg: dict, paths: dict[str, Path]) -> Path:
     mode, params = _assoc_params(cfg)
     ds = load_dataset(paths["manifest"])
     sidecar = read_json(paths["manifest"]).get("tracks")
@@ -347,7 +352,7 @@ def stage_associate(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     return paths["tracks"]
 
 
-def stage_consensus(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+def stage_consensus(cfg: dict, paths: dict[str, Path]) -> Path:
     tau_sem = _tau_sem(cfg)
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
@@ -356,17 +361,17 @@ def stage_consensus(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     return paths["consensus"]
 
 
-def stage_keyframe(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+def stage_keyframe(cfg: dict, paths: dict[str, Path]) -> Path:
     strategy, sigma, external = _keyframe_settings(cfg)
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     captions = ExternalDescriptions.load(external, dim=ds.dim) if external else None
-    descriptions = run_keyframes(ds, records, strategy=strategy, sigma=sigma, seed=seed, external=captions)
+    descriptions = run_keyframes(ds, records, strategy=strategy, sigma=sigma, seed=cfg["seed"], external=captions)
     save_descriptions(descriptions, paths["descriptions"])
     return paths["descriptions"]
 
 
-def stage_train(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     descriptions = ds.descriptions
@@ -397,7 +402,7 @@ def _consensus_accuracy(paths: dict[str, Path], ds, gt, clustering, mapping) -> 
         raise SchemaError(f"{paths['ground_truth']}: {exc}") from exc
 
 
-def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
+def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     propagate(ds, records)
@@ -409,17 +414,17 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
 
     tau_sem = _tau_sem(cfg)
-    observed = observed_labels(ds)
-    if observed:
-        clustering = cluster_synonyms(observed, ds.embeddings, tau_sem)
-        # the report describes this clustering: refuse records voted with another
-        for rec in records:
-            votes = Counter(clustering.resolve(ds.detection(v, i).raw_label)[1] for v, i in rec.members)
-            if votes != Counter(rec.votes):
-                raise SchemaError(
-                    f"{paths['consensus']}: track {rec.track_id} has votes {rec.votes}, but the "
-                    f"clustering at consensus.tau_sem {tau_sem} gives {dict(sorted(votes.items()))}"
-                )
+    # the report describes the clustering at the config's tau_sem: refuse records voted otherwise
+    revote = run_consensus(ds, records, tau_sem)
+    for rec, again in zip(sorted(records, key=lambda r: r.track_id), revote.records):
+        if (rec.votes, rec.canonical) != (again.votes, again.canonical):
+            raise SchemaError(
+                f"{paths['consensus']}: track {rec.track_id} has votes {rec.votes} for {rec.canonical!r}, "
+                f"but the clustering at consensus.tau_sem {tau_sem} gives "
+                f"{dict(sorted(again.votes.items()))} for {again.canonical!r}"
+            )
+    clustering = revote.clustering
+    if clustering.labels:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
             mapping = match_detections_to_objects(tables, gt)
@@ -435,7 +440,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path], seed: int) -> Path:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
             metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions, masks))
 
-    emit_report(metrics, cfg, {"seed": seed}, paths["report"])
+    emit_report(metrics, cfg, {"seed": cfg["seed"]}, paths["report"])
     return paths["report"]
 
 
@@ -450,7 +455,7 @@ class Stage:
     default_out: str  # --out default under $TRACKFUSE_OUT
     output: str  # RUN_FILES key that --out sets
     marker: str  # RUN_FILES key whose existence makes ``run`` skip the stage
-    run: Callable[[dict, dict[str, Path], int], Path]
+    run: Callable[[dict, dict[str, Path]], Path]
     inputs: tuple[str, ...] = ()  # required path flags, RUN_FILES keys
     optional: tuple[str, ...] = ()  # optional path flags, RUN_FILES keys
     overrides: tuple[tuple[str, dict], ...] = ()  # ("section.key", argparse kwargs)
@@ -504,7 +509,7 @@ STAGES = (
 # pipeline
 
 
-def run_pipeline(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> dict:
+def run_pipeline(cfg: dict, out_dir: Path, force: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     statuses: dict[str, str] = {}
@@ -519,20 +524,20 @@ def run_pipeline(cfg: dict, out_dir: Path, seed: int, force: bool = False) -> di
         force = True
         logger.info("stage %s: running", stage.name)
         try:
-            stage.run(cfg, paths, seed)
+            stage.run(cfg, paths)
         except Exception as exc:
             statuses[stage.name] = "failed"
-            _write_run_manifest(out_dir, cfg, seed, statuses, started)
+            _write_run_manifest(out_dir, cfg, statuses, started)
             raise StageError(f"stage {stage.name!r} failed: {exc}") from exc
         statuses[stage.name] = "done"
 
-    return _write_run_manifest(out_dir, cfg, seed, statuses, started)
+    return _write_run_manifest(out_dir, cfg, statuses, started)
 
 
-def _write_run_manifest(out_dir: Path, cfg: dict, seed: int, statuses: dict, started: float) -> dict:
+def _write_run_manifest(out_dir: Path, cfg: dict, statuses: dict, started: float) -> dict:
     manifest = {
         "config_hash": config_hash(cfg),
-        "seed": seed,
+        "seed": cfg["seed"],
         "stages": statuses,
         "versions": {
             "trackfuse": __version__,
@@ -571,9 +576,8 @@ def run_sweep(
     elif param == "sigma":
         for value in values:
             check_keyframe_settings("weighting", value)
-        # consensus and the member areas do not depend on sigma: one serves every value
-        records = run_consensus(ds, trajectories, tau_sem=_tau_sem(cfg)).records
-        track_areas = [member_areas(ds, rec) for rec in records]
+        # the member areas do not depend on sigma: one list serves every value, in track order
+        track_areas = [member_areas(ds, traj) for traj in sorted(trajectories, key=lambda t: t.track_id)]
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
 
@@ -642,8 +646,8 @@ def build_parser() -> _Parser:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(args.seed) if args.seed is not None else cfg["seed"]
-    cfg["seed"] = seed
+    if args.seed is not None:
+        cfg["seed"] = _seed(args.seed)
     paths = {}
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
@@ -656,14 +660,14 @@ def _dispatch(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.command == "run":
-        run_pipeline(cfg, out, seed, force=args.force)
+        run_pipeline(cfg, out, force=args.force)
     elif args.command == "sweep":
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValueError("--values is empty")
         run_sweep(cfg, paths, args.param, values, out)
     else:
-        out = args.stage.run(cfg, paths | {args.stage.output: out}, seed)
+        out = args.stage.run(cfg, paths | {args.stage.output: out})
     print(out)
     return 0
 

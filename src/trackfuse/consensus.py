@@ -64,6 +64,8 @@ _SPLIT = 26
 # |hi| is at most about 2**28 per member pair, and two clusters have at most
 # n**2 / 4 member pairs: hi stays below 2**53 up to n = 11 585 labels.
 MAX_LABELS = 11_000
+# The similarity threshold of a run that does not set consensus.tau_sem.
+DEFAULT_TAU_SEM = 0.85
 
 
 def cosine_distance_matrix(embeddings: list[LabelEmbedding]) -> np.ndarray:
@@ -275,12 +277,26 @@ class ConsensusRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsensusRecord":
-        return cls(
+        """A record as ``vote_trajectory`` can write it: its votes count its members, and its
+        canonical identity is one of the most voted."""
+        rec = cls(
             track_id=json_int(obj["track"], "track"),
             canonical=str(obj["canonical"]),
             votes={str(k): json_int(v, f"votes[{k!r}]") for k, v in obj["votes"].items()},
             members=json_members(obj["members"]),
         )
+        if not rec.votes:
+            raise SchemaError(f"track {rec.track_id}: votes are empty")
+        if sum(rec.votes.values()) != len(rec.members):
+            raise SchemaError(
+                f"track {rec.track_id}: votes {rec.votes} sum to {sum(rec.votes.values())}, "
+                f"but the track has {len(rec.members)} members"
+            )
+        if rec.votes.get(rec.canonical) != max(rec.votes.values()):
+            raise SchemaError(
+                f"track {rec.track_id}: canonical {rec.canonical!r} is not a most-voted identity of votes {rec.votes}"
+            )
+        return rec
 
 
 @dataclass
@@ -297,7 +313,7 @@ def observed_labels(ds: SceneDataset) -> list[str]:
 def run_consensus(
     ds: SceneDataset,
     trajectories: list[Trajectory],
-    tau_sem: float = 0.85,
+    tau_sem: float = DEFAULT_TAU_SEM,
 ) -> ConsensusResult:
     """Cluster the scene's observed labels once, then vote every trajectory."""
     clustering = cluster_synonyms(observed_labels(ds), ds.embeddings, tau_sem)
@@ -307,7 +323,10 @@ def run_consensus(
 def vote_tracks(
     ds: SceneDataset, trajectories: list[Trajectory], clustering: SynonymClustering
 ) -> list[ConsensusRecord]:
-    """Each trajectory's vote over its members' identities under ``clustering``, in track order."""
+    """Each trajectory's vote over its members' identities under ``clustering``, in track order.
+
+    Anything with ``track_id`` and ``members`` votes: eval re-votes consensus records.
+    """
     records = []
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         member_votes = []

@@ -486,6 +486,9 @@ def train(
 
 # the centers of an object's Gaussian cloud, as offsets from its center in units of its radii
 OFFSETS = ((0.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.5))
+# the cloud of a run that does not set train.spread or train.gaussians_per_object
+DEFAULT_SPREAD = 8.0
+DEFAULT_GAUSSIANS_PER_OBJECT = 5
 
 
 def field_from_ground_truth(
@@ -494,8 +497,8 @@ def field_from_ground_truth(
     height: int,
     width: int,
     dim: int = 32,
-    spread: float = 8.0,
-    per_object: int = 5,
+    spread: float = DEFAULT_SPREAD,
+    per_object: int = DEFAULT_GAUSSIANS_PER_OBJECT,
 ) -> ToyReferringField:
     """Fixed geometry from the true object motion: a cloud of ``per_object`` Gaussians per object."""
     if not 1 <= per_object <= len(OFFSETS):

@@ -20,10 +20,12 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import SchemaError
-from .records import DescriptionSet, SceneDataset, as_vector, read_jsonl, text_embedding
-from .rle import json_int, mask_area, rle_decode
+from .records import DescriptionSet, SceneDataset, Trajectory, as_vector, read_jsonl, text_embedding
+from .rle import json_int, mask_area, rle_decode_many
 
 STRATEGIES = ("weighting", "maximum", "minimum", "random", "medium")
+# the visibility penalty's width of a run that does not set keyframe.sigma
+DEFAULT_SIGMA = 100.0
 
 _PALETTE = ("red", "blue", "green", "yellow", "purple", "orange", "white", "black")
 
@@ -59,7 +61,7 @@ def visibility_score(area: float, med: float, sigma: float) -> float:
 def select_keyframe(
     view_areas: list[tuple[int, int]],
     strategy: str = "weighting",
-    sigma: float = 100.0,
+    sigma: float = DEFAULT_SIGMA,
     seed: int = 0,
 ) -> int:
     """Pick the member view to describe the object from.
@@ -86,9 +88,9 @@ def select_keyframe(
     return min(view_areas, key=rank)[0]
 
 
-def member_areas(ds: SceneDataset, rec: ConsensusRecord) -> list[tuple[int, int]]:
-    """(view, mask area) of each member of the record."""
-    return [(view, mask_area(ds.detection(view, idx).mask)) for view, idx in rec.members]
+def member_areas(ds: SceneDataset, track: ConsensusRecord | Trajectory) -> list[tuple[int, int]]:
+    """(view, mask area) of each member of the track."""
+    return [(view, mask_area(ds.detection(view, idx).mask)) for view, idx in track.members]
 
 
 class ExternalDescriptions:
@@ -129,14 +131,6 @@ def template_referral(category: str, attribute: str, relation: str | None = None
     return f"{base} {relation}"
 
 
-def _mask_centroid(mask) -> tuple[float, float] | None:
-    grid = rle_decode(mask)
-    ys, xs = np.nonzero(grid)
-    if ys.size == 0:
-        return None
-    return float(xs.mean()), float(ys.mean())
-
-
 class TemplateSynthesizer:
     """Deterministic caption generator for synthetic scenes.
 
@@ -153,18 +147,18 @@ class TemplateSynthesizer:
         self._centroids: dict[int, dict[int, tuple[float, float]]] = {}
 
     def _view_centroids(self, view: int) -> dict[int, tuple[float, float]]:
-        """Track id -> mask centroid in ``view``, ascending; each mask decoded once.
+        """Track id -> mask centroid in ``view``, ascending; the view's masks decoded in one block.
 
         Tracks not seen in the view, or with an empty mask there, are left out.
         """
         if view not in self._centroids:
+            seen = {t: i for t, rec in self.records.items() if (i := dict(rec.members).get(view)) is not None}
+            rows = rle_decode_many([self.ds.detection(view, idx).mask for idx in seen.values()])
             centroids = {}
-            for track_id, rec in self.records.items():
-                idx = next((i for v, i in rec.members if v == view), None)
-                if idx is not None:
-                    pos = _mask_centroid(self.ds.detection(view, idx).mask)
-                    if pos is not None:
-                        centroids[track_id] = pos
+            for track_id, row in zip(seen, rows):
+                ys, xs = np.divmod(np.flatnonzero(row), self.ds.width)
+                if ys.size:
+                    centroids[track_id] = float(xs.mean()), float(ys.mean())
             self._centroids[view] = centroids
         return self._centroids[view]
 
@@ -201,7 +195,7 @@ def run_keyframes(
     ds: SceneDataset,
     records: list[ConsensusRecord],
     strategy: str = "weighting",
-    sigma: float = 100.0,
+    sigma: float = DEFAULT_SIGMA,
     seed: int = 0,
     external: ExternalDescriptions | None = None,
 ) -> list[DescriptionSet]:

@@ -377,7 +377,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         cfg = load_config(str(cfg_path))
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
-            run_pipeline(cfg, d, seed=4)
+            run_pipeline(cfg, d)
 
         def tree(root: Path):
             return {

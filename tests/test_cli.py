@@ -16,7 +16,7 @@ from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 from trackfuse.field import load_field
-from trackfuse.records import dumps, load_dataset, load_descriptions, read_json
+from trackfuse.records import config_hash, dumps, load_dataset, load_descriptions, read_json
 from trackfuse.synth import load_ground_truth
 from trackfuse.tracking import load_tracks
 
@@ -77,7 +77,7 @@ class TestUsage:
         cfg["train"] = {"epochs": 1}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "run"
-        run_pipeline(load_config(None) | {"synth": SMALL_CONFIG["synth"]}, out, seed=0)
+        run_pipeline(load_config(None) | {"synth": SMALL_CONFIG["synth"]}, out)
         geometry = json.loads((out / "field_geometry.json").read_text())
         for g in geometry["gaussians"]:
             g["centers"] = [None] * len(g["centers"])  # no Gaussian inside any pseudo mask
@@ -160,7 +160,7 @@ class TestStages:
 
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         # point the dataset manifest at its descriptions, as a prepared
         # dataset would ship them
         shutil.copy(out / "descriptions.jsonl", out / "dataset" / "descriptions.jsonl")
@@ -187,7 +187,7 @@ class TestStages:
     def test_train_without_descriptions_source_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         code = main(
             [
                 "train",
@@ -234,7 +234,7 @@ class TestStages:
     def test_sweep_tau_sem(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         code = main(
             [
                 "sweep",
@@ -264,7 +264,7 @@ class TestStages:
         noisy = SMALL_CONFIG | {"synth": SMALL_CONFIG["synth"] | {"n_views": 8, "noise": {"dropout_rate": 0.3}}}
         cfg = write_config(tmp_path, noisy)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         values = [0.5, 2.0, 10.0, 100.0]
         argv = ["sweep", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"),
                 "--tracks", str(out / "tracks.jsonl"), "--param", "sigma",
@@ -284,7 +284,7 @@ class TestStages:
             "n_views": 8, "noise": {"synonym_rate": 0.5, "wrong_label_rate": 0.1}}}
         cfg = write_config(tmp_path, noisy)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         values = [0.9, 0.5, 0.97, 0.7, 0.99]  # the lowest is not first
         argv = ["sweep", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"),
                 "--tracks", str(out / "tracks.jsonl"), "--ground-truth", str(out / "ground_truth.json"),
@@ -307,18 +307,20 @@ class TestStages:
                                        str(acc["per_view_acc"]), str(acc["tscm_acc"])]
         assert len(counts) > 1  # the values cut the merges at different depths
 
-    def test_sweep_tau_sem_builds_one_distance_matrix(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("param, matrices", [("tau_sem", 1), ("sigma", 0)])
+    def test_sweep_tau_sem_builds_one_distance_matrix(self, tmp_path, monkeypatch, param, matrices):
+        # the sigma sweep reads member areas from the tracks: it clusters nothing
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
-        run_pipeline(load_config(cfg), out, seed=0)
+        run_pipeline(load_config(cfg), out)
         calls = []
         build = consensus.cosine_distance_matrix
         monkeypatch.setattr(consensus, "cosine_distance_matrix", lambda e: calls.append(len(e)) or build(e))
         argv = ["sweep", "--manifest", str(out / "dataset" / "manifest.json"),
-                "--tracks", str(out / "tracks.jsonl"), "--param", "tau_sem",
+                "--tracks", str(out / "tracks.jsonl"), "--param", param,
                 "--values", "0.70,0.75,0.80,0.85,0.90", "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(calls) == matrices
 
 
 class TestPipeline:
@@ -393,7 +395,7 @@ class TestPipeline:
         cfg["synth"] = {"n_views": 2, "n_objects": 1}
         cfg["consensus"]["tau_sem"] = 2.0  # invalid: consensus stage must fail
         with pytest.raises(StageError, match="stage 'consensus'") as err:
-            run_pipeline(cfg, tmp_path / "run", seed=0)
+            run_pipeline(cfg, tmp_path / "run")
         assert isinstance(err.value.__cause__, ValueError)
 
     def test_fully_dropped_scene_still_completes(self, tmp_path):
@@ -401,7 +403,7 @@ class TestPipeline:
         cfg["synth"] = {"n_views": 3, "n_objects": 1, "noise": {"dropout_rate": 1.0}}
         cfg["train"] = {"epochs": 1}
         out = tmp_path / "run"
-        run_pipeline(cfg, out, seed=0)
+        run_pipeline(cfg, out)
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"] == {"n_tracks": 0}
 
@@ -410,12 +412,16 @@ class TestPipeline:
         cfg["synth"] = {"n_views": 3, "n_objects": 2, "noise": {"dropout_rate": 1.0}}
         cfg["train"] = {"epochs": 1}
         out = tmp_path / "run"
-        run_pipeline(cfg, out, seed=0)
+        run_pipeline(cfg, out)
         argv = ["sweep", "--manifest", str(out / "dataset" / "manifest.json"),
                 "--tracks", str(out / "tracks.jsonl"), "--param", "tau_sem", "--values", "0.8",
                 "--ground-truth", str(out / "ground_truth.json"), "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
         assert (tmp_path / "sweep.csv").read_text().splitlines() == ["value,cluster_count", "0.8,0"]
+
+    def test_default_config_hash_is_pinned(self):
+        # DEFAULT_CONFIG reads the library's defaults; a moved default would move every report's hash
+        assert config_hash(load_config(None)) == "872b2f87029d8942d14a90ced77546c4d6e196f1e03673c1a92c330fbf3722e1"
 
     def test_run_manifest_contents(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -638,6 +644,26 @@ class TestBadInput:
         assert main(stage_argv(run_dir, command, tmp_path)) == 2
         assert f"consensus.jsonl:1: track 0: member views must be strictly increasing, got {views}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"votes": {}}, "track 0: votes are empty"),
+            ({"votes": {"pot": 2}}, "track 0: votes {'pot': 2} sum to 2, but the track has 3 members"),
+            ({"canonical": "book"}, "track 0: canonical 'book' is not a most-voted identity of votes {'pot': 3}"),
+        ],
+        ids=["no-votes", "votes-not-members", "canonical-not-voted"],
+    )
+    @pytest.mark.parametrize("command", ["keyframe", "train", "eval"])
+    def test_consensus_record_contradicting_itself_exits_two(self, run_dir, tmp_path, capsys, command, edit, message):
+        path = run_dir / "consensus.jsonl"
+        assert json.loads(path.read_text().splitlines()[0])["votes"] == {"pot": 3}
+        edit_jsonl(path, 1, lambda obj: json.dumps(obj | edit))
+        out = tmp_path / f"{command}.out"
+        argv = eval_argv(run_dir, out) if command == "eval" else stage_argv(run_dir, command, tmp_path)
+        assert main(argv) == 2
+        assert f"{path}:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_default_geometry_exits_two_naming_path(self, run_dir, tmp_path, capsys):
         argv = stage_argv(run_dir, "train", tmp_path)

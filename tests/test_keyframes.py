@@ -200,13 +200,13 @@ class TestAttachDescriptions:
         records = tf.run_consensus(ds, tf.import_tracks(ds)).records
         assert all(sum(v == view for r in records for v, _ in r.members) >= 3 for view in range(3))
         decoded = Counter()
-        real_decode = keyframes.rle_decode
+        real_decode = keyframes.rle_decode_many
 
-        def counting_decode(mask):
-            decoded[id(mask)] += 1
-            return real_decode(mask)
+        def counting_decode(masks):
+            decoded.update(id(mask) for mask in masks)
+            return real_decode(masks)
 
-        monkeypatch.setattr(keyframes, "rle_decode", counting_decode)
+        monkeypatch.setattr(keyframes, "rle_decode_many", counting_decode)
         descs = run_keyframes(ds, records)
         assert len(descs) == len(records) and decoded
         assert max(decoded.values()) == 1

@@ -114,7 +114,7 @@ class TestPlacementOracle:
         workload = WORKLOADS[name]
         for scene in range(workload.scenes):
             cfg = workload.scene_config(seed, scene)
-            assert_matches_oracle(_synth_config(cfg, cfg["seed"]))
+            assert_matches_oracle(_synth_config(cfg))
 
     @pytest.mark.parametrize(
         "cfg",
