@@ -340,10 +340,9 @@ def stage_synth(cfg: dict, paths: dict[str, Path]) -> Path:
 def stage_associate(cfg: dict, paths: dict[str, Path]) -> Path:
     mode, params = _assoc_params(cfg)
     ds = load_dataset(paths["manifest"])
-    sidecar = read_json(paths["manifest"]).get("tracks")
-    if sidecar is not None:
+    if ds.tracks_file is not None:
         # dataset ships an external tracker's output: validate and adopt it
-        trajectories = load_tracks(paths["manifest"].parent / sidecar, ds)
+        trajectories = load_tracks(ds.tracks_file, ds)
     elif mode == "import":
         trajectories = import_tracks(ds)
     else:

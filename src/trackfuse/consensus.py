@@ -277,8 +277,8 @@ class ConsensusRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsensusRecord":
-        """A record as ``vote_trajectory`` can write it: its votes count its members, and its
-        canonical identity is one of the most voted."""
+        """A record as ``vote_trajectory`` can write it: its votes count its members, each voted
+        identity at least once, and its canonical identity is one of the most voted."""
         rec = cls(
             track_id=json_int(obj["track"], "track"),
             canonical=str(obj["canonical"]),
@@ -287,6 +287,8 @@ class ConsensusRecord:
         )
         if not rec.votes:
             raise SchemaError(f"track {rec.track_id}: votes are empty")
+        if min(rec.votes.values()) < 1:
+            raise SchemaError(f"track {rec.track_id}: votes {rec.votes} hold a count below 1")
         if sum(rec.votes.values()) != len(rec.members):
             raise SchemaError(
                 f"track {rec.track_id}: votes {rec.votes} sum to {sum(rec.votes.values())}, "

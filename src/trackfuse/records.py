@@ -19,6 +19,7 @@ naming ``path`` or ``path:line``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
@@ -73,10 +74,16 @@ def write_csv(header: list[str], rows: Iterable, path: str | Path) -> None:
 
 
 def _read_text(path: str | Path) -> str:
+    return _decode(path, Path(path).read_bytes())
+
+
+def _decode(path: str | Path, data: bytes) -> str:
+    """The text of the file at ``path`` read as ``data``, with newlines as text mode reads them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _parse(where: str, text: str, parse: Callable):
@@ -99,9 +106,13 @@ def read_json(path: str | Path, parse: Callable = lambda obj: obj):
 
 def read_jsonl(path: str | Path, parse: Callable) -> list:
     """Parse each non-blank line; every error is a SchemaError naming ``path:line``."""
+    return _parse_lines(path, _read_text(path), parse)
+
+
+def _parse_lines(path: str | Path, text: str, parse: Callable) -> list:
     return [
         _parse(f"{path}:{lineno}", line, parse)
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1)
+        for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip()
     ]
 
@@ -260,6 +271,8 @@ class SceneDataset:
     detections: list[list[Detection]]
     embeddings: dict[str, LabelEmbedding]
     descriptions: list[DescriptionSet] | None = None
+    # the tracks file the manifest names, resolved; set by load_dataset, not written by save_dataset
+    tracks_file: Path | None = None
 
     def __post_init__(self) -> None:
         if len(self.detections) != self.n_views:
@@ -380,32 +393,116 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
 
 def load_descriptions(path: str | Path, dim: int | None = None) -> list[DescriptionSet]:
     """Read a descriptions file: one set per track, so no track id may appear twice."""
+    return _parse_descriptions(path, _read_text(path), dim)
+
+
+def _parse_descriptions(path: str | Path, text: str, dim: int | None) -> list[DescriptionSet]:
     unique = unique_track_ids()
-    return read_jsonl(path, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
+    return _parse_lines(path, text, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
 
 
 def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
     write_jsonl((d.to_json() for d in sets), path)
 
 
+# The dataset files a manifest names, in the order load_dataset parses them.
+_DATASET_FILES = ("detections", "descriptions", "embeddings")
+
+
+def _manifest_header(obj: dict) -> tuple[int, int, int, int, dict[str, str]]:
+    """A manifest's n_views, h, w, dim and the file paths it names, each checked."""
+    for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
+        if key not in obj:
+            raise SchemaError(f"manifest missing key {key!r}")
+    sizes = [json_int(obj[key], key) for key in ("n_views", "h", "w", "dim")]
+    names = {key: obj[key] for key in (*_DATASET_FILES, "tracks") if key in obj}
+    for key, name in names.items():
+        if not isinstance(name, str) or not name:
+            raise SchemaError(f"manifest {key!r} must be a non-empty file path, got {name!r}")
+    return *sizes, names
+
+
+@dataclass
+class _Parsed:
+    """The dataset ``load_dataset`` parsed last, and the sha256 digests of the bytes it came from."""
+
+    header: tuple[int, int, int, int, dict[str, str]]
+    key: tuple[bytes, ...]  # the manifest's digest, then each dataset file's
+    dataset: SceneDataset  # never handed out: callers get a copy, and its arrays are read-only
+
+
+_last: _Parsed | None = None
+
+
+def _caller_copy(ds: SceneDataset, tracks_file: Path | None) -> SceneDataset:
+    """``ds`` with lists, detections (``resolved_label`` unset) and description sets of its own; the
+    masks, embeddings and vectors stay shared. ``copy.copy`` does not run the dataset's checks again."""
+    own = copy.copy(ds)
+    own.detections = [
+        [Detection(det.view, det.mask, det.raw_label, det.confidence, det.track_id) for det in per_view]
+        for per_view in ds.detections
+    ]
+    own.embeddings = dict(ds.embeddings)
+    if ds.descriptions is not None:
+        own.descriptions = [
+            DescriptionSet(d.track_id, d.category, list(d.referrals), d.keyframe) for d in ds.descriptions
+        ]
+    own.tracks_file = tracks_file
+    return own
+
+
 def load_dataset(path: str | Path) -> SceneDataset:
-    """Load from a manifest file (or a directory containing manifest.json)."""
+    """Load from a manifest file (or a directory containing manifest.json).
+
+    The process keeps the dataset it parsed last, keyed by the sha256 of the bytes of the manifest
+    and of every dataset file it names (neither paths nor mtimes): a load of the same bytes again
+    reads each file once and decodes no JSON. Every call returns a dataset of its own, with fresh
+    lists, detections and description sets; the embedding and referral vectors it shares with the
+    kept one are read-only.
+    """
+    global _last
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-
-    def header(obj: dict) -> tuple[dict, int, int, int, int]:
-        for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
-            if key not in obj:
-                raise SchemaError(f"manifest missing key {key!r}")
-        return obj, *(json_int(obj[key], key) for key in ("n_views", "h", "w", "dim"))
-
-    manifest, n_views, height, width, dim = read_json(manifest_path, header)
+    data = manifest_path.read_bytes()
+    manifest_digest = hashlib.sha256(data).digest()
+    if _last is not None and _last.key[0] == manifest_digest:
+        header = _last.header
+    else:
+        header = _parse(str(manifest_path), _decode(manifest_path, data), _manifest_header)
+    n_views, height, width, dim, names = header
     base = manifest_path.parent
+    files = {key: base / names[key] for key in _DATASET_FILES if key in names}
+
+    # each file is read once, here; a read error is raised when that file's turn to parse comes,
+    # so that errors come in the order of a file-by-file parse
+    blobs: dict[str, bytes | OSError] = {}
+    for key, file in files.items():
+        try:
+            blobs[key] = file.read_bytes()
+        except OSError as exc:
+            blobs[key] = exc
+    digests = (manifest_digest, *(
+        hashlib.sha256(blob).digest() if isinstance(blob, bytes) else None for blob in blobs.values()
+    ))
+    if _last is None or _last.key != digests:
+        _last = _Parsed(header, digests, _parse_dataset(header, files, blobs))
+    return _caller_copy(_last.dataset, base / names["tracks"] if "tracks" in names else None)
+
+
+def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes | OSError]) -> SceneDataset:
+    """The dataset of a checked manifest ``header`` from its files' bytes, its vectors made read-only."""
+    n_views, height, width, dim, _ = header
+
+    def text(key: str) -> str:
+        if isinstance(blobs[key], OSError):
+            raise blobs[key]
+        return _decode(files[key], blobs[key])
 
     # each detection is checked as its line is parsed, so an error names the line
     detections: list[list[Detection]] = [[] for _ in range(n_views)]
-    for det in read_jsonl(
-        base / manifest["detections"],
+    for det in _parse_lines(
+        files["detections"],
+        text("detections"),
         lambda obj: _check_detection(Detection.from_json(obj), n_views, height, width),
     ):
         detections[det.view].append(det)
@@ -417,15 +514,21 @@ def load_dataset(path: str | Path) -> SceneDataset:
         }
 
     descriptions = None
-    if "descriptions" in manifest:
-        descriptions = load_descriptions(base / manifest["descriptions"], dim=dim)
+    if "descriptions" in files:
+        descriptions = _parse_descriptions(files["descriptions"], text("descriptions"), dim)
 
-    return SceneDataset(
+    ds = SceneDataset(
         n_views=n_views,
         height=height,
         width=width,
         dim=dim,
         detections=detections,
-        embeddings=read_json(base / manifest["embeddings"], embeddings),
+        embeddings=_parse(str(files["embeddings"]), text("embeddings"), embeddings),
         descriptions=descriptions,
     )
+    for emb in ds.embeddings.values():
+        emb.vector.flags.writeable = False
+    for d in descriptions or ():
+        for _, vec in d.referrals:
+            vec.flags.writeable = False
+    return ds

@@ -651,8 +651,10 @@ class TestBadInput:
             ({"votes": {}}, "track 0: votes are empty"),
             ({"votes": {"pot": 2}}, "track 0: votes {'pot': 2} sum to 2, but the track has 3 members"),
             ({"canonical": "book"}, "track 0: canonical 'book' is not a most-voted identity of votes {'pot': 3}"),
+            ({"votes": {"pot": 4, "zzz": -1}}, "track 0: votes {'pot': 4, 'zzz': -1} hold a count below 1"),
+            ({"votes": {"pot": 3, "zzz": 0}}, "track 0: votes {'pot': 3, 'zzz': 0} hold a count below 1"),
         ],
-        ids=["no-votes", "votes-not-members", "canonical-not-voted"],
+        ids=["no-votes", "votes-not-members", "canonical-not-voted", "negative-vote", "zero-vote"],
     )
     @pytest.mark.parametrize("command", ["keyframe", "train", "eval"])
     def test_consensus_record_contradicting_itself_exits_two(self, run_dir, tmp_path, capsys, command, edit, message):
@@ -664,6 +666,18 @@ class TestBadInput:
         assert main(argv) == 2
         assert f"{path}:1: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("detections", 5), ("embeddings", ""), ("tracks", 5), ("tracks", None), ("descriptions", ["x"])],
+    )
+    def test_manifest_path_not_a_file_path_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        manifest = run_dir / "dataset" / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {key: value}))
+        assert main(stage_argv(run_dir, "associate", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: manifest {key!r} must be a non-empty file path, got {value!r}" in err
+        assert not (tmp_path / "associate.out").exists()
 
     def test_missing_default_geometry_exits_two_naming_path(self, run_dir, tmp_path, capsys):
         argv = stage_argv(run_dir, "train", tmp_path)
