@@ -66,6 +66,7 @@ from .metrics import (
 )
 from .records import (
     config_hash,
+    file_digest,
     load_dataset,
     load_descriptions,
     read_json,
@@ -453,19 +454,21 @@ class Stage:
     help: str
     default_out: str  # --out default under $TRACKFUSE_OUT
     output: str  # RUN_FILES key that --out sets
-    marker: str  # RUN_FILES key whose existence makes ``run`` skip the stage
+    marker: str  # RUN_FILES key whose existence, with a matching key, makes ``run`` skip the stage
     run: Callable[[dict, dict[str, Path]], Path]
+    config: tuple[str, ...]  # the config sections ("section.key" settings) the stage reads
     inputs: tuple[str, ...] = ()  # required path flags, RUN_FILES keys
     optional: tuple[str, ...] = ()  # optional path flags, RUN_FILES keys
     overrides: tuple[tuple[str, dict], ...] = ()  # ("section.key", argparse kwargs)
+    also_writes: tuple[str, ...] = ()  # path flags the stage writes besides its output
 
 
 STAGES = (
     Stage("synth", "generate a synthetic scene dataset", "scene", "scene", "manifest",
-          stage_synth),
+          stage_synth, config=("seed", "synth", "train.spread", "train.gaussians_per_object")),
     Stage(
         "associate", "build trajectories from detections", "tracks.jsonl", "tracks",
-        "tracks", stage_associate, inputs=("manifest",),
+        "tracks", stage_associate, config=("assoc",), inputs=("manifest",),
         overrides=(
             ("assoc.mode", {"choices": ["import", "greedy"]}),
             ("assoc.iou_weight", {"type": float}),
@@ -475,12 +478,13 @@ STAGES = (
     ),
     Stage(
         "consensus", "cluster labels and vote per trajectory", "consensus.jsonl",
-        "consensus", "consensus", stage_consensus, inputs=("manifest", "tracks"),
+        "consensus", "consensus", stage_consensus, config=("consensus",), inputs=("manifest", "tracks"),
         overrides=(("consensus.tau_sem", {"type": float}),),
     ),
     Stage(
         "keyframe", "select keyframes and attach descriptions", "descriptions.jsonl",
-        "descriptions", "descriptions", stage_keyframe, inputs=("manifest", "consensus"),
+        "descriptions", "descriptions", stage_keyframe, config=("seed", "keyframe"),
+        inputs=("manifest", "consensus"),
         overrides=(
             ("keyframe.sigma", {"type": float}),
             ("keyframe.strategy", {}),
@@ -492,13 +496,15 @@ STAGES = (
         "train the toy referring field (--descriptions defaults to the manifest's "
         "descriptions entry, --geometry to <scene>/field_geometry.json, two levels above the "
         "manifest)",
-        "model.json", "model", "model", stage_train, inputs=("manifest", "consensus"),
+        "model.json", "model", "model", stage_train, config=("train",), inputs=("manifest", "consensus"),
         optional=("descriptions", "geometry", "loss_curve"),
         overrides=(("train.long_only", {"action": "store_true", "default": None}),),
+        also_writes=("loss_curve",),
     ),
     Stage(
         "eval", "compute metrics and write the report", "report.json", "report", "report",
-        stage_eval, inputs=("manifest", "consensus"),
+        # the report holds the hash of the whole config
+        stage_eval, config=tuple(DEFAULT_CONFIG), inputs=("manifest", "consensus"),
         optional=("ground_truth", "model", "descriptions"),
     ),
 )
@@ -509,35 +515,74 @@ STAGES = (
 
 
 def run_pipeline(cfg: dict, out_dir: Path, force: bool = False) -> dict:
+    """Run every stage into ``out_dir``. Without ``force``, a stage is skipped when its marker exists
+    and the key ``run.json`` stored for it equals its key now (``_stage_key``); once one runs, every
+    later one runs too."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     statuses: dict[str, str] = {}
+    keys = _stored_keys(out_dir / "run.json")
     paths = {key: out_dir / name for key, name in RUN_FILES.items()}
 
     for stage in STAGES:
-        if not force and paths[stage.marker].exists():
-            statuses[stage.name] = "skipped"
-            logger.info("stage %s: output exists, skipping", stage.name)
-            continue
-        # every later stage reads this stage's output, directly or not: re-run them all
-        force = True
-        logger.info("stage %s: running", stage.name)
         try:
+            key = _stage_key(cfg, stage, paths)
+            if not force and paths[stage.marker].exists() and keys.get(stage.name) == key:
+                statuses[stage.name] = "skipped"
+                logger.info("stage %s: output exists and its key matches, skipping", stage.name)
+                continue
+            # every later stage reads this stage's output, directly or not: re-run them all
+            force = True
+            keys.pop(stage.name, None)
+            logger.info("stage %s: running", stage.name)
             stage.run(cfg, paths)
         except Exception as exc:
             statuses[stage.name] = "failed"
-            _write_run_manifest(out_dir, cfg, statuses, started)
+            _write_run_manifest(out_dir, cfg, statuses, keys, started)
             raise StageError(f"stage {stage.name!r} failed: {exc}") from exc
         statuses[stage.name] = "done"
+        keys[stage.name] = key
 
-    return _write_run_manifest(out_dir, cfg, statuses, started)
+    return _write_run_manifest(out_dir, cfg, statuses, keys, started)
 
 
-def _write_run_manifest(out_dir: Path, cfg: dict, statuses: dict, started: float) -> dict:
+def _stage_key(cfg: dict, stage: Stage, paths: dict[str, Path]) -> str:
+    """sha256 of the config sections ``stage`` reads and the digests of its input files: of the
+    dataset, the key ``load_dataset`` gives it; of any other file, the sha256 of its bytes."""
+    config = {}
+    for name in stage.config:
+        section, _, setting = name.partition(".")
+        config[name] = _settings(cfg, section)[setting] if setting else cfg.get(name)
+    if "synth" in stage.config:  # a bare SynthConfig document's fields sit at the top level
+        config |= {name: value for name, value in cfg.items() if name not in DEFAULT_CONFIG}
+    files = {flag: paths[flag] for flag in stage.inputs + stage.optional
+             if flag in paths and flag not in stage.also_writes}
+    external = _keyframe_settings(cfg)[2] if stage.name == "keyframe" else None
+    if external is not None:
+        files["external"] = Path(external)
+    inputs = {
+        flag: [digest.hex() for digest in load_dataset(path).key] if flag == "manifest" else file_digest(path)
+        for flag, path in files.items()
+    }
+    return config_hash({"config": config, "inputs": inputs})
+
+
+def _stored_keys(path: Path) -> dict[str, str]:
+    """The stage keys a ``run.json`` holds; none if it is missing or unreadable, so every stage runs."""
+    try:
+        manifest = read_json(path)
+    except (OSError, SchemaError):
+        return {}
+    keys = manifest.get("keys") if isinstance(manifest, dict) else None
+    return dict(keys) if isinstance(keys, dict) else {}
+
+
+def _write_run_manifest(out_dir: Path, cfg: dict, statuses: dict, keys: dict, started: float) -> dict:
     manifest = {
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "stages": statuses,
+        "keys": keys,
         "versions": {
             "trackfuse": __version__,
             "numpy": np.__version__,

@@ -37,6 +37,7 @@ compared exactly:
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,9 +50,12 @@ from .records import (
     SceneDataset,
     Trajectory,
     check_member_views,
+    dataset_key,
     json_members,
+    kept,
     member_check,
-    read_jsonl,
+    parse_lines,
+    read_kept,
     write_jsonl,
 )
 from .rle import json_int, mask_area
@@ -109,7 +113,7 @@ class SynonymClustering:
     def at(self, tau_sem: float) -> "SynonymClustering":
         """The clustering at ``tau_sem``: the merges before the first above ``1 - tau_sem``.
 
-        Equal to ``cluster_synonyms(labels, ..., tau_sem)``. Below ``tau_floor``
+        Equal to ``cluster_synonyms(labels, ..., tau_sem)`` in every field. Below ``tau_floor``
         it raises ValueError: the agglomeration stopped before those merges.
         """
         check_tau_sem(tau_sem)
@@ -117,7 +121,7 @@ class SynonymClustering:
             raise ValueError(
                 f"tau_sem {tau_sem} is below {self.tau_floor}, the lowest this clustering was built to"
             )
-        return _cut(self.labels, self.merges, self.tau_floor, tau_sem)
+        return _cut(self.labels, self.merges, tau_sem)
 
     def resolve(self, label: str) -> tuple[int, str]:
         """Map a label to (cluster index, canonical form).
@@ -139,17 +143,18 @@ def canonical_form(labels: list[str]) -> str:
     return min(labels, key=lambda s: (len(s), s))
 
 
-def _cut(
-    labels: tuple[str, ...], merges: tuple[tuple[int, int, float], ...], tau_floor: float, tau_sem: float
-) -> SynonymClustering:
-    """Replay ``merges`` up to the first whose height is above ``1 - tau_sem``."""
+def _cut(labels: tuple[str, ...], merges: tuple[tuple[int, int, float], ...], tau_sem: float) -> SynonymClustering:
+    """Replay ``merges`` up to the first whose height is above ``1 - tau_sem``; the clustering keeps
+    the merges replayed, and ``tau_sem`` as its floor, as an agglomeration cut there would."""
     cutoff = 1.0 - tau_sem
     members = [[k] for k in range(len(labels))]
+    done = 0
     for a, b, height in merges:
         if height > cutoff:
             break
         members[a] = sorted(members[a] + members[b])
         members[b] = []
+        done += 1
     assignment: dict[str, int] = {}
     canonical: dict[int, str] = {}
     for out_idx, slot in enumerate(m for m in members if m):
@@ -157,7 +162,7 @@ def _cut(
         canonical[out_idx] = canonical_form(member_labels)
         for lab in member_labels:
             assignment[lab] = out_idx
-    return SynonymClustering(assignment, canonical, labels, merges, tau_floor)
+    return SynonymClustering(assignment, canonical, labels, merges[:done], tau_sem)
 
 
 def cluster_synonyms(
@@ -165,17 +170,38 @@ def cluster_synonyms(
     embeddings: dict[str, LabelEmbedding],
     tau_sem: float,
 ) -> SynonymClustering:
-    """Average-linkage agglomeration cut at distance 1 - tau_sem; ``at`` cuts it higher."""
+    """Average-linkage agglomeration cut at distance 1 - tau_sem; ``at`` cuts it higher.
+
+    The process keeps (``records.kept``) the agglomeration of the last label set, keyed by the
+    labels and the sha256 of their vectors, built to the lowest ``tau_sem`` asked for. A call at
+    or above that floor cuts it (``SynonymClustering.at``), which equals a fresh call in every
+    field; a lower ``tau_sem`` agglomerates again. Each call's maps are its own.
+    """
     check_tau_sem(tau_sem)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     missing = [lab for lab in labels if lab not in embeddings]
     if missing:
         raise SchemaError(f"missing embeddings for labels: {missing}")
+    if len(labels) > MAX_LABELS:
+        raise ValueError(f"cluster_synonyms takes at most {MAX_LABELS} labels, got {len(labels)}")
+    digest = hashlib.sha256()
+    for lab in labels:
+        vec = embeddings[lab].vector
+        digest.update(f"{vec.dtype.str}{vec.shape}".encode())
+        digest.update(vec.tobytes())
+    return kept(
+        "clustering",
+        (tuple(labels), digest.digest()),
+        lambda: _agglomerate(labels, embeddings, tau_sem),
+        lambda agglomeration: agglomeration.at(tau_sem),
+        lambda agglomeration: tau_sem >= agglomeration.tau_floor,
+    )
 
+
+def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding], tau_sem: float) -> SynonymClustering:
+    """``cluster_synonyms`` of checked arguments, computed."""
     n = len(labels)
-    if n > MAX_LABELS:
-        raise ValueError(f"cluster_synonyms takes at most {MAX_LABELS} labels, got {n}")
     ticks = cosine_distance_matrix([embeddings[lab] for lab in labels])
     cutoff = 1.0 - tau_sem
 
@@ -233,7 +259,7 @@ def cluster_synonyms(
             avg[rows, stale] = np.inf
             nearest[stale] = avg.argmin(axis=1)
             row_min[stale] = avg[rows, nearest[stale]]
-    return _cut(tuple(labels), tuple(merges), tau_sem, tau_sem)
+    return _cut(tuple(labels), tuple(merges), tau_sem)
 
 
 def vote_trajectory(
@@ -364,6 +390,14 @@ def save_consensus(records: list[ConsensusRecord], path: str | Path) -> None:
 
 
 def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> list[ConsensusRecord]:
-    """Read a consensus file; against ``ds``, also check every member (``member_check``)."""
-    check = member_check(ds)
-    return read_jsonl(path, lambda obj: check(ConsensusRecord.from_json(obj)))
+    """Read a consensus file; against ``ds``, also check every member (``member_check``). Kept
+    (``read_kept``); each caller gets records with vote maps of their own."""
+
+    def parse(text: str) -> list[ConsensusRecord]:
+        check = member_check(ds)
+        return parse_lines(path, text, lambda obj: check(ConsensusRecord.from_json(obj)))
+
+    def own(records: list[ConsensusRecord]) -> list[ConsensusRecord]:
+        return [ConsensusRecord(r.track_id, r.canonical, dict(r.votes), r.members) for r in records]
+
+    return read_kept("consensus", path, dataset_key(ds), parse, own)[0]

@@ -29,7 +29,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
 from .records import DescriptionSet, SceneDataset, as_vector, read_json, write_csv, write_json
-from .rle import RleMask, json_int, rle_decode_many
+from .rle import RleMask, json_float, json_floats, json_int, rle_decode_many
 from .synth import GroundTruth
 
 BCE_EPS = 1e-7
@@ -555,14 +555,13 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
                 raise SchemaError(
                     f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views"
                 )
-            centers = np.array(
-                [[np.nan, np.nan] if c is None else [float(c[0]), float(c[1])] for c in g["centers"]]
-            )
+            json_floats([v for c in g["centers"] if c is not None for v in (c[0], c[1])], f"gaussian {gid}: center")
+            centers = np.array([[np.nan, np.nan] if c is None else [c[0], c[1]] for c in g["centers"]], dtype=float)
             track = json_int(g["track"], f"gaussian {gid}: track")
             gaussians.append(ToyGaussian(gid=gid, track=track, centers=centers))
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
         features = np.array(features).reshape(len(gaussians), dim)
-        return ToyReferringField(height, width, float(obj["spread"]), dim, gaussians, features)
+        return ToyReferringField(height, width, json_float(obj["spread"], "spread"), dim, gaussians, features)
 
     return read_json(path, parse)
 

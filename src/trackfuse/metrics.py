@@ -19,7 +19,7 @@ import numpy as np
 from .consensus import ConsensusRecord, SynonymClustering
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
-from .records import DescriptionSet, SceneDataset, config_hash, write_json
+from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
 from .rle import iou_table, rle_decode_many
 from .synth import GroundTruth
 
@@ -214,16 +214,28 @@ def eval_miou(
 
 
 def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> list[np.ndarray]:
-    """Per view, the (detections x ``gt.objects``) mask IoU table; the object masks
-    come from ``masks`` if given, so that a later use of ``masks`` decodes none again."""
-    return [
-        iou_table(
-            [det.mask for det in ds.detections[view]],
-            [obj.masks[view] for obj in gt.objects],
-            masks.at(view) if masks is not None and gt.objects else None,
-        )
-        for view in range(ds.n_views)
-    ]
+    """Per view, the (detections x ``gt.objects``) mask IoU table, read-only; the object masks
+    come from ``masks`` if given, so that a later use of ``masks`` decodes none again.
+
+    The process keeps (``records.kept``) the tables of one (dataset, ground truth) pair, keyed
+    by both keys; a dataset or ground truth not read from files keeps nothing.
+    """
+
+    def build() -> list[np.ndarray]:
+        tables = [
+            iou_table(
+                [det.mask for det in ds.detections[view]],
+                [obj.masks[view] for obj in gt.objects],
+                masks.at(view) if masks is not None and gt.objects else None,
+            )
+            for view in range(ds.n_views)
+        ]
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    key = None if ds.key is None or gt.key is None else (ds.key, gt.key)
+    return kept("iou_tables", key, build, list)
 
 
 def match_detections_to_objects(tables: list[np.ndarray], gt: GroundTruth) -> dict[tuple[int, int], int]:

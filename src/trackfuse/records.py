@@ -86,7 +86,8 @@ def _decode(path: str | Path, data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse(where: str, text: str, parse: Callable):
+def parse_json(where: str | Path, text: str, parse: Callable):
+    """``parse`` of one JSON document's ``text``; every error is a SchemaError naming ``where``."""
     try:
         obj = json.loads(text)
     except ValueError as exc:
@@ -101,20 +102,71 @@ def _parse(where: str, text: str, parse: Callable):
 
 def read_json(path: str | Path, parse: Callable = lambda obj: obj):
     """Parse one JSON document; every error is a SchemaError naming ``path``."""
-    return _parse(str(path), _read_text(path), parse)
+    return parse_json(str(path), _read_text(path), parse)
 
 
 def read_jsonl(path: str | Path, parse: Callable) -> list:
     """Parse each non-blank line; every error is a SchemaError naming ``path:line``."""
-    return _parse_lines(path, _read_text(path), parse)
+    return parse_lines(path, _read_text(path), parse)
 
 
-def _parse_lines(path: str | Path, text: str, parse: Callable) -> list:
+def parse_lines(path: str | Path, text: str, parse: Callable) -> list:
+    """``parse`` of each non-blank line of ``text``; every error is a SchemaError naming ``path:line``."""
     return [
-        _parse(f"{path}:{lineno}", line, parse)
+        parse_json(f"{path}:{lineno}", line, parse)
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip()
     ]
+
+
+# What the process keeps: kind -> (key, value). See ``read_kept``.
+_kept: dict[str, tuple] = {}
+
+
+def forget_kept() -> None:
+    """Forget every kept value, so that the next read or build of each kind starts afresh."""
+    _kept.clear()
+
+
+def kept(kind: str, key, build: Callable, own: Callable = lambda value: value,
+         usable: Callable = lambda value: True):
+    """``own(value)`` of the value kept for ``kind``, if it was kept under ``key`` and is ``usable``;
+    otherwise ``build()``'s value, kept in its place first. A ``key`` of None keeps nothing."""
+    entry = _kept.get(kind)
+    if key is None or entry is None or entry[0] != key or not usable(entry[1]):
+        entry = (key, build())
+        if key is not None:
+            _kept[kind] = entry
+    return own(entry[1])
+
+
+def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], object],
+              own: Callable = lambda value: value) -> tuple[object, tuple | None]:
+    """The value ``parse`` gives for the text of the file at ``path``, and the key it is kept under.
+
+    The process keeps one value per kind: the last parse of the dataset, tracks, consensus,
+    descriptions and ground truth (and, through ``kept``, the IoU tables of one (dataset, ground
+    truth) pair and the agglomeration of the last label set clustered). A value is keyed by the
+    sha256 of its file's bytes and by ``context``, what else the parse checks against, such as the
+    key of the dataset (``dataset_key``); never by path or mtime. A read of the same bytes in the
+    same context decodes no JSON; any other byte parses again, with every check in its order and
+    its message. A ``context`` of None keeps nothing. Every caller gets its own copy, ``own(value)``:
+    fresh lists and records, with read-only arrays shared. Separate processes each parse.
+    """
+    data = Path(path).read_bytes()
+    key = None if context is None else (hashlib.sha256(data).digest(), context)
+    return kept(kind, key, lambda: parse(_decode(path, data)), own), key
+
+
+def dataset_key(ds: "SceneDataset | None"):
+    """The ``read_kept`` context of a read checked against ``ds``: () without a dataset, and None,
+    which keeps nothing, for a dataset not read from files."""
+    return () if ds is None else ds.key
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of the bytes of the file at ``path``, in hex."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def config_hash(obj) -> str:
@@ -273,6 +325,8 @@ class SceneDataset:
     descriptions: list[DescriptionSet] | None = None
     # the tracks file the manifest names, resolved; set by load_dataset, not written by save_dataset
     tracks_file: Path | None = None
+    # the sha256 digests of the files load_dataset read it from; None for a dataset built otherwise
+    key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.detections) != self.n_views:
@@ -392,13 +446,24 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
 
 
 def load_descriptions(path: str | Path, dim: int | None = None) -> list[DescriptionSet]:
-    """Read a descriptions file: one set per track, so no track id may appear twice."""
-    return _parse_descriptions(path, _read_text(path), dim)
+    """Read a descriptions file: one set per track, so no track id may appear twice. Kept (``read_kept``)."""
+    return read_kept("descriptions", path, (dim,), lambda text: _parse_descriptions(path, text, dim),
+                     _own_descriptions)[0]
 
 
 def _parse_descriptions(path: str | Path, text: str, dim: int | None) -> list[DescriptionSet]:
+    """The description sets of a file's ``text``, their referral vectors made read-only."""
     unique = unique_track_ids()
-    return _parse_lines(path, text, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
+    sets = parse_lines(path, text, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
+    for d in sets:
+        for _, vec in d.referrals:
+            vec.flags.writeable = False
+    return sets
+
+
+def _own_descriptions(sets: list[DescriptionSet]) -> list[DescriptionSet]:
+    """Description sets with referral lists of their own; the (read-only) vectors stay shared."""
+    return [DescriptionSet(d.track_id, d.category, list(d.referrals), d.keyframe) for d in sets]
 
 
 def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
@@ -422,19 +487,7 @@ def _manifest_header(obj: dict) -> tuple[int, int, int, int, dict[str, str]]:
     return *sizes, names
 
 
-@dataclass
-class _Parsed:
-    """The dataset ``load_dataset`` parsed last, and the sha256 digests of the bytes it came from."""
-
-    header: tuple[int, int, int, int, dict[str, str]]
-    key: tuple[bytes, ...]  # the manifest's digest, then each dataset file's
-    dataset: SceneDataset  # never handed out: callers get a copy, and its arrays are read-only
-
-
-_last: _Parsed | None = None
-
-
-def _caller_copy(ds: SceneDataset, tracks_file: Path | None) -> SceneDataset:
+def _caller_copy(ds: SceneDataset, tracks_file: Path | None, key: tuple) -> SceneDataset:
     """``ds`` with lists, detections (``resolved_label`` unset) and description sets of its own; the
     masks, embeddings and vectors stay shared. ``copy.copy`` does not run the dataset's checks again."""
     own = copy.copy(ds)
@@ -444,32 +497,26 @@ def _caller_copy(ds: SceneDataset, tracks_file: Path | None) -> SceneDataset:
     ]
     own.embeddings = dict(ds.embeddings)
     if ds.descriptions is not None:
-        own.descriptions = [
-            DescriptionSet(d.track_id, d.category, list(d.referrals), d.keyframe) for d in ds.descriptions
-        ]
+        own.descriptions = _own_descriptions(ds.descriptions)
     own.tracks_file = tracks_file
+    own.key = key
     return own
 
 
 def load_dataset(path: str | Path) -> SceneDataset:
     """Load from a manifest file (or a directory containing manifest.json).
 
-    The process keeps the dataset it parsed last, keyed by the sha256 of the bytes of the manifest
-    and of every dataset file it names (neither paths nor mtimes): a load of the same bytes again
-    reads each file once and decodes no JSON. Every call returns a dataset of its own, with fresh
-    lists, detections and description sets; the embedding and referral vectors it shares with the
-    kept one are read-only.
+    The dataset is kept (``read_kept``) under the sha256 of the bytes of the manifest and of every
+    dataset file it names, which is also its ``key``: a load of the same bytes again reads each file
+    once and decodes no JSON. Every call returns a dataset of its own, with fresh lists, detections
+    and description sets; the embedding and referral vectors it shares with the kept one are read-only.
     """
-    global _last
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-    data = manifest_path.read_bytes()
-    manifest_digest = hashlib.sha256(data).digest()
-    if _last is not None and _last.key[0] == manifest_digest:
-        header = _last.header
-    else:
-        header = _parse(str(manifest_path), _decode(manifest_path, data), _manifest_header)
-    n_views, height, width, dim, names = header
+    header, (manifest_digest, _) = read_kept(
+        "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
+    )
+    names = header[4]
     base = manifest_path.parent
     files = {key: base / names[key] for key in _DATASET_FILES if key in names}
 
@@ -484,9 +531,9 @@ def load_dataset(path: str | Path) -> SceneDataset:
     digests = (manifest_digest, *(
         hashlib.sha256(blob).digest() if isinstance(blob, bytes) else None for blob in blobs.values()
     ))
-    if _last is None or _last.key != digests:
-        _last = _Parsed(header, digests, _parse_dataset(header, files, blobs))
-    return _caller_copy(_last.dataset, base / names["tracks"] if "tracks" in names else None)
+    tracks_file = base / names["tracks"] if "tracks" in names else None
+    return kept("dataset", digests, lambda: _parse_dataset(header, files, blobs),
+                lambda ds: _caller_copy(ds, tracks_file, digests))
 
 
 def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes | OSError]) -> SceneDataset:
@@ -500,7 +547,7 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
 
     # each detection is checked as its line is parsed, so an error names the line
     detections: list[list[Detection]] = [[] for _ in range(n_views)]
-    for det in _parse_lines(
+    for det in parse_lines(
         files["detections"],
         text("detections"),
         lambda obj: _check_detection(Detection.from_json(obj), n_views, height, width),
@@ -523,12 +570,9 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
         width=width,
         dim=dim,
         detections=detections,
-        embeddings=_parse(str(files["embeddings"]), text("embeddings"), embeddings),
+        embeddings=parse_json(str(files["embeddings"]), text("embeddings"), embeddings),
         descriptions=descriptions,
     )
     for emb in ds.embeddings.values():
         emb.vector.flags.writeable = False
-    for d in descriptions or ():
-        for _, vec in d.referrals:
-            vec.flags.writeable = False
     return ds

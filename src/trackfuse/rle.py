@@ -7,6 +7,7 @@ run may be 0; no other run may be 0. All operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -56,6 +57,35 @@ def json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; a float, bool or string is refused, not truncated."""
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool or string is refused, not converted."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_floats(values: list, what: str) -> list[float]:
+    """``json_float`` of each of ``values``: one set of types and one ``isfinite`` pass check them
+    all, and only a list that fails goes value by value, to raise for the first bad one."""
+    if {type(v) for v in values} <= {int, float} and all(map(math.isfinite, values)):
+        return list(map(float, values))
+    return [json_float(v, what) for v in values]
+
+
+def json_str(value, what: str) -> str:
+    """``value`` if it is a non-empty JSON string; a number is refused, not converted."""
+    if type(value) is not str or not value:
+        raise SchemaError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+def json_bool(value, what: str) -> bool:
+    """``value`` if it is a JSON boolean; a string or number is refused, not tested for truth."""
+    if type(value) is not bool:
+        raise SchemaError(f"{what} must be true or false, got {value!r}")
     return value
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import Detection, LabelEmbedding, SceneDataset, read_json, write_json
-from .rle import RleMask, json_int, rle_decode, rle_encode
+from .records import Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, write_json
+from .rle import RleMask, json_bool, json_float, json_floats, json_int, json_str, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
 
@@ -113,6 +113,8 @@ class GtObject:
 @dataclass
 class GroundTruth:
     objects: list[GtObject]
+    # load_ground_truth's read_kept key; None for ground truth built otherwise
+    key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -137,15 +139,21 @@ class GroundTruth:
             objects.append(
                 GtObject(
                     object_id=json_int(o["id"], "object id"),
-                    identity=str(o["identity"]),
+                    identity=json_str(o["identity"], "object identity"),
                     masks=[RleMask.from_json(m) for m in o["masks"]],
-                    visible=[bool(v) for v in o["visible"]],
-                    centers=[(float(x), float(y)) for x, y in o["centers"]],
-                    radii=(float(o["radii"][0]), float(o["radii"][1])),
-                    shape=str(o["shape"]),
+                    visible=[json_bool(v, "object visible") for v in o["visible"]],
+                    centers=_json_points(o["centers"], "object center"),
+                    radii=(json_float(o["radii"][0], "object radius"), json_float(o["radii"][1], "object radius")),
+                    shape=json_str(o["shape"], "object shape"),
                 )
             )
         return cls(objects)
+
+
+def _json_points(value, what: str) -> list[tuple[float, float]]:
+    """The [x, y] pairs of ``value`` as tuples, every coordinate a finite JSON number (``json_floats``)."""
+    xy = json_floats([v for x, y in value for v in (x, y)], what)
+    return list(zip(xy[::2], xy[1::2]))
 
 
 def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
@@ -154,7 +162,8 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> GroundTruth:
     """Read a ground-truth file; against ``ds``, every object needs one mask of
-    the dataset's size per view, and object ids must be unique."""
+    the dataset's size per view, and object ids must be unique. Kept (``read_kept``):
+    each caller gets objects and lists of its own, and the ground truth's ``key``."""
 
     def parse(obj: dict) -> GroundTruth:
         gt = GroundTruth.from_json(obj)
@@ -177,7 +186,15 @@ def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> Groun
                     )
         return gt
 
-    return read_json(path, parse)
+    def own(gt: GroundTruth) -> GroundTruth:
+        return GroundTruth([
+            GtObject(o.object_id, o.identity, list(o.masks), list(o.visible), list(o.centers), o.radii, o.shape)
+            for o in gt.objects
+        ])
+
+    gt, key = read_kept("ground_truth", path, dataset_key(ds), lambda text: parse_json(path, text, parse), own)
+    gt.key = key
+    return gt
 
 
 def build_vocabulary_embeddings(

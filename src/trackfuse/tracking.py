@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import SceneDataset, Trajectory, json_members, member_check, read_jsonl, write_jsonl
+from .records import (
+    SceneDataset, Trajectory, dataset_key, json_members, member_check, parse_lines, read_kept, write_jsonl,
+)
 from .rle import RleMask, iou_table, json_int
 
 
@@ -118,11 +120,13 @@ def save_tracks(trajectories: list[Trajectory], path: str | Path) -> None:
 
 
 def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> list[Trajectory]:
-    """Read a tracks file; against ``ds``, also check every member (``member_check``)."""
-    check = member_check(ds)
-    return read_jsonl(
-        path,
-        lambda obj: check(
-            Trajectory(json_int(obj["track"], "track"), json_members(obj["members"]))
-        ),
-    )
+    """Read a tracks file; against ``ds``, also check every member (``member_check``). Kept
+    (``read_kept``); trajectories are frozen, so each caller gets a list of its own."""
+
+    def parse(text: str) -> list[Trajectory]:
+        check = member_check(ds)
+        return parse_lines(
+            path, text, lambda obj: check(Trajectory(json_int(obj["track"], "track"), json_members(obj["members"])))
+        )
+
+    return read_kept("tracks", path, dataset_key(ds), parse, list)[0]

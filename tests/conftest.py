@@ -6,6 +6,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import trackfuse as tf
+from trackfuse import records
+
+
+@pytest.fixture(autouse=True)
+def nothing_kept():
+    """Each test starts with nothing kept, as a new process does (``records.read_kept``)."""
+    records.forget_kept()
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from trackfuse import consensus, rle
-from trackfuse.cli import _train_config, load_config, main, run_pipeline
+from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, propagate, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
@@ -23,6 +25,7 @@ from trackfuse.tracking import load_tracks
 from oracles import oracle_eval_miou
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(consensus.__file__).resolve().parents[1]  # the directory that holds the trackfuse package
 
 GROUP = '{"canonical": str, "synonyms": [str, ...]}'
 
@@ -473,6 +476,11 @@ def edit_jsonl(path, lineno, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def first_center(gaussian):
+    """The first [x, y] center of a field file's Gaussian that is not null (not visible)."""
+    return next(c for c in gaussian["centers"] if c is not None)
+
+
 def stage_argv(run, command, tmp_path):
     """Single-stage argv reading the run's artifacts and writing under tmp_path."""
     inputs = {
@@ -701,6 +709,41 @@ class TestBadInput:
         assert not (tmp_path / f"{command}.out").exists()
 
     @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("model.json", lambda doc: doc.update(spread="8"), "spread must be a finite number, got '8'"),
+            ("model.json", lambda doc: doc.update(spread=True), "spread must be a finite number, got True"),
+            ("model.json", lambda doc: first_center(doc["gaussians"][0]).__setitem__(0, "3"),
+             "gaussian 0: center must be a finite number, got '3'"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(identity=5),
+             "object identity must be a non-empty string, got 5"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(identity=""),
+             "object identity must be a non-empty string, got ''"),
+            ("ground_truth.json", lambda doc: doc["objects"][0]["visible"].__setitem__(0, "no"),
+             "object visible must be true or false, got 'no'"),
+            ("ground_truth.json", lambda doc: doc["objects"][0]["visible"].__setitem__(0, 1),
+             "object visible must be true or false, got 1"),
+            ("ground_truth.json", lambda doc: doc["objects"][0]["centers"][0].__setitem__(1, "7"),
+             "object center must be a finite number, got '7'"),
+            ("ground_truth.json", lambda doc: doc["objects"][0]["radii"].__setitem__(0, False),
+             "object radius must be a finite number, got False"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(shape=0),
+             "object shape must be a non-empty string, got 0"),
+        ],
+    )
+    def test_strict_json_scalar_exits_two_naming_the_file(self, run_dir, tmp_path, capsys, name, edit, message):
+        # each value used to be converted (float("8"), bool("no"), str(5)), so eval exited 0 or
+        # failed naming no file
+        path = run_dir / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(eval_argv(run_dir, out)) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "problem, message",
         [
             ("fewer-views", "object 0: 2 masks, the dataset has 3 views"),
@@ -738,7 +781,7 @@ class TestBadInput:
             ("short-feature", "gaussian 0: feature has shape (31,), expected (32,)"),
             ("nan-feature", "gaussian 0: feature is not finite"),
             ("height", "field is 16x32, the dataset's views are 32x32"),
-            ("nan-spread", "malformed record: ValueError('spread must be positive and finite, got nan')"),
+            ("nan-spread", "spread must be a finite number, got nan"),
             (
                 "huge-spread",
                 "malformed record: ValueError('spread must be at most 4.47e+153, so that (3 * spread) ** 2 "
@@ -1303,6 +1346,56 @@ class TestResume:
         assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
 
 
+class TestResumeKeys:
+    """``run`` skips a stage only when its marker exists and its stored key (config sections read,
+    input digests) matches."""
+
+    @staticmethod
+    def rerun(tmp_path, out, config):
+        assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        return read_json(out / "run.json")
+
+    def test_changed_consensus_section_reruns_consensus_and_later(self, tmp_path):
+        # resuming by marker alone skipped every stage: run.json held the new config hash, report.json the old
+        out = tmp_path / "run"
+        self.rerun(tmp_path, out, TINY_CONFIG)
+        changed = TINY_CONFIG | {"consensus": {"tau_sem": 0.5}}
+        manifest = self.rerun(tmp_path, out, changed)
+        assert manifest["stages"] == {"synth": "skipped", "associate": "skipped", "consensus": "done",
+                                      "keyframe": "done", "train": "done", "eval": "done"}
+        assert read_json(out / "report.json")["config_hash"] == manifest["config_hash"]
+        self.rerun(tmp_path, tmp_path / "clean", changed)
+        assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+    def test_changed_train_section_reruns_train_and_eval_only(self, tmp_path):
+        out = tmp_path / "run"
+        self.rerun(tmp_path, out, TINY_CONFIG)
+        changed = TINY_CONFIG | {"train": {"epochs": 2}}
+        manifest = self.rerun(tmp_path, out, changed)
+        assert manifest["stages"] == {"synth": "skipped", "associate": "skipped", "consensus": "skipped",
+                                      "keyframe": "skipped", "train": "done", "eval": "done"}
+        self.rerun(tmp_path, tmp_path / "clean", changed)
+        assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+    def test_changed_input_bytes_rerun_the_stage_that_reads_them(self, tmp_path):
+        # a blank line parses to the same tracks, but the bytes, so the key, differ
+        out = tmp_path / "run"
+        self.rerun(tmp_path, out, TINY_CONFIG)
+        with open(out / "tracks.jsonl", "a") as fh:
+            fh.write("\n")
+        manifest = self.rerun(tmp_path, out, TINY_CONFIG)
+        assert manifest["stages"]["associate"] == "skipped"
+        assert manifest["stages"]["consensus"] == "done"
+        assert set(manifest["keys"]) == {stage.name for stage in STAGES}
+
+    def test_run_json_without_keys_reruns_every_stage(self, tmp_path):
+        out = tmp_path / "run"
+        self.rerun(tmp_path, out, TINY_CONFIG)
+        (out / "run.json").write_text("[]")
+        manifest = self.rerun(tmp_path, out, TINY_CONFIG)
+        assert set(manifest["stages"].values()) == {"done"}
+
+
 def test_single_stage_sequence_matches_run(tmp_path):
     """The per-stage calls perfbench/run.py makes give the artifacts of ``run``."""
     cfg = write_config(tmp_path, SMALL_CONFIG | {"assoc": {"mode": "greedy"}})
@@ -1328,3 +1421,52 @@ def test_single_stage_sequence_matches_run(tmp_path):
         assert main(argv) == 0, argv
     assert main(["run", *c, "--out", str(run)]) == 0
     assert tree_bytes(staged) == tree_bytes(run)
+
+
+def test_one_process_gives_the_report_and_sweep_of_separate_processes(tmp_path, monkeypatch):
+    """The benchmark's calls in one process, where eval and the sweep read what earlier stages kept,
+    write the report.json and sweep.csv that eval and the sweep write each in a process of its own."""
+    noisy = {"seed": 3, "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
+                                  "noise": {"synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1,
+                                            "strip_track_ids": True}},
+             "assoc": {"mode": "greedy"}, "train": {"epochs": 1, "spread": 4.0}}
+    c = ["--config", write_config(tmp_path, noisy)]
+    scene, one, own = tmp_path / "scene", tmp_path / "one", tmp_path / "own"
+    m = ["--manifest", str(scene / "dataset" / "manifest.json")]
+    gt = ["--ground-truth", str(scene / "ground_truth.json")]
+
+    def a(name):
+        return str(one / name)
+
+    def eval_sweep(out):
+        return [
+            ["eval", *c, *m, "--consensus", a("consensus.jsonl"), "--model", a("model.json"),
+             "--descriptions", a("descriptions.jsonl"), *gt, "--out", str(out / "report.json")],
+            ["sweep", *c, *m, "--tracks", a("tracks.jsonl"), "--param", "tau_sem",
+             "--values", "0.70,0.75,0.80,0.85,0.90", *gt, "--out", str(out / "sweep.csv")],
+        ]
+
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    one.mkdir()
+    agglomerated = []
+    real = consensus._agglomerate
+    monkeypatch.setattr(consensus, "_agglomerate", lambda *args: agglomerated.append(args[2]) or real(*args))
+    for argv in [
+        ["associate", *c, *m, "--out", a("tracks.jsonl")],
+        ["consensus", *c, *m, "--tracks", a("tracks.jsonl"), "--out", a("consensus.jsonl")],
+        ["keyframe", *c, *m, "--consensus", a("consensus.jsonl"), "--out", a("descriptions.jsonl")],
+        ["train", *c, *m, "--consensus", a("consensus.jsonl"), "--descriptions", a("descriptions.jsonl"),
+         "--geometry", str(scene / "field_geometry.json"), "--out", a("model.json")],
+        *eval_sweep(one),
+    ]:
+        assert main(argv) == 0, argv
+    assert agglomerated == [0.85, 0.70]  # eval cut consensus's agglomeration; the sweep went lower
+
+    own.mkdir()
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for argv in eval_sweep(own):
+        proc = subprocess.run([sys.executable, "-m", "trackfuse.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("report.json", "sweep.csv"):
+        assert (one / name).read_bytes() == (own / name).read_bytes(), name

@@ -1,21 +1,29 @@
+import copy
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trackfuse as tf
-from trackfuse import records
+from trackfuse import consensus, metrics, records
 from trackfuse.cli import main
+from trackfuse.consensus import ConsensusRecord, load_consensus, observed_labels, save_consensus
 from trackfuse.errors import SchemaError
+from trackfuse.metrics import iou_tables
 from trackfuse.records import (
     DescriptionSet,
+    LabelEmbedding,
     load_dataset,
     load_descriptions,
     save_dataset,
     save_descriptions,
     text_embedding,
 )
+from trackfuse.synth import GroundTruth, load_ground_truth, save_ground_truth
+from trackfuse.tracking import load_tracks, save_tracks
 
 
 def read_bytes(root):
@@ -131,17 +139,12 @@ class TestValidation:
 
 def described_scene(root):
     """A saved 3-view scene with two tracks, each with a description set; returns its manifest."""
-    ds, _ = tf.generate_scene(tf.SynthConfig(n_views=3, n_objects=2, seed=1))
-    ds.descriptions = [
-        DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
-        for t, text in enumerate(["the left cup", "the right cup"])
-    ]
-    return save_dataset(ds, root / "scene")
+    return kept_scene(root)["dataset"]
 
 
-def fresh_parse(manifest, monkeypatch):
-    """``load_dataset`` of ``manifest`` with the kept dataset forgotten, so that it parses."""
-    monkeypatch.setattr(records, "_last", None)
+def fresh_parse(manifest):
+    """``load_dataset`` of ``manifest`` with every kept value forgotten, so that it parses."""
+    records.forget_kept()
     return load_dataset(manifest)
 
 
@@ -176,8 +179,94 @@ def rename_detections(path):
     path.write_text(path.read_text().replace('"detections.jsonl"', '"detectionz.jsonl"'))
 
 
+def kept_scene(root, n_views=3, dim=32):
+    """A saved scene with every input kind the process keeps; returns each file's path by kind."""
+    ds, gt = tf.generate_scene(tf.SynthConfig(n_views=n_views, n_objects=2, seed=1, dim=dim))
+    ds.descriptions = [
+        DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
+        for t, text in enumerate(["the left cup", "the right cup"])
+    ]
+    tracks = tf.import_tracks(ds)
+    paths = {kind: root / name for kind, name in (
+        ("tracks", "tracks.jsonl"), ("consensus", "consensus.jsonl"),
+        ("descriptions", "descriptions.jsonl"), ("ground_truth", "ground_truth.json"))}
+    paths["dataset"] = save_dataset(ds, root / "scene")
+    save_tracks(tracks, paths["tracks"])
+    save_consensus(tf.run_consensus(ds, tracks).records, paths["consensus"])
+    save_descriptions(ds.descriptions, paths["descriptions"])
+    save_ground_truth(gt, paths["ground_truth"])
+    return paths
+
+
+READERS = {
+    "dataset": lambda path, ds: load_dataset(path),
+    "tracks": load_tracks,
+    "consensus": load_consensus,
+    "descriptions": lambda path, ds: load_descriptions(path, dim=ds.dim),
+    "ground_truth": load_ground_truth,
+}
+
+
+def plain(value):
+    """A reader's value as plain data, for ==."""
+    if isinstance(value, tf.SceneDataset):
+        return (value.n_views, value.height, value.width, value.dim, value.tracks_file, value.key,
+                [[(d.to_json(), d.resolved_label) for d in per_view] for per_view in value.detections],
+                {label: emb.vector.tolist() for label, emb in value.embeddings.items()},
+                [d.to_json() for d in value.descriptions])
+    if isinstance(value, GroundTruth):
+        return value.key, copy.deepcopy(value.to_json())  # to_json shares the objects' lists
+    return [item.to_json() if hasattr(item, "to_json") else (item.track_id, item.members) for item in value]
+
+
+def mutate(value):
+    """Every write a caller can make to a reader's value that does not raise."""
+    if isinstance(value, tf.SceneDataset):
+        value.detections[0][0].resolved_label = "plate"
+        value.detections[0].append(value.detections[1][0])
+        value.descriptions[0].referrals.append(("another cup", text_embedding("another cup", value.dim)))
+        value.embeddings.clear()
+    elif isinstance(value, GroundTruth):
+        obj = value.objects[0]
+        obj.identity = "plate"
+        obj.visible[0] = not obj.visible[0]
+        obj.centers[0] = (0.0, 0.0)
+        obj.masks.pop()
+        value.objects.append(obj)
+    else:
+        first = value[0]
+        if isinstance(first, ConsensusRecord):
+            first.votes["plate"] = 1
+            first.canonical = "plate"
+        elif isinstance(first, DescriptionSet):
+            first.category = "plate"
+            first.referrals.append(("another cup", text_embedding("another cup", 32)))
+        value.append(first)
+        value.reverse()
+
+
+def copy_input(paths, kind, root):
+    """The path of a copy of ``kind``'s file(s) under ``root``."""
+    if kind == "dataset":
+        return shutil.copytree(paths["dataset"].parent, root / "scene") / "manifest.json"
+    root.mkdir()
+    return Path(shutil.copy(paths[kind], root / paths[kind].name))
+
+
+def count_json_loads(monkeypatch) -> list:
+    decoded = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(a) or real_loads(*a, **k))
+    return decoded
+
+
+KINDS = list(READERS)
+CHECKED = ["tracks", "consensus", "ground_truth"]  # the kinds read against a dataset
+
+
 class TestKeptDataset:
-    """``load_dataset`` keeps the dataset it parsed last, keyed by the bytes of its files."""
+    """Each input kind, the dataset first, is kept by the sha256 of its bytes (and its dataset's key),
+    not by path or mtime, and every caller gets its own copy."""
 
     def test_second_load_decodes_no_json_and_equals_a_fresh_parse(self, tmp_path, monkeypatch):
         manifest = described_scene(tmp_path)
@@ -187,7 +276,7 @@ class TestKeptDataset:
         monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(a) or real_loads(*a, **k))
         again = load_dataset(manifest)
         assert decoded == []
-        fresh = fresh_parse(manifest, monkeypatch)
+        fresh = fresh_parse(manifest)
         assert decoded  # the fresh parse did decode
         assert_same_dataset(again, fresh)
 
@@ -212,7 +301,7 @@ class TestKeptDataset:
         second = load_dataset(manifest)
         with pytest.raises(AssertionError):
             assert_same_dataset(first, second)
-        assert_same_dataset(second, fresh_parse(manifest, monkeypatch))
+        assert_same_dataset(second, fresh_parse(manifest))
 
     def test_caller_writes_do_not_reach_the_next_load(self, tmp_path, monkeypatch):
         manifest = described_scene(tmp_path)
@@ -224,7 +313,7 @@ class TestKeptDataset:
         for vec in [first.embedding("cup"), first.descriptions[0].referrals[0][1]]:
             with pytest.raises(ValueError, match="read-only"):
                 vec[0] = 1.0
-        assert_same_dataset(load_dataset(manifest), fresh_parse(manifest, monkeypatch))
+        assert_same_dataset(load_dataset(manifest), fresh_parse(manifest))
 
     def test_bad_detection_line_after_a_good_load_exits_two_naming_it(self, tmp_path, capsys):
         manifest = described_scene(tmp_path)
@@ -236,6 +325,146 @@ class TestKeptDataset:
         det_path.write_text("\n".join(lines) + "\n")
         assert main(argv) == 2
         assert f"{det_path}:2: confidence must be in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bytes_under_another_path_decode_no_json(self, tmp_path, monkeypatch, kind):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        first = READERS[kind](paths[kind], ds)
+        other = copy_input(paths, kind, tmp_path / "elsewhere")
+        decoded = count_json_loads(monkeypatch)
+        again = READERS[kind](other, ds)
+        assert decoded == []
+        assert plain(again) == plain(first)
+        records.forget_kept()
+        fresh = READERS[kind](other, load_dataset(paths["dataset"]))
+        assert decoded
+        assert plain(again) == plain(fresh)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_edited_byte_parses_again(self, tmp_path, monkeypatch, kind):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        READERS[kind](paths[kind], ds)
+        path = paths["dataset"].parent / "detections.jsonl" if kind == "dataset" else paths[kind]
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        path.write_bytes(data[:-1] + b" ")  # the same records: JSON ignores the trailing space
+        decoded = count_json_loads(monkeypatch)
+        again = READERS[kind](paths[kind], ds)
+        assert decoded
+        records.forget_kept()
+        assert plain(again) == plain(READERS[kind](paths[kind], load_dataset(paths["dataset"])))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_caller_writes_do_not_reach_the_next_caller(self, tmp_path, kind):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        first = READERS[kind](paths[kind], ds)
+        want = plain(first)
+        mutate(first)
+        assert plain(first) != want
+        assert plain(READERS[kind](paths[kind], ds)) == want
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("tracks", r"track 0: member \(2, 0\) is not a detection of the dataset"),
+            ("consensus", r"track 0: member \(2, 0\) is not a detection of the dataset"),
+            ("descriptions", r"referral vector has shape \(32,\), expected \(16,\)"),
+            ("ground_truth", "object 0: 3 masks, the dataset has 2 views"),
+        ],
+    )
+    def test_bytes_passed_against_one_dataset_are_refused_against_another(self, tmp_path, kind, message):
+        paths = kept_scene(tmp_path / "a")
+        READERS[kind](paths[kind], load_dataset(paths["dataset"]))
+        smaller = load_dataset(kept_scene(tmp_path / "b", n_views=2, dim=16)["dataset"])
+        with pytest.raises(SchemaError, match=rf"{paths[kind]}(:1)?: {message}"):
+            READERS[kind](paths[kind], smaller)
+
+    @pytest.mark.parametrize("kind", CHECKED)
+    def test_dataset_not_read_from_files_keeps_nothing(self, tmp_path, monkeypatch, kind):
+        paths = kept_scene(tmp_path)
+        built = load_dataset(paths["dataset"])
+        built.key = None  # as for a dataset built in memory
+        READERS[kind](paths[kind], built)
+        decoded = count_json_loads(monkeypatch)
+        value = READERS[kind](paths[kind], built)
+        assert decoded
+        if kind == "ground_truth":
+            assert value.key is None
+            assert iou_tables(built, value) is not iou_tables(built, value)
+
+    def test_iou_tables_are_kept_per_dataset_and_ground_truth(self, tmp_path, monkeypatch):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        first = iou_tables(ds, load_ground_truth(paths["ground_truth"], ds))
+        calls = []
+        real = metrics.iou_table
+        monkeypatch.setattr(metrics, "iou_table", lambda *a: calls.append(a) or real(*a))
+        again = iou_tables(load_dataset(paths["dataset"]), load_ground_truth(paths["ground_truth"], ds))
+        assert calls == []
+        assert again is not first and all(a is b for a, b in zip(again, first))
+        for table in again:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+        other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"))  # read without a dataset
+        assert [t.tolist() for t in iou_tables(ds, other)] == [t.tolist() for t in first]
+        assert len(calls) == ds.n_views
+
+
+class TestKeptClustering:
+    """``cluster_synonyms`` keeps the last label set's agglomeration, built to the lowest tau_sem asked for."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        real = consensus._agglomerate
+        monkeypatch.setattr(consensus, "_agglomerate", lambda *a: calls.append(a[2]) or real(*a))
+        return calls
+
+    def test_hit_equals_a_fresh_call_at_the_same_and_higher_tau(self, noisy_scene, monkeypatch):
+        ds, _ = noisy_scene
+        labels = observed_labels(ds)
+        calls = self.counted(monkeypatch)
+        tf.cluster_synonyms(labels, ds.embeddings, 0.7)
+        for tau in (0.7, 0.8, 0.85, 0.95):
+            got = tf.cluster_synonyms(labels, ds.embeddings, tau)
+            assert calls == [0.7]
+            records.forget_kept()
+            assert got == tf.cluster_synonyms(labels, ds.embeddings, tau)  # every field
+            assert got.tau_floor == tau and len(got.merges) < len(labels)
+            records.forget_kept()
+            tf.cluster_synonyms(labels, ds.embeddings, 0.7)
+            del calls[1:]
+
+    def test_lower_tau_agglomerates_again_and_is_kept(self, noisy_scene, monkeypatch):
+        ds, _ = noisy_scene
+        labels = observed_labels(ds)
+        calls = self.counted(monkeypatch)
+        for tau in (0.85, 0.9, 0.5, 0.6, 0.85):
+            tf.cluster_synonyms(labels, ds.embeddings, tau)
+        assert calls == [0.85, 0.5]
+
+    def test_other_labels_or_vectors_agglomerate_again(self, noisy_scene, monkeypatch):
+        ds, _ = noisy_scene
+        labels = observed_labels(ds)
+        calls = self.counted(monkeypatch)
+        tf.cluster_synonyms(labels, ds.embeddings, 0.8)
+        tf.cluster_synonyms(labels[1:], ds.embeddings, 0.8)
+        turned = dict(ds.embeddings) | {labels[0]: LabelEmbedding(labels[0], -ds.embeddings[labels[0]].vector)}
+        tf.cluster_synonyms(labels, turned, 0.8)
+        assert calls == [0.8, 0.8, 0.8]
+
+    def test_resolving_an_unseen_label_does_not_reach_the_next_caller(self, noisy_scene):
+        ds, _ = noisy_scene
+        labels = observed_labels(ds)
+        first = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
+        first.resolve("an unseen label")
+        again = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
+        assert "an unseen label" not in again.assignment
+        assert len(again.canonical) == len(first.canonical) - 1
 
 
 class TestTextEmbedding:
