@@ -26,7 +26,6 @@ def main() -> int:
     ds, gt = tf.generate_scene(cfg)
     trajectories = tf.import_tracks(ds)
     result = tf.run_consensus(ds, trajectories)
-    tf.propagate(ds, result.records)
     descriptions = run_keyframes(ds, result.records)
 
     train_views = tuple(range(args.train_views))

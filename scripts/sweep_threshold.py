@@ -44,8 +44,8 @@ def main() -> int:
         counts, per_view, tscm = [], [], []
         for noisy, gt, trajectories, mapping, agglomeration in scenes:
             clustering = agglomeration.at(tau)
-            tf.propagate(noisy, vote_tracks(noisy, trajectories, clustering))
-            acc = consensus_accuracy(noisy, gt, clustering, mapping)
+            votes = vote_tracks(noisy, trajectories, clustering)
+            acc = consensus_accuracy(noisy, votes, gt, clustering, mapping)
             counts.append(len(clustering.canonical))
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])

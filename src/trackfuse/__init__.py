@@ -6,7 +6,7 @@ contrastive objective.
 
 __version__ = "0.1.0"
 
-from .consensus import cluster_synonyms, propagate, run_consensus
+from .consensus import cluster_synonyms, run_consensus
 from .errors import NumericError, SchemaError, StageError, TrackfuseError
 from .field import TrainConfig, train
 from .records import Detection, DescriptionSet, SceneDataset, Trajectory

@@ -32,7 +32,6 @@ from .consensus import (
     cluster_synonyms,
     load_consensus,
     observed_labels,
-    propagate,
     run_consensus,
     save_consensus,
     vote_tracks,
@@ -69,6 +68,7 @@ from .records import (
     file_digest,
     load_dataset,
     load_descriptions,
+    manifest_tracks,
     read_json,
     save_dataset,
     save_descriptions,
@@ -341,9 +341,10 @@ def stage_synth(cfg: dict, paths: dict[str, Path]) -> Path:
 def stage_associate(cfg: dict, paths: dict[str, Path]) -> Path:
     mode, params = _assoc_params(cfg)
     ds = load_dataset(paths["manifest"])
-    if ds.tracks_file is not None:
+    external = manifest_tracks(paths["manifest"])
+    if external is not None:
         # dataset ships an external tracker's output: validate and adopt it
-        trajectories = load_tracks(ds.tracks_file, ds)
+        trajectories = load_tracks(external, ds)
     elif mode == "import":
         trajectories = import_tracks(ds)
     else:
@@ -394,10 +395,10 @@ def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     return paths["model"]
 
 
-def _consensus_accuracy(paths: dict[str, Path], ds, gt, clustering, mapping) -> dict[str, float]:
+def _consensus_accuracy(paths: dict[str, Path], ds, records, gt, clustering, mapping) -> dict[str, float]:
     """``consensus_accuracy``, its error (no detection matches an object) naming the ground-truth file."""
     try:
-        return consensus_accuracy(ds, gt, clustering, mapping)
+        return consensus_accuracy(ds, records, gt, clustering, mapping)
     except SchemaError as exc:
         raise SchemaError(f"{paths['ground_truth']}: {exc}") from exc
 
@@ -405,7 +406,6 @@ def _consensus_accuracy(paths: dict[str, Path], ds, gt, clustering, mapping) -> 
 def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
-    propagate(ds, records)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
     masks = ObjectMasks(gt) if gt is not None else None  # each ground-truth mask decoded once
     tables = iou_tables(ds, gt, masks) if gt is not None else None
@@ -419,7 +419,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     for rec, again in zip(sorted(records, key=lambda r: r.track_id), revote.records):
         if (rec.votes, rec.canonical) != (again.votes, again.canonical):
             raise SchemaError(
-                f"{paths['consensus']}: track {rec.track_id} has votes {rec.votes} for {rec.canonical!r}, "
+                f"{paths['consensus']}: track {rec.track_id} has votes {dict(rec.votes)} for {rec.canonical!r}, "
                 f"but the clustering at consensus.tau_sem {tau_sem} gives "
                 f"{dict(sorted(again.votes.items()))} for {again.canonical!r}"
             )
@@ -428,7 +428,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
             mapping = match_detections_to_objects(tables, gt)
-            metrics.update(_consensus_accuracy(paths, ds, gt, clustering, mapping))
+            metrics.update(_consensus_accuracy(paths, ds, records, gt, clustering, mapping))
 
     if "model" in paths:
         field_ = load_field(paths["model"], ds)
@@ -629,10 +629,10 @@ def run_sweep(
     for value in values:
         if param == "tau_sem":
             clustering = agglomeration.at(value)
-            propagate(ds, vote_tracks(ds, trajectories, clustering))
             row = {"value": value, "cluster_count": len(clustering.canonical)}
             if mapping is not None:
-                row.update(_consensus_accuracy(paths, ds, gt, clustering, mapping))
+                records = vote_tracks(ds, trajectories, clustering)
+                row.update(_consensus_accuracy(paths, ds, records, gt, clustering, mapping))
         else:
             keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
             row = {

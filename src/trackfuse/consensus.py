@@ -4,8 +4,8 @@ Labels are merged bottom-up by average-linkage agglomeration on the
 cosine-distance matrix, stopping once the smallest inter-cluster average
 distance exceeds ``1 - tau_sem``. Each cluster is named by its shortest
 member surface form. Each trajectory then votes: every member detection
-contributes one vote for its clustered identity, and the winner is
-propagated to all member detections.
+contributes one vote for its clustered identity, and the winner is the
+label of every member detection (``ConsensusRecord.canonical``).
 
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So the
@@ -41,6 +41,8 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -56,9 +58,10 @@ from .records import (
     member_check,
     parse_lines,
     read_kept,
+    set_frozen,
     write_jsonl,
 )
-from .rle import json_int, mask_area
+from .rle import json_int, json_str, mask_area
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +178,7 @@ def cluster_synonyms(
     The process keeps (``records.kept``) the agglomeration of the last label set, keyed by the
     labels and the sha256 of their vectors, built to the lowest ``tau_sem`` asked for. A call at
     or above that floor cuts it (``SynonymClustering.at``), which equals a fresh call in every
-    field; a lower ``tau_sem`` agglomerates again. Each call's maps are its own.
+    field; a lower ``tau_sem`` agglomerates again. Each call's cut, and so its maps, is its own.
     """
     check_tau_sem(tau_sem)
     if len(set(labels)) != len(labels):
@@ -194,9 +197,8 @@ def cluster_synonyms(
         "clustering",
         (tuple(labels), digest.digest()),
         lambda: _agglomerate(labels, embeddings, tau_sem),
-        lambda agglomeration: agglomeration.at(tau_sem),
-        lambda agglomeration: tau_sem >= agglomeration.tau_floor,
-    )
+        usable=lambda agglomeration: tau_sem >= agglomeration.tau_floor,
+    ).at(tau_sem)
 
 
 def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding], tau_sem: float) -> SynonymClustering:
@@ -281,17 +283,18 @@ def vote_trajectory(
     return winner, counts
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsensusRecord:
-    """A trajectory's voted identity and the votes behind it."""
+    """A trajectory's voted identity, the label of each of its members, and the votes behind it."""
 
     track_id: int
     canonical: str
-    votes: dict[str, int]
+    votes: Mapping[str, int]
     members: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         check_member_views(self.track_id, self.members)
+        set_frozen(self, votes=MappingProxyType(dict(self.votes)))
 
     def to_json(self) -> dict:
         return {
@@ -307,22 +310,23 @@ class ConsensusRecord:
         identity at least once, and its canonical identity is one of the most voted."""
         rec = cls(
             track_id=json_int(obj["track"], "track"),
-            canonical=str(obj["canonical"]),
-            votes={str(k): json_int(v, f"votes[{k!r}]") for k, v in obj["votes"].items()},
+            canonical=json_str(obj["canonical"], "canonical identity"),
+            votes={json_str(k, "vote label"): json_int(v, f"votes[{k!r}]") for k, v in obj["votes"].items()},
             members=json_members(obj["members"]),
         )
-        if not rec.votes:
+        votes = dict(rec.votes)  # a dict, for the messages
+        if not votes:
             raise SchemaError(f"track {rec.track_id}: votes are empty")
-        if min(rec.votes.values()) < 1:
-            raise SchemaError(f"track {rec.track_id}: votes {rec.votes} hold a count below 1")
-        if sum(rec.votes.values()) != len(rec.members):
+        if min(votes.values()) < 1:
+            raise SchemaError(f"track {rec.track_id}: votes {votes} hold a count below 1")
+        if sum(votes.values()) != len(rec.members):
             raise SchemaError(
-                f"track {rec.track_id}: votes {rec.votes} sum to {sum(rec.votes.values())}, "
+                f"track {rec.track_id}: votes {votes} sum to {sum(votes.values())}, "
                 f"but the track has {len(rec.members)} members"
             )
-        if rec.votes.get(rec.canonical) != max(rec.votes.values()):
+        if votes.get(rec.canonical) != max(votes.values()):
             raise SchemaError(
-                f"track {rec.track_id}: canonical {rec.canonical!r} is not a most-voted identity of votes {rec.votes}"
+                f"track {rec.track_id}: canonical {rec.canonical!r} is not a most-voted identity of votes {votes}"
             )
         return rec
 
@@ -374,30 +378,16 @@ def vote_tracks(
     return records
 
 
-def propagate(ds: SceneDataset, records: list[ConsensusRecord]) -> SceneDataset:
-    """Stamp each trajectory's winner onto all its member detections.
-
-    Raw labels are preserved; applying twice is a no-op.
-    """
-    for rec in records:
-        for view, idx in rec.members:
-            ds.detection(view, idx).resolved_label = rec.canonical
-    return ds
-
-
 def save_consensus(records: list[ConsensusRecord], path: str | Path) -> None:
     write_jsonl((rec.to_json() for rec in records), path)
 
 
-def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> list[ConsensusRecord]:
+def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> tuple[ConsensusRecord, ...]:
     """Read a consensus file; against ``ds``, also check every member (``member_check``). Kept
-    (``read_kept``); each caller gets records with vote maps of their own."""
+    (``read_kept``)."""
 
-    def parse(text: str) -> list[ConsensusRecord]:
+    def parse(text: str) -> tuple[ConsensusRecord, ...]:
         check = member_check(ds)
-        return parse_lines(path, text, lambda obj: check(ConsensusRecord.from_json(obj)))
+        return tuple(parse_lines(path, text, lambda obj: check(ConsensusRecord.from_json(obj))))
 
-    def own(records: list[ConsensusRecord]) -> list[ConsensusRecord]:
-        return [ConsensusRecord(r.track_id, r.canonical, dict(r.votes), r.members) for r in records]
-
-    return read_kept("consensus", path, dataset_key(ds), parse, own)[0]
+    return read_kept("consensus", path, dataset_key(ds), parse)[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import SchemaError
 from .records import DescriptionSet, SceneDataset, Trajectory, as_vector, read_jsonl, text_embedding
-from .rle import json_int, mask_area, rle_decode_many
+from .rle import json_int, json_str, mask_area, rle_decode_many
 
 STRATEGIES = ("weighting", "maximum", "minimum", "random", "medium")
 # the visibility penalty's width of a run that does not set keyframe.sigma
@@ -99,6 +99,7 @@ class ExternalDescriptions:
     File format: one JSON object per line
     {"track": int, "view": int, "texts": [str, ...], "vecs": [[float, ...], ...]}.
     Vectors must be finite and of unit norm, and of length ``dim`` when one is given.
+    No (track, view) may appear twice.
     """
 
     def __init__(self, entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]]):
@@ -106,15 +107,20 @@ class ExternalDescriptions:
 
     @classmethod
     def load(cls, path: str | Path, dim: int | None = None) -> "ExternalDescriptions":
-        def entry(obj: dict):
-            texts = [str(t) for t in obj["texts"]]
+        entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
+
+        def entry(obj: dict) -> None:
+            texts = [json_str(t, "caption text") for t in obj["texts"]]
             vecs = [as_vector(v, dim, "caption vector", unit=True) for v in obj["vecs"]]
             if len(texts) != len(vecs):
                 raise SchemaError(f"{len(texts)} texts but {len(vecs)} vectors")
             key = (json_int(obj["track"], "track"), json_int(obj["view"], "view"))
-            return key, list(zip(texts, vecs))
+            if key in entries:
+                raise SchemaError(f"track {key[0]} view {key[1]} appears twice")
+            entries[key] = list(zip(texts, vecs))
 
-        return cls(dict(read_jsonl(path, entry)))
+        read_jsonl(path, entry)
+        return cls(entries)
 
     def referrals(self, track_id: int, view: int) -> list[tuple[str, np.ndarray]]:
         key = (track_id, view)

@@ -213,7 +213,7 @@ def eval_miou(
     return out
 
 
-def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> list[np.ndarray]:
+def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> tuple[np.ndarray, ...]:
     """Per view, the (detections x ``gt.objects``) mask IoU table, read-only; the object masks
     come from ``masks`` if given, so that a later use of ``masks`` decodes none again.
 
@@ -221,21 +221,21 @@ def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = No
     by both keys; a dataset or ground truth not read from files keeps nothing.
     """
 
-    def build() -> list[np.ndarray]:
-        tables = [
+    def build() -> tuple[np.ndarray, ...]:
+        tables = tuple(
             iou_table(
                 [det.mask for det in ds.detections[view]],
                 [obj.masks[view] for obj in gt.objects],
                 masks.at(view) if masks is not None and gt.objects else None,
             )
             for view in range(ds.n_views)
-        ]
+        )
         for table in tables:
             table.flags.writeable = False
         return tables
 
     key = None if ds.key is None or gt.key is None else (ds.key, gt.key)
-    return kept("iou_tables", key, build, list)
+    return kept("iou_tables", key, build)
 
 
 def match_detections_to_objects(tables: list[np.ndarray], gt: GroundTruth) -> dict[tuple[int, int], int]:
@@ -276,17 +276,20 @@ def match_tracks_to_objects(
 
 def consensus_accuracy(
     ds: SceneDataset,
+    records: list[ConsensusRecord],
     gt: GroundTruth,
     clustering: SynonymClustering,
     mapping: dict[tuple[int, int], int],
 ) -> dict[str, float]:
-    """Per-view (clustered raw label) vs consensus (resolved label) accuracy.
+    """Per-view (clustered raw label) vs consensus (voted label) accuracy.
 
     Both are fractions over the detections ``mapping`` matches to a
-    ground-truth object (``match_detections_to_objects``); detections must
-    carry resolved labels (run propagate first).
+    ground-truth object (``match_detections_to_objects``). A detection's
+    voted label is the ``canonical`` of the record it is a member of; a
+    detection of no record has none, and is never a consensus hit.
     """
     identity_of = {o.object_id: o.identity for o in gt.objects}
+    voted = {member: rec.canonical for rec in records for member in rec.members}
     total = 0
     per_view_hits = 0
     consensus_hits = 0
@@ -299,7 +302,7 @@ def consensus_accuracy(
         _, clustered = clustering.resolve(det.raw_label)
         if clustered == truth:
             per_view_hits += 1
-        if det.resolved_label == truth:
+        if voted.get(key) == truth:
             consensus_hits += 1
     if total == 0:
         raise SchemaError("no detections matched any ground-truth object")

@@ -19,7 +19,6 @@ naming ``path`` or ``path:line``.
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import io
@@ -27,12 +26,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import SchemaError
-from .rle import RleMask, json_int
+from .rle import RleMask, json_float, json_int, json_str
 
 UNIT_NORM_TOL = 1e-6
 
@@ -128,20 +128,18 @@ def forget_kept() -> None:
     _kept.clear()
 
 
-def kept(kind: str, key, build: Callable, own: Callable = lambda value: value,
-         usable: Callable = lambda value: True):
-    """``own(value)`` of the value kept for ``kind``, if it was kept under ``key`` and is ``usable``;
-    otherwise ``build()``'s value, kept in its place first. A ``key`` of None keeps nothing."""
+def kept(kind: str, key, build: Callable, usable: Callable = lambda value: True):
+    """The value kept for ``kind``, if it was kept under ``key`` and is ``usable``; otherwise
+    ``build()``'s value, kept in its place first. A ``key`` of None keeps nothing."""
     entry = _kept.get(kind)
     if key is None or entry is None or entry[0] != key or not usable(entry[1]):
         entry = (key, build())
         if key is not None:
             _kept[kind] = entry
-    return own(entry[1])
+    return entry[1]
 
 
-def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], object],
-              own: Callable = lambda value: value) -> tuple[object, tuple | None]:
+def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], object]) -> tuple[object, tuple | None]:
     """The value ``parse`` gives for the text of the file at ``path``, and the key it is kept under.
 
     The process keeps one value per kind: the last parse of the dataset, tracks, consensus,
@@ -149,13 +147,20 @@ def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], objec
     truth) pair and the agglomeration of the last label set clustered). A value is keyed by the
     sha256 of its file's bytes and by ``context``, what else the parse checks against, such as the
     key of the dataset (``dataset_key``); never by path or mtime. A read of the same bytes in the
-    same context decodes no JSON; any other byte parses again, with every check in its order and
-    its message. A ``context`` of None keeps nothing. Every caller gets its own copy, ``own(value)``:
-    fresh lists and records, with read-only arrays shared. Separate processes each parse.
+    same context decodes no JSON and returns the kept value itself, which every value read is built
+    to share: frozen records, tuples, read-only maps and arrays. Any other byte parses again, with
+    every check in its order and its message. A ``context`` of None keeps nothing.
     """
     data = Path(path).read_bytes()
     key = None if context is None else (hashlib.sha256(data).digest(), context)
-    return kept(kind, key, lambda: parse(_decode(path, data)), own), key
+    return kept(kind, key, lambda: parse(_decode(path, data))), key
+
+
+def set_frozen(record, **values) -> None:
+    """Set fields of the frozen ``record``: its ``__post_init__`` storing the read-only form of what
+    it was given, or a reader its key, before any caller sees it."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
 
 
 def dataset_key(ds: "SceneDataset | None"):
@@ -204,7 +209,7 @@ def text_embedding(text: str, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Detection:
     """One per-view observation: mask, raw label, confidence, optional track."""
 
@@ -213,7 +218,6 @@ class Detection:
     raw_label: str
     confidence: float
     track_id: int | None = None
-    resolved_label: str | None = None
 
     def __post_init__(self) -> None:
         if self.view < 0:
@@ -241,8 +245,8 @@ class Detection:
         return cls(
             view=json_int(obj["view"], "view"),
             mask=RleMask.from_json(obj["mask"]),
-            raw_label=str(obj["label"]),
-            confidence=float(obj["conf"]),
+            raw_label=json_str(obj["label"], "detection label"),
+            confidence=json_float(obj["conf"], "detection confidence"),
             track_id=json_int(obj["track"], "track") if "track" in obj else None,
         )
 
@@ -276,18 +280,19 @@ class LabelEmbedding:
         check_unit_norm(self.vector, f"embedding for {self.label!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DescriptionSet:
     """Per-track category plus graded referring texts with their embeddings."""
 
     track_id: int
     category: str
-    referrals: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    referrals: tuple[tuple[str, np.ndarray], ...] = ()
     keyframe: int | None = None
 
     def __post_init__(self) -> None:
         if not self.category:
             raise SchemaError(f"description set for track {self.track_id} lacks a category")
+        set_frozen(self, referrals=tuple(self.referrals))
 
     def to_json(self) -> dict:
         obj = {
@@ -303,16 +308,16 @@ class DescriptionSet:
     def from_json(cls, obj: dict, dim: int | None = None) -> "DescriptionSet":
         return cls(
             track_id=json_int(obj["track"], "track"),
-            category=str(obj["category"]),
+            category=json_str(obj["category"], "description category"),
             referrals=[
-                (str(r["text"]), as_vector(r["vec"], dim, "referral vector", unit=True))
+                (json_str(r["text"], "referral text"), as_vector(r["vec"], dim, "referral vector", unit=True))
                 for r in obj["referrals"]
             ],
             keyframe=json_int(obj["keyframe"], "keyframe") if "keyframe" in obj else None,
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneDataset:
     """All per-view detections of one scene plus the label-embedding table."""
 
@@ -320,15 +325,16 @@ class SceneDataset:
     height: int
     width: int
     dim: int
-    detections: list[list[Detection]]
-    embeddings: dict[str, LabelEmbedding]
-    descriptions: list[DescriptionSet] | None = None
-    # the tracks file the manifest names, resolved; set by load_dataset, not written by save_dataset
-    tracks_file: Path | None = None
+    detections: tuple[tuple[Detection, ...], ...]
+    embeddings: Mapping[str, LabelEmbedding]
+    descriptions: tuple[DescriptionSet, ...] | None = None
     # the sha256 digests of the files load_dataset read it from; None for a dataset built otherwise
     key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        descriptions = None if self.descriptions is None else tuple(self.descriptions)
+        set_frozen(self, detections=tuple(map(tuple, self.detections)),
+                   embeddings=MappingProxyType(dict(self.embeddings)), descriptions=descriptions)
         if len(self.detections) != self.n_views:
             raise SchemaError(
                 f"expected {self.n_views} per-view detection lists, got {len(self.detections)}"
@@ -445,25 +451,19 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def load_descriptions(path: str | Path, dim: int | None = None) -> list[DescriptionSet]:
+def load_descriptions(path: str | Path, dim: int | None = None) -> tuple[DescriptionSet, ...]:
     """Read a descriptions file: one set per track, so no track id may appear twice. Kept (``read_kept``)."""
-    return read_kept("descriptions", path, (dim,), lambda text: _parse_descriptions(path, text, dim),
-                     _own_descriptions)[0]
+    return read_kept("descriptions", path, (dim,), lambda text: _parse_descriptions(path, text, dim))[0]
 
 
-def _parse_descriptions(path: str | Path, text: str, dim: int | None) -> list[DescriptionSet]:
+def _parse_descriptions(path: str | Path, text: str, dim: int | None) -> tuple[DescriptionSet, ...]:
     """The description sets of a file's ``text``, their referral vectors made read-only."""
     unique = unique_track_ids()
     sets = parse_lines(path, text, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
     for d in sets:
         for _, vec in d.referrals:
             vec.flags.writeable = False
-    return sets
-
-
-def _own_descriptions(sets: list[DescriptionSet]) -> list[DescriptionSet]:
-    """Description sets with referral lists of their own; the (read-only) vectors stay shared."""
-    return [DescriptionSet(d.track_id, d.category, list(d.referrals), d.keyframe) for d in sets]
+    return tuple(sets)
 
 
 def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
@@ -474,7 +474,7 @@ def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
 _DATASET_FILES = ("detections", "descriptions", "embeddings")
 
 
-def _manifest_header(obj: dict) -> tuple[int, int, int, int, dict[str, str]]:
+def _manifest_header(obj: dict) -> tuple[int, int, int, int, Mapping[str, str]]:
     """A manifest's n_views, h, w, dim and the file paths it names, each checked."""
     for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
         if key not in obj:
@@ -484,23 +484,24 @@ def _manifest_header(obj: dict) -> tuple[int, int, int, int, dict[str, str]]:
     for key, name in names.items():
         if not isinstance(name, str) or not name:
             raise SchemaError(f"manifest {key!r} must be a non-empty file path, got {name!r}")
-    return *sizes, names
+    return *sizes, MappingProxyType(names)
 
 
-def _caller_copy(ds: SceneDataset, tracks_file: Path | None, key: tuple) -> SceneDataset:
-    """``ds`` with lists, detections (``resolved_label`` unset) and description sets of its own; the
-    masks, embeddings and vectors stay shared. ``copy.copy`` does not run the dataset's checks again."""
-    own = copy.copy(ds)
-    own.detections = [
-        [Detection(det.view, det.mask, det.raw_label, det.confidence, det.track_id) for det in per_view]
-        for per_view in ds.detections
-    ]
-    own.embeddings = dict(ds.embeddings)
-    if ds.descriptions is not None:
-        own.descriptions = _own_descriptions(ds.descriptions)
-    own.tracks_file = tracks_file
-    own.key = key
-    return own
+def _read_manifest(path: str | Path) -> tuple[Path, tuple, bytes]:
+    """The manifest file of ``path`` (a manifest, or a directory holding manifest.json), its checked
+    header (``_manifest_header``) and the sha256 of its bytes. Kept (``read_kept``)."""
+    path = Path(path)
+    manifest_path = path / "manifest.json" if path.is_dir() else path
+    header, (digest, _) = read_kept(
+        "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
+    )
+    return manifest_path, header, digest
+
+
+def manifest_tracks(path: str | Path) -> Path | None:
+    """The tracks file the manifest of ``path`` names, resolved against the manifest; None if it names none."""
+    manifest_path, (*_, names), _ = _read_manifest(path)
+    return manifest_path.parent / names["tracks"] if "tracks" in names else None
 
 
 def load_dataset(path: str | Path) -> SceneDataset:
@@ -508,14 +509,9 @@ def load_dataset(path: str | Path) -> SceneDataset:
 
     The dataset is kept (``read_kept``) under the sha256 of the bytes of the manifest and of every
     dataset file it names, which is also its ``key``: a load of the same bytes again reads each file
-    once and decodes no JSON. Every call returns a dataset of its own, with fresh lists, detections
-    and description sets; the embedding and referral vectors it shares with the kept one are read-only.
+    once, decodes no JSON and returns the kept dataset itself, which is read-only throughout.
     """
-    path = Path(path)
-    manifest_path = path / "manifest.json" if path.is_dir() else path
-    header, (manifest_digest, _) = read_kept(
-        "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
-    )
+    manifest_path, header, manifest_digest = _read_manifest(path)
     names = header[4]
     base = manifest_path.parent
     files = {key: base / names[key] for key in _DATASET_FILES if key in names}
@@ -531,13 +527,11 @@ def load_dataset(path: str | Path) -> SceneDataset:
     digests = (manifest_digest, *(
         hashlib.sha256(blob).digest() if isinstance(blob, bytes) else None for blob in blobs.values()
     ))
-    tracks_file = base / names["tracks"] if "tracks" in names else None
-    return kept("dataset", digests, lambda: _parse_dataset(header, files, blobs),
-                lambda ds: _caller_copy(ds, tracks_file, digests))
+    return kept("dataset", digests, lambda: _parse_dataset(header, files, blobs, digests))
 
 
-def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes | OSError]) -> SceneDataset:
-    """The dataset of a checked manifest ``header`` from its files' bytes, its vectors made read-only."""
+def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes | OSError], key: tuple) -> SceneDataset:
+    """The dataset of a checked manifest ``header`` from its files' bytes, under ``key``, its vectors made read-only."""
     n_views, height, width, dim, _ = header
 
     def text(key: str) -> str:
@@ -575,4 +569,5 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
     )
     for emb in ds.embeddings.values():
         emb.vector.flags.writeable = False
+    set_frozen(ds, key=key)
     return ds

@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, write_json
+from .records import (
+    Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, set_frozen, write_json,
+)
 from .rle import RleMask, json_bool, json_float, json_floats, json_int, json_str, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
@@ -99,22 +101,28 @@ class SynthConfig:
         return cls(**kwargs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GtObject:
     object_id: int
     identity: str
-    masks: list[RleMask]
-    visible: list[bool]
-    centers: list[tuple[float, float]]
+    masks: tuple[RleMask, ...]
+    visible: tuple[bool, ...]
+    centers: tuple[tuple[float, float], ...]
     radii: tuple[float, float]
     shape: str
 
+    def __post_init__(self) -> None:
+        set_frozen(self, masks=tuple(self.masks), visible=tuple(self.visible), centers=tuple(self.centers))
 
-@dataclass
+
+@dataclass(frozen=True)
 class GroundTruth:
-    objects: list[GtObject]
+    objects: tuple[GtObject, ...]
     # load_ground_truth's read_kept key; None for ground truth built otherwise
     key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        set_frozen(self, objects=tuple(self.objects))
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +131,7 @@ class GroundTruth:
                     "id": o.object_id,
                     "identity": o.identity,
                     "masks": [m.to_json() for m in o.masks],
-                    "visible": o.visible,
+                    "visible": list(o.visible),
                     "centers": [[x, y] for x, y in o.centers],
                     "radii": list(o.radii),
                     "shape": o.shape,
@@ -162,8 +170,8 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> GroundTruth:
     """Read a ground-truth file; against ``ds``, every object needs one mask of
-    the dataset's size per view, and object ids must be unique. Kept (``read_kept``):
-    each caller gets objects and lists of its own, and the ground truth's ``key``."""
+    the dataset's size per view, and object ids must be unique. Kept (``read_kept``), with its
+    key as the ground truth's ``key``."""
 
     def parse(obj: dict) -> GroundTruth:
         gt = GroundTruth.from_json(obj)
@@ -186,14 +194,9 @@ def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> Groun
                     )
         return gt
 
-    def own(gt: GroundTruth) -> GroundTruth:
-        return GroundTruth([
-            GtObject(o.object_id, o.identity, list(o.masks), list(o.visible), list(o.centers), o.radii, o.shape)
-            for o in gt.objects
-        ])
-
-    gt, key = read_kept("ground_truth", path, dataset_key(ds), lambda text: parse_json(path, text, parse), own)
-    gt.key = key
+    gt, key = read_kept("ground_truth", path, dataset_key(ds), lambda text: parse_json(path, text, parse))
+    if gt.key != key:  # a fresh parse, which no caller has seen yet
+        set_frozen(gt, key=key)
     return gt
 
 

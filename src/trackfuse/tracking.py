@@ -119,14 +119,14 @@ def save_tracks(trajectories: list[Trajectory], path: str | Path) -> None:
     )
 
 
-def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> list[Trajectory]:
+def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> tuple[Trajectory, ...]:
     """Read a tracks file; against ``ds``, also check every member (``member_check``). Kept
-    (``read_kept``); trajectories are frozen, so each caller gets a list of its own."""
+    (``read_kept``)."""
 
-    def parse(text: str) -> list[Trajectory]:
+    def parse(text: str) -> tuple[Trajectory, ...]:
         check = member_check(ds)
-        return parse_lines(
+        return tuple(parse_lines(
             path, text, lambda obj: check(Trajectory(json_int(obj["track"], "track"), json_members(obj["members"])))
-        )
+        ))
 
-    return read_kept("tracks", path, dataset_key(ds), parse, list)[0]
+    return read_kept("tracks", path, dataset_key(ds), parse)[0]

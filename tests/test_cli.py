@@ -13,7 +13,7 @@ import pytest
 
 from trackfuse import consensus, rle
 from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
-from trackfuse.consensus import load_consensus, propagate, run_consensus
+from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
@@ -303,8 +303,7 @@ class TestStages:
         counts = set()
         for line, value in zip(lines[1:], values, strict=True):
             result = run_consensus(ds, trajectories, tau_sem=value)
-            propagate(ds, result.records)
-            acc = consensus_accuracy(ds, gt, result.clustering, mapping)
+            acc = consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
             counts.add(len(result.clustering.canonical))
             assert line.split(",") == [str(value), str(len(result.clustering.canonical)),
                                        str(acc["per_view_acc"]), str(acc["tscm_acc"])]
@@ -497,6 +496,25 @@ def stage_argv(run, command, tmp_path):
     return [command, *manifest, *inputs, "--out", str(tmp_path / f"{command}.out")]
 
 
+def caption_entries(run):
+    """One external caption entry per (track, member view) of the run's consensus, in track order."""
+    from trackfuse.records import text_embedding
+
+    good = text_embedding("a caption", 32).tolist()
+    return [
+        {"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [good]}
+        for rec in load_consensus(run / "consensus.jsonl")
+        for view, _ in rec.members
+    ]
+
+
+def keyframe_with_captions(run, tmp_path, entries):
+    """The keyframe argv of the run with ``entries`` written to ``tmp_path / captions.jsonl`` as its captions."""
+    external = tmp_path / "captions.jsonl"
+    external.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    return stage_argv(run, "keyframe", tmp_path) + ["--external", str(external)]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("name, key", [("dataset/detections.jsonl", "view"), ("tracks.jsonl", "track")])
     def test_overflowing_number_exits_two_naming_line(self, run_dir, tmp_path, capsys, name, key):
@@ -566,23 +584,57 @@ class TestBadInput:
         [([float("nan")] * 32, "not finite"), ([1.0] * 31, "shape"), ([1.0] * 32, "must be unit-norm, got |v| = ")],
     )
     def test_bad_external_caption_vector_exits_two(self, run_dir, tmp_path, capsys, vec, problem):
-        from trackfuse.consensus import load_consensus
-        from trackfuse.records import text_embedding
-
-        good = text_embedding("a caption", 32).tolist()
-        entries = [
-            {"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [good]}
-            for rec in load_consensus(run_dir / "consensus.jsonl")
-            for view, _ in rec.members
-        ]
+        entries = caption_entries(run_dir)
         entries[0]["vecs"] = [vec]
-        external = tmp_path / "captions.jsonl"
-        external.write_text("".join(json.dumps(e) + "\n" for e in entries))
-        argv = stage_argv(run_dir, "keyframe", tmp_path) + ["--external", str(external)]
-        assert main(argv) == 2
+        assert main(keyframe_with_captions(run_dir, tmp_path, entries)) == 2
         err = capsys.readouterr().err
         assert "captions.jsonl:1: caption vector" in err
         assert problem in err
+
+    def test_external_caption_text_not_a_string_exits_two_naming_its_line(self, run_dir, tmp_path, capsys):
+        # str(5) used to make the caption "5"
+        entries = caption_entries(run_dir)
+        entries[0]["texts"] = [5]
+        assert main(keyframe_with_captions(run_dir, tmp_path, entries)) == 2
+        assert f"{tmp_path / 'captions.jsonl'}:1: caption text must be a non-empty string, got 5" in capsys.readouterr().err
+
+    def test_repeated_external_caption_entry_exits_two_naming_its_line(self, run_dir, tmp_path, capsys):
+        # a dict of the entries used to keep the last captions of a repeated (track, view)
+        entries = caption_entries(run_dir)
+        first = entries[0]
+        entries.insert(1, first | {"texts": ["another caption"]})
+        assert main(keyframe_with_captions(run_dir, tmp_path, entries)) == 2
+        message = f"{tmp_path / 'captions.jsonl'}:2: track {first['track']} view {first['view']} appears twice"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "keyframe.out").exists()
+
+    @pytest.mark.parametrize(
+        "name, command, edit, message",
+        [
+            ("dataset/detections.jsonl", "consensus", lambda obj: obj.update(label=5),
+             "detection label must be a non-empty string, got 5"),
+            ("dataset/detections.jsonl", "consensus", lambda obj: obj.update(conf="0.9"),
+             "detection confidence must be a finite number, got '0.9'"),
+            ("descriptions.jsonl", "train", lambda obj: obj.update(category=7),
+             "description category must be a non-empty string, got 7"),
+            ("descriptions.jsonl", "train", lambda obj: obj["referrals"][0].update(text=3),
+             "referral text must be a non-empty string, got 3"),
+            ("consensus.jsonl", "keyframe", lambda obj: obj.update(canonical=1),
+             "canonical identity must be a non-empty string, got 1"),
+            ("consensus.jsonl", "keyframe", lambda obj: obj.update(votes={"": len(obj["members"])}),
+             "vote label must be a non-empty string, got ''"),
+        ],
+        ids=["detection-label", "detection-conf", "category", "referral-text", "canonical", "vote-label"],
+    )
+    def test_strict_json_scalar_in_a_record_exits_two_naming_its_line(
+        self, run_dir, tmp_path, capsys, name, command, edit, message
+    ):
+        # each value used to be converted (str(5), float("0.9")), so the stage exited 0 or failed
+        # naming no line
+        edit_jsonl(run_dir / name, 1, lambda obj: edit(obj) or json.dumps(obj))
+        assert main(stage_argv(run_dir, command, tmp_path)) == 2
+        assert f"{run_dir / name}:1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.out").exists()
 
     @pytest.mark.parametrize(
         "member, owner",
@@ -960,7 +1012,7 @@ class TestBadInput:
         assert main(["eval", "--config", cfg, *manifest, "--consensus", str(consensus),
                      "--ground-truth", str(run / "ground_truth.json"), "--out", str(report)]) == 2
         err = capsys.readouterr().err
-        assert f"{consensus}: track 0 has votes" in err
+        assert f"{consensus}: track 0 has votes {{'" in err  # the votes as a dict
         assert "the clustering at consensus.tau_sem 0.85 gives" in err
         assert not report.exists()
 
@@ -1221,7 +1273,6 @@ class TestEvalScores:
     def oracle(run, views, with_descriptions):
         ds = load_dataset(run / "dataset" / "manifest.json")
         records = load_consensus(run / "consensus.jsonl", ds)
-        propagate(ds, records)
         descriptions = load_descriptions(run / "descriptions.jsonl", dim=ds.dim) if with_descriptions else None
         return oracle_eval_miou(load_field(run / "model.json", ds), ds, load_ground_truth(run / "ground_truth.json"),
                                 records, views, descriptions)

@@ -319,55 +319,9 @@ class TestVote:
         assert vote_trajectory(votes)[0] == "a"
 
 
-class TestPropagate:
-    def test_all_members_resolved(self, clean_scene):
-        ds, _, trajs = clean_scene
-        result = run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        for rec in result.records:
-            resolved = {ds.detection(v, i).resolved_label for v, i in rec.members}
-            assert resolved == {rec.canonical}
-
-    def test_no_cross_contamination(self, clean_scene):
-        ds, _, trajs = clean_scene
-        result = run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        winners = {rec.track_id: rec.canonical for rec in result.records}
-        assert len(set(winners.values())) == len(winners)  # distinct objects here
-        for rec in result.records:
-            for v, i in rec.members:
-                assert ds.detection(v, i).resolved_label == winners[rec.track_id]
-
-    def test_idempotent(self, noisy_scene):
-        ds, _ = noisy_scene
-        trajs = tf.import_tracks(ds)
-        result = run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        first = [det.resolved_label for _, _, det in ds.all_detections()]
-        tf.propagate(ds, result.records)
-        assert [det.resolved_label for _, _, det in ds.all_detections()] == first
-
+class TestRunConsensus:
     def test_raw_labels_preserved(self, noisy_scene):
         ds, _ = noisy_scene
         before = [det.raw_label for _, _, det in ds.all_detections()]
-        trajs = tf.import_tracks(ds)
-        result = run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
+        run_consensus(ds, tf.import_tracks(ds))
         assert [det.raw_label for _, _, det in ds.all_detections()] == before
-
-    def test_consistency_invariant_on_noisy_scenes(self):
-        for seed in range(5):
-            cfg = tf.SynthConfig(
-                n_views=7,
-                n_objects=3,
-                seed=seed,
-                noise=tf.NoiseSpec(synonym_rate=0.5, wrong_label_rate=0.2),
-            )
-            ds, gt = tf.generate_scene(cfg)
-            noisy = tf.corrupt(ds, gt, cfg)
-            trajs = tf.import_tracks(noisy)
-            result = run_consensus(noisy, trajs)
-            tf.propagate(noisy, result.records)
-            for rec in result.records:
-                labels = {noisy.detection(v, i).resolved_label for v, i in rec.members}
-                assert len(labels) == 1

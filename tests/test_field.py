@@ -277,7 +277,6 @@ class TestTraining:
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
         descs = [DescriptionSet(track_id=0, category=result.records[0].canonical, referrals=[])]
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         return ds, result, descs, field, gt
@@ -324,7 +323,6 @@ class TestTraining:
         """The plan built once gives the loop that rebuilds batches and selects in every iteration."""
         ds, gt = noisy_scene
         result = tf.run_consensus(ds, tf.import_tracks(ds))
-        tf.propagate(ds, result.records)
         descriptions = run_keyframes(ds, result.records)
         self._check_against_per_iteration_loop(ds, gt, result.records, descriptions)
 
@@ -333,7 +331,6 @@ class TestTraining:
         one row for it, the positives keep both, bit for bit as the per-iteration loop."""
         ds, gt = noisy_scene
         result = tf.run_consensus(ds, tf.import_tracks(ds))
-        tf.propagate(ds, result.records)
         descriptions = [
             DescriptionSet(d.track_id, d.category, [(d.category, ds.embedding(d.category)), *d.referrals])
             for d in run_keyframes(ds, result.records)
@@ -345,7 +342,6 @@ class TestTraining:
         carried the category embedding: the first vector of a (track, text) key wins."""
         ds, gt = noisy_scene
         result = tf.run_consensus(ds, tf.import_tracks(ds))
-        tf.propagate(ds, result.records)
         described = run_keyframes(ds, result.records)
         cfg = tf.TrainConfig(epochs=2, feature_lr=0.01, lam=1.0)
         runs = []
@@ -406,7 +402,6 @@ class TestTraining:
     def test_long_only_differs_only_by_positives(self, clean_scene):
         ds, gt, trajs = clean_scene
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
         from trackfuse.keyframes import run_keyframes
 
         descs = run_keyframes(ds, result.records)
@@ -614,7 +609,6 @@ class TestBatchedOracles:
     def test_train_within_1e12_of_per_positive_training(self, noisy_scene, monkeypatch):
         ds, gt = noisy_scene
         result = tf.run_consensus(ds, tf.import_tracks(ds))
-        tf.propagate(ds, result.records)
         descriptions = run_keyframes(ds, result.records)
         assert all(d.referrals for d in descriptions)  # hybrid positives: category + referrals
         cfg = tf.TrainConfig(epochs=3, feature_lr=0.01)
@@ -853,7 +847,6 @@ class TestLeanTrainStep:
     def _scene(noisy_scene):
         ds, gt = noisy_scene
         result = tf.run_consensus(ds, tf.import_tracks(ds))
-        tf.propagate(ds, result.records)
         return ds, gt, result.records, run_keyframes(ds, result.records)
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,9 @@ def grids(*rows_list):
     return [np.asarray(rows, dtype=bool) for rows in rows_list]
 
 
-def accuracy(ds, gt, clustering):
-    return consensus_accuracy(ds, gt, clustering, match_detections_to_objects(iou_tables(ds, gt), gt))
+def accuracy(ds, gt, result):
+    mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
+    return consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
 
 
 class TestMiou:
@@ -111,8 +113,8 @@ class TestShortQueryUnion:
 
     def test_disjoint_instances_add(self):
         gt = self._gt()
-        a, b = gt.objects[0], gt.objects[1]
-        b.identity = a.identity
+        a, b = gt.objects[0], replace(gt.objects[1], identity=gt.objects[0].identity)
+        gt = replace(gt, objects=(a, b, *gt.objects[2:]))
         ga = tf.rle_decode(a.masks[0])
         gb = tf.rle_decode(b.masks[0])
         union = short_query_union(gt, a.identity, 0)
@@ -128,8 +130,7 @@ class TestConsensusAccuracy:
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        acc = accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result)
         assert acc == {"per_view_acc": 1.0, "tscm_acc": 1.0}
 
     def test_randomized_labels_match_uniform_baseline(self):
@@ -139,20 +140,20 @@ class TestConsensusAccuracy:
         cfg = tf.SynthConfig(n_views=400, height=24, width=24, n_objects=8, seed=3)
         ds, gt = tf.generate_scene(cfg)
         groups = [g.canonical for g in cfg.vocabulary]
-        for _, _, det in ds.all_detections():
-            det.raw_label = groups[int(rng.integers(0, len(groups)))]
+        ds = replace(ds, detections=[
+            [replace(det, raw_label=groups[int(rng.integers(0, len(groups)))]) for det in per_view]
+            for per_view in ds.detections
+        ])
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        acc = accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result)
         assert abs(acc["per_view_acc"] - 1 / len(groups)) < 0.03
 
     def test_majority_recovery_beats_per_view(self, noisy_scene):
         ds, gt = noisy_scene
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
-        acc = accuracy(ds, gt, result.clustering)
+        acc = accuracy(ds, gt, result)
         assert acc["tscm_acc"] >= acc["per_view_acc"]
 
     def test_track_object_matching(self):
@@ -207,7 +208,7 @@ class TestMatchingOracle:
             ds, gt = tf.generate_scene(cfg)
             noisy = tf.corrupt(ds, gt, cfg)
             # masks that straddle objects, cover nothing, or are empty
-            for _, _, det in noisy.all_detections():
+            def reshaped(det):
                 roll = rng.random()
                 grid = tf.rle_decode(det.mask)
                 if roll < 0.2:
@@ -216,8 +217,10 @@ class TestMatchingOracle:
                     grid = rng.random(grid.shape) < 0.3
                 elif roll < 0.35:
                     grid = np.zeros_like(grid)
-                det.mask = tf.rle_encode(grid)
-            gt.objects = [gt.objects[k] for k in rng.permutation(len(gt.objects))]
+                return replace(det, mask=tf.rle_encode(grid))
+
+            noisy = replace(noisy, detections=[[reshaped(det) for det in per_view] for per_view in noisy.detections])
+            gt = replace(gt, objects=[gt.objects[k] for k in rng.permutation(len(gt.objects))])
             tracks = tf.associate_greedy(noisy, tf.AssocParams())
             records = tf.run_consensus(noisy, tracks).records
             self.check(noisy, gt, records)
@@ -287,10 +290,10 @@ def fragmented_scene():
     ds, gt = tf.generate_scene(cfg)
     ds = tf.corrupt(ds, gt, cfg)
     records = tf.run_consensus(ds, tf.associate_greedy(ds, tf.AssocParams(max_gap=0))).records
-    tf.propagate(ds, records)
     descriptions = run_keyframes(ds, records)
     # two objects of one category: that short query's target is the OR of both masks
-    gt.objects[1].identity = gt.objects[0].identity
+    first, second, *rest = gt.objects
+    gt = replace(gt, objects=(first, replace(second, identity=first.identity), *rest))
     return ds, gt, records, descriptions
 
 

@@ -1,7 +1,7 @@
-import copy
 import json
 import os
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ class TestRoundTrip:
         manifest = save_dataset(ds, tmp_path / "empty")
         loaded = load_dataset(manifest)
         assert loaded.n_views == 0
-        assert loaded.detections == []
+        assert loaded.detections == ()
 
     def test_synthetic_scene_byte_identical(self, tmp_path):
         cfg = tf.SynthConfig(n_views=5, n_objects=2, seed=1)
@@ -149,9 +149,9 @@ def fresh_parse(manifest):
 
 
 def assert_same_dataset(a, b):
-    assert (a.n_views, a.height, a.width, a.dim, a.tracks_file) == (b.n_views, b.height, b.width, b.dim, b.tracks_file)
-    assert [[(d.to_json(), d.resolved_label) for d in per_view] for per_view in a.detections] == [
-        [(d.to_json(), d.resolved_label) for d in per_view] for per_view in b.detections
+    assert (a.n_views, a.height, a.width, a.dim) == (b.n_views, b.height, b.width, b.dim)
+    assert [[d.to_json() for d in per_view] for per_view in a.detections] == [
+        [d.to_json() for d in per_view] for per_view in b.detections
     ]
     assert sorted(a.embeddings) == sorted(b.embeddings)
     for label, emb in a.embeddings.items():
@@ -182,10 +182,10 @@ def rename_detections(path):
 def kept_scene(root, n_views=3, dim=32):
     """A saved scene with every input kind the process keeps; returns each file's path by kind."""
     ds, gt = tf.generate_scene(tf.SynthConfig(n_views=n_views, n_objects=2, seed=1, dim=dim))
-    ds.descriptions = [
+    ds = replace(ds, descriptions=[
         DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
         for t, text in enumerate(["the left cup", "the right cup"])
-    ]
+    ])
     tracks = tf.import_tracks(ds)
     paths = {kind: root / name for kind, name in (
         ("tracks", "tracks.jsonl"), ("consensus", "consensus.jsonl"),
@@ -210,39 +210,47 @@ READERS = {
 def plain(value):
     """A reader's value as plain data, for ==."""
     if isinstance(value, tf.SceneDataset):
-        return (value.n_views, value.height, value.width, value.dim, value.tracks_file, value.key,
-                [[(d.to_json(), d.resolved_label) for d in per_view] for per_view in value.detections],
+        return (value.n_views, value.height, value.width, value.dim, value.key,
+                [[d.to_json() for d in per_view] for per_view in value.detections],
                 {label: emb.vector.tolist() for label, emb in value.embeddings.items()},
                 [d.to_json() for d in value.descriptions])
     if isinstance(value, GroundTruth):
-        return value.key, copy.deepcopy(value.to_json())  # to_json shares the objects' lists
+        return value.key, value.to_json()
     return [item.to_json() if hasattr(item, "to_json") else (item.track_id, item.members) for item in value]
 
 
-def mutate(value):
-    """Every write a caller can make to a reader's value that does not raise."""
+def writes(value) -> list:
+    """Each write a caller could make to a reader's value when it was built of lists, dicts and
+    plain records, as a call; each must raise now."""
     if isinstance(value, tf.SceneDataset):
-        value.detections[0][0].resolved_label = "plate"
-        value.detections[0].append(value.detections[1][0])
-        value.descriptions[0].referrals.append(("another cup", text_embedding("another cup", value.dim)))
-        value.embeddings.clear()
-    elif isinstance(value, GroundTruth):
+        det, desc = value.detections[0][0], value.descriptions[0]
+        return [
+            lambda: setattr(det, "raw_label", "plate"),
+            lambda: value.detections[0].append(det),
+            lambda: desc.referrals.append(("another cup", text_embedding("another cup", value.dim))),
+            lambda: value.embeddings.clear(),
+            lambda: value.embeddings.__setitem__("plate", value.embeddings["cup"]),
+            lambda: value.embedding("cup").__setitem__(0, 1.0),
+            lambda: desc.referrals[0][1].__setitem__(0, 1.0),
+            lambda: setattr(value, "descriptions", None),
+        ]
+    if isinstance(value, GroundTruth):
         obj = value.objects[0]
-        obj.identity = "plate"
-        obj.visible[0] = not obj.visible[0]
-        obj.centers[0] = (0.0, 0.0)
-        obj.masks.pop()
-        value.objects.append(obj)
-    else:
-        first = value[0]
-        if isinstance(first, ConsensusRecord):
-            first.votes["plate"] = 1
-            first.canonical = "plate"
-        elif isinstance(first, DescriptionSet):
-            first.category = "plate"
-            first.referrals.append(("another cup", text_embedding("another cup", 32)))
-        value.append(first)
-        value.reverse()
+        return [
+            lambda: setattr(obj, "identity", "plate"),
+            lambda: obj.visible.__setitem__(0, not obj.visible[0]),
+            lambda: obj.centers.__setitem__(0, (0.0, 0.0)),
+            lambda: obj.masks.pop(),
+            lambda: value.objects.append(obj),
+        ]
+    first = value[0]
+    own = []
+    if isinstance(first, ConsensusRecord):
+        own = [lambda: first.votes.__setitem__("plate", 1), lambda: setattr(first, "canonical", "plate")]
+    elif isinstance(first, DescriptionSet):
+        own = [lambda: setattr(first, "category", "plate"),
+               lambda: first.referrals.append(("another cup", text_embedding("another cup", 32)))]
+    return own + [lambda: value.append(first), lambda: value.reverse()]
 
 
 def copy_input(paths, kind, root):
@@ -266,7 +274,7 @@ CHECKED = ["tracks", "consensus", "ground_truth"]  # the kinds read against a da
 
 class TestKeptDataset:
     """Each input kind, the dataset first, is kept by the sha256 of its bytes (and its dataset's key),
-    not by path or mtime, and every caller gets its own copy."""
+    not by path or mtime, and a hit returns the kept value itself, which is read-only."""
 
     def test_second_load_decodes_no_json_and_equals_a_fresh_parse(self, tmp_path, monkeypatch):
         manifest = described_scene(tmp_path)
@@ -302,18 +310,6 @@ class TestKeptDataset:
         with pytest.raises(AssertionError):
             assert_same_dataset(first, second)
         assert_same_dataset(second, fresh_parse(manifest))
-
-    def test_caller_writes_do_not_reach_the_next_load(self, tmp_path, monkeypatch):
-        manifest = described_scene(tmp_path)
-        first = load_dataset(manifest)
-        tf.propagate(first, tf.run_consensus(first, tf.import_tracks(first)).records)
-        assert first.detections[0][0].resolved_label is not None
-        first.detections[0].append(first.detections[1][0])
-        first.descriptions[0].referrals.append(("another cup", text_embedding("another cup", first.dim)))
-        for vec in [first.embedding("cup"), first.descriptions[0].referrals[0][1]]:
-            with pytest.raises(ValueError, match="read-only"):
-                vec[0] = 1.0
-        assert_same_dataset(load_dataset(manifest), fresh_parse(manifest))
 
     def test_bad_detection_line_after_a_good_load_exits_two_naming_it(self, tmp_path, capsys):
         manifest = described_scene(tmp_path)
@@ -358,14 +354,25 @@ class TestKeptDataset:
         assert plain(again) == plain(READERS[kind](paths[kind], load_dataset(paths["dataset"])))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_caller_writes_do_not_reach_the_next_caller(self, tmp_path, kind):
+    def test_a_hit_returns_the_kept_value_itself(self, tmp_path, kind):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        first = READERS[kind](paths[kind], ds)
+        assert READERS[kind](paths[kind], ds) is first
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_write_raises_and_the_next_read_equals_a_fresh_parse(self, tmp_path, kind):
         paths = kept_scene(tmp_path)
         ds = load_dataset(paths["dataset"])
         first = READERS[kind](paths[kind], ds)
         want = plain(first)
-        mutate(first)
-        assert plain(first) != want
-        assert plain(READERS[kind](paths[kind], ds)) == want
+        for write in writes(first):
+            with pytest.raises((AttributeError, TypeError, ValueError)):
+                write()
+        assert plain(first) == want
+        again = READERS[kind](paths[kind], ds)
+        records.forget_kept()
+        assert plain(again) == plain(READERS[kind](paths[kind], load_dataset(paths["dataset"])))
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -386,8 +393,8 @@ class TestKeptDataset:
     @pytest.mark.parametrize("kind", CHECKED)
     def test_dataset_not_read_from_files_keeps_nothing(self, tmp_path, monkeypatch, kind):
         paths = kept_scene(tmp_path)
-        built = load_dataset(paths["dataset"])
-        built.key = None  # as for a dataset built in memory
+        built = replace(load_dataset(paths["dataset"]))  # no key, as for a dataset built in memory
+        assert built.key is None
         READERS[kind](paths[kind], built)
         decoded = count_json_loads(monkeypatch)
         value = READERS[kind](paths[kind], built)
@@ -405,10 +412,12 @@ class TestKeptDataset:
         monkeypatch.setattr(metrics, "iou_table", lambda *a: calls.append(a) or real(*a))
         again = iou_tables(load_dataset(paths["dataset"]), load_ground_truth(paths["ground_truth"], ds))
         assert calls == []
-        assert again is not first and all(a is b for a, b in zip(again, first))
+        assert again is first
         for table in again:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
+        with pytest.raises(AttributeError):
+            again.append(again[0])
         other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"))  # read without a dataset
         assert [t.tolist() for t in iou_tables(ds, other)] == [t.tolist() for t in first]
         assert len(calls) == ds.n_views

@@ -283,9 +283,8 @@ class TestCorrupt:
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        tf.propagate(ds, result.records)
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
-        acc = consensus_accuracy(ds, gt, result.clustering, mapping)
+        acc = consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
         assert acc["per_view_acc"] == 1.0
         assert acc["tscm_acc"] == 1.0
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trackfuse.consensus import cluster_synonyms, propagate, run_consensus
+from trackfuse.consensus import cluster_synonyms, run_consensus
 from trackfuse.field import (
     ToyReferringField,
     TrainConfig,
@@ -55,7 +55,6 @@ def test_every_probe_reads_one_real_call(clean_scene):
     traced run wraps it, so a changed signature or return type fails here, not under --trace 1."""
     ds, gt, trajectories = clean_scene
     result = run_consensus(ds, trajectories)
-    propagate(ds, result.records)
     descriptions = run_keyframes(ds, result.records)
     field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
     categories = sorted({o.identity for o in gt.objects})

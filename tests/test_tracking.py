@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import oracle_associate_greedy
@@ -157,7 +159,7 @@ class TestGreedy:
     def test_missing_embedding_rejected(self):
         mask = square_mask(16, 16, 2, 2, 4)
         ds = make_dataset([[dict(mask=mask, raw_label="cup", confidence=1.0)]])
-        ds.embeddings.pop("cup")
+        ds = replace(ds, embeddings={label: emb for label, emb in ds.embeddings.items() if label != "cup"})
         with pytest.raises(SchemaError, match="no embedding"):
             associate_greedy(ds)
 
@@ -209,8 +211,10 @@ class TestGreedyOracle:
 
     def test_mismatched_mask_size_names_both_sizes(self):
         ds = make_dataset([[dict(mask=square_mask(16, 16, 0, 0, 3), raw_label="cup", confidence=1.0)], []])
-        # a later view's mask of another size: the dataset refuses it, so build the view by hand
-        ds.detections[1] = [Detection(view=1, mask=square_mask(8, 8, 0, 0, 3), raw_label="cup", confidence=1.0)]
+        # a later view's mask of another size: the dataset refuses it (so would replace), so set the
+        # view past its checks
+        other = Detection(view=1, mask=square_mask(8, 8, 0, 0, 3), raw_label="cup", confidence=1.0)
+        object.__setattr__(ds, "detections", (ds.detections[0], (other,)))
         with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
             associate_greedy(ds)
         with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
