@@ -615,7 +615,7 @@ def run_sweep(
         # every value, in list order, before clustering: min() over a list holding NaN depends on the order
         for value in values:
             check_tau_sem(value)
-        # one agglomeration to the lowest value; every higher value's clustering is a prefix of its merges
+        # the cut at the lowest value holds the merges of every value: each higher one's are a prefix
         agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, min(values))
     elif param == "sigma":
         for value in values:

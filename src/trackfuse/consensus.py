@@ -9,10 +9,10 @@ label of every member detection (``ConsensusRecord.canonical``).
 
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So the
-merges of a run at any smaller cutoff (higher ``tau_sem``) are a prefix of
-the merges of a run at a larger one. ``cluster_synonyms`` keeps its merge
-list, and ``SynonymClustering.at`` cuts it at any higher ``tau_sem``
-without clustering again; a threshold sweep agglomerates once.
+clustering at any ``tau_sem`` is a prefix of the complete merge list, run
+down to one cluster (the stepwise dendrogram, Müllner 2011).
+``cluster_synonyms`` keeps that list per label set and cuts it at each
+``tau_sem`` asked for; a threshold sweep agglomerates nothing.
 
 Determinism rules, needed so independent reference implementations can be
 compared exactly:
@@ -175,10 +175,9 @@ def cluster_synonyms(
 ) -> SynonymClustering:
     """Average-linkage agglomeration cut at distance 1 - tau_sem; ``at`` cuts it higher.
 
-    The process keeps (``records.kept``) the agglomeration of the last label set, keyed by the
-    labels and the sha256 of their vectors, built to the lowest ``tau_sem`` asked for. A call at
-    or above that floor cuts it (``SynonymClustering.at``), which equals a fresh call in every
-    field; a lower ``tau_sem`` agglomerates again. Each call's cut, and so its maps, is its own.
+    The process keeps (``records.kept``) the complete merge list of the last label set, keyed by
+    the labels and the sha256 of their vectors, and every call, at any ``tau_sem``, cuts it. Each
+    call's cut, and so its maps, is its own.
     """
     check_tau_sem(tau_sem)
     if len(set(labels)) != len(labels):
@@ -193,19 +192,14 @@ def cluster_synonyms(
         vec = embeddings[lab].vector
         digest.update(f"{vec.dtype.str}{vec.shape}".encode())
         digest.update(vec.tobytes())
-    return kept(
-        "clustering",
-        (tuple(labels), digest.digest()),
-        lambda: _agglomerate(labels, embeddings, tau_sem),
-        usable=lambda agglomeration: tau_sem >= agglomeration.tau_floor,
-    ).at(tau_sem)
+    merges = kept("clustering", (tuple(labels), digest.digest()), lambda: _agglomerate(labels, embeddings))
+    return _cut(tuple(labels), merges, tau_sem)
 
 
-def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding], tau_sem: float) -> SynonymClustering:
-    """``cluster_synonyms`` of checked arguments, computed."""
+def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding]) -> tuple[tuple[int, int, float], ...]:
+    """The merges of checked arguments' agglomeration, all n - 1 of them, in order."""
     n = len(labels)
     ticks = cosine_distance_matrix([embeddings[lab] for lab in labels])
-    cutoff = 1.0 - tau_sem
 
     # Each distance is a whole number of ticks (module docstring); the
     # distance sum of slots a and b is (hi[a, b] * 2**26 + lo[a, b]) ticks,
@@ -231,10 +225,7 @@ def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding], tau_s
     for _ in range(n - 1):
         a = int(row_min.argmin())
         b = int(nearest[a])
-        height = float(row_min[a])
-        if height > cutoff:
-            break
-        merges.append((a, b, height))
+        merges.append((a, b, float(row_min[a])))
         hi[a] += hi[b]
         lo[a] += lo[b]
         hi[:, a] = hi[a]
@@ -261,7 +252,7 @@ def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding], tau_s
             avg[rows, stale] = np.inf
             nearest[stale] = avg.argmin(axis=1)
             row_min[stale] = avg[rows, nearest[stale]]
-    return _cut(tuple(labels), tuple(merges), tau_sem)
+    return tuple(merges)
 
 
 def vote_trajectory(

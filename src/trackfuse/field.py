@@ -64,6 +64,8 @@ class ToyReferringField:
             raise ValueError(
                 f"spread must be at most {MAX_CUTOFF / 3:.3g}, so that (3 * spread) ** 2 is finite, got {self.spread}"
             )
+        if not 2.0 * self.spread**2 > 0:  # the weights' denominator (below about 1.6e-162)
+            raise ValueError(f"spread is too small: 2 * spread ** 2 underflows to 0, got {self.spread}")
         for pos, g in enumerate(self.gaussians):
             if g.gid != pos:
                 raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")

@@ -42,16 +42,23 @@ def median_area(areas: list[int]) -> float:
 
 
 def check_keyframe_settings(strategy: str, sigma: float) -> None:
-    """Refuse a strategy not in STRATEGIES and a sigma that is not > 0, NaN included."""
+    """Refuse a strategy not in STRATEGIES and a sigma ``check_sigma`` refuses."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
+    check_sigma(sigma)
+
+
+def check_sigma(sigma: float) -> None:
+    """Refuse a sigma that is not > 0, NaN included, and one so small that the score's
+    denominator 2 sigma^2 underflows to 0 (below about 1.1e-162)."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 2.0 * sigma * sigma > 0:
+        raise ValueError(f"sigma is too small: 2 * sigma * sigma underflows to 0, got {sigma}")
 
 
 def visibility_score(area: float, med: float, sigma: float) -> float:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_sigma(sigma)
     if area < 0 or med < 0:
         raise ValueError("areas must be nonnegative")
     dev = math.sqrt(area) - math.sqrt(med)
@@ -68,7 +75,7 @@ def select_keyframe(
 
     ``view_areas`` holds (view, mask area) per trajectory member. All ties
     resolve to the earliest view; ``random`` draws uniformly with the given
-    seed. Every strategy rejects a sigma that is not > 0 (NaN too) and negative areas.
+    seed. Every strategy rejects a sigma ``check_sigma`` refuses and negative areas.
     """
     check_keyframe_settings(strategy, sigma)
     if not view_areas:

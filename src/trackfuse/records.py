@@ -128,11 +128,11 @@ def forget_kept() -> None:
     _kept.clear()
 
 
-def kept(kind: str, key, build: Callable, usable: Callable = lambda value: True):
-    """The value kept for ``kind``, if it was kept under ``key`` and is ``usable``; otherwise
-    ``build()``'s value, kept in its place first. A ``key`` of None keeps nothing."""
+def kept(kind: str, key, build: Callable):
+    """The value kept for ``kind``, if it was kept under ``key``; otherwise ``build()``'s value,
+    kept in its place first. A ``key`` of None keeps nothing."""
     entry = _kept.get(kind)
-    if key is None or entry is None or entry[0] != key or not usable(entry[1]):
+    if key is None or entry is None or entry[0] != key:
         entry = (key, build())
         if key is not None:
             _kept[kind] = entry
@@ -144,7 +144,7 @@ def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], objec
 
     The process keeps one value per kind: the last parse of the dataset, tracks, consensus,
     descriptions and ground truth (and, through ``kept``, the IoU tables of one (dataset, ground
-    truth) pair and the agglomeration of the last label set clustered). A value is keyed by the
+    truth) pair and the complete merge list of the last label set clustered). A value is keyed by the
     sha256 of its file's bytes and by ``context``, what else the parse checks against, such as the
     key of the dataset (``dataset_key``); never by path or mtime. A read of the same bytes in the
     same context decodes no JSON and returns the kept value itself, which every value read is built

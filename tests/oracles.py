@@ -122,6 +122,19 @@ def oracle_visibility(area, med, sigma):
     return area * math.exp(-((math.sqrt(area) - math.sqrt(med)) ** 2) / (2.0 * sigma**2))
 
 
+def smallest_accepted(accepts):
+    """The smallest positive double ``accepts`` takes, where it takes 1.0 and every double above one
+    it takes: a bisection over the bit patterns, which order the positive doubles."""
+    lo, hi = 1, int(np.float64(1.0).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accepts(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
+
+
 def random_unit_vectors(rng, n, dim):
     vecs = rng.standard_normal((n, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)

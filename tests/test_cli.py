@@ -18,7 +18,7 @@ from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
 from trackfuse.field import load_field
-from trackfuse.records import config_hash, dumps, load_dataset, load_descriptions, read_json
+from trackfuse.records import config_hash, dumps, forget_kept, load_dataset, load_descriptions, read_json
 from trackfuse.synth import load_ground_truth
 from trackfuse.tracking import load_tracks
 
@@ -315,6 +315,7 @@ class TestStages:
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
         run_pipeline(load_config(cfg), out)
+        forget_kept()  # as in a process of its own
         calls = []
         build = consensus.cosine_distance_matrix
         monkeypatch.setattr(consensus, "cosine_distance_matrix", lambda e: calls.append(len(e)) or build(e))
@@ -839,6 +840,10 @@ class TestBadInput:
                 "malformed record: ValueError('spread must be at most 4.47e+153, so that (3 * spread) ** 2 "
                 "is finite, got 1e+300')",
             ),
+            (
+                "tiny-spread",
+                "malformed record: ValueError('spread is too small: 2 * spread ** 2 underflows to 0, got 1e-200')",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -861,6 +866,8 @@ class TestBadInput:
             field["spread"] = float("nan")
         elif problem == "huge-spread":  # finite, but the squared cutoff (3 * spread) ** 2 overflows
             field["spread"] = 1e300
+        elif problem == "tiny-spread":  # positive, but the weights' denominator 2 * spread ** 2 underflows
+            field["spread"] = 1e-200
         else:
             field["h"] = 16
         path.write_text(json.dumps(field))
@@ -1215,12 +1222,14 @@ class TestBadInput:
             ("assoc.mode", "bogus"),
             ("keyframe.sigma", math.nan),
             ("keyframe.sigma", 0),
+            ("keyframe.sigma", 1e-200),
             ("keyframe.strategy", "bogus"),
             ("keyframe.strategy", 3),
             ("keyframe.external", 5),
             ("train.spread", -1),
             ("train.spread", math.nan),
             ("train.spread", 1e300),
+            ("train.spread", 1e-200),
             ("train.gaussians_per_object", 0),
             ("train.gaussians_per_object", 9),
             ("eval.views", "x"),
@@ -1241,6 +1250,7 @@ class TestBadInput:
             (["consensus", "--tau-sem", "2"], "tau_sem must be in (0, 1), got 2.0"),
             (["keyframe", "--sigma", "0"], "sigma must be positive, got 0.0"),
             (["keyframe", "--sigma", "nan"], "sigma must be positive, got nan"),
+            (["keyframe", "--sigma", "1e-200"], "sigma is too small: 2 * sigma * sigma underflows to 0, got 1e-200"),
             (["associate", "--mode", "greedy", "--iou-weight", "1.5"], "iou_weight must be in [0, 1], got 1.5"),
         ],
     )
@@ -1250,13 +1260,20 @@ class TestBadInput:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.out").exists()
 
-    @pytest.mark.parametrize("values, bad", [("nan", "nan"), ("100,0", "0.0")])
-    def test_sweep_sigma_not_positive_exits_one(self, run_dir, tmp_path, capsys, values, bad):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("nan", "sigma must be positive, got nan"),
+            ("100,0", "sigma must be positive, got 0.0"),
+            ("100,1e-320", "sigma is too small: 2 * sigma * sigma underflows to 0, got 1e-320"),
+        ],
+    )
+    def test_sweep_sigma_not_positive_exits_one(self, run_dir, tmp_path, capsys, values, message):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--manifest", str(run_dir / "dataset" / "manifest.json"),
                 "--tracks", str(run_dir / "tracks.jsonl"), "--param", "sigma", "--values", values, "--out", str(out)]
         assert main(argv) == 1
-        assert f"sigma must be positive, got {bad}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1501,7 +1518,7 @@ def test_one_process_gives_the_report_and_sweep_of_separate_processes(tmp_path, 
     one.mkdir()
     agglomerated = []
     real = consensus._agglomerate
-    monkeypatch.setattr(consensus, "_agglomerate", lambda *args: agglomerated.append(args[2]) or real(*args))
+    monkeypatch.setattr(consensus, "_agglomerate", lambda *args: agglomerated.append(len(args[0])) or real(*args))
     for argv in [
         ["associate", *c, *m, "--out", a("tracks.jsonl")],
         ["consensus", *c, *m, "--tracks", a("tracks.jsonl"), "--out", a("consensus.jsonl")],
@@ -1511,7 +1528,7 @@ def test_one_process_gives_the_report_and_sweep_of_separate_processes(tmp_path, 
         *eval_sweep(one),
     ]:
         assert main(argv) == 0, argv
-    assert agglomerated == [0.85, 0.70]  # eval cut consensus's agglomeration; the sweep went lower
+    assert len(agglomerated) == 1  # consensus agglomerated to one cluster; eval and the sweep cut it
 
     own.mkdir()
     env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

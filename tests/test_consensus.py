@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ def label_sets(draw):
     vecs *= 1.0 + draw(st.sampled_from([0.0, 9e-7])) * rng.uniform(-1.0, 1.0, size=(n, 1))
     labels = [f"label{k}" for k in range(n)]
     return labels, embed(labels, vecs), draw(st.sampled_from([1e-3, 0.3, 0.85]))
+
+
+# +-e_i and (e_i + e_j)/sqrt(2) in 4-D: exact distance ties, and opposite directions
+_EYE = np.eye(4)
+LATTICE = [s * _EYE[i] for i in range(4) for s in (1, -1)]
+LATTICE += [(_EYE[i] + _EYE[j]) / np.sqrt(2) for i in range(4) for j in range(i + 1, 4)]
 
 
 def hexed(merges):
@@ -161,16 +168,13 @@ class TestClusterSynonyms:
             vecs = random_unit_vectors(rng, n, 6)
             tau = float(rng.uniform(0.05, 0.95))
             cases.append((vecs, (tau, (1 + tau) / 2)))
-        # Lattice vectors (+-e_i and (e_i + e_j)/sqrt(2) in 4-D) make many
-        # distances tie exactly, so the merge tie-break decides. tau 0.70/0.71
-        # puts the cutoff 1 - tau either side of the lattice distance
-        # 1 - 1/sqrt(2); tau 0.29/0.30 brackets cluster averages from 0.70 to 0.71.
-        eye = np.eye(4)
-        lattice = [s * eye[i] for i in range(4) for s in (1, -1)]
-        lattice += [(eye[i] + eye[j]) / np.sqrt(2) for i in range(4) for j in range(i + 1, 4)]
+        # LATTICE makes many distances tie exactly, so the merge tie-break
+        # decides. tau 0.70/0.71 puts the cutoff 1 - tau either side of the
+        # lattice distance 1 - 1/sqrt(2); tau 0.29/0.30 brackets cluster
+        # averages from 0.70 to 0.71.
         for _ in range(40):
             n = int(rng.integers(2, 31))
-            vecs = [lattice[k] for k in rng.integers(0, len(lattice), size=n)]
+            vecs = [LATTICE[k] for k in rng.integers(0, len(LATTICE), size=n)]
             cases.append((vecs, (0.29, 0.3, 0.7, 0.71)))
         cases.append(([], (0.85,)))
         for vecs, taus in cases:
@@ -197,6 +201,27 @@ class TestClusterSynonyms:
     def test_merges_match_fsum_oracle(self, case):
         labels, embs, tau = case
         assert hexed(cluster_synonyms(labels, embs, tau).merges) == hexed(oracle_merges(labels, embs, tau))
+
+    @given(label_sets())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_complete_merges_match_fsum_oracle(self, case):
+        # down to one cluster, so heights above 1 (anti-correlated clusters) are checked too
+        labels, embs, _ = case
+        merges = consensus._agglomerate(labels, embs)
+        assert len(merges) == max(len(labels) - 1, 0)
+        assert hexed(merges) == hexed(oracle_merges(labels, embs, -math.inf))
+
+    def test_complete_merges_of_lattice_ties_match_fsum_oracle(self):
+        rng = np.random.default_rng(2025)
+        above_one = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 31))
+            labels = [f"label{k}" for k in range(n)]
+            embs = embed(labels, [LATTICE[k] for k in rng.integers(0, len(LATTICE), size=n)])
+            merges = consensus._agglomerate(labels, embs)
+            assert hexed(merges) == hexed(oracle_merges(labels, embs, -math.inf))
+            above_one += merges[-1][2] > 1.0
+        assert above_one  # some cases merge anti-correlated clusters last
 
     def test_merged_cluster_ties_a_rows_cached_minimum(self):
         # Row 0's first minimum, 0.75, is at slot 2. Slot 1 is one tick (2**-53)

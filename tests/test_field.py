@@ -17,6 +17,7 @@ from oracles import (
     oracle_view_batch,
     oracle_weights,
     render_grids,
+    smallest_accepted,
 )
 
 import trackfuse as tf
@@ -437,7 +438,8 @@ class TestFieldIo:
 
 
 class TestSpreadBound:
-    """A spread is accepted exactly when the squared cutoff (3 s) ** 2 is a finite double."""
+    """A spread is accepted exactly when the squared cutoff (3 s) ** 2 is a finite double and the
+    weights' denominator 2 * s ** 2 is above 0."""
 
     @staticmethod
     def _largest():
@@ -460,6 +462,35 @@ class TestSpreadBound:
             (3.0 * spread) ** 2
         message = r"spread must be at most 4.47e\+153, so that \(3 \* spread\) \*\* 2 is finite"
         with pytest.raises(ValueError, match=message):
+            make_field([[1.0]], [(3.0, 4.0)], spread=spread)
+
+    @staticmethod
+    def _smallest():
+        def accepts(spread):
+            try:
+                make_field([[1.0]], [(3.0, 4.0)], spread=spread)
+            except ValueError:
+                return False
+            return True
+
+        return smallest_accepted(accepts)
+
+    def test_smallest_accepted_spread_fills_like_the_full_grid(self):
+        spread = self._smallest()
+        assert 2.0 * spread**2 > 0 and 1e-162 < spread < 2e-162
+        field = make_field([[1.0]] * 3, [(3.0, 4.0), (2.5, 9.0), (math.nan, 1.0)], h=7, w=11, spread=spread)
+        with np.errstate(over="ignore"):  # off the centre's pixel, -d2 / (2 s^2) is -inf
+            weights = field.weights(0)
+            assert weights.tobytes() == oracle_weights(field, 0).tobytes()
+        assert weights[0, 4 * 11 + 3] == 1.0 and weights.sum() == 1.0  # the centre's pixel only
+        assert not np.isnan(render_logits(field, 0, np.ones(1))).any()
+
+    @pytest.mark.parametrize("spread", ["next", 1e-200, 5e-324])
+    def test_spread_whose_doubled_square_underflows_is_refused(self, spread):
+        if spread == "next":  # one ulp below the smallest accepted spread
+            spread = math.nextafter(self._smallest(), 0.0)
+        assert 2.0 * spread**2 == 0.0
+        with pytest.raises(ValueError, match=r"spread is too small: 2 \* spread \*\* 2 underflows to 0"):
             make_field([[1.0]], [(3.0, 4.0)], spread=spread)
 
 

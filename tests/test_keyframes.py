@@ -12,8 +12,10 @@ import trackfuse.keyframes as keyframes
 from trackfuse.consensus import ConsensusRecord
 from trackfuse.errors import SchemaError
 from trackfuse.keyframes import (
+    STRATEGIES,
     ExternalDescriptions,
     TemplateSynthesizer,
+    check_keyframe_settings,
     median_area,
     run_keyframes,
     select_keyframe,
@@ -22,7 +24,7 @@ from trackfuse.keyframes import (
 )
 from trackfuse.records import text_embedding
 
-from oracles import oracle_visibility
+from oracles import oracle_visibility, smallest_accepted
 
 
 class TestMedianArea:
@@ -128,10 +130,24 @@ class TestSelectKeyframe:
             select_keyframe([(0, 1)], "best", 100.0)
 
     @pytest.mark.parametrize("strategy", ["weighting", "maximum", "minimum", "random", "medium"])
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, 1e-200, 5e-324, "below"])
     def test_nonpositive_sigma_rejected_by_every_strategy(self, strategy, sigma):
+        # a positive sigma whose 2 sigma^2 underflows to 0 would divide by zero
+        if sigma == "below":  # one ulp below the smallest accepted sigma
+            sigma = math.nextafter(smallest_accepted(accepts_sigma), 0.0)
         with pytest.raises(ValueError, match="sigma"):
             select_keyframe([(0, 1), (1, 4)], strategy, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            visibility_score(1, 4, sigma)
+
+    def test_smallest_accepted_sigma_scores(self):
+        sigma = smallest_accepted(accepts_sigma)
+        assert 1e-162 < sigma < 1.2e-162
+        assert visibility_score(4, 4, sigma) == 4.0  # on the median: no penalty
+        assert visibility_score(1, 4, sigma) == 0.0
+        for strategy in STRATEGIES:
+            assert select_keyframe([(0, 1), (1, 4), (2, 9)], strategy, sigma) in (0, 1, 2)
+        assert select_keyframe([(0, 1), (1, 4), (2, 9)], "weighting", sigma) == 1
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10**6)), min_size=1, max_size=12, unique_by=lambda t: t[0]))
     @settings(max_examples=200, deadline=None)
@@ -141,6 +157,14 @@ class TestSelectKeyframe:
         med = median_area([a for _, a in view_areas])
         scores = {v: visibility_score(a, med, 100.0) for v, a in view_areas}
         assert all(scores[view] >= s for s in scores.values())
+
+
+def accepts_sigma(sigma):
+    try:
+        check_keyframe_settings("weighting", sigma)
+    except ValueError:
+        return False
+    return True
 
 
 class TestTemplates:

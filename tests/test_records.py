@@ -424,13 +424,14 @@ class TestKeptDataset:
 
 
 class TestKeptClustering:
-    """``cluster_synonyms`` keeps the last label set's agglomeration, built to the lowest tau_sem asked for."""
+    """``cluster_synonyms`` keeps the last label set's complete merge list, and cuts it at every tau_sem."""
 
     @staticmethod
     def counted(monkeypatch) -> list:
+        """The label count of each agglomeration made."""
         calls = []
         real = consensus._agglomerate
-        monkeypatch.setattr(consensus, "_agglomerate", lambda *a: calls.append(a[2]) or real(*a))
+        monkeypatch.setattr(consensus, "_agglomerate", lambda *a: calls.append(len(a[0])) or real(*a))
         return calls
 
     def test_hit_equals_a_fresh_call_at_the_same_and_higher_tau(self, noisy_scene, monkeypatch):
@@ -440,7 +441,7 @@ class TestKeptClustering:
         tf.cluster_synonyms(labels, ds.embeddings, 0.7)
         for tau in (0.7, 0.8, 0.85, 0.95):
             got = tf.cluster_synonyms(labels, ds.embeddings, tau)
-            assert calls == [0.7]
+            assert calls == [len(labels)]
             records.forget_kept()
             assert got == tf.cluster_synonyms(labels, ds.embeddings, tau)  # every field
             assert got.tau_floor == tau and len(got.merges) < len(labels)
@@ -448,13 +449,22 @@ class TestKeptClustering:
             tf.cluster_synonyms(labels, ds.embeddings, 0.7)
             del calls[1:]
 
-    def test_lower_tau_agglomerates_again_and_is_kept(self, noisy_scene, monkeypatch):
+    def test_lower_tau_cuts_the_kept_merges(self, noisy_scene, monkeypatch):
         ds, _ = noisy_scene
         labels = observed_labels(ds)
         calls = self.counted(monkeypatch)
-        for tau in (0.85, 0.9, 0.5, 0.6, 0.85):
-            tf.cluster_synonyms(labels, ds.embeddings, tau)
-        assert calls == [0.85, 0.5]
+        tf.cluster_synonyms(labels, ds.embeddings, 0.85)
+        for tau in (0.5, 0.3, 0.05, 0.95):
+            got = tf.cluster_synonyms(labels, ds.embeddings, tau)
+            assert calls == [len(labels)]
+            records.forget_kept()
+            assert got == tf.cluster_synonyms(labels, ds.embeddings, tau)  # every field
+            assert got.tau_floor == tau
+            with pytest.raises(ValueError, match="below"):
+                got.at(tau / 2)
+            records.forget_kept()
+            tf.cluster_synonyms(labels, ds.embeddings, 0.85)
+            del calls[1:]
 
     def test_other_labels_or_vectors_agglomerate_again(self, noisy_scene, monkeypatch):
         ds, _ = noisy_scene
@@ -464,7 +474,7 @@ class TestKeptClustering:
         tf.cluster_synonyms(labels[1:], ds.embeddings, 0.8)
         turned = dict(ds.embeddings) | {labels[0]: LabelEmbedding(labels[0], -ds.embeddings[labels[0]].vector)}
         tf.cluster_synonyms(labels, turned, 0.8)
-        assert calls == [0.8, 0.8, 0.8]
+        assert calls == [len(labels), len(labels) - 1, len(labels)]
 
     def test_resolving_an_unseen_label_does_not_reach_the_next_caller(self, noisy_scene):
         ds, _ = noisy_scene
