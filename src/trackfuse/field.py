@@ -92,7 +92,8 @@ class ToyReferringField:
         columns form one run no longer than floor(6 s) + 1, even with the
         offsets rounded, so the window covers it; any other pixel of the
         window has d^2 > (3 s)^2 and is written as 0, the weight a full-grid
-        evaluation gives it.
+        evaluation gives it. Training visits the views in order and eval renders
+        each view once, so each view is filled once per epoch or per eval.
         """
         if view != self._buffer_view:
             if self._buffer is None:
@@ -109,7 +110,12 @@ class ToyReferringField:
     def _fill(self, view: int) -> None:
         """Zero the listed windows, then write this view's through one strided window view of the
         buffer, a chunk of Gaussians at a time: as many as keep the chunk's float64 and bool
-        blocks under 1/8 of the buffer, and at least one."""
+        blocks under 1/8 of the buffer, and at least one.
+
+        There is no loop over Gaussians. One broadcast add of each window's slices of dx^2 and
+        dy^2 gives d^2, one divide by -(2 s^2) and one exp give the weights in d^2's block, and
+        the pixels past the cutoff are set to 0; advanced indexing of the window view writes the
+        chunk's windows, as it zeroed the last view's."""
         h, w, n = self.height, self.width, len(self.gaussians)
         span = math.floor(min(6.0 * self.spread, max(h, w))) + 2
         win_h, win_w = min(h, span), min(w, span)
@@ -148,9 +154,9 @@ class ToyReferringField:
             dx, dy = dx2[k[:, None], x[:, None] + cols], dy2[k[:, None], y[:, None] + rows]
             np.add(dx[:, None, :], dy[:, :, None], out=d2)
             np.greater(d2, cutoff, out=beyond)
-            # exp(-d2 / (2 s^2)), one operation at a time in d2's block
-            np.negative(d2, out=d2)
-            d2 /= denom
+            # exp(-d2 / (2 s^2)), one operation at a time in d2's block; d2 / -denom is
+            # (-d2) / denom bit for bit, since negation is exact
+            np.divide(d2, -denom, out=d2)
             np.exp(d2, out=d2)
             d2[beyond] = 0.0
             slots[k, y, x] = d2
@@ -179,10 +185,13 @@ def render_mask(
 
     ``out`` is as for ``render_logits``. The sigmoid ``1 / (1 + exp(-z))`` is
     taken in place, one operation at a time, so a caller that passes ``out``
-    allocates nothing of the grid's size.
+    allocates nothing of the grid's size. ``-z`` costs no pass over the grid:
+    the render is of the negated query, and since negation is exact, every
+    product and sum of both BLAS products is negated with it, so the grid
+    is ``-z`` bit for bit but for the sign of a zero, where ``exp`` gives 1
+    either way.
     """
-    probs = render_logits(field_, view, query, out=out)
-    np.negative(probs, out=probs)
+    probs = render_logits(field_, view, np.negative(query), out=out)
     np.exp(probs, out=probs)
     probs += 1.0
     return np.divide(1.0, probs, out=probs)
@@ -199,10 +208,15 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
       1, so a faithfully rounded exp(-z) is at least 8 such ulp below 1;
       then 1 + exp(-z) rounds to at most 2 - 4 * 2**-52, and 1 / (1 + e)
       exceeds 0.5 by about 2 ulp of 2**-53, so it rounds above 0.5.
+
+    The band is almost always empty, and two counts show it: every logit
+    >= 1e-15 is also > 0, so the band is empty exactly when both counts are
+    equal. Only a band that holds some logit is gathered and fixed up.
     """
     out = logits > 0.0
-    band = out & (logits < 1e-15)
-    out[band] = 1.0 / (1.0 + np.exp(-logits[band])) > 0.5
+    if np.count_nonzero(out) != np.count_nonzero(logits >= 1e-15):
+        band = out & (logits < 1e-15)
+        out[band] = 1.0 / (1.0 + np.exp(-logits[band])) > 0.5
     return out
 
 
@@ -291,34 +305,53 @@ def seg_loss(
     N = h*w inside the clamp and 0 where clamped flat.
 
     ``out``, if given, is a float64 array of two blocks of ``probs``' size,
-    (2, *probs.shape) or reshaped to it without a copy: the first holds the
-    clamped probabilities, and then the boolean masks of the clamp, the second
-    the log terms and then the gradient, which the returned gradient views.
-    A training loop passes the same one each step, so that no block of the
+    (2, *probs.shape) or reshaped to it without a copy; the second holds the
+    log terms and then the gradient, which the returned gradient views. A
+    training loop passes the same one each step, so that no block of the
     stack's size is allocated per call.
+
+    A stack whose every probability lies within the clamp, as a trained
+    field's almost always do, takes a path on which the clamp changes no
+    value: one min and one max reduction show it (NaN fails both bounds, and
+    an empty stack takes the other path). There ``where(y, p, 1 - p)`` is
+    ``|(1 - y) - p|``, with ``1 - y`` in the first pixels of the first block:
+    ``0 - p`` is ``-p`` exactly and ``1 - p`` is positive, so the log terms,
+    and the gradient with nothing to zero, are the clamped path's bit for bit.
+    Otherwise the first block holds the clamped probabilities and then, once
+    the log terms are taken, the two boolean masks of the clamp, a byte a pixel.
     """
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(target, dtype=bool)
     if y.ndim != 2 or probs.ndim not in (2, 3) or probs.shape[-2:] != y.shape:
         raise SchemaError(f"shape mismatch: probs {probs.shape} vs target {y.shape}")
     p, buf = np.empty((2, *probs.shape)) if out is None else out.reshape((2, *probs.shape))
-    # -log(where(y, p, 1 - p)), built as 1 - p with p copied in where y; the terms are
-    # summed before negating, which rounds the same, since negation is exact
-    np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=p)
-    np.subtract(1.0, p, out=buf)
-    np.copyto(buf, p, where=y)
+    clamped = not (
+        probs.size
+        and np.minimum.reduce(probs, axis=None) >= BCE_EPS
+        and np.maximum.reduce(probs, axis=None) <= 1.0 - BCE_EPS
+    )
+    # -log(where(y, p, 1 - p)); the terms are summed before negating, which rounds the
+    # same, since negation is exact
+    if clamped:  # built as 1 - p with p copied in where y
+        np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=p)
+        np.subtract(1.0, p, out=buf)
+        np.copyto(buf, p, where=y)
+    else:
+        flip = np.subtract(1.0, y, out=p if p.ndim == 2 else p[0])
+        np.abs(np.subtract(flip, probs, out=buf), out=buf)
     np.log(buf, out=buf)
     # np.mean's sum and division, without its wrapper
     loss = -(np.add.reduce(buf, axis=(-2, -1)) / y.size)
     # (probs - y) / N with y as 0.0 and 1.0, zeroed where clamped flat; the clamped
-    # probabilities are spent, so their block holds the two masks of the clamp, a byte a pixel
+    # probabilities are spent, so their block holds the two masks of the clamp
     grad = np.subtract(probs, y, out=buf)
     grad /= y.size
-    low, high = p.reshape(-1).view(bool)[: 2 * probs.size].reshape((2, *probs.shape))
-    np.less(probs, BCE_EPS, out=low)
-    np.greater(probs, 1.0 - BCE_EPS, out=high)
-    np.logical_or(low, high, out=low)
-    np.copyto(grad, 0.0, where=low)
+    if clamped:
+        low, high = p.reshape(-1).view(bool)[: 2 * probs.size].reshape((2, *probs.shape))
+        np.less(probs, BCE_EPS, out=low)
+        np.greater(probs, 1.0 - BCE_EPS, out=high)
+        np.logical_or(low, high, out=low)
+        np.copyto(grad, 0.0, where=low)
     return (float(loss) if probs.ndim == 2 else loss), grad
 
 
@@ -392,6 +425,15 @@ def train(
     One iteration per (view, track) pair, views then tracks in ascending
     order, sequential and therefore bit-reproducible. Curve rows are
     (iteration, L_seg, L_con, L_total-with-schedule).
+
+    Every block a step writes is allocated once per call: the render and
+    ``seg_loss``'s two blocks, of the largest positive set, and the
+    gradient and Adam buffers of the feature matrix; only one view's pseudo
+    masks are unpacked at a time. The sigmoid, the clamped cross-entropy,
+    its gradient and the Adam update are taken in place with the same
+    floating-point operations as their one-expression forms, so the model
+    and the loss curve are those of ``tests/oracles.py``'s ``oracle_train``
+    byte for byte.
     """
     desc_by_track = {d.track_id: d for d in descriptions}
     for d in descriptions if not include_category else ():
@@ -540,9 +582,9 @@ def _json_centers(centers) -> list:
 
 
 def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:
-    """Read a field file; every feature must be finite and of length ``dim``. Against
-    ``ds``, the field must have the dataset's view size, one center entry per view
-    and the embeddings' ``dim``."""
+    """Read a field file; every center must be null or two finite numbers, and every feature
+    finite and of length ``dim``. Against ``ds``, the field must have the dataset's view size,
+    one center entry per view and the embeddings' ``dim``."""
 
     def parse(obj: dict) -> ToyReferringField:
         height, width, dim = (json_int(obj[key], key) for key in ("h", "w", "dim"))
@@ -557,8 +599,11 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
                 raise SchemaError(
                     f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views"
                 )
-            json_floats([v for c in g["centers"] if c is not None for v in (c[0], c[1])], f"gaussian {gid}: center")
-            centers = np.array([[np.nan, np.nan] if c is None else [c[0], c[1]] for c in g["centers"]], dtype=float)
+            for view, c in enumerate(g["centers"]):
+                if c is not None and len(c) != 2:
+                    raise SchemaError(f"gaussian {gid}: view {view} center must be null or 2 numbers, got {c!r}")
+            json_floats([v for c in g["centers"] if c is not None for v in c], f"gaussian {gid}: center")
+            centers = np.array([[np.nan, np.nan] if c is None else c for c in g["centers"]], dtype=float)
             track = json_int(g["track"], f"gaussian {gid}: track")
             gaussians.append(ToyGaussian(gid=gid, track=track, centers=centers))
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))

@@ -24,7 +24,7 @@ from .errors import SchemaError
 from .records import (
     Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, set_frozen, write_json,
 )
-from .rle import RleMask, json_bool, json_float, json_floats, json_int, json_str, rle_decode, rle_encode
+from .rle import RleMask, json_bool, json_floats, json_int, json_str, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
 
@@ -144,14 +144,20 @@ class GroundTruth:
     def from_json(cls, obj: dict) -> "GroundTruth":
         objects = []
         for o in obj["objects"]:
+            object_id = json_int(o["id"], "object id")
+            for view, point in enumerate(o["centers"]):
+                if len(point) != 2:
+                    raise SchemaError(f"object {object_id}: view {view} center must be 2 numbers, got {point!r}")
+            if len(o["radii"]) != 2:
+                raise SchemaError(f"object {object_id}: radii must be 2 numbers, got {o['radii']!r}")
             objects.append(
                 GtObject(
-                    object_id=json_int(o["id"], "object id"),
+                    object_id=object_id,
                     identity=json_str(o["identity"], "object identity"),
                     masks=[RleMask.from_json(m) for m in o["masks"]],
                     visible=[json_bool(v, "object visible") for v in o["visible"]],
                     centers=_json_points(o["centers"], "object center"),
-                    radii=(json_float(o["radii"][0], "object radius"), json_float(o["radii"][1], "object radius")),
+                    radii=tuple(json_floats(o["radii"], "object radius")),
                     shape=json_str(o["shape"], "object shape"),
                 )
             )
@@ -169,9 +175,10 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 
 def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> GroundTruth:
-    """Read a ground-truth file; against ``ds``, every object needs one mask of
-    the dataset's size per view, and object ids must be unique. Kept (``read_kept``), with its
-    key as the ground truth's ``key``."""
+    """Read a ground-truth file; every center and the radii must be pairs. Against ``ds``,
+    every object needs one mask of the dataset's size, one visible flag and one center per
+    view, and object ids must be unique. Kept (``read_kept``), with its key as the ground
+    truth's ``key``."""
 
     def parse(obj: dict) -> GroundTruth:
         gt = GroundTruth.from_json(obj)
@@ -182,10 +189,11 @@ def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> Groun
             if o.object_id in seen:
                 raise SchemaError(f"object id {o.object_id} appears twice")
             seen.add(o.object_id)
-            if len(o.masks) != ds.n_views:
-                raise SchemaError(
-                    f"object {o.object_id}: {len(o.masks)} masks, the dataset has {ds.n_views} views"
-                )
+            for what, entries in (("masks", o.masks), ("visible flags", o.visible), ("centers", o.centers)):
+                if len(entries) != ds.n_views:
+                    raise SchemaError(
+                        f"object {o.object_id}: {len(entries)} {what}, the dataset has {ds.n_views} views"
+                    )
             for view, mask in enumerate(o.masks):
                 if (mask.height, mask.width) != (ds.height, ds.width):
                     raise SchemaError(

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI selects this profile (--hypothesis-profile=ci): the examples are derived from each test, so a
+# failure in CI reproduces from its log; local runs keep the default profile, which explores
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 import trackfuse as tf
 from trackfuse import records

@@ -375,7 +375,8 @@ class TestPipeline:
 
     def test_trained_model_and_loss_curve_are_byte_identical(self, tmp_path):
         # sha256 of model.json and loss_curve.csv recorded before the train step reused its
-        # buffers; a change here means the same config and seed no longer train the same field
+        # buffers, and of report.json before eval counted pixels on bit-packed rows; a change
+        # here means the same config and seed no longer train or score the same field
         noisy = {
             "seed": 21,
             "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
@@ -387,10 +388,11 @@ class TestPipeline:
         out = tmp_path / "run"
         assert main(["run", "--config", write_config(tmp_path, noisy), "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("model.json", "loss_curve.csv")}
+                   for name in ("model.json", "loss_curve.csv", "report.json")}
         assert digests == {
             "model.json": "31c9725909689977ff6bde3bc360da9bdde4fbf4b443d4f013704794cd4fa1dd",
             "loss_curve.csv": "e626732316335190cac41f2723bc456171717128e368319e9daa202be17076ed",
+            "report.json": "00c2fb4fa83211f9340c0b419024c7c06dbc9c8e1b1146aa16d74cee1e3d30c9",
         }
 
     def test_stage_failure_names_stage(self, tmp_path):
@@ -782,11 +784,28 @@ class TestBadInput:
              "object radius must be a finite number, got False"),
             ("ground_truth.json", lambda doc: doc["objects"][0].update(shape=0),
              "object shape must be a non-empty string, got 0"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(visible=[True]),
+             "object 0: 1 visible flags, the dataset has 3 views"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(visible=[True] * 5),
+             "object 0: 5 visible flags, the dataset has 3 views"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(centers=[[1.0, 2.0]]),
+             "object 0: 1 centers, the dataset has 3 views"),
+            ("ground_truth.json", lambda doc: doc["objects"][0]["centers"].__setitem__(1, [1.0, 2.0, 3.0]),
+             "object 0: view 1 center must be 2 numbers, got [1.0, 2.0, 3.0]"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(radii=[1.0, 2.0, 3.0]),
+             "object 0: radii must be 2 numbers, got [1.0, 2.0, 3.0]"),
+            ("ground_truth.json", lambda doc: doc["objects"][0].update(radii=[1.0]),
+             "object 0: radii must be 2 numbers, got [1.0]"),
+            ("model.json", lambda doc: doc["gaussians"][0]["centers"].__setitem__(0, [1.0, 2.0, 3.0]),
+             "gaussian 0: view 0 center must be null or 2 numbers, got [1.0, 2.0, 3.0]"),
+            ("model.json", lambda doc: doc["gaussians"][0]["centers"].__setitem__(0, [1.0]),
+             "gaussian 0: view 0 center must be null or 2 numbers, got [1.0]"),
         ],
     )
     def test_strict_json_scalar_exits_two_naming_the_file(self, run_dir, tmp_path, capsys, name, edit, message):
         # each value used to be converted (float("8"), bool("no"), str(5)), so eval exited 0 or
-        # failed naming no file
+        # failed naming no file; each list of the wrong length used to load (the extra entries
+        # unread, a third coordinate dropped), or fail on an IndexError naming no object or count
         path = run_dir / name
         doc = json.loads(path.read_text())
         edit(doc)

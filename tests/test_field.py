@@ -615,6 +615,15 @@ class TestBatchedOracles:
         logits = np.array(values)
         assert np.array_equal(binarize_logits(logits), sigmoid_above_half(logits))
 
+    @pytest.mark.parametrize("band", [5e-17, 1e-16, 2e-16, float(np.nextafter(1e-15, 0.0))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_band_logit_among_ordinary_ones(self, band, seed):
+        # the counts of z > 0 and z >= 1e-15 differ by one, so the band's fix-up runs for one logit
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((3, 40))
+        logits.flat[rng.integers(logits.size)] = band
+        assert np.array_equal(binarize_logits(logits), sigmoid_above_half(logits))
+
     def test_tiny_positive_logit_is_background(self):
         # sigmoid rounds to exactly 0.5 there, so the pixel is not foreground
         logits = np.array([[-1.0, 0.0, 5e-17, 1e-16, 2e-16, 1e-3]])
@@ -845,6 +854,18 @@ def at_edge_probs(test):
     return test
 
 
+def one_pixel_at_edge(test):
+    """A (2, 2, 3) stack wholly inside the clamp (no clamp pass changes a value), then the same
+    stack with one pixel at each clamp bound and just outside it, and an empty (0, 2, 3) stack."""
+    inside = np.linspace(0.05, 0.95, 12).reshape(2, 2, 3)
+    test = example(inputs=(inside, EDGE_TARGET))(test)
+    for value in EDGE_PROBS[2:]:
+        stack = inside.copy()
+        stack[1, 0, 2] = value
+        test = example(inputs=(stack, EDGE_TARGET))(test)
+    return example(inputs=(np.zeros((0, 2, 3)), EDGE_TARGET))(test)
+
+
 @st.composite
 def seg_inputs(draw):
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -860,6 +881,7 @@ class TestLeanTrainStep:
     @settings(max_examples=200, deadline=None)
     @given(inputs=seg_inputs())
     @at_edge_probs
+    @one_pixel_at_edge
     @example(inputs=(np.array([[np.nan, 0.5], [-0.0, np.inf]]), np.array([[True, False], [True, False]])))
     def test_seg_loss_is_the_oracle_bit_for_bit(self, inputs):
         probs, target = inputs
@@ -872,7 +894,8 @@ class TestLeanTrainStep:
         assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
         assert np.asarray(buffered_loss).tobytes() == np.asarray(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes() == buffered_grad.tobytes()
-        assert np.shares_memory(buffered_grad, out)
+        # no array of zero size shares memory with another
+        assert np.shares_memory(buffered_grad, out) or not probs.size
 
     @staticmethod
     def _scene(noisy_scene):

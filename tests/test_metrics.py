@@ -337,6 +337,27 @@ class TestEvalScoring:
         assert bits(got) == bits(want)
         assert ("miou_long" in got) == with_descriptions
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_table_at_odd_size_equals_grids_scored_by_miou(self, seed):
+        # 33 x 47 = 1 551 pixels, not a multiple of 8: each bit-packed row ends in a partial byte
+        cfg = tf.SynthConfig(n_views=4, height=33, width=47, n_objects=3, seed=2)
+        ds, gt = tf.generate_scene(cfg)
+        rng = np.random.default_rng(seed)
+        field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim, spread=3.0)
+        field_.features = rng.standard_normal(field_.features.shape)
+        views = [3, 0, 2, 1]
+        objects = object_grids(gt, views)
+        categories = category_grids(gt, objects)
+        target_grids = [categories[c] for c in sorted(categories)] + objects
+        queries = rng.standard_normal((6, ds.dim))
+        targets = rng.integers(len(target_grids), size=len(queries))
+        table = iou_by_view(field_, gt, views, queries, targets)
+        preds = render_grids(field_, sorted(views), list(queries))
+        for row, pred, target in zip(table, preds, targets.tolist()):
+            want = [miou({"q": {v: pred[v]}}, {"q": {v: target_grids[target][v]}})[1] for v in sorted(views)]
+            assert row.tolist() == want
+
     def test_rows_are_categories_then_matched_referrals(self, fragmented_scene):
         ds, gt, records, descriptions = fragmented_scene
         short, long_, queries, targets = eval_queries(ds, gt, records[1:], iou_tables(ds, gt), descriptions)
