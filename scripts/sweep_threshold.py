@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 import trackfuse as tf
-from trackfuse.consensus import observed_labels, vote_tracks
-from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
+from trackfuse.consensus import member_table, observed_labels
+from trackfuse.metrics import iou_tables, match_detections_to_objects, tau_sem_row
 
 
 def main() -> int:
@@ -21,8 +21,9 @@ def main() -> int:
     args = parser.parse_args()
     values = [float(v) for v in args.values.split(",")]
 
-    # each scene, its detection -> object matching and one agglomeration to
-    # the lowest value are built once; each value cuts the agglomeration
+    # each scene, its detection -> object matching, member table and one
+    # agglomeration to the lowest value are built once; each value cuts the
+    # agglomeration and votes over the table, as `trackfuse sweep` does
     scenes = []
     for seed in range(args.seeds):
         cfg = tf.SynthConfig(
@@ -37,18 +38,17 @@ def main() -> int:
         noisy = tf.corrupt(ds, gt, cfg)
         mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
         agglomeration = tf.cluster_synonyms(observed_labels(noisy), noisy.embeddings, min(values))
-        scenes.append((noisy, gt, tf.import_tracks(noisy), mapping, agglomeration))
+        table = member_table(noisy, tf.import_tracks(noisy))
+        scenes.append((noisy, gt, table, mapping, agglomeration))
 
     rows = []
     for tau in values:
         counts, per_view, tscm = [], [], []
-        for noisy, gt, trajectories, mapping, agglomeration in scenes:
-            clustering = agglomeration.at(tau)
-            votes = vote_tracks(noisy, trajectories, clustering)
-            acc = consensus_accuracy(noisy, votes, gt, clustering, mapping)
-            counts.append(len(clustering.canonical))
-            per_view.append(acc["per_view_acc"])
-            tscm.append(acc["tscm_acc"])
+        for noisy, gt, table, mapping, agglomeration in scenes:
+            row = tau_sem_row(noisy, table, agglomeration, tau, gt, mapping)
+            counts.append(row["cluster_count"])
+            per_view.append(row["per_view_acc"])
+            tscm.append(row["tscm_acc"])
         rows.append((tau, np.mean(counts), np.mean(per_view), np.mean(tscm)))
 
     print(f"{'tau_sem':>8} {'clusters':>9} {'per_view':>9} {'consensus':>10}")

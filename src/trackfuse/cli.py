@@ -31,10 +31,10 @@ from .consensus import (
     check_tau_sem,
     cluster_synonyms,
     load_consensus,
+    member_table,
     observed_labels,
     run_consensus,
     save_consensus,
-    vote_tracks,
 )
 from .errors import NumericError, SchemaError, StageError
 from .field import (
@@ -62,6 +62,7 @@ from .metrics import (
     eval_miou,
     iou_tables,
     match_detections_to_objects,
+    tau_sem_row,
 )
 from .records import (
     config_hash,
@@ -395,10 +396,11 @@ def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     return paths["model"]
 
 
-def _consensus_accuracy(paths: dict[str, Path], ds, records, gt, clustering, mapping) -> dict[str, float]:
-    """``consensus_accuracy``, its error (no detection matches an object) naming the ground-truth file."""
+def _scored(paths: dict[str, Path], score: Callable, *args):
+    """``score(*args)`` (``consensus_accuracy`` or ``tau_sem_row``), its error (no detection matches
+    an object) naming the ground-truth file."""
     try:
-        return consensus_accuracy(ds, records, gt, clustering, mapping)
+        return score(*args)
     except SchemaError as exc:
         raise SchemaError(f"{paths['ground_truth']}: {exc}") from exc
 
@@ -428,7 +430,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
             mapping = match_detections_to_objects(tables, gt)
-            metrics.update(_consensus_accuracy(paths, ds, records, gt, clustering, mapping))
+            metrics.update(_scored(paths, consensus_accuracy, ds, revote.vote, gt, clustering, mapping))
 
     if "model" in paths:
         field_ = load_field(paths["model"], ds)
@@ -617,6 +619,7 @@ def run_sweep(
             check_tau_sem(value)
         # the cut at the lowest value holds the merges of every value: each higher one's are a prefix
         agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, min(values))
+        table = member_table(ds, trajectories)
     elif param == "sigma":
         for value in values:
             check_keyframe_settings("weighting", value)
@@ -628,11 +631,7 @@ def run_sweep(
     rows = []
     for value in values:
         if param == "tau_sem":
-            clustering = agglomeration.at(value)
-            row = {"value": value, "cluster_count": len(clustering.canonical)}
-            if mapping is not None:
-                records = vote_tracks(ds, trajectories, clustering)
-                row.update(_consensus_accuracy(paths, ds, records, gt, clustering, mapping))
+            row = _scored(paths, tau_sem_row, ds, table, agglomeration, value, gt, mapping)
         else:
             keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
             row = {

@@ -7,6 +7,16 @@ member surface form. Each trajectory then votes: every member detection
 contributes one vote for its clustered identity, and the winner is the
 label of every member detection (``ConsensusRecord.canonical``).
 
+Every track votes at once, from a ``MemberTable`` built once per (dataset,
+tracks): each detection's index into the sorted raw labels and its mask
+area, and each member's detection and track rows. Per clustering, one index
+maps the labels to clusters, ``np.bincount`` sums the votes and areas of
+each (track, cluster) pair, and one ``np.lexsort`` picks every track's
+winner (``vote``). The ``consensus`` stage, eval's re-vote and each value
+of a ``tau_sem`` sweep vote this way, and ``vote_trajectory`` is the same
+vote on one track; the per-member loops are the references in
+``tests/oracles.py``.
+
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So the
 clustering at any ``tau_sem`` is a prefix of the complete merge list, run
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -50,7 +60,6 @@ from .errors import SchemaError
 from .records import (
     LabelEmbedding,
     SceneDataset,
-    Trajectory,
     check_member_views,
     dataset_key,
     json_members,
@@ -139,6 +148,14 @@ class SynonymClustering:
             logger.warning("label %r not in clustered set; treating as singleton", label)
         idx = self.assignment[label]
         return idx, self.canonical[idx]
+
+    def index(self, labels, used: np.ndarray) -> np.ndarray:
+        """Each label's cluster: ``resolve`` of each ``used`` one, and for the rest their cluster,
+        or -1 outside the clustering."""
+        out = np.array([self.assignment.get(lab, -1) for lab in labels], dtype=np.intp)
+        for k in np.flatnonzero(used & (out < 0)).tolist():
+            out[k] = self.resolve(labels[k])[0]
+        return out
 
 
 def canonical_form(labels: list[str]) -> str:
@@ -255,23 +272,42 @@ def _agglomerate(labels: list[str], embeddings: dict[str, LabelEmbedding]) -> tu
     return tuple(merges)
 
 
+def _tally(track: np.ndarray, cluster: np.ndarray, area: np.ndarray, rank: np.ndarray, n_tracks: int):
+    """Count each (track, cluster) pair's votes and pick each track's winner: most votes, then
+    largest summed area, then lowest ``rank`` (of the cluster's name).
+
+    Returns (pair track, pair cluster, pair votes), by track then cluster, and each track's
+    winning cluster; ValueError if a track has no member.
+    """
+    width = int(cluster.max()) + 1 if cluster.size else 1
+    pairs, inverse = np.unique(track * width + cluster, return_inverse=True)
+    votes = np.bincount(inverse)
+    # exact: the summed areas stay far below 2**53
+    areas = np.bincount(inverse, weights=area)
+    pair_track, pair_cluster = np.divmod(pairs, width)
+    order = np.lexsort((rank[pair_cluster], -areas, -votes, pair_track))
+    first = order[np.diff(pair_track[order], prepend=-1) != 0]
+    if len(first) != n_tracks:
+        raise ValueError("cannot vote on an empty trajectory")
+    return pair_track, pair_cluster, votes, pair_cluster[first]
+
+
 def vote_trajectory(
     member_votes: list[tuple[str, int]],
 ) -> tuple[str, dict[str, int]]:
-    """Majority vote over (clustered identity, mask area) member pairs.
+    """Majority vote over (clustered identity, mask area) member pairs: one track's ``vote``.
 
     One vote per member. Ties: larger summed area over the tied identity's
     supporting members, then lexicographically smallest surface form.
     """
     if not member_votes:
         raise ValueError("cannot vote on an empty trajectory")
-    counts: dict[str, int] = {}
-    areas: dict[str, int] = {}
-    for identity, area in member_votes:
-        counts[identity] = counts.get(identity, 0) + 1
-        areas[identity] = areas.get(identity, 0) + area
-    winner = min(counts, key=lambda c: (-counts[c], -areas[c], c))
-    return winner, counts
+    names = sorted({identity for identity, _ in member_votes})
+    index = {name: k for k, name in enumerate(names)}
+    cluster = np.array([index[identity] for identity, _ in member_votes])
+    area = np.array([a for _, a in member_votes], dtype=float)
+    _, pair_cluster, votes, winner = _tally(np.zeros_like(cluster), cluster, area, np.arange(len(names)), 1)
+    return names[winner[0]], {names[c]: n for c, n in zip(pair_cluster.tolist(), votes.tolist())}
 
 
 @dataclass(frozen=True)
@@ -322,51 +358,121 @@ class ConsensusRecord:
         return rec
 
 
-@dataclass
-class ConsensusResult:
-    clustering: SynonymClustering
-    records: list[ConsensusRecord] = field(default_factory=list)
-
-
 def observed_labels(ds: SceneDataset) -> list[str]:
     """The distinct raw labels of the scene's detections, sorted: the set consensus clusters."""
     return sorted({det.raw_label for _, _, det in ds.all_detections()})
 
 
-def run_consensus(
-    ds: SceneDataset,
-    trajectories: list[Trajectory],
-    tau_sem: float = DEFAULT_TAU_SEM,
-) -> ConsensusResult:
-    """Cluster the scene's observed labels once, then vote every trajectory."""
-    clustering = cluster_synonyms(observed_labels(ds), ds.embeddings, tau_sem)
-    return ConsensusResult(clustering=clustering, records=vote_tracks(ds, trajectories, clustering))
+@dataclass(frozen=True)
+class MemberTable:
+    """A dataset's detections and a set of tracks' members, as the arrays every vote reads.
 
-
-def vote_tracks(
-    ds: SceneDataset, trajectories: list[Trajectory], clustering: SynonymClustering
-) -> list[ConsensusRecord]:
-    """Each trajectory's vote over its members' identities under ``clustering``, in track order.
-
-    Anything with ``track_id`` and ``members`` votes: eval re-votes consensus records.
+    Detection row r is the r-th of ``ds.all_detections()``: detection (view, idx) is row
+    ``first[view] + idx``, and ``first[-1]`` counts them. Member row m is the m-th member of
+    ``tracks``, which are in track order.
     """
-    records = []
-    for traj in sorted(trajectories, key=lambda t: t.track_id):
-        member_votes = []
-        for view, idx in traj.members:
-            det = ds.detection(view, idx)
-            _, identity = clustering.resolve(det.raw_label)
-            member_votes.append((identity, mask_area(det.mask)))
-        winner, counts = vote_trajectory(member_votes)
-        records.append(
-            ConsensusRecord(
-                track_id=traj.track_id,
-                canonical=winner,
-                votes=counts,
-                members=traj.members,
-            )
-        )
-    return records
+
+    labels: tuple[str, ...]  # the dataset's distinct raw labels, sorted (``observed_labels``)
+    label: np.ndarray  # (D,) each detection's index into ``labels``
+    area: np.ndarray  # (D,) each detection's mask area
+    first: np.ndarray  # (V + 1,) each view's first detection row, then D
+    tracks: tuple  # anything with ``track_id`` and ``members``, by track id (stable)
+    det: np.ndarray  # (M,) each member's detection row
+    track: np.ndarray  # (M,) each member's track row
+    owner: np.ndarray  # (D,) each detection's track row, -1 for none; of two, the later one
+
+
+def member_table(ds: SceneDataset, tracks) -> MemberTable:
+    """The ``MemberTable`` of ``ds`` and ``tracks`` (anything with ``track_id`` and ``members``).
+
+    The process keeps (``records.kept``) the table of one dataset and one set of tracks, keyed by
+    the dataset's key and every track's id and members: the ``consensus`` stage, eval's re-vote of
+    its records and a sweep of the same tracks share one. A dataset not read from files keeps none.
+    """
+    tracks = tuple(sorted(tracks, key=lambda t: t.track_id))
+    key = None if ds.key is None else (ds.key, tuple((t.track_id, t.members) for t in tracks))
+    return kept("members", key, lambda: _member_table(ds, tracks))
+
+
+def _member_table(ds: SceneDataset, tracks: tuple) -> MemberTable:
+    labels = observed_labels(ds)
+    index = {lab: k for k, lab in enumerate(labels)}
+    label = np.array([index[det.raw_label] for _, _, det in ds.all_detections()], dtype=np.intp)
+    area = np.array([mask_area(det.mask) for _, _, det in ds.all_detections()], dtype=np.int64)
+    first = np.cumsum([0] + [len(per_view) for per_view in ds.detections])
+    det = []
+    for t in tracks:
+        for view, idx in t.members:
+            if not (0 <= view < ds.n_views and 0 <= idx < len(ds.detections[view])):
+                raise SchemaError(f"track {t.track_id}: member ({view}, {idx}) is not a detection of the dataset")
+            det.append(first[view] + idx)
+    det = np.array(det, dtype=np.intp)
+    track = np.repeat(np.arange(len(tracks)), [len(t.members) for t in tracks])
+    owner = np.full(len(label), -1)
+    owner[det] = track
+    for arr in (label, area, first, det, track, owner):
+        arr.flags.writeable = False
+    return MemberTable(tuple(labels), label, area, first, tracks, det, track, owner)
+
+
+@dataclass(frozen=True)
+class TrackVote:
+    """Every track of a ``MemberTable`` voted under one clustering (``vote``); clusters are
+    ``clustering``'s indices."""
+
+    table: MemberTable
+    clustering: SynonymClustering
+    pair_track: np.ndarray  # (P,) each (track, cluster) pair voted for: its track row, by track then cluster
+    pair_cluster: np.ndarray  # (P,) its cluster
+    pair_votes: np.ndarray  # (P,) its votes
+    winner: np.ndarray  # (T,) each track's winning cluster
+
+    def winner_names(self) -> list[str]:
+        """Each track's winning identity, in track order: its record's ``canonical``."""
+        return [self.clustering.canonical[w] for w in self.winner.tolist()]
+
+    def records(self) -> list[ConsensusRecord]:
+        """One record per track, in track order: its winner, its votes by identity, its members."""
+        names = self.clustering.canonical
+        votes: list[dict[str, int]] = [{} for _ in self.table.tracks]
+        for t, c, n in zip(self.pair_track.tolist(), self.pair_cluster.tolist(), self.pair_votes.tolist()):
+            votes[t][names[c]] = n
+        return [
+            ConsensusRecord(track_id=t.track_id, canonical=w, votes=v, members=t.members)
+            for t, w, v in zip(self.table.tracks, self.winner_names(), votes)
+        ]
+
+
+def vote(table: MemberTable, clustering: SynonymClustering) -> TrackVote:
+    """Every track's vote over its members' clustered identities, as ``vote_trajectory`` takes one.
+
+    A member label outside ``clustering`` resolves to a singleton of its own (``resolve``).
+    """
+    labels = table.label[table.det]
+    cluster = clustering.index(table.labels, np.bincount(labels, minlength=len(table.labels)) > 0)
+    names = clustering.canonical
+    rank = np.zeros(max(names, default=-1) + 1, dtype=np.intp)
+    rank[sorted(names, key=names.__getitem__)] = np.arange(len(names))
+    tally = _tally(table.track, cluster[labels], table.area[table.det], rank, len(table.tracks))
+    return TrackVote(table, clustering, *tally)
+
+
+@dataclass
+class ConsensusResult:
+    vote: TrackVote
+    records: list[ConsensusRecord]  # the vote's records
+
+    @property
+    def clustering(self) -> SynonymClustering:
+        return self.vote.clustering
+
+
+def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_SEM) -> ConsensusResult:
+    """Cluster the scene's observed labels once, then vote every trajectory (anything with
+    ``track_id`` and ``members``: eval re-votes consensus records)."""
+    table = member_table(ds, trajectories)
+    result = vote(table, cluster_synonyms(list(table.labels), ds.embeddings, tau_sem))
+    return ConsensusResult(result, result.records())
 
 
 def save_consensus(records: list[ConsensusRecord], path: str | Path) -> None:

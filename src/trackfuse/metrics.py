@@ -8,15 +8,22 @@ each query's ``np.mean`` over its views in ascending view order, then the
 ``np.mean`` of those values in sorted query-name order. ``miou`` is the
 grid-by-grid reference; it scores dicts of grids and reduces through the
 same ``query_means``.
+
+``consensus_accuracy`` counts per-view and consensus hits on the member
+table the vote reads (``consensus.member_table``): each matched
+detection's clustered identity and its track's winner are array lookups,
+so one value of a ``tau_sem`` sweep (``tau_sem_row``: cut, vote, score)
+builds no record and loops over no member.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .consensus import ConsensusRecord, SynonymClustering
+from .consensus import ConsensusRecord, MemberTable, SynonymClustering, TrackVote, member_table, vote
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
@@ -126,12 +133,18 @@ class ObjectMasks:
     """The ground-truth (object, view) masks, each decoded once per eval.
 
     ``at(view)`` decodes a view's masks on its first call and keeps them
-    bit-packed, an eighth of their size, for the calls after it.
+    bit-packed, an eighth of their size, for the calls after it, which
+    ``packed(view)`` returns as they are.
     """
 
     def __init__(self, gt: GroundTruth):
         self.gt = gt
         self._packed: dict[int, np.ndarray] = {}
+        members: dict[str, list[int]] = {}
+        for k, obj in enumerate(gt.objects):
+            members.setdefault(obj.identity, []).append(k)
+        # each sorted category's objects, as positions in gt.objects
+        self.categories = [members[c] for c in sorted(members)]
 
     def at(self, view: int) -> np.ndarray:
         """The view's (objects, h*w) boolean masks, in ``gt.objects`` order."""
@@ -143,18 +156,24 @@ class ObjectMasks:
         first = self.gt.objects[0].masks[view]
         return np.unpackbits(packed, axis=1, count=first.height * first.width).view(bool)
 
+    def packed(self, view: int) -> np.ndarray:
+        """The view's masks as ``at`` gives them, bit-packed along each row (``np.packbits``)."""
+        if view not in self._packed:
+            self.at(view)
+        return self._packed[view]
+
 
 def view_targets(masks: ObjectMasks, view: int) -> np.ndarray:
-    """One view's (C + O, h*w) boolean targets: each sorted category's OR of its
-    objects' masks, then each object's mask, in ``masks.gt.objects`` order."""
-    objects = masks.at(view)
-    members: dict[str, list[int]] = {}
-    for k, obj in enumerate(masks.gt.objects):
-        members.setdefault(obj.identity, []).append(k)
-    groups = [members[c] for c in sorted(members)]
+    """One view's (C + O) bit-packed targets: each sorted category's OR of its
+    objects' masks, then each object's mask, in ``masks.gt.objects`` order.
+
+    The OR is taken on the packed bytes: their padding bits are zero in
+    every row, so it gives the bytes of the packed OR of the masks.
+    """
+    objects = masks.packed(view)
     # a category of one object copies its mask; only a shared category takes an OR
-    categories = objects[[g[0] for g in groups]]
-    for row, group in enumerate(groups):
+    categories = objects[[g[0] for g in masks.categories]]
+    for row, group in enumerate(masks.categories):
         for k in group[1:]:
             categories[row] |= objects[k]
     return np.concatenate([categories, objects])
@@ -176,8 +195,8 @@ def iou_by_view(
     A cell is ``inter / union`` of the two pixel counts, or 1.0 when the
     union is empty, as ``iou_grids`` gives it. The counts are taken on
     bit-packed rows (``np.packbits``), eight pixels a byte, by
-    ``np.bitwise_count`` of their AND and OR; the view's (C + O) targets are
-    packed once, before they are indexed by query. The zero bits that pad
+    ``np.bitwise_count`` of their AND and OR; the view's packed (C + O)
+    targets (``view_targets``) are indexed by query. The zero bits that pad
     a row's last byte are set in neither row, so they add to neither count.
     ``masks``, if given, holds ``gt``'s masks, so that a view decoded before
     is not decoded again.
@@ -191,7 +210,7 @@ def iou_by_view(
     for col, view in enumerate(views):
         pred = binarize_logits(render_logits(field_, view, queries, out=logits)).reshape(len(queries), -1)
         pred = np.packbits(pred, axis=1)
-        target = np.packbits(view_targets(masks, view), axis=1)[targets]
+        target = view_targets(masks, view)[targets]
         # uint32 counts every pixel of a grid below 2**32 pixels exactly
         inter = np.bitwise_count(pred & target).sum(axis=1, dtype=np.uint32)
         union = np.bitwise_count(pred | target).sum(axis=1, dtype=np.uint32)
@@ -283,40 +302,67 @@ def match_tracks_to_objects(
 
 def consensus_accuracy(
     ds: SceneDataset,
-    records: list[ConsensusRecord],
+    records,
     gt: GroundTruth,
     clustering: SynonymClustering,
     mapping: dict[tuple[int, int], int],
 ) -> dict[str, float]:
     """Per-view (clustered raw label) vs consensus (voted label) accuracy.
 
-    Both are fractions over the detections ``mapping`` matches to a
-    ground-truth object (``match_detections_to_objects``). A detection's
-    voted label is the ``canonical`` of the record it is a member of; a
-    detection of no record has none, and is never a consensus hit.
+    Both are fractions over the detections of ``ds`` that ``mapping`` matches
+    to a ground-truth object (``match_detections_to_objects``). A
+    detection's voted label is the ``canonical`` of the record it is a
+    member of (of two, the later in track order); a detection of no record
+    has none, and is never a consensus hit. ``records`` may also be a
+    ``TrackVote``, whose winners are the records' canonicals, so that a sweep
+    scores each value without building records. Both counts are taken on
+    the member table of ``ds`` and the records' tracks (``member_table``),
+    with every name keyed by its cluster in ``clustering``: a raw label
+    outside the clustering resolves to a singleton (``resolve``).
     """
-    identity_of = {o.object_id: o.identity for o in gt.objects}
-    voted = {member: rec.canonical for rec in records for member in rec.members}
-    total = 0
-    per_view_hits = 0
-    consensus_hits = 0
-    for view, idx, det in ds.all_detections():
-        key = (view, idx)
-        if key not in mapping:
-            continue
-        truth = identity_of[mapping[key]]
-        total += 1
-        _, clustered = clustering.resolve(det.raw_label)
-        if clustered == truth:
-            per_view_hits += 1
-        if voted.get(key) == truth:
-            consensus_hits += 1
-    if total == 0:
+    if isinstance(records, TrackVote):
+        table, voted_names = records.table, records.winner_names()
+    else:
+        table = member_table(ds, records)
+        voted_names = [rec.canonical for rec in sorted(records, key=lambda r: r.track_id)]
+    view, idx = np.fromiter(chain.from_iterable(mapping), dtype=np.intp, count=2 * len(mapping)).reshape(-1, 2).T
+    rows = table.first[view] + idx
+    if not rows.size:
         raise SchemaError("no detections matched any ground-truth object")
+    labels = table.label[rows]
+    clustered = clustering.index(table.labels, np.bincount(labels, minlength=len(table.labels)) > 0)[labels]
+
+    keys = {name: k for k, name in clustering.canonical.items()}
+
+    def key(name: str) -> int:
+        # distinct names no cluster has count down from -2; -1 is no voted label
+        return keys.setdefault(name, -2 - len(keys))
+
+    voted = np.array([key(name) for name in voted_names] + [-1], dtype=np.intp)[table.owner[rows]]
+    truth_of = {o.object_id: key(o.identity) for o in gt.objects}
+    truth = np.array([truth_of[obj] for obj in mapping.values()], dtype=np.intp)
     return {
-        "per_view_acc": per_view_hits / total,
-        "tscm_acc": consensus_hits / total,
+        "per_view_acc": int(np.count_nonzero(clustered == truth)) / len(rows),
+        "tscm_acc": int(np.count_nonzero(voted == truth)) / len(rows),
     }
+
+
+def tau_sem_row(
+    ds: SceneDataset,
+    table: MemberTable,
+    agglomeration: SynonymClustering,
+    value: float,
+    gt: GroundTruth | None = None,
+    mapping: dict[tuple[int, int], int] | None = None,
+) -> dict:
+    """One row of a ``tau_sem`` sweep: the clustering cut at ``value`` from ``agglomeration``
+    (``at``), its cluster count, and, with ``mapping``, the ``consensus_accuracy`` of its vote
+    over ``table``."""
+    clustering = agglomeration.at(value)
+    row = {"value": value, "cluster_count": len(clustering.canonical)}
+    if mapping is not None:
+        row.update(consensus_accuracy(ds, vote(table, clustering), gt, clustering, mapping))
+    return row
 
 
 def emit_report(

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 
+from trackfuse.consensus import ConsensusRecord
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, binarize_logits, render_logits
 from trackfuse.metrics import miou
@@ -116,6 +117,47 @@ def oracle_vote(member_votes):
     top_area = max(areas[c] for c in tied)
     tied = [c for c in tied if areas[c] == top_area]
     return min(tied), dict(counts)
+
+
+def oracle_identity(clustering, label):
+    """A raw label's clustered identity: its cluster's canonical name, or the label itself outside
+    the clustering (read without ``resolve``, which would add it)."""
+    if label in clustering.assignment:
+        return clustering.canonical[clustering.assignment[label]]
+    return label
+
+
+def oracle_vote_tracks(ds, trajectories, clustering):
+    """Each trajectory's record, in track order, by a loop over its members: ``oracle_vote`` of
+    their (identity, decoded mask area) pairs."""
+    records = []
+    for traj in sorted(trajectories, key=lambda t: t.track_id):
+        member_votes = []
+        for view, idx in traj.members:
+            det = ds.detection(view, idx)
+            member_votes.append((oracle_identity(clustering, det.raw_label), int(rle_decode(det.mask).sum())))
+        winner, votes = oracle_vote(member_votes)
+        records.append(ConsensusRecord(track_id=traj.track_id, canonical=winner, votes=votes, members=traj.members))
+    return records
+
+
+def oracle_consensus_accuracy(ds, records, gt, clustering, mapping):
+    """Per-view and consensus accuracy by a loop over every detection: a matched detection is a
+    per-view hit if its clustered identity is its object's, and a consensus hit if the
+    ``canonical`` of the record it is a member of is."""
+    identity_of = {o.object_id: o.identity for o in gt.objects}
+    voted = {member: rec.canonical for rec in records for member in rec.members}
+    total = per_view_hits = consensus_hits = 0
+    for view, idx, det in ds.all_detections():
+        if (view, idx) not in mapping:
+            continue
+        truth = identity_of[mapping[(view, idx)]]
+        total += 1
+        per_view_hits += oracle_identity(clustering, det.raw_label) == truth
+        consensus_hits += voted.get((view, idx)) == truth
+    if total == 0:
+        raise SchemaError("no detections matched any ground-truth object")
+    return {"per_view_acc": per_view_hits / total, "tscm_acc": consensus_hits / total}
 
 
 def oracle_visibility(area, med, sigma):

@@ -10,17 +10,31 @@ import trackfuse as tf
 from trackfuse import consensus
 from trackfuse.consensus import (
     MAX_LABELS,
+    ConsensusRecord,
     SynonymClustering,
     canonical_form,
     cluster_synonyms,
     cosine_distance_matrix,
+    member_table,
     run_consensus,
+    vote,
     vote_trajectory,
 )
 from trackfuse.errors import SchemaError
-from trackfuse.records import LabelEmbedding
+from trackfuse.metrics import consensus_accuracy
+from trackfuse.records import Detection, LabelEmbedding, SceneDataset, Trajectory
+from trackfuse.rle import RleMask
+from trackfuse.synth import GroundTruth, GtObject
 
-from oracles import oracle_cluster, oracle_distances, oracle_merges, oracle_vote, random_unit_vectors
+from oracles import (
+    oracle_cluster,
+    oracle_consensus_accuracy,
+    oracle_distances,
+    oracle_merges,
+    oracle_vote,
+    oracle_vote_tracks,
+    random_unit_vectors,
+)
 
 
 def embed(labels, vectors):
@@ -342,6 +356,137 @@ class TestVote:
         votes = [("a", 1)] * n_major + [(m, 10**6) for m in minority]
         rnd.shuffle(votes)
         assert vote_trajectory(votes)[0] == "a"
+
+
+# "ab" sorts before "b" but is longer: a vote tie between them is decided by the name, not its length
+NAMES = ("ab", "b", "cup", "mug", "zz")
+SIDE = 4
+
+
+def member_scene(views, tracks, groups, objects, match):
+    """A scene of 4x4 detections and what it is voted and scored with.
+
+    ``views[v]`` lists view v's detections as (raw label, mask area); ``tracks`` maps a track id to
+    its (view, index) members; ``groups`` are the clustering's label groups (a label in none is
+    outside it); ``objects`` are the ground-truth identities, with object ids 0, 1, ...; and
+    ``match`` maps a (view, index) detection to its object.
+    """
+    def mask(area):
+        return RleMask(SIDE, SIDE, (SIDE * SIDE - area, area) if area else (SIDE * SIDE,))
+
+    ds = SceneDataset(
+        len(views), SIDE, SIDE, 2,
+        [[Detection(v, mask(area), label, 1.0) for label, area in per_view] for v, per_view in enumerate(views)],
+        {},
+    )
+    trajectories = [Trajectory(tid, tuple(members)) for tid, members in tracks.items() if members]
+    clustering = SynonymClustering(
+        {lab: k for k, group in enumerate(groups) for lab in group},
+        {k: canonical_form(sorted(group)) for k, group in enumerate(groups)},
+    )
+    full = mask(SIDE * SIDE)
+    gt = GroundTruth([
+        GtObject(oid, identity, [full] * len(views), [True] * len(views), [(0.0, 0.0)] * len(views), (1.0, 1.0),
+                 "ellipse")
+        for oid, identity in enumerate(objects)
+    ])
+    return ds, trajectories, clustering, gt, dict(match)
+
+
+def check_against_oracles(ds, trajectories, clustering, gt, mapping):
+    """The array vote gives the oracle's records, and both accuracy inputs (the vote itself and its
+    records) the oracle's accuracy; returns the vote's records."""
+    want = oracle_vote_tracks(ds, trajectories, clustering)
+    result = vote(member_table(ds, trajectories), clustering)
+    records = result.records()
+    assert [(r.track_id, r.canonical, dict(r.votes), r.members) for r in records] == [
+        (r.track_id, r.canonical, dict(r.votes), r.members) for r in want
+    ]
+    if not mapping:
+        for given in (result, records):
+            with pytest.raises(SchemaError, match="no detections matched"):
+                consensus_accuracy(ds, given, gt, clustering, mapping)
+        return records
+    want_acc = oracle_consensus_accuracy(ds, want, gt, clustering, mapping)
+    assert consensus_accuracy(ds, result, gt, clustering, mapping) == want_acc
+    assert consensus_accuracy(ds, records, gt, clustering, mapping) == want_acc
+    return records
+
+
+@st.composite
+def member_scenes(draw):
+    views = [
+        draw(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from((0, 1, 2, SIDE * SIDE))), max_size=4))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    # track ids out of creation order; a track takes at most one detection per view, and a
+    # detection drawn a None slot is in no track
+    track_ids = draw(st.permutations(range(10, 15)))[: draw(st.integers(0, 5))]
+    tracks = {tid: [] for tid in track_ids}
+    for v, per_view in enumerate(views):
+        slots = draw(st.permutations(list(track_ids) + [None] * len(per_view)))
+        for idx, tid in enumerate(slots[: len(per_view)]):
+            if tid is not None:
+                tracks[tid].append((v, idx))
+    # each name's group; group -1 is outside the clustering
+    group_of = draw(st.lists(st.integers(-1, 2), min_size=len(NAMES), max_size=len(NAMES)))
+    groups = [g for g in ([n for n, k in zip(NAMES, group_of) if k == g] for g in range(3)) if g]
+    objects = draw(st.lists(st.sampled_from(NAMES + ("other",)), min_size=1, max_size=3))
+    match = {}
+    for v, per_view in enumerate(views):
+        for idx in range(len(per_view)):
+            k = draw(st.none() | st.integers(0, len(objects) - 1))
+            if k is not None:
+                match[(v, idx)] = k
+    return member_scene(views, tracks, groups, objects, match)
+
+
+class TestMemberTableVote:
+    """``vote`` over a ``member_table`` and ``consensus_accuracy`` against the per-member loops."""
+
+    @given(member_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_member_oracles(self, scene):
+        check_against_oracles(*scene)
+
+    @pytest.mark.parametrize("views, tracks, groups, objects, match, winners", [
+        pytest.param(  # two votes each: "cup" wins on summed area, 5 + 4 against 3 + 5
+            [[("cup", 5)], [("mug", 3)], [("cup", 4)], [("mug", 5)]], {1: [(0, 0), (1, 0), (2, 0), (3, 0)]},
+            [["cup"], ["mug"]], ["mug"], {(0, 0): 0, (1, 0): 0, (2, 0): 0, (3, 0): 0}, ["cup"],
+            id="count-tie-broken-by-area"),
+        pytest.param(  # votes and areas tie: "ab" sorts before "b", though it is longer
+            [[("b", 6)], [("ab", 6)]], {3: [(0, 0), (1, 0)]},
+            [["ab"], ["b"]], ["b"], {(0, 0): 0, (1, 0): 0}, ["ab"],
+            id="count-and-area-tie-broken-by-name"),
+        pytest.param(
+            [[("cup", 2), ("mug", 9)]], {7: [(0, 0)], 2: [(0, 1)]},
+            [["cup", "mug"]], ["cup"], {(0, 0): 0, (0, 1): 0}, ["cup", "cup"],
+            id="one-member-tracks"),
+        pytest.param(  # detection (0, 1) is matched but in no track: a per-view hit, never a consensus one
+            [[("cup", 2), ("cup", 3)], [("mug", 1)]], {4: [(0, 0), (1, 0)]},
+            [["cup"], ["mug"]], ["cup"], {(0, 0): 0, (0, 1): 0, (1, 0): 0}, ["cup"],
+            id="detection-in-no-track"),
+        pytest.param(  # "zz" is outside the clustering: it votes, and is scored, as a singleton
+            [[("zz", 4), ("zz", 1)], [("zz", 2)], [("cup", 8)]], {5: [(0, 0), (1, 0), (2, 0)], 6: [(0, 1)]},
+            [["cup", "mug"]], ["zz"], {(0, 0): 0, (0, 1): 0, (2, 0): 0}, ["zz", "zz"],
+            id="label-outside-the-clustering"),
+    ])
+    def test_case(self, views, tracks, groups, objects, match, winners, caplog):
+        ds, trajectories, clustering, gt, mapping = member_scene(views, tracks, groups, objects, match)
+        with caplog.at_level(logging.WARNING):
+            records = check_against_oracles(ds, trajectories, clustering, gt, mapping)
+        assert [r.canonical for r in records] == winners
+        # a label outside the clustering warns once, however many members and matches carry it
+        outside = {label for per_view in views for label, _ in per_view} - {lab for g in groups for lab in g}
+        assert sorted(r.getMessage() for r in caplog.records) == sorted(
+            f"label {lab!r} not in clustered set; treating as singleton" for lab in outside
+        )
+
+    def test_empty_track_rejected(self, clean_scene):
+        ds, _, trajectories = clean_scene
+        result = run_consensus(ds, trajectories)
+        with pytest.raises(ValueError, match="empty trajectory"):
+            vote(member_table(ds, [*result.records, ConsensusRecord(99, "x", {}, ())]), result.clustering)
 
 
 class TestRunConsensus:
