@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 import trackfuse as tf
-from trackfuse.consensus import member_table, observed_labels
+from trackfuse.consensus import check_tau_sem, member_table, observed_labels
 from trackfuse.metrics import iou_tables, match_detections_to_objects, tau_sem_row
 
 
@@ -20,10 +20,15 @@ def main() -> int:
     parser.add_argument("--wrong-label-rate", type=float, default=0.1)
     args = parser.parse_args()
     values = [float(v) for v in args.values.split(",")]
+    try:
+        for value in values:
+            check_tau_sem(value)  # every value before any scene is built
+    except ValueError as exc:
+        parser.error(str(exc))
 
     # each scene, its detection -> object matching, member table and one
-    # agglomeration to the lowest value are built once; each value cuts the
-    # agglomeration and votes over the table, as `trackfuse sweep` does
+    # agglomeration are built once; each value cuts the agglomeration and
+    # votes over the table, as `trackfuse sweep` does
     scenes = []
     for seed in range(args.seeds):
         cfg = tf.SynthConfig(
@@ -37,7 +42,7 @@ def main() -> int:
         ds, gt = tf.generate_scene(cfg)
         noisy = tf.corrupt(ds, gt, cfg)
         mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
-        agglomeration = tf.cluster_synonyms(observed_labels(noisy), noisy.embeddings, min(values))
+        agglomeration = tf.cluster_synonyms(observed_labels(noisy), noisy.embeddings, values[0])
         table = member_table(noisy, tf.import_tracks(noisy))
         scenes.append((noisy, gt, table, mapping, agglomeration))
 

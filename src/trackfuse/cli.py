@@ -614,11 +614,9 @@ def run_sweep(
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
     if param == "tau_sem":
-        # every value, in list order, before clustering: min() over a list holding NaN depends on the order
         for value in values:
             check_tau_sem(value)
-        # the cut at the lowest value holds the merges of every value: each higher one's are a prefix
-        agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, min(values))
+        agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, values[0])
         table = member_table(ds, trajectories)
     elif param == "sigma":
         for value in values:

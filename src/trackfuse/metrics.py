@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import ConsensusRecord, MemberTable, SynonymClustering, TrackVote, member_table, vote
+from .consensus import ConsensusRecord, MemberTable, SynonymClustering, TrackVote, check_clustering, member_table, vote
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
@@ -317,8 +317,8 @@ def consensus_accuracy(
     ``TrackVote``, whose winners are the records' canonicals, so that a sweep
     scores each value without building records. Both counts are taken on
     the member table of ``ds`` and the records' tracks (``member_table``),
-    with every name keyed by its cluster in ``clustering``: a raw label
-    outside the clustering resolves to a singleton (``resolve``).
+    with every name keyed by its cluster in ``clustering``, which must be of
+    the table's labels (``check_clustering``).
     """
     if isinstance(records, TrackVote):
         table, voted_names = records.table, records.winner_names()
@@ -329,10 +329,10 @@ def consensus_accuracy(
     rows = table.first[view] + idx
     if not rows.size:
         raise SchemaError("no detections matched any ground-truth object")
-    labels = table.label[rows]
-    clustered = clustering.index(table.labels, np.bincount(labels, minlength=len(table.labels)) > 0)[labels]
+    check_clustering(table, clustering)
+    clustered = clustering.cluster[table.label[rows]]
 
-    keys = {name: k for k, name in clustering.canonical.items()}
+    keys = {name: k for k, name in enumerate(clustering.canonical)}
 
     def key(name: str) -> int:
         # distinct names no cluster has count down from -2; -1 is no voted label

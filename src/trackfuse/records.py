@@ -144,7 +144,7 @@ def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], objec
 
     The process keeps one value per kind: the last parse of the dataset, tracks, consensus,
     descriptions and ground truth (and, through ``kept``, the IoU tables of one (dataset, ground
-    truth) pair and the complete merge list of the last label set clustered). A value is keyed by the
+    truth) pair and the complete linkage of the last label set clustered). A value is keyed by the
     sha256 of its file's bytes and by ``context``, what else the parse checks against, such as the
     key of the dataset (``dataset_key``); never by path or mtime. A read of the same bytes in the
     same context decodes no JSON and returns the kept value itself, which every value read is built

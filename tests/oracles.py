@@ -106,6 +106,43 @@ def oracle_merges(labels, embeddings, tau_sem):
     return tuple(merges)
 
 
+def oracle_cut(labels, merges, tau_sem):
+    """Replay ``merges`` up to the first whose height is above ``1 - tau_sem``, concatenating and
+    sorting member lists: (label -> cluster, cluster -> name, merges replayed), clusters numbered
+    in order of their lowest slot and named by their shortest label, ties to the smallest."""
+    cutoff = 1.0 - tau_sem
+    members = [[k] for k in range(len(labels))]
+    done = 0
+    for a, b, height in merges:
+        if height > cutoff:
+            break
+        members[int(a)] = sorted(members[int(a)] + members[int(b)])
+        members[int(b)] = []
+        done += 1
+    assignment = {}
+    canonical = {}
+    for out_idx, slot in enumerate(m for m in members if m):
+        member_labels = [labels[i] for i in slot]
+        canonical[out_idx] = min(member_labels, key=lambda s: (len(s), s))
+        for lab in member_labels:
+            assignment[lab] = out_idx
+    return assignment, canonical, done
+
+
+def clustering_fields(clustering):
+    """Every field of a clustering, comparable with ``==``."""
+    return clustering.labels, clustering.linkage.tobytes(), clustering.cluster.tolist(), clustering.canonical
+
+
+def partition_of(clustering):
+    """A clustering as ``oracle_cluster`` gives one: (partition, label -> name)."""
+    members, names = {}, {}
+    for lab, k in zip(clustering.labels, clustering.cluster.tolist()):
+        members.setdefault(k, set()).add(lab)
+        names[lab] = clustering.canonical[k]
+    return frozenset(frozenset(group) for group in members.values()), names
+
+
 def oracle_vote(member_votes):
     """Counter-based majority with the documented tie-breaks."""
     counts = Counter(identity for identity, _ in member_votes)
@@ -120,11 +157,8 @@ def oracle_vote(member_votes):
 
 
 def oracle_identity(clustering, label):
-    """A raw label's clustered identity: its cluster's canonical name, or the label itself outside
-    the clustering (read without ``resolve``, which would add it)."""
-    if label in clustering.assignment:
-        return clustering.canonical[clustering.assignment[label]]
-    return label
+    """A raw label's clustered identity: its cluster's canonical name."""
+    return clustering.canonical[clustering.cluster[clustering.labels.index(label)]]
 
 
 def oracle_vote_tracks(ds, trajectories, clustering):

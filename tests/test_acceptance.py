@@ -42,6 +42,7 @@ from oracles import (
     oracle_cluster,
     oracle_visibility,
     oracle_vote,
+    partition_of,
     random_unit_vectors,
     short_query_union,
 )
@@ -68,16 +69,8 @@ def test_criterion_1_consensus_oracle_equivalence():
             vecs = random_unit_vectors(rng, n, 6)
             embs = {lab: LabelEmbedding(lab, vec) for lab, vec in zip(labels, vecs)}
             tau = float(rng.uniform(0.05, 0.95))
-            got = cluster_synonyms(labels, embs, tau)
-            partition = {}
-            for lab, idx in got.assignment.items():
-                partition.setdefault(idx, set()).add(lab)
-            got_partition = frozenset(frozenset(v) for v in partition.values())
-            got_canonical = {
-                lab: got.canonical[idx] for lab, idx in got.assignment.items()
-            }
-            want_partition, want_canonical = oracle_cluster(labels, embs, tau)
-            if got_partition != want_partition or got_canonical != want_canonical:
+            got = partition_of(cluster_synonyms(labels, embs, tau))
+            if got != oracle_cluster(labels, embs, tau):
                 mismatches += 1
 
             size = int(rng.integers(1, 51))
@@ -263,8 +256,8 @@ def test_criterion_6_threshold_monotonicity_and_recovery():
         clustering = cluster_synonyms(labels, embeddings, 0.85)
         group_of = {w: g.canonical for g in DEFAULT_VOCABULARY for w in g.words}
         assert len(clustering.canonical) == len(DEFAULT_VOCABULARY)
-        for label in labels:
-            assert clustering.canonical[clustering.assignment[label]] == group_of[label]
+        for label, k in zip(labels, clustering.cluster):
+            assert clustering.canonical[k] == group_of[label]
 
 
 def test_criterion_7_hybrid_beats_long_only():

@@ -1,5 +1,5 @@
-import logging
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,28 +11,30 @@ from trackfuse import consensus
 from trackfuse.consensus import (
     MAX_LABELS,
     ConsensusRecord,
-    SynonymClustering,
-    canonical_form,
     cluster_synonyms,
     cosine_distance_matrix,
     member_table,
+    observed_labels,
     run_consensus,
     vote,
     vote_trajectory,
 )
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import consensus_accuracy
-from trackfuse.records import Detection, LabelEmbedding, SceneDataset, Trajectory
+from trackfuse.records import Detection, LabelEmbedding, SceneDataset, Trajectory, forget_kept
 from trackfuse.rle import RleMask
 from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
+    clustering_fields,
     oracle_cluster,
     oracle_consensus_accuracy,
+    oracle_cut,
     oracle_distances,
     oracle_merges,
     oracle_vote,
     oracle_vote_tracks,
+    partition_of,
     random_unit_vectors,
 )
 
@@ -67,7 +69,7 @@ LATTICE += [(_EYE[i] + _EYE[j]) / np.sqrt(2) for i in range(4) for j in range(i 
 
 
 def hexed(merges):
-    return [(a, b, height.hex()) for a, b, height in merges]
+    return [(int(a), int(b), float(height).hex()) for a, b, height in merges]
 
 
 class TestDistanceMatrix:
@@ -128,7 +130,7 @@ class TestClusterSynonyms:
     def test_identical_embeddings_merge(self):
         e = embed(["ramen", "noodles"], [[1, 0], [1, 0]])
         c = cluster_synonyms(["ramen", "noodles"], e, 0.85)
-        assert c.assignment["ramen"] == c.assignment["noodles"]
+        assert c.cluster.tolist() == [0, 0]
 
     def test_threshold_cut(self):
         # cos = 0.80 exactly
@@ -149,10 +151,11 @@ class TestClusterSynonyms:
     def test_shortest_surface_form(self):
         e = embed(["coffee machine", "coffee maker"], [[1, 0], [1, 0]])
         c = cluster_synonyms(["coffee machine", "coffee maker"], e, 0.85)
-        assert c.canonical[c.assignment["coffee machine"]] == "coffee maker"
+        assert c.canonical[c.cluster[0]] == "coffee maker"
 
     def test_canonical_tie_lexicographic(self):
-        assert canonical_form(["mug", "cup"]) == "cup"
+        e = embed(["mug", "cup"], [[1, 0], [1, 0]])
+        assert cluster_synonyms(["mug", "cup"], e, 0.85).canonical == ("cup",)
 
     def test_invalid_threshold(self):
         e = embed(["a"], [[1.0, 0.0]])
@@ -174,7 +177,7 @@ class TestClusterSynonyms:
     def test_matches_bruteforce_oracle(self):
         # each case is one label set and its taus, lowest first; every tau is
         # checked both clustered directly and cut (``at``) from the clustering
-        # built at the lowest
+        # at the lowest, which also cuts lower
         rng = np.random.default_rng(2024)
         cases = []
         for _ in range(100):
@@ -198,23 +201,21 @@ class TestClusterSynonyms:
             for tau in taus:
                 want_partition, want_canonical = oracle_cluster(labels, embs, tau)
                 for got in (cluster_synonyms(labels, embs, tau), lowest.at(tau)):
-                    partition = {}
-                    for lab, idx in got.assignment.items():
-                        partition.setdefault(idx, set()).add(lab)
-                    got_partition = frozenset(frozenset(v) for v in partition.values())
-                    got_canonical = {lab: got.canonical[idx] for lab, idx in got.assignment.items()}
-                    assert got_partition == want_partition
-                    assert got_canonical == want_canonical
-            # the agglomeration stopped before the merges a lower tau would need
-            with pytest.raises(ValueError, match="below"):
-                lowest.at(float(np.nextafter(taus[0], 0.0)))
-        assert (got.assignment, got.canonical) == ({}, {})  # the last case has no labels
+                    assert partition_of(got) == (want_partition, want_canonical)
+            lower = float(np.nextafter(taus[0], 0.0))
+            forget_kept()
+            assert clustering_fields(lowest.at(lower)) == clustering_fields(cluster_synonyms(labels, embs, lower))
+        assert (got.cluster.tolist(), got.canonical) == ([], ())  # the last case has no labels
 
     @given(label_sets())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_merges_match_fsum_oracle(self, case):
+        # the merges a cut at tau holds: the linkage's first, one per cluster merged away
         labels, embs, tau = case
-        assert hexed(cluster_synonyms(labels, embs, tau).merges) == hexed(oracle_merges(labels, embs, tau))
+        got = cluster_synonyms(labels, embs, tau)
+        want = oracle_merges(labels, embs, tau)
+        assert hexed(got.linkage[: len(want)]) == hexed(want)
+        assert len(labels) - len(got.canonical) == len(want)
 
     @given(label_sets())
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -254,10 +255,10 @@ class TestClusterSynonyms:
         ]
         labels = [f"w{k}" for k in range(6)]
         embs = embed(labels, vecs)
-        merges = cluster_synonyms(labels, embs, 0.2).merges
-        assert merges == oracle_merges(labels, embs, 0.2)
+        merges = hexed(cluster_synonyms(labels, embs, 0.2).linkage[:4])
+        assert merges == hexed(oracle_merges(labels, embs, 0.2))
         assert [m[:2] for m in merges] == [(3, 4), (3, 5), (1, 3), (0, 1)]
-        assert merges[-1][2] == 0.75
+        assert merges[-1][2] == (0.75).hex()
 
     def test_label_count_bound(self, monkeypatch):
         # the worst-case hi sum of two clusters at MAX_LABELS stays below 2**53
@@ -284,26 +285,58 @@ class TestApplyPhi:
     def test_singleton_identity(self):
         e = embed(["pot"], [[1.0, 0.0]])
         c = cluster_synonyms(["pot"], e, 0.85)
-        assert c.resolve("pot") == (0, "pot")
+        assert (c.cluster.tolist(), c.canonical) == ([0], ("pot",))
 
     def test_merged_labels_share_identity(self):
         e = embed(["ramen", "ramen bowl"], [[1, 0], [1, 0]])
         c = cluster_synonyms(["ramen", "ramen bowl"], e, 0.85)
-        assert c.resolve("ramen")[1] == "ramen"
-        assert c.resolve("ramen bowl")[1] == "ramen"
+        assert [c.canonical[k] for k in c.cluster] == ["ramen", "ramen"]
 
-    def test_unseen_label_becomes_singleton(self, caplog):
-        c = SynonymClustering(assignment={"cup": 0}, canonical={0: "cup"})
-        with caplog.at_level(logging.WARNING):
-            idx, name = c.resolve("zebra")
-        assert name == "zebra"
-        assert idx != 0
-        assert "zebra" in caplog.text
-        # second resolution is stable and does not warn again
-        assert c.resolve("zebra") == (idx, "zebra")
-        assert [r.getMessage() for r in caplog.records].count(
-            "label 'zebra' not in clustered set; treating as singleton"
-        ) == 1
+    def test_clustering_is_frozen_and_read_only(self):
+        e = embed(["a", "b", "c"], [[1, 0], [0, 1], [1, 0]])
+        c = cluster_synonyms(["a", "b", "c"], e, 0.85)
+        with pytest.raises(FrozenInstanceError):
+            c.canonical = ("x",)
+        for arr in (c.linkage, c.cluster):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
+class TestCutMatchesReplay:
+    """Every cut of the linkage against ``oracle_cut``, the merges replayed in Python."""
+
+    @staticmethod
+    def check(labels, embs):
+        clustering = cluster_synonyms(labels, embs, 0.5)
+        heights = clustering.linkage[:, 2]
+        # each merge height as a cutoff, one step either side of it, and the extremes
+        taus = [5e-324, 0.5, float(np.nextafter(1.0, 0.0))]
+        for tau in (1.0 - heights).tolist():
+            taus += [tau, float(np.nextafter(tau, 0.0)), float(np.nextafter(tau, 1.0))]
+        merges = [tuple(m) for m in clustering.linkage.tolist()]
+        for tau in [t for t in taus if 0.0 < t < 1.0]:
+            assignment, canonical, done = oracle_cut(labels, merges, tau)
+            for got in (cluster_synonyms(labels, embs, tau), clustering.at(tau)):
+                assert dict(zip(labels, got.cluster.tolist())) == assignment
+                assert dict(enumerate(got.canonical)) == canonical
+                assert len(labels) - len(got.canonical) == done
+        return heights
+
+    @given(label_sets())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_label_sets(self, case):
+        labels, embs, _ = case
+        self.check(labels, embs)
+
+    def test_lattice_with_negated_vectors(self):
+        rng = np.random.default_rng(2026)
+        above_one = 0
+        for n in [0, 1, *rng.integers(2, 31, size=40)]:
+            labels = [f"label{k}" for k in range(n)]
+            signs = rng.choice([-1.0, 1.0], size=n)
+            vecs = [s * LATTICE[k] for s, k in zip(signs, rng.integers(0, len(LATTICE), size=n))]
+            above_one += bool((self.check(labels, embed(labels, vecs)) > 1.0).any())
+        assert above_one  # heights above 1: no tau in (0, 1) cuts those merges
 
 
 class TestVote:
@@ -367,23 +400,24 @@ def member_scene(views, tracks, groups, objects, match):
     """A scene of 4x4 detections and what it is voted and scored with.
 
     ``views[v]`` lists view v's detections as (raw label, mask area); ``tracks`` maps a track id to
-    its (view, index) members; ``groups`` are the clustering's label groups (a label in none is
-    outside it); ``objects`` are the ground-truth identities, with object ids 0, 1, ...; and
-    ``match`` maps a (view, index) detection to its object.
+    its (view, index) members; ``groups`` are the clustering's label groups (a label in none is a
+    group of its own); ``objects`` are the ground-truth identities, with object ids 0, 1, ...; and
+    ``match`` maps a (view, index) detection to its object. The clustering is the observed labels'
+    at tau_sem 0.5, where each group's labels share a basis vector and other labels have their own.
     """
     def mask(area):
         return RleMask(SIDE, SIDE, (SIDE * SIDE - area, area) if area else (SIDE * SIDE,))
 
+    direction = {lab: len(groups) + k for k, lab in enumerate(NAMES)}
+    direction |= {lab: k for k, group in enumerate(groups) for lab in group}
+    dim = len(groups) + len(NAMES)
     ds = SceneDataset(
-        len(views), SIDE, SIDE, 2,
+        len(views), SIDE, SIDE, dim,
         [[Detection(v, mask(area), label, 1.0) for label, area in per_view] for v, per_view in enumerate(views)],
-        {},
+        embed(NAMES, np.eye(dim)[[direction[lab] for lab in NAMES]]),
     )
     trajectories = [Trajectory(tid, tuple(members)) for tid, members in tracks.items() if members]
-    clustering = SynonymClustering(
-        {lab: k for k, group in enumerate(groups) for lab in group},
-        {k: canonical_form(sorted(group)) for k, group in enumerate(groups)},
-    )
+    clustering = cluster_synonyms(observed_labels(ds), ds.embeddings, 0.5)
     full = mask(SIDE * SIDE)
     gt = GroundTruth([
         GtObject(oid, identity, [full] * len(views), [True] * len(views), [(0.0, 0.0)] * len(views), (1.0, 1.0),
@@ -428,7 +462,7 @@ def member_scenes(draw):
         for idx, tid in enumerate(slots[: len(per_view)]):
             if tid is not None:
                 tracks[tid].append((v, idx))
-    # each name's group; group -1 is outside the clustering
+    # each name's group; a name of group -1 is a group of its own
     group_of = draw(st.lists(st.integers(-1, 2), min_size=len(NAMES), max_size=len(NAMES)))
     groups = [g for g in ([n for n, k in zip(NAMES, group_of) if k == g] for g in range(3)) if g]
     objects = draw(st.lists(st.sampled_from(NAMES + ("other",)), min_size=1, max_size=3))
@@ -466,21 +500,28 @@ class TestMemberTableVote:
             [[("cup", 2), ("cup", 3)], [("mug", 1)]], {4: [(0, 0), (1, 0)]},
             [["cup"], ["mug"]], ["cup"], {(0, 0): 0, (0, 1): 0, (1, 0): 0}, ["cup"],
             id="detection-in-no-track"),
-        pytest.param(  # "zz" is outside the clustering: it votes, and is scored, as a singleton
+        pytest.param(  # "zz" is in no group: it votes, and is scored, as a singleton
             [[("zz", 4), ("zz", 1)], [("zz", 2)], [("cup", 8)]], {5: [(0, 0), (1, 0), (2, 0)], 6: [(0, 1)]},
             [["cup", "mug"]], ["zz"], {(0, 0): 0, (0, 1): 0, (2, 0): 0}, ["zz", "zz"],
-            id="label-outside-the-clustering"),
+            id="label-in-no-group"),
     ])
-    def test_case(self, views, tracks, groups, objects, match, winners, caplog):
+    def test_case(self, views, tracks, groups, objects, match, winners):
         ds, trajectories, clustering, gt, mapping = member_scene(views, tracks, groups, objects, match)
-        with caplog.at_level(logging.WARNING):
-            records = check_against_oracles(ds, trajectories, clustering, gt, mapping)
+        records = check_against_oracles(ds, trajectories, clustering, gt, mapping)
         assert [r.canonical for r in records] == winners
-        # a label outside the clustering warns once, however many members and matches carry it
-        outside = {label for per_view in views for label, _ in per_view} - {lab for g in groups for lab in g}
-        assert sorted(r.getMessage() for r in caplog.records) == sorted(
-            f"label {lab!r} not in clustered set; treating as singleton" for lab in outside
+
+    def test_clustering_of_other_labels_rejected(self):
+        ds, trajectories, clustering, gt, mapping = member_scene(
+            [[("cup", 3), ("mug", 2)]], {1: [(0, 0)], 2: [(0, 1)]}, [["cup", "mug"]], ["cup"], {(0, 0): 0}
         )
+        table = member_table(ds, trajectories)
+        records = vote(table, clustering).records()
+        for labels in (["cup"], ["cup", "mug", "zz"], ["mug", "cup"]):
+            other = cluster_synonyms(labels, ds.embeddings, 0.5)
+            with pytest.raises(ValueError, match="not of the member table's 2 labels"):
+                vote(table, other)
+            with pytest.raises(ValueError, match="not of the member table's 2 labels"):
+                consensus_accuracy(ds, records, gt, other, mapping)
 
     def test_empty_track_rejected(self, clean_scene):
         ds, _, trajectories = clean_scene

@@ -1,7 +1,7 @@
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,8 @@ from trackfuse.records import (
 )
 from trackfuse.synth import GroundTruth, load_ground_truth, save_ground_truth
 from trackfuse.tracking import load_tracks, save_tracks
+
+from oracles import clustering_fields
 
 
 def read_bytes(root):
@@ -424,7 +426,7 @@ class TestKeptDataset:
 
 
 class TestKeptClustering:
-    """``cluster_synonyms`` keeps the last label set's complete merge list, and cuts it at every tau_sem."""
+    """``cluster_synonyms`` keeps the last label set's complete linkage, and cuts it at every tau_sem."""
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -443,8 +445,8 @@ class TestKeptClustering:
             got = tf.cluster_synonyms(labels, ds.embeddings, tau)
             assert calls == [len(labels)]
             records.forget_kept()
-            assert got == tf.cluster_synonyms(labels, ds.embeddings, tau)  # every field
-            assert got.tau_floor == tau and len(got.merges) < len(labels)
+            assert clustering_fields(got) == clustering_fields(tf.cluster_synonyms(labels, ds.embeddings, tau))
+            assert len(got.linkage) == len(labels) - 1 and len(got.canonical) > 1
             records.forget_kept()
             tf.cluster_synonyms(labels, ds.embeddings, 0.7)
             del calls[1:]
@@ -458,10 +460,10 @@ class TestKeptClustering:
             got = tf.cluster_synonyms(labels, ds.embeddings, tau)
             assert calls == [len(labels)]
             records.forget_kept()
-            assert got == tf.cluster_synonyms(labels, ds.embeddings, tau)  # every field
-            assert got.tau_floor == tau
-            with pytest.raises(ValueError, match="below"):
-                got.at(tau / 2)
+            assert clustering_fields(got) == clustering_fields(tf.cluster_synonyms(labels, ds.embeddings, tau))
+            records.forget_kept()
+            fresh = tf.cluster_synonyms(labels, ds.embeddings, tau / 2)
+            assert clustering_fields(got.at(tau / 2)) == clustering_fields(fresh)
             records.forget_kept()
             tf.cluster_synonyms(labels, ds.embeddings, 0.85)
             del calls[1:]
@@ -476,14 +478,18 @@ class TestKeptClustering:
         tf.cluster_synonyms(labels, turned, 0.8)
         assert calls == [len(labels), len(labels) - 1, len(labels)]
 
-    def test_resolving_an_unseen_label_does_not_reach_the_next_caller(self, noisy_scene):
+    def test_callers_share_one_read_only_linkage(self, noisy_scene):
         ds, _ = noisy_scene
         labels = observed_labels(ds)
         first = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
-        first.resolve("an unseen label")
         again = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
-        assert "an unseen label" not in again.assignment
-        assert len(again.canonical) == len(first.canonical) - 1
+        assert again.linkage is first.linkage and again.cluster is not first.cluster
+        for arr in (first.linkage, first.cluster):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            first.canonical = ()
+        assert clustering_fields(again) == clustering_fields(first)
 
 
 class TestTextEmbedding:

@@ -25,6 +25,12 @@ def test_script_exits_zero(tmp_path, script, args, printed):
     assert printed in result.stdout
 
 
+def test_sweep_threshold_checks_every_value_before_building_scenes(tmp_path):
+    result = run_script(tmp_path, "sweep_threshold.py", ["--seeds", "1000", "--values", "0.8,1.5"])
+    assert result.returncode == 2
+    assert "tau_sem must be in (0, 1), got 1.5" in result.stderr
+
+
 def run_script(tmp_path, script, args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
