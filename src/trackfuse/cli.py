@@ -350,7 +350,7 @@ def stage_associate(cfg: dict, paths: dict[str, Path]) -> Path:
         trajectories = import_tracks(ds)
     else:
         trajectories = associate_greedy(ds, params)
-    save_tracks(trajectories, paths["tracks"])
+    save_tracks(trajectories, paths["tracks"], ds)
     return paths["tracks"]
 
 
@@ -359,7 +359,7 @@ def stage_consensus(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
     result = run_consensus(ds, trajectories, tau_sem=tau_sem)
-    save_consensus(result.records, paths["consensus"])
+    save_consensus(result.records, paths["consensus"], ds)
     return paths["consensus"]
 
 
@@ -369,7 +369,7 @@ def stage_keyframe(cfg: dict, paths: dict[str, Path]) -> Path:
     records = load_consensus(paths["consensus"], ds)
     captions = ExternalDescriptions.load(external, dim=ds.dim) if external else None
     descriptions = run_keyframes(ds, records, strategy=strategy, sigma=sigma, seed=cfg["seed"], external=captions)
-    save_descriptions(descriptions, paths["descriptions"])
+    save_descriptions(descriptions, paths["descriptions"], ds)
     return paths["descriptions"]
 
 
@@ -392,7 +392,7 @@ def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     )
     if "loss_curve" in paths:
         save_loss_curve(curve, paths["loss_curve"])
-    save_field(field_, paths["model"])
+    save_field(field_, paths["model"], ds)
     return paths["model"]
 
 

@@ -64,10 +64,9 @@ from .records import (
     json_members,
     kept,
     member_check,
-    parse_lines,
-    read_kept,
+    read_jsonl_kept,
     set_frozen,
-    write_jsonl,
+    write_jsonl_kept,
 )
 from .rle import json_int, json_str, mask_area
 
@@ -473,16 +472,20 @@ def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_S
     return ConsensusResult(result, result.records())
 
 
-def save_consensus(records: list[ConsensusRecord], path: str | Path) -> None:
-    write_jsonl((rec.to_json() for rec in records), path)
+def save_consensus(records: list[ConsensusRecord], path: str | Path, ds: SceneDataset | None = None) -> None:
+    """Write a consensus file; with ``ds``, keep what ``load_consensus(path, ds)`` reads back
+    (``write_kept``)."""
+    objs = (rec.to_json() for rec in records)
+    write_jsonl_kept("consensus", objs, path, None if ds is None else dataset_key(ds), lambda: _consensus_step(ds))
 
 
 def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> tuple[ConsensusRecord, ...]:
     """Read a consensus file; against ``ds``, also check every member (``member_check``). Kept
     (``read_kept``)."""
+    return read_jsonl_kept("consensus", path, dataset_key(ds), lambda: _consensus_step(ds))
 
-    def parse(text: str) -> tuple[ConsensusRecord, ...]:
-        check = member_check(ds)
-        return tuple(parse_lines(path, text, lambda obj: check(ConsensusRecord.from_json(obj))))
 
-    return read_kept("consensus", path, dataset_key(ds), parse)[0]
+def _consensus_step(ds: SceneDataset | None):
+    """A parse step for the lines of one consensus file, read against ``ds`` (``member_check``)."""
+    check = member_check(ds)
+    return lambda obj: check(ConsensusRecord.from_json(obj))

@@ -28,7 +28,9 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
-from .records import DescriptionSet, SceneDataset, as_vector, read_json, write_csv, write_json
+from .records import (
+    DescriptionSet, SceneDataset, as_vector, dataset_key, parse_json, read_kept, write_csv, write_json_kept,
+)
 from .rle import RleMask, json_float, json_floats, json_int, rle_decode_many
 from .synth import GroundTruth
 
@@ -560,7 +562,8 @@ def field_from_ground_truth(
     return ToyReferringField(height, width, spread, dim, gaussians, np.zeros((len(gaussians), dim)))
 
 
-def save_field(field_: ToyReferringField, path: str | Path) -> None:
+def save_field(field_: ToyReferringField, path: str | Path, ds: SceneDataset | None = None) -> None:
+    """Write a field file; with ``ds``, keep what ``load_field(path, ds)`` reads back (``write_kept``)."""
     obj = {
         "h": field_.height,
         "w": field_.width,
@@ -571,7 +574,7 @@ def save_field(field_: ToyReferringField, path: str | Path) -> None:
             for g, feature in zip(field_.gaussians, field_.features)
         ],
     }
-    write_json(obj, path)
+    write_json_kept("field", obj, path, None if ds is None else dataset_key(ds), _field_step(ds))
 
 
 def _json_centers(centers) -> list:
@@ -584,7 +587,20 @@ def _json_centers(centers) -> list:
 def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:
     """Read a field file; every center must be null or two finite numbers, and every feature
     finite and of length ``dim``. Against ``ds``, the field must have the dataset's view size,
-    one center entry per view and the embeddings' ``dim``."""
+    one center entry per view and the embeddings' ``dim``.
+
+    The parse is kept (``read_kept``), its centers and features read-only. Each call returns a new
+    field around those arrays, so that training it (which takes a copy of the features) or binding
+    its attributes never reaches the kept value.
+    """
+    step = _field_step(ds)
+    parsed, _ = read_kept("field", path, dataset_key(ds), lambda text: parse_json(str(path), text, step))
+    return ToyReferringField(parsed.height, parsed.width, parsed.spread, parsed.dim,
+                             [ToyGaussian(g.gid, g.track, g.centers) for g in parsed.gaussians], parsed.features)
+
+
+def _field_step(ds: SceneDataset | None):
+    """The parse of a field file's JSON value, read against ``ds``: a field whose arrays are read-only."""
 
     def parse(obj: dict) -> ToyReferringField:
         height, width, dim = (json_int(obj[key], key) for key in ("h", "w", "dim"))
@@ -608,9 +624,11 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
             gaussians.append(ToyGaussian(gid=gid, track=track, centers=centers))
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
         features = np.array(features).reshape(len(gaussians), dim)
+        for array in (features, *(g.centers for g in gaussians)):
+            array.flags.writeable = False
         return ToyReferringField(height, width, json_float(obj["spread"], "spread"), dim, gaussians, features)
 
-    return read_json(path, parse)
+    return parse
 
 
 def save_loss_curve(curve: list[tuple[int, float, float, float]], path: str | Path) -> None:

@@ -151,13 +151,24 @@ class TemplateSynthesizer:
     attribute + spatial-relation form. The category is the track's voted
     canonical label. Attributes cycle a fixed palette by track id; relations
     compare pseudo-mask centroids against the nearest other track visible in
-    the keyframe view (the first in track order on distance ties).
+    the keyframe view (the first in track order on distance ties). Each
+    distinct text is embedded once (``text_embedding`` is a pure function of
+    the text and dim), and every referral of it shares that one read-only
+    vector.
     """
 
     def __init__(self, ds: SceneDataset, records: list[ConsensusRecord]):
         self.ds = ds
         self.records = {r.track_id: r for r in sorted(records, key=lambda r: r.track_id)}
         self._centroids: dict[int, dict[int, tuple[float, float]]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def _embedding(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._vectors[text] = text_embedding(text, self.ds.dim)
+            vec.flags.writeable = False
+        return vec
 
     def _view_centroids(self, view: int) -> dict[int, tuple[float, float]]:
         """Track id -> mask centroid in ``view``, ascending; the view's masks decoded in one block.
@@ -201,7 +212,7 @@ class TemplateSynthesizer:
             template_referral(category, attribute),
             template_referral(category, attribute, relation),
         ]
-        return [(t, text_embedding(t, self.ds.dim)) for t in texts]
+        return [(t, self._embedding(t)) for t in texts]
 
 
 def run_keyframes(

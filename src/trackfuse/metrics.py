@@ -189,27 +189,36 @@ def iou_by_view(
 ) -> np.ndarray:
     """The (Q, V) IoU table of each query row against its target at each view.
 
-    Column j is the j-th of ``sorted(set(views))``. Each view renders every
-    row in one product into one (Q, h*w) logits buffer that serves every
-    view, binarizes it and is scored at once, so no mask outlives its view.
-    A cell is ``inter / union`` of the two pixel counts, or 1.0 when the
-    union is empty, as ``iou_grids`` gives it. The counts are taken on
-    bit-packed rows (``np.packbits``), eight pixels a byte, by
-    ``np.bitwise_count`` of their AND and OR; the view's packed (C + O)
-    targets (``view_targets``) are indexed by query. The zero bits that pad
-    a row's last byte are set in neither row, so they add to neither count.
-    ``masks``, if given, holds ``gt``'s masks, so that a view decoded before
-    is not decoded again.
+    Column j is the j-th of ``sorted(set(views))``. Each distinct query row
+    is rendered once per view: the rows are keyed by their bytes, in
+    first-seen order, and an inverse index gives each query its distinct
+    row, so a repeated row is scored from the one render of its bytes.
+    Each view renders every distinct row in one product into one
+    (U, h*w) logits buffer that serves every view, binarizes it and is
+    scored at once, so no mask outlives its view. A cell is ``inter /
+    union`` of the two pixel counts, or 1.0 when the union is empty, as
+    ``iou_grids`` gives it. The counts are taken on bit-packed rows
+    (``np.packbits``), eight pixels a byte, by ``np.bitwise_count`` of their
+    AND and OR; the packed renders are indexed by the inverse index and the
+    view's packed (C + O) targets (``view_targets``) by query. The zero bits
+    that pad a row's last byte are set in neither row, so they add to
+    neither count. ``masks``, if given, holds ``gt``'s masks, so that a view
+    decoded before is not decoded again.
     """
     masks = ObjectMasks(gt) if masks is None else masks
     views = sorted(set(views))
     table = np.zeros((len(queries), len(views)))
     if not len(queries):
         return table
-    logits = np.empty((len(queries), field_.height * field_.width))
+    queries = np.ascontiguousarray(queries, dtype=float)
+    index: dict[bytes, int] = {}  # a distinct row's bytes -> its index among the distinct rows
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in queries], dtype=np.intp)
+    distinct = np.empty((len(index), queries.shape[1]))
+    distinct[inverse] = queries  # a repeated row writes the same bytes again
+    logits = np.empty((len(distinct), field_.height * field_.width))
     for col, view in enumerate(views):
-        pred = binarize_logits(render_logits(field_, view, queries, out=logits)).reshape(len(queries), -1)
-        pred = np.packbits(pred, axis=1)
+        pred = binarize_logits(render_logits(field_, view, distinct, out=logits)).reshape(len(distinct), -1)
+        pred = np.packbits(pred, axis=1)[inverse]
         target = view_targets(masks, view)[targets]
         # uint32 counts every pixel of a grid below 2**32 pixels exactly
         inter = np.bitwise_count(pred & target).sum(axis=1, dtype=np.uint32)

@@ -46,10 +46,11 @@ def dumps(obj) -> str:
 
 
 def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, each newline as it is on every platform: ``text.encode("utf-8")``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -61,7 +62,11 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def write_jsonl(objs: Iterable, path: str | Path) -> None:
-    _write_text(path, "".join(dumps(obj) + "\n" for obj in objs))
+    _write_text(path, _jsonl(objs))
+
+
+def _jsonl(objs: Iterable) -> str:
+    return "".join(dumps(obj) + "\n" for obj in objs)
 
 
 def write_csv(header: list[str], rows: Iterable, path: str | Path) -> None:
@@ -92,6 +97,11 @@ def parse_json(where: str | Path, text: str, parse: Callable):
         obj = json.loads(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+    return parse_value(where, obj, parse)
+
+
+def parse_value(where: str | Path, obj, parse: Callable):
+    """``parse`` of the JSON value ``obj``; every error is a SchemaError naming ``where``."""
     try:
         return parse(obj)
     except SchemaError as exc:
@@ -130,7 +140,12 @@ def forget_kept() -> None:
 
 def kept(kind: str, key, build: Callable):
     """The value kept for ``kind``, if it was kept under ``key``; otherwise ``build()``'s value,
-    kept in its place first. A ``key`` of None keeps nothing."""
+    kept in its place first. A ``key`` of None keeps nothing.
+
+    Besides the reads (``read_kept``) and their writes (``write_kept``), the process keeps this way
+    the IoU tables of one (dataset, ground truth) pair, the member table of one (dataset, tracks)
+    pair and the complete linkage of the last label set clustered.
+    """
     entry = _kept.get(kind)
     if key is None or entry is None or entry[0] != key:
         entry = (key, build())
@@ -142,18 +157,64 @@ def kept(kind: str, key, build: Callable):
 def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], object]) -> tuple[object, tuple | None]:
     """The value ``parse`` gives for the text of the file at ``path``, and the key it is kept under.
 
-    The process keeps one value per kind: the last parse of the dataset, tracks, consensus,
-    descriptions and ground truth (and, through ``kept``, the IoU tables of one (dataset, ground
-    truth) pair and the complete linkage of the last label set clustered). A value is keyed by the
-    sha256 of its file's bytes and by ``context``, what else the parse checks against, such as the
-    key of the dataset (``dataset_key``); never by path or mtime. A read of the same bytes in the
-    same context decodes no JSON and returns the kept value itself, which every value read is built
-    to share: frozen records, tuples, read-only maps and arrays. Any other byte parses again, with
-    every check in its order and its message. A ``context`` of None keeps nothing.
+    The process keeps one value per kind: the last read or write of the dataset, tracks,
+    consensus, descriptions, field and ground truth. A value is keyed by the sha256 of its file's
+    bytes and by ``context``, what else the parse checks against, such as the key of the dataset
+    (``dataset_key``); never by path or mtime. A read of the same bytes in the same context decodes
+    no JSON and returns the kept value itself, which every value read is built to share: frozen
+    records, tuples, read-only maps and arrays. Any other byte parses again, with every check in
+    its order and its message. A ``context`` of None keeps nothing. A stage that wrote a file with
+    ``write_kept`` has kept it already, so a later stage of the same process parses none of it.
     """
     data = Path(path).read_bytes()
     key = None if context is None else (hashlib.sha256(data).digest(), context)
     return kept(kind, key, lambda: parse(_decode(path, data))), key
+
+
+def write_kept(kind: str, path: str | Path, text: str, context, build: Callable[[], object]) -> None:
+    """Write ``text`` to ``path``, then keep ``build()``'s value as ``read_kept`` would keep the parse
+    of those bytes in ``context``: under their sha256 and ``context``, of None keeping nothing.
+
+    ``build`` gives the reader's value and runs the reader's checks on the JSON values the text
+    was dumped from, decoding nothing (``parse_value``). Canonical JSON reads back as the values it
+    was dumped from, so that value is the parse of the file. A build the checks refuse keeps
+    nothing, and the file is parsed, and refused, when it is read.
+    """
+    _write_text(path, text)
+    if context is not None:
+        try:
+            value = build()
+        except SchemaError:
+            return
+        _kept[kind] = ((hashlib.sha256(text.encode("utf-8")).digest(), context), value)
+
+
+def write_json_kept(kind: str, obj, path: str | Path, context, parse: Callable) -> None:
+    """``write_json`` of ``obj``, keeping what ``read_kept`` of the file with ``parse_json`` and
+    ``parse`` would keep in ``context`` (``write_kept``)."""
+    write_kept(kind, path, dumps(obj) + "\n", context, lambda: parse_value(str(path), obj, parse))
+
+
+def read_jsonl_kept(kind: str, path: str | Path, context, record: Callable[[], Callable], finish: Callable = tuple):
+    """``finish`` of the records of the JSONL file at ``path``, kept (``read_kept``) in ``context``:
+    ``record()`` is a parse step for one file's lines, which may check a line against the ones
+    before it."""
+    return read_kept(kind, path, context, lambda text: finish(parse_lines(path, text, record())))[0]
+
+
+def write_jsonl_kept(
+    kind: str, objs: Iterable, path: str | Path, context, record: Callable[[], Callable], finish: Callable = tuple
+) -> None:
+    """``write_jsonl`` of ``objs``, keeping what ``read_jsonl_kept`` with the same arguments would
+    read back (``write_kept``). Canonical JSON escapes every control and non-ASCII character, so the
+    text holds one line per value and no other line break: value k is parsed as line k."""
+    objs = list(objs)
+
+    def build():
+        step = record()
+        return finish([parse_value(f"{path}:{lineno}", obj, step) for lineno, obj in enumerate(objs, start=1)])
+
+    write_kept(kind, path, _jsonl(objs), context, build)
 
 
 def set_frozen(record, **values) -> None:
@@ -185,7 +246,7 @@ def as_vector(value, dim: int | None, what: str, unit: bool = False) -> np.ndarr
     vec = np.asarray(value, dtype=float)
     if dim is not None and vec.shape != (dim,):
         raise SchemaError(f"{what} has shape {vec.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise SchemaError(f"{what} is not finite")
     return check_unit_norm(vec, what) if unit else vec
 
@@ -453,21 +514,29 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
 
 def load_descriptions(path: str | Path, dim: int | None = None) -> tuple[DescriptionSet, ...]:
     """Read a descriptions file: one set per track, so no track id may appear twice. Kept (``read_kept``)."""
-    return read_kept("descriptions", path, (dim,), lambda text: _parse_descriptions(path, text, dim))[0]
+    return read_jsonl_kept("descriptions", path, (dim,), lambda: _description_step(dim), _read_only_referrals)
 
 
-def _parse_descriptions(path: str | Path, text: str, dim: int | None) -> tuple[DescriptionSet, ...]:
-    """The description sets of a file's ``text``, their referral vectors made read-only."""
+def _description_step(dim: int | None) -> Callable:
+    """A parse step for the lines of one descriptions file: no track id may appear twice."""
     unique = unique_track_ids()
-    sets = parse_lines(path, text, lambda obj: unique(DescriptionSet.from_json(obj, dim=dim)))
+    return lambda obj: unique(DescriptionSet.from_json(obj, dim=dim))
+
+
+def _read_only_referrals(sets: list[DescriptionSet]) -> tuple[DescriptionSet, ...]:
+    """The description sets of one file, their referral vectors made read-only."""
     for d in sets:
         for _, vec in d.referrals:
             vec.flags.writeable = False
     return tuple(sets)
 
 
-def save_descriptions(sets: list[DescriptionSet], path: str | Path) -> None:
-    write_jsonl((d.to_json() for d in sets), path)
+def save_descriptions(sets: list[DescriptionSet], path: str | Path, ds: "SceneDataset | None" = None) -> None:
+    """Write a descriptions file; with ``ds``, keep what ``load_descriptions(path, dim=ds.dim)`` reads
+    back (``write_kept``)."""
+    dim = None if ds is None else ds.dim
+    write_jsonl_kept("descriptions", (d.to_json() for d in sets), path, None if ds is None else (dim,),
+                     lambda: _description_step(dim), _read_only_referrals)
 
 
 # The dataset files a manifest names, in the order load_dataset parses them.
@@ -556,7 +625,8 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
 
     descriptions = None
     if "descriptions" in files:
-        descriptions = _parse_descriptions(files["descriptions"], text("descriptions"), dim)
+        sets = parse_lines(files["descriptions"], text("descriptions"), _description_step(dim))
+        descriptions = _read_only_referrals(sets)
 
     ds = SceneDataset(
         n_views=n_views,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .records import (
-    SceneDataset, Trajectory, dataset_key, json_members, member_check, parse_lines, read_kept, write_jsonl,
+    SceneDataset, Trajectory, dataset_key, json_members, member_check, read_jsonl_kept, write_jsonl_kept,
 )
 from .rle import RleMask, iou_table, json_int
 
@@ -112,21 +112,19 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
     return [Trajectory(t.track_id, tuple(t.members)) for t in tracks]
 
 
-def save_tracks(trajectories: list[Trajectory], path: str | Path) -> None:
-    write_jsonl(
-        ({"track": t.track_id, "members": [[v, i] for v, i in t.members]} for t in trajectories),
-        path,
-    )
+def save_tracks(trajectories: list[Trajectory], path: str | Path, ds: SceneDataset | None = None) -> None:
+    """Write a tracks file; with ``ds``, keep what ``load_tracks(path, ds)`` reads back (``write_kept``)."""
+    objs = ({"track": t.track_id, "members": [[v, i] for v, i in t.members]} for t in trajectories)
+    write_jsonl_kept("tracks", objs, path, None if ds is None else dataset_key(ds), lambda: _track_step(ds))
 
 
 def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> tuple[Trajectory, ...]:
     """Read a tracks file; against ``ds``, also check every member (``member_check``). Kept
     (``read_kept``)."""
+    return read_jsonl_kept("tracks", path, dataset_key(ds), lambda: _track_step(ds))
 
-    def parse(text: str) -> tuple[Trajectory, ...]:
-        check = member_check(ds)
-        return tuple(parse_lines(
-            path, text, lambda obj: check(Trajectory(json_int(obj["track"], "track"), json_members(obj["members"])))
-        ))
 
-    return read_kept("tracks", path, dataset_key(ds), parse)[0]
+def _track_step(ds: SceneDataset | None):
+    """A parse step for the lines of one tracks file, read against ``ds`` (``member_check``)."""
+    check = member_check(ds)
+    return lambda obj: check(Trajectory(json_int(obj["track"], "track"), json_members(obj["members"])))

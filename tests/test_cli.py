@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from trackfuse import consensus, rle
+from trackfuse import consensus, records, rle
 from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
@@ -1510,50 +1510,86 @@ def test_single_stage_sequence_matches_run(tmp_path):
     assert tree_bytes(staged) == tree_bytes(run)
 
 
-def test_one_process_gives_the_report_and_sweep_of_separate_processes(tmp_path, monkeypatch):
-    """The benchmark's calls in one process, where eval and the sweep read what earlier stages kept,
-    write the report.json and sweep.csv that eval and the sweep write each in a process of its own."""
-    noisy = {"seed": 3, "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
-                                  "noise": {"synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1,
-                                            "strip_track_ids": True}},
-             "assoc": {"mode": "greedy"}, "train": {"epochs": 1, "spread": 4.0}}
-    c = ["--config", write_config(tmp_path, noisy)]
-    scene, one, own = tmp_path / "scene", tmp_path / "one", tmp_path / "own"
+def benchmark_calls(c, scene, out):
+    """The stage calls, then the sweep, that one benchmark pipeline process makes, writing into ``out``."""
     m = ["--manifest", str(scene / "dataset" / "manifest.json")]
     gt = ["--ground-truth", str(scene / "ground_truth.json")]
 
     def a(name):
-        return str(one / name)
+        return str(out / name)
 
-    def eval_sweep(out):
-        return [
-            ["eval", *c, *m, "--consensus", a("consensus.jsonl"), "--model", a("model.json"),
-             "--descriptions", a("descriptions.jsonl"), *gt, "--out", str(out / "report.json")],
-            ["sweep", *c, *m, "--tracks", a("tracks.jsonl"), "--param", "tau_sem",
-             "--values", "0.70,0.75,0.80,0.85,0.90", *gt, "--out", str(out / "sweep.csv")],
-        ]
-
-    assert main(["synth", *c, "--out", str(scene)]) == 0
-    one.mkdir()
-    agglomerated = []
-    real = consensus._agglomerate
-    monkeypatch.setattr(consensus, "_agglomerate", lambda *args: agglomerated.append(len(args[0])) or real(*args))
-    for argv in [
+    return [
         ["associate", *c, *m, "--out", a("tracks.jsonl")],
         ["consensus", *c, *m, "--tracks", a("tracks.jsonl"), "--out", a("consensus.jsonl")],
         ["keyframe", *c, *m, "--consensus", a("consensus.jsonl"), "--out", a("descriptions.jsonl")],
         ["train", *c, *m, "--consensus", a("consensus.jsonl"), "--descriptions", a("descriptions.jsonl"),
-         "--geometry", str(scene / "field_geometry.json"), "--out", a("model.json")],
-        *eval_sweep(one),
-    ]:
+         "--geometry", str(scene / "field_geometry.json"), "--loss-curve", a("loss_curve.csv"),
+         "--out", a("model.json")],
+        ["eval", *c, *m, "--consensus", a("consensus.jsonl"), "--model", a("model.json"),
+         "--descriptions", a("descriptions.jsonl"), *gt, "--out", a("report.json")],
+        ["sweep", *c, *m, "--tracks", a("tracks.jsonl"), "--param", "tau_sem",
+         "--values", "0.70,0.75,0.80,0.85,0.90", *gt, "--out", a("sweep.csv")],
+    ]
+
+
+NOISY_CONFIG = {"seed": 3, "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
+                                     "noise": {"synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1,
+                                               "strip_track_ids": True}},
+                "assoc": {"mode": "greedy"}, "train": {"epochs": 1, "spread": 4.0}}
+
+
+def test_one_process_gives_the_artifacts_of_separate_processes(tmp_path, monkeypatch):
+    """The benchmark's calls in one process, where each stage reads what earlier stages kept (the
+    files they wrote, the clustering), write every artifact that the same calls write each in a
+    process of its own."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, one, own = tmp_path / "scene", tmp_path / "one", tmp_path / "own"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    agglomerated = []
+    real = consensus._agglomerate
+    monkeypatch.setattr(consensus, "_agglomerate", lambda *args: agglomerated.append(len(args[0])) or real(*args))
+    one.mkdir()
+    for argv in benchmark_calls(c, scene, one):
         assert main(argv) == 0, argv
     assert len(agglomerated) == 1  # consensus agglomerated to one cluster; eval and the sweep cut it
 
     own.mkdir()
     env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    for argv in eval_sweep(own):
+    for argv in benchmark_calls(c, scene, own):
         proc = subprocess.run([sys.executable, "-m", "trackfuse.cli", *argv], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    for name in ("report.json", "sweep.csv"):
-        assert (one / name).read_bytes() == (own / name).read_bytes(), name
+    assert sorted(tree_bytes(one)) == ["consensus.jsonl", "descriptions.jsonl", "loss_curve.csv", "model.json",
+                                       "report.json", "sweep.csv", "tracks.jsonl"]
+    assert tree_bytes(one) == tree_bytes(own)
+
+
+def test_one_process_parses_no_file_it_wrote(tmp_path, monkeypatch):
+    """In the benchmark's process, no stage decodes the JSON of a file an earlier stage wrote: each
+    saver kept what its reader would give. A new process parses and checks each of them."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    forget_kept()  # synth runs in a process of its own
+    parsed = []
+    real = records.parse_json
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("trackfuse") and getattr(module, "parse_json", None) is real:
+            monkeypatch.setattr(module, "parse_json", lambda where, *a: parsed.append(str(where)) or real(where, *a))
+
+    def parsed_files():
+        return {where.split(":")[0] for where in parsed}
+
+    out.mkdir()
+    calls = benchmark_calls(c, scene, out)
+    for argv in calls:
+        assert main(argv) == 0, argv
+    written = {str(out / name) for name in ("tracks.jsonl", "consensus.jsonl", "descriptions.jsonl", "model.json")}
+    assert str(scene / "field_geometry.json") in parsed_files()
+    assert parsed_files().isdisjoint(written)
+
+    forget_kept()  # as a new process starts
+    parsed.clear()
+    for argv in calls[4:]:  # eval, then the sweep
+        assert main(argv) == 0, argv
+    assert written <= parsed_files()

@@ -235,6 +235,24 @@ class TestAttachDescriptions:
         assert len(descs) == len(records) and decoded
         assert max(decoded.values()) == 1
 
+    def test_each_distinct_text_is_embedded_once(self, monkeypatch):
+        # half the detections dropped and no gap allowed: many short tracks, some of whose texts repeat
+        noise = tf.NoiseSpec(dropout_rate=0.5, strip_track_ids=True)
+        cfg = tf.SynthConfig(n_views=16, height=32, width=32, n_objects=3, seed=5, noise=noise)
+        ds, gt = tf.generate_scene(cfg)
+        ds = tf.corrupt(ds, gt, cfg)
+        records = tf.run_consensus(ds, tf.associate_greedy(ds, tf.AssocParams(max_gap=0))).records
+        embedded = Counter()
+        real = keyframes.text_embedding
+        monkeypatch.setattr(keyframes, "text_embedding", lambda text, dim: embedded.update([text]) or real(text, dim))
+        referrals = [r for d in run_keyframes(ds, records) for r in d.referrals]
+        assert len(referrals) > len(embedded) and set(embedded.values()) == {1}
+        first = {}
+        for text, vec in referrals:
+            assert first.setdefault(text, vec) is vec
+            assert not vec.flags.writeable
+            assert vec.tobytes() == real(text, ds.dim).tobytes()
+
     def test_template_synthesizer_output(self, clean_scene):
         ds, _, trajs = clean_scene
         result = tf.run_consensus(ds, trajs)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse as tf
+import trackfuse.metrics as metrics_module
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import (
     consensus_accuracy,
@@ -25,7 +27,7 @@ from trackfuse.metrics import (
 from trackfuse.consensus import ConsensusRecord
 from trackfuse.field import ToyGaussian, ToyReferringField, field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
-from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json
+from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json, text_embedding
 from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
@@ -357,6 +359,48 @@ class TestEvalScoring:
         for row, pred, target in zip(table, preds, targets.tolist()):
             want = [miou({"q": {v: pred[v]}}, {"q": {v: target_grids[target][v]}})[1] for v in sorted(views)]
             assert row.tolist() == want
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_repeated_rows_score_as_each_query_rendered_alone(self, fragmented_scene, seed):
+        ds, gt, _, _ = fragmented_scene
+        rng = np.random.default_rng(seed)
+        field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim, spread=3.0)
+        field_.features = rng.standard_normal(field_.features.shape)
+        # row a at 0, 2 and 5, with targets 0, 1 and 0; row b at 1 and 4, both with target 3; row c once
+        a, b, c = rng.standard_normal((3, ds.dim))
+        queries = np.stack([a, b, a, c, b, a])
+        targets = np.array([0, 3, 1, 2, 3, 0])
+        views = [5, 0, 3, 7, 0]
+        table = iou_by_view(field_, gt, views, queries, targets)
+        alone = [iou_by_view(field_, gt, views, queries[q : q + 1], targets[q : q + 1])[0] for q in range(6)]
+        assert table.tolist() == [row.tolist() for row in alone]
+
+    def test_repeated_referral_vectors_render_once_and_match_the_grid_oracle(self, fragmented_scene, monkeypatch):
+        ds, gt, records, descriptions = fragmented_scene
+        rng = np.random.default_rng(11)
+        field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim, spread=3.0)
+        field_.features = rng.standard_normal(field_.features.shape)
+        # every referral takes one of three vectors, in turn: across tracks and within one
+        pool = [text_embedding(f"shared {k}", ds.dim) for k in range(3)]
+        turn = itertools.count()
+        descriptions = [DescriptionSet(d.track_id, d.category, [(t, pool[next(turn) % 3]) for t, _ in d.referrals])
+                        for d in descriptions]
+        tables = iou_tables(ds, gt)
+        _, _, queries, targets = eval_queries(ds, gt, records, tables, descriptions)
+        rows = [q.tobytes() for q in queries]
+        pairs = [(i, j) for i in range(len(rows)) for j in range(i + 2, len(rows)) if rows[i] == rows[j]]
+        assert any(targets[i] == targets[j] for i, j in pairs)
+        assert any(targets[i] != targets[j] for i, j in pairs)
+
+        rendered = []
+        real = metrics_module.render_logits
+        monkeypatch.setattr(metrics_module, "render_logits",
+                            lambda f, view, query, out=None: rendered.append(len(query)) or real(f, view, query, out))
+        views = [6, 1, 4]
+        got = eval_miou(field_, ds, gt, records, tables, views, descriptions)
+        assert rendered == [len(set(rows))] * len(views)
+        assert bits(got) == bits(oracle_eval_miou(field_, ds, gt, records, views, descriptions))
 
     def test_rows_are_categories_then_matched_referrals(self, fragmented_scene):
         ds, gt, records, descriptions = fragmented_scene

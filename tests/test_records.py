@@ -1,8 +1,9 @@
 import json
 import os
 import shutil
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from trackfuse import consensus, metrics, records
 from trackfuse.cli import main
 from trackfuse.consensus import ConsensusRecord, load_consensus, observed_labels, save_consensus
 from trackfuse.errors import SchemaError
+from trackfuse.field import field_from_ground_truth, load_field, save_field
+from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import iou_tables
 from trackfuse.records import (
     DescriptionSet,
@@ -423,6 +426,158 @@ class TestKeptDataset:
         other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"))  # read without a dataset
         assert [t.tolist() for t in iou_tables(ds, other)] == [t.tolist() for t in first]
         assert len(calls) == ds.n_views
+
+
+def assert_identical(a, b, where="value"):
+    """``a`` and ``b`` are the same value: the same types throughout, sequences and maps in the same
+    order, and arrays of one dtype, shape and read-only flag, with the same bytes."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_identical(x, y, f"{where}[{k}]")
+    elif isinstance(a, Mapping):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_identical(a[key], b[key], f"{where}[{key!r}]")
+    elif is_dataclass(a):
+        for f in fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    else:
+        assert a == b, where
+
+
+def written_scene(root):
+    """The dataset of ``kept_scene``, read from its files, and its ground truth."""
+    paths = kept_scene(root)
+    ds = load_dataset(paths["dataset"])
+    return ds, load_ground_truth(paths["ground_truth"], ds)
+
+
+def saved_values(ds, gt):
+    """What each stage of ``ds`` writes, by kind: the values their savers take."""
+    tracks = tf.import_tracks(ds)
+    consensus_records = tf.run_consensus(ds, tracks).records
+    field_ = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+    field_.features = np.random.default_rng(0).standard_normal(field_.features.shape)
+    return {
+        "tracks": tracks,
+        "consensus": consensus_records,
+        "descriptions": run_keyframes(ds, consensus_records),
+        "field": field_,
+    }
+
+
+SAVERS = {"tracks": save_tracks, "consensus": save_consensus, "descriptions": save_descriptions, "field": save_field}
+LOADERS = {
+    "tracks": load_tracks,
+    "consensus": load_consensus,
+    "descriptions": lambda path, ds: load_descriptions(path, dim=ds.dim),
+    "field": load_field,
+}
+
+
+def refused_values(ds, gt):
+    """A value per kind that its saver writes and its reader refuses."""
+    text = "the cup"
+    field_ = saved_values(ds, gt)["field"]
+    field_.features[1, 2] = np.nan
+    return {
+        "tracks": [tf.Trajectory(0, ((0, len(ds.detections[0])),))],
+        "consensus": [ConsensusRecord(track_id=0, canonical="cup", votes={"cup": 2}, members=((0, 0),))],
+        "descriptions": [DescriptionSet(0, "cup", [(text, 2.0 * text_embedding(text, ds.dim))])],
+        "field": field_,
+    }
+
+
+class TestKeptWrite:
+    """A stage's saver keeps the value the reader would give for the bytes it wrote, so that a later
+    stage of the same process parses none of them."""
+
+    @pytest.mark.parametrize("kind", list(SAVERS))
+    def test_kept_value_equals_a_fresh_read(self, tmp_path, monkeypatch, kind):
+        ds, gt = written_scene(tmp_path)
+        path = tmp_path / f"written-{kind}"
+        SAVERS[kind](saved_values(ds, gt)[kind], path, ds)
+        decoded = count_json_loads(monkeypatch)
+        kept_value = LOADERS[kind](path, ds)
+        assert decoded == []
+        records.forget_kept()
+        fresh = LOADERS[kind](path, ds)
+        assert decoded
+        assert_identical(kept_value, fresh)
+
+    @pytest.mark.parametrize("kind", list(SAVERS))
+    def test_without_a_dataset_nothing_is_kept(self, tmp_path, monkeypatch, kind):
+        ds, gt = written_scene(tmp_path)
+        path = tmp_path / f"written-{kind}"
+        SAVERS[kind](saved_values(ds, gt)[kind], path)
+        decoded = count_json_loads(monkeypatch)
+        LOADERS[kind](path, ds)
+        assert decoded
+
+    @pytest.mark.parametrize("kind", list(SAVERS))
+    def test_a_value_the_reader_refuses_is_refused_as_in_a_fresh_process(self, tmp_path, kind):
+        ds, gt = written_scene(tmp_path)
+        path = tmp_path / f"written-{kind}"
+        SAVERS[kind](refused_values(ds, gt)[kind], path, ds)
+        with pytest.raises(SchemaError) as same_process:
+            LOADERS[kind](path, ds)
+        records.forget_kept()
+        with pytest.raises(SchemaError) as fresh:
+            LOADERS[kind](path, ds)
+        assert str(same_process.value) == str(fresh.value)
+        assert str(path) in str(fresh.value)
+
+    def test_field_with_a_nan_feature_is_refused_naming_it(self, tmp_path):
+        ds, gt = written_scene(tmp_path)
+        save_field(refused_values(ds, gt)["field"], tmp_path / "model.json", ds)
+        with pytest.raises(SchemaError, match=f"{tmp_path / 'model.json'}: gaussian 1: feature is not finite"):
+            load_field(tmp_path / "model.json", ds)
+
+    def test_each_field_load_is_a_new_field_around_the_kept_arrays(self, tmp_path, monkeypatch):
+        ds, gt = written_scene(tmp_path)
+        path = tmp_path / "field_geometry.json"
+        save_field(saved_values(ds, gt)["field"], path, ds)
+        first, decoded = load_field(path, ds), count_json_loads(monkeypatch)
+        again = load_field(path, ds)
+        assert decoded == []
+        assert again is not first and again.gaussians[0] is not first.gaussians[0]
+        assert again.features is first.features and again.gaussians[0].centers is first.gaussians[0].centers
+        for array in (first.features, first.gaussians[0].centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        first.features = np.zeros_like(first.features)
+        first.gaussians[0].centers = np.zeros_like(first.gaussians[0].centers)
+        reloaded = load_field(path, ds)
+        assert reloaded.features is again.features and reloaded.gaussians[0].centers is again.gaussians[0].centers
+
+    def test_training_twice_from_one_kept_geometry_gives_one_model(self, tmp_path, monkeypatch):
+        ds, gt = written_scene(tmp_path)
+        values = saved_values(ds, gt)
+        records_, descriptions = values["consensus"], values["descriptions"]
+        geometry = values["field"]
+        geometry.features = np.zeros_like(geometry.features)
+        path = tmp_path / "field_geometry.json"
+        save_field(geometry, path, ds)
+        cfg = tf.TrainConfig(epochs=2)
+
+        def trained(name):
+            field_, _ = tf.train(load_field(path, ds), ds, records_, descriptions, cfg)
+            save_field(field_, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        decoded = count_json_loads(monkeypatch)
+        first, second = trained("first.json"), trained("second.json")
+        assert decoded == []
+        records.forget_kept()
+        assert first == second == trained("fresh.json")
+        assert decoded
 
 
 class TestKeptClustering:
