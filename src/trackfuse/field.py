@@ -1,6 +1,7 @@
 """Toy language-grounded Gaussian referring field.
 
-Geometry is fixed: each Gaussian has a per-view 2-D center and a shared
+Geometry is fixed: one (n_gaussians, n_views, 2) array holds each Gaussian's
+2-D center per view, NaN where it is not visible, and the Gaussians share an
 isotropic spread; only the features are learned, one (n_gaussians, dim)
 matrix on the field. A query renders to a probability grid through
 
@@ -44,19 +45,11 @@ MAX_CUTOFF = math.sqrt(sys.float_info.max)
 
 
 @dataclass
-class ToyGaussian:
-    gid: int
-    track: int
-    centers: np.ndarray  # (n_views, 2) of (x, y); NaN rows mean not visible
-
-
-@dataclass
 class ToyReferringField:
     height: int
     width: int
     spread: float
-    dim: int
-    gaussians: list[ToyGaussian]
+    gaussians: np.ndarray  # (n_gaussians, n_views, 2) centers (x, y); NaN rows mean not visible
     features: np.ndarray  # (n_gaussians, dim), row g is Gaussian g's feature
 
     def __post_init__(self) -> None:
@@ -68,15 +61,20 @@ class ToyReferringField:
             )
         if not 2.0 * self.spread**2 > 0:  # the weights' denominator (below about 1.6e-162)
             raise ValueError(f"spread is too small: 2 * spread ** 2 underflows to 0, got {self.spread}")
-        for pos, g in enumerate(self.gaussians):
-            if g.gid != pos:
-                raise SchemaError(f"gaussian ids must be positional, got {g.gid} at {pos}")
+        self.gaussians = np.asarray(self.gaussians, dtype=float)
+        centers, features = self.gaussians.shape, np.shape(self.features)
+        if len(centers) != 3 or centers[2] != 2 or len(features) != 2 or centers[0] != features[0]:
+            raise SchemaError(f"centers {centers} and features {features} are not (n_gaussians, n_views, 2) "
+                              "and (n_gaussians, dim)")
         # one (n_gaussians, h*w) buffer holds the weights of the last view asked for;
         # it is non-zero only inside the windows listed in _filled
         self._buffer: np.ndarray | None = None
         self._buffer_view: int | None = None
         self._filled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (gaussians, tops, lefts)
-        self._centers: np.ndarray | None = None  # (n_gaussians, n_views, 2)
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
 
     def weights(self, view: int) -> np.ndarray:
         """(n_gaussians, h*w) spatial weights for one view, as a read-only array.
@@ -85,7 +83,6 @@ class ToyReferringField:
         of the last view and fills this view's, and a repeated call for the
         same view does no work. The returned array is therefore valid only
         until ``weights`` is called for another view; copy it to keep it.
-        The centers are read once, at the first call: the geometry is fixed.
 
         Every Gaussian gets a window of the same size per axis, min(side,
         floor(6 s) + 2), placed at its first row and column whose own squared
@@ -100,7 +97,6 @@ class ToyReferringField:
         if view != self._buffer_view:
             if self._buffer is None:
                 self._buffer = np.zeros((len(self.gaussians), self.height * self.width))
-                self._centers = np.array([g.centers for g in self.gaussians], dtype=float)
             # forget the view first, so that a fill cut short is refilled by the next call
             self._buffer_view = None
             self._fill(view)
@@ -133,7 +129,7 @@ class ToyReferringField:
             self._filled = None
         if not n:
             return
-        centers = self._centers[:, view]
+        centers = self.gaussians[:, view]
         cutoff = (3.0 * self.spread) ** 2
         dx2 = (np.arange(w, dtype=float) - centers[:, :1]) ** 2  # (n, w)
         dy2 = (np.arange(h, dtype=float) - centers[:, 1:]) ** 2  # (n, h)
@@ -224,33 +220,23 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
-    centers = np.array([g.centers[view] for g in field_.gaussians], dtype=float).reshape(-1, 2)
-    _, (chosen,) = _select_inside(field_, view, _center_pixels(field_, centers), [pseudo_mask])
+    _, (chosen,) = _select_inside(field_, view, [pseudo_mask])
     return chosen.tolist()
 
 
-def _center_pixels(field_: ToyReferringField, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the Gaussians whose center, a row of the (n_gaussians, 2) ``centers``, rounds
-    to a pixel of the view, and that pixel's index in the flattened (h*w,) grid."""
-    # np.rint rounds half to even like round(); NaN and inf fail the bounds
-    col, row = np.rint(centers).T
-    inside = (0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width)
-    gids = np.flatnonzero(inside)
-    return gids, row[gids].astype(int) * field_.width + col[gids].astype(int)
-
-
-def _select_inside(
-    field_: ToyReferringField, view: int, center_pixels: tuple[np.ndarray, np.ndarray], masks: list[RleMask]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _select_inside(field_: ToyReferringField, view: int, masks: list[RleMask]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Decode a view's pseudo masks in one block, (n, h*w) booleans, and choose each mask's
-    Gaussians: the ids, as an intp array, whose center pixel from ``_center_pixels`` is set in it."""
+    Gaussians: the ids, as an intp array, whose center at the view rounds to a pixel set in it."""
     first = masks[0]
     if (first.height, first.width) != (field_.height, field_.width):
         raise SchemaError(
             f"pseudo mask is {first.height}x{first.width}, field is {field_.height}x{field_.width}"
         )
     grids = rle_decode_many(masks)
-    gids, pixels = center_pixels
+    # np.rint rounds half to even like round(); NaN and inf fail the bounds
+    col, row = np.rint(field_.gaussians[:, view]).T
+    gids = np.flatnonzero((0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width))
+    pixels = row[gids].astype(int) * field_.width + col[gids].astype(int)
     chosen = [gids[inside] for inside in grids[:, pixels]]
     if not all(ids.size for ids in chosen):
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
@@ -456,14 +442,12 @@ def train(
     # The plan is view-major, so each epoch fills each view's weights, gathers its pool and
     # unpacks its masks once.
     h, w = field_.height, field_.width
-    centers = np.array([[g.centers[view] for g in field_.gaussians] for view in views], dtype=float)
-    centers = centers.reshape(len(views), len(field_.gaussians), 2)
     records = sorted(records, key=lambda r: r.track_id)
     # each record's member in a view; a record's member views strictly increase
     members = [dict(rec.members) for rec in records]
     keys: dict[tuple[int, str], tuple[int, np.ndarray]] = {}  # key -> (table row, vector)
     plan = []
-    for view, view_centers in zip(views, centers):
+    for view in views:
         pool: dict[int, int] = {}  # table row -> pool row
         positive_rows, masks = [], []
         for rec, member in zip(records, members):
@@ -477,7 +461,7 @@ def train(
             positive_rows.append(np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp))
             masks.append(ds.detection(view, index).mask)
         if masks:
-            grids, chosen = _select_inside(field_, view, _center_pixels(field_, view_centers), masks)
+            grids, chosen = _select_inside(field_, view, masks)
             entries = list(zip(positive_rows, chosen))
             plan.append((view, np.array(list(pool), dtype=np.intp), np.packbits(grids, axis=1), entries))
     table = np.stack([vec for _, vec in keys.values()]) if keys else None
@@ -549,45 +533,43 @@ def field_from_ground_truth(
     """Fixed geometry from the true object motion: a cloud of ``per_object`` Gaussians per object."""
     if not 1 <= per_object <= len(OFFSETS):
         raise ValueError(f"gaussians_per_object must be in [1, {len(OFFSETS)}], got {per_object!r}")
-    gaussians = []
-    for obj in gt.objects:
-        rx, ry = obj.radii
-        for ox, oy in OFFSETS[:per_object]:
-            centers = np.full((n_views, 2), np.nan)
-            for view in range(n_views):
-                if view < len(obj.visible) and obj.visible[view]:
-                    cx, cy = obj.centers[view]
-                    centers[view] = (cx + ox * rx, cy + oy * ry)
-            gaussians.append(ToyGaussian(gid=len(gaussians), track=obj.object_id, centers=centers))
-    return ToyReferringField(height, width, spread, dim, gaussians, np.zeros((len(gaussians), dim)))
+    centers = np.full((len(gt.objects), per_object, n_views, 2), np.nan)
+    offsets = np.array(OFFSETS[:per_object])[:, None]  # (per_object, 1, 2)
+    for obj, cloud in zip(gt.objects, centers):
+        seen = [view for view, visible in enumerate(obj.visible[:n_views]) if visible]
+        cloud[:, seen] = np.array(obj.centers, dtype=float)[seen] + offsets * obj.radii
+    centers = centers.reshape(len(gt.objects) * per_object, n_views, 2)
+    return ToyReferringField(height, width, spread, centers, np.zeros((len(centers), dim)))
 
 
 def save_field(field_: ToyReferringField, path: str | Path, ds: SceneDataset | None = None) -> None:
-    """Write a field file; with ``ds``, keep what ``load_field(path, ds)`` reads back (``write_kept``)."""
+    """Write a field file, one ``{"centers", "feature"}`` record per Gaussian, in row order; with
+    ``ds``, keep what ``load_field(path, ds)`` reads back (``write_kept``)."""
     obj = {
         "h": field_.height,
         "w": field_.width,
         "spread": field_.spread,
         "dim": field_.dim,
         "gaussians": [
-            {"id": g.gid, "track": g.track, "centers": _json_centers(g.centers), "feature": feature.tolist()}
-            for g, feature in zip(field_.gaussians, field_.features)
+            {"centers": _json_centers(centers), "feature": feature.tolist()}
+            for centers, feature in zip(field_.gaussians, field_.features)
         ],
     }
     write_json_kept("field", obj, path, None if ds is None else dataset_key(ds), _field_step(ds))
 
 
-def _json_centers(centers) -> list:
-    """Each (x, y) row as a list of floats, or None where it is not finite (not visible)."""
-    centers = np.asarray(centers, dtype=float)
+def _json_centers(centers: np.ndarray) -> list:
+    """Each (x, y) row of a Gaussian's float centers as a list, or None where it is not finite (not visible)."""
     visible = np.isfinite(centers).all(axis=1).tolist()
     return [row if seen else None for row, seen in zip(centers.tolist(), visible)]
 
 
 def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:
-    """Read a field file; every center must be null or two finite numbers, and every feature
-    finite and of length ``dim``. Against ``ds``, the field must have the dataset's view size,
-    one center entry per view and the embeddings' ``dim``.
+    """Read a field file; every Gaussian must hold as many centers as the first, each null or two
+    finite numbers, and every feature must be finite and of length ``dim``. Against ``ds``, the
+    field must have the dataset's view size, one center entry per view and the embeddings' ``dim``.
+    A Gaussian's ``id`` and ``track``, which older files carry, are not read; a Gaussian is named
+    by its position.
 
     The parse is kept (``read_kept``), its centers and features read-only. Each call returns a new
     field around those arrays, so that training it (which takes a copy of the features) or binding
@@ -595,8 +577,7 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
     """
     step = _field_step(ds)
     parsed, _ = read_kept("field", path, dataset_key(ds), lambda text: parse_json(str(path), text, step))
-    return ToyReferringField(parsed.height, parsed.width, parsed.spread, parsed.dim,
-                             [ToyGaussian(g.gid, g.track, g.centers) for g in parsed.gaussians], parsed.features)
+    return ToyReferringField(parsed.height, parsed.width, parsed.spread, parsed.gaussians, parsed.features)
 
 
 def _field_step(ds: SceneDataset | None):
@@ -608,25 +589,24 @@ def _field_step(ds: SceneDataset | None):
             raise SchemaError(f"field is {height}x{width}, the dataset's views are {ds.height}x{ds.width}")
         if ds is not None and dim != ds.dim:
             raise SchemaError(f"field dim is {dim}, the dataset's embeddings have dim {ds.dim}")
-        gaussians, features = [], []
-        for g in obj["gaussians"]:
-            gid = json_int(g["id"], "gaussian id")
-            if ds is not None and len(g["centers"]) != ds.n_views:
-                raise SchemaError(
-                    f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views"
-                )
+        gaussians = obj["gaussians"]
+        n_views = ds.n_views if ds is not None else len(gaussians[0]["centers"]) if gaussians else 0
+        centers, features = [], []
+        for gid, g in enumerate(gaussians):
+            if len(g["centers"]) != n_views:
+                held = f"the dataset has {n_views} views" if ds is not None else f"gaussian 0 has {n_views}"
+                raise SchemaError(f"gaussian {gid}: {len(g['centers'])} centers, {held}")
             for view, c in enumerate(g["centers"]):
                 if c is not None and len(c) != 2:
                     raise SchemaError(f"gaussian {gid}: view {view} center must be null or 2 numbers, got {c!r}")
             json_floats([v for c in g["centers"] if c is not None for v in c], f"gaussian {gid}: center")
-            centers = np.array([[np.nan, np.nan] if c is None else c for c in g["centers"]], dtype=float)
-            track = json_int(g["track"], f"gaussian {gid}: track")
-            gaussians.append(ToyGaussian(gid=gid, track=track, centers=centers))
+            centers.append([[np.nan, np.nan] if c is None else c for c in g["centers"]])
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
+        centers = np.array(centers, dtype=float).reshape(len(gaussians), n_views, 2)
         features = np.array(features).reshape(len(gaussians), dim)
-        for array in (features, *(g.centers for g in gaussians)):
+        for array in (centers, features):
             array.flags.writeable = False
-        return ToyReferringField(height, width, json_float(obj["spread"], "spread"), dim, gaussians, features)
+        return ToyReferringField(height, width, json_float(obj["spread"], "spread"), centers, features)
 
     return parse
 

@@ -293,14 +293,10 @@ def oracle_field_json(field_):
         "dim": field_.dim,
         "gaussians": [
             {
-                "id": g.gid,
-                "track": g.track,
-                "centers": [
-                    None if not np.all(np.isfinite(c)) else [float(c[0]), float(c[1])] for c in g.centers
-                ],
+                "centers": [None if not np.all(np.isfinite(c)) else [float(c[0]), float(c[1])] for c in centers],
                 "feature": feature.tolist(),
             }
-            for g, feature in zip(field_.gaussians, field_.features)
+            for centers, feature in zip(field_.gaussians, field_.features)
         ],
     }
 
@@ -312,8 +308,8 @@ def oracle_weights(field_, view):
     py = ys.ravel().astype(float)
     rows = []
     cutoff = (3.0 * field_.spread) ** 2
-    for g in field_.gaussians:
-        cx, cy = g.centers[view]
+    for centers in field_.gaussians:
+        cx, cy = centers[view]
         if not (np.isfinite(cx) and np.isfinite(cy)):
             rows.append(np.zeros(px.size))
             continue
@@ -327,13 +323,13 @@ def oracle_weights(field_, view):
 def oracle_select_inside(field_, view, grid):
     """Gaussian ids whose center, rounded by round() (half to even), is a set pixel of ``grid``."""
     chosen = []
-    for g in field_.gaussians:
-        cx, cy = g.centers[view]
+    for gid, centers in enumerate(field_.gaussians):
+        cx, cy = centers[view]
         if not (np.isfinite(cx) and np.isfinite(cy)):
             continue
         col, row = int(round(cx)), int(round(cy))
         if 0 <= row < field_.height and 0 <= col < field_.width and grid[row, col]:
-            chosen.append(g.gid)
+            chosen.append(gid)
     return chosen
 
 

@@ -17,7 +17,6 @@ import trackfuse as tf
 from trackfuse.cli import load_config, run_pipeline
 from trackfuse.consensus import cluster_synonyms, run_consensus, vote_trajectory
 from trackfuse.field import (
-    ToyGaussian,
     ToyReferringField,
     contrastive_loss,
     field_from_ground_truth,
@@ -150,9 +149,8 @@ def test_criterion_3_gradient_checks():
             h = w = 12
             dim, n_gauss = 5, 3
             centers = rng.uniform(4, 8, size=(n_gauss, 1, 2))
-            gaussians = [ToyGaussian(g, 0, centers[g]) for g in range(n_gauss)]
             features = np.stack([rng.standard_normal(dim) * 0.3 for _ in range(n_gauss)])
-            field_ = ToyReferringField(h, w, 2.5, dim, gaussians, features)
+            field_ = ToyReferringField(h, w, 2.5, centers, features)
             q = rng.standard_normal(dim)
             q /= np.linalg.norm(q)
             ys, xs = np.mgrid[0:h, 0:w]

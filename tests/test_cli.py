@@ -375,8 +375,9 @@ class TestPipeline:
 
     def test_trained_model_and_loss_curve_are_byte_identical(self, tmp_path):
         # sha256 of model.json and loss_curve.csv recorded before the train step reused its
-        # buffers, and of report.json before eval counted pixels on bit-packed rows; a change
-        # here means the same config and seed no longer train or score the same field
+        # buffers, and of report.json before eval counted pixels on bit-packed rows; model.json's
+        # is of that file's document with each Gaussian's id and track taken out, dumped again.
+        # A change here means the same config and seed no longer train or score the same field
         noisy = {
             "seed": 21,
             "synth": {"n_views": 6, "height": 32, "width": 32, "n_objects": 3,
@@ -390,7 +391,7 @@ class TestPipeline:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model.json", "loss_curve.csv", "report.json")}
         assert digests == {
-            "model.json": "31c9725909689977ff6bde3bc360da9bdde4fbf4b443d4f013704794cd4fa1dd",
+            "model.json": "8fc48456cc8ddad4510fc0a735dcbfd5d76c5f25b7abb127f0a541d527d27c9a",
             "loss_curve.csv": "e626732316335190cac41f2723bc456171717128e368319e9daa202be17076ed",
             "report.json": "00c2fb4fa83211f9340c0b419024c7c06dbc9c8e1b1146aa16d74cee1e3d30c9",
         }
@@ -1170,10 +1171,10 @@ class TestBadInput:
             ("captions.jsonl", "keyframe", ["track"], 0.5, "track must be an integer, got 0.5"),
             ("captions.jsonl", "keyframe", ["view"], 1.5, "view must be an integer, got 1.5"),
             ("field_geometry.json", "train", ["h"], 32.7, "h must be an integer, got 32.7"),
-            ("field_geometry.json", "train", ["gaussians", 0, "track"], 0.5, "gaussian 0: track must be"),
+            ("field_geometry.json", "train", ["dim"], 2.0, "dim must be an integer, got 2.0"),
             ("model.json", "eval", ["dim"], 32.0, "dim must be an integer, got 32.0"),
             ("model.json", "eval", ["w"], 31.9, "w must be an integer, got 31.9"),
-            ("model.json", "eval", ["gaussians", 0, "id"], 0.5, "gaussian id must be an integer, got 0.5"),
+            ("model.json", "eval", ["h"], 32.5, "h must be an integer, got 32.5"),
             ("ground_truth.json", "eval", ["objects", 0, "id"], 1.5, "object id must be an integer, got 1.5"),
         ],
     )
@@ -1300,6 +1301,22 @@ def eval_argv(run, out, *extra):
     return ["eval", "--manifest", str(run / "dataset" / "manifest.json"), "--consensus", str(run / "consensus.jsonl"),
             "--model", str(run / "model.json"), "--ground-truth", str(run / "ground_truth.json"),
             *extra, "--out", str(out)]
+
+
+def test_eval_of_a_model_with_gaussian_ids_and_tracks_writes_the_same_report(run_dir, tmp_path):
+    # the older field format: each Gaussian also held its position as "id" and its object as "track"
+    model = json.loads((run_dir / "model.json").read_text())
+    objects = [o["id"] for o in read_json(run_dir / "ground_truth.json")["objects"]]
+    per_object = len(model["gaussians"]) // len(objects)
+    for gid, g in enumerate(model["gaussians"]):
+        g.update(id=gid, track=objects[gid // per_object])
+    (tmp_path / "model.json").write_text(dumps(model) + "\n")
+    descriptions = ["--descriptions", str(run_dir / "descriptions.jsonl")]
+    assert main(eval_argv(run_dir, tmp_path / "report.json", *descriptions)) == 0
+    old = eval_argv(run_dir, tmp_path / "report-old.json", *descriptions)
+    old[old.index("--model") + 1] = str(tmp_path / "model.json")
+    assert main(old) == 0
+    assert (tmp_path / "report-old.json").read_bytes() == (tmp_path / "report.json").read_bytes()
 
 
 class TestEvalScores:

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,6 @@ import trackfuse.field as field_module
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import (
     BCE_EPS,
-    ToyGaussian,
     ToyReferringField,
     binarize_logits,
     contrastive_loss,
@@ -44,10 +45,9 @@ from trackfuse.rle import rle_decode, rle_encode
 
 
 def make_field(features, centers, h=16, w=16, spread=3.0):
-    dim = len(features[0])
-    gaussians = [ToyGaussian(g, 0, np.asarray([c], dtype=float)) for g, c in enumerate(centers)]
+    gaussians = np.asarray(centers, dtype=float)[:, None]
     features = np.asarray(features, dtype=float)
-    return ToyReferringField(height=h, width=w, spread=spread, dim=dim, gaussians=gaussians, features=features)
+    return ToyReferringField(height=h, width=w, spread=spread, gaussians=gaussians, features=features)
 
 
 def disk_mask(h, w, cx, cy, r):
@@ -77,9 +77,13 @@ class TestRender:
         probs = render_mask(field, 0, np.array([1.0, 0.0]))
         assert probs[20, 20] == 0.5  # distance > 3 spreads: weight exactly 0
 
+    def test_centers_without_a_feature_row_each_are_refused(self):
+        # three center rows against two feature rows: a render's product would fail inside numpy
+        with pytest.raises(SchemaError, match=r"centers \(3, 1, 2\) and features \(2, 2\) are not"):
+            ToyReferringField(16, 16, 3.0, np.full((3, 1, 2), 8.0), np.ones((2, 2)))
+
     def test_invisible_view_contributes_nothing(self):
-        gaussian = ToyGaussian(0, 0, np.array([[np.nan, np.nan]]))
-        field = ToyReferringField(16, 16, 3.0, 2, [gaussian], np.array([[5.0, 0.0]]))
+        field = ToyReferringField(16, 16, 3.0, np.array([[[np.nan, np.nan]]]), np.array([[5.0, 0.0]]))
         probs = render_mask(field, 0, np.array([1.0, 0.0]))
         assert np.all(probs == 0.5)
 
@@ -244,9 +248,8 @@ class TestGradCheck:
         h = w = 16
         dim, n_gauss = 6, 3
         centers = rng.uniform(5, 11, size=(n_gauss, 1, 2))
-        gaussians = [ToyGaussian(g, 0, centers[g]) for g in range(n_gauss)]
         features = np.stack([rng.standard_normal(dim) * 0.3 for _ in range(n_gauss)])
-        field = ToyReferringField(h, w, 3.0, dim, gaussians, features)
+        field = ToyReferringField(h, w, 3.0, centers, features)
         q = rng.standard_normal(dim)
         q /= np.linalg.norm(q)
         ys, xs = np.mgrid[0:h, 0:w]
@@ -424,10 +427,33 @@ class TestFieldIo:
         loaded = load_field(tmp_path / "f.json")
         assert loaded.spread == field.spread
         assert np.array_equal(loaded.features, field.features)
-        for a, b in zip(field.gaussians, loaded.gaussians):
-            assert np.array_equal(np.isnan(a.centers), np.isnan(b.centers))
-            mask = ~np.isnan(a.centers)
-            assert np.array_equal(a.centers[mask], b.centers[mask])
+        assert np.array_equal(loaded.gaussians, field.gaussians, equal_nan=True)
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_file_with_gaussian_ids_and_tracks_loads_the_same_arrays(self, tmp_path, clean_scene, with_dataset):
+        # the older format: each Gaussian also held its position as "id" and its object as "track"
+        ds, gt, _ = clean_scene
+        field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
+        field.features = np.random.default_rng(0).standard_normal(field.features.shape)
+        save_field(field, tmp_path / "new.json")
+        obj = json.loads((tmp_path / "new.json").read_text())
+        for gid, g in enumerate(obj["gaussians"]):
+            g.update(id=gid, track=gt.objects[gid // 5].object_id)
+        (tmp_path / "old.json").write_text(dumps(obj) + "\n")
+        ds_or_none = ds if with_dataset else None
+        new, old = load_field(tmp_path / "new.json", ds_or_none), load_field(tmp_path / "old.json", ds_or_none)
+        assert old.gaussians.tobytes() == new.gaussians.tobytes() == field.gaussians.tobytes()
+        assert old.features.tobytes() == new.features.tobytes() == field.features.tobytes()
+
+    def test_gaussians_with_different_center_counts_are_refused_without_a_dataset(self, tmp_path, clean_scene):
+        ds, gt, _ = clean_scene
+        save_field(field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim), tmp_path / "f.json")
+        obj = json.loads((tmp_path / "f.json").read_text())
+        del obj["gaussians"][2]["centers"][-1]
+        (tmp_path / "f.json").write_text(dumps(obj) + "\n")
+        message = f"{tmp_path / 'f.json'}: gaussian 2: {ds.n_views - 1} centers, gaussian 0 has {ds.n_views}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_field(tmp_path / "f.json")
 
     @pytest.mark.parametrize("per_object", [0, 6, 9])
     def test_gaussian_count_outside_the_offsets_is_refused(self, clean_scene, per_object):
@@ -517,13 +543,10 @@ def fields(draw):
     scale = draw(st.sampled_from([1.0, 1e-17]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gaussians, features = [], []
-    for gid in range(draw(st.integers(1, 6))):
-        centers = np.array([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
-        gaussians.append(ToyGaussian(gid, 0, centers))
+    for _ in range(draw(st.integers(1, 6))):
+        gaussians.append([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
         features.append(scale * rng.standard_normal(dim))
-    return ToyReferringField(
-        height=h, width=w, spread=spread, dim=dim, gaussians=gaussians, features=np.stack(features)
-    )
+    return ToyReferringField(height=h, width=w, spread=spread, gaussians=gaussians, features=np.stack(features))
 
 
 def sigmoid_above_half(logits):
@@ -537,7 +560,7 @@ class TestBatchedOracles:
     @given(fields())
     @settings(max_examples=100, deadline=None)
     def test_windowed_weights_equal_full_grid(self, field):
-        for view in range(len(field.gaussians[0].centers)):
+        for view in range(field.gaussians.shape[1]):
             got, want = field.weights(view), oracle_weights(field, view)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -546,7 +569,7 @@ class TestBatchedOracles:
     @settings(max_examples=100, deadline=None)
     def test_selection_equals_per_gaussian_loop(self, field, seed):
         grid = np.random.default_rng(seed).random((field.height, field.width)) < 0.6
-        for view in range(len(field.gaussians[0].centers)):
+        for view in range(field.gaussians.shape[1]):
             want = oracle_select_inside(field, view, grid)
             if not want:
                 with pytest.raises(NumericError, match="no Gaussian"):
@@ -562,7 +585,7 @@ class TestBatchedOracles:
     def test_batched_logits_within_1e12_of_per_query(self, field, n_queries, seed):
         queries = np.random.default_rng(seed).standard_normal((n_queries, field.dim))
         feats = np.abs(field.features)
-        for view in range(len(field.gaussians[0].centers)):
+        for view in range(field.gaussians.shape[1]):
             got = render_logits(field, view, queries)
             assert got.shape == (n_queries, field.height, field.width)
             assert render_logits(field, view, queries[0]).shape == (field.height, field.width)
@@ -589,7 +612,7 @@ class TestBatchedOracles:
     @settings(max_examples=100, deadline=None)
     def test_eval_grids_equal_per_query_render_mask(self, field, n_queries, seed):
         queries = list(np.random.default_rng(seed).standard_normal((n_queries, field.dim)))
-        views = list(range(len(field.gaussians[0].centers)))
+        views = list(range(field.gaussians.shape[1]))
         grids = render_grids(field, views, queries)
         assert len(grids) == n_queries
         for q, per_view in zip(queries, grids):
@@ -679,9 +702,8 @@ class TestWeightBuffer:
             [(9.5, 7.5), (0.5, 6.0), (-0.5, 0.0)],
             [(4.0, 4.0), (math.nan, math.nan), (10.0, 4.0)],
         ]
-        gaussians = [ToyGaussian(g, 0, np.array(c)) for g, c in enumerate(centers)]
-        features = np.random.default_rng(0).standard_normal((len(gaussians), 3))
-        return ToyReferringField(8, 10, spread, 3, gaussians, features)
+        features = np.random.default_rng(0).standard_normal((len(centers), 3))
+        return ToyReferringField(8, 10, spread, centers, features)
 
     @pytest.mark.parametrize("spread", [0.5, 1.0, 1.5])
     def test_revisited_views_equal_full_grid(self, spread):
@@ -706,8 +728,8 @@ class TestWeightBuffer:
     def test_rendering_every_view_holds_one_buffer(self):
         n_views, h, w, n = 6, 48, 48, 16
         rng = np.random.default_rng(1)
-        gaussians = [ToyGaussian(g, 0, rng.uniform(0, h, (n_views, 2))) for g in range(n)]
-        field = ToyReferringField(h, w, 8.0, 4, gaussians, rng.standard_normal((n, 4)))
+        gaussians = [rng.uniform(0, h, (n_views, 2)) for _ in range(n)]
+        field = ToyReferringField(h, w, 8.0, gaussians, rng.standard_normal((n, 4)))
         buffer_bytes = n * h * w * 8
         tracemalloc.start()
         try:
@@ -733,11 +755,10 @@ def windowed_fields(draw):
     w = draw(st.sampled_from([1, 3, 33, 47]) | st.integers(1, 50))
     spread = draw(st.sampled_from(EDGE_SPREADS) | st.floats(0.05, 3.0) | st.floats(3.0, 1e6) | st.just(1e150))
     n_views = draw(st.integers(1, 4))
-    gaussians = []
-    for gid in range(draw(st.integers(1, 10))):
-        centers = np.array([[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)])
-        gaussians.append(ToyGaussian(gid, 0, centers))
-    field = ToyReferringField(h, w, spread, 2, gaussians, np.zeros((len(gaussians), 2)))
+    gaussians = [
+        [[draw(coordinate(w)), draw(coordinate(h))] for _ in range(n_views)] for _ in range(draw(st.integers(1, 10)))
+    ]
+    field = ToyReferringField(h, w, spread, gaussians, np.zeros((len(gaussians), 2)))
     order = draw(st.lists(st.integers(0, n_views - 1), min_size=1, max_size=6))
     return field, order
 
@@ -767,8 +788,8 @@ class TestWindowedFill:
     def test_fill_temporaries_stay_under_an_eighth_of_the_buffer(self):
         n, h, w = 64, 96, 96
         rng = np.random.default_rng(3)
-        gaussians = [ToyGaussian(g, 0, rng.uniform(0, h, (3, 2))) for g in range(n)]
-        field = ToyReferringField(h, w, 8.0, 2, gaussians, np.zeros((n, 2)))
+        gaussians = [rng.uniform(0, h, (3, 2)) for _ in range(n)]
+        field = ToyReferringField(h, w, 8.0, gaussians, np.zeros((n, 2)))
         field.weights(0)
         buffer_bytes = n * h * w * 8
         tracemalloc.start()
@@ -785,9 +806,8 @@ class TestWindowedFill:
 class TestSaveFieldText:
     @staticmethod
     def _field(centers):
-        gaussians = [ToyGaussian(g, g % 2, np.array(c, dtype=float)) for g, c in enumerate(centers)]
-        features = np.random.default_rng(0).standard_normal((len(gaussians), 3))
-        return ToyReferringField(8, 8, 1.5, 3, gaussians, features)
+        features = np.random.default_rng(0).standard_normal((len(centers), 3))
+        return ToyReferringField(8, 8, 1.5, centers, features)
 
     @pytest.mark.parametrize(
         "centers",
@@ -807,12 +827,11 @@ class TestSaveFieldText:
     @settings(max_examples=100, deadline=None)
     def test_drawn_centers_give_the_same_document(self, rows):
         field = self._field([rows])
-        got = field_module._json_centers(field.gaussians[0].centers)
+        got = field_module._json_centers(field.gaussians[0])
         assert dumps(got) == dumps(oracle_field_json(field)["gaussians"][0]["centers"])
 
     def test_integer_centers_are_written_as_floats(self, tmp_path):
-        gaussians = [ToyGaussian(0, 0, np.array([[1, 2], [3, 4]]))]
-        field = ToyReferringField(4, 4, 1.0, 1, gaussians, np.zeros((1, 1)))
+        field = ToyReferringField(4, 4, 1.0, np.array([[[1, 2], [3, 4]]]), np.zeros((1, 1)))
         save_field(field, tmp_path / "f.json")
         assert '"centers":[[1.0,2.0],[3.0,4.0]]' in (tmp_path / "f.json").read_text()
         assert (tmp_path / "f.json").read_text() == dumps(oracle_field_json(field)) + "\n"
@@ -975,7 +994,6 @@ class TestLeanTrainStep:
         ds, gt, records, descriptions = self._scene(noisy_scene)
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         view = min(v for rec in records for v, _ in rec.members)
-        for g in field.gaussians:
-            g.centers[view] = (np.nan, np.nan)
+        field.gaussians[:, view] = np.nan
         with pytest.raises(NumericError, match=f"no Gaussian center inside the pseudo mask at view {view}"):
             tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))

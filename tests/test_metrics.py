@@ -25,7 +25,7 @@ from trackfuse.metrics import (
     query_means,
 )
 from trackfuse.consensus import ConsensusRecord
-from trackfuse.field import ToyGaussian, ToyReferringField, field_from_ground_truth
+from trackfuse.field import ToyReferringField, field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json, text_embedding
 from trackfuse.synth import GroundTruth, GtObject
@@ -419,8 +419,7 @@ class TestEvalScoring:
         empty = [[0, 0, 0]] * 3
         _, gt = hand_scene([[], []], [(0, [blob, empty])])
         # one Gaussian, seen only in view 0: nothing renders in view 1
-        field_ = ToyReferringField(3, 3, 1.0, 2, [ToyGaussian(0, 0, np.array([[0.5, 0.5], [np.nan, np.nan]]))],
-                                   np.array([[1.0, 0.0]]))
+        field_ = ToyReferringField(3, 3, 1.0, np.array([[[0.5, 0.5], [np.nan, np.nan]]]), np.array([[1.0, 0.0]]))
         queries = np.array([[1.0, 0.0], [-1.0, 0.0]])
         table = iou_by_view(field_, gt, [1, 0], queries, np.array([0, 1]))
         assert table[:, 1].tolist() == [1.0, 1.0]
@@ -430,7 +429,7 @@ class TestEvalScoring:
 
     def test_no_queries_render_nothing(self):
         _, gt = hand_scene([[]], [(0, [[[1]]])])
-        field_ = ToyReferringField(1, 1, 1.0, 2, [ToyGaussian(0, 0, np.array([[0.0, 0.0]]))], np.ones((1, 2)))
+        field_ = ToyReferringField(1, 1, 1.0, np.zeros((1, 1, 2)), np.ones((1, 2)))
         assert iou_by_view(field_, gt, [0], np.zeros((0, 2)), np.zeros(0, dtype=np.intp)).shape == (0, 1)
         assert field_._buffer is None
 

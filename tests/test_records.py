@@ -547,15 +547,15 @@ class TestKeptWrite:
         first, decoded = load_field(path, ds), count_json_loads(monkeypatch)
         again = load_field(path, ds)
         assert decoded == []
-        assert again is not first and again.gaussians[0] is not first.gaussians[0]
-        assert again.features is first.features and again.gaussians[0].centers is first.gaussians[0].centers
-        for array in (first.features, first.gaussians[0].centers):
+        assert again is not first
+        assert again.features is first.features and again.gaussians is first.gaussians
+        for array in (first.features, first.gaussians):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         first.features = np.zeros_like(first.features)
-        first.gaussians[0].centers = np.zeros_like(first.gaussians[0].centers)
+        first.gaussians = np.zeros_like(first.gaussians)
         reloaded = load_field(path, ds)
-        assert reloaded.features is again.features and reloaded.gaussians[0].centers is again.gaussians[0].centers
+        assert reloaded.features is again.features and reloaded.gaussians is again.gaussians
 
     def test_training_twice_from_one_kept_geometry_gives_one_model(self, tmp_path, monkeypatch):
         ds, gt = written_scene(tmp_path)

@@ -133,20 +133,22 @@ class TestPlacementOracle:
 
 
 # sha256 of every file `trackfuse synth` writes, recorded before the overlap check was
-# bit-packed; a change here means the same config and seed no longer give the same scene
+# bit-packed; field_geometry.json's are of those files' documents with each Gaussian's id
+# and track taken out, dumped again. A change here means the same config and seed no longer
+# give the same scene
 SYNTH_DIGESTS = {
     "fixture": {
         "dataset/detections.jsonl": "a1a3d7a963f6076cddbea03b19504d27a20fa51cd9d306d70893211de73b9403",
         "dataset/embeddings.json": "fe9707faa8e65e64c58dcc64fef37192cba5d1cfd768a9a14dec3c3dfcc078ea",
         "dataset/manifest.json": "5f332da6980dda184e1adf64412bbf2ab09aa8949d24a465b1236ebca2337a32",
-        "field_geometry.json": "f29f5f5119fc36b93675f2e479f0f8441109e20f3ded741e8a8882fbdcbc4acd",
+        "field_geometry.json": "e0df91626fd119c0ac715f024dac88a41bb8ea9b3d87679c85432741bcfd65e6",
         "ground_truth.json": "7d99476c8b25d8793434309ed140834c57cb8d49e906cec97e1c7cbec169e750",
     },
     "odd_size": {
         "dataset/detections.jsonl": "018fbf4e844f4a46ca4ca12434699ea66ba82a2cc61af447541e0ebb380667cf",
         "dataset/embeddings.json": "48252eb1c9920fe7d9dd2286ee9da9cdf34002b0e62ecef81f31bb13e7250814",
         "dataset/manifest.json": "6338dc46756dcc2b61a6bc7c25846331a05a532f0ee45d6c56766ac8cd4be673",
-        "field_geometry.json": "5459ebe80a8f4ede4df45a82fb9f9c6be5d5ae5150f83867c11bc079cdb0e105",
+        "field_geometry.json": "c2107547246f547466b6788880f2b435f09b1c0c64e959d9ce3315f5e1781daf",
         "ground_truth.json": "e776d460a662272529232265cd9e689045c115a6bf855bcdb64a53356455b120",
     },
 }
