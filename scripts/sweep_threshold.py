@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 import trackfuse as tf
-from trackfuse.consensus import check_tau_sem, member_table, observed_labels
-from trackfuse.metrics import iou_tables, match_detections_to_objects, tau_sem_row
+from trackfuse.consensus import check_tau_sem, member_table
+from trackfuse.metrics import iou_tables, match_detections_to_objects, tau_sem_rows
 
 
 def main() -> int:
@@ -26,10 +26,10 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    # each scene, its detection -> object matching, member table and one
-    # agglomeration are built once; each value cuts the agglomeration and
-    # votes over the table, as `trackfuse sweep` does
-    scenes = []
+    # each scene's detection -> object matching, member table and one
+    # agglomeration are built once, and all its values scored in one call,
+    # as `trackfuse sweep` does
+    per_scene = []
     for seed in range(args.seeds):
         cfg = tf.SynthConfig(
             n_views=8,
@@ -42,19 +42,15 @@ def main() -> int:
         ds, gt = tf.generate_scene(cfg)
         noisy = tf.corrupt(ds, gt, cfg)
         mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
-        agglomeration = tf.cluster_synonyms(observed_labels(noisy), noisy.embeddings, values[0])
         table = member_table(noisy, tf.import_tracks(noisy))
-        scenes.append((noisy, gt, table, mapping, agglomeration))
+        agglomeration = tf.cluster_synonyms(list(table.labels), noisy.embeddings, values[0])
+        per_scene.append(tau_sem_rows(table, agglomeration, values, gt, mapping))
 
     rows = []
-    for tau in values:
-        counts, per_view, tscm = [], [], []
-        for noisy, gt, table, mapping, agglomeration in scenes:
-            row = tau_sem_row(noisy, table, agglomeration, tau, gt, mapping)
-            counts.append(row["cluster_count"])
-            per_view.append(row["per_view_acc"])
-            tscm.append(row["tscm_acc"])
-        rows.append((tau, np.mean(counts), np.mean(per_view), np.mean(tscm)))
+    for k, tau in enumerate(values):
+        scene_rows = [scene[k] for scene in per_scene]
+        rows.append((tau, *(np.mean([row[key] for row in scene_rows])
+                            for key in ("cluster_count", "per_view_acc", "tscm_acc"))))
 
     print(f"{'tau_sem':>8} {'clusters':>9} {'per_view':>9} {'consensus':>10}")
     for tau, n_clusters, pv, tc in rows:

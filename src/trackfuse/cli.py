@@ -32,7 +32,6 @@ from .consensus import (
     cluster_synonyms,
     load_consensus,
     member_table,
-    observed_labels,
     run_consensus,
     save_consensus,
 )
@@ -58,11 +57,11 @@ from .keyframes import (
 from .metrics import (
     ObjectMasks,
     consensus_accuracy,
+    detection_matches,
     emit_report,
     eval_miou,
     iou_tables,
-    match_detections_to_objects,
-    tau_sem_row,
+    tau_sem_rows,
 )
 from .records import (
     config_hash,
@@ -397,7 +396,7 @@ def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
 
 
 def _scored(paths: dict[str, Path], score: Callable, *args):
-    """``score(*args)`` (``consensus_accuracy`` or ``tau_sem_row``), its error (no detection matches
+    """``score(*args)`` (``consensus_accuracy`` or ``tau_sem_rows``), its error (no detection matches
     an object) naming the ground-truth file."""
     try:
         return score(*args)
@@ -429,7 +428,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     if clustering.labels:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
-            mapping = match_detections_to_objects(tables, gt)
+            mapping = detection_matches(ds, gt, masks)
             metrics.update(_scored(paths, consensus_accuracy, ds, revote.vote, gt, clustering, mapping))
 
     if "model" in paths:
@@ -607,37 +606,30 @@ def run_sweep(
     ds = load_dataset(paths["manifest"])
     trajectories = load_tracks(paths["tracks"], ds)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
-    mapping = None
-    if gt is not None and param == "tau_sem" and any(ds.detections):
-        # masks, not labels, decide the matching, so one serves every value;
-        # like eval, no accuracy columns for a dataset without detections
-        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
 
     if param == "tau_sem":
         for value in values:
             check_tau_sem(value)
-        agglomeration = cluster_synonyms(observed_labels(ds), ds.embeddings, values[0])
+        mapping = None
+        if gt is not None and any(ds.detections):
+            # masks, not labels, decide the matching, so one serves every value;
+            # like eval, no accuracy columns for a dataset without detections
+            mapping = detection_matches(ds, gt)
         table = member_table(ds, trajectories)
+        agglomeration = cluster_synonyms(list(table.labels), ds.embeddings, values[0])
+        rows = _scored(paths, tau_sem_rows, table, agglomeration, values, gt, mapping)
     elif param == "sigma":
         for value in values:
             check_keyframe_settings("weighting", value)
         # the member areas do not depend on sigma: one list serves every value, in track order
         track_areas = [member_areas(ds, traj) for traj in sorted(trajectories, key=lambda t: t.track_id)]
+        rows = []
+        for value in values:
+            keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
+            mean = float(np.mean(keyframes)) if keyframes else float("nan")
+            rows.append({"value": value, "mean_keyframe": mean, "n_tracks": len(keyframes)})
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
-
-    rows = []
-    for value in values:
-        if param == "tau_sem":
-            row = _scored(paths, tau_sem_row, ds, table, agglomeration, value, gt, mapping)
-        else:
-            keyframes = [select_keyframe(areas, "weighting", value) for areas in track_areas]
-            row = {
-                "value": value,
-                "mean_keyframe": float(np.mean(keyframes)) if keyframes else float("nan"),
-                "n_tracks": len(keyframes),
-            }
-        rows.append(row)
 
     fields = sorted({k for row in rows for k in row}, key=lambda k: (k != "value", k))
     write_csv(fields, ([row.get(k, "") for k in fields] for row in rows), out_path)

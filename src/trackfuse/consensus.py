@@ -12,10 +12,11 @@ tracks): each detection's index into the sorted raw labels and its mask
 area, and each member's detection and track rows. Per clustering, its
 ``cluster`` array maps the labels to clusters, ``np.bincount`` sums the
 votes and areas of each (track, cluster) pair, and one ``np.lexsort`` picks
-every track's winner (``vote``). The ``consensus`` stage, eval's re-vote and
-each value of a ``tau_sem`` sweep vote this way, and ``vote_trajectory`` is
-the same vote on one track; the per-member loops are the references in
-``tests/oracles.py``.
+every track's winner (``vote``). The ``consensus`` stage and eval's re-vote
+vote this way; a ``tau_sem`` sweep stacks every value's votes, each value's
+clusters numbered past the ones before, into one tally
+(``vote_identities``), and ``vote_trajectory`` is the same vote on one
+track; the per-member loops are the references in ``tests/oracles.py``.
 
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So each label
@@ -421,10 +422,6 @@ class TrackVote:
     pair_votes: np.ndarray  # (P,) its votes
     winner: np.ndarray  # (T,) each track's winning cluster
 
-    def winner_names(self) -> list[str]:
-        """Each track's winning identity, in track order: its record's ``canonical``."""
-        return [self.clustering.canonical[w] for w in self.winner.tolist()]
-
     def records(self) -> list[ConsensusRecord]:
         """One record per track, in track order: its winner, its votes by identity, its members."""
         names = self.clustering.canonical
@@ -432,8 +429,8 @@ class TrackVote:
         for t, c, n in zip(self.pair_track.tolist(), self.pair_cluster.tolist(), self.pair_votes.tolist()):
             votes[t][names[c]] = n
         return [
-            ConsensusRecord(track_id=t.track_id, canonical=w, votes=v, members=t.members)
-            for t, w, v in zip(self.table.tracks, self.winner_names(), votes)
+            ConsensusRecord(track_id=t.track_id, canonical=names[w], votes=v, members=t.members)
+            for t, w, v in zip(self.table.tracks, self.winner.tolist(), votes)
         ]
 
 
@@ -443,15 +440,37 @@ def check_clustering(table: MemberTable, clustering: SynonymClustering) -> None:
         raise ValueError(f"the clustering is not of the member table's {len(table.labels)} labels")
 
 
+def _tally_all(table: MemberTable, clusterings: list[SynonymClustering]):
+    """``_tally`` of every track's votes under each of V ``clusterings`` at once: track row t under
+    clustering v is ``v * T + t``, and its cluster c is ``offset[v] + c``. Returns ``_tally``'s
+    arrays, each stacked cluster's name as its position in the sorted ``table.labels`` (its rank
+    in the tie-break) and each label's stacked cluster, (V, labels)."""
+    for clustering in clusterings:
+        check_clustering(table, clustering)
+    position = {lab: k for k, lab in enumerate(table.labels)}
+    name = np.array([position[n] for c in clusterings for n in c.canonical], dtype=np.intp)
+    offset = np.cumsum([0] + [len(c.canonical) for c in clusterings[:-1]])
+    label_cluster = np.stack([c.cluster for c in clusterings]) + offset[:, None]
+    n = len(table.tracks)
+    track = table.track + n * np.arange(len(clusterings))[:, None]
+    cluster = label_cluster[:, table.label[table.det]]
+    area = np.tile(table.area[table.det], len(clusterings))
+    return _tally(track.ravel(), cluster.ravel(), area, name, n * len(clusterings)), name, label_cluster
+
+
 def vote(table: MemberTable, clustering: SynonymClustering) -> TrackVote:
     """Every track's vote over its members' clustered identities, as ``vote_trajectory`` takes one;
     ``clustering`` must be of the table's labels (``check_clustering``)."""
-    check_clustering(table, clustering)
-    names = clustering.canonical
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    cluster = clustering.cluster[table.label[table.det]]
-    return TrackVote(table, clustering, *_tally(table.track, cluster, table.area[table.det], rank, len(table.tracks)))
+    tally, _, _ = _tally_all(table, [clustering])
+    return TrackVote(table, clustering, *tally)
+
+
+def vote_identities(table: MemberTable, clusterings: list[SynonymClustering]) -> tuple[np.ndarray, np.ndarray]:
+    """Under each of V ``clusterings``, each label's clustered identity and each track's voted one
+    (``vote``), as positions in ``table.labels``: (V, labels) and (V, tracks) arrays. Every
+    clustering's vote is one ``_tally``."""
+    (_, _, _, winner), name, label_cluster = _tally_all(table, clusterings)
+    return name[label_cluster], name[winner].reshape(len(clusterings), len(table.tracks))
 
 
 @dataclass

@@ -11,19 +11,24 @@ same ``query_means``.
 
 ``consensus_accuracy`` counts per-view and consensus hits on the member
 table the vote reads (``consensus.member_table``): each matched
-detection's clustered identity and its track's winner are array lookups,
-so one value of a ``tau_sem`` sweep (``tau_sem_row``: cut, vote, score)
-builds no record and loops over no member.
+detection's clustered identity and its track's winner are array lookups.
+A ``tau_sem`` sweep (``tau_sem_rows``) votes all its values in one tally
+(``consensus.vote_identities``) and counts their hits the same way, as one
+(values x matched detections) array each; the process keeps the detection
+matching (``detection_matches``), so eval and a later sweep match once.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .consensus import ConsensusRecord, MemberTable, SynonymClustering, TrackVote, check_clustering, member_table, vote
+from .consensus import (ConsensusRecord, MemberTable, SynonymClustering, TrackVote, check_clustering, member_table,
+                        vote_identities)
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
@@ -248,6 +253,11 @@ def eval_miou(
     return out
 
 
+def _pair_key(ds: SceneDataset, gt: GroundTruth):
+    """The key of what the process keeps of a (dataset, ground truth) pair: both keys, or None."""
+    return None if ds.key is None or gt.key is None else (ds.key, gt.key)
+
+
 def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> tuple[np.ndarray, ...]:
     """Per view, the (detections x ``gt.objects``) mask IoU table, read-only; the object masks
     come from ``masks`` if given, so that a later use of ``masks`` decodes none again.
@@ -269,8 +279,17 @@ def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = No
             table.flags.writeable = False
         return tables
 
-    key = None if ds.key is None or gt.key is None else (ds.key, gt.key)
-    return kept("iou_tables", key, build)
+    return kept("iou_tables", _pair_key(ds, gt), build)
+
+
+def detection_matches(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> Mapping:
+    """``match_detections_to_objects`` on the ``iou_tables`` of ``ds`` and ``gt``, read-only.
+
+    The process keeps (``records.kept``) the matching under the tables' key: masks, not labels,
+    decide it, so eval and a sweep of the same pair match once.
+    """
+    return kept("matching", _pair_key(ds, gt),
+                lambda: MappingProxyType(match_detections_to_objects(iou_tables(ds, gt, masks), gt)))
 
 
 def match_detections_to_objects(tables: list[np.ndarray], gt: GroundTruth) -> dict[tuple[int, int], int]:
@@ -314,7 +333,7 @@ def consensus_accuracy(
     records,
     gt: GroundTruth,
     clustering: SynonymClustering,
-    mapping: dict[tuple[int, int], int],
+    mapping: Mapping[tuple[int, int], int],
 ) -> dict[str, float]:
     """Per-view (clustered raw label) vs consensus (voted label) accuracy.
 
@@ -323,55 +342,54 @@ def consensus_accuracy(
     detection's voted label is the ``canonical`` of the record it is a
     member of (of two, the later in track order); a detection of no record
     has none, and is never a consensus hit. ``records`` may also be a
-    ``TrackVote``, whose winners are the records' canonicals, so that a sweep
-    scores each value without building records. Both counts are taken on
+    ``TrackVote``, whose winners are the records' canonicals, so that eval
+    scores its re-vote without building records. Both counts are taken on
     the member table of ``ds`` and the records' tracks (``member_table``),
     with every name keyed by its cluster in ``clustering``, which must be of
-    the table's labels (``check_clustering``).
+    the table's labels (``check_clustering``), and counted as a sweep counts
+    each of its values (``tau_sem_rows``).
     """
+    table = records.table if isinstance(records, TrackVote) else member_table(ds, records)
+    check_clustering(table, clustering)
+    ids = {lab: k for k, lab in enumerate(table.labels)}
+    name = np.array([ids[n] for n in clustering.canonical], dtype=np.intp)
     if isinstance(records, TrackVote):
-        table, voted_names = records.table, records.winner_names()
+        voted = name[records.winner]
     else:
-        table = member_table(ds, records)
-        voted_names = [rec.canonical for rec in sorted(records, key=lambda r: r.track_id)]
+        voted = [ids.setdefault(rec.canonical, len(ids)) for rec in sorted(records, key=lambda r: r.track_id)]
+    return _accuracies(table, gt, mapping, name[clustering.cluster][None], np.array([voted], dtype=np.intp), ids)[0]
+
+
+def _accuracies(table: MemberTable, gt: GroundTruth, mapping: Mapping, clustered, voted, ids: dict) -> list[dict]:
+    """``consensus_accuracy`` of V rows at once: (V, labels) ``clustered`` holds each label's
+    clustered identity and (V, tracks) ``voted`` each track's voted one, keyed by ``ids``, which
+    gives a name no key holds yet the next key."""
     view, idx = np.fromiter(chain.from_iterable(mapping), dtype=np.intp, count=2 * len(mapping)).reshape(-1, 2).T
     rows = table.first[view] + idx
     if not rows.size:
         raise SchemaError("no detections matched any ground-truth object")
-    check_clustering(table, clustering)
-    clustered = clustering.cluster[table.label[rows]]
-
-    keys = {name: k for k, name in enumerate(clustering.canonical)}
-
-    def key(name: str) -> int:
-        # distinct names no cluster has count down from -2; -1 is no voted label
-        return keys.setdefault(name, -2 - len(keys))
-
-    voted = np.array([key(name) for name in voted_names] + [-1], dtype=np.intp)[table.owner[rows]]
-    truth_of = {o.object_id: key(o.identity) for o in gt.objects}
+    truth_of = {o.object_id: ids.setdefault(o.identity, len(ids)) for o in gt.objects}
     truth = np.array([truth_of[obj] for obj in mapping.values()], dtype=np.intp)
-    return {
-        "per_view_acc": int(np.count_nonzero(clustered == truth)) / len(rows),
-        "tscm_acc": int(np.count_nonzero(voted == truth)) / len(rows),
-    }
+    # a detection of no track (owner -1) reads the last column: -1, no voted label
+    voted = np.column_stack([voted, np.full(len(voted), -1)])[:, table.owner[rows]]
+    per_view = np.count_nonzero(clustered[:, table.label[rows]] == truth, axis=1).tolist()
+    tscm = np.count_nonzero(voted == truth, axis=1).tolist()
+    return [{"per_view_acc": p / len(rows), "tscm_acc": t / len(rows)} for p, t in zip(per_view, tscm)]
 
 
-def tau_sem_row(
-    ds: SceneDataset,
-    table: MemberTable,
-    agglomeration: SynonymClustering,
-    value: float,
-    gt: GroundTruth | None = None,
-    mapping: dict[tuple[int, int], int] | None = None,
-) -> dict:
-    """One row of a ``tau_sem`` sweep: the clustering cut at ``value`` from ``agglomeration``
-    (``at``), its cluster count, and, with ``mapping``, the ``consensus_accuracy`` of its vote
-    over ``table``."""
-    clustering = agglomeration.at(value)
-    row = {"value": value, "cluster_count": len(clustering.canonical)}
+def tau_sem_rows(table: MemberTable, agglomeration: SynonymClustering, values: list[float],
+                 gt: GroundTruth | None = None, mapping: Mapping | None = None) -> list[dict]:
+    """The rows of a ``tau_sem`` sweep, one per value in order: the clustering cut at the value
+    from ``agglomeration`` (``at``), its cluster count, and, with ``mapping``, the
+    ``consensus_accuracy`` of its vote over ``table``; all values vote in one ``vote_identities``."""
+    clusterings = [agglomeration.at(value) for value in values]
+    rows = [{"value": value, "cluster_count": len(c.canonical)} for value, c in zip(values, clusterings)]
     if mapping is not None:
-        row.update(consensus_accuracy(ds, vote(table, clustering), gt, clustering, mapping))
-    return row
+        clustered, voted = vote_identities(table, clusterings)
+        ids = {lab: k for k, lab in enumerate(table.labels)}
+        for row, accuracy in zip(rows, _accuracies(table, gt, mapping, clustered, voted, ids)):
+            row.update(accuracy)
+    return rows
 
 
 def emit_report(

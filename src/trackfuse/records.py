@@ -143,8 +143,8 @@ def kept(kind: str, key, build: Callable):
     kept in its place first. A ``key`` of None keeps nothing.
 
     Besides the reads (``read_kept``) and their writes (``write_kept``), the process keeps this way
-    the IoU tables of one (dataset, ground truth) pair, the member table of one (dataset, tracks)
-    pair and the complete linkage of the last label set clustered.
+    the IoU tables and the detection matching of one (dataset, ground truth) pair, the member table
+    of one (dataset, tracks) pair and the complete linkage of the last label set clustered.
     """
     entry = _kept.get(kind)
     if key is None or entry is None or entry[0] != key:

@@ -194,6 +194,18 @@ def oracle_consensus_accuracy(ds, records, gt, clustering, mapping):
     return {"per_view_acc": per_view_hits / total, "tscm_acc": consensus_hits / total}
 
 
+def oracle_tau_sem_row(ds, table, agglomeration, value, gt=None, mapping=None):
+    """One row of a ``tau_sem`` sweep, one value at a time: the clustering cut at ``value`` from
+    ``agglomeration`` (``at``), its cluster count, and, with ``mapping``, the accuracy of the
+    per-member loops' vote over the tracks of member table ``table``."""
+    clustering = agglomeration.at(value)
+    row = {"value": value, "cluster_count": len(clustering.canonical)}
+    if mapping is not None:
+        records = oracle_vote_tracks(ds, table.tracks, clustering)
+        row.update(oracle_consensus_accuracy(ds, records, gt, clustering, mapping))
+    return row
+
+
 def oracle_visibility(area, med, sigma):
     return area * math.exp(-((math.sqrt(area) - math.sqrt(med)) ** 2) / (2.0 * sigma**2))
 

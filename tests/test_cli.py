@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from trackfuse import consensus, records, rle
+from trackfuse import consensus, metrics, records, rle
 from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
@@ -288,7 +288,8 @@ class TestStages:
         cfg = write_config(tmp_path, noisy)
         out = tmp_path / "run"
         run_pipeline(load_config(cfg), out)
-        values = [0.9, 0.5, 0.97, 0.7, 0.99]  # the lowest is not first
+        # the lowest is not first, 0.9 is repeated, and 0.96 and 0.961 cut the same merges
+        values = [0.9, 0.5, 0.97, 0.7, 0.99, 0.9, 0.96, 0.961]
         argv = ["sweep", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"),
                 "--tracks", str(out / "tracks.jsonl"), "--ground-truth", str(out / "ground_truth.json"),
                 "--param", "tau_sem", "--values", ",".join(map(str, values)),
@@ -300,14 +301,16 @@ class TestStages:
         trajectories = load_tracks(out / "tracks.jsonl", ds)
         gt = load_ground_truth(out / "ground_truth.json", ds)
         mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
-        counts = set()
+        clusters = {}
         for line, value in zip(lines[1:], values, strict=True):
             result = run_consensus(ds, trajectories, tau_sem=value)
             acc = consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
-            counts.add(len(result.clustering.canonical))
+            clusters[value] = result.clustering.cluster.tolist()
             assert line.split(",") == [str(value), str(len(result.clustering.canonical)),
                                        str(acc["per_view_acc"]), str(acc["tscm_acc"])]
-        assert len(counts) > 1  # the values cut the merges at different depths
+        assert len({len(set(c)) for c in clusters.values()}) > 2  # the values cut the merges at different depths
+        assert clusters[0.96] == clusters[0.961] != clusters[0.97]
+        assert lines[1] == lines[6]
 
     @pytest.mark.parametrize("param, matrices", [("tau_sem", 1), ("sigma", 0)])
     def test_sweep_tau_sem_builds_one_distance_matrix(self, tmp_path, monkeypatch, param, matrices):
@@ -1579,6 +1582,30 @@ def test_one_process_gives_the_artifacts_of_separate_processes(tmp_path, monkeyp
     assert sorted(tree_bytes(one)) == ["consensus.jsonl", "descriptions.jsonl", "loss_curve.csv", "model.json",
                                        "report.json", "sweep.csv", "tracks.jsonl"]
     assert tree_bytes(one) == tree_bytes(own)
+
+
+def test_one_process_matches_detections_once(tmp_path, monkeypatch):
+    """In the benchmark's process, eval matches the detections to objects, and the sweep after it
+    reads the kept matching and writes the CSV the sweep writes in a process of its own."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    matched = []
+    real = metrics.match_detections_to_objects
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("trackfuse") and getattr(module, "match_detections_to_objects", None) is real:
+            monkeypatch.setattr(module, "match_detections_to_objects", lambda *a: matched.append(1) or real(*a))
+    out.mkdir()
+    calls = benchmark_calls(c, scene, out)
+    for argv in calls:
+        assert main(argv) == 0, argv
+    assert len(matched) == 1
+    alone = (out / "sweep.csv").read_bytes()
+
+    forget_kept()  # as a new process starts
+    assert main(calls[-1]) == 0
+    assert len(matched) == 2
+    assert (out / "sweep.csv").read_bytes() == alone
 
 
 def test_one_process_parses_no_file_it_wrote(tmp_path, monkeypatch):

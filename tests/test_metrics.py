@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -23,8 +24,9 @@ from trackfuse.metrics import (
     match_tracks_to_objects,
     miou,
     query_means,
+    tau_sem_rows,
 )
-from trackfuse.consensus import ConsensusRecord
+from trackfuse.consensus import ConsensusRecord, member_table
 from trackfuse.field import ToyReferringField, field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json, text_embedding
@@ -36,6 +38,7 @@ from oracles import (
     oracle_eval_miou,
     oracle_match_detections,
     oracle_match_tracks,
+    oracle_tau_sem_row,
     render_grids,
     short_query_union,
 )
@@ -165,6 +168,44 @@ class TestConsensusAccuracy:
         result = tf.run_consensus(ds, trajs)
         mapping = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
         assert mapping == {0: 0, 1: 1, 2: 2}
+
+
+@functools.cache
+def swept_scene():
+    """A noisy scene whose voted accuracy moves with ``tau_sem``: its objects broken into short
+    tracks, the member table of every other track (so matched detections of an object are in no
+    track, and others of it are), the agglomeration of the table's labels and the detection
+    matching."""
+    noise = tf.NoiseSpec(synonym_rate=0.5, wrong_label_rate=0.3, dropout_rate=0.3, mask_jitter=1,
+                         strip_track_ids=True)
+    cfg = tf.SynthConfig(n_views=8, n_objects=4, seed=2, noise=noise)
+    ds, gt = tf.generate_scene(cfg)
+    noisy = tf.corrupt(ds, gt, cfg)
+    table = member_table(noisy, tf.associate_greedy(noisy, tf.AssocParams(max_gap=0))[::2])
+    agglomeration = tf.cluster_synonyms(list(table.labels), noisy.embeddings, 0.5)
+    mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
+    assert (table.owner == -1).any() and len(table.tracks) > len(gt.objects)
+    return noisy, gt, table, agglomeration, mapping
+
+
+class TestTauSemRows:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_per_value_oracle(self, data):
+        ds, gt, table, agglomeration, mapping = swept_scene()
+        # a cut exactly at a merge height, or anywhere in (0, 1)
+        cuts = [float(c) for c in 1.0 - agglomeration.linkage[:, 2] if 0.0 < c < 1.0]
+        value = st.sampled_from(cuts) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        pool = data.draw(st.lists(value, min_size=1, max_size=6))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))  # unsorted, with repeats
+        rows = tau_sem_rows(table, agglomeration, values, gt, mapping)
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            assert row == oracle_tau_sem_row(ds, table, agglomeration, value, gt, mapping)
+        # without a matching, only the cluster counts
+        assert tau_sem_rows(table, agglomeration, values) == [
+            oracle_tau_sem_row(ds, table, agglomeration, value) for value in values
+        ]
 
 
 def hand_scene(detections, objects):
