@@ -55,7 +55,6 @@ from .keyframes import (
     select_keyframe,
 )
 from .metrics import (
-    ObjectMasks,
     consensus_accuracy,
     detection_matches,
     emit_report,
@@ -408,8 +407,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
-    masks = ObjectMasks(gt) if gt is not None else None  # each ground-truth mask decoded once
-    tables = iou_tables(ds, gt, masks) if gt is not None else None
+    tables = iou_tables(ds, gt) if gt is not None else None
 
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
@@ -428,7 +426,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     if clustering.labels:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
-            mapping = detection_matches(ds, gt, masks)
+            mapping = detection_matches(ds, gt)
             metrics.update(_scored(paths, consensus_accuracy, ds, revote.vote, gt, clustering, mapping))
 
     if "model" in paths:
@@ -439,7 +437,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
             descriptions = None
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions, masks))
+            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions))
 
     emit_report(metrics, cfg, {"seed": cfg["seed"]}, paths["report"])
     return paths["report"]

@@ -69,7 +69,7 @@ from .records import (
     set_frozen,
     write_jsonl_kept,
 )
-from .rle import json_int, json_str, mask_area
+from .rle import json_int, json_str
 
 # A distance sum is hi * 2**_SPLIT + lo ticks of _TICK, 0 <= lo < 2**_SPLIT.
 _TICK = 2.0**-53
@@ -369,7 +369,7 @@ class MemberTable:
 
     labels: tuple[str, ...]  # the dataset's distinct raw labels, sorted (``observed_labels``)
     label: np.ndarray  # (D,) each detection's index into ``labels``
-    area: np.ndarray  # (D,) each detection's mask area
+    area: np.ndarray  # (D,) each detection's mask area (``ds.packed.area``)
     first: np.ndarray  # (V + 1,) each view's first detection row, then D
     tracks: tuple  # anything with ``track_id`` and ``members``, by track id (stable)
     det: np.ndarray  # (M,) each member's detection row
@@ -393,8 +393,7 @@ def _member_table(ds: SceneDataset, tracks: tuple) -> MemberTable:
     labels = observed_labels(ds)
     index = {lab: k for k, lab in enumerate(labels)}
     label = np.array([index[det.raw_label] for _, _, det in ds.all_detections()], dtype=np.intp)
-    area = np.array([mask_area(det.mask) for _, _, det in ds.all_detections()], dtype=np.int64)
-    first = np.cumsum([0] + [len(per_view) for per_view in ds.detections])
+    area, first = ds.packed.area, ds.packed.first
     det = []
     for t in tracks:
         for view, idx in t.members:
@@ -405,7 +404,7 @@ def _member_table(ds: SceneDataset, tracks: tuple) -> MemberTable:
     track = np.repeat(np.arange(len(tracks)), [len(t.members) for t in tracks])
     owner = np.full(len(label), -1)
     owner[det] = track
-    for arr in (label, area, first, det, track, owner):
+    for arr in (label, det, track, owner):
         arr.flags.writeable = False
     return MemberTable(tuple(labels), label, area, first, tracks, det, track, owner)
 

@@ -32,7 +32,7 @@ from .errors import NumericError, SchemaError
 from .records import (
     DescriptionSet, SceneDataset, as_vector, dataset_key, parse_json, read_kept, write_csv, write_json_kept,
 )
-from .rle import RleMask, json_float, json_floats, json_int, rle_decode_many
+from .rle import RleMask, json_float, json_floats, json_int, pack_views
 from .synth import GroundTruth
 
 BCE_EPS = 1e-7
@@ -220,27 +220,24 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
-    _, (chosen,) = _select_inside(field_, view, [pseudo_mask])
+    (chosen,) = _select_inside(field_, view, pack_views([[pseudo_mask]], field_).rows)
     return chosen.tolist()
 
 
-def _select_inside(field_: ToyReferringField, view: int, masks: list[RleMask]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Decode a view's pseudo masks in one block, (n, h*w) booleans, and choose each mask's
-    Gaussians: the ids, as an intp array, whose center at the view rounds to a pixel set in it."""
-    first = masks[0]
-    if (first.height, first.width) != (field_.height, field_.width):
-        raise SchemaError(
-            f"pseudo mask is {first.height}x{first.width}, field is {field_.height}x{field_.width}"
-        )
-    grids = rle_decode_many(masks)
+def _select_inside(field_: ToyReferringField, view: int, packed: np.ndarray) -> list[np.ndarray]:
+    """Choose the Gaussians of each of a view's pseudo masks, given as field-sized bit-packed rows
+    (``np.packbits``): the ids, as an intp array, whose center at the view rounds to a pixel set
+    in the mask, read from its bit without unpacking the row."""
     # np.rint rounds half to even like round(); NaN and inf fail the bounds
     col, row = np.rint(field_.gaussians[:, view]).T
     gids = np.flatnonzero((0 <= row) & (row < field_.height) & (0 <= col) & (col < field_.width))
     pixels = row[gids].astype(int) * field_.width + col[gids].astype(int)
-    chosen = [gids[inside] for inside in grids[:, pixels]]
+    # np.packbits puts pixel p in bit 7 - p % 8 of byte p // 8
+    inside = (packed[:, pixels // 8] >> (7 - pixels % 8).astype(np.uint8) & 1).astype(bool)
+    chosen = [gids[row] for row in inside]
     if not all(ids.size for ids in chosen):
         raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
-    return grids, chosen
+    return chosen
 
 
 def contrastive_loss(
@@ -437,11 +434,14 @@ def train(
     # - per view, pool_rows lists the table rows of the view's pool, in first-seen order;
     # - per visible track, its positives' rows in that pool (a repeated key reuses its row, so
     #   they are a subset of the pool by construction) and its chosen Gaussians;
-    # - per view, its pseudo masks, decoded in one block to choose the Gaussians and kept as
-    #   one bit-packed block, a row per track.
+    # - per view, its pseudo masks, as rows of the dataset's bit-packed block (``ds.packed``), a
+    #   row per track, from which the Gaussians are chosen.
     # The plan is view-major, so each epoch fills each view's weights, gathers its pool and
     # unpacks its masks once.
     h, w = field_.height, field_.width
+    if (ds.height, ds.width) != (h, w):
+        raise SchemaError(f"pseudo mask is {ds.height}x{ds.width}, field is {h}x{w}")
+    first = ds.packed.first
     records = sorted(records, key=lambda r: r.track_id)
     # each record's member in a view; a record's member views strictly increase
     members = [dict(rec.members) for rec in records]
@@ -449,7 +449,7 @@ def train(
     plan = []
     for view in views:
         pool: dict[int, int] = {}  # table row -> pool row
-        positive_rows, masks = [], []
+        positive_rows, det_rows = [], []
         for rec, member in zip(records, members):
             index = member.get(view)
             desc = desc_by_track.get(rec.track_id)
@@ -459,11 +459,10 @@ def train(
             texts = [*category, *desc.referrals]
             table_rows = [keys.setdefault((rec.track_id, text), (len(keys), vec))[0] for text, vec in texts]
             positive_rows.append(np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp))
-            masks.append(ds.detection(view, index).mask)
-        if masks:
-            grids, chosen = _select_inside(field_, view, masks)
-            entries = list(zip(positive_rows, chosen))
-            plan.append((view, np.array(list(pool), dtype=np.intp), np.packbits(grids, axis=1), entries))
+            det_rows.append(first[view] + index)
+        if det_rows:
+            entries = list(zip(positive_rows, _select_inside(field_, view, ds.packed.rows[det_rows])))
+            plan.append((view, np.array(list(pool), dtype=np.intp), det_rows, entries))
     table = np.stack([vec for _, vec in keys.values()]) if keys else None
 
     # one render block and two seg_loss blocks of the largest positive set, for every step
@@ -478,9 +477,9 @@ def train(
     iteration = 0
 
     for _ in range(cfg.epochs):
-        for view, pool_rows, packed, entries in plan:
+        for view, pool_rows, det_rows, entries in plan:
             pool = table[pool_rows]
-            targets = np.unpackbits(packed, axis=1, count=h * w).view(bool).reshape(-1, h, w)
+            targets = np.unpackbits(ds.packed.rows[det_rows], axis=1, count=h * w).view(bool).reshape(-1, h, w)
             for (rows, chosen), target in zip(entries, targets):
                 positives = pool[rows]
                 # np.mean's sum and division, without its wrapper

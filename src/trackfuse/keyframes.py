@@ -21,7 +21,7 @@ import numpy as np
 from .consensus import ConsensusRecord
 from .errors import SchemaError
 from .records import DescriptionSet, SceneDataset, Trajectory, as_vector, read_jsonl, text_embedding
-from .rle import json_int, json_str, mask_area, rle_decode_many
+from .rle import json_int, json_str
 
 STRATEGIES = ("weighting", "maximum", "minimum", "random", "medium")
 # the visibility penalty's width of a run that does not set keyframe.sigma
@@ -96,8 +96,9 @@ def select_keyframe(
 
 
 def member_areas(ds: SceneDataset, track: ConsensusRecord | Trajectory) -> list[tuple[int, int]]:
-    """(view, mask area) of each member of the track."""
-    return [(view, mask_area(ds.detection(view, idx).mask)) for view, idx in track.members]
+    """(view, mask area) of each member of the track, from the dataset's ``packed.area``."""
+    area, first = ds.packed.area, ds.packed.first
+    return [(view, int(area[first[view] + idx])) for view, idx in track.members]
 
 
 class ExternalDescriptions:
@@ -171,16 +172,18 @@ class TemplateSynthesizer:
         return vec
 
     def _view_centroids(self, view: int) -> dict[int, tuple[float, float]]:
-        """Track id -> mask centroid in ``view``, ascending; the view's masks decoded in one block.
+        """Track id -> mask centroid in ``view``, ascending; the view's masks unpacked in one block
+        from the dataset's ``packed`` rows.
 
         Tracks not seen in the view, or with an empty mask there, are left out.
         """
         if view not in self._centroids:
             seen = {t: i for t, rec in self.records.items() if (i := dict(rec.members).get(view)) is not None}
-            rows = rle_decode_many([self.ds.detection(view, idx).mask for idx in seen.values()])
+            ds = self.ds
+            rows = np.unpackbits(ds.packed.view(view)[list(seen.values())], axis=1, count=ds.height * ds.width)
             centroids = {}
             for track_id, row in zip(seen, rows):
-                ys, xs = np.divmod(np.flatnonzero(row), self.ds.width)
+                ys, xs = np.divmod(np.flatnonzero(row), ds.width)
                 if ys.size:
                     centroids[track_id] = float(xs.mean()), float(ys.mean())
             self._centroids[view] = centroids

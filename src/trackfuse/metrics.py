@@ -3,7 +3,10 @@
 Eval scores each view as it renders: ``eval_queries`` builds one query
 matrix with a target per row, and ``iou_by_view`` renders all rows of a
 view at once and keeps one IoU per (query, view) in a (Q, V) table, so no
-mask grid lives longer than its view. ``query_means`` reduces the table:
+mask grid lives longer than its view. Every mask IoU here, of a render or
+of a detection (``iou_tables``), is ``rle.packed_iou`` of bit-packed rows,
+the targets' read from ``gt.packed`` and the detections' from ``ds.packed``,
+where each mask is decoded once a process. ``query_means`` reduces the table:
 each query's ``np.mean`` over its views in ascending view order, then the
 ``np.mean`` of those values in sorted query-name order. ``miou`` is the
 grid-by-grid reference; it scores dicts of grids and reduces through the
@@ -32,7 +35,7 @@ from .consensus import (ConsensusRecord, MemberTable, SynonymClustering, TrackVo
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
-from .rle import iou_table, rle_decode_many
+from .rle import check_same_size, iou_table, packed_iou
 from .synth import GroundTruth
 
 BINARIZE_THRESHOLD = 0.5
@@ -134,54 +137,18 @@ def eval_queries(
     return categories, long_names, matrix, np.array(targets, dtype=np.intp)
 
 
-class ObjectMasks:
-    """The ground-truth (object, view) masks, each decoded once per eval.
-
-    ``at(view)`` decodes a view's masks on its first call and keeps them
-    bit-packed, an eighth of their size, for the calls after it, which
-    ``packed(view)`` returns as they are.
-    """
-
-    def __init__(self, gt: GroundTruth):
-        self.gt = gt
-        self._packed: dict[int, np.ndarray] = {}
-        members: dict[str, list[int]] = {}
-        for k, obj in enumerate(gt.objects):
-            members.setdefault(obj.identity, []).append(k)
-        # each sorted category's objects, as positions in gt.objects
-        self.categories = [members[c] for c in sorted(members)]
-
-    def at(self, view: int) -> np.ndarray:
-        """The view's (objects, h*w) boolean masks, in ``gt.objects`` order."""
-        packed = self._packed.get(view)
-        if packed is None:
-            rows = rle_decode_many([obj.masks[view] for obj in self.gt.objects])
-            self._packed[view] = np.packbits(rows, axis=1)
-            return rows
-        first = self.gt.objects[0].masks[view]
-        return np.unpackbits(packed, axis=1, count=first.height * first.width).view(bool)
-
-    def packed(self, view: int) -> np.ndarray:
-        """The view's masks as ``at`` gives them, bit-packed along each row (``np.packbits``)."""
-        if view not in self._packed:
-            self.at(view)
-        return self._packed[view]
-
-
-def view_targets(masks: ObjectMasks, view: int) -> np.ndarray:
+def view_targets(gt: GroundTruth, view: int) -> np.ndarray:
     """One view's (C + O) bit-packed targets: each sorted category's OR of its
-    objects' masks, then each object's mask, in ``masks.gt.objects`` order.
+    objects' masks, then each object's mask, in ``gt.objects`` order (``gt.packed``).
 
     The OR is taken on the packed bytes: their padding bits are zero in
     every row, so it gives the bytes of the packed OR of the masks.
     """
-    objects = masks.packed(view)
-    # a category of one object copies its mask; only a shared category takes an OR
-    categories = objects[[g[0] for g in masks.categories]]
-    for row, group in enumerate(masks.categories):
-        for k in group[1:]:
-            categories[row] |= objects[k]
-    return np.concatenate([categories, objects])
+    objects = gt.packed.view(view)
+    categories = sorted({o.identity for o in gt.objects})
+    targets = np.zeros((len(categories), objects.shape[1]), dtype=np.uint8)
+    np.bitwise_or.at(targets, [categories.index(o.identity) for o in gt.objects], objects)
+    return np.concatenate([targets, objects])
 
 
 def iou_by_view(
@@ -190,7 +157,6 @@ def iou_by_view(
     views: list[int],
     queries: np.ndarray,
     targets: np.ndarray,
-    masks: ObjectMasks | None = None,
 ) -> np.ndarray:
     """The (Q, V) IoU table of each query row against its target at each view.
 
@@ -200,17 +166,10 @@ def iou_by_view(
     row, so a repeated row is scored from the one render of its bytes.
     Each view renders every distinct row in one product into one
     (U, h*w) logits buffer that serves every view, binarizes it and is
-    scored at once, so no mask outlives its view. A cell is ``inter /
-    union`` of the two pixel counts, or 1.0 when the union is empty, as
-    ``iou_grids`` gives it. The counts are taken on bit-packed rows
-    (``np.packbits``), eight pixels a byte, by ``np.bitwise_count`` of their
-    AND and OR; the packed renders are indexed by the inverse index and the
-    view's packed (C + O) targets (``view_targets``) by query. The zero bits
-    that pad a row's last byte are set in neither row, so they add to
-    neither count. ``masks``, if given, holds ``gt``'s masks, so that a view
-    decoded before is not decoded again.
+    scored at once, so no mask outlives its view. A cell is ``iou_grids``'s
+    value, as ``rle.packed_iou`` of the packed render, by the inverse index,
+    and the view's packed (C + O) target (``view_targets``), by query.
     """
-    masks = ObjectMasks(gt) if masks is None else masks
     views = sorted(set(views))
     table = np.zeros((len(queries), len(views)))
     if not len(queries):
@@ -223,12 +182,7 @@ def iou_by_view(
     logits = np.empty((len(distinct), field_.height * field_.width))
     for col, view in enumerate(views):
         pred = binarize_logits(render_logits(field_, view, distinct, out=logits)).reshape(len(distinct), -1)
-        pred = np.packbits(pred, axis=1)[inverse]
-        target = view_targets(masks, view)[targets]
-        # uint32 counts every pixel of a grid below 2**32 pixels exactly
-        inter = np.bitwise_count(pred & target).sum(axis=1, dtype=np.uint32)
-        union = np.bitwise_count(pred | target).sum(axis=1, dtype=np.uint32)
-        table[:, col] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        table[:, col] = packed_iou(np.packbits(pred, axis=1)[inverse], view_targets(gt, view)[targets])
     return table
 
 
@@ -240,12 +194,11 @@ def eval_miou(
     tables: list[np.ndarray],
     views: list[int],
     descriptions: list[DescriptionSet] | None = None,
-    masks: ObjectMasks | None = None,
 ) -> dict:
     """The report's mIoU entries: ``miou_short`` with its per-query values, and
     ``miou_long`` with its per-query values when there are long queries."""
     short_names, long_names, queries, targets = eval_queries(ds, gt, records, tables, descriptions)
-    table = iou_by_view(field_, gt, views, queries, targets, masks)
+    table = iou_by_view(field_, gt, views, queries, targets)
     out: dict = {}
     out["miou_short_per_query"], out["miou_short"] = query_means(short_names, table[: len(short_names)])
     if long_names:
@@ -258,23 +211,21 @@ def _pair_key(ds: SceneDataset, gt: GroundTruth):
     return None if ds.key is None or gt.key is None else (ds.key, gt.key)
 
 
-def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> tuple[np.ndarray, ...]:
-    """Per view, the (detections x ``gt.objects``) mask IoU table, read-only; the object masks
-    come from ``masks`` if given, so that a later use of ``masks`` decodes none again.
+def iou_tables(ds: SceneDataset, gt: GroundTruth) -> tuple[np.ndarray, ...]:
+    """Per view, the (detections x ``gt.objects``) mask IoU table (``iou_table`` of the packed
+    rows ``ds.packed`` and ``gt.packed``), read-only. Ground truth of another mask size than the
+    dataset raises ``mask dimensions differ: <dataset> vs <ground truth>``.
 
     The process keeps (``records.kept``) the tables of one (dataset, ground truth) pair, keyed
     by both keys; a dataset or ground truth not read from files keeps nothing.
     """
 
     def build() -> tuple[np.ndarray, ...]:
-        tables = tuple(
-            iou_table(
-                [det.mask for det in ds.detections[view]],
-                [obj.masks[view] for obj in gt.objects],
-                masks.at(view) if masks is not None and gt.objects else None,
-            )
-            for view in range(ds.n_views)
-        )
+        if not gt.objects:
+            tables = tuple(np.zeros((len(per_view), 0)) for per_view in ds.detections)
+        else:
+            check_same_size(ds, gt.objects[0].masks[0])
+            tables = tuple(iou_table(ds.packed.view(view), gt.packed.view(view)) for view in range(ds.n_views))
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -282,14 +233,14 @@ def iou_tables(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = No
     return kept("iou_tables", _pair_key(ds, gt), build)
 
 
-def detection_matches(ds: SceneDataset, gt: GroundTruth, masks: ObjectMasks | None = None) -> Mapping:
+def detection_matches(ds: SceneDataset, gt: GroundTruth) -> Mapping:
     """``match_detections_to_objects`` on the ``iou_tables`` of ``ds`` and ``gt``, read-only.
 
     The process keeps (``records.kept``) the matching under the tables' key: masks, not labels,
     decide it, so eval and a sweep of the same pair match once.
     """
     return kept("matching", _pair_key(ds, gt),
-                lambda: MappingProxyType(match_detections_to_objects(iou_tables(ds, gt, masks), gt)))
+                lambda: MappingProxyType(match_detections_to_objects(iou_tables(ds, gt), gt)))
 
 
 def match_detections_to_objects(tables: list[np.ndarray], gt: GroundTruth) -> dict[tuple[int, int], int]:

@@ -25,6 +25,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import SchemaError
-from .rle import RleMask, json_float, json_int, json_str
+from .rle import PackedMasks, RleMask, json_float, json_int, json_str, pack_views
 
 UNIT_NORM_TOL = 1e-6
 
@@ -144,7 +145,9 @@ def kept(kind: str, key, build: Callable):
 
     Besides the reads (``read_kept``) and their writes (``write_kept``), the process keeps this way
     the IoU tables and the detection matching of one (dataset, ground truth) pair, the member table
-    of one (dataset, tracks) pair and the complete linkage of the last label set clustered.
+    of one (dataset, tracks) pair and the complete linkage of the last label set clustered. A kept
+    dataset or ground truth carries its bit-packed masks on the object (``SceneDataset.packed``,
+    ``GroundTruth.packed``), not as a kind of its own, so a process decodes each mask once.
     """
     entry = _kept.get(kind)
     if key is None or entry is None or entry[0] != key:
@@ -409,6 +412,13 @@ class SceneDataset:
                     f"embedding for {emb.label!r} has dim {emb.vector.shape}, "
                     f"expected ({self.dim},)"
                 )
+
+    @cached_property
+    def packed(self) -> PackedMasks:
+        """Every detection's mask, decoded once on first use (``pack_views``): row r is the r-th of
+        ``all_detections``, so detection (view, idx) is row ``packed.first[view] + idx``. A mask of
+        another size than the dataset raises ``mask dimensions differ: <mask> vs <dataset>``."""
+        return pack_views([[det.mask for det in per_view] for per_view in self.detections], self)
 
     def all_detections(self):
         """Yield (view, index, detection) in deterministic order."""

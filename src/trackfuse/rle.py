@@ -1,4 +1,5 @@
-"""Run-length encoded binary masks: encode/decode, area, bounding box, IoU.
+"""Run-length encoded binary masks: encode/decode, area, IoU, and the bit-packed rows every
+stage reads (``pack_views``), each mask decoded once.
 
 Runs are row-major (left to right, top to bottom) and alternate
 background/foreground, starting with background. The leading background
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,14 +128,14 @@ def rle_decode_many(masks: Sequence[RleMask]) -> np.ndarray:
     All runs go through one ``np.repeat``: a mask with an odd number of runs
     gets a closing run of length 0, so that every mask's runs start at an even
     position and alternate background/foreground from there. A mask of another
-    size than the first raises ``_check_same_size``'s SchemaError for the first such mask.
+    size than the first raises ``check_same_size``'s SchemaError for the first such mask.
     """
     if not masks:
         return np.zeros((0, 0), dtype=bool)
     first = masks[0]
     if len({(mask.height, mask.width) for mask in masks}) > 1:
         for mask in masks:
-            _check_same_size(first, mask)
+            check_same_size(first, mask)
     runs = []
     for mask in masks:
         runs.append(mask.counts)
@@ -151,7 +152,8 @@ def mask_area(mask: RleMask) -> int:
     return int(sum(mask.counts[1::2]))
 
 
-def _check_same_size(a: RleMask, b: RleMask) -> None:
+def check_same_size(a, b) -> None:
+    """Refuse two masks, or a mask and what holds masks (a dataset), of different height x width."""
     if (a.height, a.width) != (b.height, b.width):
         raise SchemaError(
             f"mask dimensions differ: {a.height}x{a.width} vs {b.height}x{b.width}"
@@ -160,7 +162,7 @@ def _check_same_size(a: RleMask, b: RleMask) -> None:
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """Intersection over union in [0, 1]; two empty masks have IoU 1."""
-    _check_same_size(a, b)
+    check_same_size(a, b)
     ga = rle_decode(a)
     gb = rle_decode(b)
     union = int(np.count_nonzero(ga | gb))
@@ -170,28 +172,52 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     return inter / union
 
 
-def iou_table(a: Sequence[RleMask], b: Sequence[RleMask], decoded_b: np.ndarray | None = None) -> np.ndarray:
-    """The (len(a), len(b)) table of ``mask_iou(a[i], b[j])``, decoding each mask once.
+class PackedMasks(NamedTuple):
+    """Masks of one size, each decoded once into a bit-packed row (``np.packbits``: eight pixels a
+    byte, row-major, the last byte of a row zero-padded), grouped by view; every array read-only."""
 
-    ``decoded_b``, if given, is ``b`` already decoded, as (len(b), h*w) booleans;
-    then only ``a`` is decoded here.
+    rows: np.ndarray  # (n, ceil(h*w / 8)) uint8
+    first: np.ndarray  # (V + 1,) each view's first row, then n
+    area: np.ndarray  # (n,) each mask's foreground pixel count, as ``mask_area`` gives it
 
-    Intersections are one float64 product of the 0/1 rows and areas are row
-    sums; both are exact integers (H*W < 2**53), so each cell divides the same
-    two integers as ``mask_iou`` and is bit-equal to it. A size mismatch raises
-    the SchemaError ``mask_iou`` raises for the first mismatched pair in
-    row-major order.
+    def view(self, view: int) -> np.ndarray:
+        """The rows of ``view``'s masks."""
+        return self.rows[self.first[view] : self.first[view + 1]]
+
+
+def pack_views(views: Sequence[Sequence[RleMask]], size) -> PackedMasks:
+    """The masks of each view in turn, each of ``size`` (anything with a height and a width), as one
+    ``PackedMasks``. A view is decoded in one block (``rle_decode_many``) and packed before the next,
+    so no more than one view's booleans are held at once. A view whose first mask is not of ``size``
+    raises ``mask dimensions differ: <mask> vs <size>``; one of two sizes, ``rle_decode_many``'s.
     """
-    if not a or not b:
-        return np.zeros((len(a), len(b)))
-    for mask in b:
-        _check_same_size(a[0], mask)
-    for mask in a:
-        _check_same_size(mask, b[0])
-    rows_a = rle_decode_many(a).astype(np.float64)
-    if decoded_b is None:
-        decoded_b = rle_decode_many(b)
-    rows_b = decoded_b.astype(np.float64)
-    inter = rows_a @ rows_b.T
-    union = rows_a.sum(axis=1)[:, None] + rows_b.sum(axis=1)[None, :] - inter
-    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    first = np.cumsum([0, *map(len, views)])
+    rows = np.empty((first[-1], -(-size.height * size.width // 8)), dtype=np.uint8)
+    for view, masks in enumerate(views):
+        if masks:
+            check_same_size(masks[0], size)
+            rows[first[view] : first[view + 1]] = np.packbits(rle_decode_many(masks), axis=1)
+    area = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    for arr in (rows, first, area):
+        arr.flags.writeable = False
+    return PackedMasks(rows, first, area)
+
+
+def packed_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask IoU of bit-packed rows of one size (``pack_views``), pair by pair along the last axis,
+    ``a`` and ``b`` broadcast against each other; bit-equal to ``mask_iou`` of each pair.
+
+    Intersections and unions are ``np.bitwise_count`` of the rows' AND and OR, summed: exact
+    integers, and each cell divides the same two as ``mask_iou``, as a float only then. No BLAS
+    and no float takes part before that division. The zero bits that pad a row's last byte are
+    set in neither row, so they add to neither count; an empty union gives 1.0.
+    """
+    # uint32 counts every pixel of a grid below 2**32 pixels exactly
+    inter = np.bitwise_count(a & b).sum(axis=-1, dtype=np.uint32)
+    union = np.bitwise_count(a | b).sum(axis=-1, dtype=np.uint32)
+    return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+
+
+def iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) table of ``packed_iou`` of each row of ``a`` with each row of ``b``."""
+    return packed_iou(a[:, None], b[None])

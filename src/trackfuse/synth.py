@@ -16,6 +16,7 @@ cosine <= 0.5 so clustering thresholds have a crisp ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import SchemaError
 from .records import (
     Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, set_frozen, write_json,
 )
-from .rle import RleMask, json_bool, json_floats, json_int, json_str, rle_decode, rle_encode
+from .rle import PackedMasks, RleMask, json_bool, json_floats, json_int, json_str, pack_views, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
 
@@ -123,6 +124,13 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         set_frozen(self, objects=tuple(self.objects))
+
+    @cached_property
+    def packed(self) -> PackedMasks:
+        """Every (object, view) mask, decoded once on first use (``pack_views``), each of the first
+        one's size: view v's rows are the objects' masks in view v, in object order."""
+        n_views = len(self.objects[0].masks)
+        return pack_views([[o.masks[v] for o in self.objects] for v in range(n_views)], self.objects[0].masks[0])
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from .errors import SchemaError
 from .records import (
     SceneDataset, Trajectory, dataset_key, json_members, member_check, read_jsonl_kept, write_jsonl_kept,
 )
-from .rle import RleMask, iou_table, json_int
+from .rle import iou_table, json_int
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def import_tracks(ds: SceneDataset) -> list[Trajectory]:
 class _OpenTrack:
     track_id: int
     last_view: int
-    last_mask: RleMask
+    last_row: int  # the dataset's packed row of the last member's mask
     last_vec: np.ndarray
     members: list[tuple[int, int]]
 
@@ -68,14 +68,16 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
     """Build trajectories front to back; pure function of (dataset, params)."""
     alpha = params.iou_weight
     tracks: list[_OpenTrack] = []
+    packed = ds.packed
 
     for view in range(ds.n_views):
         dets = ds.detections[view]
+        first = int(packed.first[view])
         vecs = [ds.embedding(d.raw_label) for d in dets]
         eligible = [t for t in tracks if view - t.last_view <= params.max_gap + 1]
 
-        # one decode per mask; each cell is bit-equal to mask_iou of its pair
-        ious = iou_table([d.mask for d in dets], [t.last_mask for t in eligible]).tolist()
+        # each cell is bit-equal to mask_iou of its pair
+        ious = iou_table(packed.view(view), packed.rows[[t.last_row for t in eligible]]).tolist()
         pairs = []
         for di, row in enumerate(ious):
             for iou, t in zip(row, eligible):
@@ -93,17 +95,17 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
             matched_tracks.add(tid)
             t.members.append((view, di))
             t.last_view = view
-            t.last_mask = dets[di].mask
+            t.last_row = first + di
             t.last_vec = vecs[di]
 
-        for di, det in enumerate(dets):
+        for di in range(len(dets)):
             if di in matched_dets:
                 continue
             tracks.append(
                 _OpenTrack(
                     track_id=len(tracks),
                     last_view=view,
-                    last_mask=det.mask,
+                    last_row=first + di,
                     last_vec=vecs[di],
                     members=[(view, di)],
                 )

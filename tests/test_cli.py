@@ -1354,34 +1354,6 @@ class TestEvalScores:
         assert reports[0] == reports[1]
         assert {k: v for k, v in reports[0].items() if k.startswith("miou")} == self.oracle(run_dir, [0, 2], True)
 
-    def test_eval_decodes_each_mask_once(self, run_dir, tmp_path, monkeypatch):
-        calls = Counter()
-        original, original_many = rle.rle_decode, rle.rle_decode_many
-
-        def counting(mask):
-            calls[id(mask)] += 1
-            return original(mask)
-
-        def counting_many(masks):
-            calls.update(id(mask) for mask in masks)
-            return original_many(masks)
-
-        for module in list(sys.modules.values()):
-            if not module.__name__.startswith("trackfuse"):
-                continue
-            if getattr(module, "rle_decode", None) is original:
-                monkeypatch.setattr(module, "rle_decode", counting)
-            if getattr(module, "rle_decode_many", None) is original_many:
-                monkeypatch.setattr(module, "rle_decode_many", counting_many)
-        assert main(eval_argv(run_dir, tmp_path / "report.json", "--descriptions",
-                              str(run_dir / "descriptions.jsonl"))) == 0
-        ds = load_dataset(run_dir / "dataset" / "manifest.json")
-        gt = load_ground_truth(run_dir / "ground_truth.json")
-        # every detection once for the IoU tables, every (object, view) mask once for
-        # both the IoU tables and the per-view targets
-        assert sum(calls.values()) == len(list(ds.all_detections())) + len(gt.objects) * ds.n_views
-        assert max(calls.values()) == 1
-
 
 FRAGMENTED_CONFIG = {
     "seed": 0,
@@ -1582,6 +1554,31 @@ def test_one_process_gives_the_artifacts_of_separate_processes(tmp_path, monkeyp
     assert sorted(tree_bytes(one)) == ["consensus.jsonl", "descriptions.jsonl", "loss_curve.csv", "model.json",
                                        "report.json", "sweep.csv", "tracks.jsonl"]
     assert tree_bytes(one) == tree_bytes(own)
+
+
+def test_one_process_decodes_each_mask_once(tmp_path, monkeypatch):
+    """In the benchmark's process, from associate to the sweep, every detection mask and every
+    ground-truth (object, view) mask is decoded exactly once: each stage reads the bit-packed rows
+    the kept dataset and ground truth hold."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    decoded = []  # the masks themselves, so that no id is reused while they are counted
+    original, original_many = rle.rle_decode, rle.rle_decode_many
+    for module in list(sys.modules.values()):
+        if not module.__name__.startswith("trackfuse"):
+            continue
+        if getattr(module, "rle_decode", None) is original:
+            monkeypatch.setattr(module, "rle_decode", lambda mask: decoded.append(mask) or original(mask))
+        if getattr(module, "rle_decode_many", None) is original_many:
+            monkeypatch.setattr(module, "rle_decode_many", lambda masks: decoded.extend(masks) or original_many(masks))
+    out.mkdir()
+    for argv in benchmark_calls(c, scene, out):
+        assert main(argv) == 0, argv
+    ds = load_dataset(scene / "dataset" / "manifest.json")
+    gt = load_ground_truth(scene / "ground_truth.json", ds)  # both kept: the objects the stages read
+    masks = [det.mask for _, _, det in ds.all_detections()] + [m for obj in gt.objects for m in obj.masks]
+    assert Counter(map(id, decoded)) == Counter(map(id, masks)) == dict.fromkeys(map(id, masks), 1)
 
 
 def test_one_process_matches_detections_once(tmp_path, monkeypatch):

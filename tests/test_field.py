@@ -967,6 +967,9 @@ class TestLeanTrainStep:
         field = field_from_ground_truth(gt, ds.n_views, 32, 48, dim=ds.dim)
         with pytest.raises(SchemaError, match="pseudo mask is 64x64, field is 32x48"):
             tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1))
+        # checked before the plan: also when no view is trained, so no pseudo mask is read
+        with pytest.raises(SchemaError, match="pseudo mask is 64x64, field is 32x48"):
+            tf.train(field, ds, records, descriptions, tf.TrainConfig(epochs=1, views=()))
 
     def test_train_plan_holds_one_vector_table_and_packed_masks(self):
         """On a vocab_wide-shaped scene, train's traced peak is the weight buffer and the step

@@ -217,24 +217,6 @@ class TestAttachDescriptions:
         with pytest.raises(SchemaError, match="no referrals produced for track 5"):
             run_keyframes(ds, [one_member_record(5, 1)], external=ext)
 
-    def test_each_mask_decoded_at_most_once(self, monkeypatch):
-        # four objects in three views: every view holds at least three tracks,
-        # so the keyframes of several tracks share a view
-        ds, _ = tf.generate_scene(tf.SynthConfig(n_views=3, n_objects=4, seed=5))
-        records = tf.run_consensus(ds, tf.import_tracks(ds)).records
-        assert all(sum(v == view for r in records for v, _ in r.members) >= 3 for view in range(3))
-        decoded = Counter()
-        real_decode = keyframes.rle_decode_many
-
-        def counting_decode(masks):
-            decoded.update(id(mask) for mask in masks)
-            return real_decode(masks)
-
-        monkeypatch.setattr(keyframes, "rle_decode_many", counting_decode)
-        descs = run_keyframes(ds, records)
-        assert len(descs) == len(records) and decoded
-        assert max(decoded.values()) == 1
-
     def test_each_distinct_text_is_embedded_once(self, monkeypatch):
         # half the detections dropped and no gap allowed: many short tracks, some of whose texts repeat
         noise = tf.NoiseSpec(dropout_rate=0.5, strip_track_ids=True)

@@ -295,6 +295,13 @@ class TestMatchingOracle:
         assert mapping == {(1, 0): 4, (1, 1): 0}
         assert track_to_obj == {0: 0, 1: 4, 2: 0}
 
+    def test_ground_truth_of_another_size_names_both_sizes(self):
+        # 1x2 and 2x1 masks pack into rows of the same byte, so the sizes are compared, not the rows
+        ds, _ = hand_scene([[[[0, 1]]]], [(0, [[[0, 1]]])])
+        _, gt = hand_scene([[[[0], [1]]]], [(0, [[[0], [1]]])])
+        with pytest.raises(SchemaError, match="mask dimensions differ: 1x2 vs 2x1"):
+            iou_tables(ds, gt)
+
 
 class TestReport:
     def test_empty_metrics_valid(self, tmp_path):

@@ -427,6 +427,24 @@ class TestKeptDataset:
         assert [t.tolist() for t in iou_tables(ds, other)] == [t.tolist() for t in first]
         assert len(calls) == ds.n_views
 
+    def test_member_table_is_kept_per_dataset_and_tracks(self, tmp_path):
+        paths = kept_scene(tmp_path)
+        ds = load_dataset(paths["dataset"])
+        tracks = load_tracks(paths["tracks"], ds)
+        # the same detections in other tracks: the first track split in two
+        head, *rest = tracks[0].members
+        split = (tf.Trajectory(0, (head,)), tf.Trajectory(7, tuple(rest)), *tracks[1:])
+        first = consensus.member_table(ds, tracks)
+        second = consensus.member_table(ds, split)
+        assert consensus.member_table(ds, split) is second
+        records.forget_kept()
+        fresh = consensus.member_table(ds, split)
+        assert fresh is not second
+        for name in (f.name for f in fields(fresh)):
+            want, got = getattr(fresh, name), getattr(second, name)
+            assert (got.tolist() == want.tolist()) if isinstance(want, np.ndarray) else got == want, name
+        assert second.owner.tolist() != first.owner.tolist()
+
 
 def assert_identical(a, b, where="value"):
     """``a`` and ``b`` are the same value: the same types throughout, sequences and maps in the same

@@ -6,7 +6,9 @@ from hypothesis.extra import numpy as hnp
 from oracles import mask_bbox
 
 from trackfuse.errors import SchemaError
-from trackfuse.rle import RleMask, iou_table, mask_area, mask_iou, rle_decode, rle_decode_many, rle_encode
+from trackfuse.rle import (
+    RleMask, iou_table, mask_area, mask_iou, pack_views, packed_iou, rle_decode, rle_decode_many, rle_encode,
+)
 
 
 def grid(rows):
@@ -163,16 +165,22 @@ def mask_lists(shapes):
     return st.lists(mask.map(lambda rows: rle_encode(grid(rows))), max_size=5)
 
 
+# (h, w) and two lists of h x w masks; sizes 1 to 12 leave 0 to 7 padding bits in a packed row
 same_size_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
-    lambda hw: st.tuples(mask_lists([hw]), mask_lists([hw]))
+    lambda hw: st.tuples(st.just(hw), mask_lists([hw]), mask_lists([hw]))
 )
+
+
+def pack(masks, h, w):
+    """The bit-packed rows of ``masks``, all h x w (``pack_views`` of one view)."""
+    return pack_views([masks], RleMask(h, w, (h * w,))).rows
 
 
 @given(same_size_pairs)
 @settings(max_examples=200, deadline=None)
 def test_iou_table_is_mask_iou_bit_for_bit(pair):
-    a, b = pair
-    table = iou_table(a, b)
+    (h, w), a, b = pair
+    table = iou_table(pack(a, h, w), pack(b, h, w))
     assert table.shape == (len(a), len(b))
     assert table.dtype == np.float64
     for i in range(len(a)):
@@ -180,30 +188,49 @@ def test_iou_table_is_mask_iou_bit_for_bit(pair):
             assert float(table[i, j]).hex() == mask_iou(a[i], b[j]).hex()
 
 
-@given(st.tuples(mask_lists([(2, 3), (3, 2)]), mask_lists([(2, 3), (3, 2)])))
+@given(same_size_pairs)
 @settings(max_examples=100, deadline=None)
-def test_iou_table_raises_the_first_mask_iou_error(pair):
-    a, b = pair
-    try:
-        expected = [[mask_iou(x, y) for y in b] for x in a]
-    except SchemaError as exc:
+def test_packed_iou_of_row_pairs_is_the_table_diagonal(pair):
+    (h, w), a, b = pair
+    n = min(len(a), len(b))
+    rows_a, rows_b = pack(a[:n], h, w), pack(b[:n], h, w)
+    assert packed_iou(rows_a, rows_b).tolist() == np.diag(iou_table(rows_a, rows_b)).tolist()
+
+
+class TestPackViews:
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda hw: st.lists(mask_lists([hw]), max_size=4).map(lambda views: (hw, views))))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_packed_decode_of_each_view_in_turn(self, case):
+        (h, w), views = case
+        packed = pack_views(views, RleMask(h, w, (h * w,)))
+        masks = [m for view in views for m in view]
+        assert packed.rows.shape == (len(masks), -(-h * w // 8)) and packed.rows.dtype == np.uint8
+        assert packed.first.tolist() == np.cumsum([0, *map(len, views)]).tolist()
+        for row, mask in zip(packed.rows, masks):
+            assert row.tobytes() == np.packbits(rle_decode(mask).ravel()).tobytes()
+        assert packed.area.tolist() == [mask_area(m) for m in masks]
+        for view, masks_of_view in enumerate(views):
+            assert packed.view(view).tobytes() == pack(masks_of_view, h, w).tobytes()
+        assert not any(arr.flags.writeable for arr in packed[:3])
+
+    @given(st.lists(mask_lists([(2, 3), (3, 2)]), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_mask_of_another_size_names_both_sizes(self, views):
+        if all((m.height, m.width) == (2, 3) for view in views for m in view):
+            assert len(pack_views(views, RleMask(2, 3, (6,))).rows) == sum(map(len, views))
+            return
         with pytest.raises(SchemaError) as raised:
-            iou_table(a, b)
-        assert str(raised.value) == str(exc)
-    else:
-        assert iou_table(a, b).tolist() == expected
+            pack_views(views, RleMask(2, 3, (6,)))
+        assert str(raised.value) in ("mask dimensions differ: 3x2 vs 2x3", "mask dimensions differ: 2x3 vs 3x2")
 
 
 class TestIouTable:
     def test_empty_sides(self):
-        masks = [rle_encode(grid([[1, 0]])), rle_encode(grid([[0, 0]]))]
-        assert iou_table([], masks).shape == (0, 2)
-        assert iou_table(masks, []).shape == (2, 0)
-        assert iou_table([], []).shape == (0, 0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SchemaError, match="mask dimensions differ: 1x2 vs 2x1"):
-            iou_table([rle_encode(grid([[0, 0]]))], [rle_encode(grid([[0], [0]]))])
+        rows = pack([rle_encode(grid([[1, 0]])), rle_encode(grid([[0, 0]]))], 1, 2)
+        assert iou_table(rows[:0], rows).shape == (0, 2)
+        assert iou_table(rows, rows[:0]).shape == (2, 0)
+        assert iou_table(rows[:0], rows[:0]).shape == (0, 0)
 
 
 def batches(h, w):
