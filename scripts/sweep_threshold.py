@@ -43,7 +43,7 @@ def main() -> int:
         noisy = tf.corrupt(ds, gt, cfg)
         mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
         table = member_table(noisy, tf.import_tracks(noisy))
-        agglomeration = tf.cluster_synonyms(list(table.labels), noisy.embeddings, values[0])
+        agglomeration = tf.cluster_synonyms(list(noisy.labels), noisy.embeddings, values[0])
         per_scene.append(tau_sem_rows(table, agglomeration, values, gt, mapping))
 
     rows = []

@@ -609,12 +609,12 @@ def run_sweep(
         for value in values:
             check_tau_sem(value)
         mapping = None
-        if gt is not None and any(ds.detections):
+        if gt is not None and ds.masks:
             # masks, not labels, decide the matching, so one serves every value;
             # like eval, no accuracy columns for a dataset without detections
             mapping = detection_matches(ds, gt)
         table = member_table(ds, trajectories)
-        agglomeration = cluster_synonyms(list(table.labels), ds.embeddings, values[0])
+        agglomeration = cluster_synonyms(list(ds.labels), ds.embeddings, values[0])
         rows = _scored(paths, tau_sem_rows, table, agglomeration, values, gt, mapping)
     elif param == "sigma":
         for value in values:

@@ -7,9 +7,10 @@ named by its shortest member surface form. Each trajectory then votes:
 every member detection contributes one vote for its clustered identity, and
 the winner is the label of every member detection (``ConsensusRecord.canonical``).
 
-Every track votes at once, from a ``MemberTable`` built once per (dataset,
-tracks): each detection's index into the sorted raw labels and its mask
-area, and each member's detection and track rows. Per clustering, its
+Every track votes at once, from the dataset's columns (each detection's
+index into its sorted raw labels ``ds.labels``, and its mask area, read
+from the run counts) and a ``MemberTable`` built once per (dataset, tracks):
+each member's detection and track rows. Per clustering, its
 ``cluster`` array maps the labels to clusters, ``np.bincount`` sums the
 votes and areas of each (track, cluster) pair, and one ``np.lexsort`` picks
 every track's winner (``vote``). The ``consensus`` stage and eval's re-vote
@@ -353,24 +354,12 @@ class ConsensusRecord:
         return rec
 
 
-def observed_labels(ds: SceneDataset) -> list[str]:
-    """The distinct raw labels of the scene's detections, sorted: the set consensus clusters."""
-    return sorted({det.raw_label for _, _, det in ds.all_detections()})
-
-
 @dataclass(frozen=True)
 class MemberTable:
-    """A dataset's detections and a set of tracks' members, as the arrays every vote reads.
+    """A set of tracks' members as the arrays every vote reads with ``ds``'s ``label`` and ``area``
+    columns: member row m is the m-th member of ``tracks``, which are in track order."""
 
-    Detection row r is the r-th of ``ds.all_detections()``: detection (view, idx) is row
-    ``first[view] + idx``, and ``first[-1]`` counts them. Member row m is the m-th member of
-    ``tracks``, which are in track order.
-    """
-
-    labels: tuple[str, ...]  # the dataset's distinct raw labels, sorted (``observed_labels``)
-    label: np.ndarray  # (D,) each detection's index into ``labels``
-    area: np.ndarray  # (D,) each detection's mask area (``ds.packed.area``)
-    first: np.ndarray  # (V + 1,) each view's first detection row, then D
+    ds: SceneDataset
     tracks: tuple  # anything with ``track_id`` and ``members``, by track id (stable)
     det: np.ndarray  # (M,) each member's detection row
     track: np.ndarray  # (M,) each member's track row
@@ -390,23 +379,13 @@ def member_table(ds: SceneDataset, tracks) -> MemberTable:
 
 
 def _member_table(ds: SceneDataset, tracks: tuple) -> MemberTable:
-    labels = observed_labels(ds)
-    index = {lab: k for k, lab in enumerate(labels)}
-    label = np.array([index[det.raw_label] for _, _, det in ds.all_detections()], dtype=np.intp)
-    area, first = ds.packed.area, ds.packed.first
-    det = []
-    for t in tracks:
-        for view, idx in t.members:
-            if not (0 <= view < ds.n_views and 0 <= idx < len(ds.detections[view])):
-                raise SchemaError(f"track {t.track_id}: member ({view}, {idx}) is not a detection of the dataset")
-            det.append(first[view] + idx)
-    det = np.array(det, dtype=np.intp)
+    det = np.array([row for t in tracks for row in ds.rows(t)], dtype=np.intp)
     track = np.repeat(np.arange(len(tracks)), [len(t.members) for t in tracks])
-    owner = np.full(len(label), -1)
+    owner = np.full(len(ds.masks), -1)
     owner[det] = track
-    for arr in (label, det, track, owner):
+    for arr in (det, track, owner):
         arr.flags.writeable = False
-    return MemberTable(tuple(labels), label, area, first, tracks, det, track, owner)
+    return MemberTable(ds, tracks, det, track, owner)
 
 
 @dataclass(frozen=True)
@@ -435,25 +414,26 @@ class TrackVote:
 
 def check_clustering(table: MemberTable, clustering: SynonymClustering) -> None:
     """ValueError unless ``clustering`` is of ``table``'s labels, which index its ``cluster``."""
-    if clustering.labels != table.labels:
-        raise ValueError(f"the clustering is not of the member table's {len(table.labels)} labels")
+    if clustering.labels != table.ds.labels:
+        raise ValueError(f"the clustering is not of the member table's {len(table.ds.labels)} labels")
 
 
 def _tally_all(table: MemberTable, clusterings: list[SynonymClustering]):
     """``_tally`` of every track's votes under each of V ``clusterings`` at once: track row t under
     clustering v is ``v * T + t``, and its cluster c is ``offset[v] + c``. Returns ``_tally``'s
-    arrays, each stacked cluster's name as its position in the sorted ``table.labels`` (its rank
+    arrays, each stacked cluster's name as its position in the sorted ``table.ds.labels`` (its rank
     in the tie-break) and each label's stacked cluster, (V, labels)."""
     for clustering in clusterings:
         check_clustering(table, clustering)
-    position = {lab: k for k, lab in enumerate(table.labels)}
+    ds = table.ds
+    position = {lab: k for k, lab in enumerate(ds.labels)}
     name = np.array([position[n] for c in clusterings for n in c.canonical], dtype=np.intp)
     offset = np.cumsum([0] + [len(c.canonical) for c in clusterings[:-1]])
     label_cluster = np.stack([c.cluster for c in clusterings]) + offset[:, None]
     n = len(table.tracks)
     track = table.track + n * np.arange(len(clusterings))[:, None]
-    cluster = label_cluster[:, table.label[table.det]]
-    area = np.tile(table.area[table.det], len(clusterings))
+    cluster = label_cluster[:, ds.label[table.det]]
+    area = np.tile(ds.area[table.det], len(clusterings))
     return _tally(track.ravel(), cluster.ravel(), area, name, n * len(clusterings)), name, label_cluster
 
 
@@ -466,7 +446,7 @@ def vote(table: MemberTable, clustering: SynonymClustering) -> TrackVote:
 
 def vote_identities(table: MemberTable, clusterings: list[SynonymClustering]) -> tuple[np.ndarray, np.ndarray]:
     """Under each of V ``clusterings``, each label's clustered identity and each track's voted one
-    (``vote``), as positions in ``table.labels``: (V, labels) and (V, tracks) arrays. Every
+    (``vote``), as positions in ``table.ds.labels``: (V, labels) and (V, tracks) arrays. Every
     clustering's vote is one ``_tally``."""
     (_, _, _, winner), name, label_cluster = _tally_all(table, clusterings)
     return name[label_cluster], name[winner].reshape(len(clusterings), len(table.tracks))
@@ -486,7 +466,7 @@ def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_S
     """Cluster the scene's observed labels once, then vote every trajectory (anything with
     ``track_id`` and ``members``: eval re-votes consensus records)."""
     table = member_table(ds, trajectories)
-    result = vote(table, cluster_synonyms(list(table.labels), ds.embeddings, tau_sem))
+    result = vote(table, cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem))
     return ConsensusResult(result, result.records())
 
 

@@ -220,7 +220,7 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
 
 def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
     """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
-    (chosen,) = _select_inside(field_, view, pack_views([[pseudo_mask]], field_).rows)
+    (chosen,) = _select_inside(field_, view, pack_views([[pseudo_mask]], field_))
     return chosen.tolist()
 
 
@@ -441,7 +441,6 @@ def train(
     h, w = field_.height, field_.width
     if (ds.height, ds.width) != (h, w):
         raise SchemaError(f"pseudo mask is {ds.height}x{ds.width}, field is {h}x{w}")
-    first = ds.packed.first
     records = sorted(records, key=lambda r: r.track_id)
     # each record's member in a view; a record's member views strictly increase
     members = [dict(rec.members) for rec in records]
@@ -459,9 +458,9 @@ def train(
             texts = [*category, *desc.referrals]
             table_rows = [keys.setdefault((rec.track_id, text), (len(keys), vec))[0] for text, vec in texts]
             positive_rows.append(np.array([pool.setdefault(row, len(pool)) for row in table_rows], dtype=np.intp))
-            det_rows.append(first[view] + index)
+            det_rows.append(ds.first[view] + index)
         if det_rows:
-            entries = list(zip(positive_rows, _select_inside(field_, view, ds.packed.rows[det_rows])))
+            entries = list(zip(positive_rows, _select_inside(field_, view, ds.packed[det_rows])))
             plan.append((view, np.array(list(pool), dtype=np.intp), det_rows, entries))
     table = np.stack([vec for _, vec in keys.values()]) if keys else None
 
@@ -479,7 +478,7 @@ def train(
     for _ in range(cfg.epochs):
         for view, pool_rows, det_rows, entries in plan:
             pool = table[pool_rows]
-            targets = np.unpackbits(ds.packed.rows[det_rows], axis=1, count=h * w).view(bool).reshape(-1, h, w)
+            targets = np.unpackbits(ds.packed[det_rows], axis=1, count=h * w).view(bool).reshape(-1, h, w)
             for (rows, chosen), target in zip(entries, targets):
                 positives = pool[rows]
                 # np.mean's sum and division, without its wrapper

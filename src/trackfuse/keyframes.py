@@ -96,9 +96,8 @@ def select_keyframe(
 
 
 def member_areas(ds: SceneDataset, track: ConsensusRecord | Trajectory) -> list[tuple[int, int]]:
-    """(view, mask area) of each member of the track, from the dataset's ``packed.area``."""
-    area, first = ds.packed.area, ds.packed.first
-    return [(view, int(area[first[view] + idx])) for view, idx in track.members]
+    """(view, mask area) of each member of the track, from the dataset's ``area`` column."""
+    return list(zip([view for view, _ in track.members], ds.area[ds.rows(track)].tolist()))
 
 
 class ExternalDescriptions:
@@ -180,7 +179,8 @@ class TemplateSynthesizer:
         if view not in self._centroids:
             seen = {t: i for t, rec in self.records.items() if (i := dict(rec.members).get(view)) is not None}
             ds = self.ds
-            rows = np.unpackbits(ds.packed.view(view)[list(seen.values())], axis=1, count=ds.height * ds.width)
+            packed = ds.packed[[ds.first[view] + i for i in seen.values()]]
+            rows = np.unpackbits(packed, axis=1, count=ds.height * ds.width)
             centroids = {}
             for track_id, row in zip(seen, rows):
                 ys, xs = np.divmod(np.flatnonzero(row), ds.width)

@@ -144,7 +144,7 @@ def view_targets(gt: GroundTruth, view: int) -> np.ndarray:
     The OR is taken on the packed bytes: their padding bits are zero in
     every row, so it gives the bytes of the packed OR of the masks.
     """
-    objects = gt.packed.view(view)
+    objects = gt.packed[view]
     categories = sorted({o.identity for o in gt.objects})
     targets = np.zeros((len(categories), objects.shape[1]), dtype=np.uint8)
     np.bitwise_or.at(targets, [categories.index(o.identity) for o in gt.objects], objects)
@@ -212,8 +212,8 @@ def _pair_key(ds: SceneDataset, gt: GroundTruth):
 
 
 def iou_tables(ds: SceneDataset, gt: GroundTruth) -> tuple[np.ndarray, ...]:
-    """Per view, the (detections x ``gt.objects``) mask IoU table (``iou_table`` of the packed
-    rows ``ds.packed`` and ``gt.packed``), read-only. Ground truth of another mask size than the
+    """Per view, the (detections x ``gt.objects``) mask IoU table (``iou_table`` of the view's rows
+    of ``ds.packed`` and ``gt.packed[view]``), read-only. Ground truth of another mask size than the
     dataset raises ``mask dimensions differ: <dataset> vs <ground truth>``.
 
     The process keeps (``records.kept``) the tables of one (dataset, ground truth) pair, keyed
@@ -222,10 +222,10 @@ def iou_tables(ds: SceneDataset, gt: GroundTruth) -> tuple[np.ndarray, ...]:
 
     def build() -> tuple[np.ndarray, ...]:
         if not gt.objects:
-            tables = tuple(np.zeros((len(per_view), 0)) for per_view in ds.detections)
+            tables = tuple(np.zeros((n, 0)) for n in np.diff(ds.first).tolist())
         else:
             check_same_size(ds, gt.objects[0].masks[0])
-            tables = tuple(iou_table(ds.packed.view(view), gt.packed.view(view)) for view in range(ds.n_views))
+            tables = tuple(iou_table(ds.packed[ds.first[v] : ds.first[v + 1]], gt.packed[v]) for v in range(ds.n_views))
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -302,7 +302,7 @@ def consensus_accuracy(
     """
     table = records.table if isinstance(records, TrackVote) else member_table(ds, records)
     check_clustering(table, clustering)
-    ids = {lab: k for k, lab in enumerate(table.labels)}
+    ids = {lab: k for k, lab in enumerate(table.ds.labels)}
     name = np.array([ids[n] for n in clustering.canonical], dtype=np.intp)
     if isinstance(records, TrackVote):
         voted = name[records.winner]
@@ -316,14 +316,14 @@ def _accuracies(table: MemberTable, gt: GroundTruth, mapping: Mapping, clustered
     clustered identity and (V, tracks) ``voted`` each track's voted one, keyed by ``ids``, which
     gives a name no key holds yet the next key."""
     view, idx = np.fromiter(chain.from_iterable(mapping), dtype=np.intp, count=2 * len(mapping)).reshape(-1, 2).T
-    rows = table.first[view] + idx
+    rows = table.ds.first[view] + idx
     if not rows.size:
         raise SchemaError("no detections matched any ground-truth object")
     truth_of = {o.object_id: ids.setdefault(o.identity, len(ids)) for o in gt.objects}
     truth = np.array([truth_of[obj] for obj in mapping.values()], dtype=np.intp)
     # a detection of no track (owner -1) reads the last column: -1, no voted label
     voted = np.column_stack([voted, np.full(len(voted), -1)])[:, table.owner[rows]]
-    per_view = np.count_nonzero(clustered[:, table.label[rows]] == truth, axis=1).tolist()
+    per_view = np.count_nonzero(clustered[:, table.ds.label[rows]] == truth, axis=1).tolist()
     tscm = np.count_nonzero(voted == truth, axis=1).tolist()
     return [{"per_view_acc": p / len(rows), "tscm_acc": t / len(rows)} for p, t in zip(per_view, tscm)]
 
@@ -337,7 +337,7 @@ def tau_sem_rows(table: MemberTable, agglomeration: SynonymClustering, values: l
     rows = [{"value": value, "cluster_count": len(c.canonical)} for value, c in zip(values, clusterings)]
     if mapping is not None:
         clustered, voted = vote_identities(table, clusterings)
-        ids = {lab: k for k, lab in enumerate(table.labels)}
+        ids = {lab: k for k, lab in enumerate(table.ds.labels)}
         for row, accuracy in zip(rows, _accuracies(table, gt, mapping, clustered, voted, ids)):
             row.update(accuracy)
     return rows

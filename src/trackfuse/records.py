@@ -9,6 +9,8 @@ A dataset lives in a directory with a JSON manifest:
 Detections are line-delimited JSON ({view, label, conf, mask{h,w,counts},
 track?}), embeddings a JSON map label -> [float, ...], descriptions
 line-delimited ({track, keyframe, category, referrals: [{text, vec}]}).
+A ``Detection`` is the record of one detections line; a ``SceneDataset``
+keeps its detections only as read-only columns, one row each, view by view.
 Paths are resolved relative to the manifest. Serialization is canonical
 (sorted keys, repr floats), so save followed by load is the identity and
 re-serialization is byte-stable.
@@ -24,7 +26,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import SchemaError
-from .rle import PackedMasks, RleMask, json_float, json_int, json_str, pack_views
+from .rle import RleMask, json_float, json_int, json_str, mask_area, pack_views
 
 UNIT_NORM_TOL = 1e-6
 
@@ -290,8 +292,8 @@ class Detection:
             raise SchemaError("raw_label must be non-empty")
         if not 0.0 <= self.confidence <= 1.0:
             raise SchemaError(f"confidence must be in [0, 1], got {self.confidence}")
-        if self.track_id is not None and self.track_id < 0:
-            raise SchemaError(f"track_id must be nonnegative, got {self.track_id}")
+        if self.track_id is not None and not 0 <= self.track_id < 2**63:
+            raise SchemaError(f"track_id must be in [0, 2**63), got {self.track_id}")
 
     def to_json(self) -> dict:
         obj = {
@@ -381,53 +383,80 @@ class DescriptionSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneDataset:
-    """All per-view detections of one scene plus the label-embedding table."""
+    """One scene's detections, as read-only columns, plus the label-embedding table.
+
+    The constructor takes each view's ``Detection`` records and keeps only their columns, one row per
+    detection, view by view: member (view, idx) of a tracks or consensus file is row ``first[view] +
+    idx`` (``rows``), and row r's raw label is ``labels[label[r]]``.
+    """
 
     n_views: int
     height: int
     width: int
     dim: int
-    detections: tuple[tuple[Detection, ...], ...]
+    detections: InitVar[Iterable[Iterable[Detection]]]
     embeddings: Mapping[str, LabelEmbedding]
     descriptions: tuple[DescriptionSet, ...] | None = None
+    first: np.ndarray = field(init=False, repr=False)  # (V + 1,) each view's first row, then D
+    view: np.ndarray = field(init=False, repr=False)  # (D,) each row's view
+    labels: tuple[str, ...] = field(init=False, repr=False)  # the distinct raw labels, sorted
+    label: np.ndarray = field(init=False, repr=False)  # (D,) each row's index into ``labels``
+    confidence: np.ndarray = field(init=False, repr=False)  # (D,)
+    track: np.ndarray = field(init=False, repr=False)  # (D,) each row's carried track id, -1 for none
+    masks: tuple[RleMask, ...] = field(init=False, repr=False)
+    area: np.ndarray = field(init=False, repr=False)  # (D,) each mask's area from its runs (``mask_area``)
     # the sha256 digests of the files load_dataset read it from; None for a dataset built otherwise
-    key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    key: tuple | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        descriptions = None if self.descriptions is None else tuple(self.descriptions)
-        set_frozen(self, detections=tuple(map(tuple, self.detections)),
-                   embeddings=MappingProxyType(dict(self.embeddings)), descriptions=descriptions)
-        if len(self.detections) != self.n_views:
-            raise SchemaError(
-                f"expected {self.n_views} per-view detection lists, got {len(self.detections)}"
-            )
-        for per_view in self.detections:
-            for det in per_view:
+    def __post_init__(self, detections) -> None:
+        per_view = [tuple(dets) for dets in detections]
+        if len(per_view) != self.n_views:
+            raise SchemaError(f"expected {self.n_views} per-view detection lists, got {len(per_view)}")
+        for view, dets in enumerate(per_view):
+            for det in dets:
                 _check_detection(det, self.n_views, self.height, self.width)
+                if det.view != view:
+                    raise SchemaError(f"a detection of view {det.view} is in view {view}'s list")
         for emb in self.embeddings.values():
             if emb.vector.shape != (self.dim,):
                 raise SchemaError(
                     f"embedding for {emb.label!r} has dim {emb.vector.shape}, "
                     f"expected ({self.dim},)"
                 )
+        rows = [det for dets in per_view for det in dets]
+        labels = sorted({det.raw_label for det in rows})
+        index = {lab: k for k, lab in enumerate(labels)}
+        first = np.cumsum([0, *map(len, per_view)])
+        columns = dict(
+            first=first, view=np.repeat(np.arange(self.n_views), np.diff(first)),
+            label=np.array([index[det.raw_label] for det in rows], dtype=np.intp),
+            confidence=np.array([det.confidence for det in rows], dtype=float),
+            track=np.array([-1 if det.track_id is None else det.track_id for det in rows], dtype=np.int64),
+            area=np.array([mask_area(det.mask) for det in rows], dtype=np.int64),
+        )
+        for arr in columns.values():
+            arr.flags.writeable = False
+        descriptions = None if self.descriptions is None else tuple(self.descriptions)
+        set_frozen(self, **columns, labels=tuple(labels), masks=tuple(det.mask for det in rows),
+                   embeddings=MappingProxyType(dict(self.embeddings)), descriptions=descriptions)
 
     @cached_property
-    def packed(self) -> PackedMasks:
-        """Every detection's mask, decoded once on first use (``pack_views``): row r is the r-th of
-        ``all_detections``, so detection (view, idx) is row ``packed.first[view] + idx``. A mask of
-        another size than the dataset raises ``mask dimensions differ: <mask> vs <dataset>``."""
-        return pack_views([[det.mask for det in per_view] for per_view in self.detections], self)
+    def packed(self) -> np.ndarray:
+        """(D, ceil(h*w / 8)) every row's mask bit-packed, decoded once on first use (``pack_views``).
+        A mask of another size than the dataset raises ``mask dimensions differ: <mask> vs <dataset>``."""
+        bounds = self.first.tolist()
+        return pack_views([self.masks[a:b] for a, b in zip(bounds, bounds[1:])], self)
 
-    def all_detections(self):
-        """Yield (view, index, detection) in deterministic order."""
-        for view, per_view in enumerate(self.detections):
-            for idx, det in enumerate(per_view):
-                yield view, idx, det
-
-    def detection(self, view: int, idx: int) -> Detection:
-        return self.detections[view][idx]
+    def rows(self, track) -> list[int]:
+        """The rows of ``track``'s members (anything with ``track_id`` and ``members``), in member order;
+        a member that is not a detection raises ``track T: member (v, i) is not a detection of the dataset``."""
+        bounds = self.first.tolist()
+        for view, idx in track.members:
+            if not (0 <= view < self.n_views and 0 <= idx < bounds[view + 1] - bounds[view]):
+                raise SchemaError(f"track {track.track_id}: member ({view}, {idx}) is not a detection of the dataset")
+        return [bounds[view] + idx for view, idx in track.members]
 
     def embedding(self, label: str) -> np.ndarray:
         try:
@@ -476,22 +505,17 @@ def member_check(ds: SceneDataset | None) -> Callable:
     unique = unique_track_ids()
     if ds is None:
         return unique
-    owner: dict[tuple[int, int], int] = {}
+    owner: dict[int, int] = {}  # row -> track id
 
     def check(track):
         unique(track)
-        for view, idx in track.members:
-            if not (0 <= view < ds.n_views and 0 <= idx < len(ds.detections[view])):
-                raise SchemaError(
-                    f"track {track.track_id}: member ({view}, {idx}) "
-                    "is not a detection of the dataset"
-                )
-            if (view, idx) in owner:
+        for (view, idx), row in zip(track.members, ds.rows(track)):
+            if row in owner:
                 raise SchemaError(
                     f"track {track.track_id}: detection ({view}, {idx}) "
-                    f"already belongs to track {owner[(view, idx)]}"
+                    f"already belongs to track {owner[row]}"
                 )
-            owner[(view, idx)] = track.track_id
+            owner[row] = track.track_id
         return track
 
     return check
@@ -501,7 +525,9 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
     """Write detections + embeddings (+ descriptions), then the manifest. Returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl((det.to_json() for _, _, det in ds.all_detections()), out / "detections.jsonl")
+    rows = zip(ds.view.tolist(), ds.masks, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist())
+    write_jsonl((Detection(view, mask, ds.labels[label], conf, None if track < 0 else track).to_json()
+                 for view, mask, label, conf, track in rows), out / "detections.jsonl")
     write_json(
         {label: emb.vector.tolist() for label, emb in sorted(ds.embeddings.items())},
         out / "embeddings.json",

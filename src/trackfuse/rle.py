@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,35 +172,23 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     return inter / union
 
 
-class PackedMasks(NamedTuple):
-    """Masks of one size, each decoded once into a bit-packed row (``np.packbits``: eight pixels a
-    byte, row-major, the last byte of a row zero-padded), grouped by view; every array read-only."""
-
-    rows: np.ndarray  # (n, ceil(h*w / 8)) uint8
-    first: np.ndarray  # (V + 1,) each view's first row, then n
-    area: np.ndarray  # (n,) each mask's foreground pixel count, as ``mask_area`` gives it
-
-    def view(self, view: int) -> np.ndarray:
-        """The rows of ``view``'s masks."""
-        return self.rows[self.first[view] : self.first[view + 1]]
-
-
-def pack_views(views: Sequence[Sequence[RleMask]], size) -> PackedMasks:
+def pack_views(views: Sequence[Sequence[RleMask]], size) -> np.ndarray:
     """The masks of each view in turn, each of ``size`` (anything with a height and a width), as one
-    ``PackedMasks``. A view is decoded in one block (``rle_decode_many``) and packed before the next,
-    so no more than one view's booleans are held at once. A view whose first mask is not of ``size``
-    raises ``mask dimensions differ: <mask> vs <size>``; one of two sizes, ``rle_decode_many``'s.
+    read-only (n, ceil(h*w / 8)) uint8 block of bit-packed rows (``np.packbits``: eight pixels a
+    byte, row-major, the last byte of a row zero-padded). A view is decoded in one block
+    (``rle_decode_many``) and packed before the next, so no more than one view's booleans are held
+    at once. A view whose first mask is not of ``size`` raises ``mask dimensions differ: <mask> vs
+    <size>``; one of two sizes, ``rle_decode_many``'s.
     """
-    first = np.cumsum([0, *map(len, views)])
-    rows = np.empty((first[-1], -(-size.height * size.width // 8)), dtype=np.uint8)
-    for view, masks in enumerate(views):
+    rows = np.empty((sum(map(len, views)), -(-size.height * size.width // 8)), dtype=np.uint8)
+    start = 0
+    for masks in views:
         if masks:
             check_same_size(masks[0], size)
-            rows[first[view] : first[view + 1]] = np.packbits(rle_decode_many(masks), axis=1)
-    area = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-    for arr in (rows, first, area):
-        arr.flags.writeable = False
-    return PackedMasks(rows, first, area)
+            rows[start : start + len(masks)] = np.packbits(rle_decode_many(masks), axis=1)
+        start += len(masks)
+    rows.flags.writeable = False
+    return rows
 
 
 def packed_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ cosine <= 0.5 so clustering thresholds have a crisp ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from .errors import SchemaError
 from .records import (
     Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, set_frozen, write_json,
 )
-from .rle import PackedMasks, RleMask, json_bool, json_floats, json_int, json_str, pack_views, rle_decode, rle_encode
+from .rle import RleMask, json_bool, json_floats, json_int, json_str, pack_views, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
 
@@ -126,11 +126,13 @@ class GroundTruth:
         set_frozen(self, objects=tuple(self.objects))
 
     @cached_property
-    def packed(self) -> PackedMasks:
-        """Every (object, view) mask, decoded once on first use (``pack_views``), each of the first
-        one's size: view v's rows are the objects' masks in view v, in object order."""
+    def packed(self) -> np.ndarray:
+        """(views, objects, ceil(h*w / 8)) every (object, view) mask bit-packed, decoded once on first
+        use (``pack_views``), each of the first one's size: ``packed[v]`` holds the objects' masks in
+        view v, in object order."""
         n_views = len(self.objects[0].masks)
-        return pack_views([[o.masks[v] for o in self.objects] for v in range(n_views)], self.objects[0].masks[0])
+        views = [[o.masks[v] for o in self.objects] for v in range(n_views)]
+        return pack_views(views, self.objects[0].masks[0]).reshape(n_views, len(self.objects), -1)
 
     def to_json(self) -> dict:
         return {
@@ -393,7 +395,8 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
     }
 
     out: list[list[Detection]] = [[] for _ in range(ds.n_views)]
-    for view, _, det in ds.all_detections():
+    columns = (ds.view.tolist(), ds.masks, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist())
+    for view, mask, label, confidence, track in zip(*columns):
         u_drop, u_wrong, u_syn = rng.uniform(size=3)
         jitter_amount = int(rng.integers(0, noise.mask_jitter + 1)) if noise.mask_jitter else 0
         jitter_grow = bool(rng.integers(0, 2)) if noise.mask_jitter else False
@@ -402,7 +405,7 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
         if u_drop < noise.dropout_rate:
             continue
 
-        label = det.raw_label
+        label = ds.labels[label]
         gi = group_of.get(label)
         if gi is not None and u_wrong < noise.wrong_label_rate:
             others = [g for g in range(len(cfg.vocabulary)) if g != gi]
@@ -413,7 +416,6 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
             if group.synonyms:
                 label = group.synonyms[int(syn_pick) % len(group.synonyms)]
 
-        mask = det.mask
         if jitter_amount > 0:
             grid = rle_decode(mask)
             grid = _dilate(grid, jitter_amount) if jitter_grow else _erode(grid, jitter_amount)
@@ -424,9 +426,9 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
                 view=view,
                 mask=mask,
                 raw_label=label,
-                confidence=det.confidence,
-                track_id=None if noise.strip_track_ids else det.track_id,
+                confidence=confidence,
+                track_id=None if noise.strip_track_ids or track < 0 else track,
             )
         )
 
-    return replace(ds, detections=out, descriptions=None)
+    return SceneDataset(ds.n_views, ds.height, ds.width, ds.dim, out, ds.embeddings)

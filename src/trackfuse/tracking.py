@@ -38,21 +38,23 @@ class AssocParams:
 
 
 def import_tracks(ds: SceneDataset) -> list[Trajectory]:
-    """Partition detections by their carried track IDs."""
-    members: dict[int, list[tuple[int, int]]] = {}
-    seen: set[tuple[int, int]] = set()
-    for view, idx, det in ds.all_detections():
-        if det.track_id is None:
-            raise SchemaError(f"detection (view {view}, index {idx}) has no track_id")
-        key = (det.track_id, view)
-        if key in seen:
-            raise SchemaError(f"track {det.track_id} appears twice in view {view}")
-        seen.add(key)
-        members.setdefault(det.track_id, []).append((view, idx))
-    return [
-        Trajectory(track_id, tuple(sorted(members[track_id])))
-        for track_id in sorted(members)
-    ]
+    """Partition detections by their carried track IDs, one trajectory per id in id order. The first
+    row that carries no id, or an id an earlier row of its view carries, is refused."""
+    # rows by track, then row: a row of the track and view of the one before it repeats that pair
+    order = np.argsort(ds.track, kind="stable")
+    track, view = ds.track[order], ds.view[order]
+    repeat = order[1:][(track[1:] == track[:-1]) & (view[1:] == view[:-1])]
+    bad = np.concatenate([np.flatnonzero(ds.track < 0), repeat])
+    if bad.size:
+        row = bad.min()
+        v = ds.view[row]
+        if ds.track[row] < 0:
+            raise SchemaError(f"detection (view {v}, index {row - ds.first[v]}) has no track_id")
+        raise SchemaError(f"track {ds.track[row]} appears twice in view {v}")
+    ids, starts = np.unique(track, return_index=True)
+    members = list(zip(view.tolist(), (order - ds.first[view]).tolist()))
+    bounds = [*starts.tolist(), len(order)]
+    return [Trajectory(tid, tuple(members[a:b])) for tid, a, b in zip(ids.tolist(), bounds, bounds[1:])]
 
 
 @dataclass
@@ -69,15 +71,16 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
     alpha = params.iou_weight
     tracks: list[_OpenTrack] = []
     packed = ds.packed
+    label_vecs = [ds.embedding(label) for label in ds.labels]
+    bounds = ds.first.tolist()
 
     for view in range(ds.n_views):
-        dets = ds.detections[view]
-        first = int(packed.first[view])
-        vecs = [ds.embedding(d.raw_label) for d in dets]
+        first, end = bounds[view], bounds[view + 1]
+        vecs = [label_vecs[k] for k in ds.label[first:end].tolist()]
         eligible = [t for t in tracks if view - t.last_view <= params.max_gap + 1]
 
         # each cell is bit-equal to mask_iou of its pair
-        ious = iou_table(packed.view(view), packed.rows[[t.last_row for t in eligible]]).tolist()
+        ious = iou_table(packed[first:end], packed[[t.last_row for t in eligible]]).tolist()
         pairs = []
         for di, row in enumerate(ious):
             for iou, t in zip(row, eligible):
@@ -98,7 +101,7 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
             t.last_row = first + di
             t.last_vec = vecs[di]
 
-        for di in range(len(dets)):
+        for di in range(end - first):
             if di in matched_dets:
                 continue
             tracks.append(

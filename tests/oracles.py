@@ -19,6 +19,40 @@ from trackfuse.rle import mask_iou, rle_decode, rle_encode
 from trackfuse.synth import GroundTruth, GtObject, _render, build_vocabulary_embeddings
 
 
+def detections_of(ds):
+    """The detections of ``ds`` as per-view lists of ``Detection`` records, rebuilt row by row
+    from its columns: the form datasets are built from, for loops over single detections."""
+    out = []
+    for view in range(ds.n_views):
+        out.append([
+            Detection(view, ds.masks[row], ds.labels[ds.label[row]], float(ds.confidence[row]),
+                      None if ds.track[row] < 0 else int(ds.track[row]))
+            for row in range(ds.first[view], ds.first[view + 1])
+        ])
+    return out
+
+
+def each_detection(ds):
+    """(view, index, detection) of every detection of ``ds``, in view then index order."""
+    return [(view, idx, det) for view, dets in enumerate(detections_of(ds)) for idx, det in enumerate(dets)]
+
+
+def oracle_import_tracks(ds):
+    """Partition the detections by their carried track ids, one detection at a time: the first
+    without a track id, or with one an earlier detection of its view carries, is refused."""
+    members = {}
+    seen = set()
+    for view, idx, det in each_detection(ds):
+        if det.track_id is None:
+            raise SchemaError(f"detection (view {view}, index {idx}) has no track_id")
+        key = (det.track_id, view)
+        if key in seen:
+            raise SchemaError(f"track {det.track_id} appears twice in view {view}")
+        seen.add(key)
+        members.setdefault(det.track_id, []).append((view, idx))
+    return [Trajectory(track_id, tuple(sorted(members[track_id]))) for track_id in sorted(members)]
+
+
 def oracle_cluster(labels, embeddings, tau_sem):
     """Recompute-from-scratch average-linkage agglomeration.
 
@@ -164,11 +198,12 @@ def oracle_identity(clustering, label):
 def oracle_vote_tracks(ds, trajectories, clustering):
     """Each trajectory's record, in track order, by a loop over its members: ``oracle_vote`` of
     their (identity, decoded mask area) pairs."""
+    detections = detections_of(ds)
     records = []
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         member_votes = []
         for view, idx in traj.members:
-            det = ds.detection(view, idx)
+            det = detections[view][idx]
             member_votes.append((oracle_identity(clustering, det.raw_label), int(rle_decode(det.mask).sum())))
         winner, votes = oracle_vote(member_votes)
         records.append(ConsensusRecord(track_id=traj.track_id, canonical=winner, votes=votes, members=traj.members))
@@ -182,7 +217,7 @@ def oracle_consensus_accuracy(ds, records, gt, clustering, mapping):
     identity_of = {o.object_id: o.identity for o in gt.objects}
     voted = {member: rec.canonical for rec in records for member in rec.members}
     total = per_view_hits = consensus_hits = 0
-    for view, idx, det in ds.all_detections():
+    for view, idx, det in each_detection(ds):
         if (view, idx) not in mapping:
             continue
         truth = identity_of[mapping[(view, idx)]]
@@ -236,7 +271,7 @@ def oracle_match_detections(ds, gt):
     a detection with no overlap stays unmatched.
     """
     mapping = {}
-    for view, idx, det in ds.all_detections():
+    for view, idx, det in each_detection(ds):
         best_obj, best_iou = None, 0.0
         for obj in gt.objects:
             score = mask_iou(det.mask, obj.masks[view])
@@ -249,11 +284,12 @@ def oracle_match_detections(ds, gt):
 
 def oracle_match_tracks(ds, records, gt):
     """Per-pair summed-IoU matching of every track; ties to the lowest object id."""
+    detections = detections_of(ds)
     out = {}
     for rec in records:
         totals = {obj.object_id: 0.0 for obj in gt.objects}
         for view, idx in rec.members:
-            det = ds.detection(view, idx)
+            det = detections[view][idx]
             for obj in gt.objects:
                 totals[obj.object_id] += mask_iou(det.mask, obj.masks[view])
         out[rec.track_id] = min(totals, key=lambda oid: (-totals[oid], oid))
@@ -271,8 +307,7 @@ def oracle_associate_greedy(ds, params):
     """
     alpha = params.iou_weight
     tracks = []  # [track_id, last_view, last_mask, last_vec, members]
-    for view in range(ds.n_views):
-        dets = ds.detections[view]
+    for view, dets in enumerate(detections_of(ds)):
         vecs = [ds.embedding(d.raw_label) for d in dets]
         eligible = [t for t in tracks if view - t[1] <= params.max_gap + 1]
         pairs = []
@@ -401,6 +436,7 @@ def oracle_train(field_, ds, records, descriptions, cfg, include_category=True):
     """
     desc_by_track = {d.track_id: d for d in descriptions}
     views = cfg.views if cfg.views is not None else tuple(range(ds.n_views))
+    detections = detections_of(ds)
     plan = []
     for view in views:
         pool, entries = {}, []
@@ -412,7 +448,7 @@ def oracle_train(field_, ds, records, descriptions, cfg, include_category=True):
             category = [(desc.category, ds.embedding(desc.category))] if include_category else []
             texts = [*category, *desc.referrals]
             positives = [pool.setdefault((rec.track_id, text), vec) for text, vec in texts]
-            target = rle_decode(ds.detection(*member).mask)
+            target = rle_decode(detections[member[0]][member[1]].mask)
             chosen = oracle_select_inside(field_, view, target)
             if not chosen:
                 raise NumericError(f"no Gaussian center inside the pseudo mask at view {view}")
@@ -463,6 +499,7 @@ def oracle_view_batch(ds, records, descriptions, view, include_category=True):
     its pseudo mask. ``pool`` stacks every distinct (track, text) key once,
     in first-seen order with its first vector; it is None without entries.
     """
+    detections = detections_of(ds)
     entries, pool_keys, pool_rows = [], [], []
     for rec in sorted(records, key=lambda r: r.track_id):
         member = next(((v, i) for v, i in rec.members if v == view), None)
@@ -476,7 +513,7 @@ def oracle_view_batch(ds, records, descriptions, view, include_category=True):
         for text, vec in desc.referrals:
             keys.append((rec.track_id, text))
             vecs.append(vec)
-        entries.append((np.stack(vecs), ds.detection(*member).mask))
+        entries.append((np.stack(vecs), detections[member[0]][member[1]].mask))
         for k, v in zip(keys, vecs):
             if k not in pool_keys:
                 pool_keys.append(k)

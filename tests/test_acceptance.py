@@ -37,6 +37,7 @@ from trackfuse.rle import mask_iou, rle_decode, rle_encode
 from trackfuse.synth import DEFAULT_VOCABULARY, build_vocabulary_embeddings
 
 from oracles import (
+    each_detection,
     grad_check,
     oracle_cluster,
     oracle_visibility,
@@ -332,7 +333,7 @@ def test_criterion_8_multiview_consistency():
                 cfg = tf.SynthConfig(n_views=7, n_objects=3, seed=seed, noise=noise)
                 ds, gt = tf.generate_scene(cfg)
                 noisy = tf.corrupt(ds, gt, cfg)
-                if sum(len(d) for d in noisy.detections) == 0:
+                if not noisy.masks:
                     continue
                 trajectories = (
                     tf.import_tracks(noisy)
@@ -345,7 +346,7 @@ def test_criterion_8_multiview_consistency():
                 for rec in result.records:
                     for member in rec.members:
                         voted.setdefault(member, []).append(rec.canonical)
-                assert sorted(voted) == [(v, i) for v, i, _ in noisy.all_detections()]
+                assert sorted(voted) == [(v, i) for v, i, _ in each_detection(noisy)]
                 assert all(len(labels) == 1 for labels in voted.values())
 
 

@@ -1556,14 +1556,10 @@ def test_one_process_gives_the_artifacts_of_separate_processes(tmp_path, monkeyp
     assert tree_bytes(one) == tree_bytes(own)
 
 
-def test_one_process_decodes_each_mask_once(tmp_path, monkeypatch):
-    """In the benchmark's process, from associate to the sweep, every detection mask and every
-    ground-truth (object, view) mask is decoded exactly once: each stage reads the bit-packed rows
-    the kept dataset and ground truth hold."""
-    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
-    scene, out = tmp_path / "scene", tmp_path / "out"
-    assert main(["synth", *c, "--out", str(scene)]) == 0
-    decoded = []  # the masks themselves, so that no id is reused while they are counted
+def decoded_masks(monkeypatch) -> list:
+    """The masks every trackfuse module's ``rle_decode`` and ``rle_decode_many`` decode from now on,
+    the masks themselves, so that no id is reused while they are counted."""
+    decoded = []
     original, original_many = rle.rle_decode, rle.rle_decode_many
     for module in list(sys.modules.values()):
         if not module.__name__.startswith("trackfuse"):
@@ -1572,13 +1568,43 @@ def test_one_process_decodes_each_mask_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "rle_decode", lambda mask: decoded.append(mask) or original(mask))
         if getattr(module, "rle_decode_many", None) is original_many:
             monkeypatch.setattr(module, "rle_decode_many", lambda masks: decoded.extend(masks) or original_many(masks))
+    return decoded
+
+
+def test_one_process_decodes_each_mask_once(tmp_path, monkeypatch):
+    """In the benchmark's process, from associate to the sweep, every detection mask and every
+    ground-truth (object, view) mask is decoded exactly once: each stage reads the bit-packed rows
+    the kept dataset and ground truth hold."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    decoded = decoded_masks(monkeypatch)
     out.mkdir()
     for argv in benchmark_calls(c, scene, out):
         assert main(argv) == 0, argv
     ds = load_dataset(scene / "dataset" / "manifest.json")
     gt = load_ground_truth(scene / "ground_truth.json", ds)  # both kept: the objects the stages read
-    masks = [det.mask for _, _, det in ds.all_detections()] + [m for obj in gt.objects for m in obj.masks]
+    masks = [*ds.masks, *(m for obj in gt.objects for m in obj.masks)]
     assert Counter(map(id, decoded)) == Counter(map(id, masks)) == dict.fromkeys(map(id, masks), 1)
+
+
+def test_consensus_and_sigma_sweep_decode_no_mask(tmp_path, monkeypatch):
+    """A ``consensus`` stage and a ``sweep --param sigma``, each as a new process starts, read the
+    member areas from the run counts (``SceneDataset.area``): neither decodes a mask."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    out.mkdir()
+    associate, consensus_call, *_, sweep = benchmark_calls(c, scene, out)
+    assert main(associate) == 0
+    sigma = [*sweep[: sweep.index("--param")], "--param", "sigma", "--values", "0.5,1,2,4,8",
+             "--out", str(out / "sweep-sigma.csv")]
+    decoded = decoded_masks(monkeypatch)
+    for argv in (consensus_call, sigma):
+        forget_kept()  # as a new process starts
+        assert main(argv) == 0, argv
+    assert (out / "consensus.jsonl").is_file() and (out / "sweep-sigma.csv").is_file()
+    assert decoded == []
 
 
 def test_one_process_matches_detections_once(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from trackfuse.consensus import (
     cluster_synonyms,
     cosine_distance_matrix,
     member_table,
-    observed_labels,
     run_consensus,
     vote,
     vote_trajectory,
@@ -27,6 +26,7 @@ from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
     clustering_fields,
+    each_detection,
     oracle_cluster,
     oracle_consensus_accuracy,
     oracle_cut,
@@ -417,7 +417,7 @@ def member_scene(views, tracks, groups, objects, match):
         embed(NAMES, np.eye(dim)[[direction[lab] for lab in NAMES]]),
     )
     trajectories = [Trajectory(tid, tuple(members)) for tid, members in tracks.items() if members]
-    clustering = cluster_synonyms(observed_labels(ds), ds.embeddings, 0.5)
+    clustering = cluster_synonyms(list(ds.labels), ds.embeddings, 0.5)
     full = mask(SIDE * SIDE)
     gt = GroundTruth([
         GtObject(oid, identity, [full] * len(views), [True] * len(views), [(0.0, 0.0)] * len(views), (1.0, 1.0),
@@ -533,6 +533,6 @@ class TestMemberTableVote:
 class TestRunConsensus:
     def test_raw_labels_preserved(self, noisy_scene):
         ds, _ = noisy_scene
-        before = [det.raw_label for _, _, det in ds.all_detections()]
+        before = [det.raw_label for _, _, det in each_detection(ds)]
         run_consensus(ds, tf.import_tracks(ds))
-        assert [det.raw_label for _, _, det in ds.all_detections()] == before
+        assert [det.raw_label for _, _, det in each_detection(ds)] == before

@@ -34,6 +34,8 @@ from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
     category_grids,
+    detections_of,
+    each_detection,
     object_grids,
     oracle_eval_miou,
     oracle_match_detections,
@@ -147,7 +149,7 @@ class TestConsensusAccuracy:
         groups = [g.canonical for g in cfg.vocabulary]
         ds = replace(ds, detections=[
             [replace(det, raw_label=groups[int(rng.integers(0, len(groups)))]) for det in per_view]
-            for per_view in ds.detections
+            for per_view in detections_of(ds)
         ])
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
@@ -182,7 +184,7 @@ def swept_scene():
     ds, gt = tf.generate_scene(cfg)
     noisy = tf.corrupt(ds, gt, cfg)
     table = member_table(noisy, tf.associate_greedy(noisy, tf.AssocParams(max_gap=0))[::2])
-    agglomeration = tf.cluster_synonyms(list(table.labels), noisy.embeddings, 0.5)
+    agglomeration = tf.cluster_synonyms(list(noisy.labels), noisy.embeddings, 0.5)
     mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
     assert (table.owner == -1).any() and len(table.tracks) > len(gt.objects)
     return noisy, gt, table, agglomeration, mapping
@@ -228,7 +230,7 @@ def hand_scene(detections, objects):
 
 
 def one_track_per_detection(ds):
-    return [ConsensusRecord(t, "x", {}, ((v, i),)) for t, (v, i, _) in enumerate(ds.all_detections())]
+    return [ConsensusRecord(t, "x", {}, ((v, i),)) for t, (v, i, _) in enumerate(each_detection(ds))]
 
 
 class TestMatchingOracle:
@@ -262,7 +264,7 @@ class TestMatchingOracle:
                     grid = np.zeros_like(grid)
                 return replace(det, mask=tf.rle_encode(grid))
 
-            noisy = replace(noisy, detections=[[reshaped(det) for det in per_view] for per_view in noisy.detections])
+            noisy = replace(noisy, detections=[[reshaped(det) for det in per_view] for per_view in detections_of(noisy)])
             gt = replace(gt, objects=[gt.objects[k] for k in rng.permutation(len(gt.objects))])
             tracks = tf.associate_greedy(noisy, tf.AssocParams())
             records = tf.run_consensus(noisy, tracks).records

@@ -11,7 +11,7 @@ import pytest
 import trackfuse as tf
 from trackfuse import consensus, metrics, records
 from trackfuse.cli import main
-from trackfuse.consensus import ConsensusRecord, load_consensus, observed_labels, save_consensus
+from trackfuse.consensus import ConsensusRecord, load_consensus, save_consensus
 from trackfuse.errors import SchemaError
 from trackfuse.field import field_from_ground_truth, load_field, save_field
 from trackfuse.keyframes import run_keyframes
@@ -28,7 +28,7 @@ from trackfuse.records import (
 from trackfuse.synth import GroundTruth, load_ground_truth, save_ground_truth
 from trackfuse.tracking import load_tracks, save_tracks
 
-from oracles import clustering_fields
+from oracles import clustering_fields, detections_of
 
 
 def read_bytes(root):
@@ -43,15 +43,33 @@ class TestRoundTrip:
         manifest = save_dataset(ds, tmp_path / "empty")
         loaded = load_dataset(manifest)
         assert loaded.n_views == 0
-        assert loaded.detections == ()
+        assert loaded.first.tolist() == [0] and loaded.masks == ()
 
-    def test_synthetic_scene_byte_identical(self, tmp_path):
-        cfg = tf.SynthConfig(n_views=5, n_objects=2, seed=1)
-        ds, _ = tf.generate_scene(cfg)
+    @staticmethod
+    def mixed_scene():
+        """Three views, the middle one empty; "bowl" is seen in the last view only, and some rows
+        carry a track while others carry none."""
+        mask = tf.rle_encode(np.eye(4, dtype=bool))
+        emb = {lab: LabelEmbedding(lab, text_embedding(lab, 3)) for lab in ("cup", "bowl")}
+        views = [[("cup", 0.5, 7), ("cup", 1.0, None)], [], [("bowl", 0.25, None), ("cup", 0.75, 2)]]
+        detections = [[tf.Detection(v, mask, label, conf, track) for label, conf, track in dets]
+                      for v, dets in enumerate(views)]
+        return tf.SceneDataset(n_views=3, height=4, width=4, dim=3, detections=detections, embeddings=emb)
+
+    @pytest.mark.parametrize("scene", ["synthetic", "mixed"])
+    def test_scene_byte_identical(self, tmp_path, scene):
+        if scene == "synthetic":
+            ds, _ = tf.generate_scene(tf.SynthConfig(n_views=5, n_objects=2, seed=1))
+        else:
+            ds = self.mixed_scene()
+            assert ds.first.tolist() == [0, 2, 2, 4] and ds.labels == ("bowl", "cup")
+            assert ds.label.tolist() == [1, 1, 0, 1] and ds.track.tolist() == [7, -1, -1, 2]
+            assert ds.confidence.tolist() == [0.5, 1.0, 0.25, 0.75]
         save_dataset(ds, tmp_path / "a")
         loaded = load_dataset(tmp_path / "a")
         save_dataset(loaded, tmp_path / "b")
         assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
+        assert columns(loaded) == columns(ds)
 
     def test_descriptions_roundtrip(self, tmp_path):
         vec = text_embedding("the red cup", 8)
@@ -72,6 +90,19 @@ class TestValidation:
         mask = tf.rle_encode(np.zeros((2, 2), dtype=bool))
         with pytest.raises(SchemaError, match="confidence"):
             tf.Detection(view=0, mask=mask, raw_label="cup", confidence=1.2)
+
+    def test_detection_in_another_view_or_with_a_track_id_past_int64_rejected(self, tmp_path):
+        mask = tf.rle_encode(np.zeros((2, 2), dtype=bool))
+        with pytest.raises(SchemaError, match="a detection of view 1 is in view 0's list"):
+            tf.SceneDataset(2, 2, 2, 3, [[tf.Detection(1, mask, "cup", 1.0)], []], {})
+        ds, _ = tf.generate_scene(tf.SynthConfig(n_views=2, n_objects=1, seed=1))
+        manifest = save_dataset(ds, tmp_path / "scene")
+        det_path = tmp_path / "scene" / "detections.jsonl"
+        lines = det_path.read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]) | {"track": 2**63})
+        det_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"detections\.jsonl:2: track_id must be in \[0, 2\*\*63\), got 9223372036854775808"):
+            load_dataset(manifest)
 
     def test_bad_line_reports_line_number(self, tmp_path):
         cfg = tf.SynthConfig(n_views=2, n_objects=1, seed=1)
@@ -153,11 +184,15 @@ def fresh_parse(manifest):
     return load_dataset(manifest)
 
 
+def columns(ds):
+    """The detection columns of ``ds`` as plain data, for ==."""
+    return (ds.first.tolist(), ds.labels, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist(),
+            [mask.to_json() for mask in ds.masks], ds.area.tolist(), ds.packed.tolist())
+
+
 def assert_same_dataset(a, b):
     assert (a.n_views, a.height, a.width, a.dim) == (b.n_views, b.height, b.width, b.dim)
-    assert [[d.to_json() for d in per_view] for per_view in a.detections] == [
-        [d.to_json() for d in per_view] for per_view in b.detections
-    ]
+    assert columns(a) == columns(b)
     assert sorted(a.embeddings) == sorted(b.embeddings)
     for label, emb in a.embeddings.items():
         assert emb.label == b.embeddings[label].label
@@ -187,7 +222,7 @@ def rename_detections(path):
 def kept_scene(root, n_views=3, dim=32):
     """A saved scene with every input kind the process keeps; returns each file's path by kind."""
     ds, gt = tf.generate_scene(tf.SynthConfig(n_views=n_views, n_objects=2, seed=1, dim=dim))
-    ds = replace(ds, descriptions=[
+    ds = replace(ds, detections=detections_of(ds), descriptions=[
         DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
         for t, text in enumerate(["the left cup", "the right cup"])
     ])
@@ -216,7 +251,7 @@ def plain(value):
     """A reader's value as plain data, for ==."""
     if isinstance(value, tf.SceneDataset):
         return (value.n_views, value.height, value.width, value.dim, value.key,
-                [[d.to_json() for d in per_view] for per_view in value.detections],
+                columns(value),
                 {label: emb.vector.tolist() for label, emb in value.embeddings.items()},
                 [d.to_json() for d in value.descriptions])
     if isinstance(value, GroundTruth):
@@ -228,10 +263,15 @@ def writes(value) -> list:
     """Each write a caller could make to a reader's value when it was built of lists, dicts and
     plain records, as a call; each must raise now."""
     if isinstance(value, tf.SceneDataset):
-        det, desc = value.detections[0][0], value.descriptions[0]
+        mask, desc = value.masks[0], value.descriptions[0]
         return [
-            lambda: setattr(det, "raw_label", "plate"),
-            lambda: value.detections[0].append(det),
+            lambda: setattr(mask, "counts", ()),
+            lambda: value.masks.append(mask),
+            lambda: value.label.__setitem__(0, 1),
+            lambda: value.first.__setitem__(1, 0),
+            lambda: value.packed.__setitem__((0, 0), 255),
+            lambda: setattr(value, "label", np.zeros_like(value.label)),
+            lambda: setattr(value, "packed", np.zeros_like(value.packed)),
             lambda: desc.referrals.append(("another cup", text_embedding("another cup", value.dim))),
             lambda: value.embeddings.clear(),
             lambda: value.embeddings.__setitem__("plate", value.embeddings["cup"]),
@@ -398,7 +438,8 @@ class TestKeptDataset:
     @pytest.mark.parametrize("kind", CHECKED)
     def test_dataset_not_read_from_files_keeps_nothing(self, tmp_path, monkeypatch, kind):
         paths = kept_scene(tmp_path)
-        built = replace(load_dataset(paths["dataset"]))  # no key, as for a dataset built in memory
+        loaded = load_dataset(paths["dataset"])
+        built = replace(loaded, detections=detections_of(loaded))  # no key, as for a dataset built in memory
         assert built.key is None
         READERS[kind](paths[kind], built)
         decoded = count_json_loads(monkeypatch)
@@ -506,7 +547,7 @@ def refused_values(ds, gt):
     field_ = saved_values(ds, gt)["field"]
     field_.features[1, 2] = np.nan
     return {
-        "tracks": [tf.Trajectory(0, ((0, len(ds.detections[0])),))],
+        "tracks": [tf.Trajectory(0, ((0, int(ds.first[1] - ds.first[0])),))],
         "consensus": [ConsensusRecord(track_id=0, canonical="cup", votes={"cup": 2}, members=((0, 0),))],
         "descriptions": [DescriptionSet(0, "cup", [(text, 2.0 * text_embedding(text, ds.dim))])],
         "field": field_,
@@ -611,7 +652,7 @@ class TestKeptClustering:
 
     def test_hit_equals_a_fresh_call_at_the_same_and_higher_tau(self, noisy_scene, monkeypatch):
         ds, _ = noisy_scene
-        labels = observed_labels(ds)
+        labels = list(ds.labels)
         calls = self.counted(monkeypatch)
         tf.cluster_synonyms(labels, ds.embeddings, 0.7)
         for tau in (0.7, 0.8, 0.85, 0.95):
@@ -626,7 +667,7 @@ class TestKeptClustering:
 
     def test_lower_tau_cuts_the_kept_merges(self, noisy_scene, monkeypatch):
         ds, _ = noisy_scene
-        labels = observed_labels(ds)
+        labels = list(ds.labels)
         calls = self.counted(monkeypatch)
         tf.cluster_synonyms(labels, ds.embeddings, 0.85)
         for tau in (0.5, 0.3, 0.05, 0.95):
@@ -643,7 +684,7 @@ class TestKeptClustering:
 
     def test_other_labels_or_vectors_agglomerate_again(self, noisy_scene, monkeypatch):
         ds, _ = noisy_scene
-        labels = observed_labels(ds)
+        labels = list(ds.labels)
         calls = self.counted(monkeypatch)
         tf.cluster_synonyms(labels, ds.embeddings, 0.8)
         tf.cluster_synonyms(labels[1:], ds.embeddings, 0.8)
@@ -653,7 +694,7 @@ class TestKeptClustering:
 
     def test_callers_share_one_read_only_linkage(self, noisy_scene):
         ds, _ = noisy_scene
-        labels = observed_labels(ds)
+        labels = list(ds.labels)
         first = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
         again = tf.cluster_synonyms(labels, ds.embeddings, 0.8)
         assert again.linkage is first.linkage and again.cluster is not first.cluster

@@ -13,7 +13,7 @@ from trackfuse.records import save_dataset
 from trackfuse.rle import mask_iou, rle_decode
 from trackfuse.synth import DEFAULT_VOCABULARY, SynonymGroup, build_vocabulary_embeddings
 
-from oracles import oracle_generate_scene
+from oracles import each_detection, oracle_generate_scene
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -31,7 +31,7 @@ class TestGenerate:
     def test_minimal_scene(self):
         cfg = tf.SynthConfig(n_views=3, n_objects=1, seed=0)
         ds, gt = tf.generate_scene(cfg)
-        dets = [det for _, _, det in ds.all_detections()]
+        dets = [det for _, _, det in each_detection(ds)]
         assert len(dets) == 3
         assert len({d.raw_label for d in dets}) == 1
         assert all(d.track_id == 0 for d in dets)
@@ -47,19 +47,19 @@ class TestGenerate:
         cfg = tf.SynthConfig(n_views=20, n_objects=5, seed=1)
         ds, gt = tf.generate_scene(cfg)
         assert len({o.identity for o in gt.objects}) == 5
-        assert sum(len(d) for d in ds.detections) <= 100
+        assert len(ds.masks) <= 100
 
     def test_ground_truth_masks_match_detections(self):
         cfg = tf.SynthConfig(n_views=4, n_objects=2, seed=6)
         ds, gt = tf.generate_scene(cfg)
-        for view, _, det in ds.all_detections():
+        for view, _, det in each_detection(ds):
             obj = gt.objects[det.track_id]
             assert mask_iou(det.mask, obj.masks[view]) == 1.0
 
 
 def scene_records(ds, gt):
     return gt.to_json(), [
-        (det.view, det.mask, det.raw_label, det.track_id) for _, _, det in ds.all_detections()
+        (det.view, det.mask, det.raw_label, det.track_id) for _, _, det in each_detection(ds)
     ]
 
 
@@ -208,7 +208,7 @@ class TestCorrupt:
         )
         ds, gt = tf.generate_scene(cfg)
         out = tf.corrupt(ds, gt, cfg)
-        assert sum(len(d) for d in out.detections) == 0
+        assert len(out.masks) == 0
 
     def test_synonym_rate_concentration(self):
         cfg = tf.SynthConfig(
@@ -221,8 +221,8 @@ class TestCorrupt:
         )
         ds, gt = tf.generate_scene(cfg)
         out = tf.corrupt(ds, gt, cfg)
-        before = [det.raw_label for _, _, det in ds.all_detections()]
-        after = [det.raw_label for _, _, det in out.all_detections()]
+        before = [det.raw_label for _, _, det in each_detection(ds)]
+        after = [det.raw_label for _, _, det in each_detection(out)]
         assert len(before) == len(after) >= 10000
         replaced = sum(a != b for a, b in zip(before, after))
         frac = replaced / len(before)
@@ -249,7 +249,7 @@ class TestCorrupt:
         )
         ds, gt = tf.generate_scene(cfg)
         out = tf.corrupt(ds, gt, cfg)
-        for view, _, det in out.all_detections():
+        for view, _, det in each_detection(out):
             assert det.view == view
             # jittered mask still overlaps its own object far more than others
             own = mask_iou(det.mask, gt.objects[det.track_id].masks[view])
@@ -266,7 +266,7 @@ class TestCorrupt:
         )
         ds, gt = tf.generate_scene(cfg)
         out = tf.corrupt(ds, gt, cfg)
-        assert all(det.track_id is None for _, _, det in out.all_detections())
+        assert all(det.track_id is None for _, _, det in each_detection(out))
 
     def test_wrong_label_comes_from_other_group(self):
         cfg = tf.SynthConfig(
@@ -275,7 +275,7 @@ class TestCorrupt:
         ds, gt = tf.generate_scene(cfg)
         out = tf.corrupt(ds, gt, cfg)
         group_of = {w: g.canonical for g in cfg.vocabulary for w in g.words}
-        for (_, _, before), (_, _, after) in zip(ds.all_detections(), out.all_detections()):
+        for (_, _, before), (_, _, after) in zip(each_detection(ds), each_detection(out)):
             assert group_of[after.raw_label] != group_of[before.raw_label]
 
     def test_zero_noise_consensus_is_perfect(self):

@@ -61,7 +61,7 @@ def test_every_probe_reads_one_real_call(clean_scene):
     queries = np.stack([ds.embedding(c) for c in categories])
     preds = dict(zip(categories, render_grids(field_, [0, 1], list(queries))))
     gts = category_grids(gt, object_grids(gt, [0, 1]))
-    labels = sorted({det.raw_label for _, _, det in ds.all_detections()})
+    labels = list(ds.labels)
     calls = {
         "field.render_logits": (render_logits, (field_, 0, queries)),
         "field.render_mask": (render_mask, (field_, 0, queries[0])),

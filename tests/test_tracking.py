@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import oracle_associate_greedy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import detections_of, each_detection, oracle_associate_greedy, oracle_import_tracks
 
 import trackfuse as tf
 from trackfuse.errors import SchemaError
@@ -55,7 +58,7 @@ class TestImportTracks:
         trajs = import_tracks(ds)
         # oracle: partition by key
         expected = {}
-        for v, _, det in ds.all_detections():
+        for v, _, det in each_detection(ds):
             expected.setdefault(det.track_id, []).append((v, 0))
         assert {t.track_id: list(t.members) for t in trajs} == expected
         assert all(len(t.members) == 2 for t in trajs)
@@ -78,6 +81,25 @@ class TestImportTracks:
         ds = make_dataset([[dict(mask=mask, raw_label="cup", confidence=1.0)]])
         with pytest.raises(SchemaError, match="no track_id"):
             import_tracks(ds)
+
+    # each view's carried ids: small ids, so that views share and repeat them; None for no id
+    track_columns = st.lists(st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=4), max_size=5)
+
+    @given(track_columns)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_detection_loop(self, views):
+        mask = square_mask(4, 4, 0, 0, 2)
+        ds = make_dataset([[dict(mask=mask, raw_label="cup", confidence=1.0, track_id=t) for t in view]
+                           for view in views], h=4, w=4)
+        try:
+            expected = oracle_import_tracks(ds)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as raised:
+                import_tracks(ds)
+            assert str(raised.value) == str(exc)
+            assert re.search("has no track_id|appears twice in view", str(exc))
+        else:
+            assert import_tracks(ds) == expected
 
 
 class TestGreedy:
@@ -138,7 +160,7 @@ class TestGreedy:
         ds, _ = noisy_scene
         trajs = associate_greedy(ds)
         seen = [m for t in trajs for m in t.members]
-        expected = [(v, i) for v, i, _ in ds.all_detections()]
+        expected = [(v, i) for v, i, _ in each_detection(ds)]
         assert sorted(seen) == sorted(expected)
         assert len(seen) == len(set(seen))
 
@@ -159,7 +181,8 @@ class TestGreedy:
     def test_missing_embedding_rejected(self):
         mask = square_mask(16, 16, 2, 2, 4)
         ds = make_dataset([[dict(mask=mask, raw_label="cup", confidence=1.0)]])
-        ds = replace(ds, embeddings={label: emb for label, emb in ds.embeddings.items() if label != "cup"})
+        ds = replace(ds, detections=detections_of(ds),
+                     embeddings={label: emb for label, emb in ds.embeddings.items() if label != "cup"})
         with pytest.raises(SchemaError, match="no embedding"):
             associate_greedy(ds)
 
@@ -197,8 +220,8 @@ class TestGreedyOracle:
 
     def test_the_scenes_have_views_without_detections(self):
         ds = noisy_dataset(4, 0.9)
-        assert any(not dets for dets in ds.detections)
-        assert sum(map(len, ds.detections)) > 1
+        assert (np.diff(ds.first) == 0).any()
+        assert len(ds.masks) > 1
 
     def test_empty_views_and_empty_masks(self):
         # two empty masks have IoU 1, as mask_iou gives them
@@ -210,11 +233,11 @@ class TestGreedyOracle:
             assert associate_greedy(ds, params) == oracle_associate_greedy(ds, params)
 
     def test_mismatched_mask_size_names_both_sizes(self):
-        ds = make_dataset([[dict(mask=square_mask(16, 16, 0, 0, 3), raw_label="cup", confidence=1.0)], []])
+        cup = dict(mask=square_mask(16, 16, 0, 0, 3), raw_label="cup", confidence=1.0)
+        ds = make_dataset([[cup], [cup]])
         # a later view's mask of another size: the dataset refuses it (so would replace), so set the
-        # view past its checks
-        other = Detection(view=1, mask=square_mask(8, 8, 0, 0, 3), raw_label="cup", confidence=1.0)
-        object.__setattr__(ds, "detections", (ds.detections[0], (other,)))
+        # mask column past its checks
+        object.__setattr__(ds, "masks", (ds.masks[0], square_mask(8, 8, 0, 0, 3)))
         with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
             associate_greedy(ds)
         with pytest.raises(SchemaError, match="mask dimensions differ: 8x8 vs 16x16"):
