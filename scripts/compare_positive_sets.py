@@ -9,7 +9,7 @@ import sys
 import trackfuse as tf
 from trackfuse.field import field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import eval_miou, iou_tables
+from trackfuse.metrics import detection_ious, eval_miou
 
 
 def main() -> int:
@@ -36,11 +36,11 @@ def main() -> int:
         return field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
 
     # the track -> object matching does not depend on the model
-    tables = iou_tables(ds, gt)
+    ious = detection_ious(ds, gt)
 
     def evaluate(field_):
         # eval's path: all queries of a view in one render, scored as it renders
-        scores = eval_miou(field_, ds, gt, result.records, tables, eval_views, descriptions)
+        scores = eval_miou(field_, ds, gt, result.records, ious, eval_views, descriptions)
         return scores["miou_short"], scores["miou_long"]
 
     hybrid, _ = tf.train(fresh_field(), ds, result.records, descriptions, tcfg)

@@ -9,7 +9,7 @@ import numpy as np
 
 import trackfuse as tf
 from trackfuse.consensus import check_tau_sem, member_table
-from trackfuse.metrics import iou_tables, match_detections_to_objects, tau_sem_rows
+from trackfuse.metrics import detection_ious, matched_objects, tau_sem_rows
 
 
 def main() -> int:
@@ -41,10 +41,10 @@ def main() -> int:
         )
         ds, gt = tf.generate_scene(cfg)
         noisy = tf.corrupt(ds, gt, cfg)
-        mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
+        matched = matched_objects(detection_ious(noisy, gt))
         table = member_table(noisy, tf.import_tracks(noisy))
         agglomeration = tf.cluster_synonyms(list(noisy.labels), noisy.embeddings, values[0])
-        per_scene.append(tau_sem_rows(table, agglomeration, values, gt, mapping))
+        per_scene.append(tau_sem_rows(table, agglomeration, values, gt, matched))
 
     rows = []
     for k, tau in enumerate(values):

@@ -54,14 +54,7 @@ from .keyframes import (
     run_keyframes,
     select_keyframe,
 )
-from .metrics import (
-    consensus_accuracy,
-    detection_matches,
-    emit_report,
-    eval_miou,
-    iou_tables,
-    tau_sem_rows,
-)
+from .metrics import consensus_accuracy, detection_ious, emit_report, eval_miou, matched_objects, tau_sem_rows
 from .records import (
     config_hash,
     file_digest,
@@ -407,7 +400,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
     gt = load_ground_truth(paths["ground_truth"], ds) if "ground_truth" in paths else None
-    tables = iou_tables(ds, gt) if gt is not None else None
+    ious = detection_ious(ds, gt) if gt is not None else None
 
     metrics: dict = {"n_tracks": len(records)}
     trajectories_views = sorted({v for rec in records for v, _ in rec.members})
@@ -426,8 +419,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     if clustering.labels:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
-            mapping = detection_matches(ds, gt)
-            metrics.update(_scored(paths, consensus_accuracy, ds, revote.vote, gt, clustering, mapping))
+            metrics.update(_scored(paths, consensus_accuracy, revote.table, [clustering], gt, matched_objects(ious))[0])
 
     if "model" in paths:
         field_ = load_field(paths["model"], ds)
@@ -437,7 +429,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
             descriptions = None
             if "descriptions" in paths:
                 descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-            metrics.update(eval_miou(field_, ds, gt, records, tables, views, descriptions))
+            metrics.update(eval_miou(field_, ds, gt, records, ious, views, descriptions))
 
     emit_report(metrics, cfg, {"seed": cfg["seed"]}, paths["report"])
     return paths["report"]
@@ -608,14 +600,14 @@ def run_sweep(
     if param == "tau_sem":
         for value in values:
             check_tau_sem(value)
-        mapping = None
+        matched = None
         if gt is not None and ds.masks:
             # masks, not labels, decide the matching, so one serves every value;
             # like eval, no accuracy columns for a dataset without detections
-            mapping = detection_matches(ds, gt)
+            matched = matched_objects(detection_ious(ds, gt))
         table = member_table(ds, trajectories)
         agglomeration = cluster_synonyms(list(ds.labels), ds.embeddings, values[0])
-        rows = _scored(paths, tau_sem_rows, table, agglomeration, values, gt, mapping)
+        rows = _scored(paths, tau_sem_rows, table, agglomeration, values, gt, matched)
     elif param == "sigma":
         for value in values:
             check_keyframe_settings("weighting", value)

@@ -16,8 +16,8 @@ votes and areas of each (track, cluster) pair, and one ``np.lexsort`` picks
 every track's winner (``vote``). The ``consensus`` stage and eval's re-vote
 vote this way; a ``tau_sem`` sweep stacks every value's votes, each value's
 clusters numbered past the ones before, into one tally
-(``vote_identities``), and ``vote_trajectory`` is the same vote on one
-track; the per-member loops are the references in ``tests/oracles.py``.
+(``vote_identities``); the per-member loops are the references in
+``tests/oracles.py``.
 
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So each label
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -288,24 +289,6 @@ def _tally(track: np.ndarray, cluster: np.ndarray, area: np.ndarray, rank: np.nd
     return pair_track, pair_cluster, votes, pair_cluster[first]
 
 
-def vote_trajectory(
-    member_votes: list[tuple[str, int]],
-) -> tuple[str, dict[str, int]]:
-    """Majority vote over (clustered identity, mask area) member pairs: one track's ``vote``.
-
-    One vote per member. Ties: larger summed area over the tied identity's
-    supporting members, then lexicographically smallest surface form.
-    """
-    if not member_votes:
-        raise ValueError("cannot vote on an empty trajectory")
-    names = sorted({identity for identity, _ in member_votes})
-    index = {name: k for k, name in enumerate(names)}
-    cluster = np.array([index[identity] for identity, _ in member_votes])
-    area = np.array([a for _, a in member_votes], dtype=float)
-    _, pair_cluster, votes, winner = _tally(np.zeros_like(cluster), cluster, area, np.arange(len(names)), 1)
-    return names[winner[0]], {names[c]: n for c, n in zip(pair_cluster.tolist(), votes.tolist())}
-
-
 @dataclass(frozen=True)
 class ConsensusRecord:
     """A trajectory's voted identity, the label of each of its members, and the votes behind it."""
@@ -329,8 +312,8 @@ class ConsensusRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsensusRecord":
-        """A record as ``vote_trajectory`` can write it: its votes count its members, each voted
-        identity at least once, and its canonical identity is one of the most voted."""
+        """A record as ``vote`` can write it: its votes count its members, each voted identity at
+        least once, and its canonical identity is one of the most voted."""
         rec = cls(
             track_id=json_int(obj["track"], "track"),
             canonical=json_str(obj["canonical"], "canonical identity"),
@@ -400,6 +383,7 @@ class TrackVote:
     pair_votes: np.ndarray  # (P,) its votes
     winner: np.ndarray  # (T,) each track's winning cluster
 
+    @cached_property
     def records(self) -> list[ConsensusRecord]:
         """One record per track, in track order: its winner, its votes by identity, its members."""
         names = self.clustering.canonical
@@ -438,8 +422,9 @@ def _tally_all(table: MemberTable, clusterings: list[SynonymClustering]):
 
 
 def vote(table: MemberTable, clustering: SynonymClustering) -> TrackVote:
-    """Every track's vote over its members' clustered identities, as ``vote_trajectory`` takes one;
-    ``clustering`` must be of the table's labels (``check_clustering``)."""
+    """Every track's vote over its members' clustered identities: one vote per member, ties to the
+    larger summed mask area, then the lexicographically smallest surface form. ``clustering`` must
+    be of the table's labels (``check_clustering``)."""
     tally, _, _ = _tally_all(table, [clustering])
     return TrackVote(table, clustering, *tally)
 
@@ -452,22 +437,10 @@ def vote_identities(table: MemberTable, clusterings: list[SynonymClustering]) ->
     return name[label_cluster], name[winner].reshape(len(clusterings), len(table.tracks))
 
 
-@dataclass
-class ConsensusResult:
-    vote: TrackVote
-    records: list[ConsensusRecord]  # the vote's records
-
-    @property
-    def clustering(self) -> SynonymClustering:
-        return self.vote.clustering
-
-
-def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_SEM) -> ConsensusResult:
+def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_SEM) -> TrackVote:
     """Cluster the scene's observed labels once, then vote every trajectory (anything with
     ``track_id`` and ``members``: eval re-votes consensus records)."""
-    table = member_table(ds, trajectories)
-    result = vote(table, cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem))
-    return ConsensusResult(result, result.records())
+    return vote(member_table(ds, trajectories), cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem))
 
 
 def save_consensus(records: list[ConsensusRecord], path: str | Path, ds: SceneDataset | None = None) -> None:

@@ -146,8 +146,8 @@ def kept(kind: str, key, build: Callable):
     kept in its place first. A ``key`` of None keeps nothing.
 
     Besides the reads (``read_kept``) and their writes (``write_kept``), the process keeps this way
-    the IoU tables and the detection matching of one (dataset, ground truth) pair, the member table
-    of one (dataset, tracks) pair and the complete linkage of the last label set clustered. A kept
+    the detection IoU table of one (dataset, ground truth) pair, the member table of one (dataset,
+    tracks) pair and the complete linkage of the last label set clustered. A kept
     dataset or ground truth carries its bit-packed masks on the object (``SceneDataset.packed``,
     ``GroundTruth.packed``), not as a kind of its own, so a process decodes each mask once.
     """

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 
-from trackfuse.consensus import ConsensusRecord
+from trackfuse.consensus import ConsensusRecord, _tally
 from trackfuse.errors import NumericError, SchemaError
 from trackfuse.field import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, binarize_logits, render_logits
 from trackfuse.metrics import miou
@@ -188,6 +188,23 @@ def oracle_vote(member_votes):
     top_area = max(areas[c] for c in tied)
     tied = [c for c in tied if areas[c] == top_area]
     return min(tied), dict(counts)
+
+
+def vote_trajectory(member_votes):
+    """Majority vote over (clustered identity, mask area) member pairs: one track's ``vote``, by
+    the tally every track's vote takes (``consensus._tally``).
+
+    One vote per member. Ties: larger summed area over the tied identity's
+    supporting members, then lexicographically smallest surface form.
+    """
+    if not member_votes:
+        raise ValueError("cannot vote on an empty trajectory")
+    names = sorted({identity for identity, _ in member_votes})
+    index = {name: k for k, name in enumerate(names)}
+    cluster = np.array([index[identity] for identity, _ in member_votes])
+    area = np.array([a for _, a in member_votes], dtype=float)
+    _, pair_cluster, votes, winner = _tally(np.zeros_like(cluster), cluster, area, np.arange(len(names)), 1)
+    return names[winner[0]], {names[c]: n for c, n in zip(pair_cluster.tolist(), votes.tolist())}
 
 
 def oracle_identity(clustering, label):

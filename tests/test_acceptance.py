@@ -15,7 +15,7 @@ import pytest
 
 import trackfuse as tf
 from trackfuse.cli import load_config, run_pipeline
-from trackfuse.consensus import cluster_synonyms, run_consensus, vote_trajectory
+from trackfuse.consensus import cluster_synonyms, run_consensus
 from trackfuse.field import (
     ToyReferringField,
     contrastive_loss,
@@ -27,9 +27,9 @@ from trackfuse.field import (
 from trackfuse.keyframes import visibility_score
 from trackfuse.metrics import (
     consensus_accuracy,
-    iou_tables,
-    match_detections_to_objects,
+    detection_ious,
     match_tracks_to_objects,
+    matched_objects,
     miou,
 )
 from trackfuse.records import LabelEmbedding
@@ -45,6 +45,7 @@ from oracles import (
     partition_of,
     random_unit_vectors,
     short_query_union,
+    vote_trajectory,
 )
 
 
@@ -209,8 +210,8 @@ def test_criterion_5_consensus_beats_per_view():
             trajectories = tf.import_tracks(noisy)
             trajectory_sizes.extend(len(t.members) for t in trajectories)
             result = run_consensus(noisy, trajectories)
-            mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
-            acc = consensus_accuracy(noisy, result.records, gt, result.clustering, mapping)
+            matched = matched_objects(detection_ious(noisy, gt))
+            [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])
         assert min(trajectory_sizes) >= 5
@@ -288,11 +289,10 @@ def test_criterion_7_hybrid_beats_long_only():
                 c: {v: short_query_union(gt, c, v) for v in eval_views} for c in categories
             }
             _, short = miou(sp, sg)
-            track_to_obj = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
-            by_id = {o.object_id: o for o in gt.objects}
+            track_to_obj = match_tracks_to_objects(result.table, gt, detection_ious(ds, gt))
             lp, lg = {}, {}
             for desc in descriptions:
-                obj = by_id[track_to_obj[desc.track_id]]
+                obj = gt.objects[track_to_obj[desc.track_id]]
                 for text, vec in desc.referrals:
                     key = f"{desc.track_id}:{text}"
                     lp[key] = {v: render_mask(field_, v, vec) for v in eval_views}

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from trackfuse import consensus, metrics, records, rle
+from trackfuse import consensus, records, rle
 from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
+from trackfuse.metrics import consensus_accuracy, detection_ious, matched_objects
 from trackfuse.field import load_field
 from trackfuse.records import config_hash, dumps, forget_kept, load_dataset, load_descriptions, read_json
 from trackfuse.synth import load_ground_truth
@@ -300,11 +300,11 @@ class TestStages:
         ds = load_dataset(out / "dataset" / "manifest.json")
         trajectories = load_tracks(out / "tracks.jsonl", ds)
         gt = load_ground_truth(out / "ground_truth.json", ds)
-        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
+        matched = matched_objects(detection_ious(ds, gt))
         clusters = {}
         for line, value in zip(lines[1:], values, strict=True):
             result = run_consensus(ds, trajectories, tau_sem=value)
-            acc = consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
+            [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
             clusters[value] = result.clustering.cluster.tolist()
             assert line.split(",") == [str(value), str(len(result.clustering.canonical)),
                                        str(acc["per_view_acc"]), str(acc["tscm_acc"])]
@@ -1607,28 +1607,61 @@ def test_consensus_and_sigma_sweep_decode_no_mask(tmp_path, monkeypatch):
     assert decoded == []
 
 
-def test_one_process_matches_detections_once(tmp_path, monkeypatch):
-    """In the benchmark's process, eval matches the detections to objects, and the sweep after it
-    reads the kept matching and writes the CSV the sweep writes in a process of its own."""
+def test_sweep_after_eval_builds_no_iou_table(tmp_path, monkeypatch):
+    """In the benchmark's process, eval builds the detection IoU table a view at a time, and the
+    sweep after it reads the kept table (``detection_ious``): it builds none, and writes the CSV
+    the sweep writes in a process of its own, which builds the table again."""
     c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
     scene, out = tmp_path / "scene", tmp_path / "out"
     assert main(["synth", *c, "--out", str(scene)]) == 0
-    matched = []
-    real = metrics.match_detections_to_objects
+    built = []
+    real = rle.iou_table
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("trackfuse") and getattr(module, "match_detections_to_objects", None) is real:
-            monkeypatch.setattr(module, "match_detections_to_objects", lambda *a: matched.append(1) or real(*a))
+        if module.__name__.startswith("trackfuse") and getattr(module, "iou_table", None) is real:
+            monkeypatch.setattr(module, "iou_table", lambda *a: built.append(1) or real(*a))
     out.mkdir()
-    calls = benchmark_calls(c, scene, out)
-    for argv in calls:
+    *stages, eval_call, sweep = benchmark_calls(c, scene, out)
+    for argv in stages:
         assert main(argv) == 0, argv
-    assert len(matched) == 1
+    n_views = NOISY_CONFIG["synth"]["n_views"]
+    for argv, tables in ((eval_call, n_views), (sweep, 0)):
+        built.clear()
+        assert main(argv) == 0, argv
+        assert len(built) == tables, argv
     alone = (out / "sweep.csv").read_bytes()
 
     forget_kept()  # as a new process starts
-    assert main(calls[-1]) == 0
-    assert len(matched) == 2
+    built.clear()
+    assert main(sweep) == 0
+    assert len(built) == n_views
     assert (out / "sweep.csv").read_bytes() == alone
+
+
+def test_report_accuracy_is_the_sweep_row_at_the_config_tau_sem(tmp_path):
+    """``report.json``'s ``cluster_count``, ``per_view_acc`` and ``tscm_acc`` are ``sweep.csv``'s row
+    at the config's ``consensus.tau_sem``: in the benchmark's process, where the sweep reads what
+    eval kept, and with eval and the sweep each in a process of its own."""
+    config = NOISY_CONFIG | {"consensus": {"tau_sem": 0.8}}
+    c = ["--config", write_config(tmp_path, config)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    out.mkdir()
+    calls = benchmark_calls(c, scene, out)
+
+    def check():
+        report = read_json(out / "report.json")["metrics"]
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        [row] = [dict(zip(header.split(","), line.split(","))) for line in lines if line.split(",")[0] == "0.8"]
+        keys = ("cluster_count", "per_view_acc", "tscm_acc")
+        assert {k: float(row[k]) for k in keys} == {k: report[k] for k in keys}
+
+    for argv in calls:
+        assert main(argv) == 0, argv
+    check()
+    for argv in calls[-2:]:  # eval, then the sweep
+        forget_kept()  # as a new process starts
+        assert main(argv) == 0, argv
+    check()
 
 
 def test_one_process_parses_no_file_it_wrote(tmp_path, monkeypatch):

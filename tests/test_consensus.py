@@ -16,7 +16,6 @@ from trackfuse.consensus import (
     member_table,
     run_consensus,
     vote,
-    vote_trajectory,
 )
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import consensus_accuracy
@@ -36,6 +35,7 @@ from oracles import (
     oracle_vote_tracks,
     partition_of,
     random_unit_vectors,
+    vote_trajectory,
 )
 
 
@@ -428,22 +428,22 @@ def member_scene(views, tracks, groups, objects, match):
 
 
 def check_against_oracles(ds, trajectories, clustering, gt, mapping):
-    """The array vote gives the oracle's records, and both accuracy inputs (the vote itself and its
-    records) the oracle's accuracy; returns the vote's records."""
+    """The array vote gives the oracle's records, and its accuracy the oracle's accuracy of those
+    records; returns the vote's records."""
     want = oracle_vote_tracks(ds, trajectories, clustering)
     result = vote(member_table(ds, trajectories), clustering)
-    records = result.records()
+    records = result.records
     assert [(r.track_id, r.canonical, dict(r.votes), r.members) for r in records] == [
         (r.track_id, r.canonical, dict(r.votes), r.members) for r in want
     ]
+    # each row's object: member_scene's object ids are their positions
+    matched = np.array([mapping.get((v, i), -1) for v, i, _ in each_detection(ds)], dtype=np.intp)
     if not mapping:
-        for given in (result, records):
-            with pytest.raises(SchemaError, match="no detections matched"):
-                consensus_accuracy(ds, given, gt, clustering, mapping)
+        with pytest.raises(SchemaError, match="no detections matched"):
+            consensus_accuracy(result.table, [clustering], gt, matched)
         return records
     want_acc = oracle_consensus_accuracy(ds, want, gt, clustering, mapping)
-    assert consensus_accuracy(ds, result, gt, clustering, mapping) == want_acc
-    assert consensus_accuracy(ds, records, gt, clustering, mapping) == want_acc
+    assert consensus_accuracy(result.table, [clustering], gt, matched) == [want_acc]
     return records
 
 
@@ -511,17 +511,16 @@ class TestMemberTableVote:
         assert [r.canonical for r in records] == winners
 
     def test_clustering_of_other_labels_rejected(self):
-        ds, trajectories, clustering, gt, mapping = member_scene(
+        ds, trajectories, clustering, gt, _ = member_scene(
             [[("cup", 3), ("mug", 2)]], {1: [(0, 0)], 2: [(0, 1)]}, [["cup", "mug"]], ["cup"], {(0, 0): 0}
         )
         table = member_table(ds, trajectories)
-        records = vote(table, clustering).records()
         for labels in (["cup"], ["cup", "mug", "zz"], ["mug", "cup"]):
             other = cluster_synonyms(labels, ds.embeddings, 0.5)
             with pytest.raises(ValueError, match="not of the member table's 2 labels"):
                 vote(table, other)
             with pytest.raises(ValueError, match="not of the member table's 2 labels"):
-                consensus_accuracy(ds, records, gt, other, mapping)
+                consensus_accuracy(table, [other], gt, np.array([0, -1]))  # the match of (0, 0)
 
     def test_empty_track_rejected(self, clean_scene):
         ds, _, trajectories = clean_scene

@@ -14,14 +14,14 @@ import trackfuse.metrics as metrics_module
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import (
     consensus_accuracy,
+    detection_ious,
     emit_report,
     eval_miou,
     eval_queries,
     iou_by_view,
     iou_grids,
-    iou_tables,
-    match_detections_to_objects,
     match_tracks_to_objects,
+    matched_objects,
     miou,
     query_means,
     tau_sem_rows,
@@ -51,8 +51,8 @@ def grids(*rows_list):
 
 
 def accuracy(ds, gt, result):
-    mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
-    return consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
+    [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched_objects(detection_ious(ds, gt)))
+    return acc
 
 
 class TestMiou:
@@ -168,7 +168,8 @@ class TestConsensusAccuracy:
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        mapping = match_tracks_to_objects(result.records, gt, iou_tables(ds, gt))
+        mapping = match_tracks_to_objects(result.table, gt, detection_ious(ds, gt))
+        assert [o.object_id for o in gt.objects] == [0, 1, 2]  # positions and ids agree
         assert mapping == {0: 0, 1: 1, 2: 2}
 
 
@@ -176,8 +177,8 @@ class TestConsensusAccuracy:
 def swept_scene():
     """A noisy scene whose voted accuracy moves with ``tau_sem``: its objects broken into short
     tracks, the member table of every other track (so matched detections of an object are in no
-    track, and others of it are), the agglomeration of the table's labels and the detection
-    matching."""
+    track, and others of it are), the agglomeration of the table's labels, each row's matched
+    object (``matched_objects``) and the oracle's (view, index) matching."""
     noise = tf.NoiseSpec(synonym_rate=0.5, wrong_label_rate=0.3, dropout_rate=0.3, mask_jitter=1,
                          strip_track_ids=True)
     cfg = tf.SynthConfig(n_views=8, n_objects=4, seed=2, noise=noise)
@@ -185,22 +186,22 @@ def swept_scene():
     noisy = tf.corrupt(ds, gt, cfg)
     table = member_table(noisy, tf.associate_greedy(noisy, tf.AssocParams(max_gap=0))[::2])
     agglomeration = tf.cluster_synonyms(list(noisy.labels), noisy.embeddings, 0.5)
-    mapping = match_detections_to_objects(iou_tables(noisy, gt), gt)
+    matched = matched_objects(detection_ious(noisy, gt))
     assert (table.owner == -1).any() and len(table.tracks) > len(gt.objects)
-    return noisy, gt, table, agglomeration, mapping
+    return noisy, gt, table, agglomeration, matched, oracle_match_detections(noisy, gt)
 
 
 class TestTauSemRows:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_rows_match_the_per_value_oracle(self, data):
-        ds, gt, table, agglomeration, mapping = swept_scene()
+        ds, gt, table, agglomeration, matched, mapping = swept_scene()
         # a cut exactly at a merge height, or anywhere in (0, 1)
         cuts = [float(c) for c in 1.0 - agglomeration.linkage[:, 2] if 0.0 < c < 1.0]
         value = st.sampled_from(cuts) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
         pool = data.draw(st.lists(value, min_size=1, max_size=6))
         values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))  # unsorted, with repeats
-        rows = tau_sem_rows(table, agglomeration, values, gt, mapping)
+        rows = tau_sem_rows(table, agglomeration, values, gt, matched)
         assert len(rows) == len(values)
         for row, value in zip(rows, values):
             assert row == oracle_tau_sem_row(ds, table, agglomeration, value, gt, mapping)
@@ -233,16 +234,52 @@ def one_track_per_detection(ds):
     return [ConsensusRecord(t, "x", {}, ((v, i),)) for t, (v, i, _) in enumerate(each_detection(ds))]
 
 
+def matchings(ds, gt, records):
+    """``matched_objects`` and ``match_tracks_to_objects`` on ``detection_ious``, by object id in the
+    oracles' form: (view, index) -> object id, and track id -> object id."""
+    ious = detection_ious(ds, gt)
+    matched = matched_objects(ious).tolist()
+    mapping = {(v, i): gt.objects[k].object_id for (v, i, _), k in zip(each_detection(ds), matched) if k >= 0}
+    tracks = match_tracks_to_objects(member_table(ds, records), gt, ious)
+    return mapping, {t: gt.objects[k].object_id for t, k in tracks.items()}
+
+
+@st.composite
+def matching_scenes(draw):
+    """A 2x3 scene whose masks are drawn from a few patterns, so that IoUs often tie; a pattern of
+    at most three pixels may be empty or overlap no other. Object ids are drawn in any order, so the
+    first object of ``gt.objects`` and the lowest id differ. Tracks take at most one detection per
+    view."""
+    pattern = st.sets(st.integers(0, 5), max_size=3).map(lambda on: np.isin(np.arange(6), list(on)).reshape(2, 3))
+    pool = draw(st.lists(pattern, min_size=1, max_size=4))
+    mask = st.sampled_from(pool)
+    n_views = draw(st.integers(1, 3))
+    detections = [draw(st.lists(mask, max_size=4)) for _ in range(n_views)]
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    objects = [(oid, [draw(mask) for _ in range(n_views)]) for oid in ids]
+    ds, gt = hand_scene(detections, objects)
+    members = {t: [] for t in range(3)}
+    for v, per_view in enumerate(detections):
+        slots = draw(st.permutations([0, 1, 2, *[None] * len(per_view)]))
+        for idx, t in enumerate(slots[: len(per_view)]):
+            if t is not None:
+                members[t].append((v, idx))
+    return ds, gt, [ConsensusRecord(t, "x", {}, tuple(m)) for t, m in members.items() if m]
+
+
 class TestMatchingOracle:
     """The table-based matchers against the per-pair loops they replaced."""
 
     def check(self, ds, gt, records):
-        tables = iou_tables(ds, gt)
-        mapping = match_detections_to_objects(tables, gt)
+        mapping, track_to_obj = matchings(ds, gt, records)
         assert mapping == oracle_match_detections(ds, gt)
-        track_to_obj = match_tracks_to_objects(records, gt, tables)
         assert track_to_obj == oracle_match_tracks(ds, records, gt)
         return mapping, track_to_obj
+
+    @given(matching_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_scenes_with_ties_empty_masks_and_unordered_ids(self, scene):
+        self.check(*scene)
 
     def test_random_noisy_scenes(self):
         rng = np.random.default_rng(11)
@@ -302,7 +339,7 @@ class TestMatchingOracle:
         ds, _ = hand_scene([[[[0, 1]]]], [(0, [[[0, 1]]])])
         _, gt = hand_scene([[[[0], [1]]]], [(0, [[[0], [1]]])])
         with pytest.raises(SchemaError, match="mask dimensions differ: 1x2 vs 2x1"):
-            iou_tables(ds, gt)
+            detection_ious(ds, gt)
 
 
 class TestReport:
@@ -384,7 +421,7 @@ class TestEvalScoring:
                                            [*first.referrals, (text, rng.standard_normal(ds.dim))]),
                             *descriptions[1:]]
         descriptions = descriptions if with_descriptions else None
-        got = eval_miou(field_, ds, gt, records, iou_tables(ds, gt), views, descriptions)
+        got = eval_miou(field_, ds, gt, records, detection_ious(ds, gt), views, descriptions)
         want = oracle_eval_miou(field_, ds, gt, records, views, descriptions)
         assert bits(got) == bits(want)
         assert ("miou_long" in got) == with_descriptions
@@ -436,8 +473,8 @@ class TestEvalScoring:
         turn = itertools.count()
         descriptions = [DescriptionSet(d.track_id, d.category, [(t, pool[next(turn) % 3]) for t, _ in d.referrals])
                         for d in descriptions]
-        tables = iou_tables(ds, gt)
-        _, _, queries, targets = eval_queries(ds, gt, records, tables, descriptions)
+        ious = detection_ious(ds, gt)
+        _, _, queries, targets = eval_queries(ds, gt, records, ious, descriptions)
         rows = [q.tobytes() for q in queries]
         pairs = [(i, j) for i in range(len(rows)) for j in range(i + 2, len(rows)) if rows[i] == rows[j]]
         assert any(targets[i] == targets[j] for i, j in pairs)
@@ -448,13 +485,13 @@ class TestEvalScoring:
         monkeypatch.setattr(metrics_module, "render_logits",
                             lambda f, view, query, out=None: rendered.append(len(query)) or real(f, view, query, out))
         views = [6, 1, 4]
-        got = eval_miou(field_, ds, gt, records, tables, views, descriptions)
+        got = eval_miou(field_, ds, gt, records, ious, views, descriptions)
         assert rendered == [len(set(rows))] * len(views)
         assert bits(got) == bits(oracle_eval_miou(field_, ds, gt, records, views, descriptions))
 
     def test_rows_are_categories_then_matched_referrals(self, fragmented_scene):
         ds, gt, records, descriptions = fragmented_scene
-        short, long_, queries, targets = eval_queries(ds, gt, records[1:], iou_tables(ds, gt), descriptions)
+        short, long_, queries, targets = eval_queries(ds, gt, records[1:], detection_ious(ds, gt), descriptions)
         categories = sorted({o.identity for o in gt.objects})
         assert short == categories
         kept = [d for d in sorted(descriptions, key=lambda d: d.track_id) if d.track_id != records[0].track_id]

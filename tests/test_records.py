@@ -15,7 +15,7 @@ from trackfuse.consensus import ConsensusRecord, load_consensus, save_consensus
 from trackfuse.errors import SchemaError
 from trackfuse.field import field_from_ground_truth, load_field, save_field
 from trackfuse.keyframes import run_keyframes
-from trackfuse.metrics import iou_tables
+from trackfuse.metrics import detection_ious
 from trackfuse.records import (
     DescriptionSet,
     LabelEmbedding,
@@ -447,25 +447,22 @@ class TestKeptDataset:
         assert decoded
         if kind == "ground_truth":
             assert value.key is None
-            assert iou_tables(built, value) is not iou_tables(built, value)
+            assert detection_ious(built, value) is not detection_ious(built, value)
 
-    def test_iou_tables_are_kept_per_dataset_and_ground_truth(self, tmp_path, monkeypatch):
+    def test_detection_ious_are_kept_per_dataset_and_ground_truth(self, tmp_path, monkeypatch):
         paths = kept_scene(tmp_path)
         ds = load_dataset(paths["dataset"])
-        first = iou_tables(ds, load_ground_truth(paths["ground_truth"], ds))
+        first = detection_ious(ds, load_ground_truth(paths["ground_truth"], ds))
         calls = []
         real = metrics.iou_table
         monkeypatch.setattr(metrics, "iou_table", lambda *a: calls.append(a) or real(*a))
-        again = iou_tables(load_dataset(paths["dataset"]), load_ground_truth(paths["ground_truth"], ds))
+        again = detection_ious(load_dataset(paths["dataset"]), load_ground_truth(paths["ground_truth"], ds))
         assert calls == []
         assert again is first
-        for table in again:
-            with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0.0
-        with pytest.raises(AttributeError):
-            again.append(again[0])
+        with pytest.raises(ValueError, match="read-only"):
+            again[...] = 0.0
         other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"))  # read without a dataset
-        assert [t.tolist() for t in iou_tables(ds, other)] == [t.tolist() for t in first]
+        assert detection_ious(ds, other).tolist() == first.tolist()
         assert len(calls) == ds.n_views
 
     def test_member_table_is_kept_per_dataset_and_tracks(self, tmp_path):

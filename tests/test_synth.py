@@ -279,14 +279,14 @@ class TestCorrupt:
             assert group_of[after.raw_label] != group_of[before.raw_label]
 
     def test_zero_noise_consensus_is_perfect(self):
-        from trackfuse.metrics import consensus_accuracy, iou_tables, match_detections_to_objects
+        from trackfuse.metrics import consensus_accuracy, detection_ious, matched_objects
 
         cfg = tf.SynthConfig(n_views=5, n_objects=3, seed=2)
         ds, gt = tf.generate_scene(cfg)
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
-        mapping = match_detections_to_objects(iou_tables(ds, gt), gt)
-        acc = consensus_accuracy(ds, result.records, gt, result.clustering, mapping)
+        matched = matched_objects(detection_ious(ds, gt))
+        [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
         assert acc["per_view_acc"] == 1.0
         assert acc["tscm_acc"] == 1.0
 
