@@ -419,7 +419,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
     if clustering.labels:
         metrics["cluster_count"] = len(clustering.canonical)
         if gt is not None:
-            metrics.update(_scored(paths, consensus_accuracy, revote.table, [clustering], gt, matched_objects(ious))[0])
+            metrics.update(_scored(paths, consensus_accuracy, revote, gt, matched_objects(ious))[0])
 
     if "model" in paths:
         field_ = load_field(paths["model"], ds)

@@ -10,14 +10,15 @@ the winner is the label of every member detection (``ConsensusRecord.canonical``
 Every track votes at once, from the dataset's columns (each detection's
 index into its sorted raw labels ``ds.labels``, and its mask area, read
 from the run counts) and a ``MemberTable`` built once per (dataset, tracks):
-each member's detection and track rows. Per clustering, its
-``cluster`` array maps the labels to clusters, ``np.bincount`` sums the
-votes and areas of each (track, cluster) pair, and one ``np.lexsort`` picks
-every track's winner (``vote``). The ``consensus`` stage and eval's re-vote
-vote this way; a ``tau_sem`` sweep stacks every value's votes, each value's
-clusters numbered past the ones before, into one tally
-(``vote_identities``); the per-member loops are the references in
-``tests/oracles.py``.
+each member's detection and track rows. ``vote`` takes any number of
+clusterings and votes them in one tally: each one's ``cluster`` array maps
+the labels to clusters, numbered past the clusters of the ones before it,
+``np.bincount`` sums the votes and areas of each (track, cluster) pair, and
+one ``np.lexsort`` picks every track's winner under every clustering. The
+one ``TrackVote`` it returns is what the ``consensus`` stage writes, what
+eval checks the records with and scores (``metrics.consensus_accuracy``),
+and, with every value's cut, what a ``tau_sem`` sweep scores. The
+per-member loops are the references in ``tests/oracles.py``.
 
 The merge sequence does not depend on the cutoff: each step merges the
 global closest pair, and the cutoff only decides when to stop. So each label
@@ -373,43 +374,44 @@ def _member_table(ds: SceneDataset, tracks: tuple) -> MemberTable:
 
 @dataclass(frozen=True)
 class TrackVote:
-    """Every track of a ``MemberTable`` voted under one clustering (``vote``); clusters are
-    ``clustering``'s indices."""
+    """Every track of a ``MemberTable`` voted under each of V clusterings (``vote``). Identities are
+    positions in ``table.ds.labels``; the pairs and ``records`` are those of ``clustering``, the
+    first."""
 
     table: MemberTable
     clustering: SynonymClustering
-    pair_track: np.ndarray  # (P,) each (track, cluster) pair voted for: its track row, by track then cluster
-    pair_cluster: np.ndarray  # (P,) its cluster
+    identity: np.ndarray  # (V, labels) each label's clustered identity
+    winner: np.ndarray  # (V, T) each track's voted identity
+    pair_track: np.ndarray  # (P,) each (track, identity) pair voted for: its track row, by track then cluster
+    pair_identity: np.ndarray  # (P,) its identity
     pair_votes: np.ndarray  # (P,) its votes
-    winner: np.ndarray  # (T,) each track's winning cluster
 
     @cached_property
     def records(self) -> list[ConsensusRecord]:
         """One record per track, in track order: its winner, its votes by identity, its members."""
-        names = self.clustering.canonical
+        labels = self.table.ds.labels
         votes: list[dict[str, int]] = [{} for _ in self.table.tracks]
-        for t, c, n in zip(self.pair_track.tolist(), self.pair_cluster.tolist(), self.pair_votes.tolist()):
-            votes[t][names[c]] = n
+        for t, i, n in zip(self.pair_track.tolist(), self.pair_identity.tolist(), self.pair_votes.tolist()):
+            votes[t][labels[i]] = n
         return [
-            ConsensusRecord(track_id=t.track_id, canonical=names[w], votes=v, members=t.members)
-            for t, w, v in zip(self.table.tracks, self.winner.tolist(), votes)
+            ConsensusRecord(track_id=t.track_id, canonical=labels[w], votes=v, members=t.members)
+            for t, w, v in zip(self.table.tracks, self.winner[0].tolist(), votes)
         ]
 
 
-def check_clustering(table: MemberTable, clustering: SynonymClustering) -> None:
-    """ValueError unless ``clustering`` is of ``table``'s labels, which index its ``cluster``."""
-    if clustering.labels != table.ds.labels:
-        raise ValueError(f"the clustering is not of the member table's {len(table.ds.labels)} labels")
+def vote(table: MemberTable, clusterings: list[SynonymClustering]) -> TrackVote:
+    """Every track's vote over its members' clustered identities, under each of ``clusterings``:
+    one vote per member, ties to the larger summed mask area, then the lexicographically smallest
+    surface form. Each clustering must be of the table's labels.
 
-
-def _tally_all(table: MemberTable, clusterings: list[SynonymClustering]):
-    """``_tally`` of every track's votes under each of V ``clusterings`` at once: track row t under
-    clustering v is ``v * T + t``, and its cluster c is ``offset[v] + c``. Returns ``_tally``'s
-    arrays, each stacked cluster's name as its position in the sorted ``table.ds.labels`` (its rank
-    in the tie-break) and each label's stacked cluster, (V, labels)."""
-    for clustering in clusterings:
-        check_clustering(table, clustering)
+    All clusterings vote in one ``_tally``: track row t under clustering v is ``v * T + t``, and its
+    cluster c is ``offset[v] + c``, each stacked cluster named by its position in the sorted
+    ``table.ds.labels`` (its rank in the tie-break).
+    """
     ds = table.ds
+    for clustering in clusterings:
+        if clustering.labels != ds.labels:
+            raise ValueError(f"the clustering is not of the member table's {len(ds.labels)} labels")
     position = {lab: k for k, lab in enumerate(ds.labels)}
     name = np.array([position[n] for c in clusterings for n in c.canonical], dtype=np.intp)
     offset = np.cumsum([0] + [len(c.canonical) for c in clusterings[:-1]])
@@ -418,29 +420,17 @@ def _tally_all(table: MemberTable, clusterings: list[SynonymClustering]):
     track = table.track + n * np.arange(len(clusterings))[:, None]
     cluster = label_cluster[:, ds.label[table.det]]
     area = np.tile(ds.area[table.det], len(clusterings))
-    return _tally(track.ravel(), cluster.ravel(), area, name, n * len(clusterings)), name, label_cluster
-
-
-def vote(table: MemberTable, clustering: SynonymClustering) -> TrackVote:
-    """Every track's vote over its members' clustered identities: one vote per member, ties to the
-    larger summed mask area, then the lexicographically smallest surface form. ``clustering`` must
-    be of the table's labels (``check_clustering``)."""
-    tally, _, _ = _tally_all(table, [clustering])
-    return TrackVote(table, clustering, *tally)
-
-
-def vote_identities(table: MemberTable, clusterings: list[SynonymClustering]) -> tuple[np.ndarray, np.ndarray]:
-    """Under each of V ``clusterings``, each label's clustered identity and each track's voted one
-    (``vote``), as positions in ``table.ds.labels``: (V, labels) and (V, tracks) arrays. Every
-    clustering's vote is one ``_tally``."""
-    (_, _, _, winner), name, label_cluster = _tally_all(table, clusterings)
-    return name[label_cluster], name[winner].reshape(len(clusterings), len(table.tracks))
+    pair_track, pair_cluster, votes, winner = _tally(track.ravel(), cluster.ravel(), area, name, n * len(clusterings))
+    # the first clustering's tracks are rows 0 .. T - 1, and its pairs come first
+    first = pair_track < n
+    return TrackVote(table, clusterings[0], name[label_cluster], name[winner].reshape(len(clusterings), n),
+                     pair_track[first], name[pair_cluster[first]], votes[first])
 
 
 def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_SEM) -> TrackVote:
     """Cluster the scene's observed labels once, then vote every trajectory (anything with
     ``track_id`` and ``members``: eval re-votes consensus records)."""
-    return vote(member_table(ds, trajectories), cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem))
+    return vote(member_table(ds, trajectories), [cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem)])
 
 
 def save_consensus(records: list[ConsensusRecord], path: str | Path, ds: SceneDataset | None = None) -> None:

@@ -15,9 +15,10 @@ same ``query_means``.
 Scoring works in the dataset's row space: one (detections x objects) IoU
 table (``detection_ious``), one array of each row's matched object
 (``matched_objects``), and the member table the vote reads
-(``consensus.member_table``). ``consensus_accuracy`` scores any number of
-clusterings at once; eval scores its one re-vote with it, and a ``tau_sem``
-sweep (``tau_sem_rows``) all its values.
+(``consensus.member_table``). ``consensus_accuracy`` scores a
+``consensus.TrackVote`` under each of its clusterings and tallies nothing:
+eval scores the re-vote it checks its records with, and a ``tau_sem`` sweep
+(``tau_sem_rows``) the one vote of all its values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import ConsensusRecord, MemberTable, SynonymClustering, member_table, vote_identities
+from .consensus import ConsensusRecord, MemberTable, SynonymClustering, TrackVote, member_table, vote
 from .errors import SchemaError
 from .field import ToyReferringField, binarize_logits, render_logits
 from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
@@ -244,20 +245,17 @@ def match_tracks_to_objects(table: MemberTable, gt: GroundTruth, ious: np.ndarra
     return dict(zip([t.track_id for t in table.tracks], best.tolist()))
 
 
-def consensus_accuracy(
-    table: MemberTable, clusterings: list[SynonymClustering], gt: GroundTruth, matched: np.ndarray
-) -> list[dict[str, float]]:
-    """Per-view (clustered raw label) and consensus (voted label) accuracy under each of
-    ``clusterings``, one dict each, in order.
+def consensus_accuracy(result: TrackVote, gt: GroundTruth, matched: np.ndarray) -> list[dict[str, float]]:
+    """Per-view (clustered raw label) and consensus (voted label) accuracy under each clustering of
+    ``result`` (``consensus.vote``), one dict each, in order.
 
     Both are fractions over the detections that ``matched`` (``matched_objects``) matches to a
-    ground-truth object. Every clustering votes the tracks of ``table`` in one tally
-    (``vote_identities``), so each must be of the table's labels (``check_clustering``). A
-    detection's voted label is the winner of the track it is a member of (of two, the later in
-    track order); a detection of no track has none, and is never a consensus hit. The hits of all
-    clusterings are counted as one (clusterings x matched detections) array each.
+    ground-truth object, read from the vote's ``identity`` and ``winner`` arrays. A detection's voted
+    label is the winner of the track it is a member of (of two, the later in track order); a
+    detection of no track has none, and is never a consensus hit. The hits of all clusterings are
+    counted as one (clusterings x matched detections) array each.
     """
-    clustered, voted = vote_identities(table, clusterings)
+    table = result.table
     rows = np.flatnonzero(matched >= 0)
     if not rows.size:
         raise SchemaError("no detections matched any ground-truth object")
@@ -265,8 +263,8 @@ def consensus_accuracy(
     # an identity that is no raw label gets a position no label has: never a hit
     truth = np.array([position.get(o.identity, -2) for o in gt.objects], dtype=np.intp)[matched[rows]]
     # a detection of no track (owner -1) reads the last column: -1, no voted label
-    voted = np.column_stack([voted, np.full(len(voted), -1)])[:, table.owner[rows]]
-    per_view = np.count_nonzero(clustered[:, table.ds.label[rows]] == truth, axis=1).tolist()
+    voted = np.column_stack([result.winner, np.full(len(result.winner), -1)])[:, table.owner[rows]]
+    per_view = np.count_nonzero(result.identity[:, table.ds.label[rows]] == truth, axis=1).tolist()
     tscm = np.count_nonzero(voted == truth, axis=1).tolist()
     return [{"per_view_acc": p / len(rows), "tscm_acc": t / len(rows)} for p, t in zip(per_view, tscm)]
 
@@ -279,20 +277,15 @@ def tau_sem_rows(table: MemberTable, agglomeration: SynonymClustering, values: l
 
     The merges do not depend on the cutoff, so every value's clustering is a cut of the one
     agglomeration, which the process keeps (``cluster_synonyms``): after ``consensus`` in the same
-    process a sweep clusters nothing. All values vote in one tally and are scored together
-    (``consensus_accuracy``), from the kept member table and IoU table (``detection_ious``), so a
-    sweep after eval in the same process builds no IoU table, and one in its own process builds
-    one for all its values. No consensus record is built. On one BLAS thread (2-core machine), a
-    five-value sweep call after the benchmark's stages took 2.2-2.4 ms on a vocab_wide scene (95
-    labels, 512 detections, 16 tracks) against 2.9-3.0 ms when each value voted and was scored on
-    its own, and 1.44 ms against 1.78-1.83 ms on an eval_fragmented one (124 detections, 65
-    tracks; median of 50 calls each); the benchmark's ``sweep_s`` fell from 4.81 to 3.83 ms on
-    vocab_wide (median of 14 runs each).
+    process a sweep clusters nothing. All values vote in one ``consensus.vote`` and are scored
+    together, from the kept member table and IoU table (``detection_ious``), so a sweep after eval
+    in the same process builds no IoU table, and one in its own process builds one for all its
+    values. No consensus record is built.
     """
     clusterings = [agglomeration.at(value) for value in values]
     rows = [{"value": value, "cluster_count": len(c.canonical)} for value, c in zip(values, clusterings)]
     if matched is not None:
-        for row, accuracy in zip(rows, consensus_accuracy(table, clusterings, gt, matched)):
+        for row, accuracy in zip(rows, consensus_accuracy(vote(table, clusterings), gt, matched)):
             row.update(accuracy)
     return rows
 

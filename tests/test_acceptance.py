@@ -211,7 +211,7 @@ def test_criterion_5_consensus_beats_per_view():
             trajectory_sizes.extend(len(t.members) for t in trajectories)
             result = run_consensus(noisy, trajectories)
             matched = matched_objects(detection_ious(noisy, gt))
-            [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
+            [acc] = consensus_accuracy(result, gt, matched)
             per_view.append(acc["per_view_acc"])
             tscm.append(acc["tscm_acc"])
         assert min(trajectory_sizes) >= 5

@@ -304,7 +304,7 @@ class TestStages:
         clusters = {}
         for line, value in zip(lines[1:], values, strict=True):
             result = run_consensus(ds, trajectories, tau_sem=value)
-            [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
+            [acc] = consensus_accuracy(result, gt, matched)
             clusters[value] = result.clustering.cluster.tolist()
             assert line.split(",") == [str(value), str(len(result.clustering.canonical)),
                                        str(acc["per_view_acc"]), str(acc["tscm_acc"])]
@@ -1635,6 +1635,29 @@ def test_sweep_after_eval_builds_no_iou_table(tmp_path, monkeypatch):
     assert main(sweep) == 0
     assert len(built) == n_views
     assert (out / "sweep.csv").read_bytes() == alone
+
+
+def test_eval_and_the_sweep_each_tally_once(tmp_path, monkeypatch):
+    """Eval scores the re-vote it checks its records with, and a ``tau_sem`` sweep votes all its
+    values together: each makes one ``consensus._tally`` call, in the benchmark's process and each
+    as a process of its own."""
+    c = ["--config", write_config(tmp_path, NOISY_CONFIG)]
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    assert main(["synth", *c, "--out", str(scene)]) == 0
+    out.mkdir()
+    *stages, eval_call, sweep = benchmark_calls(c, scene, out)
+    for argv in stages:
+        assert main(argv) == 0, argv
+    tallies = []
+    real = consensus._tally
+    monkeypatch.setattr(consensus, "_tally", lambda *a: tallies.append(1) or real(*a))
+    for fresh in (False, True):
+        for argv in (eval_call, sweep):
+            if fresh:
+                forget_kept()  # as a new process starts
+            tallies.clear()
+            assert main(argv) == 0, argv
+            assert len(tallies) == 1, argv
 
 
 def test_report_accuracy_is_the_sweep_row_at_the_config_tau_sem(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import FrozenInstanceError
 
@@ -431,7 +432,7 @@ def check_against_oracles(ds, trajectories, clustering, gt, mapping):
     """The array vote gives the oracle's records, and its accuracy the oracle's accuracy of those
     records; returns the vote's records."""
     want = oracle_vote_tracks(ds, trajectories, clustering)
-    result = vote(member_table(ds, trajectories), clustering)
+    result = vote(member_table(ds, trajectories), [clustering])
     records = result.records
     assert [(r.track_id, r.canonical, dict(r.votes), r.members) for r in records] == [
         (r.track_id, r.canonical, dict(r.votes), r.members) for r in want
@@ -440,10 +441,10 @@ def check_against_oracles(ds, trajectories, clustering, gt, mapping):
     matched = np.array([mapping.get((v, i), -1) for v, i, _ in each_detection(ds)], dtype=np.intp)
     if not mapping:
         with pytest.raises(SchemaError, match="no detections matched"):
-            consensus_accuracy(result.table, [clustering], gt, matched)
+            consensus_accuracy(result, gt, matched)
         return records
     want_acc = oracle_consensus_accuracy(ds, want, gt, clustering, mapping)
-    assert consensus_accuracy(result.table, [clustering], gt, matched) == [want_acc]
+    assert consensus_accuracy(result, gt, matched) == [want_acc]
     return records
 
 
@@ -473,6 +474,19 @@ def member_scenes(draw):
             if k is not None:
                 match[(v, idx)] = k
     return member_scene(views, tracks, groups, objects, match)
+
+
+@functools.cache
+def cut_scene(seed):
+    """A noisy 5-view scene, its tracks, and a tau_sem for each cut of its labels' agglomeration,
+    from nothing merged to everything: each gives another cluster count."""
+    cfg = tf.SynthConfig(n_views=5, n_objects=4, height=32, width=32, seed=seed,
+                         noise=tf.NoiseSpec(synonym_rate=0.5, wrong_label_rate=0.2, mask_jitter=1))
+    ds, gt = tf.generate_scene(cfg)
+    noisy = tf.corrupt(ds, gt, cfg)
+    peaks = cluster_synonyms(list(noisy.labels), noisy.embeddings, 0.5).tree.peak.tolist()
+    cuts = sorted({float(np.clip(1.0 - h - 1e-6, 1e-3, 1.0 - 1e-3)) for h in [0.0, *peaks]})
+    return noisy, tuple(tf.import_tracks(noisy)), cuts
 
 
 class TestMemberTableVote:
@@ -510,23 +524,45 @@ class TestMemberTableVote:
         records = check_against_oracles(ds, trajectories, clustering, gt, mapping)
         assert [r.canonical for r in records] == winners
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_is_the_vote_of_its_clustering_alone(self, data):
+        """Row v of one vote of many clusterings is the vote of clustering v alone: each label's and
+        each track's identity, and, with v first, the records. The values are unsorted and may repeat,
+        and their cuts have different cluster counts, so a clustering whose clusters were numbered
+        from 0 again would read another clustering's names."""
+        ds, tracks, cuts = cut_scene(data.draw(st.integers(0, 5)))
+        tracks = data.draw(st.lists(st.sampled_from(tracks), unique_by=lambda t: t.track_id))
+        agglomeration = cluster_synonyms(list(ds.labels), ds.embeddings, 0.5)
+        values = data.draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=6).filter(
+            lambda vs: len({len(agglomeration.at(v).canonical) for v in vs}) > 1))
+        clusterings = [agglomeration.at(value) for value in values]
+        table = member_table(ds, tracks)
+        many = vote(table, clusterings)
+        assert many.identity.shape == (len(values), len(ds.labels))
+        assert many.winner.shape == (len(values), len(tracks))
+        for v, clustering in enumerate(clusterings):
+            alone = vote(table, [clustering])
+            assert many.identity[v].tolist() == alone.identity[0].tolist()
+            assert many.winner[v].tolist() == alone.winner[0].tolist()
+            assert vote(table, clusterings[v:] + clusterings[:v]).records == alone.records
+
     def test_clustering_of_other_labels_rejected(self):
-        ds, trajectories, clustering, gt, _ = member_scene(
+        ds, trajectories, clustering, _, _ = member_scene(
             [[("cup", 3), ("mug", 2)]], {1: [(0, 0)], 2: [(0, 1)]}, [["cup", "mug"]], ["cup"], {(0, 0): 0}
         )
         table = member_table(ds, trajectories)
         for labels in (["cup"], ["cup", "mug", "zz"], ["mug", "cup"]):
             other = cluster_synonyms(labels, ds.embeddings, 0.5)
-            with pytest.raises(ValueError, match="not of the member table's 2 labels"):
-                vote(table, other)
-            with pytest.raises(ValueError, match="not of the member table's 2 labels"):
-                consensus_accuracy(table, [other], gt, np.array([0, -1]))  # the match of (0, 0)
+            for clusterings in ([other], [clustering, other]):
+                with pytest.raises(ValueError, match="not of the member table's 2 labels"):
+                    vote(table, clusterings)
 
     def test_empty_track_rejected(self, clean_scene):
         ds, _, trajectories = clean_scene
         result = run_consensus(ds, trajectories)
         with pytest.raises(ValueError, match="empty trajectory"):
-            vote(member_table(ds, [*result.records, ConsensusRecord(99, "x", {}, ())]), result.clustering)
+            vote(member_table(ds, [*result.records, ConsensusRecord(99, "x", {}, ())]), [result.clustering])
 
 
 class TestRunConsensus:

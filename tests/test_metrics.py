@@ -51,7 +51,7 @@ def grids(*rows_list):
 
 
 def accuracy(ds, gt, result):
-    [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched_objects(detection_ious(ds, gt)))
+    [acc] = consensus_accuracy(result, gt, matched_objects(detection_ious(ds, gt)))
     return acc
 
 

@@ -286,7 +286,7 @@ class TestCorrupt:
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         matched = matched_objects(detection_ious(ds, gt))
-        [acc] = consensus_accuracy(result.table, [result.clustering], gt, matched)
+        [acc] = consensus_accuracy(result, gt, matched)
         assert acc["per_view_acc"] == 1.0
         assert acc["tscm_acc"] == 1.0
 
