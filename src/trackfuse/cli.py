@@ -60,6 +60,7 @@ from .records import (
     file_digest,
     load_dataset,
     load_descriptions,
+    manifest_file,
     manifest_tracks,
     read_json,
     save_dataset,
@@ -326,7 +327,7 @@ def stage_synth(cfg: dict, paths: dict[str, Path]) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_ground_truth(gt, out_dir / "ground_truth.json")
     field_ = field_from_ground_truth(gt, n_views=ds.n_views, height=ds.height, width=ds.width, dim=ds.dim, **geometry)
-    save_field(field_, out_dir / "field_geometry.json")
+    save_field(field_, out_dir / "field_geometry.json", ds)
     return save_dataset(ds, out_dir / "dataset")
 
 
@@ -364,19 +365,27 @@ def stage_keyframe(cfg: dict, paths: dict[str, Path]) -> Path:
     return paths["descriptions"]
 
 
+def _descriptions(ds, paths: dict[str, Path]):
+    """The description sets ``train`` and ``eval`` read: the ``--descriptions`` file's, else the
+    dataset manifest's ``descriptions`` entry's; None if there are neither."""
+    if "descriptions" in paths:
+        return load_descriptions(paths["descriptions"], dim=ds.dim)
+    return ds.descriptions
+
+
 def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
-    descriptions = ds.descriptions
-    if "descriptions" in paths:
-        descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
+    descriptions = _descriptions(ds, paths)
     if descriptions is None:
         raise SchemaError(
             "no descriptions source: pass --descriptions or add a 'descriptions' "
             "entry to the dataset manifest"
         )
-    # without --geometry: <scene>/field_geometry.json, where synth wrote it
-    field_ = load_field(paths.get("geometry") or paths["manifest"].parent.parent / "field_geometry.json", ds)
+    # without --geometry: <scene>/field_geometry.json, where synth wrote it, two levels above the
+    # manifest file (--manifest may name its directory)
+    geometry = paths.get("geometry") or manifest_file(paths["manifest"]).parent.parent / "field_geometry.json"
+    field_ = load_field(geometry, ds)
     long_only = _settings(cfg, "train")["long_only"]
     field_, curve = train(
         field_, ds, records, descriptions, _train_config(cfg, ds.n_views), include_category=not long_only
@@ -426,10 +435,7 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
         eval_views = _views(cfg, "eval", ds.n_views)
         views = eval_views if eval_views is not None else trajectories_views
         if gt is not None and views:
-            descriptions = None
-            if "descriptions" in paths:
-                descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
-            metrics.update(eval_miou(field_, ds, gt, records, ious, views, descriptions))
+            metrics.update(eval_miou(field_, ds, gt, records, ious, views, _descriptions(ds, paths)))
 
     emit_report(metrics, cfg, {"seed": cfg["seed"]}, paths["report"])
     return paths["report"]
@@ -493,7 +499,8 @@ STAGES = (
         also_writes=("loss_curve",),
     ),
     Stage(
-        "eval", "compute metrics and write the report", "report.json", "report", "report",
+        "eval", "compute metrics and write the report (--descriptions defaults to the manifest's "
+        "descriptions entry)", "report.json", "report", "report",
         # the report holds the hash of the whole config
         stage_eval, config=tuple(DEFAULT_CONFIG), inputs=("manifest", "consensus"),
         optional=("ground_truth", "model", "descriptions"),
@@ -549,7 +556,7 @@ def _stage_key(cfg: dict, stage: Stage, paths: dict[str, Path]) -> str:
     files = {flag: paths[flag] for flag in stage.inputs + stage.optional
              if flag in paths and flag not in stage.also_writes}
     external = _keyframe_settings(cfg)[2] if stage.name == "keyframe" else None
-    if external is not None:
+    if external:  # the truth test of stage_keyframe: null or "" means template captions
         files["external"] = Path(external)
     inputs = {
         flag: [digest.hex() for digest in load_dataset(path).key] if flag == "manifest" else file_digest(path)

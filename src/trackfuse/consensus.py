@@ -64,7 +64,6 @@ from .records import (
     LabelEmbedding,
     SceneDataset,
     check_member_views,
-    dataset_key,
     json_members,
     kept,
     member_check,
@@ -433,20 +432,18 @@ def run_consensus(ds: SceneDataset, trajectories, tau_sem: float = DEFAULT_TAU_S
     return vote(member_table(ds, trajectories), [cluster_synonyms(list(ds.labels), ds.embeddings, tau_sem)])
 
 
-def save_consensus(records: list[ConsensusRecord], path: str | Path, ds: SceneDataset | None = None) -> None:
-    """Write a consensus file; with ``ds``, keep what ``load_consensus(path, ds)`` reads back
-    (``write_kept``)."""
+def save_consensus(records: list[ConsensusRecord], path: str | Path, ds: SceneDataset) -> None:
+    """Write a consensus file and keep what ``load_consensus(path, ds)`` reads back (``write_kept``)."""
     objs = (rec.to_json() for rec in records)
-    write_jsonl_kept("consensus", objs, path, None if ds is None else dataset_key(ds), lambda: _consensus_step(ds))
+    write_jsonl_kept("consensus", objs, path, ds.key, lambda: _consensus_step(ds))
 
 
-def load_consensus(path: str | Path, ds: SceneDataset | None = None) -> tuple[ConsensusRecord, ...]:
-    """Read a consensus file; against ``ds``, also check every member (``member_check``). Kept
-    (``read_kept``)."""
-    return read_jsonl_kept("consensus", path, dataset_key(ds), lambda: _consensus_step(ds))
+def load_consensus(path: str | Path, ds: SceneDataset) -> tuple[ConsensusRecord, ...]:
+    """Read a consensus file against ``ds``, checking every member (``member_check``). Kept (``read_kept``)."""
+    return read_jsonl_kept("consensus", path, ds.key, lambda: _consensus_step(ds))
 
 
-def _consensus_step(ds: SceneDataset | None):
+def _consensus_step(ds: SceneDataset):
     """A parse step for the lines of one consensus file, read against ``ds`` (``member_check``)."""
     check = member_check(ds)
     return lambda obj: check(ConsensusRecord.from_json(obj))

@@ -29,10 +29,8 @@ import numpy as np
 
 from .consensus import ConsensusRecord
 from .errors import NumericError, SchemaError
-from .records import (
-    DescriptionSet, SceneDataset, as_vector, dataset_key, parse_json, read_kept, write_csv, write_json_kept,
-)
-from .rle import RleMask, json_float, json_floats, json_int, pack_views
+from .records import DescriptionSet, SceneDataset, as_vector, parse_json, read_kept, write_csv, write_json_kept
+from .rle import json_float, json_floats, json_int
 from .synth import GroundTruth
 
 BCE_EPS = 1e-7
@@ -218,12 +216,6 @@ def binarize_logits(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
-    """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
-    (chosen,) = _select_inside(field_, view, pack_views([[pseudo_mask]], field_))
-    return chosen.tolist()
-
-
 def _select_inside(field_: ToyReferringField, view: int, packed: np.ndarray) -> list[np.ndarray]:
     """Choose the Gaussians of each of a view's pseudo masks, given as field-sized bit-packed rows
     (``np.packbits``): the ids, as an intp array, whose center at the view rounds to a pixel set
@@ -240,31 +232,12 @@ def _select_inside(field_: ToyReferringField, view: int, packed: np.ndarray) -> 
     return chosen
 
 
-def contrastive_loss(
-    anchor: np.ndarray, positives: np.ndarray, pool: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    """Multi-positive softmax loss and its gradient with respect to anchor.
-
-    loss = -(1/|P|) sum_p log( exp(anchor.p / tau) / sum_d exp(anchor.d / tau) )
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    positives = np.atleast_2d(positives)
-    pool = np.atleast_2d(pool)
-    if positives.shape[0] == 0:
-        raise ValueError("positive set is empty")
-    # each positive must equal some pool row (NaN equals nothing)
-    if positives.shape[1:] != pool.shape[1:] or not (
-        (positives[:, None, :] == pool[None, :, :]).all(axis=2).any(axis=1).all()
-    ):
-        raise ValueError("positive set is not a subset of the pool")
-    return _contrastive(anchor, positives, pool, tau)
-
-
 def _contrastive(
     anchor: np.ndarray, positives: np.ndarray, pool: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
-    """``contrastive_loss`` without its checks, for positives that are rows of the pool by construction."""
+    """Multi-positive softmax loss and its gradient with respect to anchor, for positives that are
+    rows of the pool by construction (``contrastive_loss`` in ``tests/oracles.py`` checks that first):
+    loss = -(1/|P|) sum_p log( exp(anchor.p / tau) / sum_d exp(anchor.d / tau) )."""
     n_pos = positives.shape[0]
     logits = pool @ anchor / tau
     # each reduction is the ufunc's own, which np.max, np.sum and np.mean call; a mean is that
@@ -540,9 +513,9 @@ def field_from_ground_truth(
     return ToyReferringField(height, width, spread, centers, np.zeros((len(centers), dim)))
 
 
-def save_field(field_: ToyReferringField, path: str | Path, ds: SceneDataset | None = None) -> None:
-    """Write a field file, one ``{"centers", "feature"}`` record per Gaussian, in row order; with
-    ``ds``, keep what ``load_field(path, ds)`` reads back (``write_kept``)."""
+def save_field(field_: ToyReferringField, path: str | Path, ds: SceneDataset) -> None:
+    """Write a field file, one ``{"centers", "feature"}`` record per Gaussian, in row order, and
+    keep what ``load_field(path, ds)`` reads back (``write_kept``)."""
     obj = {
         "h": field_.height,
         "w": field_.width,
@@ -553,7 +526,7 @@ def save_field(field_: ToyReferringField, path: str | Path, ds: SceneDataset | N
             for centers, feature in zip(field_.gaussians, field_.features)
         ],
     }
-    write_json_kept("field", obj, path, None if ds is None else dataset_key(ds), _field_step(ds))
+    write_json_kept("field", obj, path, ds.key, _field_step(ds))
 
 
 def _json_centers(centers: np.ndarray) -> list:
@@ -562,10 +535,10 @@ def _json_centers(centers: np.ndarray) -> list:
     return [row if seen else None for row, seen in zip(centers.tolist(), visible)]
 
 
-def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferringField:
-    """Read a field file; every Gaussian must hold as many centers as the first, each null or two
-    finite numbers, and every feature must be finite and of length ``dim``. Against ``ds``, the
-    field must have the dataset's view size, one center entry per view and the embeddings' ``dim``.
+def load_field(path: str | Path, ds: SceneDataset) -> ToyReferringField:
+    """Read a field file against ``ds``: the field must have the dataset's view size and the
+    embeddings' ``dim``, every Gaussian one center entry per view, each null or two finite numbers,
+    and every feature must be finite and of length ``dim``.
     A Gaussian's ``id`` and ``track``, which older files carry, are not read; a Gaussian is named
     by its position.
 
@@ -574,33 +547,31 @@ def load_field(path: str | Path, ds: SceneDataset | None = None) -> ToyReferring
     its attributes never reaches the kept value.
     """
     step = _field_step(ds)
-    parsed, _ = read_kept("field", path, dataset_key(ds), lambda text: parse_json(str(path), text, step))
+    parsed, _ = read_kept("field", path, ds.key, lambda text: parse_json(str(path), text, step))
     return ToyReferringField(parsed.height, parsed.width, parsed.spread, parsed.gaussians, parsed.features)
 
 
-def _field_step(ds: SceneDataset | None):
+def _field_step(ds: SceneDataset):
     """The parse of a field file's JSON value, read against ``ds``: a field whose arrays are read-only."""
 
     def parse(obj: dict) -> ToyReferringField:
         height, width, dim = (json_int(obj[key], key) for key in ("h", "w", "dim"))
-        if ds is not None and (height, width) != (ds.height, ds.width):
+        if (height, width) != (ds.height, ds.width):
             raise SchemaError(f"field is {height}x{width}, the dataset's views are {ds.height}x{ds.width}")
-        if ds is not None and dim != ds.dim:
+        if dim != ds.dim:
             raise SchemaError(f"field dim is {dim}, the dataset's embeddings have dim {ds.dim}")
         gaussians = obj["gaussians"]
-        n_views = ds.n_views if ds is not None else len(gaussians[0]["centers"]) if gaussians else 0
         centers, features = [], []
         for gid, g in enumerate(gaussians):
-            if len(g["centers"]) != n_views:
-                held = f"the dataset has {n_views} views" if ds is not None else f"gaussian 0 has {n_views}"
-                raise SchemaError(f"gaussian {gid}: {len(g['centers'])} centers, {held}")
+            if len(g["centers"]) != ds.n_views:
+                raise SchemaError(f"gaussian {gid}: {len(g['centers'])} centers, the dataset has {ds.n_views} views")
             for view, c in enumerate(g["centers"]):
                 if c is not None and len(c) != 2:
                     raise SchemaError(f"gaussian {gid}: view {view} center must be null or 2 numbers, got {c!r}")
             json_floats([v for c in g["centers"] if c is not None for v in c], f"gaussian {gid}: center")
             centers.append([[np.nan, np.nan] if c is None else c for c in g["centers"]])
             features.append(as_vector(g["feature"], dim, f"gaussian {gid}: feature"))
-        centers = np.array(centers, dtype=float).reshape(len(gaussians), n_views, 2)
+        centers = np.array(centers, dtype=float).reshape(len(gaussians), ds.n_views, 2)
         features = np.array(features).reshape(len(gaussians), dim)
         for array in (centers, features):
             array.flags.writeable = False

@@ -105,7 +105,7 @@ class ExternalDescriptions:
 
     File format: one JSON object per line
     {"track": int, "view": int, "texts": [str, ...], "vecs": [[float, ...], ...]}.
-    Vectors must be finite and of unit norm, and of length ``dim`` when one is given.
+    Vectors must be finite, of unit norm and of length ``dim``.
     No (track, view) may appear twice.
     """
 
@@ -113,7 +113,7 @@ class ExternalDescriptions:
         self.entries = entries
 
     @classmethod
-    def load(cls, path: str | Path, dim: int | None = None) -> "ExternalDescriptions":
+    def load(cls, path: str | Path, dim: int) -> "ExternalDescriptions":
         entries: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
 
         def entry(obj: dict) -> None:

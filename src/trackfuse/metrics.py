@@ -8,9 +8,9 @@ of a detection (``detection_ious``), is ``rle.packed_iou`` of bit-packed rows,
 the targets' read from ``gt.packed`` and the detections' from ``ds.packed``,
 where each mask is decoded once a process. ``query_means`` reduces the table:
 each query's ``np.mean`` over its views in ascending view order, then the
-``np.mean`` of those values in sorted query-name order. ``miou`` is the
-grid-by-grid reference; it scores dicts of grids and reduces through the
-same ``query_means``.
+``np.mean`` of those values in sorted query-name order. The grid-by-grid
+reference, ``miou`` in ``tests/oracles.py``, scores dicts of grids and
+reduces through the same ``query_means``.
 
 Scoring works in the dataset's row space: one (detections x objects) IoU
 table (``detection_ious``), one array of each row's matched object
@@ -34,27 +34,6 @@ from .records import DescriptionSet, SceneDataset, config_hash, kept, write_json
 from .rle import check_same_size, iou_table, packed_iou
 from .synth import GroundTruth
 
-BINARIZE_THRESHOLD = 0.5
-
-
-def _binarize(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid)
-    if grid.dtype == bool:
-        return grid
-    return grid > BINARIZE_THRESHOLD
-
-
-def iou_grids(pred: np.ndarray, gt: np.ndarray) -> float:
-    if pred.shape != gt.shape:
-        raise SchemaError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    pred = _binarize(pred)
-    gt = np.asarray(gt, dtype=bool)
-    union = int(np.count_nonzero(pred | gt))
-    if union == 0:
-        return 1.0
-    return int(np.count_nonzero(pred & gt)) / union
-
-
 def query_means(names: list[str], rows) -> tuple[dict[str, float], float]:
     """Per-query mean IoU, then the mean across queries: the one reduction rule.
 
@@ -68,34 +47,6 @@ def query_means(names: list[str], rows) -> tuple[dict[str, float], float]:
         return {}, float("nan")
     per_query = {name: float(np.mean(last[name])) for name in sorted(last)}
     return per_query, float(np.mean(list(per_query.values())))
-
-
-def miou(
-    preds: dict[str, dict[int, np.ndarray]],
-    gts: dict[str, dict[int, np.ndarray]],
-) -> tuple[dict[str, float], float]:
-    """Per-query mean IoU over its views, then the mean across queries.
-
-    The grid-by-grid reference of the eval path (``eval_queries`` and
-    ``iou_by_view``), reduced through the same ``query_means``. Predictions
-    may be probability grids (binarized at 0.5) or boolean grids. Invariant
-    to query and view ordering.
-    """
-    names, rows = [], []
-    for query in sorted(preds):
-        if query not in gts:
-            raise SchemaError(f"missing ground truth for query {query!r}")
-        views = sorted(preds[query])
-        if not views:
-            raise SchemaError(f"query {query!r} has no views to evaluate")
-        vals = []
-        for view in views:
-            if view not in gts[query]:
-                raise SchemaError(f"missing ground truth for query {query!r} view {view}")
-            vals.append(iou_grids(preds[query][view], gts[query][view]))
-        names.append(query)
-        rows.append(vals)
-    return query_means(names, rows)
 
 
 def eval_queries(
@@ -161,9 +112,10 @@ def iou_by_view(
     row, so a repeated row is scored from the one render of its bytes.
     Each view renders every distinct row in one product into one
     (U, h*w) logits buffer that serves every view, binarizes it and is
-    scored at once, so no mask outlives its view. A cell is ``iou_grids``'s
-    value, as ``rle.packed_iou`` of the packed render, by the inverse index,
-    and the view's packed (C + O) target (``view_targets``), by query.
+    scored at once, so no mask outlives its view. A cell is the value of
+    ``iou_grids`` (``tests/oracles.py``) as ``rle.packed_iou`` of the packed
+    render, by the inverse index, and the view's packed (C + O) target
+    (``view_targets``), by query.
     """
     views = sorted(set(views))
     table = np.zeros((len(queries), len(views)))

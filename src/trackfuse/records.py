@@ -164,8 +164,8 @@ def read_kept(kind: str, path: str | Path, context, parse: Callable[[str], objec
 
     The process keeps one value per kind: the last read or write of the dataset, tracks,
     consensus, descriptions, field and ground truth. A value is keyed by the sha256 of its file's
-    bytes and by ``context``, what else the parse checks against, such as the key of the dataset
-    (``dataset_key``); never by path or mtime. A read of the same bytes in the same context decodes
+    bytes and by ``context``, what else the parse checks against, such as the dataset's ``key``;
+    never by path or mtime. A read of the same bytes in the same context decodes
     no JSON and returns the kept value itself, which every value read is built to share: frozen
     records, tuples, read-only maps and arrays. Any other byte parses again, with every check in
     its order and its message. A ``context`` of None keeps nothing. A stage that wrote a file with
@@ -229,12 +229,6 @@ def set_frozen(record, **values) -> None:
         object.__setattr__(record, name, value)
 
 
-def dataset_key(ds: "SceneDataset | None"):
-    """The ``read_kept`` context of a read checked against ``ds``: () without a dataset, and None,
-    which keeps nothing, for a dataset not read from files."""
-    return () if ds is None else ds.key
-
-
 def file_digest(path: str | Path) -> str:
     """sha256 of the bytes of the file at ``path``, in hex."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -245,11 +239,11 @@ def config_hash(obj) -> str:
     return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
 
 
-def as_vector(value, dim: int | None, what: str, unit: bool = False) -> np.ndarray:
-    """A finite float vector, of shape (dim,) when ``dim`` is given, and of unit norm
-    (``check_unit_norm``) when ``unit`` is set."""
+def as_vector(value, dim: int, what: str, unit: bool = False) -> np.ndarray:
+    """A finite float vector of shape (dim,), and of unit norm (``check_unit_norm``) when ``unit``
+    is set."""
     vec = np.asarray(value, dtype=float)
-    if dim is not None and vec.shape != (dim,):
+    if vec.shape != (dim,):
         raise SchemaError(f"{what} has shape {vec.shape}, expected ({dim},)")
     if not np.isfinite(vec).all():
         raise SchemaError(f"{what} is not finite")
@@ -371,7 +365,7 @@ class DescriptionSet:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict, dim: int | None = None) -> "DescriptionSet":
+    def from_json(cls, obj: dict, dim: int) -> "DescriptionSet":
         return cls(
             track_id=json_int(obj["track"], "track"),
             category=json_str(obj["category"], "description category"),
@@ -494,17 +488,15 @@ def unique_track_ids() -> Callable:
     return check
 
 
-def member_check(ds: SceneDataset | None) -> Callable:
+def member_check(ds: SceneDataset) -> Callable:
     """A parse step for the tracks of one file, read against ``ds``, checking each in turn.
 
     No track id may appear twice. Every (view, index) member must be a
     detection of the dataset, and no detection may belong to two tracks.
     Anything with ``track_id`` and ``members`` (trajectories, consensus
-    records) qualifies. Without a dataset only the ids are checked.
+    records) qualifies.
     """
     unique = unique_track_ids()
-    if ds is None:
-        return unique
     owner: dict[int, int] = {}  # row -> track id
 
     def check(track):
@@ -541,19 +533,19 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
         "embeddings": "embeddings.json",
     }
     if ds.descriptions is not None:
-        save_descriptions(ds.descriptions, out / "descriptions.jsonl")
+        save_descriptions(ds.descriptions, out / "descriptions.jsonl", ds)
         manifest["descriptions"] = "descriptions.jsonl"
     manifest_path = out / "manifest.json"
     write_json(manifest, manifest_path)
     return manifest_path
 
 
-def load_descriptions(path: str | Path, dim: int | None = None) -> tuple[DescriptionSet, ...]:
+def load_descriptions(path: str | Path, dim: int) -> tuple[DescriptionSet, ...]:
     """Read a descriptions file: one set per track, so no track id may appear twice. Kept (``read_kept``)."""
     return read_jsonl_kept("descriptions", path, (dim,), lambda: _description_step(dim), _read_only_referrals)
 
 
-def _description_step(dim: int | None) -> Callable:
+def _description_step(dim: int) -> Callable:
     """A parse step for the lines of one descriptions file: no track id may appear twice."""
     unique = unique_track_ids()
     return lambda obj: unique(DescriptionSet.from_json(obj, dim=dim))
@@ -567,12 +559,11 @@ def _read_only_referrals(sets: list[DescriptionSet]) -> tuple[DescriptionSet, ..
     return tuple(sets)
 
 
-def save_descriptions(sets: list[DescriptionSet], path: str | Path, ds: "SceneDataset | None" = None) -> None:
-    """Write a descriptions file; with ``ds``, keep what ``load_descriptions(path, dim=ds.dim)`` reads
-    back (``write_kept``)."""
-    dim = None if ds is None else ds.dim
-    write_jsonl_kept("descriptions", (d.to_json() for d in sets), path, None if ds is None else (dim,),
-                     lambda: _description_step(dim), _read_only_referrals)
+def save_descriptions(sets: list[DescriptionSet], path: str | Path, ds: SceneDataset) -> None:
+    """Write a descriptions file and keep what ``load_descriptions(path, dim=ds.dim)`` reads back
+    (``write_kept``); for a dataset built in memory, which has no ``key``, keep nothing."""
+    write_jsonl_kept("descriptions", (d.to_json() for d in sets), path, None if ds.key is None else (ds.dim,),
+                     lambda: _description_step(ds.dim), _read_only_referrals)
 
 
 # The dataset files a manifest names, in the order load_dataset parses them.
@@ -592,11 +583,16 @@ def _manifest_header(obj: dict) -> tuple[int, int, int, int, Mapping[str, str]]:
     return *sizes, MappingProxyType(names)
 
 
-def _read_manifest(path: str | Path) -> tuple[Path, tuple, bytes]:
-    """The manifest file of ``path`` (a manifest, or a directory holding manifest.json), its checked
-    header (``_manifest_header``) and the sha256 of its bytes. Kept (``read_kept``)."""
+def manifest_file(path: str | Path) -> Path:
+    """The manifest file of ``path``: a manifest, or a directory holding manifest.json."""
     path = Path(path)
-    manifest_path = path / "manifest.json" if path.is_dir() else path
+    return path / "manifest.json" if path.is_dir() else path
+
+
+def _read_manifest(path: str | Path) -> tuple[Path, tuple, bytes]:
+    """The manifest file of ``path`` (``manifest_file``), its checked header (``_manifest_header``)
+    and the sha256 of its bytes. Kept (``read_kept``)."""
+    manifest_path = manifest_file(path)
     header, (digest, _) = read_kept(
         "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
     )

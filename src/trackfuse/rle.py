@@ -1,5 +1,6 @@
-"""Run-length encoded binary masks: encode/decode, area, IoU, and the bit-packed rows every
-stage reads (``pack_views``), each mask decoded once.
+"""Run-length encoded binary masks: encode/decode, area, and the bit-packed rows every stage
+reads (``pack_views``), each mask decoded once, with their one IoU kernel (``packed_iou``). The
+per-pair reference ``mask_iou``, which decodes both masks, is in ``tests/oracles.py``.
 
 Runs are row-major (left to right, top to bottom) and alternate
 background/foreground, starting with background. The leading background
@@ -160,18 +161,6 @@ def check_same_size(a, b) -> None:
         )
 
 
-def mask_iou(a: RleMask, b: RleMask) -> float:
-    """Intersection over union in [0, 1]; two empty masks have IoU 1."""
-    check_same_size(a, b)
-    ga = rle_decode(a)
-    gb = rle_decode(b)
-    union = int(np.count_nonzero(ga | gb))
-    if union == 0:
-        return 1.0
-    inter = int(np.count_nonzero(ga & gb))
-    return inter / union
-
-
 def pack_views(views: Sequence[Sequence[RleMask]], size) -> np.ndarray:
     """The masks of each view in turn, each of ``size`` (anything with a height and a width), as one
     read-only (n, ceil(h*w / 8)) uint8 block of bit-packed rows (``np.packbits``: eight pixels a
@@ -193,7 +182,8 @@ def pack_views(views: Sequence[Sequence[RleMask]], size) -> np.ndarray:
 
 def packed_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask IoU of bit-packed rows of one size (``pack_views``), pair by pair along the last axis,
-    ``a`` and ``b`` broadcast against each other; bit-equal to ``mask_iou`` of each pair.
+    ``a`` and ``b`` broadcast against each other; bit-equal to ``mask_iou`` (``tests/oracles.py``)
+    of each pair.
 
     Intersections and unions are ``np.bitwise_count`` of the rows' AND and OR, summed: exact
     integers, and each cell divides the same two as ``mask_iou``, as a float only then. No BLAS

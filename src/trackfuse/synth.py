@@ -22,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import (
-    Detection, LabelEmbedding, SceneDataset, dataset_key, parse_json, read_kept, set_frozen, write_json,
-)
+from .records import Detection, LabelEmbedding, SceneDataset, parse_json, read_kept, set_frozen, write_json
 from .rle import RleMask, json_bool, json_floats, json_int, json_str, pack_views, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
@@ -184,16 +182,13 @@ def save_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     write_json(gt.to_json(), path)
 
 
-def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> GroundTruth:
-    """Read a ground-truth file; every center and the radii must be pairs. Against ``ds``,
-    every object needs one mask of the dataset's size, one visible flag and one center per
-    view, and object ids must be unique. Kept (``read_kept``), with its key as the ground
-    truth's ``key``."""
+def load_ground_truth(path: str | Path, ds: SceneDataset) -> GroundTruth:
+    """Read a ground-truth file against ``ds``: every center and the radii must be pairs, every
+    object needs one mask of the dataset's size, one visible flag and one center per view, and
+    object ids must be unique. Kept (``read_kept``), with its key as the ground truth's ``key``."""
 
     def parse(obj: dict) -> GroundTruth:
         gt = GroundTruth.from_json(obj)
-        if ds is None:
-            return gt
         seen: set[int] = set()
         for o in gt.objects:
             if o.object_id in seen:
@@ -212,7 +207,7 @@ def load_ground_truth(path: str | Path, ds: SceneDataset | None = None) -> Groun
                     )
         return gt
 
-    gt, key = read_kept("ground_truth", path, dataset_key(ds), lambda text: parse_json(path, text, parse))
+    gt, key = read_kept("ground_truth", path, ds.key, lambda text: parse_json(path, text, parse))
     if gt.key != key:  # a fresh parse, which no caller has seen yet
         set_frozen(gt, key=key)
     return gt

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import (
-    SceneDataset, Trajectory, dataset_key, json_members, member_check, read_jsonl_kept, write_jsonl_kept,
-)
+from .records import SceneDataset, Trajectory, json_members, member_check, read_jsonl_kept, write_jsonl_kept
 from .rle import iou_table, json_int
 
 
@@ -79,7 +77,7 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
         vecs = [label_vecs[k] for k in ds.label[first:end].tolist()]
         eligible = [t for t in tracks if view - t.last_view <= params.max_gap + 1]
 
-        # each cell is bit-equal to mask_iou of its pair
+        # each cell is bit-equal to mask_iou of its pair, the per-pair reference in tests/oracles.py
         ious = iou_table(packed[first:end], packed[[t.last_row for t in eligible]]).tolist()
         pairs = []
         for di, row in enumerate(ious):
@@ -117,19 +115,18 @@ def associate_greedy(ds: SceneDataset, params: AssocParams = AssocParams()) -> l
     return [Trajectory(t.track_id, tuple(t.members)) for t in tracks]
 
 
-def save_tracks(trajectories: list[Trajectory], path: str | Path, ds: SceneDataset | None = None) -> None:
-    """Write a tracks file; with ``ds``, keep what ``load_tracks(path, ds)`` reads back (``write_kept``)."""
+def save_tracks(trajectories: list[Trajectory], path: str | Path, ds: SceneDataset) -> None:
+    """Write a tracks file and keep what ``load_tracks(path, ds)`` reads back (``write_kept``)."""
     objs = ({"track": t.track_id, "members": [[v, i] for v, i in t.members]} for t in trajectories)
-    write_jsonl_kept("tracks", objs, path, None if ds is None else dataset_key(ds), lambda: _track_step(ds))
+    write_jsonl_kept("tracks", objs, path, ds.key, lambda: _track_step(ds))
 
 
-def load_tracks(path: str | Path, ds: SceneDataset | None = None) -> tuple[Trajectory, ...]:
-    """Read a tracks file; against ``ds``, also check every member (``member_check``). Kept
-    (``read_kept``)."""
-    return read_jsonl_kept("tracks", path, dataset_key(ds), lambda: _track_step(ds))
+def load_tracks(path: str | Path, ds: SceneDataset) -> tuple[Trajectory, ...]:
+    """Read a tracks file against ``ds``, checking every member (``member_check``). Kept (``read_kept``)."""
+    return read_jsonl_kept("tracks", path, ds.key, lambda: _track_step(ds))
 
 
-def _track_step(ds: SceneDataset | None):
+def _track_step(ds: SceneDataset):
     """A parse step for the lines of one tracks file, read against ``ds`` (``member_check``)."""
     check = member_check(ds)
     return lambda obj: check(Trajectory(json_int(obj["track"], "track"), json_members(obj["members"])))

@@ -12,11 +12,106 @@ import numpy as np
 
 from trackfuse.consensus import ConsensusRecord, _tally
 from trackfuse.errors import NumericError, SchemaError
-from trackfuse.field import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, binarize_logits, render_logits
-from trackfuse.metrics import miou
+from trackfuse.field import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, ToyReferringField, _contrastive, _select_inside, binarize_logits,
+    render_logits,
+)
+from trackfuse.metrics import query_means
 from trackfuse.records import Detection, SceneDataset, Trajectory
-from trackfuse.rle import mask_iou, rle_decode, rle_encode
+from trackfuse.rle import RleMask, check_same_size, pack_views, rle_decode, rle_encode
 from trackfuse.synth import GroundTruth, GtObject, _render, build_vocabulary_embeddings
+
+
+# References no stage runs: the per-pair mask IoU, the grid-by-grid mIoU, and the checking forms
+# of the trainer's Gaussian choice (``field._select_inside``) and contrastive loss (``field._contrastive``).
+
+
+def mask_iou(a: RleMask, b: RleMask) -> float:
+    """Intersection over union in [0, 1]; two empty masks have IoU 1."""
+    check_same_size(a, b)
+    ga = rle_decode(a)
+    gb = rle_decode(b)
+    union = int(np.count_nonzero(ga | gb))
+    if union == 0:
+        return 1.0
+    inter = int(np.count_nonzero(ga & gb))
+    return inter / union
+
+
+BINARIZE_THRESHOLD = 0.5
+
+
+def _binarize(grid: np.ndarray) -> np.ndarray:
+    grid = np.asarray(grid)
+    if grid.dtype == bool:
+        return grid
+    return grid > BINARIZE_THRESHOLD
+
+
+def iou_grids(pred: np.ndarray, gt: np.ndarray) -> float:
+    if pred.shape != gt.shape:
+        raise SchemaError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    pred = _binarize(pred)
+    gt = np.asarray(gt, dtype=bool)
+    union = int(np.count_nonzero(pred | gt))
+    if union == 0:
+        return 1.0
+    return int(np.count_nonzero(pred & gt)) / union
+
+
+def miou(
+    preds: dict[str, dict[int, np.ndarray]],
+    gts: dict[str, dict[int, np.ndarray]],
+) -> tuple[dict[str, float], float]:
+    """Per-query mean IoU over its views, then the mean across queries.
+
+    The grid-by-grid reference of the eval path (``eval_queries`` and
+    ``iou_by_view``), reduced through the same ``query_means``. Predictions
+    may be probability grids (binarized at 0.5) or boolean grids. Invariant
+    to query and view ordering.
+    """
+    names, rows = [], []
+    for query in sorted(preds):
+        if query not in gts:
+            raise SchemaError(f"missing ground truth for query {query!r}")
+        views = sorted(preds[query])
+        if not views:
+            raise SchemaError(f"query {query!r} has no views to evaluate")
+        vals = []
+        for view in views:
+            if view not in gts[query]:
+                raise SchemaError(f"missing ground truth for query {query!r} view {view}")
+            vals.append(iou_grids(preds[query][view], gts[query][view]))
+        names.append(query)
+        rows.append(vals)
+    return query_means(names, rows)
+
+
+def select_gaussians(field_: ToyReferringField, view: int, pseudo_mask: RleMask) -> list[int]:
+    """Ids of the Gaussians whose center pixel falls inside the pseudo mask."""
+    (chosen,) = _select_inside(field_, view, pack_views([[pseudo_mask]], field_))
+    return chosen.tolist()
+
+
+def contrastive_loss(
+    anchor: np.ndarray, positives: np.ndarray, pool: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """Multi-positive softmax loss and its gradient with respect to anchor.
+
+    loss = -(1/|P|) sum_p log( exp(anchor.p / tau) / sum_d exp(anchor.d / tau) )
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    positives = np.atleast_2d(positives)
+    pool = np.atleast_2d(pool)
+    if positives.shape[0] == 0:
+        raise ValueError("positive set is empty")
+    # each positive must equal some pool row (NaN equals nothing)
+    if positives.shape[1:] != pool.shape[1:] or not (
+        (positives[:, None, :] == pool[None, :, :]).all(axis=2).any(axis=1).all()
+    ):
+        raise ValueError("positive set is not a subset of the pool")
+    return _contrastive(anchor, positives, pool, tau)
 
 
 def detections_of(ds):
@@ -541,7 +636,7 @@ def oracle_view_batch(ds, records, descriptions, view, include_category=True):
 def render_grids(field_, views, queries):
     """Per query row, its binary mask at each of ``views``; one render per view for all rows.
 
-    With ``object_grids``, ``category_grids`` and ``metrics.miou``, the grid-by-grid
+    With ``object_grids``, ``category_grids`` and ``miou``, the grid-by-grid
     reference of ``metrics.iou_by_view``: every (query, view) grid is kept.
     """
     out = [{} for _ in queries]

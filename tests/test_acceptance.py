@@ -18,11 +18,9 @@ from trackfuse.cli import load_config, run_pipeline
 from trackfuse.consensus import cluster_synonyms, run_consensus
 from trackfuse.field import (
     ToyReferringField,
-    contrastive_loss,
     field_from_ground_truth,
     render_mask,
     seg_loss,
-    select_gaussians,
 )
 from trackfuse.keyframes import visibility_score
 from trackfuse.metrics import (
@@ -30,20 +28,23 @@ from trackfuse.metrics import (
     detection_ious,
     match_tracks_to_objects,
     matched_objects,
-    miou,
 )
 from trackfuse.records import LabelEmbedding
-from trackfuse.rle import mask_iou, rle_decode, rle_encode
+from trackfuse.rle import rle_decode, rle_encode
 from trackfuse.synth import DEFAULT_VOCABULARY, build_vocabulary_embeddings
 
 from oracles import (
+    contrastive_loss,
     each_detection,
     grad_check,
+    mask_iou,
+    miou,
     oracle_cluster,
     oracle_visibility,
     oracle_vote,
     partition_of,
     random_unit_vectors,
+    select_gaussians,
     short_query_union,
     vote_trajectory,
 )

@@ -206,6 +206,46 @@ class TestStages:
         )
         assert code == 2
 
+    def test_train_takes_the_default_geometry_beside_a_manifest_directory(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        run_pipeline(load_config(cfg), out)
+        argv = ["train", "--config", cfg, "--manifest", str(out / "dataset"), "--consensus",
+                str(out / "consensus.jsonl"), "--descriptions", str(out / "descriptions.jsonl")]
+        assert main(argv + ["--out", str(tmp_path / "model.json")]) == 0
+        # the same field as from the manifest file, so the same geometry file
+        argv[4] = str(out / "dataset" / "manifest.json")
+        assert main(argv + ["--out", str(tmp_path / "again.json")]) == 0
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "again.json").read_bytes()
+
+    def test_eval_scores_long_queries_from_the_manifest_descriptions(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "run"
+        run_pipeline(load_config(cfg), out)
+        argv = ["eval", "--config", cfg, "--manifest", str(out / "dataset" / "manifest.json"), "--consensus",
+                str(out / "consensus.jsonl"), "--ground-truth", str(out / "ground_truth.json"),
+                "--model", str(out / "model.json")]
+        assert main(argv + ["--out", str(tmp_path / "bare.json")]) == 0
+        assert "miou_long" not in read_json(tmp_path / "bare.json")["metrics"]
+        shutil.copy(out / "descriptions.jsonl", out / "dataset" / "descriptions.jsonl")
+        manifest = read_json(out / "dataset" / "manifest.json") | {"descriptions": "descriptions.jsonl"}
+        (out / "dataset" / "manifest.json").write_text(dumps(manifest) + "\n")
+        assert main(argv + ["--out", str(tmp_path / "shipped.json")]) == 0
+        assert main(argv + ["--descriptions", str(out / "descriptions.jsonl"), "--out", str(tmp_path / "flag.json")]) == 0
+        shipped, flag = (read_json(tmp_path / name)["metrics"] for name in ("shipped.json", "flag.json"))
+        assert "miou_long" in shipped
+        assert shipped == flag
+
+    def test_run_reads_an_empty_external_as_template_captions(self, tmp_path):
+        cfg = {"seed": 0, "synth": {"n_views": 3, "n_objects": 2, "height": 32, "width": 32},
+               "train": {"epochs": 1}}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "null")]) == 0
+        (tmp_path / "empty").mkdir()
+        empty = write_config(tmp_path / "empty", cfg | {"keyframe": {"external": ""}})
+        assert main(["run", "--config", empty, "--out", str(tmp_path / "empty" / "run")]) == 0
+        null = tmp_path / "null" / "descriptions.jsonl"
+        assert (tmp_path / "empty" / "run" / "descriptions.jsonl").read_bytes() == null.read_bytes()
+
     def test_out_defaults_to_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACKFUSE_OUT", str(tmp_path / "root"))
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -224,14 +264,14 @@ class TestStages:
         external = [
             tfs.Trajectory(track_id=10 + t.track_id, members=t.members) for t in external
         ]
-        save_tracks(external, tmp_path / "scene" / "ext_tracks.jsonl")
+        save_tracks(external, tmp_path / "scene" / "ext_tracks.jsonl", ds)
         obj = json.loads(manifest.read_text())
         obj["tracks"] = "ext_tracks.jsonl"
         manifest.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
         argv = ["associate", "--manifest", str(manifest), "--out", str(tmp_path / "tracks.jsonl")]
         assert main(argv) == 0
-        adopted = load_tracks(tmp_path / "tracks.jsonl")
+        adopted = load_tracks(tmp_path / "tracks.jsonl", load_dataset(manifest))
         assert [t.track_id for t in adopted] == [t.track_id for t in external]
 
     def test_sweep_tau_sem(self, tmp_path):
@@ -510,7 +550,7 @@ def caption_entries(run):
     good = text_embedding("a caption", 32).tolist()
     return [
         {"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [good]}
-        for rec in load_consensus(run / "consensus.jsonl")
+        for rec in load_consensus(run / "consensus.jsonl", load_dataset(run / "dataset" / "manifest.json"))
         for view, _ in rec.members
     ]
 
@@ -1189,7 +1229,8 @@ class TestBadInput:
         if name == "captions.jsonl":
             vec = [1.0] + [0.0] * 31
             entries = [{"track": rec.track_id, "view": view, "texts": ["a caption"], "vecs": [vec]}
-                       for rec in load_consensus(run_dir / "consensus.jsonl") for view, _ in rec.members]
+                       for rec in load_consensus(run_dir / "consensus.jsonl", load_dataset(run_dir / "dataset"))
+                       for view, _ in rec.members]
             path.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
         def edit(obj):
@@ -1330,7 +1371,7 @@ class TestEvalScores:
         ds = load_dataset(run / "dataset" / "manifest.json")
         records = load_consensus(run / "consensus.jsonl", ds)
         descriptions = load_descriptions(run / "descriptions.jsonl", dim=ds.dim) if with_descriptions else None
-        return oracle_eval_miou(load_field(run / "model.json", ds), ds, load_ground_truth(run / "ground_truth.json"),
+        return oracle_eval_miou(load_field(run / "model.json", ds), ds, load_ground_truth(run / "ground_truth.json", ds),
                                 records, views, descriptions)
 
     @pytest.mark.parametrize("with_descriptions", [True, False])
@@ -1370,8 +1411,8 @@ def test_eval_peak_memory_stays_below_one_grid_per_query_and_view(tmp_path):
     run = tmp_path / "run"
     assert main(["run", "--config", cfg, "--out", str(run)]) == 0
     ds = load_dataset(run / "dataset" / "manifest.json")
-    categories = {o.identity for o in load_ground_truth(run / "ground_truth.json").objects}
-    referrals = sum(len(d.referrals) for d in load_descriptions(run / "descriptions.jsonl"))
+    categories = {o.identity for o in load_ground_truth(run / "ground_truth.json", ds).objects}
+    referrals = sum(len(d.referrals) for d in load_descriptions(run / "descriptions.jsonl", dim=ds.dim))
     views = {v for rec in load_consensus(run / "consensus.jsonl", ds) for v, _ in rec.members}
     grids_bytes = (len(categories) + referrals) * len(views) * ds.height * ds.width
     assert referrals > 50 and len(views) > 40

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    contrastive_loss,
     grad_check,
     oracle_field_json,
     oracle_render_logits,
@@ -19,6 +20,7 @@ from oracles import (
     oracle_view_batch,
     oracle_weights,
     render_grids,
+    select_gaussians,
     smallest_accepted,
 )
 
@@ -29,7 +31,6 @@ from trackfuse.field import (
     BCE_EPS,
     ToyReferringField,
     binarize_logits,
-    contrastive_loss,
     field_from_ground_truth,
     load_field,
     render_logits,
@@ -37,7 +38,6 @@ from trackfuse.field import (
     save_field,
     seg_loss,
     seg_step,
-    select_gaussians,
 )
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet, dumps
@@ -423,37 +423,35 @@ class TestFieldIo:
         ds, gt, _ = clean_scene
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         field.features[0] = np.arange(ds.dim, dtype=float)
-        save_field(field, tmp_path / "f.json")
-        loaded = load_field(tmp_path / "f.json")
+        save_field(field, tmp_path / "f.json", ds)
+        loaded = load_field(tmp_path / "f.json", ds)
         assert loaded.spread == field.spread
         assert np.array_equal(loaded.features, field.features)
         assert np.array_equal(loaded.gaussians, field.gaussians, equal_nan=True)
 
-    @pytest.mark.parametrize("with_dataset", [False, True])
-    def test_file_with_gaussian_ids_and_tracks_loads_the_same_arrays(self, tmp_path, clean_scene, with_dataset):
+    def test_file_with_gaussian_ids_and_tracks_loads_the_same_arrays(self, tmp_path, clean_scene):
         # the older format: each Gaussian also held its position as "id" and its object as "track"
         ds, gt, _ = clean_scene
         field = field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim)
         field.features = np.random.default_rng(0).standard_normal(field.features.shape)
-        save_field(field, tmp_path / "new.json")
+        save_field(field, tmp_path / "new.json", ds)
         obj = json.loads((tmp_path / "new.json").read_text())
         for gid, g in enumerate(obj["gaussians"]):
             g.update(id=gid, track=gt.objects[gid // 5].object_id)
         (tmp_path / "old.json").write_text(dumps(obj) + "\n")
-        ds_or_none = ds if with_dataset else None
-        new, old = load_field(tmp_path / "new.json", ds_or_none), load_field(tmp_path / "old.json", ds_or_none)
+        new, old = load_field(tmp_path / "new.json", ds), load_field(tmp_path / "old.json", ds)
         assert old.gaussians.tobytes() == new.gaussians.tobytes() == field.gaussians.tobytes()
         assert old.features.tobytes() == new.features.tobytes() == field.features.tobytes()
 
-    def test_gaussians_with_different_center_counts_are_refused_without_a_dataset(self, tmp_path, clean_scene):
+    def test_gaussians_with_different_center_counts_are_refused(self, tmp_path, clean_scene):
         ds, gt, _ = clean_scene
-        save_field(field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim), tmp_path / "f.json")
+        save_field(field_from_ground_truth(gt, ds.n_views, ds.height, ds.width, dim=ds.dim), tmp_path / "f.json", ds)
         obj = json.loads((tmp_path / "f.json").read_text())
         del obj["gaussians"][2]["centers"][-1]
         (tmp_path / "f.json").write_text(dumps(obj) + "\n")
-        message = f"{tmp_path / 'f.json'}: gaussian 2: {ds.n_views - 1} centers, gaussian 0 has {ds.n_views}"
+        message = f"{tmp_path / 'f.json'}: gaussian 2: {ds.n_views - 1} centers, the dataset has {ds.n_views} views"
         with pytest.raises(SchemaError, match=re.escape(message)):
-            load_field(tmp_path / "f.json")
+            load_field(tmp_path / "f.json", ds)
 
     @pytest.mark.parametrize("per_object", [0, 6, 9])
     def test_gaussian_count_outside_the_offsets_is_refused(self, clean_scene, per_object):
@@ -820,7 +818,7 @@ class TestSaveFieldText:
     )
     def test_text_equals_per_center_expression(self, tmp_path, centers):
         field = self._field(centers)
-        save_field(field, tmp_path / "f.json")
+        save_field(field, tmp_path / "f.json", tf.SceneDataset(2, 8, 8, 3, [[], []], {}))
         assert (tmp_path / "f.json").read_text() == dumps(oracle_field_json(field)) + "\n"
 
     @given(st.lists(st.tuples(coordinate(40), coordinate(40)), min_size=1, max_size=6))
@@ -832,7 +830,7 @@ class TestSaveFieldText:
 
     def test_integer_centers_are_written_as_floats(self, tmp_path):
         field = ToyReferringField(4, 4, 1.0, np.array([[[1, 2], [3, 4]]]), np.zeros((1, 1)))
-        save_field(field, tmp_path / "f.json")
+        save_field(field, tmp_path / "f.json", tf.SceneDataset(2, 4, 4, 1, [[], []], {}))
         assert '"centers":[[1.0,2.0],[3.0,4.0]]' in (tmp_path / "f.json").read_text()
         assert (tmp_path / "f.json").read_text() == dumps(oracle_field_json(field)) + "\n"
 

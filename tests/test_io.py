@@ -84,7 +84,7 @@ class TestNonFiniteVectors:
         vec = text_embedding("the red cup", DIM)
         vec[0] = np.inf
         sets = [tf.DescriptionSet(track_id=0, category="cup", referrals=[("the red cup", vec)])]
-        save_descriptions(sets, tmp_path / "d.jsonl")
+        save_descriptions(sets, tmp_path / "d.jsonl", tf.SceneDataset(1, 1, 1, DIM, [[]], {}))
         with pytest.raises(SchemaError, match=r"d\.jsonl:1: referral vector is not finite"):
             load_descriptions(tmp_path / "d.jsonl", dim=DIM)
 
@@ -117,10 +117,10 @@ def loaders(tmp_path_factory):
     ds, _ = tf.generate_scene(cfg)
     manifest = save_dataset(ds, root / "scene")
     trajectories = tf.import_tracks(ds)
-    save_tracks(trajectories, root / "tracks.jsonl")
+    save_tracks(trajectories, root / "tracks.jsonl", ds)
     records = tf.run_consensus(ds, trajectories).records
-    save_consensus(records, root / "consensus.jsonl")
-    save_descriptions(run_keyframes(ds, records), root / "descriptions.jsonl")
+    save_consensus(records, root / "consensus.jsonl", ds)
+    save_descriptions(run_keyframes(ds, records), root / "descriptions.jsonl", ds)
     vec = text_embedding("t", DIM).tolist()
     write_jsonl(
         (

@@ -196,7 +196,7 @@ class TestAttachDescriptions:
             )
             + "\n"
         )
-        ext = ExternalDescriptions.load(path)
+        ext = ExternalDescriptions.load(path, dim=8)
         (desc,) = run_keyframes(ds, [one_member_record(3, 2)], external=ext)
         assert desc.referrals[0][0] == "the red bowl of ramen on the table"
         assert np.array_equal(desc.referrals[0][1], vec)
@@ -207,7 +207,7 @@ class TestAttachDescriptions:
         ds, _, _ = clean_scene
         path = tmp_path / "ext.jsonl"
         path.write_text("")
-        ext = ExternalDescriptions.load(path)
+        ext = ExternalDescriptions.load(path, dim=ds.dim)
         with pytest.raises(SchemaError, match=r"track 7.*view 4"):
             run_keyframes(ds, [one_member_record(7, 4)], external=ext)
 

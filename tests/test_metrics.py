@@ -19,10 +19,8 @@ from trackfuse.metrics import (
     eval_miou,
     eval_queries,
     iou_by_view,
-    iou_grids,
     match_tracks_to_objects,
     matched_objects,
-    miou,
     query_means,
     tau_sem_rows,
 )
@@ -36,6 +34,8 @@ from oracles import (
     category_grids,
     detections_of,
     each_detection,
+    iou_grids,
+    miou,
     object_grids,
     oracle_eval_miou,
     oracle_match_detections,

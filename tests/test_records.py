@@ -76,7 +76,7 @@ class TestRoundTrip:
         sets = [
             DescriptionSet(track_id=2, category="cup", referrals=[("the red cup", vec)], keyframe=3)
         ]
-        save_descriptions(sets, tmp_path / "d.jsonl")
+        save_descriptions(sets, tmp_path / "d.jsonl", tf.SceneDataset(1, 1, 1, 8, [[]], {}))
         loaded = load_descriptions(tmp_path / "d.jsonl", dim=8)
         assert loaded[0].track_id == 2
         assert loaded[0].category == "cup"
@@ -231,9 +231,9 @@ def kept_scene(root, n_views=3, dim=32):
         ("tracks", "tracks.jsonl"), ("consensus", "consensus.jsonl"),
         ("descriptions", "descriptions.jsonl"), ("ground_truth", "ground_truth.json"))}
     paths["dataset"] = save_dataset(ds, root / "scene")
-    save_tracks(tracks, paths["tracks"])
-    save_consensus(tf.run_consensus(ds, tracks).records, paths["consensus"])
-    save_descriptions(ds.descriptions, paths["descriptions"])
+    save_tracks(tracks, paths["tracks"], ds)
+    save_consensus(tf.run_consensus(ds, tracks).records, paths["consensus"], ds)
+    save_descriptions(ds.descriptions, paths["descriptions"], ds)
     save_ground_truth(gt, paths["ground_truth"])
     return paths
 
@@ -461,7 +461,9 @@ class TestKeptDataset:
         assert again is first
         with pytest.raises(ValueError, match="read-only"):
             again[...] = 0.0
-        other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"))  # read without a dataset
+        # read against another dataset of the same views: the same bytes under another key
+        other = load_ground_truth(copy_input(paths, "ground_truth", tmp_path / "other"),
+                                  load_dataset(kept_scene(tmp_path / "b", dim=16)["dataset"]))
         assert detection_ious(ds, other).tolist() == first.tolist()
         assert len(calls) == ds.n_views
 
@@ -569,10 +571,10 @@ class TestKeptWrite:
         assert_identical(kept_value, fresh)
 
     @pytest.mark.parametrize("kind", list(SAVERS))
-    def test_without_a_dataset_nothing_is_kept(self, tmp_path, monkeypatch, kind):
+    def test_a_dataset_built_in_memory_keeps_nothing(self, tmp_path, monkeypatch, kind):
         ds, gt = written_scene(tmp_path)
         path = tmp_path / f"written-{kind}"
-        SAVERS[kind](saved_values(ds, gt)[kind], path)
+        SAVERS[kind](saved_values(ds, gt)[kind], path, replace(ds, detections=detections_of(ds)))
         decoded = count_json_loads(monkeypatch)
         LOADERS[kind](path, ds)
         assert decoded
@@ -625,7 +627,7 @@ class TestKeptWrite:
 
         def trained(name):
             field_, _ = tf.train(load_field(path, ds), ds, records_, descriptions, cfg)
-            save_field(field_, tmp_path / name)
+            save_field(field_, tmp_path / name, replace(ds, detections=detections_of(ds)))  # keeps nothing
             return (tmp_path / name).read_bytes()
 
         decoded = count_json_loads(monkeypatch)

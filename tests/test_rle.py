@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import mask_bbox
+from oracles import mask_bbox, mask_iou
 
 from trackfuse.errors import SchemaError
 from trackfuse.rle import (
-    RleMask, iou_table, mask_area, mask_iou, pack_views, packed_iou, rle_decode, rle_decode_many, rle_encode,
+    RleMask, iou_table, mask_area, pack_views, packed_iou, rle_decode, rle_decode_many, rle_encode,
 )
 
 

@@ -10,10 +10,10 @@ import pytest
 import trackfuse as tf
 from trackfuse.cli import _synth_config, main
 from trackfuse.records import save_dataset
-from trackfuse.rle import mask_iou, rle_decode
+from trackfuse.rle import rle_decode
 from trackfuse.synth import DEFAULT_VOCABULARY, SynonymGroup, build_vocabulary_embeddings
 
-from oracles import each_detection, oracle_generate_scene
+from oracles import each_detection, mask_iou, oracle_generate_scene
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -294,9 +294,9 @@ class TestCorrupt:
         from trackfuse.synth import load_ground_truth, save_ground_truth
 
         cfg = tf.SynthConfig(n_views=3, n_objects=2, seed=5)
-        _, gt = tf.generate_scene(cfg)
+        ds, gt = tf.generate_scene(cfg)
         save_ground_truth(gt, tmp_path / "gt.json")
-        loaded = load_ground_truth(tmp_path / "gt.json")
+        loaded = load_ground_truth(tmp_path / "gt.json", ds)
         assert len(loaded.objects) == 2
         for a, b in zip(gt.objects, loaded.objects):
             assert a.identity == b.identity

@@ -246,10 +246,10 @@ class TestGreedyOracle:
 
 class TestSidecar:
     def test_roundtrip(self, tmp_path, clean_scene):
-        _, _, trajs = clean_scene
+        ds, _, trajs = clean_scene
         path = tmp_path / "tracks.jsonl"
-        save_tracks(trajs, path)
-        loaded = load_tracks(path)
+        save_tracks(trajs, path, ds)
+        loaded = load_tracks(path, ds)
         assert [(t.track_id, t.members) for t in loaded] == [
             (t.track_id, t.members) for t in trajs
         ]
