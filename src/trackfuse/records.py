@@ -9,8 +9,9 @@ A dataset lives in a directory with a JSON manifest:
 Detections are line-delimited JSON ({view, label, conf, mask{h,w,counts},
 track?}), embeddings a JSON map label -> [float, ...], descriptions
 line-delimited ({track, keyframe, category, referrals: [{text, vec}]}).
-A ``Detection`` is the record of one detections line; a ``SceneDataset``
-keeps its detections only as read-only columns, one row each, view by view.
+A ``SceneDataset`` is built from each view's detections as (mask, raw label,
+confidence, track) tuples, track -1 for none, and keeps them only as
+read-only columns, one row each, view by view.
 Paths are resolved relative to the manifest. Serialization is canonical
 (sorted keys, repr floats), so save followed by load is the identity and
 re-serialization is byte-stable.
@@ -270,48 +271,6 @@ def text_embedding(text: str, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One per-view observation: mask, raw label, confidence, optional track."""
-
-    view: int
-    mask: RleMask
-    raw_label: str
-    confidence: float
-    track_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.view < 0:
-            raise SchemaError(f"view index must be nonnegative, got {self.view}")
-        if not self.raw_label:
-            raise SchemaError("raw_label must be non-empty")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise SchemaError(f"confidence must be in [0, 1], got {self.confidence}")
-        if self.track_id is not None and not 0 <= self.track_id < 2**63:
-            raise SchemaError(f"track_id must be in [0, 2**63), got {self.track_id}")
-
-    def to_json(self) -> dict:
-        obj = {
-            "view": self.view,
-            "label": self.raw_label,
-            "conf": self.confidence,
-            "mask": self.mask.to_json(),
-        }
-        if self.track_id is not None:
-            obj["track"] = self.track_id
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Detection":
-        return cls(
-            view=json_int(obj["view"], "view"),
-            mask=RleMask.from_json(obj["mask"]),
-            raw_label=json_str(obj["label"], "detection label"),
-            confidence=json_float(obj["conf"], "detection confidence"),
-            track_id=json_int(obj["track"], "track") if "track" in obj else None,
-        )
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Detections of one physical object: (view, detection index) members."""
 
@@ -381,16 +340,17 @@ class DescriptionSet:
 class SceneDataset:
     """One scene's detections, as read-only columns, plus the label-embedding table.
 
-    The constructor takes each view's ``Detection`` records and keeps only their columns, one row per
-    detection, view by view: member (view, idx) of a tracks or consensus file is row ``first[view] +
-    idx`` (``rows``), and row r's raw label is ``labels[label[r]]``.
+    The constructor takes each view's detections as (mask, raw label, confidence, track) tuples, track
+    -1 for none, and keeps only their columns, one row per detection, view by view: member (view, idx)
+    of a tracks or consensus file is row ``first[view] + idx`` (``rows``), and row r's raw label is
+    ``labels[label[r]]``.
     """
 
     n_views: int
     height: int
     width: int
     dim: int
-    detections: InitVar[Iterable[Iterable[Detection]]]
+    detections: InitVar[Iterable[Iterable[tuple[RleMask, str, float, int]]]]
     embeddings: Mapping[str, LabelEmbedding]
     descriptions: tuple[DescriptionSet, ...] | None = None
     first: np.ndarray = field(init=False, repr=False)  # (V + 1,) each view's first row, then D
@@ -405,14 +365,9 @@ class SceneDataset:
     key: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, detections) -> None:
-        per_view = [tuple(dets) for dets in detections]
+        per_view = [[_check_detection(*det, self.height, self.width) for det in dets] for dets in detections]
         if len(per_view) != self.n_views:
             raise SchemaError(f"expected {self.n_views} per-view detection lists, got {len(per_view)}")
-        for view, dets in enumerate(per_view):
-            for det in dets:
-                _check_detection(det, self.n_views, self.height, self.width)
-                if det.view != view:
-                    raise SchemaError(f"a detection of view {det.view} is in view {view}'s list")
         for emb in self.embeddings.values():
             if emb.vector.shape != (self.dim,):
                 raise SchemaError(
@@ -420,20 +375,21 @@ class SceneDataset:
                     f"expected ({self.dim},)"
                 )
         rows = [det for dets in per_view for det in dets]
-        labels = sorted({det.raw_label for det in rows})
+        masks, raw, confidence, track = zip(*rows) if rows else ((),) * 4
+        labels = sorted(set(raw))
         index = {lab: k for k, lab in enumerate(labels)}
         first = np.cumsum([0, *map(len, per_view)])
         columns = dict(
             first=first, view=np.repeat(np.arange(self.n_views), np.diff(first)),
-            label=np.array([index[det.raw_label] for det in rows], dtype=np.intp),
-            confidence=np.array([det.confidence for det in rows], dtype=float),
-            track=np.array([-1 if det.track_id is None else det.track_id for det in rows], dtype=np.int64),
-            area=np.array([mask_area(det.mask) for det in rows], dtype=np.int64),
+            label=np.array([index[lab] for lab in raw], dtype=np.intp),
+            confidence=np.array(confidence, dtype=float),
+            track=np.array(track, dtype=np.int64),
+            area=np.array([mask_area(mask) for mask in masks], dtype=np.int64),
         )
         for arr in columns.values():
             arr.flags.writeable = False
         descriptions = None if self.descriptions is None else tuple(self.descriptions)
-        set_frozen(self, **columns, labels=tuple(labels), masks=tuple(det.mask for det in rows),
+        set_frozen(self, **columns, labels=tuple(labels), masks=masks,
                    embeddings=MappingProxyType(dict(self.embeddings)), descriptions=descriptions)
 
     @cached_property
@@ -459,15 +415,33 @@ class SceneDataset:
             raise SchemaError(f"no embedding for label {label!r}") from None
 
 
-def _check_detection(det: Detection, n_views: int, height: int, width: int) -> Detection:
-    if det.view >= n_views:
-        raise SchemaError(f"detection view {det.view} >= n_views {n_views}")
-    if (det.mask.height, det.mask.width) != (height, width):
-        raise SchemaError(
-            f"detection mask is {det.mask.height}x{det.mask.width}, "
-            f"dataset is {height}x{width}"
-        )
-    return det
+def _check_detection(mask: RleMask, label: str, confidence: float, track: int, height: int, width: int) -> tuple:
+    """The (mask, label, confidence, track) tuple of one detection of a ``height`` x ``width`` dataset."""
+    if not label:
+        raise SchemaError("detection label must be non-empty")
+    if not 0.0 <= confidence <= 1.0:
+        raise SchemaError(f"confidence must be in [0, 1], got {confidence}")
+    if not -1 <= track < 2**63:
+        raise SchemaError(f"track_id must be in [0, 2**63), got {track}")
+    if (mask.height, mask.width) != (height, width):
+        raise SchemaError(f"detection mask is {mask.height}x{mask.width}, dataset is {height}x{width}")
+    return mask, label, confidence, track
+
+
+def _detection_line(obj: dict, n_views: int, height: int, width: int) -> tuple[int, tuple]:
+    """The view and checked (mask, label, confidence, track) tuple of one detections line."""
+    view = json_int(obj["view"], "view")
+    mask = RleMask.from_json(obj["mask"])
+    label = json_str(obj["label"], "detection label")
+    confidence = json_float(obj["conf"], "detection confidence")
+    track = json_int(obj["track"], "track") if "track" in obj else -1
+    if view < 0:
+        raise SchemaError(f"view index must be nonnegative, got {view}")
+    if "track" in obj and track < 0:
+        raise SchemaError(f"track_id must be in [0, 2**63), got {track}")
+    if view >= n_views:
+        raise SchemaError(f"detection view {view} >= n_views {n_views}")
+    return view, _check_detection(mask, label, confidence, track, height, width)
 
 
 def json_members(value) -> tuple[tuple[int, int], ...]:
@@ -518,8 +492,9 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = zip(ds.view.tolist(), ds.masks, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist())
-    write_jsonl((Detection(view, mask, ds.labels[label], conf, None if track < 0 else track).to_json()
-                 for view, mask, label, conf, track in rows), out / "detections.jsonl")
+    write_jsonl(({"view": view, "label": ds.labels[label], "conf": conf, "mask": mask.to_json()}
+                 | ({} if track < 0 else {"track": track}) for view, mask, label, conf, track in rows),
+                out / "detections.jsonl")
     write_json(
         {label: emb.vector.tolist() for label, emb in sorted(ds.embeddings.items())},
         out / "embeddings.json",
@@ -641,13 +616,11 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
         return _decode(files[key], blobs[key])
 
     # each detection is checked as its line is parsed, so an error names the line
-    detections: list[list[Detection]] = [[] for _ in range(n_views)]
-    for det in parse_lines(
-        files["detections"],
-        text("detections"),
-        lambda obj: _check_detection(Detection.from_json(obj), n_views, height, width),
-    ):
-        detections[det.view].append(det)
+    detections: list[list[tuple]] = [[] for _ in range(n_views)]
+    lines = parse_lines(files["detections"], text("detections"),
+                        lambda obj: _detection_line(obj, n_views, height, width))
+    for view, det in lines:
+        detections[view].append(det)
 
     def embeddings(obj: dict) -> dict[str, LabelEmbedding]:
         return {

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .records import Detection, LabelEmbedding, SceneDataset, parse_json, read_kept, set_frozen, write_json
+from .records import LabelEmbedding, SceneDataset, parse_json, read_kept, set_frozen, write_json
 from .rle import RleMask, json_bool, json_floats, json_int, json_str, pack_views, rle_decode, rle_encode
 
 _PERTURB = 0.2  # in-group tangential jitter; cos >= (1 - _PERTURB^2) / (1 + _PERTURB^2)
@@ -331,29 +331,9 @@ def generate_scene(cfg: SynthConfig) -> tuple[SceneDataset, GroundTruth]:
             )
         )
 
-    detections: list[list[Detection]] = [[] for _ in range(cfg.n_views)]
-    for v in range(cfg.n_views):
-        for obj in objects:
-            if not obj.visible[v]:
-                continue
-            detections[v].append(
-                Detection(
-                    view=v,
-                    mask=obj.masks[v],
-                    raw_label=obj.identity,
-                    confidence=1.0,
-                    track_id=obj.object_id,
-                )
-            )
-
-    ds = SceneDataset(
-        n_views=cfg.n_views,
-        height=h,
-        width=w,
-        dim=cfg.dim,
-        detections=detections,
-        embeddings=embeddings,
-    )
+    detections = [[(obj.masks[v], obj.identity, 1.0, obj.object_id) for obj in objects if obj.visible[v]]
+                  for v in range(cfg.n_views)]
+    ds = SceneDataset(n_views=cfg.n_views, height=h, width=w, dim=cfg.dim, detections=detections, embeddings=embeddings)
     return ds, GroundTruth(objects)
 
 
@@ -389,7 +369,7 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
         word: gi for gi, group in enumerate(cfg.vocabulary) for word in group.words
     }
 
-    out: list[list[Detection]] = [[] for _ in range(ds.n_views)]
+    out: list[list[tuple]] = [[] for _ in range(ds.n_views)]
     columns = (ds.view.tolist(), ds.masks, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist())
     for view, mask, label, confidence, track in zip(*columns):
         u_drop, u_wrong, u_syn = rng.uniform(size=3)
@@ -416,14 +396,6 @@ def corrupt(ds: SceneDataset, gt: GroundTruth, cfg: SynthConfig) -> SceneDataset
             grid = _dilate(grid, jitter_amount) if jitter_grow else _erode(grid, jitter_amount)
             mask = rle_encode(grid)
 
-        out[view].append(
-            Detection(
-                view=view,
-                mask=mask,
-                raw_label=label,
-                confidence=confidence,
-                track_id=None if noise.strip_track_ids or track < 0 else track,
-            )
-        )
+        out[view].append((mask, label, confidence, -1 if noise.strip_track_ids else track))
 
     return SceneDataset(ds.n_views, ds.height, ds.width, ds.dim, out, ds.embeddings)

@@ -6,10 +6,10 @@ Not collected by pytest (the name does not start with ``test_``). Run from the r
     python tests/mutants.py NAME ...   # the named ones
 
 Each mutant names a file of the repository, a text that occurs in it exactly once, the text that
-replaces it, why the mistake is plausible, and the test files that must kill it. The runner copies
-the repository into a temporary directory, applies the one mutant there, and runs those test files
-with ``-x`` under the ``ci`` Hypothesis profile, importing ``trackfuse`` from the copy. A mutant
-whose test files all pass survives. The run exits 1 if any mutant survives, and 2 if a mutant's text
+replaces it, why the mistake is plausible, and the test files (or single tests) that must kill it.
+The runner copies the repository into a temporary directory, applies the one mutant there, and runs
+those tests with ``-x`` under the ``ci`` Hypothesis profile, importing ``trackfuse`` from the copy. A
+mutant whose tests all pass survives. The run exits 1 if any mutant survives, and 2 if a mutant's text
 does not occur exactly once (the code it mutates has changed: mend the entry) or pytest fails other
 than by a failed test.
 
@@ -46,6 +46,13 @@ MUTANTS = (
         "key = None if context is None else (hashlib.sha256(data).digest(), None)",
         "a file read against another dataset would return the value checked against the first",
         ("tests/test_cli.py", "tests/test_records.py"),
+    ),
+    Mutant(
+        "detection-line-filed-under-previous-view", "src/trackfuse/records.py",
+        "for view, det in lines:",
+        "for (view, _), (_, det) in zip(lines[:1] + lines, lines):",
+        "a line would be filed by the view of the line before it, which holds only while views stay in order",
+        ("tests/test_records.py::TestRoundTrip::test_lines_out_of_view_order_load_to_the_same_columns",),
     ),
     Mutant(
         "ious-key-drops-ground-truth", "src/trackfuse/metrics.py",

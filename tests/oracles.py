@@ -7,6 +7,7 @@ the library code paths they check.
 
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from trackfuse.field import (
     render_logits,
 )
 from trackfuse.metrics import query_means
-from trackfuse.records import Detection, SceneDataset, Trajectory
+from trackfuse.records import SceneDataset, Trajectory
 from trackfuse.rle import RleMask, check_same_size, pack_views, rle_decode, rle_encode
 from trackfuse.synth import GroundTruth, GtObject, _render, build_vocabulary_embeddings
 
@@ -114,9 +115,33 @@ def contrastive_loss(
     return _contrastive(anchor, positives, pool, tau)
 
 
+@dataclass(frozen=True)
+class Detection:
+    """One detection as a record, for tests that build or walk a dataset one detection at a time."""
+
+    view: int
+    mask: RleMask
+    raw_label: str
+    confidence: float
+    track_id: int | None = None
+
+
+def detection_tuples(detections):
+    """Per-view lists of ``Detection`` records as the per-view lists of (mask, label, confidence,
+    track) tuples a ``SceneDataset`` is built from, track -1 for none."""
+    return [[(det.mask, det.raw_label, det.confidence, -1 if det.track_id is None else det.track_id)
+             for det in dets] for dets in detections]
+
+
+def rebuilt(ds, **changes):
+    """``ds`` built anew from its detections, with ``changes`` to its other fields: a dataset built in
+    memory, which has no ``key``."""
+    return replace(ds, detections=detection_tuples(detections_of(ds)), **changes)
+
+
 def detections_of(ds):
     """The detections of ``ds`` as per-view lists of ``Detection`` records, rebuilt row by row
-    from its columns: the form datasets are built from, for loops over single detections."""
+    from its columns, for loops over single detections; ``detection_tuples`` builds a dataset from them."""
     out = []
     for view in range(ds.n_views):
         out.append([
@@ -831,7 +856,7 @@ def oracle_generate_scene(cfg):
         height=h,
         width=w,
         dim=cfg.dim,
-        detections=detections,
+        detections=detection_tuples(detections),
         embeddings=embeddings,
     )
     return ds, GroundTruth(objects)

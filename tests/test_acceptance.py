@@ -404,10 +404,10 @@ def test_criterion_10_codec_and_metric_properties():
         full = np.ones((1, 2), dtype=bool)
         empty = np.zeros((1, 2), dtype=bool)
         half_pred = np.array([[True, False]])
-        halanchort = np.array([[True, True]])
+        half_gt = np.array([[True, True]])
         per_query, overall = miou(
             {"q1": {0: full, 1: full}, "q2": {0: half_pred}},
-            {"q1": {0: full, 1: empty}, "q2": {0: halanchort}},
+            {"q1": {0: full, 1: empty}, "q2": {0: half_gt}},
         )
         assert per_query["q1"] == pytest.approx(0.5)
         assert per_query["q2"] == pytest.approx(0.5)

@@ -20,12 +20,14 @@ from trackfuse.consensus import (
 )
 from trackfuse.errors import SchemaError
 from trackfuse.metrics import consensus_accuracy
-from trackfuse.records import Detection, LabelEmbedding, SceneDataset, Trajectory, forget_kept
+from trackfuse.records import LabelEmbedding, SceneDataset, Trajectory, forget_kept
 from trackfuse.rle import RleMask
 from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
     clustering_fields,
+    detection_tuples,
+    detections_of,
     each_detection,
     oracle_cluster,
     oracle_consensus_accuracy,
@@ -414,7 +416,7 @@ def member_scene(views, tracks, groups, objects, match):
     dim = len(groups) + len(NAMES)
     ds = SceneDataset(
         len(views), SIDE, SIDE, dim,
-        [[Detection(v, mask(area), label, 1.0) for label, area in per_view] for v, per_view in enumerate(views)],
+        [[(mask(area), label, 1.0, -1) for label, area in per_view] for per_view in views],
         embed(NAMES, np.eye(dim)[[direction[lab] for lab in NAMES]]),
     )
     trajectories = [Trajectory(tid, tuple(members)) for tid, members in tracks.items() if members]
@@ -571,3 +573,20 @@ class TestRunConsensus:
         before = [det.raw_label for _, _, det in each_detection(ds)]
         run_consensus(ds, tf.import_tracks(ds))
         assert [det.raw_label for _, _, det in each_detection(ds)] == before
+
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_reversed_views_give_each_imported_track_the_same_vote(self, seed):
+        """View order carries no evidence: a scene whose views are reversed, under imported tracks,
+        gives every track the same votes and canonical identity, and the same members, reversed."""
+        cfg = tf.SynthConfig(n_views=7, n_objects=4, seed=seed, noise=tf.NoiseSpec(
+            synonym_rate=0.4, wrong_label_rate=0.2, dropout_rate=0.2))
+        ds = tf.corrupt(*tf.generate_scene(cfg), cfg)
+        backwards = SceneDataset(ds.n_views, ds.height, ds.width, ds.dim,
+                                 detection_tuples(detections_of(ds))[::-1], ds.embeddings)
+
+        def votes(scene, view):
+            return {r.track_id: (r.canonical, dict(r.votes), sorted((view(v), i) for v, i in r.members))
+                    for r in run_consensus(scene, tf.import_tracks(scene)).records}
+
+        assert votes(backwards, lambda v: v) == votes(ds, lambda v: ds.n_views - 1 - v)

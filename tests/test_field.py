@@ -187,7 +187,7 @@ class TestSegLoss:
         loss, _ = seg_loss(np.array([[1.0, 0.0]]), y)
         assert loss == pytest.approx(-math.log(1 - 1e-7), rel=1e-6)
 
-    def test_uniform_halanchorives_log2(self):
+    def test_uniform_half_gives_log2(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
         loss, _ = seg_loss(np.full((2, 2), 0.5), y)
         assert loss == pytest.approx(math.log(2), abs=1e-12)

@@ -27,11 +27,12 @@ from trackfuse.metrics import (
 from trackfuse.consensus import ConsensusRecord, member_table
 from trackfuse.field import ToyReferringField, field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
-from trackfuse.records import DescriptionSet, Detection, SceneDataset, config_hash, read_json, text_embedding
+from trackfuse.records import DescriptionSet, SceneDataset, config_hash, read_json, text_embedding
 from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
     category_grids,
+    detection_tuples,
     detections_of,
     each_detection,
     iou_grids,
@@ -147,10 +148,10 @@ class TestConsensusAccuracy:
         cfg = tf.SynthConfig(n_views=400, height=24, width=24, n_objects=8, seed=3)
         ds, gt = tf.generate_scene(cfg)
         groups = [g.canonical for g in cfg.vocabulary]
-        ds = replace(ds, detections=[
+        ds = replace(ds, detections=detection_tuples([
             [replace(det, raw_label=groups[int(rng.integers(0, len(groups)))]) for det in per_view]
             for per_view in detections_of(ds)
-        ])
+        ]))
         trajs = tf.import_tracks(ds)
         result = tf.run_consensus(ds, trajs)
         acc = accuracy(ds, gt, result)
@@ -218,8 +219,7 @@ def hand_scene(detections, objects):
     n_views = len(detections)
     ds = SceneDataset(
         n_views, h, w, 2,
-        [[Detection(v, tf.rle_encode(np.asarray(g, dtype=bool)), "x", 1.0) for g in per_view]
-         for v, per_view in enumerate(detections)],
+        [[(tf.rle_encode(np.asarray(g, dtype=bool)), "x", 1.0, -1) for g in per_view] for per_view in detections],
         {},
     )
     gt = GroundTruth([
@@ -301,7 +301,8 @@ class TestMatchingOracle:
                     grid = np.zeros_like(grid)
                 return replace(det, mask=tf.rle_encode(grid))
 
-            noisy = replace(noisy, detections=[[reshaped(det) for det in per_view] for per_view in detections_of(noisy)])
+            detections = [[reshaped(det) for det in per_view] for per_view in detections_of(noisy)]
+            noisy = replace(noisy, detections=detection_tuples(detections))
             gt = replace(gt, objects=[gt.objects[k] for k in rng.permutation(len(gt.objects))])
             tracks = tf.associate_greedy(noisy, tf.AssocParams())
             records = tf.run_consensus(noisy, tracks).records

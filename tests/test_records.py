@@ -1,7 +1,7 @@
 import json
 import os
 import shutil
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -28,7 +28,7 @@ from trackfuse.records import (
 from trackfuse.synth import GroundTruth, load_ground_truth, save_ground_truth
 from trackfuse.tracking import load_tracks, save_tracks
 
-from oracles import clustering_fields, detections_of
+from oracles import clustering_fields, rebuilt
 
 
 def read_bytes(root):
@@ -51,9 +51,8 @@ class TestRoundTrip:
         carry a track while others carry none."""
         mask = tf.rle_encode(np.eye(4, dtype=bool))
         emb = {lab: LabelEmbedding(lab, text_embedding(lab, 3)) for lab in ("cup", "bowl")}
-        views = [[("cup", 0.5, 7), ("cup", 1.0, None)], [], [("bowl", 0.25, None), ("cup", 0.75, 2)]]
-        detections = [[tf.Detection(v, mask, label, conf, track) for label, conf, track in dets]
-                      for v, dets in enumerate(views)]
+        views = [[("cup", 0.5, 7), ("cup", 1.0, -1)], [], [("bowl", 0.25, -1), ("cup", 0.75, 2)]]
+        detections = [[(mask, label, conf, track) for label, conf, track in dets] for dets in views]
         return tf.SceneDataset(n_views=3, height=4, width=4, dim=3, detections=detections, embeddings=emb)
 
     @pytest.mark.parametrize("scene", ["synthetic", "mixed"])
@@ -70,6 +69,19 @@ class TestRoundTrip:
         save_dataset(loaded, tmp_path / "b")
         assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
         assert columns(loaded) == columns(ds)
+
+    def test_lines_out_of_view_order_load_to_the_same_columns(self, tmp_path):
+        # a line is filed under its own view, whatever line comes before it
+        ds, _ = tf.generate_scene(tf.SynthConfig(n_views=4, n_objects=3, seed=1))
+        manifest = save_dataset(ds, tmp_path / "scene")
+        det_path = manifest.parent / "detections.jsonl"
+        lines = det_path.read_text().splitlines(keepends=True)
+        ordered = load_dataset(manifest)
+        blocks = [[line for line in lines if json.loads(line)["view"] == view] for view in range(ds.n_views)]
+        assert all(len(block) > 1 for block in blocks)
+        det_path.write_text("".join(line for block in reversed(blocks) for line in block))
+        backwards = load_dataset(manifest)
+        assert columns(backwards) == columns(ordered) == columns(ds)
 
     def test_descriptions_roundtrip(self, tmp_path):
         vec = text_embedding("the red cup", 8)
@@ -89,12 +101,15 @@ class TestValidation:
     def test_confidence_above_one_rejected(self):
         mask = tf.rle_encode(np.zeros((2, 2), dtype=bool))
         with pytest.raises(SchemaError, match="confidence"):
-            tf.Detection(view=0, mask=mask, raw_label="cup", confidence=1.2)
+            tf.SceneDataset(1, 2, 2, 3, [[(mask, "cup", 1.2, -1)]], {})
 
-    def test_detection_in_another_view_or_with_a_track_id_past_int64_rejected(self, tmp_path):
+    def test_detection_of_another_size_or_with_a_track_id_past_int64_rejected(self, tmp_path):
         mask = tf.rle_encode(np.zeros((2, 2), dtype=bool))
-        with pytest.raises(SchemaError, match="a detection of view 1 is in view 0's list"):
-            tf.SceneDataset(2, 2, 2, 3, [[tf.Detection(1, mask, "cup", 1.0)], []], {})
+        with pytest.raises(SchemaError, match="detection mask is 2x2, dataset is 3x3"):
+            tf.SceneDataset(2, 3, 3, 3, [[(mask, "cup", 1.0, -1)], []], {})
+        for track in (-2, 2**63):
+            with pytest.raises(SchemaError, match=rf"track_id must be in \[0, 2\*\*63\), got {track}"):
+                tf.SceneDataset(1, 2, 2, 3, [[(mask, "cup", 1.0, track)]], {})
         ds, _ = tf.generate_scene(tf.SynthConfig(n_views=2, n_objects=1, seed=1))
         manifest = save_dataset(ds, tmp_path / "scene")
         det_path = tmp_path / "scene" / "detections.jsonl"
@@ -102,6 +117,26 @@ class TestValidation:
         lines[1] = json.dumps(json.loads(lines[1]) | {"track": 2**63})
         det_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=r"detections\.jsonl:2: track_id must be in \[0, 2\*\*63\), got 9223372036854775808"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"view": -1}, "view index must be nonnegative, got -1"),
+            ({"view": 2}, "detection view 2 >= n_views 2"),
+            ({"track": -1}, r"track_id must be in \[0, 2\*\*63\), got -1"),
+            ({"label": ""}, "detection label must be a non-empty string, got ''"),
+        ],
+    )
+    def test_line_out_of_range_names_the_line(self, tmp_path, edit, message):
+        # a track of -1 in a line is refused, not read as the column's "no track"
+        ds, _ = tf.generate_scene(tf.SynthConfig(n_views=2, n_objects=1, seed=1))
+        manifest = save_dataset(ds, tmp_path / "scene")
+        det_path = tmp_path / "scene" / "detections.jsonl"
+        lines = det_path.read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]) | edit)
+        det_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"detections\.jsonl:2: {message}"):
             load_dataset(manifest)
 
     def test_bad_line_reports_line_number(self, tmp_path):
@@ -222,7 +257,7 @@ def rename_detections(path):
 def kept_scene(root, n_views=3, dim=32):
     """A saved scene with every input kind the process keeps; returns each file's path by kind."""
     ds, gt = tf.generate_scene(tf.SynthConfig(n_views=n_views, n_objects=2, seed=1, dim=dim))
-    ds = replace(ds, detections=detections_of(ds), descriptions=[
+    ds = rebuilt(ds, descriptions=[
         DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
         for t, text in enumerate(["the left cup", "the right cup"])
     ])
@@ -439,7 +474,7 @@ class TestKeptDataset:
     def test_dataset_not_read_from_files_keeps_nothing(self, tmp_path, monkeypatch, kind):
         paths = kept_scene(tmp_path)
         loaded = load_dataset(paths["dataset"])
-        built = replace(loaded, detections=detections_of(loaded))  # no key, as for a dataset built in memory
+        built = rebuilt(loaded)  # no key, as for a dataset built in memory
         assert built.key is None
         READERS[kind](paths[kind], built)
         decoded = count_json_loads(monkeypatch)
@@ -574,7 +609,7 @@ class TestKeptWrite:
     def test_a_dataset_built_in_memory_keeps_nothing(self, tmp_path, monkeypatch, kind):
         ds, gt = written_scene(tmp_path)
         path = tmp_path / f"written-{kind}"
-        SAVERS[kind](saved_values(ds, gt)[kind], path, replace(ds, detections=detections_of(ds)))
+        SAVERS[kind](saved_values(ds, gt)[kind], path, rebuilt(ds))
         decoded = count_json_loads(monkeypatch)
         LOADERS[kind](path, ds)
         assert decoded
@@ -627,7 +662,7 @@ class TestKeptWrite:
 
         def trained(name):
             field_, _ = tf.train(load_field(path, ds), ds, records_, descriptions, cfg)
-            save_field(field_, tmp_path / name, replace(ds, detections=detections_of(ds)))  # keeps nothing
+            save_field(field_, tmp_path / name, rebuilt(ds))  # keeps nothing
             return (tmp_path / name).read_bytes()
 
         decoded = count_json_loads(monkeypatch)

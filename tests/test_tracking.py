@@ -1,15 +1,14 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import detections_of, each_detection, oracle_associate_greedy, oracle_import_tracks
+from oracles import Detection, detection_tuples, each_detection, oracle_associate_greedy, oracle_import_tracks, rebuilt
 
 import trackfuse as tf
 from trackfuse.errors import SchemaError
-from trackfuse.records import Detection, LabelEmbedding, SceneDataset
+from trackfuse.records import LabelEmbedding, SceneDataset
 from trackfuse.rle import rle_encode
 from trackfuse.tracking import AssocParams, associate_greedy, import_tracks, load_tracks, save_tracks
 
@@ -34,7 +33,7 @@ def make_dataset(dets_per_view, labels=("cup", "bowl"), h=16, w=16):
         [Detection(view=v, **kw) for kw in per_view] for v, per_view in enumerate(dets_per_view)
     ]
     return SceneDataset(
-        n_views=n_views, height=h, width=w, dim=dim, detections=detections, embeddings=embeddings
+        n_views=n_views, height=h, width=w, dim=dim, detections=detection_tuples(detections), embeddings=embeddings
     )
 
 
@@ -181,8 +180,7 @@ class TestGreedy:
     def test_missing_embedding_rejected(self):
         mask = square_mask(16, 16, 2, 2, 4)
         ds = make_dataset([[dict(mask=mask, raw_label="cup", confidence=1.0)]])
-        ds = replace(ds, detections=detections_of(ds),
-                     embeddings={label: emb for label, emb in ds.embeddings.items() if label != "cup"})
+        ds = rebuilt(ds, embeddings={label: emb for label, emb in ds.embeddings.items() if label != "cup"})
         with pytest.raises(SchemaError, match="no embedding"):
             associate_greedy(ds)
 
