@@ -60,8 +60,6 @@ from .records import (
     file_digest,
     load_dataset,
     load_descriptions,
-    manifest_file,
-    manifest_tracks,
     read_json,
     save_dataset,
     save_descriptions,
@@ -125,8 +123,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# "section.key" -> type of every setting a config file may hold: the types of the defaults and the
-# hints of the config dataclasses. A bare SynthConfig document's top-level fields are "synth" keys.
+# "section.key" -> type of every setting a config file's sections may hold: the types of the defaults
+# and the hints of the config dataclasses.
 _TYPES = {
     f"{section}.{key}": type(value)
     for section, keys in DEFAULT_CONFIG.items() if isinstance(keys, dict) for key, value in keys.items()
@@ -148,19 +146,19 @@ def _check_value(name: str, value, kind) -> None:
     elif kind is int and not isinstance(value, int):
         raise SchemaError(f"{name} must be an integer, got {value!r}")
     elif kind is NoiseSpec:
-        _check_section(name, value, "synth.noise")
+        _check_section(name, value)
     elif kind == tuple[SynonymGroup, ...]:
         _check_vocabulary(name, value)
 
 
-def _check_section(name: str, value, section: str) -> None:
-    """Each key of ``value``, the config object written ``name``, is a ``section`` setting of its type."""
+def _check_section(section: str, value) -> None:
+    """Each key of ``value``, the config object of ``section``, is a ``section`` setting of its type."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{name} must be a JSON object, got {value!r}")
+        raise SchemaError(f"{section} must be a JSON object, got {value!r}")
     for key, item in value.items():
         if f"{section}.{key}" not in _TYPES:
-            raise SchemaError(f"{name}.{key} is not a {name} setting")
-        _check_value(f"{name}.{key}", item, _TYPES[f"{section}.{key}"])
+            raise SchemaError(f"{section}.{key} is not a {section} setting")
+        _check_value(f"{section}.{key}", item, _TYPES[f"{section}.{key}"])
 
 
 _GROUP = '{"canonical": str, "synonyms": [str, ...]}'
@@ -185,7 +183,7 @@ def _check_vocabulary(name: str, value) -> None:
 
 
 def load_config(path: str | None) -> dict:
-    """The defaults updated by the file at ``path``; top-level SynthConfig fields (a bare one) are kept.
+    """The defaults updated by the file at ``path``, which holds ``seed`` and sections only.
 
     Each setting of the file is checked for its type, and then by the builder its stage calls,
     so that a bad one exits 2 as ``<file>: <section>.<key> ...`` before any stage runs.
@@ -194,14 +192,15 @@ def load_config(path: str | None) -> dict:
 
     def merge(doc: dict) -> None:
         for key, value in doc.items():
-            if key != "seed" and key in DEFAULT_CONFIG:
-                _check_section(key, value, key)
-                cfg[key].update(value)
-            elif f"synth.{key}" in _TYPES:  # a bare SynthConfig document's field; "seed" is one too
-                _check_value(key, value, _TYPES[f"synth.{key}"])
+            if key == "seed":
+                _check_value(key, value, int)
                 cfg[key] = value
+            elif key in DEFAULT_CONFIG:
+                _check_section(key, value)
+                cfg[key].update(value)
             else:
-                raise SchemaError(f"{key} is not a config section or a synth setting")
+                sections = ", ".join(name for name in DEFAULT_CONFIG if name != "seed")
+                raise SchemaError(f"{key} is not seed or a config section ({sections})")
         builders = (
             ("assoc.", _assoc_params),
             ("consensus.", _tau_sem),
@@ -210,7 +209,7 @@ def load_config(path: str | None) -> dict:
             ("train.", lambda cfg: _train_config(cfg, None)),
             ("eval.", lambda cfg: _views(cfg, "eval", None)),
             ("", lambda cfg: _seed(cfg["seed"])),
-            ("synth." if cfg["synth"] else "", _synth_config),
+            ("synth.", _synth_config),
         )
         for prefix, build in builders:
             try:
@@ -299,9 +298,8 @@ def _views(cfg: dict, section: str, n_views: int | None) -> list[int] | None:
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
-    """The synth section, or else a bare SynthConfig document's top-level fields (no pipeline
-    sections), seeded with the run seed unless they set one; an error names the key as written there."""
-    section = _settings(cfg, "synth") or {k: v for k, v in cfg.items() if f"synth.{k}" in _TYPES and k != "seed"}
+    """The synth section, seeded with the run seed unless it sets one."""
+    section = _settings(cfg, "synth")
     try:
         NoiseSpec(**section.get("noise", {}))
     except ValueError as exc:
@@ -334,14 +332,7 @@ def stage_synth(cfg: dict, paths: dict[str, Path]) -> Path:
 def stage_associate(cfg: dict, paths: dict[str, Path]) -> Path:
     mode, params = _assoc_params(cfg)
     ds = load_dataset(paths["manifest"])
-    external = manifest_tracks(paths["manifest"])
-    if external is not None:
-        # dataset ships an external tracker's output: validate and adopt it
-        trajectories = load_tracks(external, ds)
-    elif mode == "import":
-        trajectories = import_tracks(ds)
-    else:
-        trajectories = associate_greedy(ds, params)
+    trajectories = import_tracks(ds) if mode == "import" else associate_greedy(ds, params)
     save_tracks(trajectories, paths["tracks"], ds)
     return paths["tracks"]
 
@@ -365,27 +356,11 @@ def stage_keyframe(cfg: dict, paths: dict[str, Path]) -> Path:
     return paths["descriptions"]
 
 
-def _descriptions(ds, paths: dict[str, Path]):
-    """The description sets ``train`` and ``eval`` read: the ``--descriptions`` file's, else the
-    dataset manifest's ``descriptions`` entry's; None if there are neither."""
-    if "descriptions" in paths:
-        return load_descriptions(paths["descriptions"], dim=ds.dim)
-    return ds.descriptions
-
-
 def stage_train(cfg: dict, paths: dict[str, Path]) -> Path:
     ds = load_dataset(paths["manifest"])
     records = load_consensus(paths["consensus"], ds)
-    descriptions = _descriptions(ds, paths)
-    if descriptions is None:
-        raise SchemaError(
-            "no descriptions source: pass --descriptions or add a 'descriptions' "
-            "entry to the dataset manifest"
-        )
-    # without --geometry: <scene>/field_geometry.json, where synth wrote it, two levels above the
-    # manifest file (--manifest may name its directory)
-    geometry = paths.get("geometry") or manifest_file(paths["manifest"]).parent.parent / "field_geometry.json"
-    field_ = load_field(geometry, ds)
+    descriptions = load_descriptions(paths["descriptions"], dim=ds.dim)
+    field_ = load_field(paths["geometry"], ds)
     long_only = _settings(cfg, "train")["long_only"]
     field_, curve = train(
         field_, ds, records, descriptions, _train_config(cfg, ds.n_views), include_category=not long_only
@@ -435,7 +410,8 @@ def stage_eval(cfg: dict, paths: dict[str, Path]) -> Path:
         eval_views = _views(cfg, "eval", ds.n_views)
         views = eval_views if eval_views is not None else trajectories_views
         if gt is not None and views:
-            metrics.update(eval_miou(field_, ds, gt, records, ious, views, _descriptions(ds, paths)))
+            descriptions = load_descriptions(paths["descriptions"], dim=ds.dim) if "descriptions" in paths else None
+            metrics.update(eval_miou(field_, ds, gt, records, ious, views, descriptions))
 
     emit_report(metrics, cfg, {"seed": cfg["seed"]}, paths["report"])
     return paths["report"]
@@ -489,18 +465,14 @@ STAGES = (
         ),
     ),
     Stage(
-        "train",
-        "train the toy referring field (--descriptions defaults to the manifest's "
-        "descriptions entry, --geometry to <scene>/field_geometry.json, two levels above the "
-        "manifest)",
-        "model.json", "model", "model", stage_train, config=("train",), inputs=("manifest", "consensus"),
-        optional=("descriptions", "geometry", "loss_curve"),
+        "train", "train the toy referring field", "model.json", "model", "model", stage_train,
+        config=("train",), inputs=("manifest", "consensus", "descriptions", "geometry"), optional=("loss_curve",),
         overrides=(("train.long_only", {"action": "store_true", "default": None}),),
         also_writes=("loss_curve",),
     ),
     Stage(
-        "eval", "compute metrics and write the report (--descriptions defaults to the manifest's "
-        "descriptions entry)", "report.json", "report", "report",
+        "eval", "compute metrics and write the report (no long queries without --descriptions)",
+        "report.json", "report", "report",
         # the report holds the hash of the whole config
         stage_eval, config=tuple(DEFAULT_CONFIG), inputs=("manifest", "consensus"),
         optional=("ground_truth", "model", "descriptions"),
@@ -551,8 +523,6 @@ def _stage_key(cfg: dict, stage: Stage, paths: dict[str, Path]) -> str:
     for name in stage.config:
         section, _, setting = name.partition(".")
         config[name] = _settings(cfg, section)[setting] if setting else cfg.get(name)
-    if "synth" in stage.config:  # a bare SynthConfig document's fields sit at the top level
-        config |= {name: value for name, value in cfg.items() if name not in DEFAULT_CONFIG}
     files = {flag: paths[flag] for flag in stage.inputs + stage.optional
              if flag in paths and flag not in stage.also_writes}
     external = _keyframe_settings(cfg)[2] if stage.name == "keyframe" else None

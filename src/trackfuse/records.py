@@ -3,12 +3,12 @@
 A dataset lives in a directory with a JSON manifest:
 
     {"n_views": int, "h": int, "w": int, "dim": int,
-     "detections": "<path>", "embeddings": "<path>",
-     "descriptions": "<path optional>", "tracks": "<path optional>"}
+     "detections": "<path>", "embeddings": "<path>"}
 
-Detections are line-delimited JSON ({view, label, conf, mask{h,w,counts},
-track?}), embeddings a JSON map label -> [float, ...], descriptions
-line-delimited ({track, keyframe, category, referrals: [{text, vec}]}).
+A manifest that names ``tracks`` or ``descriptions`` is refused: those files are stage inputs, named
+by ``consensus --tracks`` and ``train``/``eval`` ``--descriptions``. Detections are line-delimited
+JSON ({view, label, conf, mask{h,w,counts}, track?}), embeddings a JSON map label -> [float, ...];
+a descriptions file is line-delimited ({track, keyframe, category, referrals: [{text, vec}]}).
 A ``SceneDataset`` is built from each view's detections as (mask, raw label,
 confidence, track) tuples, track -1 for none, and keeps them only as
 read-only columns, one row each, view by view.
@@ -352,7 +352,6 @@ class SceneDataset:
     dim: int
     detections: InitVar[Iterable[Iterable[tuple[RleMask, str, float, int]]]]
     embeddings: Mapping[str, LabelEmbedding]
-    descriptions: tuple[DescriptionSet, ...] | None = None
     first: np.ndarray = field(init=False, repr=False)  # (V + 1,) each view's first row, then D
     view: np.ndarray = field(init=False, repr=False)  # (D,) each row's view
     labels: tuple[str, ...] = field(init=False, repr=False)  # the distinct raw labels, sorted
@@ -388,9 +387,8 @@ class SceneDataset:
         )
         for arr in columns.values():
             arr.flags.writeable = False
-        descriptions = None if self.descriptions is None else tuple(self.descriptions)
         set_frozen(self, **columns, labels=tuple(labels), masks=masks,
-                   embeddings=MappingProxyType(dict(self.embeddings)), descriptions=descriptions)
+                   embeddings=MappingProxyType(dict(self.embeddings)))
 
     @cached_property
     def packed(self) -> np.ndarray:
@@ -488,7 +486,7 @@ def member_check(ds: SceneDataset) -> Callable:
 
 
 def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
-    """Write detections + embeddings (+ descriptions), then the manifest. Returns its path."""
+    """Write detections and embeddings, then the manifest. Returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = zip(ds.view.tolist(), ds.masks, ds.label.tolist(), ds.confidence.tolist(), ds.track.tolist())
@@ -507,9 +505,6 @@ def save_dataset(ds: SceneDataset, out_dir: str | Path) -> Path:
         "detections": "detections.jsonl",
         "embeddings": "embeddings.json",
     }
-    if ds.descriptions is not None:
-        save_descriptions(ds.descriptions, out / "descriptions.jsonl", ds)
-        manifest["descriptions"] = "descriptions.jsonl"
     manifest_path = out / "manifest.json"
     write_json(manifest, manifest_path)
     return manifest_path
@@ -542,55 +537,42 @@ def save_descriptions(sets: list[DescriptionSet], path: str | Path, ds: SceneDat
 
 
 # The dataset files a manifest names, in the order load_dataset parses them.
-_DATASET_FILES = ("detections", "descriptions", "embeddings")
+_DATASET_FILES = ("detections", "embeddings")
+
+# The stage inputs a manifest must not name, each with the flag that takes its file.
+_MOVED = {"tracks": "consensus --tracks", "descriptions": "train and eval --descriptions"}
 
 
 def _manifest_header(obj: dict) -> tuple[int, int, int, int, Mapping[str, str]]:
     """A manifest's n_views, h, w, dim and the file paths it names, each checked."""
-    for key in ("n_views", "h", "w", "dim", "detections", "embeddings"):
+    for key in ("n_views", "h", "w", "dim", *_DATASET_FILES):
         if key not in obj:
             raise SchemaError(f"manifest missing key {key!r}")
+    for key, flag in _MOVED.items():
+        if key in obj:
+            raise SchemaError(f"manifest names {key!r}, which no stage reads from a manifest: pass that file to {flag}")
     sizes = [json_int(obj[key], key) for key in ("n_views", "h", "w", "dim")]
-    names = {key: obj[key] for key in (*_DATASET_FILES, "tracks") if key in obj}
+    names = {key: obj[key] for key in _DATASET_FILES}
     for key, name in names.items():
         if not isinstance(name, str) or not name:
             raise SchemaError(f"manifest {key!r} must be a non-empty file path, got {name!r}")
     return *sizes, MappingProxyType(names)
 
 
-def manifest_file(path: str | Path) -> Path:
-    """The manifest file of ``path``: a manifest, or a directory holding manifest.json."""
-    path = Path(path)
-    return path / "manifest.json" if path.is_dir() else path
-
-
-def _read_manifest(path: str | Path) -> tuple[Path, tuple, bytes]:
-    """The manifest file of ``path`` (``manifest_file``), its checked header (``_manifest_header``)
-    and the sha256 of its bytes. Kept (``read_kept``)."""
-    manifest_path = manifest_file(path)
-    header, (digest, _) = read_kept(
-        "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
-    )
-    return manifest_path, header, digest
-
-
-def manifest_tracks(path: str | Path) -> Path | None:
-    """The tracks file the manifest of ``path`` names, resolved against the manifest; None if it names none."""
-    manifest_path, (*_, names), _ = _read_manifest(path)
-    return manifest_path.parent / names["tracks"] if "tracks" in names else None
-
-
 def load_dataset(path: str | Path) -> SceneDataset:
     """Load from a manifest file (or a directory containing manifest.json).
 
-    The dataset is kept (``read_kept``) under the sha256 of the bytes of the manifest and of every
-    dataset file it names, which is also its ``key``: a load of the same bytes again reads each file
-    once, decodes no JSON and returns the kept dataset itself, which is read-only throughout.
+    The manifest's checked header is kept (``read_kept``), and the dataset under the sha256 of the
+    bytes of the manifest and of every dataset file it names, which is also its ``key``: a load of
+    the same bytes again reads each file once, decodes no JSON and returns the kept dataset itself,
+    which is read-only throughout.
     """
-    manifest_path, header, manifest_digest = _read_manifest(path)
-    names = header[4]
-    base = manifest_path.parent
-    files = {key: base / names[key] for key in _DATASET_FILES if key in names}
+    path = Path(path)
+    manifest_path = path / "manifest.json" if path.is_dir() else path
+    header, (manifest_digest, _) = read_kept(
+        "manifest", manifest_path, (), lambda text: parse_json(str(manifest_path), text, _manifest_header)
+    )
+    files = {key: manifest_path.parent / name for key, name in header[4].items()}
 
     # each file is read once, here; a read error is raised when that file's turn to parse comes,
     # so that errors come in the order of a file-by-file parse
@@ -628,11 +610,6 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
             for label in sorted(obj)
         }
 
-    descriptions = None
-    if "descriptions" in files:
-        sets = parse_lines(files["descriptions"], text("descriptions"), _description_step(dim))
-        descriptions = _read_only_referrals(sets)
-
     ds = SceneDataset(
         n_views=n_views,
         height=height,
@@ -640,7 +617,6 @@ def _parse_dataset(header: tuple, files: dict[str, Path], blobs: dict[str, bytes
         dim=dim,
         detections=detections,
         embeddings=parse_json(str(files["embeddings"]), text("embeddings"), embeddings),
-        descriptions=descriptions,
     )
     for emb in ds.embeddings.values():
         emb.vector.flags.writeable = False

@@ -55,6 +55,25 @@ MUTANTS = (
         ("tests/test_records.py::TestRoundTrip::test_lines_out_of_view_order_load_to_the_same_columns",),
     ),
     Mutant(
+        "dataset-key-drops-file-digests", "src/trackfuse/records.py",
+        'kept("dataset", digests, lambda',
+        'kept("dataset", digests[:1], lambda',
+        "a dataset would be kept by its manifest's bytes alone: an edited detections or embeddings file "
+        "would load as the dataset read before",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "manifest-reads-a-dropped-key", "src/trackfuse/records.py",
+        """    for key, flag in _MOVED.items():
+        if key in obj:
+            raise SchemaError(f"manifest names {key!r}, which no stage reads from a manifest: pass that file to {flag}")
+""",
+        "",
+        "a manifest naming tracks or descriptions would load with that entry silently ignored, dropping "
+        "the tracks or long queries it was written for",
+        ("tests/test_cli.py::TestBadInput::test_manifest_naming_a_stage_input_exits_two_naming_it",),
+    ),
+    Mutant(
         "ious-key-drops-ground-truth", "src/trackfuse/metrics.py",
         "None if ds.key is None or gt.key is None else (ds.key, gt.key), build)",
         "None if ds.key is None or gt.key is None else (ds.key,), build)",

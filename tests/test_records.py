@@ -208,11 +208,6 @@ class TestValidation:
             load_dataset(path)
 
 
-def described_scene(root):
-    """A saved 3-view scene with two tracks, each with a description set; returns its manifest."""
-    return kept_scene(root)["dataset"]
-
-
 def fresh_parse(manifest):
     """``load_dataset`` of ``manifest`` with every kept value forgotten, so that it parses."""
     records.forget_kept()
@@ -232,7 +227,6 @@ def assert_same_dataset(a, b):
     for label, emb in a.embeddings.items():
         assert emb.label == b.embeddings[label].label
         assert np.array_equal(emb.vector, b.embeddings[label].vector)
-    assert [d.to_json() for d in a.descriptions] == [d.to_json() for d in b.descriptions]
 
 
 def swap_first_lines(path):
@@ -255,12 +249,9 @@ def rename_detections(path):
 
 
 def kept_scene(root, n_views=3, dim=32):
-    """A saved scene with every input kind the process keeps; returns each file's path by kind."""
+    """A saved scene with every input kind the process keeps, each in a file of its own (two tracks,
+    each with a description set); returns each file's path by kind."""
     ds, gt = tf.generate_scene(tf.SynthConfig(n_views=n_views, n_objects=2, seed=1, dim=dim))
-    ds = rebuilt(ds, descriptions=[
-        DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
-        for t, text in enumerate(["the left cup", "the right cup"])
-    ])
     tracks = tf.import_tracks(ds)
     paths = {kind: root / name for kind, name in (
         ("tracks", "tracks.jsonl"), ("consensus", "consensus.jsonl"),
@@ -268,7 +259,10 @@ def kept_scene(root, n_views=3, dim=32):
     paths["dataset"] = save_dataset(ds, root / "scene")
     save_tracks(tracks, paths["tracks"], ds)
     save_consensus(tf.run_consensus(ds, tracks).records, paths["consensus"], ds)
-    save_descriptions(ds.descriptions, paths["descriptions"], ds)
+    save_descriptions([
+        DescriptionSet(track_id=t, category="cup", referrals=[(text, text_embedding(text, ds.dim))], keyframe=t)
+        for t, text in enumerate(["the left cup", "the right cup"])
+    ], paths["descriptions"], ds)
     save_ground_truth(gt, paths["ground_truth"])
     return paths
 
@@ -287,8 +281,7 @@ def plain(value):
     if isinstance(value, tf.SceneDataset):
         return (value.n_views, value.height, value.width, value.dim, value.key,
                 columns(value),
-                {label: emb.vector.tolist() for label, emb in value.embeddings.items()},
-                [d.to_json() for d in value.descriptions])
+                {label: emb.vector.tolist() for label, emb in value.embeddings.items()})
     if isinstance(value, GroundTruth):
         return value.key, value.to_json()
     return [item.to_json() if hasattr(item, "to_json") else (item.track_id, item.members) for item in value]
@@ -298,7 +291,7 @@ def writes(value) -> list:
     """Each write a caller could make to a reader's value when it was built of lists, dicts and
     plain records, as a call; each must raise now."""
     if isinstance(value, tf.SceneDataset):
-        mask, desc = value.masks[0], value.descriptions[0]
+        mask = value.masks[0]
         return [
             lambda: setattr(mask, "counts", ()),
             lambda: value.masks.append(mask),
@@ -307,12 +300,9 @@ def writes(value) -> list:
             lambda: value.packed.__setitem__((0, 0), 255),
             lambda: setattr(value, "label", np.zeros_like(value.label)),
             lambda: setattr(value, "packed", np.zeros_like(value.packed)),
-            lambda: desc.referrals.append(("another cup", text_embedding("another cup", value.dim))),
             lambda: value.embeddings.clear(),
             lambda: value.embeddings.__setitem__("plate", value.embeddings["cup"]),
             lambda: value.embedding("cup").__setitem__(0, 1.0),
-            lambda: desc.referrals[0][1].__setitem__(0, 1.0),
-            lambda: setattr(value, "descriptions", None),
         ]
     if isinstance(value, GroundTruth):
         obj = value.objects[0]
@@ -329,7 +319,8 @@ def writes(value) -> list:
         own = [lambda: first.votes.__setitem__("plate", 1), lambda: setattr(first, "canonical", "plate")]
     elif isinstance(first, DescriptionSet):
         own = [lambda: setattr(first, "category", "plate"),
-               lambda: first.referrals.append(("another cup", text_embedding("another cup", 32)))]
+               lambda: first.referrals.append(("another cup", text_embedding("another cup", 32))),
+               lambda: first.referrals[0][1].__setitem__(0, 1.0)]
     return own + [lambda: value.append(first), lambda: value.reverse()]
 
 
@@ -357,7 +348,7 @@ class TestKeptDataset:
     not by path or mtime, and a hit returns the kept value itself, which is read-only."""
 
     def test_second_load_decodes_no_json_and_equals_a_fresh_parse(self, tmp_path, monkeypatch):
-        manifest = described_scene(tmp_path)
+        manifest = kept_scene(tmp_path)["dataset"]
         load_dataset(manifest)
         decoded = []
         real_loads = json.loads
@@ -374,25 +365,32 @@ class TestKeptDataset:
             ("manifest.json", rename_detections),
             ("detections.jsonl", swap_first_lines),
             ("embeddings.json", swap_first_vectors),
-            ("descriptions.jsonl", swap_first_lines),
+            ("descriptions.jsonl", swap_first_lines),  # a file of its own, not the dataset's
         ],
     )
-    def test_edit_keeping_size_and_mtime_gives_the_new_content(self, tmp_path, monkeypatch, name, edit):
-        manifest = described_scene(tmp_path)
-        path = manifest.parent / name
-        first = load_dataset(manifest)
+    def test_edit_keeping_size_and_mtime_gives_the_new_content(self, tmp_path, name, edit):
+        kind = "descriptions" if name == "descriptions.jsonl" else "dataset"
+        paths = kept_scene(tmp_path)
+        path = paths["dataset"].parent / name if kind == "dataset" else paths[kind]
+        ds = load_dataset(paths["dataset"])
+        first = READERS[kind](paths[kind], ds)
         before = path.stat()
         edit(path)
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         after = path.stat()
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        second = load_dataset(manifest)
-        with pytest.raises(AssertionError):
-            assert_same_dataset(first, second)
-        assert_same_dataset(second, fresh_parse(manifest))
+        second = READERS[kind](paths[kind], ds)
+        if kind == "dataset":
+            with pytest.raises(AssertionError):
+                assert_same_dataset(first, second)
+            assert_same_dataset(second, fresh_parse(paths["dataset"]))
+        else:
+            assert plain(second) != plain(first)
+            records.forget_kept()
+            assert plain(second) == plain(READERS[kind](paths[kind], ds))
 
     def test_bad_detection_line_after_a_good_load_exits_two_naming_it(self, tmp_path, capsys):
-        manifest = described_scene(tmp_path)
+        manifest = kept_scene(tmp_path)["dataset"]
         argv = ["associate", "--manifest", str(manifest), "--out", str(tmp_path / "tracks.jsonl")]
         assert main(argv) == 0
         det_path = manifest.parent / "detections.jsonl"
