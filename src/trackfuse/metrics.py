@@ -1,16 +1,19 @@
 """Evaluation: query-averaged mIoU, consensus accuracy, report emission.
 
 Eval scores each view as it renders: ``eval_queries`` builds one query
-matrix with a target per row, and ``iou_by_view`` renders all rows of a
-view at once and keeps one IoU per (query, view) in a (Q, V) table, so no
-mask grid lives longer than its view. Every mask IoU here, of a render or
-of a detection (``detection_ious``), is ``rle.packed_iou`` of bit-packed rows,
-the targets' read from ``gt.packed`` and the detections' from ``ds.packed``,
-where each mask is decoded once a process. ``query_means`` reduces the table:
-each query's ``np.mean`` over its views in ascending view order, then the
-``np.mean`` of those values in sorted query-name order. The grid-by-grid
-reference, ``miou`` in ``tests/oracles.py``, scores dicts of grids and
-reduces through the same ``query_means``.
+matrix with a target per row, and ``iou_by_view`` renders a view's distinct
+rows at most G (the field's Gaussian count) per product, so a render block
+is never larger than the field's (G, h*w) weight buffer. It bit-packs each
+block's masks into one table and keeps one IoU per (query, view) in a
+(Q, V) table, so no mask grid outlives its block. Every mask IoU here, of
+a render or of a detection (``detection_ious``), is ``rle.packed_iou`` of
+bit-packed rows, the targets' read from ``gt.packed`` and the detections'
+from ``ds.packed``, where each mask is decoded once a process.
+``query_means`` reduces the table: each query's ``np.mean`` over its views
+in ascending view order, then the ``np.mean`` of those values in sorted
+query-name order. The grid-by-grid reference, ``miou`` in
+``tests/oracles.py``, scores dicts of grids and reduces through the same
+``query_means``.
 
 Scoring works in the dataset's row space: one (detections x objects) IoU
 table (``detection_ious``), one array of each row's matched object
@@ -110,9 +113,13 @@ def iou_by_view(
     is rendered once per view: the rows are keyed by their bytes, in
     first-seen order, and an inverse index gives each query its distinct
     row, so a repeated row is scored from the one render of its bytes.
-    Each view renders every distinct row in one product into one
-    (U, h*w) logits buffer that serves every view, binarizes it and is
-    scored at once, so no mask outlives its view. A cell is the value of
+    A view's U distinct rows render in blocks of min(U, max(1, G)) rows, G
+    the field's Gaussian count, into one logits buffer that serves every
+    block and view; each block is binarized and bit-packed into its rows of
+    one (U, ceil(h*w / 8)) table. A block is then never larger than the
+    field's (G, h*w) weights, so memory is bounded by the weights, not by
+    U, and reading the weights once more per block after the first adds
+    fewer bytes than the view's U rows of logits. A cell is the value of
     ``iou_grids`` (``tests/oracles.py``) as ``rle.packed_iou`` of the packed
     render, by the inverse index, and the view's packed (C + O) target
     (``view_targets``), by query.
@@ -126,10 +133,16 @@ def iou_by_view(
     inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in queries], dtype=np.intp)
     distinct = np.empty((len(index), queries.shape[1]))
     distinct[inverse] = queries  # a repeated row writes the same bytes again
-    logits = np.empty((len(distinct), field_.height * field_.width))
+    pixels = field_.height * field_.width
+    block = min(len(distinct), max(1, len(field_.gaussians)))
+    logits = np.empty((block, pixels))
+    packed = np.empty((len(distinct), (pixels + 7) // 8), dtype=np.uint8)
     for col, view in enumerate(views):
-        pred = binarize_logits(render_logits(field_, view, distinct, out=logits)).reshape(len(distinct), -1)
-        table[:, col] = packed_iou(np.packbits(pred, axis=1)[inverse], view_targets(gt, view)[targets])
+        for lo in range(0, len(distinct), block):
+            rows = distinct[lo : lo + block]
+            pred = binarize_logits(render_logits(field_, view, rows, out=logits[: len(rows)]))
+            packed[lo : lo + len(rows)] = np.packbits(pred.reshape(len(rows), -1), axis=1)
+        table[:, col] = packed_iou(packed[inverse], view_targets(gt, view)[targets])
     return table
 
 

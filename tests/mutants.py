@@ -115,6 +115,14 @@ MUTANTS = (
         "an off-by-one in the count of merges a cut keeps",
         ("tests/test_consensus.py",),
     ),
+    Mutant(
+        "eval-gathers-packed-rows-by-block-offset", "src/trackfuse/metrics.py",
+        "packed_iou(packed[inverse], view_targets(gt, view)[targets])",
+        "packed_iou(packed[inverse % block], view_targets(gt, view)[targets])",
+        "the inverse index read as an offset into one block: with more distinct rows than Gaussians, a "
+        "query past the first block would be scored from a row of the first",
+        ("tests/test_metrics.py::TestBlockedRender",),
+    ),
     # ">=" for the first ">" of binarize_logits, "logits > 0.0", is no mutant the tests can kill: a
     # logit of 0 then falls in the band, whose sigmoid, exactly 0.5, is not above 0.5
     Mutant(

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trackfuse import consensus, records, rle
@@ -17,12 +19,14 @@ from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
 from trackfuse.metrics import consensus_accuracy, detection_ious, matched_objects
-from trackfuse.field import load_field
-from trackfuse.records import config_hash, dumps, forget_kept, load_dataset, load_descriptions, read_json
-from trackfuse.synth import load_ground_truth
+from trackfuse.field import ToyReferringField, load_field, save_field
+from trackfuse.records import (
+    SceneDataset, config_hash, dumps, forget_kept, load_dataset, load_descriptions, read_json, save_dataset,
+)
+from trackfuse.synth import GroundTruth, load_ground_truth, save_ground_truth
 from trackfuse.tracking import load_tracks
 
-from oracles import oracle_eval_miou
+from oracles import detection_tuples, detections_of, oracle_eval_miou
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(consensus.__file__).resolve().parents[1]  # the directory that holds the trackfuse package
@@ -1471,6 +1475,38 @@ def test_single_stage_sequence_matches_run(tmp_path):
         assert main(argv) == 0, argv
     assert main(["run", *c, "--out", str(run)]) == 0
     assert tree_bytes(staged) == tree_bytes(run)
+
+
+@pytest.mark.parametrize("mode", ["import", "greedy"])
+def test_an_appended_view_with_nothing_visible_changes_no_score(tmp_path, mode):
+    """A view in which nothing is visible holds no evidence: appended to a zero-noise scene, with no
+    detection, a blank mask for every object and no Gaussian in it, it leaves every metric of the
+    report of associate, consensus, keyframe, train and eval unchanged, with no tolerance."""
+    cfg = write_config(tmp_path, SMALL_CONFIG | {"assoc": {"mode": mode}})
+    scene, wider = tmp_path / "scene", tmp_path / "wider"
+    assert main(["synth", "--config", cfg, "--out", str(scene)]) == 0
+    ds = load_dataset(scene / "dataset" / "manifest.json")
+    gt = load_ground_truth(scene / "ground_truth.json", ds)
+    field_ = load_field(scene / "field_geometry.json", ds)
+    wide_ds = SceneDataset(ds.n_views + 1, ds.height, ds.width, ds.dim,
+                           [*detection_tuples(detections_of(ds)), []], ds.embeddings)
+    save_dataset(wide_ds, wider / "dataset")
+    blank = rle.rle_encode(np.zeros((ds.height, ds.width), dtype=bool))
+    save_ground_truth(GroundTruth([replace(o, masks=(*o.masks, blank), visible=(*o.visible, False),
+                                           centers=(*o.centers, o.centers[-1])) for o in gt.objects]),
+                      wider / "ground_truth.json")
+    unseen = np.full((len(field_.gaussians), 1, 2), np.nan)
+    save_field(ToyReferringField(ds.height, ds.width, field_.spread,
+                                 np.concatenate([field_.gaussians, unseen], axis=1), field_.features),
+               wider / "field_geometry.json", wide_ds)
+    reports = []
+    for root in (scene, wider):
+        calls = [call for call in benchmark_calls(["--config", cfg], root, root) if call[0] != "sweep"]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        reports.append(read_json(root / "report.json")["metrics"])
+    assert "miou_long" in reports[0]
+    assert reports[1] == reports[0]
 
 
 def benchmark_calls(c, scene, out):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +24,13 @@ from trackfuse.metrics import (
     matched_objects,
     query_means,
     tau_sem_rows,
+    view_targets,
 )
 from trackfuse.consensus import ConsensusRecord, member_table
 from trackfuse.field import ToyReferringField, field_from_ground_truth
 from trackfuse.keyframes import run_keyframes
 from trackfuse.records import DescriptionSet, SceneDataset, config_hash, read_json, text_embedding
+from trackfuse.rle import packed_iou
 from trackfuse.synth import GroundTruth, GtObject
 
 from oracles import (
@@ -520,6 +523,62 @@ class TestEvalScoring:
         field_ = ToyReferringField(1, 1, 1.0, np.zeros((1, 1, 2)), np.ones((1, 2)))
         assert iou_by_view(field_, gt, [0], np.zeros((0, 2)), np.zeros(0, dtype=np.intp)).shape == (0, 1)
         assert field_._buffer is None
+
+
+class TestBlockedRender:
+    """``iou_by_view`` renders at most G (the field's Gaussian count) distinct rows per product."""
+
+    @staticmethod
+    def scene(n_gaussians, size=24):
+        cfg = tf.SynthConfig(n_views=3, height=size, width=size, n_objects=2, seed=3)
+        _, gt = tf.generate_scene(cfg)
+        rng = np.random.default_rng(n_gaussians)
+        centers = rng.uniform(0, size, (n_gaussians, cfg.n_views, 2))
+        field_ = ToyReferringField(size, size, 3.0, centers, rng.standard_normal((n_gaussians, cfg.dim)))
+        return gt, field_, rng
+
+    # U = G - 1, G, G + 1 and 2G + 3 distinct rows for G = 5, and for G = 1 one row per block
+    @pytest.mark.parametrize("n_gaussians, n_distinct", [(5, 4), (5, 5), (5, 6), (5, 13), (1, 1), (1, 2), (1, 5)])
+    def test_table_equals_one_product_bit_for_bit(self, n_gaussians, n_distinct):
+        gt, field_, rng = self.scene(n_gaussians)
+        distinct = rng.standard_normal((n_distinct, field_.dim))
+        # every row once in first-seen order, then again in reverse, each query with a target of its
+        # own: a repeat of a row of one block sits among rows of the others, so the inverse index
+        # crosses block edges
+        queries = distinct[list(range(n_distinct)) + list(range(n_distinct - 1, -1, -1))]
+        n_targets = len({o.identity for o in gt.objects}) + len(gt.objects)
+        targets = rng.integers(n_targets, size=len(queries))
+        views = [2, 0, 1, 0]
+        table = iou_by_view(field_, gt, views, queries, targets)
+        # every query row, repeats too, in one product per view
+        preds = render_grids(field_, sorted(set(views)), list(queries))
+        for col, view in enumerate(sorted(set(views))):
+            packed = np.packbits(np.stack([pred[view].ravel() for pred in preds]), axis=1)
+            assert table[:, col].tolist() == packed_iou(packed, view_targets(gt, view)[targets]).tolist()
+
+    def test_peak_memory_is_bounded_by_the_weights_not_the_queries(self):
+        n_gaussians, n_distinct, size = 2, 64, 64
+        gt, field_, rng = self.scene(n_gaussians, size)
+        queries = rng.standard_normal((n_distinct, field_.dim))
+        targets = rng.integers(len(gt.objects), size=n_distinct)
+        pixels = size * size
+        weights = n_gaussians * pixels * 8
+        # one (G, h*w) float64 logits block and binarize_logits' two bool blocks of its size
+        block = n_gaussians * pixels * (8 + 2)
+        # the (U, h*w / 8) packed table, its gather by query, the targets' gather and packed_iou's
+        # two temporaries (an AND or OR and its bit counts)
+        tables = 5 * n_distinct * pixels // 8
+        # the distinct rows and their byte index, the (Q, V) table, view_targets, the weight fill's
+        # temporaries and numpy's small ones; the call peaked at 352 KB on numpy 2.4, 3.0 MB with
+        # one (U, h*w) block per view
+        slack = 128 * 1024
+        tracemalloc.start()
+        try:
+            iou_by_view(field_, gt, list(range(3)), queries, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weights + block + tables + slack
 
 
 class TestQueryMeans:
