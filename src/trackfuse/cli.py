@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Subcommands: synth | associate | consensus | keyframe | train | eval |
-sweep | run. Every subcommand takes --config/--seed/--out; flags override
-config keys; TRACKFUSE_OUT sets the default output root. ``run`` executes
-the whole staged pipeline into one directory, skipping stages whose
-output already exists unless --force is given.
+sweep | run. Every subcommand takes --config and --out, plus the path
+flags naming its input files; every setting, the seed included, comes only
+from the --config file. TRACKFUSE_OUT sets the default output root. ``run``
+executes the whole staged pipeline into one directory, skipping stages
+whose output already exists unless --force is given.
 
 Exit codes: 0 ok, 1 usage error, 2 data/schema error, 3 numeric failure.
 """
@@ -208,7 +209,7 @@ def load_config(path: str | None) -> dict:
             ("train.", _geometry),
             ("train.", lambda cfg: _train_config(cfg, None)),
             ("eval.", lambda cfg: _views(cfg, "eval", None)),
-            ("", lambda cfg: _seed(cfg["seed"])),
+            ("", _seed),
             ("synth.", _synth_config),
         )
         for prefix, build in builders:
@@ -233,11 +234,10 @@ def _settings(cfg: dict, section: str) -> dict:
     return DEFAULT_CONFIG[section] | cfg[section]
 
 
-def _seed(value: int) -> int:
-    """The run seed, from the config or ``--seed``: numpy's generators take no negative seed."""
-    if value < 0:
-        raise ValueError(f"seed must be >= 0, got {value!r}")
-    return value
+def _seed(cfg: dict) -> None:
+    """The top-level seed: numpy's generators take no negative seed."""
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg['seed']!r}")
 
 
 def _assoc_params(cfg: dict) -> tuple[str, AssocParams]:
@@ -432,7 +432,6 @@ class Stage:
     config: tuple[str, ...]  # the config sections ("section.key" settings) the stage reads
     inputs: tuple[str, ...] = ()  # required path flags, RUN_FILES keys
     optional: tuple[str, ...] = ()  # optional path flags, RUN_FILES keys
-    overrides: tuple[tuple[str, dict], ...] = ()  # ("section.key", argparse kwargs)
     also_writes: tuple[str, ...] = ()  # path flags the stage writes besides its output
 
 
@@ -442,32 +441,19 @@ STAGES = (
     Stage(
         "associate", "build trajectories from detections", "tracks.jsonl", "tracks",
         "tracks", stage_associate, config=("assoc",), inputs=("manifest",),
-        overrides=(
-            ("assoc.mode", {"choices": ["import", "greedy"]}),
-            ("assoc.iou_weight", {"type": float}),
-            ("assoc.match_threshold", {"type": float}),
-            ("assoc.max_gap", {"type": int}),
-        ),
     ),
     Stage(
         "consensus", "cluster labels and vote per trajectory", "consensus.jsonl",
         "consensus", "consensus", stage_consensus, config=("consensus",), inputs=("manifest", "tracks"),
-        overrides=(("consensus.tau_sem", {"type": float}),),
     ),
     Stage(
         "keyframe", "select keyframes and attach descriptions", "descriptions.jsonl",
         "descriptions", "descriptions", stage_keyframe, config=("seed", "keyframe"),
         inputs=("manifest", "consensus"),
-        overrides=(
-            ("keyframe.sigma", {"type": float}),
-            ("keyframe.strategy", {}),
-            ("keyframe.external", {"help": "external descriptions file keyed by (track, view)"}),
-        ),
     ),
     Stage(
         "train", "train the toy referring field", "model.json", "model", "model", stage_train,
         config=("train",), inputs=("manifest", "consensus", "descriptions", "geometry"), optional=("loss_curve",),
-        overrides=(("train.long_only", {"action": "store_true", "default": None}),),
         also_writes=("loss_curve",),
     ),
     Stage(
@@ -607,11 +593,6 @@ def run_sweep(
 # argument parsing
 
 
-def _flag(key: str) -> str:
-    """--flag for a RUN_FILES key or a "section.key" config override."""
-    return "--" + key.rpartition(".")[2].replace("_", "-")
-
-
 @functools.cache  # built once per process: parse_args does not change the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="trackfuse", description=__doc__)
@@ -621,17 +602,13 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(default_out=default_out)
         p.add_argument("--config", help="pipeline config JSON")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help=f"output path (default: $TRACKFUSE_OUT/{default_out})")
         for key in inputs + optional:
-            p.add_argument(_flag(key), dest=key, type=Path, required=key in inputs)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=Path, required=key in inputs)
         return p
 
     for stage in STAGES:
-        p = command(stage.name, stage.help, stage.default_out, stage.inputs, stage.optional)
-        p.set_defaults(stage=stage)
-        for dest, kwargs in stage.overrides:
-            p.add_argument(_flag(dest), dest=dest, **kwargs)
+        command(stage.name, stage.help, stage.default_out, stage.inputs, stage.optional).set_defaults(stage=stage)
 
     p = command("sweep", "sweep one parameter and export a CSV table", "sweep.csv",
                 inputs=("manifest", "tracks"), optional=("ground_truth",))
@@ -646,15 +623,7 @@ def build_parser() -> _Parser:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = _seed(args.seed)
-    paths = {}
-    for dest, value in vars(args).items():
-        section, dot, key = dest.partition(".")
-        if dot and value is not None:
-            cfg[section][key] = value
-        elif dest in RUN_FILES and value is not None:
-            paths[dest] = value
+    paths = {dest: value for dest, value in vars(args).items() if dest in RUN_FILES and value is not None}
 
     out = Path(args.out or Path(os.environ.get("TRACKFUSE_OUT", "runs")) / args.default_out)
     out.parent.mkdir(parents=True, exist_ok=True)

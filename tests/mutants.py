@@ -139,6 +139,15 @@ MUTANTS = (
         "a row whose new distance to the merged cluster ties its minimum would keep the higher slot",
         ("tests/test_consensus.py",),
     ),
+    Mutant(
+        "dispatch-forgets-the-config", "src/trackfuse/cli.py",
+        "cfg = load_config(args.config)",
+        "cfg = load_config(None)",
+        "a subcommand would run on the defaults: with no flag that sets a setting, the config file is the "
+        "only way in",
+        ("tests/test_cli.py::TestBadInput::test_eval_refuses_consensus_voted_at_another_tau_sem",
+         "tests/test_cli.py::TestBadInput::test_bad_external_caption_vector_exits_two"),
+    ),
 )
 
 

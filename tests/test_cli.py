@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from trackfuse import consensus, records, rle
-from trackfuse.cli import STAGES, _train_config, load_config, main, run_pipeline
+from trackfuse.cli import RUN_FILES, STAGES, _train_config, load_config, main, run_pipeline
 from trackfuse.consensus import load_consensus, run_consensus
 from trackfuse.errors import StageError
 from trackfuse.keyframes import run_keyframes
@@ -43,8 +43,8 @@ SMALL_CONFIG = {
 }
 
 
-def write_config(tmp_path, obj):
-    path = tmp_path / "config.json"
+def write_config(tmp_path, obj, name="config.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -142,12 +142,12 @@ class TestStages:
         assert main(
             [
                 "consensus",
+                "--config",
+                write_config(tmp_path, {"consensus": {"tau_sem": 0.85}}),
                 "--manifest",
                 str(manifest),
                 "--tracks",
                 str(tmp_path / "tracks.jsonl"),
-                "--tau-sem",
-                "0.85",
                 "--out",
                 str(tmp_path / "consensus.jsonl"),
             ]
@@ -348,6 +348,39 @@ class TestPipeline:
             "report.json": "00c2fb4fa83211f9340c0b419024c7c06dbc9c8e1b1146aa16d74cee1e3d30c9",
         }
 
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
+    def test_run_resumes_a_stage_whose_write_failed(self, tmp_path, monkeypatch, capsys, stage):
+        # os.replace raises once, as the stage writes its marker after its other files: run exits with
+        # the code of an OSError and leaves no temporary file, and the next run re-runs that stage and
+        # every later one, writing what an uninterrupted run writes
+        noisy = {"seed": 5, "synth": {"n_views": 4, "height": 32, "width": 32, "n_objects": 3, "noise": {
+            "synonym_rate": 0.35, "wrong_label_rate": 0.1, "mask_jitter": 1, "strip_track_ids": True}},
+            "assoc": {"mode": "greedy"}, "train": {"epochs": 1, "spread": 4.0}}
+        cfg = write_config(tmp_path, noisy)
+        whole, out = tmp_path / "whole", tmp_path / "run"
+        assert main(["run", "--config", cfg, "--out", str(whole)]) == 0
+        marker, failed, replace = out / RUN_FILES[stage.marker], [], os.replace
+
+        def fail_once(src, dst):
+            if Path(dst) == marker and not failed:
+                failed.append(dst)
+                raise OSError(f"no space left on device writing {dst}")
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", fail_once)
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert failed
+        assert f"error: stage {stage.name!r} failed: no space left on device" in capsys.readouterr().err
+        assert not list(out.rglob("*.tmp"))
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        names = [s.name for s in STAGES]
+        assert read_json(out / "run.json")["stages"] == {
+            name: "skipped" if k < names.index(stage.name) else "done" for k, name in enumerate(names)}
+        digests = [{name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(root).items()}
+                   for root in (whole, out)]
+        assert digests[0] == digests[1]
+
     def test_stage_failure_names_stage(self, tmp_path):
         cfg = load_config(None)
         cfg["synth"] = {"n_views": 2, "n_objects": 1}
@@ -464,11 +497,16 @@ def caption_entries(run):
     ]
 
 
+def captions_config(tmp_path, external):
+    """A config file under ``tmp_path`` whose keyframe stage reads its captions from ``external``."""
+    return ["--config", write_config(tmp_path, {"keyframe": {"external": str(external)}})]
+
+
 def keyframe_with_captions(run, tmp_path, entries):
     """The keyframe argv of the run with ``entries`` written to ``tmp_path / captions.jsonl`` as its captions."""
     external = tmp_path / "captions.jsonl"
     external.write_text("".join(json.dumps(e) + "\n" for e in entries))
-    return stage_argv(run, "keyframe", tmp_path) + ["--external", str(external)]
+    return stage_argv(run, "keyframe", tmp_path) + captions_config(tmp_path, external)
 
 
 class TestBadInput:
@@ -488,13 +526,13 @@ class TestBadInput:
     def test_non_utf8_external_captions_exit_two(self, run_dir, tmp_path, capsys, command):
         external = tmp_path / "captions.jsonl"
         external.write_bytes(b'{"track": 0, "view": 0, "texts": ["\xff"], "vecs": [[1.0]]}\n')
+        cfg = write_config(tmp_path, TINY_CONFIG | {"keyframe": {"external": str(external)}})
         if command == "run":
             for name in ("descriptions.jsonl", "model.json", "report.json"):
                 (run_dir / name).unlink()
-            cfg = write_config(tmp_path, TINY_CONFIG | {"keyframe": {"external": str(external)}})
             argv = ["run", "--config", cfg, "--out", str(run_dir)]
         else:
-            argv = stage_argv(run_dir, "keyframe", tmp_path) + ["--external", str(external)]
+            argv = stage_argv(run_dir, "keyframe", tmp_path) + ["--config", cfg]
         assert main(argv) == 2
         assert "captions.jsonl: not UTF-8" in capsys.readouterr().err
 
@@ -1008,8 +1046,9 @@ class TestBadInput:
         assert main(["run", "--config", cfg, "--out", str(run)]) == 0
         manifest = ["--manifest", str(run / "dataset" / "manifest.json")]
         consensus = tmp_path / "consensus97.jsonl"
-        assert main(["consensus", "--config", cfg, *manifest, "--tracks", str(run / "tracks.jsonl"),
-                     "--tau-sem", "0.97", "--out", str(consensus)]) == 0
+        cfg97 = write_config(tmp_path, noisy | {"consensus": {"tau_sem": 0.97}}, "config97.json")
+        assert main(["consensus", "--config", cfg97, *manifest, "--tracks", str(run / "tracks.jsonl"),
+                     "--out", str(consensus)]) == 0
         capsys.readouterr()
         report = tmp_path / "report.json"
         assert main(["eval", "--config", cfg, *manifest, "--consensus", str(consensus),
@@ -1091,19 +1130,12 @@ class TestBadInput:
             ({"synth": TINY_CONFIG["synth"] | {"seed": -1}}, "synth.seed must be >= 0, got -1"),
         ],
     )
-    def test_negative_seed_exits_two_before_any_stage(self, tmp_path, capsys, doc, message):
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_negative_seed_exits_two_before_any_stage(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["synth", "run"])
-    def test_negative_seed_flag_exits_one(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, TINY_CONFIG)
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
-        assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_synth_settings_of_their_types_are_accepted(self, tmp_path):
@@ -1167,7 +1199,7 @@ class TestBadInput:
         out = tmp_path / f"{command}.out"
         argv = eval_argv(run_dir, out) if command == "eval" else stage_argv(run_dir, command, tmp_path)
         if name == "captions.jsonl":
-            argv += ["--external", str(path)]
+            argv += captions_config(tmp_path, path)
         assert main(argv) == 2
         assert f"{where}: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -1197,50 +1229,66 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "name, value",
+        "name, value, section_too",
         [
-            ("assoc.iou_weight", 1.5),
-            ("assoc.max_gap", -1),
-            ("assoc.mode", "bogus"),
-            ("keyframe.sigma", math.nan),
-            ("keyframe.sigma", 0),
-            ("keyframe.sigma", 1e-200),
-            ("keyframe.strategy", "bogus"),
-            ("keyframe.strategy", 3),
-            ("keyframe.external", 5),
-            ("train.spread", -1),
-            ("train.spread", math.nan),
-            ("train.spread", 1e300),
-            ("train.spread", 1e-200),
-            ("train.gaussians_per_object", 0),
-            ("train.gaussians_per_object", 9),
-            ("eval.views", "x"),
+            ("assoc.iou_weight", 1.5, {}),
+            ("assoc.iou_weight", 1.5, {"mode": "greedy"}),
+            ("assoc.max_gap", -1, {}),
+            ("assoc.mode", "bogus", {}),
+            ("keyframe.sigma", math.nan, {}),
+            ("keyframe.sigma", 0, {}),
+            ("keyframe.sigma", 1e-200, {}),
+            ("keyframe.strategy", "bogus", {}),
+            ("keyframe.strategy", 3, {}),
+            ("keyframe.external", 5, {}),
+            ("train.spread", -1, {}),
+            ("train.spread", math.nan, {}),
+            ("train.spread", 1e300, {}),
+            ("train.spread", 1e-200, {}),
+            ("train.gaussians_per_object", 0, {}),
+            ("train.gaussians_per_object", 9, {}),
+            ("eval.views", "x", {}),
         ],
     )
-    def test_setting_its_stage_refuses_exits_two_before_any_stage(self, tmp_path, capsys, name, value):
-        # every builder a stage calls also runs when the config is read
+    def test_setting_its_stage_refuses_exits_two_before_any_stage(self, tmp_path, capsys, name, value, section_too):
+        # every builder a stage calls also runs when the config is read; ``section_too`` holds other
+        # settings of the same section
         section, _, key = name.partition(".")
-        cfg = write_config(tmp_path, TINY_CONFIG | {section: TINY_CONFIG.get(section, {}) | {key: value}})
+        cfg = write_config(tmp_path, TINY_CONFIG | {section: TINY_CONFIG.get(section, {}) | section_too | {key: value}})
         out = tmp_path / "run"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {cfg}: {name} " in capsys.readouterr().err
         assert not (out / "dataset").exists()
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "command, flag",
         [
-            (["consensus", "--tau-sem", "2"], "tau_sem must be in (0, 1), got 2.0"),
-            (["keyframe", "--sigma", "0"], "sigma must be positive, got 0.0"),
-            (["keyframe", "--sigma", "nan"], "sigma must be positive, got nan"),
-            (["keyframe", "--sigma", "1e-200"], "sigma is too small: 2 * sigma * sigma underflows to 0, got 1e-200"),
-            (["associate", "--mode", "greedy", "--iou-weight", "1.5"], "iou_weight must be in [0, 1], got 1.5"),
+            *(("associate", flag) for flag in (["--mode", "greedy"], ["--iou-weight", "0.5"],
+                                                 ["--match-threshold", "0.3"], ["--max-gap", "1"])),
+            ("consensus", ["--tau-sem", "0.9"]),
+            *(("keyframe", flag) for flag in (["--sigma", "2"], ["--strategy", "weighting"],
+                                                ["--external", "captions.jsonl"])),
+            ("train", ["--long-only"]),
+            *((command, ["--seed", "3"]) for command in SUBCOMMANDS),
         ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
     )
-    def test_flag_its_stage_refuses_exits_one(self, run_dir, tmp_path, capsys, argv, message):
-        command, *flags = argv
-        assert main(stage_argv(run_dir, command, tmp_path) + flags) == 1
-        assert f"error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / f"{command}.out").exists()
+    def test_setting_flag_is_no_option_exits_one(self, finished_run, tmp_path, capsys, command, flag):
+        # each setting has one way in, the --config file: a flag that would set one a second way is unknown
+        out = tmp_path / f"{command}.out"
+        manifest = ["--manifest", str(finished_run / "dataset" / "manifest.json")]
+        argv = {
+            "synth": ["synth", "--out", str(out)],
+            "eval": eval_argv(finished_run, out),
+            "sweep": ["sweep", *manifest, "--tracks", str(finished_run / "tracks.jsonl"), "--values", "0.8",
+                      "--out", str(out)],
+            "run": ["run", "--out", str(out)],
+        }.get(command) or stage_argv(finished_run, command, tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", write_config(tmp_path, TINY_CONFIG), *flag])
+        assert err.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values, message",

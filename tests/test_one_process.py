@@ -26,7 +26,7 @@ from trackfuse.records import forget_kept
 
 NOISE = {"synonym_rate": 0.4, "wrong_label_rate": 0.15, "mask_jitter": 1, "strip_track_ids": True}
 # two 5-view 32x32 scenes: in "a", dropout breaks tracks, so each max_gap of 0 and 1 gives other
-# tracks of one dataset; "assoc" and "train" are the sections every call runs with
+# tracks of one dataset; SETTINGS holds the settings every call runs with, below the ones it varies
 CONFIGS = {
     "a": {"seed": 5, "synth": {"n_views": 5, "height": 32, "width": 32, "n_objects": 3,
                                "noise": NOISE | {"dropout_rate": 0.35}}},
@@ -37,21 +37,21 @@ TAU_SEMS = (0.05, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99)
 SIGMAS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
+def write_config(path: Path, name: str, **sections: dict) -> str:
+    """Scene ``name``'s config with ``sections`` over ``SETTINGS``, written to ``path``."""
+    path.write_text(json.dumps(CONFIGS[name] | {
+        section: SETTINGS.get(section, {}) | values for section, values in (SETTINGS | sections).items()}))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def scenes(tmp_path_factory):
-    """Each scene's directory and config files, one per ``consensus.tau_sem`` (eval reads it)."""
+    """Each scene's directory."""
     root = tmp_path_factory.mktemp("scenes")
-    out = {}
-    for name, cfg in CONFIGS.items():
-        configs = {}
-        for tau_sem in TAU_SEMS:
-            path = root / f"{name}-{tau_sem}.json"
-            path.write_text(json.dumps(cfg | SETTINGS | {"consensus": {"tau_sem": tau_sem}}))
-            configs[tau_sem] = str(path)
-        assert main(["synth", "--config", configs[TAU_SEMS[0]], "--out", str(root / name)]) == 0
-        out[name] = (root / name, configs)
+    for name in CONFIGS:
+        assert main(["synth", "--config", write_config(root / f"{name}.json", name), "--out", str(root / name)]) == 0
     forget_kept()
-    return out
+    return {name: root / name for name in CONFIGS}
 
 
 class OneProcess(RuleBasedStateMachine):
@@ -60,7 +60,7 @@ class OneProcess(RuleBasedStateMachine):
         forget_kept()  # each sequence starts as a new process does
         self.scenes = scenes
         run = Path(tempfile.mkdtemp(dir=root))
-        self.one, self.own = run / "one", run / "own"
+        self.one, self.own, self.config = run / "one", run / "own", run / "config.json"
         self.tau_sem = {}  # each scene's consensus.tau_sem of its last consensus call
         for name in scenes:
             (self.one / name).mkdir(parents=True)
@@ -70,12 +70,12 @@ class OneProcess(RuleBasedStateMachine):
         """The scenes whose directory in ``one`` holds every one of ``files``."""
         return [name for name in self.scenes if all((self.one / name / f).is_file() for f in files)]
 
-    def call(self, name: str, command: str, argv, outputs: tuple[str, ...], tau_sem: float = 0.85) -> None:
+    def call(self, name: str, command: str, argv, outputs: tuple[str, ...], **sections: dict) -> None:
         """``command`` on scene ``name`` in this process, writing into ``one``, then with nothing
         kept, writing into ``own``; ``argv(out)`` gives the flags for the output directory ``out``,
-        and every input is read from ``one``."""
-        scene, configs = self.scenes[name]
-        common = [command, "--config", configs[tau_sem], "--manifest", str(scene / "dataset" / "manifest.json")]
+        every input is read from ``one``, and the config holds ``sections`` over the scene's."""
+        config = write_config(self.config, name, **sections)
+        common = [command, "--config", config, "--manifest", str(self.scenes[name] / "dataset" / "manifest.json")]
 
         def run(out: Path) -> tuple[int, str]:
             err = io.StringIO()
@@ -104,25 +104,26 @@ class OneProcess(RuleBasedStateMachine):
         return data.draw(st.sampled_from(self.ready(*files)), label="scene")
 
     def run_associate(self, name, max_gap):
-        self.call(name, "associate", lambda out: ["--max-gap", str(max_gap), "--out", f"{out}/tracks.jsonl"],
-                  ("tracks.jsonl",))
+        self.call(name, "associate", lambda out: ["--out", f"{out}/tracks.jsonl"], ("tracks.jsonl",),
+                  assoc={"max_gap": max_gap})
 
     def run_consensus(self, name, tau_sem):
         self.tau_sem[name] = tau_sem
-        self.call(name, "consensus", lambda out: [*self.inputs(name, "tracks.jsonl"), "--tau-sem", str(tau_sem),
-                                                  "--out", f"{out}/consensus.jsonl"], ("consensus.jsonl",))
+        self.call(name, "consensus", lambda out: [*self.inputs(name, "tracks.jsonl"), "--out",
+                                                  f"{out}/consensus.jsonl"], ("consensus.jsonl",),
+                  consensus={"tau_sem": tau_sem})
 
     def run_keyframe(self, name, sigma, strategy):
-        self.call(name, "keyframe", lambda out: [*self.inputs(name, "consensus.jsonl"), "--sigma", str(sigma),
-                                                 "--strategy", strategy, "--out", f"{out}/descriptions.jsonl"],
-                  ("descriptions.jsonl",))
+        self.call(name, "keyframe", lambda out: [*self.inputs(name, "consensus.jsonl"), "--out",
+                                                 f"{out}/descriptions.jsonl"], ("descriptions.jsonl",),
+                  keyframe={"sigma": sigma, "strategy": strategy})
 
     def run_train(self, name, long_only):
-        geometry = str(self.scenes[name][0] / "field_geometry.json")
+        geometry = str(self.scenes[name] / "field_geometry.json")
         self.call(name, "train", lambda out: [
             *self.inputs(name, "consensus.jsonl", "descriptions.jsonl"), "--geometry", geometry,
-            *(["--long-only"] if long_only else []), "--loss-curve", f"{out}/loss_curve.csv",
-            "--out", f"{out}/model.json"], ("model.json", "loss_curve.csv"))
+            "--loss-curve", f"{out}/loss_curve.csv", "--out", f"{out}/model.json"], ("model.json", "loss_curve.csv"),
+            train={"long_only": long_only})
 
     @initialize(name=st.sampled_from(sorted(CONFIGS)), tau_sem=st.sampled_from(TAU_SEMS))
     def pipeline(self, name, tau_sem):
@@ -157,10 +158,10 @@ class OneProcess(RuleBasedStateMachine):
         name = self.scene_with(data, "consensus.jsonl", "descriptions.jsonl", "model.json")
         # mostly the tau_sem the records were voted at; another may refuse them (exit 2)
         tau_sem = data.draw(st.just(self.tau_sem[name]) | st.sampled_from(TAU_SEMS), label="tau_sem")
-        gt = str(self.scenes[name][0] / "ground_truth.json")
+        gt = str(self.scenes[name] / "ground_truth.json")
         self.call(name, "eval", lambda out: [
             *self.inputs(name, "consensus.jsonl", "descriptions.jsonl", "model.json"), "--ground-truth", gt,
-            "--out", f"{out}/report.json"], ("report.json",), tau_sem)
+            "--out", f"{out}/report.json"], ("report.json",), consensus={"tau_sem": tau_sem})
 
     @precondition(lambda self: self.ready("tracks.jsonl"))
     @rule(data=st.data(), param=st.sampled_from(["tau_sem", "sigma"]))
@@ -169,7 +170,7 @@ class OneProcess(RuleBasedStateMachine):
         # unsorted, and a value may repeat
         values = data.draw(st.lists(st.sampled_from(TAU_SEMS if param == "tau_sem" else SIGMAS), min_size=1,
                                     max_size=5), label="values")
-        gt = str(self.scenes[name][0] / "ground_truth.json")
+        gt = str(self.scenes[name] / "ground_truth.json")
         csv = f"sweep-{param}.csv"
         self.call(name, "sweep", lambda out: [
             *self.inputs(name, "tracks.jsonl"), "--ground-truth", gt, "--param", param,
